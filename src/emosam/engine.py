@@ -39,6 +39,7 @@ from .samknn import (
     DEFAULT_TRACKER_DECAY,
     FrozenChunkPredictor,
     MemoryBank,
+    check_bank_params,
 )
 from .smpso import Archive, ObjectivePair, SmpsoParams, knee_index, optimize_weights
 from .stream import Chunk
@@ -147,6 +148,7 @@ class EngineConfig:
             raise ValueError("history_capacity must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        check_bank_params(self.k, self.stm_cap, self.ltm_cap, self.min_stm_size, self.tracker_decay)
         self.smpso.validate()
 
     def to_dict(self) -> dict:
@@ -273,9 +275,8 @@ class EmosamEngine:
             return np.full(len(chunk), self.config.tie_label, dtype=np.uint8)
         predictor = FrozenChunkPredictor(chunk.features, self.bank)
         if self.config.selection is SelectionStrategy.MAJORITY:
-            votes = np.zeros(len(chunk), dtype=np.int64)
-            for sol in self.pareto_front:
-                votes += predictor.predict(sol.alpha)
+            alphas = np.stack([sol.alpha for sol in self.pareto_front])
+            votes = predictor.predict(alphas).sum(axis=0, dtype=np.int64)
             n_members = len(self.pareto_front)
             preds = np.where(
                 2 * votes > n_members,

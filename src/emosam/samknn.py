@@ -18,6 +18,16 @@ weight by a constant rescales all distances without changing any neighbor
 set. Memory management (tracker updates, cleaning, size adaptation,
 compression) always runs unweighted; weights only steer predictions.
 
+Every weighted prediction goes through one kernel. It walks the queries in
+row blocks whose squared-difference buffer ``(x - mem)^2`` holds at most
+``_BLOCK_ELEMENTS`` float64 values, builds that buffer once per block, and
+then, for each weight vector of a stack, takes one ``sq @ alpha^2`` product
+and votes. Every query row is computed on its own, by the same operations in
+the same order, so a vote does not depend on the block size, on the other
+queries or on the other weight vectors: :meth:`MemoryBank.predict` (a
+one-row block) and :class:`FrozenChunkPredictor` (any block) agree bit for
+bit, and memory stays bounded however large queries times memory grows.
+
 Determinism: k-nearest ties are broken toward the earlier memory position,
 class-vote ties toward label 1, and compression draws from a generator
 seeded by (bank seed, pass counter), so identical inputs give identical
@@ -61,16 +71,30 @@ _COMPRESS_TAG = 4
 _SNAPSHOT_MAGIC = b"SAMB"
 _SNAPSHOT_VERSION = 1
 
-# Largest number of float64 elements materialised at once by the batched
-# distance paths; larger jobs fall back to row blocks.
-_PRECOMPUTE_BUDGET = 24_000_000
+# Largest number of float64 elements in one row block of a points-by-memory
+# tensor: the kernel's squared-difference buffer and the k-means assignment
+# distances. 2 MiB stays in one core's L2 while a block's buffer is re-read
+# once per weight vector; 1-8 MiB blocks measured within about 15% of it.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def check_bank_params(k: int, stm_cap: int, ltm_cap: int, min_stm_size: int, tracker_decay: float) -> None:
+    """Reject memory settings a :class:`MemoryBank` cannot run with."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    if stm_cap < 1 or ltm_cap < 1:
+        raise ValueError("memory capacities must be positive")
+    if min_stm_size <= k:
+        raise ValueError("min_stm_size must exceed k")
+    if not 0.0 < tracker_decay <= 1.0:
+        raise ValueError("tracker_decay must lie in (0, 1]")
 
 
 def check_weights(alpha: np.ndarray, dim: int) -> np.ndarray:
-    """Validate a weight vector: shape (dim,), finite, inside [0, 1]."""
+    """Validate a weight vector (dim,) or a stack of them (S, dim): finite, inside [0, 1]."""
     a = np.asarray(alpha, dtype=np.float64)
-    if a.shape != (dim,):
-        raise ValueError(f"weight vector must have shape ({dim},), got {a.shape}")
+    if a.ndim not in (1, 2) or a.shape[-1] != dim:
+        raise ValueError(f"weights must have shape ({dim},) or (S, {dim}), got {a.shape}")
     if not np.isfinite(a).all() or a.min(initial=0.0) < 0.0 or a.max(initial=0.0) > 1.0:
         raise ValueError("weights must be finite and lie in [0, 1]")
     return a
@@ -99,27 +123,67 @@ def _vote_1d(dist2: np.ndarray, labels: np.ndarray, k: int) -> int:
     return 1 if 2 * ones >= kk else 0
 
 
-def _vote_rows(dist2: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+def _vote_rows(dist2: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
     """Row-wise k-nearest majority votes with the same tie rules as _vote_1d.
 
-    Uses argpartition for the k-th distance value, then selects all strictly
-    closer points plus the earliest-position points tied at that value, which
-    reproduces a stable (distance, position) sort exactly.
+    ``positive`` marks the memory points labelled 1. The k-th smallest
+    distance of each row comes from a partition; when exactly k points lie at
+    or below it they are the k nearest. Only rows with more than k such points
+    (ties at the k-th distance) take all strictly closer points plus the
+    earliest-position tied ones, which reproduces a stable (distance,
+    position) sort exactly.
     """
     n, m = dist2.shape
     kk = min(k, m)
     if kk == m:
-        ones = int(labels.sum())
+        ones = int(np.count_nonzero(positive))
         return np.full(n, 1 if 2 * ones >= kk else 0, dtype=np.uint8)
-    part = np.argpartition(dist2, kk - 1, axis=1)[:, :kk]
-    kth = np.take_along_axis(dist2, part, axis=1).max(axis=1)
-    strict = dist2 < kth[:, None]
-    need = kk - strict.sum(axis=1)
-    tie = dist2 == kth[:, None]
-    tie_sel = tie & (np.cumsum(tie, axis=1) <= need[:, None])
-    sel = strict | tie_sel
-    ones = (sel & (labels == 1)[None, :]).sum(axis=1)
+    kth = np.partition(dist2, kk - 1, axis=1)[:, kk - 1 : kk]
+    near = dist2 <= kth
+    ones = np.count_nonzero(near & positive, axis=1)
+    tied = np.flatnonzero(np.count_nonzero(near, axis=1) > kk)
+    if tied.size:
+        sub, sub_kth = dist2[tied], kth[tied]
+        strict = sub < sub_kth
+        need = kk - np.count_nonzero(strict, axis=1)
+        tie = sub == sub_kth
+        sel = strict | (tie & (np.cumsum(tie, axis=1) <= need[:, None]))
+        ones[tied] = np.count_nonzero(sel & positive, axis=1)
     return (2 * ones >= kk).astype(np.uint8)
+
+
+def _weighted_votes(
+    queries: np.ndarray,
+    memory: np.ndarray,
+    positive: np.ndarray,
+    k: int,
+    alphas: np.ndarray,
+    budget: int = _BLOCK_ELEMENTS,
+) -> np.ndarray:
+    """The weighted kNN kernel: votes of every query under every weight vector.
+
+    ``queries`` is (n, d), ``memory`` (m, d), ``alphas`` a validated (S, d)
+    stack; returns (S, n) uint8. Queries are taken in row blocks whose
+    squared-difference buffer holds at most ``budget`` elements (at least one
+    row). Each block's buffer is built once and shared by all S weight
+    vectors.
+    """
+    n, d = queries.shape
+    m = memory.shape[0]
+    w = alphas * alphas
+    out = np.empty((w.shape[0], n), dtype=np.uint8)
+    rows = max(1, min(n, budget // (m * d)))
+    buf = np.empty((rows, m, d))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        sq = buf[: stop - start]
+        np.subtract(queries[start:stop, None, :], memory[None, :, :], out=sq)
+        np.square(sq, out=sq)
+        flat = sq.reshape(-1, d)
+        for s in range(w.shape[0]):
+            d2 = (flat @ w[s]).reshape(stop - start, m)
+            out[s, start:stop] = _vote_rows(d2, positive, k)
+    return out
 
 
 def _sq_dist_row(point: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -226,9 +290,14 @@ def _kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator) -> tu
         d2 = np.minimum(d2, _sq_dist_row(points[idx], points))
     c = np.array(centers)
     assign = np.zeros(n, dtype=np.intp)
+    rows = max(1, _BLOCK_ELEMENTS // (m * points.shape[1]))
     for _ in range(10):
-        dist = ((points[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
-        new_assign = dist.argmin(axis=1)
+        # Row blocks bound the n x m x d tensor; each row's sum is unchanged.
+        new_assign = np.empty(n, dtype=np.intp)
+        for start in range(0, n, rows):
+            block = points[start : start + rows]
+            dist = ((block[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
+            new_assign[start : start + rows] = dist.argmin(axis=1)
         new_c = c.copy()
         for j in range(m):
             members = new_assign == j
@@ -256,14 +325,7 @@ class MemoryBank:
     ) -> None:
         if dim < 1:
             raise ValueError("dim must be positive")
-        if k < 1:
-            raise ValueError("k must be positive")
-        if stm_cap < 1 or ltm_cap < 1:
-            raise ValueError("memory capacities must be positive")
-        if min_stm_size <= k:
-            raise ValueError("min_stm_size must exceed k")
-        if not 0.0 < tracker_decay <= 1.0:
-            raise ValueError("tracker_decay must lie in (0, 1]")
+        check_bank_params(k, stm_cap, ltm_cap, min_stm_size, tracker_decay)
         if seed < 0:
             raise ValueError("seed must be non-negative")
         self.dim = dim
@@ -361,11 +423,10 @@ class MemoryBank:
         if x.shape != (self.dim,):
             raise ValueError(f"query must have shape ({self.dim},)")
         alpha = check_weights(alpha, self.dim)
-        w = alpha * alpha
+        if alpha.ndim != 1:
+            raise ValueError("predict takes one weight vector")
         feats, labels = self._store_arrays(self._best_store())
-        diff = feats - x
-        d2 = (diff * diff) @ w
-        return _vote_1d(d2, labels, self.k)
+        return int(_weighted_votes(x[None, :], feats, labels == 1, self.k, alpha[None, :])[0, 0])
 
     def predict_chunk(self, features: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`predict` over many queries (same outputs)."""
@@ -631,26 +692,41 @@ class MemoryBank:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "MemoryBank":
-        buf = io.BytesIO(blob)
-        if buf.read(4) != _SNAPSHOT_MAGIC:
+        """Rebuild a bank from :meth:`to_bytes` output.
+
+        A truncated blob, trailing bytes or settings a bank rejects raise
+        ValueError.
+        """
+        pos = 0
+
+        def take(size: int) -> bytes:
+            nonlocal pos
+            if size > len(blob) - pos:
+                raise ValueError("truncated memory snapshot")
+            pos += size
+            return blob[pos - size : pos]
+
+        if take(4) != _SNAPSHOT_MAGIC:
             raise ValueError("not a memory snapshot")
         fmt = "<IIIIIIdqQB"
         version, dim, k, stm_cap, ltm_cap, min_stm, decay, seed, count, per_inst = struct.unpack(
-            fmt, buf.read(struct.calcsize(fmt))
+            fmt, take(struct.calcsize(fmt))
         )
         if version != _SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
         bank = cls(dim, k, stm_cap, ltm_cap, min_stm, decay, seed, adapt_per_instance=bool(per_inst))
         bank.compress_count = count
         for name in ("stm", "ltm", "combined"):
-            bank._trackers[name] = list(struct.unpack("<2d", buf.read(16)))
+            bank._trackers[name] = list(struct.unpack("<2d", take(16)))
         arrays = []
         for _ in range(2):
-            (n,) = struct.unpack("<I", buf.read(4))
-            feats = np.frombuffer(buf.read(8 * n * dim), dtype="<f8").reshape(n, dim).copy()
-            groups = np.frombuffer(buf.read(n), dtype=np.uint8).copy()
-            labels = np.frombuffer(buf.read(n), dtype=np.uint8).copy()
+            (n,) = struct.unpack("<I", take(4))
+            feats = np.frombuffer(take(8 * n * dim), dtype="<f8").reshape(n, dim).copy()
+            groups = np.frombuffer(take(n), dtype=np.uint8).copy()
+            labels = np.frombuffer(take(n), dtype=np.uint8).copy()
             arrays.append((feats, groups, labels))
+        if pos != len(blob):
+            raise ValueError(f"{len(blob) - pos} trailing bytes after the memory snapshot")
         (sf, sg, sl), (lf, lg, ll) = arrays
         bank.replace_stm(sf, sl, sg)
         bank.replace_ltm(lf, ll, lg)
@@ -670,45 +746,31 @@ def load_bank(path) -> MemoryBank:
 class FrozenChunkPredictor:
     """Batch predictor binding one query block to a frozen memory bank.
 
-    The per-feature squared differences between queries and the currently
-    best store are precomputed once, so predicting under many different
-    weight vectors costs one small matrix product each. Results are bitwise
-    identical to calling :meth:`MemoryBank.predict` per query. Oversized
-    jobs skip the precomputation and fall back to row blocks.
+    The constructor copies the queries and the currently best store, so later
+    fits leave its predictions unchanged. :meth:`predict` runs the module's
+    single weighted kNN kernel: one weight vector (d,) gives (n,) votes, a
+    stack (S, d) gives (S, n), row s equal to predicting with the s-th vector
+    alone. Each query row is computed independently, so results are bitwise
+    identical to calling :meth:`MemoryBank.predict` per query, whatever the
+    ``budget`` (float64 elements per row block; at least one row).
     """
 
-    def __init__(self, features: np.ndarray, bank: MemoryBank, budget: int = _PRECOMPUTE_BUDGET) -> None:
+    def __init__(self, features: np.ndarray, bank: MemoryBank, budget: int = _BLOCK_ELEMENTS) -> None:
         if bank.stm_size == 0:
             raise ValueError("cannot predict with an empty STM")
-        x = np.ascontiguousarray(features, dtype=np.float64)
+        x = np.array(features, dtype=np.float64, order="C")
         if x.ndim != 2 or x.shape[1] != bank.dim:
             raise ValueError(f"queries must have shape (n, {bank.dim})")
         feats, labels = bank._store_arrays(bank._best_store())
         self._x = x
-        self._mem = np.ascontiguousarray(feats)
-        self._labels = labels.copy()
+        self._mem = np.array(feats, dtype=np.float64, order="C")
+        self._positive = labels == 1
         self._k = bank.k
-        n, m, d = x.shape[0], len(labels), bank.dim
-        self._shape = (n, m)
-        if n * m * d <= budget:
-            self._sq = np.ascontiguousarray(
-                (x[:, None, :] - self._mem[None, :, :]) ** 2
-            ).reshape(n * m, d)
-        else:
-            self._sq = None
+        self._budget = budget
 
     def predict(self, alpha: np.ndarray) -> np.ndarray:
-        n, m = self._shape
         alpha = check_weights(alpha, self._x.shape[1])
-        w = alpha * alpha
-        if self._sq is not None:
-            d2 = (self._sq @ w).reshape(n, m)
-            return _vote_rows(d2, self._labels, self._k)
-        out = np.empty(n, dtype=np.uint8)
-        block = max(1, _PRECOMPUTE_BUDGET // (m * self._x.shape[1]))
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            sq = (self._x[start:stop, None, :] - self._mem[None, :, :]) ** 2
-            d2 = sq.reshape((stop - start) * m, -1) @ w
-            out[start:stop] = _vote_rows(d2.reshape(stop - start, m), self._labels, self._k)
-        return out
+        votes = _weighted_votes(
+            self._x, self._mem, self._positive, self._k, np.atleast_2d(alpha), self._budget
+        )
+        return votes[0] if alpha.ndim == 1 else votes

@@ -4,9 +4,10 @@ Minimises two objectives over a box-bounded vector. Velocities are damped by
 a constriction coefficient and clamped per dimension to half the box extent;
 leaders come from a bounded external archive of non-dominated solutions via
 binary tournament on crowding distance. A polynomial mutation perturbs a
-fraction of the swarm each iteration. The weight-optimization entry points
-bind the search to a labeled chunk and a frozen memory bank, scoring each
-candidate weight vector by (error rate, absolute discrimination).
+fraction of the swarm each iteration. The objective scores a whole sweep of
+positions in one call. The weight-optimization entry points bind the search
+to a labeled chunk and a frozen memory bank, scoring each candidate weight
+vector by (error rate, absolute discrimination).
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ __all__ = [
     "evaluate_weights",
     "optimize_weights",
 ]
+
+# Appended to the run seed for the generator of the personal-best coin flips.
+_PBEST_TAG = 5
 
 
 class ObjectivePair(NamedTuple):
@@ -222,8 +226,15 @@ def _tournament(archive: Archive, rng: np.random.Generator) -> np.ndarray:
     return archive[int(winner)].position
 
 
+def _scores(objective: Callable[[np.ndarray], np.ndarray], positions: np.ndarray) -> list[tuple[float, float]]:
+    values = np.asarray(objective(positions), dtype=np.float64)
+    if values.shape != (len(positions), 2):
+        raise ValueError(f"objective must return shape ({len(positions)}, 2), got {values.shape}")
+    return [(float(a), float(b)) for a, b in values]
+
+
 def smpso_minimize(
-    objective: Callable[[np.ndarray], Sequence[float]],
+    objective: Callable[[np.ndarray], np.ndarray],
     lower: np.ndarray,
     upper: np.ndarray,
     params: SmpsoParams,
@@ -233,10 +244,15 @@ def smpso_minimize(
 ) -> Archive:
     """Run the swarm and return the leader archive.
 
-    ``initial_positions`` seed up to ``swarm_size`` particles; the rest start
-    uniform inside the box. All velocities start at zero. On a bound
-    violation the position is clamped and that velocity component is scaled
-    by -0.001. The run is a pure function of its arguments and the seed.
+    ``objective`` maps an (S, d) array of positions to (S, 2) objective
+    values; it scores the initial swarm, then each iteration's S new
+    positions, in one call each. ``initial_positions`` seed up to
+    ``swarm_size`` particles; the rest start uniform inside the box. All
+    velocities start at zero. On a bound violation the position is clamped
+    and that velocity component is scaled by -0.001. ``seed`` is an int or a
+    sequence of ints; the personal-best coin flips draw from their own
+    generator, keyed by the seed and a tag. The run is a pure function of its
+    arguments and the seed.
     """
     params.validate()
     lower = np.asarray(lower, dtype=np.float64)
@@ -247,6 +263,8 @@ def smpso_minimize(
         raise ValueError("upper bounds must not be below lower bounds")
     d = lower.size
     rng = np.random.default_rng(seed)
+    key = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    coin = np.random.default_rng([*key, _PBEST_TAG])
     chi = constriction(params.c1, params.c2)
     vmax = (upper - lower) / 2.0
 
@@ -260,7 +278,7 @@ def smpso_minimize(
     velocities = np.zeros((n, d))
 
     archive = Archive(params.archive_capacity)
-    objs = [tuple(map(float, objective(positions[i]))) for i in range(n)]
+    objs = _scores(objective, positions)
     pbest = positions.copy()
     pbest_obj = list(objs)
     for i in range(n):
@@ -269,8 +287,8 @@ def smpso_minimize(
     per_var = 1.0 / d
     for it in range(params.iterations):
         # Leaders for the whole sweep come from the archive as it stood at
-        # the end of the previous iteration; inserts happen afterwards, in
-        # particle-index order.
+        # the end of the previous iteration, so every new position is known
+        # before the sweep is scored; inserts follow in particle-index order.
         for i in range(n):
             leader = _tournament(archive, rng)
             r1 = rng.random(d)
@@ -291,15 +309,15 @@ def smpso_minimize(
                 pos = polynomial_mutation(pos, lower, upper, rng, per_var, params.mutation_eta)
             positions[i] = pos
             velocities[i] = vel
-            obj = tuple(map(float, objective(pos)))
-            if dominates(obj, pbest_obj[i]) or (
-                not dominates(pbest_obj[i], obj) and rng.random() < 0.5
-            ):
-                pbest[i] = pos
-                pbest_obj[i] = obj
-            objs[i] = obj
+        objs = _scores(objective, positions)
         for i in range(n):
-            archive.insert(positions[i], objs[i])
+            obj = objs[i]
+            if dominates(obj, pbest_obj[i]) or (
+                not dominates(pbest_obj[i], obj) and coin.random() < 0.5
+            ):
+                pbest[i] = positions[i]
+                pbest_obj[i] = obj
+            archive.insert(positions[i], obj)
         if iteration_hook is not None:
             iteration_hook(it, positions, velocities, archive)
     return archive
@@ -337,8 +355,8 @@ def optimize_weights(
         raise ValueError("cannot optimize against an empty STM")
     predictor = FrozenChunkPredictor(chunk.features, bank)
 
-    def objective(alpha: np.ndarray) -> ObjectivePair:
-        return _objectives_from_predictions(predictor.predict(alpha), chunk)
+    def objective(alphas: np.ndarray) -> list[ObjectivePair]:
+        return [_objectives_from_predictions(p, chunk) for p in predictor.predict(alphas)]
 
     d = chunk.n_features
     return smpso_minimize(

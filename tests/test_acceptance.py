@@ -152,9 +152,11 @@ def test_plain_memory_degeneracy_at_scale(reference_chunks):
 def test_swarm_recovers_analytic_front():
     start = time.perf_counter()
 
-    def schaffer(x):
-        v = float(x[0])
-        return (min(v * v, 25.0) / 25.0, min((v - 2.0) ** 2, 49.0) / 49.0)
+    def schaffer(positions):
+        return [
+            (min(v * v, 25.0) / 25.0, min((v - 2.0) ** 2, 49.0) / 49.0)
+            for v in (float(x[0]) for x in positions)
+        ]
 
     inside = total = 0
     for seed in range(10):

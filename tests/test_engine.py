@@ -68,6 +68,20 @@ def test_config_validation():
         small_config(tie_label=2).validate()
     with pytest.raises(ValueError):
         small_config(smpso=SmpsoParams(swarm_size=0)).validate()
+    # memory settings fail here, not first in the engine constructor
+    for bad in (
+        dict(k=0),
+        dict(k=20),  # min_stm_size must exceed k
+        dict(stm_cap=0),
+        dict(ltm_cap=0),
+        dict(tracker_decay=0.0),
+        dict(tracker_decay=1.5),
+    ):
+        with pytest.raises(ValueError):
+            small_config(**bad).validate()
+    with pytest.raises(ValueError):
+        EngineConfig(k=60).validate()
+    small_config(tracker_decay=1.0).validate()
     # a threshold above 1 is legal on purpose: |discrimination| never
     # exceeds 1, so it acts as a never-firing switch
     small_config(trend_threshold=1.01).validate()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import make_chunk
 from emosam.samknn import (
+    _BLOCK_ELEMENTS,
     FrozenChunkPredictor,
     MemoryBank,
     _candidate_sizes,
     _interleaved_errors,
+    _kmeans,
     check_weights,
     clean,
     weighted_distance,
@@ -177,16 +180,70 @@ def test_batch_predictions_equal_single_queries(rng, budget):
         np.testing.assert_array_equal(batch, single)
 
 
+GRID_WEIGHTS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_stacked_predictions_match_brute_oracle_on_ties(data):
+    # integer-grid points and dyadic weights keep every distance exact, so
+    # the many duplicate and tied distances are ties for the oracle too
+    d = data.draw(st.integers(1, 4), label="d")
+    m = data.draw(st.integers(1, 25), label="m")
+    n = data.draw(st.integers(1, 12), label="n")
+    k = data.draw(st.integers(1, m + 3), label="k")  # k >= m included
+    grid = st.integers(0, 2)
+    mem = np.array(data.draw(st.lists(st.lists(grid, min_size=d, max_size=d), min_size=m, max_size=m)), dtype=float)
+    queries = np.array(data.draw(st.lists(st.lists(grid, min_size=d, max_size=d), min_size=n, max_size=n)), dtype=float)
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)), dtype=np.uint8)
+    rows = data.draw(st.lists(st.lists(GRID_WEIGHTS, min_size=d, max_size=d), min_size=1, max_size=4))
+    alphas = np.array(rows + [[0.0] * d])  # an all-zero member every time
+    bank = bank_with_stm(mem, labels, k=k, min_stm_size=k + 1, stm_cap=max(m, 1))
+    want = [[brute_knn_vote(q, mem, labels, k, a) for q in queries] for a in alphas]
+    for block_rows in (1, 7, None):
+        kwargs = {} if block_rows is None else {"budget": block_rows * m * d}
+        got = FrozenChunkPredictor(queries, bank, **kwargs).predict(alphas)
+        assert got.shape == (len(alphas), n)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_stacked_row_equals_single_vector_call(rng):
+    feats = rng.random((300, 4))
+    labels = rng.integers(0, 2, 300).astype(np.uint8)
+    bank = bank_with_stm(feats, labels, min_stm_size=6, stm_cap=300)
+    predictor = FrozenChunkPredictor(rng.random((90, 4)), bank, budget=7 * 300 * 4)
+    alphas = np.vstack([rng.random((4, 4)), np.zeros(4), [0.0, 1.0, 0.0, 0.5]])
+    stacked = predictor.predict(alphas)
+    assert stacked.shape == (6, 90) and stacked.dtype == np.uint8
+    for s, alpha in enumerate(alphas):
+        single = predictor.predict(alpha)
+        assert single.shape == (90,)
+        np.testing.assert_array_equal(stacked[s], single)
+
+
+def test_batch_predictor_rejects_bad_weight_shapes(rng):
+    bank = bank_with_stm(rng.random((20, 3)), rng.integers(0, 2, 20), min_stm_size=6)
+    predictor = FrozenChunkPredictor(rng.random((5, 3)), bank)
+    for bad in (np.ones(2), np.ones((2, 2)), np.ones((1, 2, 3)), np.float64(1.0)):
+        with pytest.raises(ValueError):
+            predictor.predict(bad)
+    with pytest.raises(ValueError):
+        bank.predict(np.zeros(3), np.ones((2, 3)))
+
+
 def test_batch_predictor_frozen_against_later_fits(rng):
     feats = rng.random((30, 3))
     labels = rng.integers(0, 2, 30).astype(np.uint8)
-    bank = bank_with_stm(feats, labels, min_stm_size=6)
+    # stm_cap 30: the fit below overruns the STM buffer, which compacts it
+    # in place, overwriting the rows the predictors were built from
+    bank = bank_with_stm(feats, labels, min_stm_size=6, stm_cap=30)
     queries = rng.random((8, 3))
-    predictor = FrozenChunkPredictor(queries, bank)
-    before = predictor.predict(np.ones(3))
-    chunk = make_chunk(rng.random((20, 3)), rng.integers(0, 2, 20), rng.integers(0, 2, 20))
+    predictors = [FrozenChunkPredictor(queries, bank), FrozenChunkPredictor(queries, bank, budget=1)]
+    before = [p.predict(np.ones(3)) for p in predictors]
+    chunk = make_chunk(rng.random((40, 3)), rng.integers(0, 2, 40), rng.integers(0, 2, 40))
     bank.fit_chunk(chunk)
-    np.testing.assert_array_equal(predictor.predict(np.ones(3)), before)
+    for predictor, want in zip(predictors, before):
+        np.testing.assert_array_equal(predictor.predict(np.ones(3)), want)
 
 
 # -- fitting ------------------------------------------------------------------------
@@ -366,6 +423,23 @@ def test_compress_duplicated_points_are_fixed_points():
     np.testing.assert_allclose(bank.ltm_features, np.tile(point, (4, 1)))
 
 
+def test_kmeans_peak_memory_does_not_grow_with_n_m_d():
+    # a points x centers x dims tensor would take n*m*d*8 bytes: about 10 MB
+    # for the small case and 164 MB for the large one
+    rng = np.random.default_rng(0)
+    peaks = []
+    for n in (400, 1600):
+        points = rng.random((n, 16))
+        tracemalloc.start()
+        try:
+            _kmeans(points, n // 2, np.random.default_rng(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 3 * 8 * _BLOCK_ELEMENTS
+    assert peaks[1] < 1.5 * peaks[0]
+
+
 def test_compress_is_seeded(rng):
     feats = rng.random((100, 2))
     labels = rng.integers(0, 2, 100).astype(np.uint8)
@@ -400,6 +474,28 @@ def test_snapshot_roundtrip(rng):
 def test_snapshot_rejects_garbage():
     with pytest.raises(ValueError):
         MemoryBank.from_bytes(b"not a snapshot at all")
+
+
+def _fitted_snapshot(rng) -> bytes:
+    bank = MemoryBank(2, stm_cap=30, ltm_cap=30, min_stm_size=8, seed=4)
+    bank.fit_chunk(make_chunk(rng.random((20, 2)), rng.integers(0, 2, 20), rng.integers(0, 2, 20)))
+    bank.replace_ltm(rng.random((12, 2)), rng.integers(0, 2, 12), rng.integers(0, 2, 12))
+    return bank.to_bytes()
+
+
+def test_snapshot_rejects_every_truncation(rng):
+    blob = _fitted_snapshot(rng)
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            MemoryBank.from_bytes(blob[:cut])
+
+
+def test_snapshot_rejects_trailing_bytes(rng):
+    blob = _fitted_snapshot(rng)
+    MemoryBank.from_bytes(blob)
+    for extra in (b"\0", b"SAMB" + blob[4:12]):
+        with pytest.raises(ValueError, match="trailing"):
+            MemoryBank.from_bytes(blob + extra)
 
 
 def test_per_instance_adaptation_flag_runs(rng):

@@ -145,6 +145,10 @@ def _schaffer(x):
     return (min(v * v, 25.0) / 25.0, min((v - 2.0) ** 2, 49.0) / 49.0)
 
 
+def _schaffer_batch(positions):
+    return [_schaffer(x) for x in positions]
+
+
 def test_smpso_positions_and_velocities_bounded():
     seen = []
 
@@ -153,7 +157,7 @@ def test_smpso_positions_and_velocities_bounded():
 
     params = SmpsoParams(swarm_size=10, iterations=5)
     smpso_minimize(
-        lambda x: (float(x[0]), float(1.0 - x[0])),
+        lambda positions: [(float(x[0]), float(1.0 - x[0])) for x in positions],
         np.zeros(2),
         np.ones(2),
         params,
@@ -171,7 +175,7 @@ def test_smpso_fixed_seed_reproduces_archive():
 
     def run():
         archive = smpso_minimize(
-            _schaffer, np.array([-5.0]), np.array([5.0]), params, seed=42
+            _schaffer_batch, np.array([-5.0]), np.array([5.0]), params, seed=42
         )
         return [(tuple(e.position), e.objectives) for e in archive]
 
@@ -181,14 +185,36 @@ def test_smpso_fixed_seed_reproduces_archive():
         assert p1 == p2 and o1 == o2
 
 
+def test_smpso_batch_objective_one_call_per_sweep_and_reproducible():
+    params = SmpsoParams(swarm_size=9, iterations=4)
+    lower, upper = np.zeros(3), np.ones(3)
+
+    def run(seed):
+        shapes = []
+
+        def objective(positions):
+            shapes.append(positions.shape)
+            return np.column_stack([positions.sum(axis=1), (1.0 - positions).prod(axis=1)])
+
+        archive = smpso_minimize(objective, lower, upper, params, seed)
+        return shapes, [(tuple(e.position), e.objectives) for e in archive]
+
+    shapes, first = run([7, 2, 1])
+    assert shapes == [(9, 3)] * 5  # the initial swarm, then one sweep per iteration
+    assert run([7, 2, 1])[1] == first
+    assert run(3)[1] == run(3)[1]
+    with pytest.raises(ValueError):
+        smpso_minimize(lambda p: np.zeros((len(p), 3)), lower, upper, params, 0)
+
+
 def test_smpso_warm_start_positions_clipped():
     params = SmpsoParams(swarm_size=6, iterations=1)
     warm = [np.array([9.0]), np.array([-9.0])]
     collected = []
 
-    def objective(x):
-        collected.append(float(x[0]))
-        return _schaffer(x)
+    def objective(positions):
+        collected.extend(float(x[0]) for x in positions)
+        return _schaffer_batch(positions)
 
     smpso_minimize(objective, np.array([-5.0]), np.array([5.0]), params, 0, warm)
     # the first two evaluations are the clipped warm starts
@@ -200,7 +226,7 @@ def test_smpso_solves_schaffer_front():
     inside = total = 0
     for seed in range(10):
         archive = smpso_minimize(
-            _schaffer, np.array([-5.0]), np.array([5.0]), params, seed
+            _schaffer_batch, np.array([-5.0]), np.array([5.0]), params, seed
         )
         assert mutually_non_dominated([e.objectives for e in archive])
         for entry in archive:
