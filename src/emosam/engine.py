@@ -348,10 +348,16 @@ class EmosamEngine:
         with open(path, "rb") as fh:
             if fh.read(4) != _CHECKPOINT_MAGIC:
                 raise ValueError("not an engine checkpoint")
-            version, size = struct.unpack("<II", fh.read(8))
+            field = fh.read(8)
+            if len(field) != 8:
+                raise ValueError("truncated engine checkpoint header")
+            version, size = struct.unpack("<II", field)
             if version != _CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
-            head = json.loads(fh.read(size).decode("utf-8"))
+            raw = fh.read(size)
+            if len(raw) != size:
+                raise ValueError("truncated engine checkpoint")
+            head = json.loads(raw.decode("utf-8"))
             bank_blob = fh.read()
         engine = cls(head["dim"], EngineConfig.from_dict(head["config"]))
         engine.bank = MemoryBank.from_bytes(bank_blob)

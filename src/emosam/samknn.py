@@ -18,15 +18,31 @@ weight by a constant rescales all distances without changing any neighbor
 set. Memory management (tracker updates, cleaning, size adaptation,
 compression) always runs unweighted; weights only steer predictions.
 
-Every weighted prediction goes through one kernel. It walks the queries in
-row blocks whose squared-difference buffer ``(x - mem)^2`` holds at most
-``_BLOCK_ELEMENTS`` float64 values, builds that buffer once per block, and
-then, for each weight vector of a stack, takes one ``sq @ alpha^2`` product
-and votes. Every query row is computed on its own, by the same operations in
-the same order, so a vote does not depend on the block size, on the other
-queries or on the other weight vectors: :meth:`MemoryBank.predict` (a
-one-row block) and :class:`FrozenChunkPredictor` (any block) agree bit for
-bit, and memory stays bounded however large queries times memory grows.
+All distance work runs over row blocks whose difference buffer holds at most
+``_BLOCK_ELEMENTS`` float64 values (at least one row), so memory stays
+bounded however large rows times memory grows. Every row is computed on its
+own, by the same operations in the same order, so no result depends on the
+block size or on the other rows.
+
+Every weighted prediction goes through one kernel. It builds a block's
+squared-difference buffer ``(x - mem)^2`` once and then, for each weight
+vector of a stack, takes one ``sq @ alpha^2`` product and votes:
+:meth:`MemoryBank.predict` (a one-row block) and :class:`FrozenChunkPredictor`
+(any block) agree bit for bit.
+
+Memory maintenance absorbs a whole window at once and matches the
+instance-by-instance loop bit for bit. With C the STM followed by the window,
+the STM that instance i is tested against is a sliding slice of C. An LTM
+point's removal by cleaning at step i depends only on x_i, on that slice and
+on the point itself, never on another removal, so one first-drop step per
+LTM point gives the LTM of every step. The STM, LTM and combined votes are
+then row votes over window-by-C and window-by-LTM distance blocks with +inf
+outside each row's memory; positions keep their order, so the tie rules are
+unchanged. The length re-fit votes every candidate window on a column slice
+of one lower-triangular block, and cleaning takes its radii from blocks too.
+Unweighted squared distances are ``einsum`` reductions over d of the
+difference block (bit-equal to one point at a time; ``sum`` is not), and a
+radius is the exact element ``np.partition`` selects.
 
 Determinism: k-nearest ties are broken toward the earlier memory position,
 class-vote ties toward label 1, and compression draws from a generator
@@ -72,9 +88,10 @@ _SNAPSHOT_MAGIC = b"SAMB"
 _SNAPSHOT_VERSION = 1
 
 # Largest number of float64 elements in one row block of a points-by-memory
-# tensor: the kernel's squared-difference buffer and the k-means assignment
-# distances. 2 MiB stays in one core's L2 while a block's buffer is re-read
-# once per weight vector; 1-8 MiB blocks measured within about 15% of it.
+# tensor: the kernel's squared-difference buffer, the difference blocks of
+# memory maintenance and the k-means assignment distances. 2 MiB stays in one
+# core's L2 while a block's buffer is re-read once per weight vector; 1-8 MiB
+# blocks measured within about 15% of it.
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -82,8 +99,12 @@ def check_bank_params(k: int, stm_cap: int, ltm_cap: int, min_stm_size: int, tra
     """Reject memory settings a :class:`MemoryBank` cannot run with."""
     if k < 1:
         raise ValueError("k must be positive")
-    if stm_cap < 1 or ltm_cap < 1:
-        raise ValueError("memory capacities must be positive")
+    if stm_cap < 1:
+        raise ValueError("stm_cap must be positive")
+    if ltm_cap < 2:
+        # Compression halves each class but keeps one point per class, so a
+        # two-class LTM never fits in one slot.
+        raise ValueError("ltm_cap must be at least 2")
     if min_stm_size <= k:
         raise ValueError("min_stm_size must exceed k")
     if not 0.0 < tracker_decay <= 1.0:
@@ -111,22 +132,11 @@ def weighted_distance(a: np.ndarray, b: np.ndarray, alpha: np.ndarray) -> float:
     return float(math.sqrt(float(diff @ diff)))
 
 
-def _vote_1d(dist2: np.ndarray, labels: np.ndarray, k: int) -> int:
-    """Majority label of the k nearest points of one query.
-
-    Works on squared distances (the ordering is the same). Distance ties keep
-    the earlier position, class-vote ties go to label 1.
-    """
-    kk = min(k, dist2.shape[0])
-    order = np.argsort(dist2, kind="stable")[:kk]
-    ones = int(labels[order].sum())
-    return 1 if 2 * ones >= kk else 0
-
-
 def _vote_rows(dist2: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise k-nearest majority votes with the same tie rules as _vote_1d.
+    """Row-wise majority votes of the k nearest memory points.
 
-    ``positive`` marks the memory points labelled 1. The k-th smallest
+    ``positive`` marks the memory points labelled 1. Distance ties keep the
+    earlier position, class-vote ties go to label 1. The k-th smallest
     distance of each row comes from a partition; when exactly k points lie at
     or below it they are the k nearest. Only rows with more than k such points
     (ties at the k-th distance) take all strictly closer points plus the
@@ -191,6 +201,74 @@ def _sq_dist_row(point: np.ndarray, block: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
+def _sq_dists(points: np.ndarray, memory: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """(r, m) squared distances of each point to each memory row.
+
+    The (r, m, d) difference block is built in the flat scratch ``buf``. Each
+    row equals ``_sq_dist_row`` bit for bit: the same subtraction and the same
+    einsum reduction over d (``(diff * diff).sum(axis=2)`` rounds differently).
+    """
+    r, d = points.shape
+    diff = buf[: r * memory.shape[0] * d].reshape(r, memory.shape[0], d)
+    np.subtract(memory[None, :, :], points[:, None, :], out=diff)
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _sliding_blocks(start: int, stop: int, base, d: int, max_rows: int) -> list[tuple[int, int]]:
+    """Row blocks [b, e) covering start..stop, each as large as the budget allows.
+
+    Block [b, e) meets ``base(b) + e - b`` columns, so its difference block
+    of (e - b) rows, those columns and d features holds at most
+    ``_BLOCK_ELEMENTS`` elements. A block has at least one row and at most
+    ``max_rows``.
+    """
+    blocks = []
+    q = _BLOCK_ELEMENTS // d
+    b = start
+    while b < stop:
+        w = base(b)
+        r = max(1, min(max_rows, (math.isqrt(w * w + 4 * q) - w) // 2))
+        blocks.append((b, min(stop, b + r)))
+        b += r
+    return blocks
+
+
+def _masked_votes(dist2: np.ndarray, positive: np.ndarray, valid: np.ndarray, k: int) -> np.ndarray:
+    """:func:`_vote_rows` over a per-row subset of the memory.
+
+    ``dist2`` holds +inf outside each row's subset, ``valid`` is the subset's
+    size; every distance inside it is finite. Rows with more than k points
+    vote through _vote_rows, where the +inf columns never reach the k-th
+    distance and positions keep their order. A row with k points or fewer
+    votes with all of them.
+    """
+    big = valid > k
+    if big.all():
+        return _vote_rows(dist2, positive, k)
+    ones = np.count_nonzero((dist2 != np.inf) & positive, axis=1)
+    out = (2 * ones >= valid).astype(np.uint8)
+    if big.any():
+        out[big] = _vote_rows(dist2[big], positive, k)
+    return out
+
+
+def _radii_sq(dist2: np.ndarray, same: np.ndarray, k: int) -> np.ndarray:
+    """Squared cleaning radius of each row over its ``same`` entries.
+
+    The k-th smallest (the element np.partition selects), or the largest when
+    a row has fewer than k; -inf for a row with none, so nothing lies inside.
+    """
+    count = np.count_nonzero(same, axis=1)
+    r2 = np.full(len(dist2), -np.inf)
+    short = (count > 0) & (count < k)
+    if short.any():
+        r2[short] = np.where(same[short], dist2[short], -np.inf).max(axis=1)
+    full = count >= k
+    if full.any():
+        r2[full] = np.partition(np.where(same[full], dist2[full], np.inf), k - 1, axis=1)[:, k - 1]
+    return r2
+
+
 def clean(
     target_features: np.ndarray,
     target_labels: np.ndarray,
@@ -204,33 +282,28 @@ def clean(
     k-th nearest same-label reference neighbor (itself excluded; fewer than k
     available means the farthest of them; none at all skips the point). Any
     target point inside such a ball with a different label is dropped.
-    Distances are unweighted.
+    Distances are unweighted and taken over row blocks of reference points.
     """
     tf = np.asarray(target_features, dtype=np.float64)
     tl = np.asarray(target_labels)
     rf = np.asarray(reference_features, dtype=np.float64)
     rl = np.asarray(reference_labels)
-    n_t = len(tl)
+    n_t, n_r = len(tl), len(rl)
     keep = np.ones(n_t, dtype=bool)
-    if n_t == 0 or len(rl) == 0:
+    if n_t == 0 or n_r == 0:
         return keep
-    for i in range(len(rl)):
-        d2_ref = _sq_dist_row(rf[i], rf)
-        same = rl == rl[i]
-        same[i] = False
-        if not same.any():
-            continue
-        r2 = _radius_sq(d2_ref[same], k)
-        d2_tgt = _sq_dist_row(rf[i], tf)
-        keep &= ~((d2_tgt <= r2) & (tl != rl[i]))
+    d = rf.shape[1]
+    width = max(n_t, n_r)
+    rows = max(1, _BLOCK_ELEMENTS // (width * d))
+    buf = np.empty(min(rows, n_r) * width * d)
+    cols = np.arange(n_r)
+    for b in range(0, n_r, rows):
+        e = min(n_r, b + rows)
+        same = (rl[None, :] == rl[b:e, None]) & (cols[None, :] != np.arange(b, e)[:, None])
+        r2 = _radii_sq(_sq_dists(rf[b:e], rf, buf), same, k)
+        inside = (_sq_dists(rf[b:e], tf, buf) <= r2[:, None]) & (tl[None, :] != rl[b:e, None])
+        keep &= ~inside.any(axis=0)
     return keep
-
-
-def _radius_sq(same_label_d2: np.ndarray, k: int) -> float:
-    """Squared cleaning radius: k-th smallest, or the largest when short of k."""
-    if same_label_d2.shape[0] >= k:
-        return float(np.partition(same_label_d2, k - 1)[k - 1])
-    return float(same_label_d2.max())
 
 
 def _candidate_sizes(n: int, min_size: int) -> list[int]:
@@ -253,18 +326,25 @@ def _interleaved_errors(
     """Test-then-train kNN error of each suffix window.
 
     Element i of a window is predicted by unweighted kNN over the window
-    elements before it; the first k elements of each window are skipped. One
-    distance row per stream position is shared across all candidate windows.
+    elements before it; the first k elements of each window are skipped. Rows
+    are taken in blocks: one distance block to every earlier element, its
+    upper triangle (diagonal included) set to +inf, serves every candidate
+    window, which votes on its own column slice.
     """
     n = len(labels)
     offsets = [n - s for s in sizes]
     wrong = [0] * len(sizes)
-    for i in range(k, n):
-        row = _sq_dist_row(features[i], features[:i])
+    positive = labels == 1
+    blocks = _sliding_blocks(k, n, lambda b: b, features.shape[1], n)
+    buf = np.empty(max(((e - b) * e for b, e in blocks), default=0) * features.shape[1])
+    for b, e in blocks:
+        d2 = _sq_dists(features[b:e], features[:e], buf)
+        d2[np.arange(e)[None, :] >= np.arange(b, e)[:, None]] = np.inf
         for j, off in enumerate(offsets):
-            if i >= off + k:
-                pred = _vote_1d(row[off:], labels[off:i], k)
-                wrong[j] += int(pred != labels[i])
+            first = max(b, off + k)
+            if first < e:
+                votes = _vote_rows(d2[first - b :, off:], positive[off:e], k)
+                wrong[j] += int(np.count_nonzero(votes != labels[first:e]))
     return [w / max(1, s - k) for w, s in zip(wrong, sizes)]
 
 
@@ -337,13 +417,10 @@ class MemoryBank:
         self.seed = seed
         self.adapt_per_instance = adapt_per_instance
         self.compress_count = 0
-        # Amortised append buffer: live STM is [_start, _end).
-        cap = 2 * stm_cap + 1
-        self._buf_f = np.empty((cap, dim), dtype=np.float64)
-        self._buf_g = np.empty(cap, dtype=np.uint8)
-        self._buf_l = np.empty(cap, dtype=np.uint8)
-        self._start = 0
-        self._end = 0
+        # Oldest first. Arrays are replaced, never written in place.
+        self._stm_f = np.empty((0, dim), dtype=np.float64)
+        self._stm_g = np.empty(0, dtype=np.uint8)
+        self._stm_l = np.empty(0, dtype=np.uint8)
         self._ltm_f = np.empty((0, dim), dtype=np.float64)
         self._ltm_g = np.empty(0, dtype=np.uint8)
         self._ltm_l = np.empty(0, dtype=np.uint8)
@@ -354,7 +431,7 @@ class MemoryBank:
 
     @property
     def stm_size(self) -> int:
-        return self._end - self._start
+        return len(self._stm_l)
 
     @property
     def ltm_size(self) -> int:
@@ -362,15 +439,15 @@ class MemoryBank:
 
     @property
     def stm_features(self) -> np.ndarray:
-        return self._buf_f[self._start : self._end]
+        return self._stm_f
 
     @property
     def stm_labels(self) -> np.ndarray:
-        return self._buf_l[self._start : self._end]
+        return self._stm_l
 
     @property
     def stm_groups(self) -> np.ndarray:
-        return self._buf_g[self._start : self._end]
+        return self._stm_g
 
     @property
     def ltm_features(self) -> np.ndarray:
@@ -437,115 +514,118 @@ class MemoryBank:
     def fit_chunk(self, chunk: Chunk) -> None:
         """Absorb one labeled window.
 
-        Per instance: the three trackers are tested unweighted against the
-        incoming label, the LTM is cleaned against the new point, and the
-        point enters the STM (evicting the oldest beyond capacity). After the
-        window the STM length is re-fitted; everything the STM discarded is
-        cleaned against the surviving STM, appended to the LTM, and the LTM
-        is compressed while over capacity. With ``adapt_per_instance`` the
-        length re-fit runs after every instance instead (much slower).
+        Each instance is tested, then trained, as if one at a time: the three
+        trackers score it unweighted against its label, the LTM is cleaned
+        against it (LTM points of the other label inside the radius of its
+        k-th nearest same-label STM point are dropped), and it enters the STM,
+        evicting the oldest beyond capacity. After the window the STM length
+        is re-fitted; everything the STM discarded is cleaned against the
+        surviving STM, appended to the LTM, and the LTM is compressed while
+        over capacity.
+
+        The window goes in as one pass over row blocks. With C the STM
+        followed by the window and s0 the STM size, instance i meets the STM
+        slice ``C[max(0, s0 + i - stm_cap) : s0 + i]``. Whether it drops an
+        LTM point depends on no other drop, so each LTM point has a first-drop
+        step and is alive at step i iff that step is not earlier. The votes
+        are row votes with +inf outside each row's slice and live LTM points;
+        distance ties go to the earlier position and class ties to label 1,
+        as in prediction. The trackers then update in window order, and the
+        eviction is the prefix ``C[:max(0, s0 + n - stm_cap)]``. The result
+        is bit-identical to the one-at-a-time loop, whatever the block size.
+        With ``adapt_per_instance`` every instance is absorbed as a window of
+        one and the length re-fit runs after each (much slower).
         """
         if chunk.n_features != self.dim:
             raise ValueError("chunk dimensionality does not match the bank")
-        pending_f: list[np.ndarray] = []
-        pending_g: list[int] = []
-        pending_l: list[int] = []
         feats, groups, labels = chunk.features, chunk.groups, chunk.labels
-        for i in range(len(chunk)):
-            self._fit_one(feats[i], int(groups[i]), int(labels[i]), pending_f, pending_g, pending_l)
-            if self.adapt_per_instance:
-                self._adapt_and_flush(pending_f, pending_g, pending_l)
-        if not self.adapt_per_instance:
-            self._adapt_and_flush(pending_f, pending_g, pending_l)
+        if self.adapt_per_instance:
+            for i in range(len(chunk)):
+                self._adapt_and_flush(*self._absorb(feats[i : i + 1], groups[i : i + 1], labels[i : i + 1]))
+        else:
+            self._adapt_and_flush(*self._absorb(feats, groups, labels))
         self.compress_ltm()
 
-    def _adapt_and_flush(
-        self, pending_f: list[np.ndarray], pending_g: list[int], pending_l: list[int]
-    ) -> None:
-        prefix = self._shrink_stm()
-        if pending_f or prefix is not None:
-            parts_f = [np.array(pending_f)] if pending_f else []
-            parts_g = [np.array(pending_g, dtype=np.uint8)] if pending_g else []
-            parts_l = [np.array(pending_l, dtype=np.uint8)] if pending_l else []
-            if prefix is not None:
-                parts_f.append(prefix[0])
-                parts_g.append(prefix[1])
-                parts_l.append(prefix[2])
-            self._transfer_to_ltm(np.vstack(parts_f), np.concatenate(parts_g), np.concatenate(parts_l))
-            pending_f.clear()
-            pending_g.clear()
-            pending_l.clear()
-
-    def _fit_one(
-        self,
-        x: np.ndarray,
-        group: int,
-        label: int,
-        pending_f: list[np.ndarray],
-        pending_g: list[int],
-        pending_l: list[int],
-    ) -> None:
-        s = self.stm_size
-        if s > 0:
-            stm_l = self.stm_labels
-            d2_stm = _sq_dist_row(x, self.stm_features)
-            pred_stm = _vote_1d(d2_stm, stm_l, self.k)
-            self._update_tracker("stm", pred_stm == label)
-            if self.ltm_size > 0:
-                d2_ltm = _sq_dist_row(x, self._ltm_f)
-                pred_ltm = _vote_1d(d2_ltm, self._ltm_l, self.k)
-                self._update_tracker("ltm", pred_ltm == label)
-                d2_both = np.concatenate([d2_stm, d2_ltm])
-                l_both = np.concatenate([stm_l, self._ltm_l])
-                pred_both = _vote_1d(d2_both, l_both, self.k)
-                self._update_tracker("combined", pred_both == label)
-                # Clean the LTM against the incoming point before it joins
-                # the STM; its radius comes from its same-label STM neighbors.
-                same = stm_l == label
-                if same.any():
-                    r2 = _radius_sq(d2_stm[same], self.k)
-                    drop = (d2_ltm <= r2) & (self._ltm_l != label)
-                    if drop.any():
-                        keep = ~drop
-                        self._ltm_f = self._ltm_f[keep]
-                        self._ltm_g = self._ltm_g[keep]
-                        self._ltm_l = self._ltm_l[keep]
+    def _absorb(
+        self, feats: np.ndarray, groups: np.ndarray, labels: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Test-then-train one window (see :meth:`fit_chunk`); return what the STM evicts."""
+        k, cap, d = self.k, self.stm_cap, self.dim
+        s0, n = self.stm_size, len(labels)
+        cf = np.concatenate([self._stm_f, feats])
+        cg = np.concatenate([self._stm_g, groups])
+        cl = np.concatenate([self._stm_l, labels])
+        c_pos = cl == 1
+        lf, ll = self._ltm_f, self._ltm_l
+        m = len(ll)
+        l_pos = ll == 1
+        steps = np.arange(n)
+        lo = np.maximum(0, s0 + steps - cap)  # STM slice of step i: [lo[i], s0 + i)
+        stm_n = s0 + steps - lo
+        first_drop = np.full(m, n)  # n: never dropped in this window
+        ltm_n = np.zeros(n, dtype=np.int64)
+        pred_stm = np.zeros(n, dtype=np.uint8)
+        pred_ltm = np.zeros(n, dtype=np.uint8)
+        pred_both = np.zeros(n, dtype=np.uint8)
+        max_rows = _BLOCK_ELEMENTS // (m * d) if m else n
+        blocks = _sliding_blocks(0, n, lambda b: min(cap, s0 + b), d, max_rows)
+        buf = np.empty(max((e - b) * max(min(cap, s0 + b) + e - b, m) for b, e in blocks) * d)
+        for b, e in blocks:
+            c0, c1 = lo[b], s0 + e
+            rel = np.arange(c1 - c0)[None, :]
+            in_stm = (rel >= (lo[b:e] - c0)[:, None]) & (rel < (s0 + steps[b:e] - c0)[:, None])
+            d2s = _sq_dists(feats[b:e], cf[c0:c1], buf)
+            d2s[~in_stm] = np.inf
+            pred_stm[b:e] = _masked_votes(d2s, c_pos[c0:c1], stm_n[b:e], k)
+            if m == 0:
+                continue
+            d2l = _sq_dists(feats[b:e], lf, buf)
+            r2 = _radii_sq(d2s, in_stm & (cl[c0:c1][None, :] == labels[b:e, None]), k)
+            drop = (d2l <= r2[:, None]) & (ll[None, :] != labels[b:e, None])
+            hit = (first_drop == n) & drop.any(axis=0)
+            first_drop[hit] = b + drop[:, hit].argmax(axis=0)
+            alive = first_drop[None, :] >= steps[b:e, None]
+            ltm_n[b:e] = np.count_nonzero(alive, axis=1)
+            d2l[~alive] = np.inf
+            pred_ltm[b:e] = _masked_votes(d2l, l_pos, ltm_n[b:e], k)
+            pred_both[b:e] = _masked_votes(
+                np.hstack([d2s, d2l]), np.concatenate([c_pos[c0:c1], l_pos]), stm_n[b:e] + ltm_n[b:e], k
+            )
+        for y, ps, pl, pb, ns, nl in zip(
+            labels.tolist(), pred_stm.tolist(), pred_ltm.tolist(), pred_both.tolist(), stm_n.tolist(), ltm_n.tolist()
+        ):
+            if ns == 0:
+                continue
+            self._update_tracker("stm", ps == y)
+            if nl > 0:
+                self._update_tracker("ltm", pl == y)
+                self._update_tracker("combined", pb == y)
             else:
-                self._update_tracker("combined", pred_stm == label)
-        self._append_stm(x, group, label, pending_f, pending_g, pending_l)
+                self._update_tracker("combined", ps == y)
+        if (first_drop < n).any():
+            keep = first_drop == n
+            self._ltm_f, self._ltm_g, self._ltm_l = lf[keep], self._ltm_g[keep], ll[keep]
+        out = max(0, s0 + n - cap)
+        self._stm_f, self._stm_g, self._stm_l = cf[out:], cg[out:], cl[out:]
+        return cf[:out], cg[:out], cl[:out]
+
+    def _adapt_and_flush(self, evicted_f: np.ndarray, evicted_g: np.ndarray, evicted_l: np.ndarray) -> None:
+        """Re-fit the STM length; clean what left the STM into the LTM."""
+        cut = self._shrink_cut()
+        if len(evicted_l) == 0 and cut == 0:
+            return
+        moved = (
+            np.concatenate([evicted_f, self._stm_f[:cut]]),
+            np.concatenate([evicted_g, self._stm_g[:cut]]),
+            np.concatenate([evicted_l, self._stm_l[:cut]]),
+        )
+        self._stm_f, self._stm_g, self._stm_l = self._stm_f[cut:], self._stm_g[cut:], self._stm_l[cut:]
+        self._transfer_to_ltm(*moved)
 
     def _update_tracker(self, name: str, hit: bool) -> None:
         pair = self._trackers[name]
         pair[0] = self.tracker_decay * pair[0] + (1.0 if hit else 0.0)
         pair[1] = self.tracker_decay * pair[1] + 1.0
-
-    def _append_stm(
-        self,
-        x: np.ndarray,
-        group: int,
-        label: int,
-        pending_f: list[np.ndarray],
-        pending_g: list[int],
-        pending_l: list[int],
-    ) -> None:
-        if self._end == len(self._buf_l):
-            self._compact()
-        self._buf_f[self._end] = x
-        self._buf_g[self._end] = group
-        self._buf_l[self._end] = label
-        self._end += 1
-        if self.stm_size > self.stm_cap:
-            pending_f.append(self._buf_f[self._start].copy())
-            pending_g.append(int(self._buf_g[self._start]))
-            pending_l.append(int(self._buf_l[self._start]))
-            self._start += 1
-
-    def _compact(self) -> None:
-        size = self.stm_size
-        self._buf_f[:size] = self._buf_f[self._start : self._end]
-        self._buf_g[:size] = self._buf_g[self._start : self._end]
-        self._buf_l[:size] = self._buf_l[self._start : self._end]
-        self._start, self._end = 0, size
 
     # -- STM size adaptation ------------------------------------------------
 
@@ -558,34 +638,21 @@ class MemoryBank:
         Returns the adopted STM size. The smallest interleaved error wins,
         with ties resolved toward the larger window.
         """
-        prefix = self._shrink_stm()
-        if prefix is not None:
-            self._transfer_to_ltm(*prefix)
+        self._adapt_and_flush(self._stm_f[:0], self._stm_g[:0], self._stm_l[:0])
         return self.stm_size
 
-    def _shrink_stm(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    def _shrink_cut(self) -> int:
+        """How many of the oldest STM points the length re-fit drops."""
         n = self.stm_size
-        if n == 0:
-            return None
         sizes = _candidate_sizes(n, self.min_stm_size)
         if len(sizes) == 1:
-            return None
-        errors = _interleaved_errors(self.stm_features, self.stm_labels, sizes, self.k)
+            return 0
+        errors = _interleaved_errors(self._stm_f, self._stm_l, sizes, self.k)
         best = 0
         for j in range(1, len(sizes)):
             if errors[j] < errors[best]:
                 best = j
-        adopted = sizes[best]
-        if adopted == n:
-            return None
-        cut = self._start + (n - adopted)
-        prefix = (
-            self._buf_f[self._start : cut].copy(),
-            self._buf_g[self._start : cut].copy(),
-            self._buf_l[self._start : cut].copy(),
-        )
-        self._start = cut
-        return prefix
+        return n - sizes[best]
 
     def _transfer_to_ltm(self, feats: np.ndarray, groups: np.ndarray, labels: np.ndarray) -> None:
         keep = clean(feats, labels, self.stm_features, self.stm_labels, self.k)
@@ -634,10 +701,7 @@ class MemoryBank:
         if n > self.stm_cap:
             raise ValueError("more instances than the STM capacity")
         g = np.zeros(n, dtype=np.uint8) if groups is None else np.asarray(groups, dtype=np.uint8)
-        self._buf_f[:n] = f
-        self._buf_g[:n] = g
-        self._buf_l[:n] = l
-        self._start, self._end = 0, n
+        self._stm_f, self._stm_g, self._stm_l = f.copy(), g.copy(), l.copy()
 
     def replace_ltm(self, features: np.ndarray, labels: np.ndarray, groups: np.ndarray | None = None) -> None:
         f = np.asarray(features, dtype=np.float64).reshape(-1, self.dim)

@@ -154,3 +154,148 @@ def sam_reference_predict(bank, query) -> int:
         best = "stm"
     feats, labs = stores[best]
     return brute_knn_vote(query, feats, labs, bank.k)
+
+
+# -- per-instance memory maintenance -------------------------------------------
+#
+# The SAM-kNN fit as it ran before the window absorb: one instance at a time,
+# one distance row and one stable argsort per vote. Distances use the same
+# einsum reduction as the package, so a faithful window absorb must match
+# these functions bit for bit, not just within a tolerance.
+
+
+def _row_sq_dists(point, block) -> np.ndarray:
+    diff = block - point
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _stable_vote(dist2, labels, k: int) -> int:
+    kk = min(k, dist2.shape[0])
+    order = np.argsort(dist2, kind="stable")[:kk]
+    ones = int(labels[order].sum())
+    return 1 if 2 * ones >= kk else 0
+
+
+def _radius_sq(same_label_d2, k: int) -> float:
+    if same_label_d2.shape[0] >= k:
+        return float(np.partition(same_label_d2, k - 1)[k - 1])
+    return float(same_label_d2.max())
+
+
+def _halving_sizes(n: int, min_size: int) -> list[int]:
+    sizes = [n]
+    h = math.ceil(n / 2)
+    while h >= min_size and h < sizes[-1]:
+        sizes.append(h)
+        h = math.ceil(h / 2)
+    return sizes
+
+
+def reference_clean(target_features, target_labels, reference_features, reference_labels, k: int) -> np.ndarray:
+    """Radius cleaning, one reference point at a time; True marks survivors."""
+    tf, tl = np.asarray(target_features, dtype=np.float64), np.asarray(target_labels)
+    rf, rl = np.asarray(reference_features, dtype=np.float64), np.asarray(reference_labels)
+    keep = np.ones(len(tl), dtype=bool)
+    if len(tl) == 0 or len(rl) == 0:
+        return keep
+    for i in range(len(rl)):
+        d2_ref = _row_sq_dists(rf[i], rf)
+        same = rl == rl[i]
+        same[i] = False
+        if not same.any():
+            continue
+        r2 = _radius_sq(d2_ref[same], k)
+        keep &= ~((_row_sq_dists(rf[i], tf) <= r2) & (tl != rl[i]))
+    return keep
+
+
+def reference_interleaved_errors(features, labels, sizes, k: int) -> list[float]:
+    """Test-then-train error of each suffix window, one row and vote at a time."""
+    n = len(labels)
+    offsets = [n - s for s in sizes]
+    wrong = [0] * len(sizes)
+    for i in range(k, n):
+        row = _row_sq_dists(features[i], features[:i])
+        for j, off in enumerate(offsets):
+            if i >= off + k:
+                wrong[j] += int(_stable_vote(row[off:], labels[off:i], k) != labels[i])
+    return [w / max(1, s - k) for w, s in zip(wrong, sizes)]
+
+
+def reference_fit_chunk(bank, chunk) -> None:
+    """``bank.fit_chunk(chunk)`` the per-instance way.
+
+    Reads and writes the memories through the bank's public surface and its
+    tracker pairs through ``bank._trackers``; LTM compression is the bank's
+    own ``compress_ltm``.
+    """
+    k, cap, decay = bank.k, bank.stm_cap, bank.tracker_decay
+    stm_f, stm_g, stm_l = (np.array(a) for a in (bank.stm_features, bank.stm_groups, bank.stm_labels))
+    ltm_f, ltm_g, ltm_l = (np.array(a) for a in (bank.ltm_features, bank.ltm_groups, bank.ltm_labels))
+    trackers = {name: list(pair) for name, pair in bank._trackers.items()}
+    pending: list[tuple[np.ndarray, int, int]] = []
+
+    def update(name: str, hit: bool) -> None:
+        pair = trackers[name]
+        pair[0] = decay * pair[0] + (1.0 if hit else 0.0)
+        pair[1] = decay * pair[1] + 1.0
+
+    def fit_one(x, group: int, label: int) -> None:
+        nonlocal stm_f, stm_g, stm_l, ltm_f, ltm_g, ltm_l
+        if len(stm_l):
+            d2_stm = _row_sq_dists(x, stm_f)
+            pred_stm = _stable_vote(d2_stm, stm_l, k)
+            update("stm", pred_stm == label)
+            if len(ltm_l):
+                d2_ltm = _row_sq_dists(x, ltm_f)
+                update("ltm", _stable_vote(d2_ltm, ltm_l, k) == label)
+                both = _stable_vote(np.concatenate([d2_stm, d2_ltm]), np.concatenate([stm_l, ltm_l]), k)
+                update("combined", both == label)
+                same = stm_l == label
+                if same.any():
+                    keep = ~((d2_ltm <= _radius_sq(d2_stm[same], k)) & (ltm_l != label))
+                    ltm_f, ltm_g, ltm_l = ltm_f[keep], ltm_g[keep], ltm_l[keep]
+            else:
+                update("combined", pred_stm == label)
+        stm_f = np.vstack([stm_f, x[None, :]])
+        stm_g = np.append(stm_g, np.uint8(group))
+        stm_l = np.append(stm_l, np.uint8(label))
+        if len(stm_l) > cap:
+            pending.append((stm_f[0].copy(), int(stm_g[0]), int(stm_l[0])))
+            stm_f, stm_g, stm_l = stm_f[1:], stm_g[1:], stm_l[1:]
+
+    def adapt_and_flush() -> None:
+        nonlocal stm_f, stm_g, stm_l, ltm_f, ltm_g, ltm_l
+        n = len(stm_l)
+        cut = 0
+        sizes = _halving_sizes(n, bank.min_stm_size) if n else [n]
+        if len(sizes) > 1:
+            errors = reference_interleaved_errors(stm_f, stm_l, sizes, k)
+            best = 0
+            for j in range(1, len(sizes)):
+                if errors[j] < errors[best]:
+                    best = j
+            cut = n - sizes[best]
+        if not pending and cut == 0:
+            return
+        moved_f = np.vstack([p[0][None, :] for p in pending] + [stm_f[:cut]])
+        moved_g = np.array([p[1] for p in pending] + list(stm_g[:cut]), dtype=np.uint8)
+        moved_l = np.array([p[2] for p in pending] + list(stm_l[:cut]), dtype=np.uint8)
+        stm_f, stm_g, stm_l = stm_f[cut:], stm_g[cut:], stm_l[cut:]
+        pending.clear()
+        keep = reference_clean(moved_f, moved_l, stm_f, stm_l, k)
+        ltm_f = np.vstack([ltm_f, moved_f[keep]])
+        ltm_g = np.concatenate([ltm_g, moved_g[keep]])
+        ltm_l = np.concatenate([ltm_l, moved_l[keep]])
+
+    for i in range(len(chunk)):
+        fit_one(chunk.features[i], int(chunk.groups[i]), int(chunk.labels[i]))
+        if bank.adapt_per_instance:
+            adapt_and_flush()
+    if not bank.adapt_per_instance:
+        adapt_and_flush()
+    bank.replace_stm(stm_f, stm_l, stm_g)
+    bank.replace_ltm(ltm_f, ltm_l, ltm_g)
+    for name, pair in trackers.items():
+        bank._trackers[name] = pair
+    bank.compress_ltm()

@@ -74,6 +74,7 @@ def test_config_validation():
         dict(k=20),  # min_stm_size must exceed k
         dict(stm_cap=0),
         dict(ltm_cap=0),
+        dict(ltm_cap=1),  # compression keeps one point per class: would never end
         dict(tracker_decay=0.0),
         dict(tracker_decay=1.5),
     ):
@@ -337,6 +338,21 @@ def test_checkpoint_resume_is_bit_exact(tmp_path, stream):
         assert rec_a.accuracy == rec_b.accuracy
         assert rec_a.triggered == rec_b.triggered
         assert rec_a.pareto_size == rec_b.pareto_size
+
+
+def test_checkpoint_rejects_every_truncation(tmp_path, stream):
+    engine = EmosamEngine(stream[0].n_features, small_config(stm_cap=30, ltm_cap=30, min_stm_size=10))
+    for chunk in stream[:2]:
+        engine.step(chunk)
+    path = tmp_path / "engine.ck"
+    engine.save_checkpoint(path)
+    blob = path.read_bytes()
+    assert EmosamEngine.load_checkpoint(path).bank.state_hash() == engine.bank.state_hash()
+    cut_path = tmp_path / "cut.ck"
+    for cut in range(len(blob)):
+        cut_path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError):
+            EmosamEngine.load_checkpoint(cut_path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

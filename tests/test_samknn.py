@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_chunk
+from emosam import samknn
 from emosam.samknn import (
     _BLOCK_ELEMENTS,
     FrozenChunkPredictor,
@@ -22,6 +23,7 @@ from oracles import (
     brute_clean_mask,
     brute_knn_vote,
     interleaved_error,
+    reference_fit_chunk,
     sam_reference_predict,
 )
 
@@ -234,8 +236,8 @@ def test_batch_predictor_rejects_bad_weight_shapes(rng):
 def test_batch_predictor_frozen_against_later_fits(rng):
     feats = rng.random((30, 3))
     labels = rng.integers(0, 2, 30).astype(np.uint8)
-    # stm_cap 30: the fit below overruns the STM buffer, which compacts it
-    # in place, overwriting the rows the predictors were built from
+    # stm_cap 30: the fit below evicts every row the predictors were built
+    # from, and the bank's arrays must not change under them
     bank = bank_with_stm(feats, labels, min_stm_size=6, stm_cap=30)
     queries = rng.random((8, 3))
     predictors = [FrozenChunkPredictor(queries, bank), FrozenChunkPredictor(queries, bank, budget=1)]
@@ -289,6 +291,84 @@ def test_tracker_updates_use_decay():
     # predict 1 correctly -> correct/total = (0.5*1+1)/(0.5*1+1) = 1.0
     assert bank.tracker_accuracy("stm") == pytest.approx(1.0)
     assert bank._trackers["stm"][1] == pytest.approx(1.5)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_fit_chunk_matches_per_instance_reference(data):
+    # integer-grid features make many exact distance ties; tiny caps force
+    # STM evictions, LTM drops and compression within a few windows, and
+    # windows may be shorter than k
+    d = data.draw(st.integers(1, 3), label="d")
+    k = data.draw(st.integers(1, 5), label="k")
+    kwargs = dict(
+        k=k,
+        stm_cap=data.draw(st.integers(1, 15), label="stm_cap"),
+        ltm_cap=data.draw(st.integers(2, 9), label="ltm_cap"),
+        min_stm_size=data.draw(st.integers(k + 1, k + 3), label="min_stm_size"),
+        seed=3,
+        adapt_per_instance=data.draw(st.booleans(), label="adapt_per_instance"),
+    )
+    grid = st.lists(st.integers(0, 2), min_size=d, max_size=d)
+    chunks = []
+    for t, n in enumerate(data.draw(st.lists(st.integers(1, 24), min_size=1, max_size=6), label="windows")):
+        bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        feats = data.draw(st.lists(grid, min_size=n, max_size=n))
+        chunks.append(make_chunk(feats, data.draw(bits), data.draw(bits), t + 1))
+    reference = MemoryBank(d, **kwargs)
+    want = []
+    for chunk in chunks:
+        reference_fit_chunk(reference, chunk)
+        want.append(reference.state_hash())
+    # one-row blocks, blocks of about 7 rows, and the default budget
+    for budget in (1, 7 * d * (kwargs["stm_cap"] + 7), None):
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(samknn, "_BLOCK_ELEMENTS", budget)
+            bank = MemoryBank(d, **kwargs)
+            for chunk, expected in zip(chunks, want):
+                bank.fit_chunk(chunk)
+                assert bank.state_hash() == expected
+
+
+def test_fit_chunk_matches_reference_on_long_stream(rng):
+    # continuous features with a concept flip halfway: STM shrinks, cleaning
+    # and k-means compression all run on distinct distances
+    kwargs = dict(k=5, stm_cap=90, ltm_cap=40, min_stm_size=12, seed=7)
+    bank, reference = MemoryBank(3, **kwargs), MemoryBank(3, **kwargs)
+    passes = 0
+    for t in range(24):
+        x = rng.random((45, 3))
+        labels = (x[:, 0] + 0.2 * rng.random(45) > 0.6).astype(np.uint8)
+        if t >= 12:
+            labels = 1 - labels
+        chunk = make_chunk(x, rng.integers(0, 2, 45), labels, t + 1)
+        bank.fit_chunk(chunk)
+        reference_fit_chunk(reference, chunk)
+        assert bank.state_hash() == reference.state_hash()
+        passes = bank.compress_count
+    assert passes > 0
+
+
+def test_fit_chunk_peak_memory_does_not_grow_with_window_times_stm():
+    # whole window x (STM + window) difference tensors would take
+    # n*2n*d*8 bytes: 64 MB for the small case and 1 GB for the large one
+    rng = np.random.default_rng(0)
+    d = 16
+    peaks = []
+    for n in (500, 2000):
+        bank = MemoryBank(d, stm_cap=n, ltm_cap=n, min_stm_size=n // 4)
+        bank.replace_stm(rng.random((n, d)), rng.integers(0, 2, n))
+        bank.replace_ltm(rng.random((n // 10, d)), rng.integers(0, 2, n // 10))
+        chunk = make_chunk(rng.random((n, d)), rng.integers(0, 2, n), rng.integers(0, 2, n))
+        tracemalloc.start()
+        try:
+            bank.fit_chunk(chunk)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 3 * 8 * _BLOCK_ELEMENTS
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 # -- cleaning ------------------------------------------------------------------------
