@@ -11,22 +11,29 @@ accuracy; predictions come from whichever currently looks best.
 
 Distances are Euclidean with one non-negative weight per feature:
 
-    dist(a, b; alpha) = sqrt(sum_i alpha_i^2 (a_i - b_i)^2)
+    dist(a, b; alpha) = sqrt(sum_f alpha_f^2 (a_f - b_f)^2)
 
 so all-ones weights reproduce plain Euclidean distance, and scaling every
 weight by a constant rescales all distances without changing any neighbor
 set. Memory management (tracker updates, cleaning, size adaptation,
 compression) always runs unweighted; weights only steer predictions.
 
-All distance work runs over row blocks whose difference buffer holds at most
+Every squared distance in this module, weighted or not, is computed by one
+order-defined formula: ``sum_f w_f * (m_f - x_f)^2`` with ``w_f = alpha_f^2``
+(1 when unweighted), added left to right over the features. The prediction
+kernel, the window absorb, the STM length re-fit, cleaning and k-means all
+take it from one feature-major difference block: the memory is passed
+transposed as (d, m) and a block of r points becomes a (d, r, m) buffer whose
+inner loop runs over the memory, reduced over its leading axis. A distance
+is therefore the same float whichever block, row or code path computes it,
+equal to the plain left-to-right float sum; no distance goes through BLAS,
+whose rounding follows the block shape. Each block holds at most
 ``_BLOCK_ELEMENTS`` float64 values (at least one row), so memory stays
-bounded however large rows times memory grows. Every row is computed on its
-own, by the same operations in the same order, so no result depends on the
-block size or on the other rows.
+bounded however large rows times memory grows.
 
 Every weighted prediction goes through one kernel. It builds a block's
-squared-difference buffer ``(x - mem)^2`` once and then, for each weight
-vector of a stack, takes one ``sq @ alpha^2`` product and votes:
+squared differences once and then, for each weight vector of a stack,
+reduces them with that vector's ``alpha^2`` and votes:
 :meth:`MemoryBank.predict` (a one-row block) and :class:`FrozenChunkPredictor`
 (any block) agree bit for bit.
 
@@ -39,10 +46,8 @@ LTM point gives the LTM of every step. The STM, LTM and combined votes are
 then row votes over window-by-C and window-by-LTM distance blocks with +inf
 outside each row's memory; positions keep their order, so the tie rules are
 unchanged. The length re-fit votes every candidate window on a column slice
-of one lower-triangular block, and cleaning takes its radii from blocks too.
-Unweighted squared distances are ``einsum`` reductions over d of the
-difference block (bit-equal to one point at a time; ``sum`` is not), and a
-radius is the exact element ``np.partition`` selects.
+of one lower-triangular block, and cleaning takes its radii from blocks too;
+a radius is the exact element ``np.partition`` selects.
 
 Determinism: k-nearest ties are broken toward the earlier memory position,
 class-vote ties toward label 1, and compression draws from a generator
@@ -122,14 +127,25 @@ def check_weights(alpha: np.ndarray, dim: int) -> np.ndarray:
 
 
 def weighted_distance(a: np.ndarray, b: np.ndarray, alpha: np.ndarray) -> float:
-    """Euclidean distance after multiplying each coordinate gap by its weight."""
+    """Euclidean distance after multiplying each coordinate gap by its weight.
+
+    The square root of the module's order-defined squared distance, so it
+    equals what the prediction kernel computes for the same pair.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     w = np.asarray(alpha, dtype=np.float64)
-    if a.shape != b.shape or a.shape != w.shape:
-        raise ValueError("points and weights must share one shape")
-    diff = (a - b) * w
-    return float(math.sqrt(float(diff @ diff)))
+    if a.ndim != 1 or a.size == 0 or a.shape != b.shape or a.shape != w.shape:
+        raise ValueError("points and weights must be non-empty vectors of one shape")
+    return math.sqrt(float(_feature_sums(w * w, ((b - a) ** 2)[:, None, None])[0, 0]))
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """Number of True entries in each row of a 2-D boolean array.
+
+    One byte-sum pass; exact, and faster than ``count_nonzero(axis=1)``.
+    """
+    return mask.view(np.uint8).sum(axis=1, dtype=np.int32)
 
 
 def _vote_rows(dist2: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
@@ -150,21 +166,59 @@ def _vote_rows(dist2: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
         return np.full(n, 1 if 2 * ones >= kk else 0, dtype=np.uint8)
     kth = np.partition(dist2, kk - 1, axis=1)[:, kk - 1 : kk]
     near = dist2 <= kth
-    ones = np.count_nonzero(near & positive, axis=1)
-    tied = np.flatnonzero(np.count_nonzero(near, axis=1) > kk)
+    ones = _row_counts(near & positive)
+    tied = np.flatnonzero(_row_counts(near) > kk)
     if tied.size:
         sub, sub_kth = dist2[tied], kth[tied]
         strict = sub < sub_kth
-        need = kk - np.count_nonzero(strict, axis=1)
+        need = kk - _row_counts(strict)
         tie = sub == sub_kth
         sel = strict | (tie & (np.cumsum(tie, axis=1) <= need[:, None]))
-        ones[tied] = np.count_nonzero(sel & positive, axis=1)
+        ones[tied] = _row_counts(sel & positive)
     return (2 * ones >= kk).astype(np.uint8)
+
+
+def _diff_block(points: np.ndarray, memory_t: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Feature-major differences ``memory - point`` of r points to m memory points.
+
+    ``memory_t`` is the memory transposed, (d, m); a column-slice view is
+    fine. The (d, r, m) block is built in the flat scratch ``buf`` so that the
+    subtraction's inner loop runs over the m memory points.
+    """
+    d, m = memory_t.shape
+    diff = buf[: d * len(points) * m].reshape(d, len(points), m)
+    np.subtract(memory_t[:, None, :], points.T[:, :, None], out=diff)
+    return diff
+
+
+def _feature_sums(w: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """(r, m) sums ``sum_f w[f] * sq[f]`` of a (d, r, m) block, added left to right over f.
+
+    einsum walks the leading axis in order, adding whole (r, m) planes, as
+    long as a plane has two or more elements. A 1 x 1 block would become one
+    unrolled inner reduction instead, so it goes through cumsum, which always
+    adds in order.
+    """
+    if sq.shape[1] * sq.shape[2] == 1:
+        return np.cumsum(w * sq[:, 0, 0])[-1:].reshape(1, 1)
+    return np.einsum("k,kij->ij", w, sq)
+
+
+def _sq_dists(points: np.ndarray, memory_t: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """(r, m) unweighted squared distances of each point to each memory point.
+
+    The same left-to-right sum over features as :func:`_feature_sums` with
+    all-ones weights, bit for bit; the einsum squares and adds in one pass.
+    """
+    diff = _diff_block(points, memory_t, buf)
+    if diff.shape[1] * diff.shape[2] == 1:
+        return _feature_sums(np.ones(len(diff)), diff * diff)
+    return np.einsum("kij,kij->ij", diff, diff)
 
 
 def _weighted_votes(
     queries: np.ndarray,
-    memory: np.ndarray,
+    memory_t: np.ndarray,
     positive: np.ndarray,
     k: int,
     alphas: np.ndarray,
@@ -172,46 +226,27 @@ def _weighted_votes(
 ) -> np.ndarray:
     """The weighted kNN kernel: votes of every query under every weight vector.
 
-    ``queries`` is (n, d), ``memory`` (m, d), ``alphas`` a validated (S, d)
-    stack; returns (S, n) uint8. Queries are taken in row blocks whose
-    squared-difference buffer holds at most ``budget`` elements (at least one
-    row). Each block's buffer is built once and shared by all S weight
-    vectors.
+    ``queries`` is (n, d), ``memory_t`` the memory transposed (d, m),
+    ``alphas`` a validated (S, d) stack; returns (S, n) uint8. Queries are
+    taken in row blocks whose squared-difference buffer holds at most
+    ``budget`` elements (at least one row). Each block's buffer is squared
+    once and shared by all S weight vectors; a query's distances are the
+    order-defined sums ``sum_f alpha_f^2 (m_f - x_f)^2``, so its votes do not
+    depend on the block it lands in.
     """
     n, d = queries.shape
-    m = memory.shape[0]
+    m = memory_t.shape[1]
     w = alphas * alphas
     out = np.empty((w.shape[0], n), dtype=np.uint8)
     rows = max(1, min(n, budget // (m * d)))
-    buf = np.empty((rows, m, d))
+    buf = np.empty(d * rows * m)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        sq = buf[: stop - start]
-        np.subtract(queries[start:stop, None, :], memory[None, :, :], out=sq)
+        sq = _diff_block(queries[start:stop], memory_t, buf)
         np.square(sq, out=sq)
-        flat = sq.reshape(-1, d)
         for s in range(w.shape[0]):
-            d2 = (flat @ w[s]).reshape(stop - start, m)
-            out[s, start:stop] = _vote_rows(d2, positive, k)
+            out[s, start:stop] = _vote_rows(_feature_sums(w[s], sq), positive, k)
     return out
-
-
-def _sq_dist_row(point: np.ndarray, block: np.ndarray) -> np.ndarray:
-    diff = block - point
-    return np.einsum("ij,ij->i", diff, diff)
-
-
-def _sq_dists(points: np.ndarray, memory: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """(r, m) squared distances of each point to each memory row.
-
-    The (r, m, d) difference block is built in the flat scratch ``buf``. Each
-    row equals ``_sq_dist_row`` bit for bit: the same subtraction and the same
-    einsum reduction over d (``(diff * diff).sum(axis=2)`` rounds differently).
-    """
-    r, d = points.shape
-    diff = buf[: r * memory.shape[0] * d].reshape(r, memory.shape[0], d)
-    np.subtract(memory[None, :, :], points[:, None, :], out=diff)
-    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def _sliding_blocks(start: int, stop: int, base, d: int, max_rows: int) -> list[tuple[int, int]]:
@@ -245,7 +280,7 @@ def _masked_votes(dist2: np.ndarray, positive: np.ndarray, valid: np.ndarray, k:
     big = valid > k
     if big.all():
         return _vote_rows(dist2, positive, k)
-    ones = np.count_nonzero((dist2 != np.inf) & positive, axis=1)
+    ones = _row_counts((dist2 != np.inf) & positive)
     out = (2 * ones >= valid).astype(np.uint8)
     if big.any():
         out[big] = _vote_rows(dist2[big], positive, k)
@@ -258,7 +293,7 @@ def _radii_sq(dist2: np.ndarray, same: np.ndarray, k: int) -> np.ndarray:
     The k-th smallest (the element np.partition selects), or the largest when
     a row has fewer than k; -inf for a row with none, so nothing lies inside.
     """
-    count = np.count_nonzero(same, axis=1)
+    count = _row_counts(same)
     r2 = np.full(len(dist2), -np.inf)
     short = (count > 0) & (count < k)
     if short.any():
@@ -293,6 +328,7 @@ def clean(
     if n_t == 0 or n_r == 0:
         return keep
     d = rf.shape[1]
+    rf_t, tf_t = np.ascontiguousarray(rf.T), np.ascontiguousarray(tf.T)
     width = max(n_t, n_r)
     rows = max(1, _BLOCK_ELEMENTS // (width * d))
     buf = np.empty(min(rows, n_r) * width * d)
@@ -300,8 +336,8 @@ def clean(
     for b in range(0, n_r, rows):
         e = min(n_r, b + rows)
         same = (rl[None, :] == rl[b:e, None]) & (cols[None, :] != np.arange(b, e)[:, None])
-        r2 = _radii_sq(_sq_dists(rf[b:e], rf, buf), same, k)
-        inside = (_sq_dists(rf[b:e], tf, buf) <= r2[:, None]) & (tl[None, :] != rl[b:e, None])
+        r2 = _radii_sq(_sq_dists(rf[b:e], rf_t, buf), same, k)
+        inside = (_sq_dists(rf[b:e], tf_t, buf) <= r2[:, None]) & (tl[None, :] != rl[b:e, None])
         keep &= ~inside.any(axis=0)
     return keep
 
@@ -335,10 +371,11 @@ def _interleaved_errors(
     offsets = [n - s for s in sizes]
     wrong = [0] * len(sizes)
     positive = labels == 1
+    features_t = np.ascontiguousarray(features.T)
     blocks = _sliding_blocks(k, n, lambda b: b, features.shape[1], n)
     buf = np.empty(max(((e - b) * e for b, e in blocks), default=0) * features.shape[1])
     for b, e in blocks:
-        d2 = _sq_dists(features[b:e], features[:e], buf)
+        d2 = _sq_dists(features[b:e], features_t[:, :e], buf)
         d2[np.arange(e)[None, :] >= np.arange(b, e)[:, None]] = np.inf
         for j, off in enumerate(offsets):
             first = max(b, off + k)
@@ -357,9 +394,14 @@ def _kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator) -> tu
     m = min(n_clusters, n)
     if m == n:
         return points.copy(), np.arange(n)
+    d = points.shape[1]
+    points_t = np.ascontiguousarray(points.T)
+    rows = max(1, _BLOCK_ELEMENTS // (m * d))
+    # one seeding row of n distances, or one assignment block
+    buf = np.empty(max(n, min(rows, n) * m) * d)
     first = int(rng.integers(n))
     centers = [points[first]]
-    d2 = _sq_dist_row(points[first], points)
+    d2 = _sq_dists(points[first : first + 1], points_t, buf)[0]
     for _ in range(1, m):
         total = float(d2.sum())
         if total > 0.0:
@@ -367,17 +409,14 @@ def _kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator) -> tu
         else:
             idx = int(rng.integers(n))
         centers.append(points[idx])
-        d2 = np.minimum(d2, _sq_dist_row(points[idx], points))
+        d2 = np.minimum(d2, _sq_dists(points[idx : idx + 1], points_t, buf)[0])
     c = np.array(centers)
     assign = np.zeros(n, dtype=np.intp)
-    rows = max(1, _BLOCK_ELEMENTS // (m * points.shape[1]))
     for _ in range(10):
-        # Row blocks bound the n x m x d tensor; each row's sum is unchanged.
+        c_t = np.ascontiguousarray(c.T)
         new_assign = np.empty(n, dtype=np.intp)
         for start in range(0, n, rows):
-            block = points[start : start + rows]
-            dist = ((block[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
-            new_assign[start : start + rows] = dist.argmin(axis=1)
+            new_assign[start : start + rows] = _sq_dists(points[start : start + rows], c_t, buf).argmin(axis=1)
         new_c = c.copy()
         for j in range(m):
             members = new_assign == j
@@ -503,7 +542,7 @@ class MemoryBank:
         if alpha.ndim != 1:
             raise ValueError("predict takes one weight vector")
         feats, labels = self._store_arrays(self._best_store())
-        return int(_weighted_votes(x[None, :], feats, labels == 1, self.k, alpha[None, :])[0, 0])
+        return int(_weighted_votes(x[None, :], feats.T, labels == 1, self.k, alpha[None, :])[0, 0])
 
     def predict_chunk(self, features: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`predict` over many queries (same outputs)."""
@@ -556,7 +595,9 @@ class MemoryBank:
         cg = np.concatenate([self._stm_g, groups])
         cl = np.concatenate([self._stm_l, labels])
         c_pos = cl == 1
+        cf_t = np.ascontiguousarray(cf.T)
         lf, ll = self._ltm_f, self._ltm_l
+        lf_t = np.ascontiguousarray(lf.T)
         m = len(ll)
         l_pos = ll == 1
         steps = np.arange(n)
@@ -574,18 +615,18 @@ class MemoryBank:
             c0, c1 = lo[b], s0 + e
             rel = np.arange(c1 - c0)[None, :]
             in_stm = (rel >= (lo[b:e] - c0)[:, None]) & (rel < (s0 + steps[b:e] - c0)[:, None])
-            d2s = _sq_dists(feats[b:e], cf[c0:c1], buf)
+            d2s = _sq_dists(feats[b:e], cf_t[:, c0:c1], buf)
             d2s[~in_stm] = np.inf
             pred_stm[b:e] = _masked_votes(d2s, c_pos[c0:c1], stm_n[b:e], k)
             if m == 0:
                 continue
-            d2l = _sq_dists(feats[b:e], lf, buf)
+            d2l = _sq_dists(feats[b:e], lf_t, buf)
             r2 = _radii_sq(d2s, in_stm & (cl[c0:c1][None, :] == labels[b:e, None]), k)
             drop = (d2l <= r2[:, None]) & (ll[None, :] != labels[b:e, None])
             hit = (first_drop == n) & drop.any(axis=0)
             first_drop[hit] = b + drop[:, hit].argmax(axis=0)
             alive = first_drop[None, :] >= steps[b:e, None]
-            ltm_n[b:e] = np.count_nonzero(alive, axis=1)
+            ltm_n[b:e] = _row_counts(alive)
             d2l[~alive] = np.inf
             pred_ltm[b:e] = _masked_votes(d2l, l_pos, ltm_n[b:e], k)
             pred_both[b:e] = _masked_votes(
@@ -810,13 +851,15 @@ def load_bank(path) -> MemoryBank:
 class FrozenChunkPredictor:
     """Batch predictor binding one query block to a frozen memory bank.
 
-    The constructor copies the queries and the currently best store, so later
-    fits leave its predictions unchanged. :meth:`predict` runs the module's
-    single weighted kNN kernel: one weight vector (d,) gives (n,) votes, a
-    stack (S, d) gives (S, n), row s equal to predicting with the s-th vector
-    alone. Each query row is computed independently, so results are bitwise
-    identical to calling :meth:`MemoryBank.predict` per query, whatever the
-    ``budget`` (float64 elements per row block; at least one row).
+    The constructor copies the queries and, transposed to (d, m), the
+    currently best store, so later fits leave its predictions unchanged.
+    :meth:`predict` runs the module's single weighted kNN kernel: one weight
+    vector (d,) gives (n,) votes, a stack (S, d) gives (S, n), row s equal to
+    predicting with the s-th vector alone. Every distance is the
+    order-defined left-to-right sum over features, the same float in any row
+    block, so results are bitwise identical to calling
+    :meth:`MemoryBank.predict` per query, whatever the ``budget`` (float64
+    elements per row block; at least one row).
     """
 
     def __init__(self, features: np.ndarray, bank: MemoryBank, budget: int = _BLOCK_ELEMENTS) -> None:
@@ -827,7 +870,7 @@ class FrozenChunkPredictor:
             raise ValueError(f"queries must have shape (n, {bank.dim})")
         feats, labels = bank._store_arrays(bank._best_store())
         self._x = x
-        self._mem = np.array(feats, dtype=np.float64, order="C")
+        self._mem_t = np.array(feats.T, dtype=np.float64, order="C")
         self._positive = labels == 1
         self._k = bank.k
         self._budget = budget
@@ -835,6 +878,6 @@ class FrozenChunkPredictor:
     def predict(self, alpha: np.ndarray) -> np.ndarray:
         alpha = check_weights(alpha, self._x.shape[1])
         votes = _weighted_votes(
-            self._x, self._mem, self._positive, self._k, np.atleast_2d(alpha), self._budget
+            self._x, self._mem_t, self._positive, self._k, np.atleast_2d(alpha), self._budget
         )
         return votes[0] if alpha.ndim == 1 else votes

@@ -159,14 +159,20 @@ def sam_reference_predict(bank, query) -> int:
 # -- per-instance memory maintenance -------------------------------------------
 #
 # The SAM-kNN fit as it ran before the window absorb: one instance at a time,
-# one distance row and one stable argsort per vote. Distances use the same
-# einsum reduction as the package, so a faithful window absorb must match
-# these functions bit for bit, not just within a tolerance.
+# one distance row and one stable argsort per vote. A squared distance is the
+# package's order-defined sum over features, added left to right, so a
+# faithful window absorb must match these functions bit for bit, not just
+# within a tolerance.
 
 
 def _row_sq_dists(point, block) -> np.ndarray:
-    diff = block - point
-    return np.einsum("ij,ij->i", diff, diff)
+    """Squared distances of ``point`` to each row of ``block``, one feature at a time."""
+    block = np.asarray(block, dtype=np.float64)
+    total = np.zeros(len(block))
+    for f in range(block.shape[1]):
+        gap = block[:, f] - point[f]
+        total += gap * gap
+    return total
 
 
 def _stable_vote(dist2, labels, k: int) -> int:

@@ -290,6 +290,28 @@ def test_degenerate_engine_equals_baseline(stream):
     assert engine_result.summary.discrimination == base_result.summary.discrimination
 
 
+def test_degenerate_engine_equals_baseline_on_duplicate_heavy_data():
+    # 3000 rows drawn from 60 points: exact distance ties everywhere, as with
+    # one-hot data. The engine votes through batched blocks, the baseline one
+    # query at a time, so any block-shape dependence in the distances shows.
+    rng = np.random.default_rng(0)
+    pool = rng.normal(size=(60, 8))
+    pool_labels = rng.integers(0, 2, 60)
+    pick = rng.integers(0, 60, 3000)
+    labels = pool_labels[pick] ^ (rng.random(3000) < 0.4)
+    groups = rng.integers(0, 2, 3000)
+    chunks = [
+        make_chunk(pool[pick[i : i + 250]], groups[i : i + 250], labels[i : i + 250], i // 250 + 1)
+        for i in range(0, 3000, 250)
+    ]
+    config = EngineConfig(stm_cap=500, ltm_cap=500, trend_threshold=1.01, smpso=SMALL_SMPSO, seed=0)
+    engine_result = run_stream(chunks, config)
+    base_result = run_sam_baseline(chunks, stm_cap=500, ltm_cap=500, seed=0)
+    assert engine_result.summary.triggers == 0
+    for a, b in zip(engine_result.predictions, base_result.predictions, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_baseline_records_shape(stream):
     result = run_sam_baseline(stream[:4], stm_cap=120, ltm_cap=120, min_stm_size=20)
     assert all(not r.triggered for r in result.records)

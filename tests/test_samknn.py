@@ -209,6 +209,70 @@ def test_stacked_predictions_match_brute_oracle_on_ties(data):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("d", [8, 13, 108])
+def test_votes_do_not_depend_on_block_shape(d):
+    # The memory's last point copies an earlier one with the opposite label,
+    # so the two tie exactly; a reduction whose rounding followed the block
+    # shape put different gaps between them in different blocks and flipped
+    # votes at k = 3.
+    rng = np.random.default_rng(d)
+    for _ in range(300):
+        m, n = int(rng.integers(6, 40)), int(rng.integers(2, 30))
+        mem = rng.normal(size=(m, d))
+        labels = rng.integers(0, 2, m).astype(np.uint8)
+        j = int(rng.integers(m - 1))
+        mem[-1], labels[-1] = mem[j], 1 - labels[j]
+        bank = bank_with_stm(mem, labels, k=3, min_stm_size=4)
+        queries = rng.normal(size=(n, d))
+        alphas = np.vstack([np.ones(d), rng.random(d)])
+        want = [[bank.predict(q, a) for q in queries] for a in alphas]
+        for kwargs in ({}, {"budget": 1}):
+            np.testing.assert_array_equal(FrozenChunkPredictor(queries, bank, **kwargs).predict(alphas), want)
+
+
+def test_every_distance_is_the_left_to_right_feature_sum():
+    # Kernel distances (weighted, captured where they are voted on) and
+    # maintenance distances must equal plain Python-float sums added left
+    # to right over the features, for any block shape: ragged memory sizes,
+    # one-row and one-point blocks, up to the 108 features of one-hot data.
+    rng = np.random.default_rng(5)
+
+    def python_sums(points, memory, w):
+        out = np.empty((len(points), len(memory)))
+        for i, x in enumerate(points.tolist()):
+            for j, y in enumerate(memory.tolist()):
+                total = 0.0
+                for wf, xf, yf in zip(w.tolist(), x, y):
+                    total += wf * ((yf - xf) * (yf - xf))
+                out[i, j] = total
+        return out
+
+    for trial in range(40):
+        d = int(rng.choice([1, 3, 8, 13, 20, 64, 108]))
+        m, n = int(rng.integers(1, 400)), int(rng.integers(1, 24))
+        if trial % 6 == 0:
+            m = 1
+        mem, queries = rng.normal(size=(m, d)), rng.normal(size=(n, d))
+        alpha = rng.random(d)
+        want = python_sums(queries, mem, alpha * alpha)
+        unweighted = python_sums(queries, mem, np.ones(d))
+        for rows in (1, 3, n):
+            buf = np.empty(rows * m * d)
+            got = np.vstack([samknn._sq_dists(queries[b : b + rows], mem.T, buf) for b in range(0, n, rows)])
+            np.testing.assert_array_equal(got, unweighted)
+            seen = []
+
+            def capture(dist2, positive, k):
+                seen.append(dist2.copy())
+                return np.zeros(len(dist2), dtype=np.uint8)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(samknn, "_vote_rows", capture)
+                samknn._weighted_votes(queries, mem.T, np.ones(m, dtype=bool), 1, alpha[None, :], rows * m * d)
+            np.testing.assert_array_equal(np.vstack(seen), want)
+    assert weighted_distance(queries[0], mem[0], alpha) == math.sqrt(want[0, 0])
+
+
 def test_stacked_row_equals_single_vector_call(rng):
     feats = rng.random((300, 4))
     labels = rng.integers(0, 2, 300).astype(np.uint8)
