@@ -28,7 +28,7 @@ from .experiments import (
     run_experiment,
 )
 from .metrics import DiscriminationResult, WindowRecord, accuracy, discrimination
-from .samknn import FrozenChunkPredictor, MemoryBank, load_bank, save_bank, weighted_distance
+from .samknn import FrozenChunkPredictor, MemoryBank, weighted_distance
 from .smpso import (
     Archive,
     ArchiveEntry,
@@ -91,8 +91,6 @@ __all__ = [
     "discrimination",
     "FrozenChunkPredictor",
     "MemoryBank",
-    "load_bank",
-    "save_bank",
     "weighted_distance",
     "Archive",
     "ArchiveEntry",

@@ -31,11 +31,19 @@ whose rounding follows the block shape. Each block holds at most
 ``_BLOCK_ELEMENTS`` float64 values (at least one row), so memory stays
 bounded however large rows times memory grows.
 
-Every weighted prediction goes through one kernel. It builds a block's
-squared differences once and then, for each weight vector of a stack,
-reduces them with that vector's ``alpha^2`` and votes:
-:meth:`MemoryBank.predict` (a one-row block) and :class:`FrozenChunkPredictor`
-(any block) agree bit for bit.
+Every weighted prediction goes through one kernel. It takes the memory
+label-ordered, label-1 points first and each label in position order, builds
+a block's squared differences once and then, for each weight vector of a
+stack, reduces them with that vector's ``alpha^2`` into a distance plane and
+votes from two order statistics per row. With kk = min(k, m) a row votes 1
+iff the t-th nearest positive, t = ceil(kk / 2), comes before the u-th
+nearest negative, u = kk - t + 1, so partitioning the plane's positive and
+negative columns in place gives the vote ``a < b`` of those two distances.
+Rows where neither ``a < b`` nor ``a > b`` holds (an exact tie, decided by
+position, or NaN from ``0 * inf``) fall back to the position-order vote of
+:func:`_vote_rows`, and a label too short for its quota makes the vote a
+constant. :meth:`MemoryBank.predict` (a one-row block) and
+:class:`FrozenChunkPredictor` (any block) agree bit for bit.
 
 Memory maintenance absorbs a whole window at once and matches the
 instance-by-instance loop bit for bit. With C the STM followed by the window,
@@ -78,8 +86,6 @@ __all__ = [
     "clean",
     "MemoryBank",
     "FrozenChunkPredictor",
-    "save_bank",
-    "load_bank",
 ]
 
 DEFAULT_K = 5
@@ -94,9 +100,11 @@ _SNAPSHOT_VERSION = 1
 
 # Largest number of float64 elements in one row block of a points-by-memory
 # tensor: the kernel's squared-difference buffer, the difference blocks of
-# memory maintenance and the k-means assignment distances. 2 MiB stays in one
-# core's L2 while a block's buffer is re-read once per weight vector; 1-8 MiB
-# blocks measured within about 15% of it.
+# memory maintenance and the k-means assignment distances. A 2 MiB block with
+# its distance plane and masks does not fit a 2 MiB L2 per core, so the size
+# is not a cache fit: kernel sweeps on such a core timed 0.5-2 MiB within 5%
+# of each other at desk and default scale, while 256 KiB ran 1.2-1.3x slower
+# (per-block overhead) and 4 and 8 MiB 1.2x and 1.4x slower at default scale.
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -216,28 +224,66 @@ def _sq_dists(points: np.ndarray, memory_t: np.ndarray, buf: np.ndarray) -> np.n
     return np.einsum("kij,kij->ij", diff, diff)
 
 
+def _label_ordered(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """The kernel's memory layout: a (d, m) copy with the label-1 points first.
+
+    Each label keeps its position order (a stable argsort of ``labels != 1``).
+    Returns the copy, the number of label-1 points and the permutation
+    ``order``: column j holds memory position ``order[j]``.
+    """
+    positive = labels == 1
+    order = np.argsort(~positive, kind="stable")
+    return np.ascontiguousarray(features[order].T), int(np.count_nonzero(positive)), order
+
+
 def _weighted_votes(
     queries: np.ndarray,
     memory_t: np.ndarray,
-    positive: np.ndarray,
+    npos: int,
+    order: np.ndarray,
     k: int,
     alphas: np.ndarray,
     budget: int = _BLOCK_ELEMENTS,
 ) -> np.ndarray:
     """The weighted kNN kernel: votes of every query under every weight vector.
 
-    ``queries`` is (n, d), ``memory_t`` the memory transposed (d, m),
-    ``alphas`` a validated (S, d) stack; returns (S, n) uint8. Queries are
-    taken in row blocks whose squared-difference buffer holds at most
-    ``budget`` elements (at least one row). Each block's buffer is squared
-    once and shared by all S weight vectors; a query's distances are the
-    order-defined sums ``sum_f alpha_f^2 (m_f - x_f)^2``, so its votes do not
-    depend on the block it lands in.
+    ``queries`` is (n, d); ``memory_t``, ``npos`` and ``order`` are the
+    memory in :func:`_label_ordered` layout; ``alphas`` is a validated (S, d)
+    stack. Returns (S, n) uint8, equal to :func:`_vote_rows` on each row's
+    distances in position order. Queries are taken in row blocks whose
+    squared-difference buffer holds at most ``budget`` elements (at least one
+    row). Each block's buffer is squared once and shared by all S weight
+    vectors; a query's distances are the order-defined sums
+    ``sum_f alpha_f^2 (m_f - x_f)^2``, so its votes do not depend on the
+    block it lands in.
+
+    With kk = min(k, m), a row votes 1 iff at least t = ceil(kk / 2) of its kk
+    nearest points are positive, that is iff in the stable (distance,
+    position) order the t-th nearest positive comes before the u-th nearest
+    negative, u = kk - t + 1. So each distance plane is partitioned in place,
+    positives and negatives apart, and a row votes ``a < b`` with ``a`` the
+    t-th smallest positive distance and ``b`` the u-th smallest negative one.
+    Rows with neither ``a < b`` nor ``a > b`` (an exact tie, which position
+    decides, or NaN from ``0 * inf``) recompute their distances, put them
+    back in position order and vote through :func:`_vote_rows`.
     """
     n, d = queries.shape
     m = memory_t.shape[1]
+    kk = min(k, m)
+    t = (kk + 1) // 2
+    u = kk - t + 1
+    out = np.zeros((alphas.shape[0], n), dtype=np.uint8)
+    if npos < t:
+        return out
+    # Too few negatives to outvote: every row votes 1 that has kk distances
+    # _vote_rows can rank (NaN is not one); kk == m needs no distances at all.
+    short = m - npos < u
+    if short and kk == m:
+        out[:] = 1
+        return out
+    positive = np.zeros(m, dtype=bool)
+    positive[order[:npos]] = True
     w = alphas * alphas
-    out = np.empty((w.shape[0], n), dtype=np.uint8)
     rows = max(1, min(n, budget // (m * d)))
     buf = np.empty(d * rows * m)
     for start in range(0, n, rows):
@@ -245,7 +291,20 @@ def _weighted_votes(
         sq = _diff_block(queries[start:stop], memory_t, buf)
         np.square(sq, out=sq)
         for s in range(w.shape[0]):
-            out[s, start:stop] = _vote_rows(_feature_sums(w[s], sq), positive, k)
+            plane = _feature_sums(w[s], sq)
+            if short:
+                out[s, start:stop] = _row_counts(plane == plane) >= kk
+                continue
+            plane[:, :npos].partition(t - 1, axis=1)
+            plane[:, npos:].partition(u - 1, axis=1)
+            a, b = plane[:, t - 1], plane[:, npos + u - 1]
+            vote = a < b
+            out[s, start:stop] = vote
+            unsure = np.flatnonzero(~(vote | (a > b)))
+            if unsure.size:
+                dist2 = np.empty((unsure.size, m))
+                dist2[:, order] = _feature_sums(w[s], sq[:, unsure])
+                out[s, start + unsure] = _vote_rows(dist2, positive, k)
     return out
 
 
@@ -541,12 +600,8 @@ class MemoryBank:
         alpha = check_weights(alpha, self.dim)
         if alpha.ndim != 1:
             raise ValueError("predict takes one weight vector")
-        feats, labels = self._store_arrays(self._best_store())
-        return int(_weighted_votes(x[None, :], feats.T, labels == 1, self.k, alpha[None, :])[0, 0])
-
-    def predict_chunk(self, features: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`predict` over many queries (same outputs)."""
-        return FrozenChunkPredictor(features, self).predict(alpha)
+        memory = _label_ordered(*self._store_arrays(self._best_store()))
+        return int(_weighted_votes(x[None, :], *memory, self.k, alpha[None, :])[0, 0])
 
     # -- fitting -----------------------------------------------------------
 
@@ -838,28 +893,22 @@ class MemoryBank:
         return bank
 
 
-def save_bank(bank: MemoryBank, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(bank.to_bytes())
-
-
-def load_bank(path) -> MemoryBank:
-    with open(path, "rb") as fh:
-        return MemoryBank.from_bytes(fh.read())
-
-
 class FrozenChunkPredictor:
     """Batch predictor binding one query block to a frozen memory bank.
 
-    The constructor copies the queries and, transposed to (d, m), the
-    currently best store, so later fits leave its predictions unchanged.
-    :meth:`predict` runs the module's single weighted kNN kernel: one weight
-    vector (d,) gives (n,) votes, a stack (S, d) gives (S, n), row s equal to
-    predicting with the s-th vector alone. Every distance is the
-    order-defined left-to-right sum over features, the same float in any row
-    block, so results are bitwise identical to calling
-    :meth:`MemoryBank.predict` per query, whatever the ``budget`` (float64
-    elements per row block; at least one row).
+    The constructor copies the queries and the currently best store, the
+    store once in the kernel's layout: transposed to (d, m), label-1 points
+    first, each label in position order. Later fits leave its predictions
+    unchanged. :meth:`predict` runs the module's single weighted kNN kernel:
+    one weight vector (d,) gives (n,) votes, a stack (S, d) gives (S, n), row
+    s equal to predicting with the s-th vector alone. Each row votes from the
+    t-th nearest positive and u-th nearest negative distance, partitioned in
+    place; exact ties and NaN distances recompute the row in position order
+    and vote through :func:`_vote_rows`. Every distance is the order-defined
+    left-to-right sum over features, the same float in any row block, so
+    results are bitwise identical to calling :meth:`MemoryBank.predict` per
+    query, whatever the ``budget`` (float64 elements per row block; at least
+    one row).
     """
 
     def __init__(self, features: np.ndarray, bank: MemoryBank, budget: int = _BLOCK_ELEMENTS) -> None:
@@ -868,16 +917,12 @@ class FrozenChunkPredictor:
         x = np.array(features, dtype=np.float64, order="C")
         if x.ndim != 2 or x.shape[1] != bank.dim:
             raise ValueError(f"queries must have shape (n, {bank.dim})")
-        feats, labels = bank._store_arrays(bank._best_store())
         self._x = x
-        self._mem_t = np.array(feats.T, dtype=np.float64, order="C")
-        self._positive = labels == 1
+        self._memory = _label_ordered(*bank._store_arrays(bank._best_store()))
         self._k = bank.k
         self._budget = budget
 
     def predict(self, alpha: np.ndarray) -> np.ndarray:
         alpha = check_weights(alpha, self._x.shape[1])
-        votes = _weighted_votes(
-            self._x, self._mem_t, self._positive, self._k, np.atleast_2d(alpha), self._budget
-        )
+        votes = _weighted_votes(self._x, *self._memory, self._k, np.atleast_2d(alpha), self._budget)
         return votes[0] if alpha.ndim == 1 else votes

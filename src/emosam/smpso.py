@@ -216,13 +216,12 @@ def polynomial_mutation(
     return out
 
 
-def _tournament(archive: Archive, rng: np.random.Generator) -> np.ndarray:
-    """Binary tournament on crowding distance; the more isolated entry wins."""
+def _tournament(archive: Archive, crowding: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Binary tournament on the archive's crowding distances; the more isolated entry wins."""
     if len(archive) == 1:
         return archive[0].position
     i, j = rng.integers(0, len(archive), 2)
-    dist = crowding_distance(archive.objective_array())
-    winner = i if dist[i] >= dist[j] else j
+    winner = i if crowding[i] >= crowding[j] else j
     return archive[int(winner)].position
 
 
@@ -287,10 +286,12 @@ def smpso_minimize(
     per_var = 1.0 / d
     for it in range(params.iterations):
         # Leaders for the whole sweep come from the archive as it stood at
-        # the end of the previous iteration, so every new position is known
-        # before the sweep is scored; inserts follow in particle-index order.
+        # the end of the previous iteration, so one set of crowding distances
+        # serves every tournament and every new position is known before the
+        # sweep is scored; inserts follow in particle-index order.
+        crowding = crowding_distance(archive.objective_array())
         for i in range(n):
-            leader = _tournament(archive, rng)
+            leader = _tournament(archive, crowding, rng)
             r1 = rng.random(d)
             r2 = rng.random(d)
             vel = chi * (

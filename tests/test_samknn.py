@@ -230,23 +230,77 @@ def test_votes_do_not_depend_on_block_shape(d):
             np.testing.assert_array_equal(FrozenChunkPredictor(queries, bank, **kwargs).predict(alphas), want)
 
 
+def python_sq_sums(points, memory, w):
+    """Squared weighted distances as Python floats, added left to right over features."""
+    out = np.empty((len(points), len(memory)))
+    for i, x in enumerate(points.tolist()):
+        for j, y in enumerate(memory.tolist()):
+            total = 0.0
+            for wf, xf, yf in zip(w.tolist(), x, y):
+                total += wf * ((yf - xf) * (yf - xf))
+            out[i, j] = total
+    return out
+
+
+def assert_kernel_votes_equal_vote_rows(mem, labels, queries, alphas, k):
+    # Reference: _vote_rows on each query's distances in memory position order.
+    m, d = mem.shape
+    positive = labels == 1
+    want = np.array([samknn._vote_rows(python_sq_sums(queries, mem, a * a), positive, k) for a in alphas])
+    bank = bank_with_stm(mem, labels, k=k, min_stm_size=k + 1, stm_cap=m)
+    for block_rows in (1, 7, None):
+        kwargs = {} if block_rows is None else {"budget": block_rows * m * d}
+        np.testing.assert_array_equal(FrozenChunkPredictor(queries, bank, **kwargs).predict(alphas), want)
+    got = [[bank.predict(q, a) for q in queries] for a in alphas]
+    np.testing.assert_array_equal(got, want)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_votes_equal_vote_rows_on_tied_grids(data):
+    # Integer grids tie many distances across labels, so the order a vote
+    # takes between a tied positive and negative is position order; label
+    # counts cover one-label-short memories and k >= m.
+    d = data.draw(st.integers(1, 4), label="d")
+    m = data.draw(st.integers(1, 25), label="m")
+    n = data.draw(st.integers(1, 12), label="n")
+    k = data.draw(st.integers(1, min(m + 3, 9)), label="k")
+    npos = data.draw(st.integers(0, m), label="npos")
+    labels = np.array(data.draw(st.permutations([1] * npos + [0] * (m - npos))), dtype=np.uint8)
+    grid = st.integers(0, 2)
+    mem = np.array(data.draw(st.lists(st.lists(grid, min_size=d, max_size=d), min_size=m, max_size=m)), dtype=float)
+    queries = np.array(data.draw(st.lists(st.lists(grid, min_size=d, max_size=d), min_size=n, max_size=n)), dtype=float)
+    rows = data.draw(st.lists(st.lists(GRID_WEIGHTS, min_size=d, max_size=d), min_size=1, max_size=3))
+    assert_kernel_votes_equal_vote_rows(mem, labels, queries, np.array(rows + [[0.0] * d]), k)
+
+
+def test_kernel_votes_equal_vote_rows_with_nan_distances():
+    # A coordinate of 1e200 overflows its squared gap to inf, and a zero
+    # weight on that feature turns it into 0 * inf = NaN. _vote_rows ranks
+    # NaN after every number and votes 0 when fewer than k distances remain.
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        d, m, n = int(rng.integers(1, 4)), int(rng.integers(2, 16)), int(rng.integers(1, 10))
+        k = int(rng.integers(1, 8))
+        mem = rng.integers(0, 3, (m, d)).astype(float)
+        mem[rng.random(m) < rng.random(), 0] = 1e200
+        labels = (rng.random(m) < rng.random()).astype(np.uint8)
+        queries = rng.integers(0, 3, (n, d)).astype(float)
+        alphas = rng.choice([0.0, 0.5, 1.0], (3, d))
+        alphas[:, 0] = [0.0, 0.0, 1.0]
+        with np.errstate(over="ignore"):
+            assert_kernel_votes_equal_vote_rows(mem, labels, queries, alphas, k)
+
+
 def test_every_distance_is_the_left_to_right_feature_sum():
-    # Kernel distances (weighted, captured where they are voted on) and
-    # maintenance distances must equal plain Python-float sums added left
-    # to right over the features, for any block shape: ragged memory sizes,
-    # one-row and one-point blocks, up to the 108 features of one-hot data.
+    # Kernel distances (weighted, captured where each weight vector's plane
+    # is reduced) and maintenance distances must equal plain Python-float
+    # sums added left to right over the features, for any block shape:
+    # ragged memory sizes, one-row and one-point blocks, up to the 108
+    # features of one-hot data. Mixed labels and k = 1 make the kernel reduce
+    # a plane for every query whenever the memory has two or more points.
     rng = np.random.default_rng(5)
-
-    def python_sums(points, memory, w):
-        out = np.empty((len(points), len(memory)))
-        for i, x in enumerate(points.tolist()):
-            for j, y in enumerate(memory.tolist()):
-                total = 0.0
-                for wf, xf, yf in zip(w.tolist(), x, y):
-                    total += wf * ((yf - xf) * (yf - xf))
-                out[i, j] = total
-        return out
-
+    feature_sums = samknn._feature_sums
     for trial in range(40):
         d = int(rng.choice([1, 3, 8, 13, 20, 64, 108]))
         m, n = int(rng.integers(1, 400)), int(rng.integers(1, 24))
@@ -254,23 +308,30 @@ def test_every_distance_is_the_left_to_right_feature_sum():
             m = 1
         mem, queries = rng.normal(size=(m, d)), rng.normal(size=(n, d))
         alpha = rng.random(d)
-        want = python_sums(queries, mem, alpha * alpha)
-        unweighted = python_sums(queries, mem, np.ones(d))
+        want = python_sq_sums(queries, mem, alpha * alpha)
+        unweighted = python_sq_sums(queries, mem, np.ones(d))
+        labels = (np.arange(m) % 2).astype(np.uint8)
+        bank = bank_with_stm(mem, labels, k=1, min_stm_size=2, stm_cap=m)
+        kernel_order = np.argsort(labels != 1, kind="stable")
         for rows in (1, 3, n):
             buf = np.empty(rows * m * d)
             got = np.vstack([samknn._sq_dists(queries[b : b + rows], mem.T, buf) for b in range(0, n, rows)])
             np.testing.assert_array_equal(got, unweighted)
+            if m == 1:
+                continue  # one memory point: the vote needs no distance
             seen = []
 
-            def capture(dist2, positive, k):
-                seen.append(dist2.copy())
-                return np.zeros(len(dist2), dtype=np.uint8)
+            def capture(w, sq):
+                plane = feature_sums(w, sq)
+                seen.append(plane.copy())
+                return plane
 
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(samknn, "_vote_rows", capture)
-                samknn._weighted_votes(queries, mem.T, np.ones(m, dtype=bool), 1, alpha[None, :], rows * m * d)
-            np.testing.assert_array_equal(np.vstack(seen), want)
-    assert weighted_distance(queries[0], mem[0], alpha) == math.sqrt(want[0, 0])
+                mp.setattr(samknn, "_feature_sums", capture)
+                FrozenChunkPredictor(queries, bank, budget=rows * m * d).predict(alpha)
+            np.testing.assert_array_equal(np.vstack(seen), want[:, kernel_order])
+        for i in range(min(n, 3)):
+            assert weighted_distance(queries[i], mem[0], alpha) == math.sqrt(want[i, 0])
 
 
 def test_stacked_row_equals_single_vector_call(rng):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_chunk
-from emosam import metrics
+from emosam import metrics, smpso
 from emosam.samknn import MemoryBank
 from emosam.smpso import (
     Archive,
@@ -183,6 +183,27 @@ def test_smpso_fixed_seed_reproduces_archive():
     assert len(first) == len(second)
     for (p1, o1), (p2, o2) in zip(first, second):
         assert p1 == p2 and o1 == o2
+
+
+def test_smpso_crowding_computed_once_per_iteration():
+    # Leaders come from the archive as it stood before the sweep, so its
+    # crowding distances serve every particle's tournament. The capacity
+    # keeps Archive.insert from pruning, which needs crowding of its own.
+    params = SmpsoParams(swarm_size=12, iterations=6, archive_capacity=1000)
+    calls, per_iteration = [], []
+
+    def counting(objectives):
+        calls.append(len(objectives))
+        return crowding_distance(objectives)
+
+    def hook(it, positions, velocities, archive):
+        per_iteration.append(len(calls))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smpso, "crowding_distance", counting)
+        archive = smpso_minimize(_schaffer_batch, np.array([-5.0]), np.array([5.0]), params, 42, iteration_hook=hook)
+    assert len(archive) > 1
+    assert per_iteration == list(range(1, params.iterations + 1))
 
 
 def test_smpso_batch_objective_one_call_per_sweep_and_reproducible():
