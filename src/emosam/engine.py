@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import struct
 import time
+import zlib
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -40,6 +41,7 @@ from .samknn import (
     FrozenChunkPredictor,
     MemoryBank,
     check_bank_params,
+    check_weights,
 )
 from .smpso import Archive, ObjectivePair, SmpsoParams, knee_index, optimize_weights
 from .stream import Chunk
@@ -71,7 +73,8 @@ _INIT_TAG = 1
 _SMPSO_TAG = 2
 _SELECT_TAG = 3
 _CHECKPOINT_MAGIC = b"EMOC"
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
+_CHECKPOINT_FIELDS = frozenset({"dim", "config", "window_index", "trigger_count", "designated", "history", "front"})
 
 
 class TriggerPolicy(str, Enum):
@@ -319,7 +322,7 @@ class EmosamEngine:
     # -- checkpointing -----------------------------------------------------------
 
     def save_checkpoint(self, path: str | Path) -> None:
-        """Write a resumable snapshot (config, front, history, bank)."""
+        """Write a resumable snapshot (config, front, history, bank) with a CRC-32 trailer."""
         front = [
             {
                 "alpha": [float(v) for v in s.alpha],
@@ -337,43 +340,69 @@ class EmosamEngine:
             "front": front,
         }
         blob = json.dumps(head).encode("utf-8")
+        data = b"".join(
+            [_CHECKPOINT_MAGIC, struct.pack("<II", _CHECKPOINT_VERSION, len(blob)), blob, self.bank.to_bytes()]
+        )
         with open(path, "wb") as fh:
-            fh.write(_CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<II", _CHECKPOINT_VERSION, len(blob)))
-            fh.write(blob)
-            fh.write(self.bank.to_bytes())
+            fh.write(data)
+            fh.write(struct.pack("<I", zlib.crc32(data)))
 
     @classmethod
     def load_checkpoint(cls, path: str | Path) -> "EmosamEngine":
-        with open(path, "rb") as fh:
-            if fh.read(4) != _CHECKPOINT_MAGIC:
-                raise ValueError("not an engine checkpoint")
-            field = fh.read(8)
-            if len(field) != 8:
-                raise ValueError("truncated engine checkpoint header")
-            version, size = struct.unpack("<II", field)
-            if version != _CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {version}")
-            raw = fh.read(size)
-            if len(raw) != size:
-                raise ValueError("truncated engine checkpoint")
-            head = json.loads(raw.decode("utf-8"))
-            bank_blob = fh.read()
+        """Resume from :meth:`save_checkpoint` output.
+
+        A truncated or corrupt file, and a head that does not describe an
+        engine for the stored bank, raise ValueError.
+        """
+        data = Path(path).read_bytes()
+        if data[:4] != _CHECKPOINT_MAGIC:
+            raise ValueError("not an engine checkpoint")
+        if len(data) < 12:
+            raise ValueError("truncated engine checkpoint header")
+        version, size = struct.unpack("<II", data[4:12])
+        if version != _CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        if len(data) < 12 + size + 4:
+            raise ValueError("truncated engine checkpoint")
+        if struct.unpack("<I", data[-4:])[0] != zlib.crc32(data[:-4]):
+            raise ValueError("engine checkpoint checksum mismatch")
+        head = json.loads(data[12 : 12 + size].decode("utf-8"))
+        bank = MemoryBank.from_bytes(data[12 + size : -4])
+        try:
+            return cls._from_head(head, bank)
+        except (KeyError, TypeError) as exc:
+            # A missing field or one of the wrong type, anywhere in the head.
+            raise ValueError(f"malformed engine checkpoint head: {exc!r}") from exc
+
+    @classmethod
+    def _from_head(cls, head: dict, bank: MemoryBank) -> "EmosamEngine":
+        if not isinstance(head, dict) or set(head) != _CHECKPOINT_FIELDS:
+            raise ValueError(f"engine checkpoint head must hold exactly {sorted(_CHECKPOINT_FIELDS)}")
         engine = cls(head["dim"], EngineConfig.from_dict(head["config"]))
-        engine.bank = MemoryBank.from_bytes(bank_blob)
-        engine.window_index = head["window_index"]
-        engine.trigger_count = head["trigger_count"]
-        engine.designated = head["designated"]
+        settings = ("dim", "k", "stm_cap", "ltm_cap", "min_stm_size", "tracker_decay", "seed", "adapt_per_instance")
+        if any(getattr(bank, name) != getattr(engine.bank, name) for name in settings):
+            raise ValueError("engine checkpoint bank does not match its head")
+        engine.bank = bank
+        for name in ("window_index", "trigger_count", "designated"):
+            value = head[name]
+            if type(value) is not int or value < 0:
+                raise ValueError(f"engine checkpoint {name} must be a non-negative integer")
+            setattr(engine, name, value)
         engine.history.clear()
         for v in head["history"]:
             engine.history.append(v)
-        engine.pareto_front = [
-            ParetoSolution(
-                np.asarray(s["alpha"], dtype=np.float64),
-                ObjectivePair(*s["objectives"]) if s["objectives"] is not None else None,
-            )
-            for s in head["front"]
-        ]
+        if not head["front"]:
+            raise ValueError("engine checkpoint front is empty")
+        engine.pareto_front = []
+        for s in head["front"]:
+            alpha = check_weights(np.asarray(s["alpha"], dtype=np.float64), engine.dim)
+            objectives = s["objectives"]
+            if alpha.ndim != 1 or (objectives is not None and len(objectives) != 2):
+                raise ValueError("engine checkpoint front members need one weight vector and two objectives")
+            pair = ObjectivePair(*(float(v) for v in objectives)) if objectives is not None else None
+            engine.pareto_front.append(ParetoSolution(alpha, pair))
+        if engine.designated >= len(engine.pareto_front):
+            raise ValueError("engine checkpoint designates a member outside its front")
         return engine
 
 

@@ -69,6 +69,7 @@ import hashlib
 import io
 import math
 import struct
+import zlib
 from typing import Sequence
 
 import numpy as np
@@ -96,7 +97,7 @@ DEFAULT_TRACKER_DECAY = 0.995
 
 _COMPRESS_TAG = 4
 _SNAPSHOT_MAGIC = b"SAMB"
-_SNAPSHOT_VERSION = 1
+_SNAPSHOT_VERSION = 2
 
 # Largest number of float64 elements in one row block of a points-by-memory
 # tensor: the kernel's squared-difference buffer, the difference blocks of
@@ -106,14 +107,32 @@ _SNAPSHOT_VERSION = 1
 # of each other at desk and default scale, while 256 KiB ran 1.2-1.3x slower
 # (per-block overhead) and 4 and 8 MiB 1.2x and 1.4x slower at default scale.
 _BLOCK_ELEMENTS = 1 << 18
+# Memory maintenance works on distance blocks (rows x memory) of at most
+# _BLOCK_ELEMENTS // _PLANE_SHARE values, each with a few same-sized masks and
+# copies; their difference blocks are split to fit _BLOCK_ELEMENTS.
+_PLANE_SHARE = 4
+
+# Each STM point carries its k-skyband: the predecessors with fewer than k
+# points between them and it that are strictly closer to it. At most
+# _BAND_LEN members are kept, nearest first. On the reference streams bands
+# hold 30-55 points, so 64 never cut one there.
+_BAND_LEN = 64
+# Columns per chunk of the band build's upper bound (a power of two), and the
+# most candidates one row keeps (its nearest).
+_BAND_CHUNK = 8
+_BAND_CANDIDATES = 4 * _BAND_LEN
+# Code of an empty band slot: larger than any member's, as stm_cap is at most
+# _STM_CAP_MAX.
+_BAND_END = np.iinfo(np.int32).max
+_STM_CAP_MAX = 1 << 30
 
 
 def check_bank_params(k: int, stm_cap: int, ltm_cap: int, min_stm_size: int, tracker_decay: float) -> None:
     """Reject memory settings a :class:`MemoryBank` cannot run with."""
     if k < 1:
         raise ValueError("k must be positive")
-    if stm_cap < 1:
-        raise ValueError("stm_cap must be positive")
+    if not 1 <= stm_cap <= _STM_CAP_MAX:
+        raise ValueError(f"stm_cap must lie in [1, {_STM_CAP_MAX}]")
     if ltm_cap < 2:
         # Compression halves each class but keeps one point per class, so a
         # two-class LTM never fits in one slot.
@@ -159,7 +178,8 @@ def _row_counts(mask: np.ndarray) -> np.ndarray:
 def _vote_rows(dist2: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
     """Row-wise majority votes of the k nearest memory points.
 
-    ``positive`` marks the memory points labelled 1. Distance ties keep the
+    ``positive`` marks the memory points labelled 1, one mask (m,) for every
+    row or one per row (n, m). Distance ties keep the
     earlier position, class-vote ties go to label 1. The k-th smallest
     distance of each row comes from a partition; when exactly k points lie at
     or below it they are the k nearest. Only rows with more than k such points
@@ -170,8 +190,8 @@ def _vote_rows(dist2: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
     n, m = dist2.shape
     kk = min(k, m)
     if kk == m:
-        ones = int(np.count_nonzero(positive))
-        return np.full(n, 1 if 2 * ones >= kk else 0, dtype=np.uint8)
+        ones = _row_counts(np.broadcast_to(positive, dist2.shape))
+        return (2 * ones >= kk).astype(np.uint8)
     kth = np.partition(dist2, kk - 1, axis=1)[:, kk - 1 : kk]
     near = dist2 <= kth
     ones = _row_counts(near & positive)
@@ -182,7 +202,7 @@ def _vote_rows(dist2: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
         need = kk - _row_counts(strict)
         tie = sub == sub_kth
         sel = strict | (tie & (np.cumsum(tie, axis=1) <= need[:, None]))
-        ones[tied] = _row_counts(sel & positive)
+        ones[tied] = _row_counts(sel & (positive[tied] if positive.ndim == 2 else positive))
     return (2 * ones >= kk).astype(np.uint8)
 
 
@@ -212,16 +232,35 @@ def _feature_sums(w: np.ndarray, sq: np.ndarray) -> np.ndarray:
     return np.einsum("k,kij->ij", w, sq)
 
 
-def _sq_dists(points: np.ndarray, memory_t: np.ndarray, buf: np.ndarray) -> np.ndarray:
+def _sq_dists(points: np.ndarray, memory_t: np.ndarray, buf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(r, m) unweighted squared distances of each point to each memory point.
 
     The same left-to-right sum over features as :func:`_feature_sums` with
     all-ones weights, bit for bit; the einsum squares and adds in one pass.
+    Points go through in row blocks whose difference block fits ``buf``;
+    the result goes to ``out`` when given.
     """
-    diff = _diff_block(points, memory_t, buf)
-    if diff.shape[1] * diff.shape[2] == 1:
-        return _feature_sums(np.ones(len(diff)), diff * diff)
-    return np.einsum("kij,kij->ij", diff, diff)
+    d, m = memory_t.shape
+    if out is None:
+        out = np.empty((len(points), m))
+    step = max(1, len(buf) // (d * m)) if m else len(points)
+    for s in range(0, len(points), step):
+        diff = _diff_block(points[s : s + step], memory_t, buf)
+        if diff.shape[1] * diff.shape[2] == 1:
+            out[s : s + 1] = _feature_sums(np.ones(len(diff)), diff * diff)
+        else:
+            np.einsum("kij,kij->ij", diff, diff, out=out[s : s + step])
+    return out
+
+
+def _diff_buffer(d: int, shapes) -> np.ndarray:
+    """Scratch for the difference blocks of (rows, width) distance blocks.
+
+    Large enough for one row of any of them, and otherwise for at most
+    ``_BLOCK_ELEMENTS`` elements, so :func:`_sq_dists` splits a block whose
+    difference block would not fit.
+    """
+    return np.empty(max((min(r, max(1, _BLOCK_ELEMENTS // (d * w))) * w * d for r, w in shapes if w), default=0))
 
 
 def _label_ordered(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
@@ -308,16 +347,16 @@ def _weighted_votes(
     return out
 
 
-def _sliding_blocks(start: int, stop: int, base, d: int, max_rows: int) -> list[tuple[int, int]]:
+def _sliding_blocks(start: int, stop: int, base, max_rows: int) -> list[tuple[int, int]]:
     """Row blocks [b, e) covering start..stop, each as large as the budget allows.
 
-    Block [b, e) meets ``base(b) + e - b`` columns, so its difference block
-    of (e - b) rows, those columns and d features holds at most
-    ``_BLOCK_ELEMENTS`` elements. A block has at least one row and at most
-    ``max_rows``.
+    Block [b, e) meets ``base(b) + e - b`` columns, so its distance block of
+    (e - b) rows and those columns holds at most
+    ``_BLOCK_ELEMENTS // _PLANE_SHARE`` values.
+    A block has at least one row and at most ``max_rows``.
     """
     blocks = []
-    q = _BLOCK_ELEMENTS // d
+    q = _BLOCK_ELEMENTS // _PLANE_SHARE
     b = start
     while b < stop:
         w = base(b)
@@ -342,7 +381,7 @@ def _masked_votes(dist2: np.ndarray, positive: np.ndarray, valid: np.ndarray, k:
     ones = _row_counts((dist2 != np.inf) & positive)
     out = (2 * ones >= valid).astype(np.uint8)
     if big.any():
-        out[big] = _vote_rows(dist2[big], positive, k)
+        out[big] = _vote_rows(dist2[big], positive[big] if positive.ndim == 2 else positive, k)
     return out
 
 
@@ -359,7 +398,9 @@ def _radii_sq(dist2: np.ndarray, same: np.ndarray, k: int) -> np.ndarray:
         r2[short] = np.where(same[short], dist2[short], -np.inf).max(axis=1)
     full = count >= k
     if full.any():
-        r2[full] = np.partition(np.where(same[full], dist2[full], np.inf), k - 1, axis=1)[:, k - 1]
+        masked = np.where(same, dist2, np.inf)
+        masked.partition(k - 1, axis=1)
+        r2[full] = masked[full, k - 1]
     return r2
 
 
@@ -415,33 +456,251 @@ def _candidate_sizes(n: int, min_size: int) -> list[int]:
     return sizes
 
 
-def _interleaved_errors(
-    features: np.ndarray, labels: np.ndarray, sizes: Sequence[int], k: int
+def _band_plane(points: np.ndarray, memory_t: np.ndarray, inside: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """:func:`_sq_dists` block, NaN outside ``inside``, its width padded with NaN to whole band chunks."""
+    r, w = inside.shape
+    plane = np.empty((r, max(1, -(-w // _BAND_CHUNK)) * _BAND_CHUNK))
+    plane[:, w:] = np.nan
+    np.copyto(_sq_dists(points, memory_t, buf, out=plane[:, :w]), np.nan, where=~inside)
+    return plane
+
+
+def _later_bound(table: np.ndarray, k: int) -> np.ndarray:
+    """For each entry of each row, an upper bound on the k-th smallest entry after it.
+
+    Columns are in position order; NaN marks no point. Column c belongs to
+    class c mod k, and E[c] is the minimum of its class from column c on, so
+    E[c + 1], ..., E[c + k] are k distinct later points and the largest of
+    them is a bound; it is +inf where a class has no later point.
+    """
+    r, w = table.shape
+    suffix = np.full((r, (w // k + 2) * k), np.inf)
+    suffix[:, :w] = table
+    backward = suffix.reshape(r, -1, k)[:, ::-1]
+    np.fmin.accumulate(backward, axis=1, out=backward)
+    bound = suffix[:, 1 : w + 1].copy()
+    for j in range(2, k + 1):
+        np.maximum(bound, suffix[:, j : w + j], out=bound)
+    return bound
+
+
+def _ragged_slots(rows: np.ndarray, n: int) -> tuple[int, np.ndarray]:
+    """Width of an (n, widest row) table of row-major entries, and each entry's flat slot in it."""
+    counts = np.bincount(rows, minlength=n)
+    width = int(counts.max(initial=0))
+    return width, rows * width + np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+
+
+def _ragged(slots: np.ndarray, shape: tuple[int, int], values: np.ndarray, fill) -> np.ndarray:
+    """The table of ``shape`` holding ``values`` at flat ``slots`` and ``fill`` elsewhere."""
+    table = np.full(shape, fill, dtype=values.dtype)
+    table.reshape(-1)[slots] = values
+    return table
+
+
+def _band_candidates(plane: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A superset of each row's k-skyband in a :func:`_band_plane`: rows, columns, distances.
+
+    Each row's points are its non-NaN columns, in position order; point p is
+    in the k-skyband iff fewer than k points after it are strictly closer. So
+    a point farther than the k-th nearest of any k distinct later points is
+    out. :func:`_later_bound` gives such a bound first over the minima of
+    chunks of ``_BAND_CHUNK`` columns, which drops whole chunks, then over the
+    surviving points. A row keeps at most ``max(_BAND_CANDIDATES, k)``
+    candidates, its smallest by (distance, position). Entries come in row-major order. A
+    kept point outside the skyband keeps the k closer later points that rule
+    it out: those are skyband points with smaller keys.
+    """
+    r, wp = plane.shape
+    g = _BAND_CHUNK
+    mins = plane
+    while mins.shape[1] > wp // g:
+        mins = np.fmin(mins[:, 0::2], mins[:, 1::2])
+    bound = _later_bound(mins, k)
+    hit = np.flatnonzero(mins <= bound)
+    values = plane.reshape(-1, g)[hit]
+    sub = np.flatnonzero(values <= bound.reshape(-1)[hit, None])
+    hit_rows, hit_chunks = np.divmod(hit, wp // g)
+    chunk = sub // g
+    rows, cols, dist = hit_rows[chunk], hit_chunks[chunk] * g + sub % g, values.reshape(-1)[sub]
+    counts = np.bincount(rows, minlength=r)
+    most = max(_BAND_CANDIDATES, k)
+    if counts.max(initial=0) > most:
+        keep = np.ones(len(rows), dtype=bool)
+        starts = np.cumsum(counts) - counts
+        for i in np.flatnonzero(counts > most):
+            order = np.argsort(dist[starts[i] : starts[i] + counts[i]], kind="stable")
+            keep[starts[i] + order[most:]] = False
+        rows, cols, dist = rows[keep], cols[keep], dist[keep]
+    width, slots = _ragged_slots(rows, r)
+    table = _ragged(slots, (r, width), dist, np.inf)
+    keep = (table <= _later_bound(table, k)).reshape(-1)[slots]
+    return rows[keep], cols[keep], dist[keep]
+
+
+def _skybands(rows: np.ndarray, dist: np.ndarray, codes: np.ndarray, out: np.ndarray, k: int) -> None:
+    """Write the k-skybands of ``len(out)`` rows from their :func:`_band_candidates` entries.
+
+    ``rows`` is ascending and each row's entries are in position order, with
+    their distances and band codes. A candidate is in the skyband iff fewer
+    than k later candidates are strictly closer: a reverse scan over the
+    candidate columns keeps the k smallest distances seen. Members are then
+    put in stable (distance, position) order and the first ``_BAND_LEN``
+    codes go to ``out``, padded with ``_BAND_END``.
+    """
+    n = len(out)
+    out.fill(_BAND_END)
+    if len(rows) == 0:
+        return
+    counts = np.bincount(rows, minlength=n)
+    at = np.arange(len(rows))
+    at -= (np.cumsum(counts) - counts)[rows]
+    at *= n
+    at += rows
+    scan = _ragged(at, (int(counts.max()), n), dist, np.inf)
+    member = np.empty(scan.shape, dtype=bool)
+    nearest = [np.full(n, np.inf) for _ in range(k)]
+    x, spare = np.empty(n), np.empty(n)
+    for j in range(len(scan) - 1, -1, -1):
+        np.less_equal(scan[j], nearest[-1], out=member[j])
+        np.minimum(nearest[0], scan[j], out=spare)
+        np.maximum(nearest[0], scan[j], out=x)
+        nearest[0], spare = spare, nearest[0]
+        for t in range(1, k):
+            np.minimum(nearest[t], x, out=spare)
+            np.maximum(nearest[t], x, out=x)
+            nearest[t], spare = spare, nearest[t]
+    take = member.reshape(-1)[at]
+    del scan, member, at
+    rows, dist, codes = rows[take], dist[take], codes[take]
+    width, slots = _ragged_slots(rows, n)
+    band = _ragged(slots, (n, width), dist, np.inf)
+    order = np.argsort(band, axis=1)
+    ranked = np.take_along_axis(band, order, axis=1)
+    size = np.bincount(rows, minlength=n)
+    ties = (ranked[:, 1:] == ranked[:, :-1]) & (np.arange(1, width) < size[:, None])
+    tied = np.flatnonzero(ties.any(axis=1))
+    if tied.size:
+        order[tied] = np.argsort(band[tied], axis=1, kind="stable")
+    order = order[:, :_BAND_LEN]
+    out[:, : order.shape[1]] = np.take_along_axis(_ragged(slots, (n, width), codes, _BAND_END), order, axis=1)
+
+
+class _BandBuilder:
+    """Turns band candidates of consecutive rows, added block by block, into band codes.
+
+    Row ``skip + j`` is written to ``out[j]``; rows before ``skip`` are
+    dropped. Pending candidates go through :func:`_skybands` once their table
+    would hold ``_BLOCK_ELEMENTS // 8`` entries, so memory stays bounded
+    however many rows arrive.
+    """
+
+    def __init__(self, out: np.ndarray, skip: int, k: int) -> None:
+        self.out, self.k, self._skip = out, k, skip
+        self._parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._first = skip
+        self._widest = 0
+
+    def add(self, stop: int, rows: np.ndarray, dist: np.ndarray, codes: np.ndarray) -> None:
+        """Candidates of every row before ``stop`` not added yet; ``rows`` ascending."""
+        kept = rows >= self._first
+        if not kept.all():
+            rows, dist, codes = rows[kept], dist[kept], codes[kept]
+        if len(rows):
+            self._parts.append((rows, dist, codes))
+            self._widest = max(self._widest, int(np.bincount(rows - rows[0]).max()))
+        if (stop - self._first) * self._widest >= _BLOCK_ELEMENTS // 8:
+            self.flush(stop)
+
+    def flush(self, stop: int) -> None:
+        """Finish every row before ``stop``."""
+        if stop <= self._first:
+            return
+        parts, self._parts = self._parts, []
+        rows, dist, codes = (np.concatenate(a) for a in zip(*parts)) if parts else (np.empty(0, np.intp),) * 3
+        del parts
+        rows -= self._first
+        _skybands(rows, dist, codes, self.out[self._first - self._skip : stop - self._skip], self.k)
+        self._first, self._widest = stop, 0
+
+
+def _band_codes(gap: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """Band entry ``2 * gap + label`` of a predecessor ``gap`` positions back."""
+    return (2 * gap + positive).astype(np.int32)
+
+
+def _stm_bands(features: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
+    """Band codes of every STM point against all its predecessors, in one blocked pass."""
+    n, d = features.shape
+    features_t = np.ascontiguousarray(features.T)
+    bands = np.empty((n, _BAND_LEN), dtype=np.int32)
+    builder = _BandBuilder(bands, 0, k)
+    blocks = _sliding_blocks(0, n, lambda b: b, n)
+    buf = _diff_buffer(d, [(e - b, e) for b, e in blocks])
+    for b, e in blocks:
+        hi = np.arange(b, e)
+        plane = _band_plane(features[b:e], features_t[:, :e], np.arange(e)[None, :] < hi[:, None], buf)
+        rows, cols, dist = _band_candidates(plane, k)
+        builder.add(e, rows + b, dist, _band_codes(hi[rows] - cols, positive[cols]))
+    builder.flush(n)
+    return bands
+
+
+def _band_votes(bands: np.ndarray, span: np.ndarray, positive: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Votes of STM points from their bands, each over its ``span`` nearest predecessors.
+
+    A band entry codes ``2 * (i - p) + label`` for predecessor p of point i,
+    so it lies in the span iff its code is at most ``2 * span + 1``. The
+    first k such entries in band order are the k nearest. Returns the votes
+    and the rows whose kept band holds fewer than k entries in the span (a
+    band cut at ``_BAND_LEN``); their votes are not valid.
+    """
+    inside = bands <= (2 * span + 1).astype(np.int32)[:, None]
+    rank = np.cumsum(inside, axis=1, dtype=np.int16)
+    ones = _row_counts(inside & (rank <= k) & positive)
+    return (2 * ones >= k).astype(np.uint8), np.flatnonzero(rank[:, -1] < k)
+
+
+def _exact_votes(features: np.ndarray, positive: np.ndarray, start: int, rows: np.ndarray, k: int) -> np.ndarray:
+    """Votes of STM points ``rows`` over their predecessors from ``start`` on, from distances."""
+    d = features.shape[1]
+    stop = int(rows.max()) + 1
+    memory_t = np.ascontiguousarray(features[start:stop].T)
+    step = max(1, _BLOCK_ELEMENTS // ((stop - start) * d))
+    buf = np.empty(min(step, len(rows)) * (stop - start) * d)
+    out = np.empty(len(rows), dtype=np.uint8)
+    for b in range(0, len(rows), step):
+        part = rows[b : b + step]
+        d2 = _sq_dists(features[part], memory_t, buf)
+        d2[np.arange(stop - start)[None, :] >= (part - start)[:, None]] = np.inf
+        out[b : b + step] = _vote_rows(d2, positive[start:stop], k)
+    return out
+
+
+def _window_errors(
+    bands: np.ndarray, features: np.ndarray, labels: np.ndarray, sizes: Sequence[int], k: int
 ) -> list[float]:
-    """Test-then-train kNN error of each suffix window.
+    """Test-then-train kNN error of each suffix window of the STM, from its bands.
 
     Element i of a window is predicted by unweighted kNN over the window
-    elements before it; the first k elements of each window are skipped. Rows
-    are taken in blocks: one distance block to every earlier element, its
-    upper triangle (diagonal included) set to +inf, serves every candidate
-    window, which votes on its own column slice.
+    elements before it; the first k elements of each window are skipped. Its
+    k nearest are the first k entries of its band inside the window, and a
+    row whose cut band holds fewer recomputes its vote from distances.
     """
     n = len(labels)
-    offsets = [n - s for s in sizes]
-    wrong = [0] * len(sizes)
     positive = labels == 1
-    features_t = np.ascontiguousarray(features.T)
-    blocks = _sliding_blocks(k, n, lambda b: b, features.shape[1], n)
-    buf = np.empty(max(((e - b) * e for b, e in blocks), default=0) * features.shape[1])
-    for b, e in blocks:
-        d2 = _sq_dists(features[b:e], features_t[:, :e], buf)
-        d2[np.arange(e)[None, :] >= np.arange(b, e)[:, None]] = np.inf
-        for j, off in enumerate(offsets):
-            first = max(b, off + k)
-            if first < e:
-                votes = _vote_rows(d2[first - b :, off:], positive[off:e], k)
-                wrong[j] += int(np.count_nonzero(votes != labels[first:e]))
-    return [w / max(1, s - k) for w, s in zip(wrong, sizes)]
+    band_positive = (bands & 1).astype(bool)
+    errors = []
+    for size in sizes:
+        first = n - size + k
+        if first >= n:
+            errors.append(0.0)
+            continue
+        votes, short = _band_votes(bands[first:], np.arange(k, size), band_positive[first:], k)
+        if short.size:
+            votes[short] = _exact_votes(features, positive, n - size, first + short, k)
+        errors.append(int(np.count_nonzero(votes != labels[first:])) / max(1, size - k))
+    return errors
 
 
 def _kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -522,6 +781,9 @@ class MemoryBank:
         self._ltm_f = np.empty((0, dim), dtype=np.float64)
         self._ltm_g = np.empty(0, dtype=np.uint8)
         self._ltm_l = np.empty(0, dtype=np.uint8)
+        # Band codes of each STM point (see _window_errors); derived state,
+        # rebuilt from the STM whenever it is replaced.
+        self._stm_band = np.empty((0, _BAND_LEN), dtype=np.int32)
         # correct/total pairs, exponentially decayed.
         self._trackers = {name: [0.0, 0.0] for name in ("stm", "ltm", "combined")}
 
@@ -663,20 +925,34 @@ class MemoryBank:
         pred_stm = np.zeros(n, dtype=np.uint8)
         pred_ltm = np.zeros(n, dtype=np.uint8)
         pred_both = np.zeros(n, dtype=np.uint8)
-        max_rows = _BLOCK_ELEMENTS // (m * d) if m else n
-        blocks = _sliding_blocks(0, n, lambda b: min(cap, s0 + b), d, max_rows)
-        buf = np.empty(max((e - b) * max(min(cap, s0 + b) + e - b, m) for b, e in blocks) * d)
+        max_rows = max(1, _BLOCK_ELEMENTS // _PLANE_SHARE // m) if m else n
+        blocks = _sliding_blocks(0, n, lambda b: min(cap, s0 + b), max_rows)
+        buf = _diff_buffer(d, [(e - b, w) for b, e in blocks for w in (min(cap, s0 + b) + e - b, m)])
+        out = max(0, s0 + n - cap)
+        kept = self._stm_band[min(out, s0) :]
+        band_table = np.empty((len(kept) + n - max(0, out - s0), _BAND_LEN), dtype=np.int32)
+        band_table[: len(kept)] = kept
+        bands = _BandBuilder(band_table[len(kept) :], max(0, out - s0), k)
         for b, e in blocks:
             c0, c1 = lo[b], s0 + e
+            first, stop = lo[b:e] - c0, s0 + steps[b:e] - c0
             rel = np.arange(c1 - c0)[None, :]
-            in_stm = (rel >= (lo[b:e] - c0)[:, None]) & (rel < (s0 + steps[b:e] - c0)[:, None])
-            d2s = _sq_dists(feats[b:e], cf_t[:, c0:c1], buf)
-            d2s[~in_stm] = np.inf
-            pred_stm[b:e] = _masked_votes(d2s, c_pos[c0:c1], stm_n[b:e], k)
+            in_stm = (rel >= first[:, None]) & (rel < stop[:, None])
+            plane = _band_plane(feats[b:e], cf_t[:, c0:c1], in_stm, buf)
+            if m:
+                r2 = _radii_sq(plane[:, : c1 - c0], in_stm & (cl[c0:c1][None, :] == labels[b:e, None]), k)
+            rows, cols, dist = _band_candidates(plane, k)
+            del plane, in_stm  # before the band builder may take its memory
+            pos = c_pos[c0 + cols]
+            bands.add(e, rows + b, dist, _band_codes(stop[rows] - cols, pos))
+            # Each row's k nearest STM points are among its candidates, which
+            # keep their position order: votes over them are the slice's votes.
+            width, slots = _ragged_slots(rows, e - b)
+            near, near_pos = _ragged(slots, (e - b, width), dist, np.inf), _ragged(slots, (e - b, width), pos, False)
+            pred_stm[b:e] = _masked_votes(near, near_pos, stm_n[b:e], k)
             if m == 0:
                 continue
             d2l = _sq_dists(feats[b:e], lf_t, buf)
-            r2 = _radii_sq(d2s, in_stm & (cl[c0:c1][None, :] == labels[b:e, None]), k)
             drop = (d2l <= r2[:, None]) & (ll[None, :] != labels[b:e, None])
             hit = (first_drop == n) & drop.any(axis=0)
             first_drop[hit] = b + drop[:, hit].argmax(axis=0)
@@ -685,7 +961,10 @@ class MemoryBank:
             d2l[~alive] = np.inf
             pred_ltm[b:e] = _masked_votes(d2l, l_pos, ltm_n[b:e], k)
             pred_both[b:e] = _masked_votes(
-                np.hstack([d2s, d2l]), np.concatenate([c_pos[c0:c1], l_pos]), stm_n[b:e] + ltm_n[b:e], k
+                np.hstack([near, d2l]),
+                np.hstack([near_pos, np.broadcast_to(l_pos, d2l.shape)]),
+                stm_n[b:e] + ltm_n[b:e],
+                k,
             )
         for y, ps, pl, pb, ns, nl in zip(
             labels.tolist(), pred_stm.tolist(), pred_ltm.tolist(), pred_both.tolist(), stm_n.tolist(), ltm_n.tolist()
@@ -701,8 +980,9 @@ class MemoryBank:
         if (first_drop < n).any():
             keep = first_drop == n
             self._ltm_f, self._ltm_g, self._ltm_l = lf[keep], self._ltm_g[keep], ll[keep]
-        out = max(0, s0 + n - cap)
+        bands.flush(n)
         self._stm_f, self._stm_g, self._stm_l = cf[out:], cg[out:], cl[out:]
+        self._stm_band = band_table
         return cf[:out], cg[:out], cl[:out]
 
     def _adapt_and_flush(self, evicted_f: np.ndarray, evicted_g: np.ndarray, evicted_l: np.ndarray) -> None:
@@ -716,6 +996,7 @@ class MemoryBank:
             np.concatenate([evicted_l, self._stm_l[:cut]]),
         )
         self._stm_f, self._stm_g, self._stm_l = self._stm_f[cut:], self._stm_g[cut:], self._stm_l[cut:]
+        self._stm_band = self._stm_band[cut:]
         self._transfer_to_ltm(*moved)
 
     def _update_tracker(self, name: str, hit: bool) -> None:
@@ -743,7 +1024,7 @@ class MemoryBank:
         sizes = _candidate_sizes(n, self.min_stm_size)
         if len(sizes) == 1:
             return 0
-        errors = _interleaved_errors(self._stm_f, self._stm_l, sizes, self.k)
+        errors = _window_errors(self._stm_band, self._stm_f, self._stm_l, sizes, self.k)
         best = 0
         for j in range(1, len(sizes)):
             if errors[j] < errors[best]:
@@ -789,21 +1070,30 @@ class MemoryBank:
 
     # -- state snapshots --------------------------------------------------------
 
+    def _checked(
+        self, features: np.ndarray, labels: np.ndarray, groups: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of a memory's arrays; ValueError unless they are n rows of 0/1 labels and groups."""
+        f = np.array(features, dtype=np.float64).reshape(-1, self.dim)
+        l = np.asarray(labels)
+        g = np.zeros(len(l), dtype=np.uint8) if groups is None else np.asarray(groups)
+        if l.ndim != 1 or g.shape != l.shape or len(f) != len(l):
+            raise ValueError(f"memory arrays disagree: {len(f)} feature rows, labels {l.shape}, groups {g.shape}")
+        for name, a in (("labels", l), ("groups", g)):
+            if not np.isin(a, (0, 1)).all():
+                raise ValueError(f"memory {name} must be 0 or 1")
+        return f, l.astype(np.uint8), g.astype(np.uint8)
+
     def replace_stm(self, features: np.ndarray, labels: np.ndarray, groups: np.ndarray | None = None) -> None:
-        """Overwrite the STM contents (restore and test hook)."""
-        f = np.asarray(features, dtype=np.float64).reshape(-1, self.dim)
-        l = np.asarray(labels, dtype=np.uint8)
-        n = len(l)
-        if n > self.stm_cap:
+        """Overwrite the STM contents (restore and test hook); rebuilds the STM bands."""
+        f, l, g = self._checked(features, labels, groups)
+        if len(l) > self.stm_cap:
             raise ValueError("more instances than the STM capacity")
-        g = np.zeros(n, dtype=np.uint8) if groups is None else np.asarray(groups, dtype=np.uint8)
-        self._stm_f, self._stm_g, self._stm_l = f.copy(), g.copy(), l.copy()
+        self._stm_f, self._stm_g, self._stm_l = f, g, l
+        self._stm_band = _stm_bands(f, l == 1, self.k)
 
     def replace_ltm(self, features: np.ndarray, labels: np.ndarray, groups: np.ndarray | None = None) -> None:
-        f = np.asarray(features, dtype=np.float64).reshape(-1, self.dim)
-        l = np.asarray(labels, dtype=np.uint8)
-        g = np.zeros(len(l), dtype=np.uint8) if groups is None else np.asarray(groups, dtype=np.uint8)
-        self._ltm_f, self._ltm_g, self._ltm_l = f.copy(), g.copy(), l.copy()
+        self._ltm_f, self._ltm_l, self._ltm_g = self._checked(features, labels, groups)
 
     def state_hash(self) -> str:
         """Digest of everything that influences future behavior."""
@@ -820,7 +1110,7 @@ class MemoryBank:
         return h.hexdigest()
 
     def to_bytes(self) -> bytes:
-        """Versioned binary snapshot (header, trackers, instance arrays)."""
+        """Versioned binary snapshot: header, trackers, instance arrays, CRC-32 of all before it."""
         out = io.BytesIO()
         out.write(_SNAPSHOT_MAGIC)
         out.write(
@@ -848,14 +1138,15 @@ class MemoryBank:
             out.write(np.ascontiguousarray(feats, dtype="<f8").tobytes())
             out.write(groups.astype(np.uint8).tobytes())
             out.write(labels.astype(np.uint8).tobytes())
+        out.write(struct.pack("<I", zlib.crc32(out.getbuffer())))
         return out.getvalue()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "MemoryBank":
-        """Rebuild a bank from :meth:`to_bytes` output.
+        """Rebuild a bank from :meth:`to_bytes` output; its STM bands are rebuilt.
 
-        A truncated blob, trailing bytes or settings a bank rejects raise
-        ValueError.
+        A truncated blob, trailing bytes, a checksum that does not match, and
+        settings or arrays a bank rejects raise ValueError.
         """
         pos = 0
 
@@ -874,19 +1165,20 @@ class MemoryBank:
         )
         if version != _SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
-        bank = cls(dim, k, stm_cap, ltm_cap, min_stm, decay, seed, adapt_per_instance=bool(per_inst))
-        bank.compress_count = count
-        for name in ("stm", "ltm", "combined"):
-            bank._trackers[name] = list(struct.unpack("<2d", take(16)))
+        trackers = [list(struct.unpack("<2d", take(16))) for _ in range(3)]
         arrays = []
         for _ in range(2):
             (n,) = struct.unpack("<I", take(4))
-            feats = np.frombuffer(take(8 * n * dim), dtype="<f8").reshape(n, dim).copy()
-            groups = np.frombuffer(take(n), dtype=np.uint8).copy()
-            labels = np.frombuffer(take(n), dtype=np.uint8).copy()
-            arrays.append((feats, groups, labels))
-        if pos != len(blob):
-            raise ValueError(f"{len(blob) - pos} trailing bytes after the memory snapshot")
+            feats = np.frombuffer(take(8 * n * dim), dtype="<f8").reshape(n, dim)
+            arrays.append((feats, np.frombuffer(take(n), dtype=np.uint8), np.frombuffer(take(n), dtype=np.uint8)))
+        if len(blob) - pos > 4:
+            raise ValueError(f"{len(blob) - pos - 4} trailing bytes after the memory snapshot")
+        (crc,) = struct.unpack("<I", take(4))
+        if crc != zlib.crc32(blob[: pos - 4]):
+            raise ValueError("memory snapshot checksum mismatch")
+        bank = cls(dim, k, stm_cap, ltm_cap, min_stm, decay, seed, adapt_per_instance=bool(per_inst))
+        bank.compress_count = count
+        bank._trackers = dict(zip(("stm", "ltm", "combined"), trackers))
         (sf, sg, sl), (lf, lg, ll) = arrays
         bank.replace_stm(sf, sl, sg)
         bank.replace_ltm(lf, ll, lg)

@@ -1,5 +1,11 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_chunk
 from emosam.engine import (
@@ -382,3 +388,58 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 32)
     with pytest.raises(ValueError):
         EmosamEngine.load_checkpoint(path)
+
+
+def _saved_checkpoint(tmp_path, stream):
+    engine = EmosamEngine(stream[0].n_features, small_config(stm_cap=30, ltm_cap=30, min_stm_size=10))
+    for chunk in stream[:2]:
+        engine.step(chunk)
+    path = tmp_path / "engine.ck"
+    engine.save_checkpoint(path)
+    return engine, path
+
+
+def _rewrite_head(path, edit) -> None:
+    """Apply ``edit`` to a checkpoint's JSON head and re-seal the file with a valid checksum."""
+    data = path.read_bytes()
+    (size,) = struct.unpack("<I", data[8:12])
+    head = json.loads(data[12 : 12 + size])
+    edit(head)
+    blob = json.dumps(head).encode("utf-8")
+    body = data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + size : -4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+MALFORMED_HEADS = {
+    "missing_key": lambda head: head.pop("history"),
+    "unknown_config_key": lambda head: head["config"].update(bogus=1),
+    "dim_differs_from_bank": lambda head: head.update(dim=head["dim"] + 1),
+    "designated_outside_front": lambda head: head.update(designated=len(head["front"])),
+    "front_weights_too_wide": lambda head: head["front"][0]["alpha"].append(0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADS))
+def test_checkpoint_rejects_malformed_head(tmp_path, stream, case):
+    _, path = _saved_checkpoint(tmp_path, stream)
+    _rewrite_head(path, lambda head: None)
+    EmosamEngine.load_checkpoint(path)  # re-sealing alone keeps it loadable
+    _rewrite_head(path, MALFORMED_HEADS[case])
+    with pytest.raises(ValueError):
+        EmosamEngine.load_checkpoint(path)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_checkpoint_with_one_flipped_byte_is_rejected_or_exact(tmp_path_factory, stream, data):
+    engine, path = _saved_checkpoint(tmp_path_factory.mktemp("flip"), stream)
+    blob = bytearray(path.read_bytes())
+    at = data.draw(st.integers(0, len(blob) - 1), label="at")
+    blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+    path.write_bytes(bytes(blob))
+    try:
+        resumed = EmosamEngine.load_checkpoint(path)
+    except ValueError:
+        return
+    assert resumed.bank.state_hash() == engine.bank.state_hash()
+    assert resumed.config == engine.config and resumed.history.values.tolist() == engine.history.values.tolist()

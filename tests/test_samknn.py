@@ -1,5 +1,7 @@
 import math
+import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from emosam.samknn import (
     FrozenChunkPredictor,
     MemoryBank,
     _candidate_sizes,
-    _interleaved_errors,
     _kmeans,
+    _window_errors,
     check_weights,
     clean,
     weighted_distance,
@@ -24,6 +26,7 @@ from oracles import (
     brute_knn_vote,
     interleaved_error,
     reference_fit_chunk,
+    reference_interleaved_errors,
     sam_reference_predict,
 )
 
@@ -546,7 +549,8 @@ def test_interleaved_errors_match_oracle(rng):
     feats = rng.random((80, 2))
     labels = rng.integers(0, 2, 80).astype(np.uint8)
     sizes = _candidate_sizes(80, 10)
-    got = _interleaved_errors(feats, labels, sizes, 3)
+    bank = bank_with_stm(feats, labels, k=3, min_stm_size=10, stm_cap=80)
+    got = _window_errors(bank._stm_band, feats, labels, sizes, 3)
     want = [interleaved_error(feats, labels, s, 3) for s in sizes]
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -708,3 +712,163 @@ def test_per_instance_adaptation_flag_runs(rng):
     chunk = make_chunk(rng.random((90, 2)), rng.integers(0, 2, 90), rng.integers(0, 2, 90))
     bank.fit_chunk(chunk)
     assert bank.stm_size <= 40
+
+
+def test_replace_rejects_mismatched_or_non_binary_arrays():
+    bank = MemoryBank(2)
+    for args in (
+        (np.zeros((3, 2)), [0, 1]),
+        (np.zeros((2, 2)), [0, 1], [0, 1, 1]),
+        (np.zeros((2, 2)), [0, 7]),
+        (np.zeros((2, 2)), [0, 1], [0, 2]),
+        (np.zeros((2, 2)), [[0, 1]]),
+    ):
+        for replace in (bank.replace_stm, bank.replace_ltm):
+            with pytest.raises(ValueError):
+                replace(*args)
+    assert bank.stm_size == bank.ltm_size == 0
+
+
+def _resealed(blob: bytes) -> bytes:
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
+
+
+def test_snapshot_rejects_non_binary_labels_and_checksum_mismatch(rng):
+    bank = bank_with_stm(rng.random((12, 2)), rng.integers(0, 2, 12), min_stm_size=6)
+    blob = bank.to_bytes()
+    assert MemoryBank.from_bytes(_resealed(blob)).state_hash() == bank.state_hash()
+    # The STM labels are the last 12 bytes before the LTM count and the checksum.
+    bad = bytearray(blob)
+    bad[-8 - 12] = 7
+    with pytest.raises(ValueError, match="0 or 1"):
+        MemoryBank.from_bytes(_resealed(bytes(bad)))
+    with pytest.raises(ValueError, match="checksum"):
+        MemoryBank.from_bytes(bytes(bad))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_snapshot_with_one_flipped_byte_is_rejected_or_exact(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    blob = _fitted_snapshot(rng)
+    bank = MemoryBank.from_bytes(blob)
+    flipped = bytearray(blob)
+    flipped[data.draw(st.integers(0, len(blob) - 1), label="at")] ^= data.draw(st.integers(1, 255), label="xor")
+    try:
+        clone = MemoryBank.from_bytes(bytes(flipped))
+    except ValueError:
+        return
+    assert clone.to_bytes() == blob and clone.state_hash() == bank.state_hash()
+
+
+# -- carried STM bands ------------------------------------------------------------
+
+
+def _grid_stream(rng, d, windows, n, grid=3):
+    return [
+        make_chunk(rng.integers(0, grid, (n, d)), rng.integers(0, 2, n), rng.integers(0, 2, n), t + 1)
+        for t in range(windows)
+    ]
+
+
+@pytest.mark.parametrize("adapt_per_instance", [False, True])
+def test_snapshot_midstream_continues_like_uninterrupted_bank(rng, adapt_per_instance):
+    # The bands are not in the snapshot: the restored bank rebuilds them from
+    # its STM and must then fit every later window exactly as the original.
+    kwargs = dict(k=3, stm_cap=70, ltm_cap=30, min_stm_size=8, seed=2, adapt_per_instance=adapt_per_instance)
+    chunks = _grid_stream(rng, 2, 8, 25 if adapt_per_instance else 40)
+    whole, resumed = MemoryBank(2, **kwargs), None
+    for t, chunk in enumerate(chunks):
+        whole.fit_chunk(chunk)
+        if t == 2:
+            resumed = MemoryBank.from_bytes(whole.to_bytes())
+        elif resumed is not None:
+            resumed.fit_chunk(chunk)
+            assert resumed.state_hash() == whole.state_hash()
+    assert whole.stm_size < kwargs["stm_cap"]  # the length re-fit cut the STM
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_band_errors_match_reference_after_prefix_drops(data):
+    # Integer grids tie many distances; dropping a prefix leaves band entries
+    # of points no longer in the STM, which must fall off.
+    d = data.draw(st.integers(1, 3), label="d")
+    k = data.draw(st.integers(1, 5), label="k")
+    n = data.draw(st.integers(k + 2, 60), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    feats = rng.integers(0, 3, (n, d)).astype(float)
+    labels = rng.integers(0, 2, n).astype(np.uint8)
+    bank = bank_with_stm(feats, labels, k=k, min_stm_size=k + 1, stm_cap=n)
+    bands = bank._stm_band
+    for drop in sorted(data.draw(st.lists(st.integers(0, n - k - 2), min_size=1, max_size=4), label="drops")):
+        f, y = feats[drop:], labels[drop:]
+        sizes = _candidate_sizes(len(y), k + 1)
+        assert _window_errors(bands[drop:], f, y, sizes, k) == reference_interleaved_errors(f, y, sizes, k)
+
+
+def test_adversarial_stream_cuts_bands_and_falls_back_to_distances(monkeypatch):
+    # 150 points on axis 0, then one point far out on each other axis: for
+    # those, distance grows with position, so every predecessor is in the
+    # band and the kept 64 are the oldest. Windows that start past them must
+    # recompute those rows from distances.
+    d, line = 8, 150
+    feats = np.zeros((line + d - 1, d))
+    feats[:line, 0] = np.arange(line)
+    feats[line:, 1:] = 1000.0 * np.eye(d - 1)
+    labels = (np.arange(len(feats)) % 3 == 0).astype(np.uint8)
+    chunks = [make_chunk(feats[:100], labels[:100] ^ 1, labels[:100], 1),
+              make_chunk(feats[100:], labels[100:] ^ 1, labels[100:], 2)]
+    kwargs = dict(k=3, stm_cap=400, ltm_cap=400, min_stm_size=10)
+    fallbacks = []
+    exact = samknn._exact_votes
+    monkeypatch.setattr(samknn, "_exact_votes", lambda *a: fallbacks.append(len(a[3])) or exact(*a))
+    bank, reference = MemoryBank(d, **kwargs), MemoryBank(d, **kwargs)
+    for chunk in chunks:
+        bank.fit_chunk(chunk)
+        reference_fit_chunk(reference, chunk)
+        assert bank.state_hash() == reference.state_hash()
+    assert (bank._stm_band[line:] != samknn._BAND_END).all()
+    assert sum(fallbacks) > 0
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_fit_chunk_matches_reference_with_short_bands(data):
+    # Bands cut at 3 entries and candidate lists at 6 make the exact-row
+    # fallback and the candidate cap run all the time.
+    d = data.draw(st.integers(1, 3), label="d")
+    k = data.draw(st.integers(1, 3), label="k")
+    kwargs = dict(k=k, stm_cap=data.draw(st.integers(5, 40), label="stm_cap"), ltm_cap=9, min_stm_size=k + 1, seed=1)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    chunks = _grid_stream(rng, d, data.draw(st.integers(1, 4), label="windows"), data.draw(st.integers(1, 30), label="n"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(samknn, "_BAND_LEN", 3)
+        mp.setattr(samknn, "_BAND_CANDIDATES", 6)
+        bank, reference = MemoryBank(d, **kwargs), MemoryBank(d, **kwargs)
+        for chunk in chunks:
+            bank.fit_chunk(chunk)
+            reference_fit_chunk(reference, chunk)
+            assert bank.state_hash() == reference.state_hash()
+
+
+def test_band_state_is_linear_in_stm_size():
+    # Carried bands take _BAND_LEN codes per STM point; a pairwise block
+    # would take STM^2 floats (128 MB at 4000 points).
+    rng = np.random.default_rng(3)
+    d = 4
+    kept, peaks = [], []
+    for n in (1000, 4000):
+        features, labels = rng.random((n, d)), rng.integers(0, 2, n)
+        bank = MemoryBank(d, stm_cap=n)
+        tracemalloc.start()
+        try:
+            bank.replace_stm(features, labels)
+            kept.append(tracemalloc.get_traced_memory()[0])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert bank._stm_band.nbytes == n * samknn._BAND_LEN * 4
+        # features, groups, labels and bands; little else stays
+        assert kept[-1] < n * (8 * d + 2 + 4 * samknn._BAND_LEN) + 64 * 1024
+    assert peaks[1] < kept[1] + 3 * 8 * _BLOCK_ELEMENTS
