@@ -376,6 +376,7 @@ class EmosamEngine:
 
     @classmethod
     def _from_head(cls, head: dict, bank: MemoryBank) -> "EmosamEngine":
+        """The engine a checkpoint head describes, around its restored bank."""
         if not isinstance(head, dict) or set(head) != _CHECKPOINT_FIELDS:
             raise ValueError(f"engine checkpoint head must hold exactly {sorted(_CHECKPOINT_FIELDS)}")
         engine = cls(head["dim"], EngineConfig.from_dict(head["config"]))

@@ -50,12 +50,26 @@ instance-by-instance loop bit for bit. With C the STM followed by the window,
 the STM that instance i is tested against is a sliding slice of C. An LTM
 point's removal by cleaning at step i depends only on x_i, on that slice and
 on the point itself, never on another removal, so one first-drop step per
-LTM point gives the LTM of every step. The STM, LTM and combined votes are
-then row votes over window-by-C and window-by-LTM distance blocks with +inf
-outside each row's memory; positions keep their order, so the tie rules are
-unchanged. The length re-fit votes every candidate window on a column slice
-of one lower-triangular block, and cleaning takes its radii from blocks too;
-a radius is the exact element ``np.partition`` selects.
+LTM point gives the LTM of every step. The LTM votes are row votes over
+window-by-LTM distance blocks with +inf outside each row's live LTM; cleaning
+takes its radii from the window-by-C blocks, a radius being the exact element
+``np.partition`` selects.
+
+Every STM point also carries its k-skyband: the predecessors p with fewer
+than k points between p and it that are strictly closer to it. For any
+suffix of the STM, a point's k nearest earlier points in it (ties to the
+earlier position) are the first k band members inside the suffix, taken in
+stable (distance, position) order. So the STM length re-fit, which scores
+each halving suffix window by test-then-train error, reads every vote from
+the bands, and the window absorb votes each row's STM slice (alone and with
+the LTM) from the candidates its band is built from. A band is kept as at
+most ``_BAND_LEN`` codes ``2 * (i - p) + label``, nearest first, so the
+points the STM drops fall off the front with no update. A row whose cut
+band holds fewer than k members inside a window recomputes that vote from
+distances. Bands are derived state: new rows get theirs from the distance
+blocks the absorb computes anyway, and replacing or restoring the STM
+rebuilds them in one blocked pass; they are in neither the snapshot nor
+:meth:`MemoryBank.state_hash`.
 
 Determinism: k-nearest ties are broken toward the earlier memory position,
 class-vote ties toward label 1, and compression draws from a generator
@@ -178,8 +192,8 @@ def _row_counts(mask: np.ndarray) -> np.ndarray:
 def _vote_rows(dist2: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
     """Row-wise majority votes of the k nearest memory points.
 
-    ``positive`` marks the memory points labelled 1, one mask (m,) for every
-    row or one per row (n, m). Distance ties keep the
+    ``positive`` marks the memory points labelled 1: one (m,) mask for every
+    row, or one (n, m) mask with a row for each. Distance ties keep the
     earlier position, class-vote ties go to label 1. The k-th smallest
     distance of each row comes from a partition; when exactly k points lie at
     or below it they are the k nearest. Only rows with more than k such points
@@ -243,7 +257,7 @@ def _sq_dists(points: np.ndarray, memory_t: np.ndarray, buf: np.ndarray, out: np
     d, m = memory_t.shape
     if out is None:
         out = np.empty((len(points), m))
-    step = max(1, len(buf) // (d * m)) if m else len(points)
+    step = max(1, len(buf) // (d * m) if m else len(points))
     for s in range(0, len(points), step):
         diff = _diff_block(points[s : s + step], memory_t, buf)
         if diff.shape[1] * diff.shape[2] == 1:
@@ -507,9 +521,9 @@ def _band_candidates(plane: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray,
     out. :func:`_later_bound` gives such a bound first over the minima of
     chunks of ``_BAND_CHUNK`` columns, which drops whole chunks, then over the
     surviving points. A row keeps at most ``max(_BAND_CANDIDATES, k)``
-    candidates, its smallest by (distance, position). Entries come in row-major order. A
-    kept point outside the skyband keeps the k closer later points that rule
-    it out: those are skyband points with smaller keys.
+    candidates, its smallest by (distance, position); a kept point outside
+    the skyband keeps the k closer later points that rule it out, as those
+    are skyband points with smaller keys. Entries come in row-major order.
     """
     r, wp = plane.shape
     g = _BAND_CHUNK
@@ -693,9 +707,6 @@ def _window_errors(
     errors = []
     for size in sizes:
         first = n - size + k
-        if first >= n:
-            errors.append(0.0)
-            continue
         votes, short = _band_votes(bands[first:], np.arange(k, size), band_positive[first:], k)
         if short.size:
             votes[short] = _exact_votes(features, positive, n - size, first + short, k)
@@ -886,11 +897,14 @@ class MemoryBank:
         step and is alive at step i iff that step is not earlier. The votes
         are row votes with +inf outside each row's slice and live LTM points;
         distance ties go to the earlier position and class ties to label 1,
-        as in prediction. The trackers then update in window order, and the
-        eviction is the prefix ``C[:max(0, s0 + n - stm_cap)]``. The result
-        is bit-identical to the one-at-a-time loop, whatever the block size.
-        With ``adapt_per_instance`` every instance is absorbed as a window of
-        one and the length re-fit runs after each (much slower).
+        as in prediction. Each row's STM votes come from the candidates of
+        its k-skyband, which is built in the same pass and then carried
+        with the STM. The trackers then update in window order, and the
+        eviction is the prefix ``C[:max(0, s0 + n - stm_cap)]``. The length
+        re-fit reads every candidate window's votes from the carried bands.
+        The result is bit-identical to the one-at-a-time loop, whatever the
+        block size. With ``adapt_per_instance`` every instance is absorbed as
+        a window of one and the length re-fit runs after each (much slower).
         """
         if chunk.n_features != self.dim:
             raise ValueError("chunk dimensionality does not match the bank")
