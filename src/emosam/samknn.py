@@ -600,7 +600,7 @@ def _skybands(rows: np.ndarray, dist: np.ndarray, codes: np.ndarray, out: np.nda
     out[:, : order.shape[1]] = np.take_along_axis(_ragged(slots, (n, width), codes, _BAND_END), order, axis=1)
 
 
-class _BandBuilder:
+class _BandWriter:
     """Turns band candidates of consecutive rows, added block by block, into band codes.
 
     Row ``skip + j`` is written to ``out[j]``; rows before ``skip`` are
@@ -648,15 +648,15 @@ def _stm_bands(features: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray
     n, d = features.shape
     features_t = np.ascontiguousarray(features.T)
     bands = np.empty((n, _BAND_LEN), dtype=np.int32)
-    builder = _BandBuilder(bands, 0, k)
+    writer = _BandWriter(bands, 0, k)
     blocks = _sliding_blocks(0, n, lambda b: b, n)
     buf = _diff_buffer(d, [(e - b, e) for b, e in blocks])
     for b, e in blocks:
         hi = np.arange(b, e)
         plane = _band_plane(features[b:e], features_t[:, :e], np.arange(e)[None, :] < hi[:, None], buf)
         rows, cols, dist = _band_candidates(plane, k)
-        builder.add(e, rows + b, dist, _band_codes(hi[rows] - cols, positive[cols]))
-    builder.flush(n)
+        writer.add(e, rows + b, dist, _band_codes(hi[rows] - cols, positive[cols]))
+    writer.flush(n)
     return bands
 
 
@@ -946,7 +946,7 @@ class MemoryBank:
         kept = self._stm_band[min(out, s0) :]
         band_table = np.empty((len(kept) + n - max(0, out - s0), _BAND_LEN), dtype=np.int32)
         band_table[: len(kept)] = kept
-        bands = _BandBuilder(band_table[len(kept) :], max(0, out - s0), k)
+        bands = _BandWriter(band_table[len(kept) :], max(0, out - s0), k)
         for b, e in blocks:
             c0, c1 = lo[b], s0 + e
             first, stop = lo[b:e] - c0, s0 + steps[b:e] - c0
@@ -956,7 +956,7 @@ class MemoryBank:
             if m:
                 r2 = _radii_sq(plane[:, : c1 - c0], in_stm & (cl[c0:c1][None, :] == labels[b:e, None]), k)
             rows, cols, dist = _band_candidates(plane, k)
-            del plane, in_stm  # before the band builder may take its memory
+            del plane, in_stm  # before the band writer may need the memory
             pos = c_pos[c0 + cols]
             bands.add(e, rows + b, dist, _band_codes(stop[rows] - cols, pos))
             # Each row's k nearest STM points are among its candidates, which
