@@ -42,8 +42,14 @@ negative columns in place gives the vote ``a < b`` of those two distances.
 Rows where neither ``a < b`` nor ``a > b`` holds (an exact tie, decided by
 position, or NaN from ``0 * inf``) fall back to the position-order vote of
 :func:`_vote_rows`, and a label too short for its quota makes the vote a
-constant. :meth:`MemoryBank.predict` (a one-row block) and
-:class:`FrozenChunkPredictor` (any block) agree bit for bit.
+constant. A row's votes depend on that row alone, so the kernel splits its
+queries into contiguous ranges, one per CPU the process may run on (never
+more than it has row blocks), and runs them on threads; numpy releases the
+interpreter lock in the reductions and partitions. Each thread has its own
+block buffer and writes only its own rows' votes, so the votes are the same
+whatever the thread count. :meth:`MemoryBank.predict` (a one-row block,
+which starts no thread) and :class:`FrozenChunkPredictor` (any block) agree
+bit for bit.
 
 Memory maintenance absorbs a whole window at once and matches the
 instance-by-instance loop bit for bit. With C the STM followed by the window,
@@ -79,11 +85,14 @@ banks and predictions.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import io
 import math
+import os
 import struct
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -115,7 +124,9 @@ _SNAPSHOT_VERSION = 2
 
 # Largest number of float64 elements in one row block of a points-by-memory
 # tensor: the kernel's squared-difference buffer, the difference blocks of
-# memory maintenance and the k-means assignment distances. A 2 MiB block with
+# memory maintenance and the k-means assignment distances. Each kernel thread
+# holds its own buffer, so a kernel call with W threads peaks at W blocks;
+# maintenance and k-means run on one thread, one block. A 2 MiB block with
 # its distance plane and masks does not fit a 2 MiB L2 per core, so the size
 # is not a cache fit: kernel sweeps on such a core timed 0.5-2 MiB within 5%
 # of each other at desk and default scale, while 256 KiB ran 1.2-1.3x slower
@@ -289,6 +300,40 @@ def _label_ordered(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray
     return np.ascontiguousarray(features[order].T), int(np.count_nonzero(positive)), order
 
 
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on (all of them where the platform cannot tell)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _split_rows(fill, n: int, rows: int) -> None:
+    """Run ``fill(lo, hi)`` over rows 0..n in W contiguous ranges, one thread each.
+
+    W = min(:func:`_cpu_count`, ceil(n / rows)), read on every call, so a
+    call of one row block, or a process bound to one CPU, starts no thread.
+    The caller's thread takes the first range and a pool of at most W - 1
+    threads the others (a thread that has finished one may take another),
+    each range in a copy of the caller's context, so numpy's error state
+    (``np.errstate``) holds in every range. All threads have ended when this
+    returns, and an exception raised in any range is raised here. ``fill``
+    must write only its own rows' results.
+    """
+    workers = min(_cpu_count(), -(-n // rows))
+    if workers <= 1:
+        fill(0, n)
+        return
+    bounds = [n * i // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [
+            pool.submit(contextvars.copy_context().run, fill, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])
+        ]
+        fill(bounds[0], bounds[1])
+        for future in futures:
+            future.result()
+
+
 def _weighted_votes(
     queries: np.ndarray,
     memory_t: np.ndarray,
@@ -308,7 +353,11 @@ def _weighted_votes(
     row). Each block's buffer is squared once and shared by all S weight
     vectors; a query's distances are the order-defined sums
     ``sum_f alpha_f^2 (m_f - x_f)^2``, so its votes do not depend on the
-    block it lands in.
+    block it lands in. The rows are split over threads by
+    :func:`_split_rows`; each thread allocates its own buffer of at most
+    ``budget`` elements, so a call holds at most one block per thread, and
+    since no vote depends on the thread that computed it the result does
+    not depend on the thread count.
 
     With kk = min(k, m), a row votes 1 iff at least t = ceil(kk / 2) of its kk
     nearest points are positive, that is iff in the stable (distance,
@@ -338,26 +387,30 @@ def _weighted_votes(
     positive[order[:npos]] = True
     w = alphas * alphas
     rows = max(1, min(n, budget // (m * d)))
-    buf = np.empty(d * rows * m)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        sq = _diff_block(queries[start:stop], memory_t, buf)
-        np.square(sq, out=sq)
-        for s in range(w.shape[0]):
-            plane = _feature_sums(w[s], sq)
-            if short:
-                out[s, start:stop] = _row_counts(plane == plane) >= kk
-                continue
-            plane[:, :npos].partition(t - 1, axis=1)
-            plane[:, npos:].partition(u - 1, axis=1)
-            a, b = plane[:, t - 1], plane[:, npos + u - 1]
-            vote = a < b
-            out[s, start:stop] = vote
-            unsure = np.flatnonzero(~(vote | (a > b)))
-            if unsure.size:
-                dist2 = np.empty((unsure.size, m))
-                dist2[:, order] = _feature_sums(w[s], sq[:, unsure])
-                out[s, start + unsure] = _vote_rows(dist2, positive, k)
+
+    def fill(lo: int, hi: int) -> None:
+        buf = np.empty(d * min(rows, hi - lo) * m)
+        for start in range(lo, hi, rows):
+            stop = min(start + rows, hi)
+            sq = _diff_block(queries[start:stop], memory_t, buf)
+            np.square(sq, out=sq)
+            for s in range(w.shape[0]):
+                plane = _feature_sums(w[s], sq)
+                if short:
+                    out[s, start:stop] = _row_counts(plane == plane) >= kk
+                    continue
+                plane[:, :npos].partition(t - 1, axis=1)
+                plane[:, npos:].partition(u - 1, axis=1)
+                a, b = plane[:, t - 1], plane[:, npos + u - 1]
+                vote = a < b
+                out[s, start:stop] = vote
+                unsure = np.flatnonzero(~(vote | (a > b)))
+                if unsure.size:
+                    dist2 = np.empty((unsure.size, m))
+                    dist2[:, order] = _feature_sums(w[s], sq[:, unsure])
+                    out[s, start + unsure] = _vote_rows(dist2, positive, k)
+
+    _split_rows(fill, n, rows)
     return out
 
 
@@ -1214,7 +1267,10 @@ class FrozenChunkPredictor:
     left-to-right sum over features, the same float in any row block, so
     results are bitwise identical to calling :meth:`MemoryBank.predict` per
     query, whatever the ``budget`` (float64 elements per row block; at least
-    one row).
+    one row). The query rows are split over up to one thread per CPU the
+    process may run on, each with its own block buffer, so a call's scratch
+    peaks at one ``budget`` block per thread; results do not depend on the
+    thread count.
     """
 
     def __init__(self, features: np.ndarray, bank: MemoryBank, budget: int = _BLOCK_ELEMENTS) -> None:

@@ -9,6 +9,12 @@ and every emitted value lands in [0, 1]. A column that has been constant so
 far maps to 0.0. The sensitive column is kept as an ordinary (encoded)
 feature unless the manifest sets ``drop_sensitive``.
 
+Every feature value, raw in a CSV cell or encoded in a :class:`Chunk`, must
+be finite with magnitude at most ``_FEATURE_BOUND`` = 1e100. Then a gap
+between two values (a running span too) is at most 2e100, a squared gap at
+most 4e200, and no distance summed over fewer than 4e107 squared gaps
+overflows float64.
+
 The generator produces a stream with one proxy feature whose agreement with
 the group membership is controlled by ``proxy_strength``, group-dependent
 positive-label rates, and an abrupt concept change at each drift point.
@@ -18,13 +24,14 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
+
+_FEATURE_BOUND = 1e100
 
 __all__ = [
     "Group",
@@ -63,9 +70,11 @@ class Instance:
 class Chunk:
     """One stream window in columnar form.
 
-    ``features`` is (n, d) float64 with every value in [0, 1], ``groups`` and
-    ``labels`` are (n,) uint8 holding 0/1. ``index`` is the 1-based window
-    ordinal. Arrays are copied and frozen at construction.
+    ``features`` is (n, d) float64, every value in [0, 1] when it comes from
+    ingestion or the generator; any finite value of magnitude at most
+    ``_FEATURE_BOUND`` is accepted. ``groups`` and ``labels`` are (n,) uint8
+    holding 0/1. ``index`` is the 1-based window ordinal. Arrays are copied
+    and frozen at construction.
     """
 
     features: np.ndarray
@@ -81,8 +90,8 @@ class Chunk:
             raise ValueError("a chunk needs a non-empty (n, d) feature matrix")
         if not (f.shape[0] == g.shape[0] == y.shape[0]):
             raise ValueError("features, groups and labels must have equal length")
-        if not np.isfinite(f).all():
-            raise ValueError("non-finite feature value")
+        if not (np.abs(f) <= _FEATURE_BOUND).all():
+            raise ValueError(f"feature values must be finite with magnitude at most {_FEATURE_BOUND:g}")
         if g.max(initial=0) > 1 or y.max(initial=0) > 1:
             raise ValueError("groups and labels must be 0/1")
         if int(self.index) < 1:
@@ -219,8 +228,9 @@ def ingest(manifest: StreamManifest) -> IngestResult:
 
     Rows are rejected (and counted) when the target or a used feature cell is
     empty, when the sensitive value belongs to neither group, or when a
-    numeric cell does not parse as a finite number. Cell values are stripped
-    of surrounding whitespace before any comparison.
+    numeric cell does not parse as a finite number of magnitude at most
+    ``_FEATURE_BOUND``. Cell values are stripped of surrounding whitespace
+    before any comparison.
     """
     manifest.validate()
     if not manifest.source.exists():
@@ -299,7 +309,7 @@ def ingest(manifest: StreamManifest) -> IngestResult:
             except ValueError:
                 ok = False
                 break
-            if not math.isfinite(val):
+            if not abs(val) <= _FEATURE_BOUND:
                 ok = False
                 break
             numeric.append(val)

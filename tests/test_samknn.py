@@ -1,5 +1,9 @@
 import math
+import os
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 import zlib
 
@@ -21,6 +25,7 @@ from emosam.samknn import (
     clean,
     weighted_distance,
 )
+from emosam.stream import _FEATURE_BOUND
 from oracles import (
     brute_clean_mask,
     brute_knn_vote,
@@ -331,6 +336,8 @@ def test_every_distance_is_the_left_to_right_feature_sum():
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(samknn, "_feature_sums", capture)
+                # one worker: threads would append their planes interleaved
+                mp.setattr(samknn, "_cpu_count", lambda: 1)
                 FrozenChunkPredictor(queries, bank, budget=rows * m * d).predict(alpha)
             np.testing.assert_array_equal(np.vstack(seen), want[:, kernel_order])
         for i in range(min(n, 3)):
@@ -374,6 +381,134 @@ def test_batch_predictor_frozen_against_later_fits(rng):
     bank.fit_chunk(chunk)
     for predictor, want in zip(predictors, before):
         np.testing.assert_array_equal(predictor.predict(np.ones(3)), want)
+
+
+# -- kernel threads -----------------------------------------------------------------
+
+
+def predict_at_workers(workers, queries, bank, alphas, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(samknn, "_cpu_count", lambda: workers)
+        return FrozenChunkPredictor(queries, bank, **kwargs).predict(alphas)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_worker_votes_equal_one_worker_on_tied_grids(data):
+    # Integer grids tie many distances; 1e200 coordinates under a zero weight
+    # give NaN distances, so ranges of every worker take the _vote_rows
+    # fallback.
+    d = data.draw(st.integers(1, 4), label="d")
+    m = data.draw(st.integers(2, 25), label="m")
+    n = data.draw(st.integers(1, 30), label="n")
+    k = data.draw(st.integers(1, min(m + 3, 9)), label="k")
+    grid = st.integers(0, 2)
+    mem = np.array(data.draw(st.lists(st.lists(grid, min_size=d, max_size=d), min_size=m, max_size=m)), dtype=float)
+    huge = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
+    mem[huge, 0] = 1e200
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)), dtype=np.uint8)
+    queries = np.array(data.draw(st.lists(st.lists(grid, min_size=d, max_size=d), min_size=n, max_size=n)), dtype=float)
+    rows = data.draw(st.lists(st.lists(GRID_WEIGHTS, min_size=d, max_size=d), min_size=1, max_size=3))
+    alphas = np.array(rows + [[0.0] * d, [0.0] + [1.0] * (d - 1)])
+    bank = bank_with_stm(mem, labels, k=k, min_stm_size=k + 1, stm_cap=m)
+    for budget in (1, 7 * m * d, _BLOCK_ELEMENTS):
+        with np.errstate(over="ignore"):
+            want = predict_at_workers(1, queries, bank, alphas, budget=budget)
+            for workers in (2, 3):
+                np.testing.assert_array_equal(predict_at_workers(workers, queries, bank, alphas, budget=budget), want)
+
+
+def test_worker_exception_in_a_later_range_reaches_caller(rng):
+    bank = bank_with_stm(rng.random((40, 3)), rng.integers(0, 2, 40), min_stm_size=6)
+    queries = rng.random((30, 3))
+    caller = threading.current_thread()
+    feature_sums = samknn._feature_sums
+
+    def fail_off_caller(w, sq):
+        if threading.current_thread() is not caller:
+            raise ArithmeticError("worker failed")
+        return feature_sums(w, sq)
+
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(samknn, "_feature_sums", fail_off_caller)
+        with pytest.raises(ArithmeticError, match="worker failed"):
+            predict_at_workers(3, queries, bank, np.ones(3), budget=40 * 3)
+    # the caller's numpy error state holds in the other ranges too
+    queries[-1, 0] = 1e200
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        predict_at_workers(3, queries, bank, np.ones(3), budget=40 * 3)
+    assert threading.active_count() == before
+
+
+def test_worker_votes_hold_under_rapid_thread_switching(rng):
+    # More workers than cores, switching threads every microsecond: a range
+    # lost or written by the wrong worker would leave zeros or wrong votes.
+    m, d = 300, 4
+    bank = bank_with_stm(rng.integers(0, 3, (m, d)).astype(float), rng.integers(0, 2, m), min_stm_size=6, stm_cap=m)
+    queries = rng.integers(0, 3, (97, d)).astype(float)
+    alphas = rng.choice([0.0, 0.5, 1.0], (6, d))
+    want = predict_at_workers(1, queries, bank, alphas, budget=3 * m * d)
+    assert 0 < want.mean() < 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    runs = 0
+    try:
+        deadline = time.monotonic() + 2.0
+        while runs < 100 and time.monotonic() < deadline:
+            np.testing.assert_array_equal(predict_at_workers(4, queries, bank, alphas, budget=3 * m * d), want)
+            runs += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs > 0
+
+
+def test_worker_threads_start_only_with_cpus_and_row_blocks(rng, monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    bank = bank_with_stm(rng.random((50, 3)), rng.integers(0, 2, 50), min_stm_size=6)
+    queries = rng.random((20, 3))
+    alphas = rng.random((2, 3))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    one_cpu = FrozenChunkPredictor(queries, bank, budget=1).predict(alphas)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    FrozenChunkPredictor(queries, bank, budget=1).predict(alphas)
+    monkeypatch.setattr(samknn, "_cpu_count", lambda: 3)
+    bank.predict(queries[0], alphas[0])
+    FrozenChunkPredictor(queries, bank).predict(alphas)  # one row block
+    assert started == []
+    np.testing.assert_array_equal(FrozenChunkPredictor(queries, bank, budget=1).predict(alphas), one_cpu)
+    assert 1 <= len(started) <= 2  # the pool may hand a finished thread the next range
+    assert not any(thread.is_alive() for thread in started)
+
+
+def test_stacked_call_scratch_is_one_block_per_worker(rng):
+    # the whole query x memory difference tensor would take n*m*d*8 bytes:
+    # 19 MB for the small case and 77 MB for the large one
+    d, workers = 8, 3
+    peaks = []
+    for n, m in ((300, 1000), (600, 2000)):
+        bank = bank_with_stm(rng.random((m, d)), rng.integers(0, 2, m), min_stm_size=6, stm_cap=m)
+        predictor = FrozenChunkPredictor(rng.random((n, d)), bank)
+        alphas = rng.random((4, d))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(samknn, "_cpu_count", lambda: workers)
+            tracemalloc.start()
+            try:
+                predictor.predict(alphas)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    # each worker: its difference block plus one distance plane (1/d of it)
+    assert max(peaks) < workers * 1.5 * 8 * _BLOCK_ELEMENTS
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 # -- fitting ------------------------------------------------------------------------
@@ -457,6 +592,27 @@ def test_fit_chunk_matches_per_instance_reference(data):
             for chunk, expected in zip(chunks, want):
                 bank.fit_chunk(chunk)
                 assert bank.state_hash() == expected
+
+
+def test_fit_chunk_matches_reference_at_the_feature_bound():
+    # Chunk caps feature magnitudes at _FEATURE_BOUND. Coordinates of 1e200
+    # overflowed squared gaps to inf, which broke this equality and made
+    # k-means seeding divide inf by inf; at the bound every sum stays finite.
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        d, k = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        kwargs = dict(k=k, stm_cap=int(rng.integers(1, 16)), ltm_cap=int(rng.integers(2, 10)), min_stm_size=k + 1, seed=3)
+        bank, reference = MemoryBank(d, **kwargs), MemoryBank(d, **kwargs)
+        for t in range(int(rng.integers(1, 7))):
+            n = int(rng.integers(1, 25))
+            feats = rng.integers(0, 3, (n, d)).astype(float)
+            far = rng.random((n, d)) < 0.4
+            feats[far] = rng.choice([-_FEATURE_BOUND, _FEATURE_BOUND], int(far.sum()))
+            chunk = make_chunk(feats, rng.integers(0, 2, n), rng.integers(0, 2, n), t + 1)
+            with np.errstate(all="raise"):
+                bank.fit_chunk(chunk)
+            reference_fit_chunk(reference, chunk)
+            assert bank.state_hash() == reference.state_hash()
 
 
 def test_fit_chunk_matches_reference_on_long_stream(rng):

@@ -1,10 +1,15 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_chunk
 from emosam.stream import (
+    _FEATURE_BOUND,
     BiasStreamConfig,
     Chunk,
     Group,
@@ -52,6 +57,47 @@ def test_chunk_validation():
         make_chunk([[0.1, 0.2]], [0], [3])
     with pytest.raises(ValueError):
         Chunk(np.ones((1, 2)), np.zeros(1, np.uint8), np.ones(1, np.uint8), 0)
+
+
+# magnitudes on both sides of the bound, up to the largest float64
+FEATURE_VALUES = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([_FEATURE_BOUND, -_FEATURE_BOUND, 1.0000001e100, -1e200, 1e300, 1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_chunk_rejects_features_beyond_the_bound(data):
+    n, d = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    feats = np.array(data.draw(st.lists(st.lists(FEATURE_VALUES, min_size=d, max_size=d), min_size=n, max_size=n)))
+    if np.abs(feats).max() <= _FEATURE_BOUND:
+        np.testing.assert_array_equal(make_chunk(feats, [0] * n, [1] * n).features, feats)
+    else:
+        with pytest.raises(ValueError, match="magnitude"):
+            make_chunk(feats, [0] * n, [1] * n)
+
+
+@given(values=st.lists(FEATURE_VALUES, min_size=12, max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_ingest_rejects_and_counts_cells_beyond_the_bound(values):
+    # Huge raw values made the running span overflow to inf (inf / inf is
+    # NaN), so one such row failed the whole ingestion.
+    rows = [[repr(v), "ab"[i % 2], "yes" if i % 3 else "no"] for i, v in enumerate(values)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        write_csv(path, ["f0", "s", "y"], rows)
+        kept = [v for v in values if abs(v) <= _FEATURE_BOUND]
+        if not kept:
+            with pytest.raises(ValueError, match="no usable rows"):
+                ingest(basic_manifest(path))
+            return
+        result = ingest(basic_manifest(path))
+    assert result.rejected_rows == len(values) - len(kept)
+    assert result.n_instances == len(kept)
+    feats = np.vstack([c.features for c in result.chunks])
+    assert ((feats >= 0.0) & (feats <= 1.0)).all()
 
 
 def test_chunk_arrays_are_frozen(random_chunk):
