@@ -42,12 +42,14 @@ negative columns in place gives the vote ``a < b`` of those two distances.
 Rows where neither ``a < b`` nor ``a > b`` holds (an exact tie, decided by
 position, or NaN from ``0 * inf``) fall back to the position-order vote of
 :func:`_vote_rows`, and a label too short for its quota makes the vote a
-constant. A row's votes depend on that row alone, so the kernel splits its
-queries into contiguous ranges, one per CPU the process may run on (never
-more than it has row blocks), and runs them on threads; numpy releases the
-interpreter lock in the reductions and partitions. Each thread has its own
-block buffer and writes only its own rows' votes, so the votes are the same
-whatever the thread count. :meth:`MemoryBank.predict` (a one-row block,
+constant. A row's votes depend on that row alone, so a large kernel call
+runs its row blocks on threads, one per CPU the process may run on (never
+more than it has row blocks, nor than its work fills; see
+``_THREAD_WORK``), each bound to its own CPU and taking the next block
+nobody has taken; numpy releases the interpreter lock in the reductions and
+partitions. Each thread has its own block buffer and writes only its own
+blocks' votes, so the votes are the same whatever the thread count and
+whichever thread ran a block. :meth:`MemoryBank.predict` (a one-row block,
 which starts no thread) and :class:`FrozenChunkPredictor` (any block) agree
 bit for bit.
 
@@ -85,12 +87,15 @@ banks and predictions.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import hashlib
 import io
+import itertools
 import math
 import os
 import struct
+import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
@@ -132,6 +137,18 @@ _SNAPSHOT_VERSION = 2
 # of each other at desk and default scale, while 256 KiB ran 1.2-1.3x slower
 # (per-block overhead) and 4 and 8 MiB 1.2x and 1.4x slower at default scale.
 _BLOCK_ELEMENTS = 1 << 18
+# Least kernel work, in weighted squared differences (queries x memory x
+# features x weight vectors), that each thread of a kernel call must get
+# before the call starts a thread. Timed on a 2-CPU virtual machine whose
+# host also runs other work, each thread bound to its own CPU: while the
+# host was quiet, two threads ran a 250 x 1000 x 8 x 20 call (40M; desk
+# swarm sweeps reach 21M) and a 1000 x 3300 x 8 x 10 call (264M, about a
+# default swarm sweep) 1.7x faster. While it was busy (up to a third of the
+# machine's CPU time reported stolen), whole desk runs that threaded every
+# call re-tuned 1.1-1.4x slower than on one thread, while default-scale
+# re-tunes still ran 1.3-1.4x faster in most runs. Below this bound a thread
+# loses on a busy host what it gains on a quiet one, and runs spread.
+_THREAD_WORK = 1 << 26
 # Memory maintenance works on distance blocks (rows x memory) of at most
 # _BLOCK_ELEMENTS // _PLANE_SHARE values, each with a few same-sized masks and
 # copies; their difference blocks are split to fit _BLOCK_ELEMENTS.
@@ -308,28 +325,78 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _split_rows(fill, n: int, rows: int) -> None:
-    """Run ``fill(lo, hi)`` over rows 0..n in W contiguous ranges, one thread each.
+@contextlib.contextmanager
+def _on_cpu(cpus: list[int], j: int):
+    """Bind the calling thread to CPU ``cpus[j % len(cpus)]``, then restore its CPU set.
 
-    W = min(:func:`_cpu_count`, ceil(n / rows)), read on every call, so a
-    call of one row block, or a process bound to one CPU, starts no thread.
-    The caller's thread takes the first range and a pool of at most W - 1
-    threads the others (a thread that has finished one may take another),
-    each range in a copy of the caller's context, so numpy's error state
-    (``np.errstate``) holds in every range. All threads have ended when this
-    returns, and an exception raised in any range is raised here. ``fill``
-    must write only its own rows' results.
+    Left unbound, a kernel call's threads, which hand the interpreter lock to
+    each other thousands of times a second, were seen sharing one CPU while
+    the other stayed idle, for whole runs at a time; the call then took as
+    long as on one thread. Binding is best effort: with no ``cpus`` (a
+    platform without CPU affinity) or a refused request the thread runs
+    where the operating system puts it.
     """
-    workers = min(_cpu_count(), -(-n // rows))
-    if workers <= 1:
-        fill(0, n)
+    if not cpus:
+        yield
         return
-    bounds = [n * i // workers for i in range(workers + 1)]
+    allowed = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {cpus[j % len(cpus)]})
+    except OSError:
+        yield
+        return
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+def _split_rows(fill, n: int, rows: int, work: int) -> None:
+    """Run ``fill(blocks)`` on W threads that share rows 0..n in blocks of ``rows``.
+
+    W = min(:func:`_cpu_count`, ceil(n / rows), work // ``_THREAD_WORK``),
+    and at least 1, read on every call, so a call of one row block, a call
+    of less than twice ``_THREAD_WORK`` or a process bound to one CPU starts
+    no thread. ``blocks`` yields (start, stop) row ranges; every thread draws from one
+    shared sequence, taking the next block nobody has taken, so each block
+    runs exactly once, on whichever thread asks first. A thread that runs
+    slow (preempted, or waiting for the interpreter lock) holds back at most
+    the block it is on, not a fixed share of the rows. The caller's thread
+    runs ``fill`` too, and a pool of W - 1 threads the other calls, each in
+    a copy of the caller's context, so numpy's error state (``np.errstate``)
+    holds in every block. Thread j runs bound to the j-th CPU the caller may
+    use (:func:`_on_cpu`); the caller gets its CPU set back before this
+    returns. All threads have ended when this returns, and an exception
+    raised in any thread is raised here. ``fill`` must write only the
+    results of the rows it is given.
+    """
+    count = -(-n // rows)
+    workers = min(_cpu_count(), count, work // _THREAD_WORK)
+    if workers <= 1:
+        fill((start, min(start + rows, n)) for start in range(0, n, rows))
+        return
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = []
+    taken = itertools.count()
+    lock = threading.Lock()
+
+    def blocks():
+        while True:
+            with lock:
+                i = next(taken)
+            if i >= count:
+                return
+            yield i * rows, min(i * rows + rows, n)
+
+    def run(j: int) -> None:
+        with _on_cpu(cpus, j):
+            fill(blocks())
+
     with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [
-            pool.submit(contextvars.copy_context().run, fill, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])
-        ]
-        fill(bounds[0], bounds[1])
+        futures = [pool.submit(contextvars.copy_context().run, run, j) for j in range(1, workers)]
+        run(0)
         for future in futures:
             future.result()
 
@@ -388,10 +455,9 @@ def _weighted_votes(
     w = alphas * alphas
     rows = max(1, min(n, budget // (m * d)))
 
-    def fill(lo: int, hi: int) -> None:
-        buf = np.empty(d * min(rows, hi - lo) * m)
-        for start in range(lo, hi, rows):
-            stop = min(start + rows, hi)
+    def fill(blocks) -> None:
+        buf = np.empty(d * rows * m)
+        for start, stop in blocks:
             sq = _diff_block(queries[start:stop], memory_t, buf)
             np.square(sq, out=sq)
             for s in range(w.shape[0]):
@@ -410,7 +476,7 @@ def _weighted_votes(
                     dist2[:, order] = _feature_sums(w[s], sq[:, unsure])
                     out[s, start + unsure] = _vote_rows(dist2, positive, k)
 
-    _split_rows(fill, n, rows)
+    _split_rows(fill, n, rows, n * m * d * len(w))
     return out
 
 
@@ -1267,8 +1333,8 @@ class FrozenChunkPredictor:
     left-to-right sum over features, the same float in any row block, so
     results are bitwise identical to calling :meth:`MemoryBank.predict` per
     query, whatever the ``budget`` (float64 elements per row block; at least
-    one row). The query rows are split over up to one thread per CPU the
-    process may run on, each with its own block buffer, so a call's scratch
+    one row). The row blocks of a large call run on up to one thread per CPU
+    the process may run on, each with its own block buffer, so a call's scratch
     peaks at one ``budget`` block per thread; results do not depend on the
     thread count.
     """

@@ -389,6 +389,7 @@ def test_batch_predictor_frozen_against_later_fits(rng):
 def predict_at_workers(workers, queries, bank, alphas, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(samknn, "_cpu_count", lambda: workers)
+        mp.setattr(samknn, "_THREAD_WORK", 1)
         return FrozenChunkPredictor(queries, bank, **kwargs).predict(alphas)
 
 
@@ -396,7 +397,7 @@ def predict_at_workers(workers, queries, bank, alphas, **kwargs):
 @settings(max_examples=100, deadline=None)
 def test_worker_votes_equal_one_worker_on_tied_grids(data):
     # Integer grids tie many distances; 1e200 coordinates under a zero weight
-    # give NaN distances, so ranges of every worker take the _vote_rows
+    # give NaN distances, so blocks on any worker take the _vote_rows
     # fallback.
     d = data.draw(st.integers(1, 4), label="d")
     m = data.draw(st.integers(2, 25), label="m")
@@ -418,32 +419,46 @@ def test_worker_votes_equal_one_worker_on_tied_grids(data):
                 np.testing.assert_array_equal(predict_at_workers(workers, queries, bank, alphas, budget=budget), want)
 
 
-def test_worker_exception_in_a_later_range_reaches_caller(rng):
+def test_worker_exception_in_a_later_block_reaches_caller(rng):
     bank = bank_with_stm(rng.random((40, 3)), rng.integers(0, 2, 40), min_stm_size=6)
     queries = rng.random((30, 3))
     caller = threading.current_thread()
     feature_sums = samknn._feature_sums
+    worker_in_block = threading.Event()
+    over = []
 
-    def fail_off_caller(w, sq):
-        if threading.current_thread() is not caller:
-            raise ArithmeticError("worker failed")
-        return feature_sums(w, sq)
+    def off_caller(fail):
+        def patched(w, sq):
+            if threading.current_thread() is caller:
+                # hold the caller's first block until a worker has taken one
+                assert worker_in_block.wait(10)
+                return feature_sums(w, sq)
+            over.append(np.geterr()["over"])
+            worker_in_block.set()
+            if fail:
+                raise ArithmeticError("worker failed")
+            return feature_sums(w, sq)
+
+        return patched
 
     before = threading.active_count()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(samknn, "_feature_sums", fail_off_caller)
+        mp.setattr(samknn, "_feature_sums", off_caller(True))
         with pytest.raises(ArithmeticError, match="worker failed"):
             predict_at_workers(3, queries, bank, np.ones(3), budget=40 * 3)
-    # the caller's numpy error state holds in the other ranges too
-    queries[-1, 0] = 1e200
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        predict_at_workers(3, queries, bank, np.ones(3), budget=40 * 3)
+        # the caller's numpy error state holds in the workers' blocks too
+        worker_in_block.clear()
+        over.clear()
+        mp.setattr(samknn, "_feature_sums", off_caller(False))
+        with np.errstate(over="raise"):
+            predict_at_workers(3, queries, bank, np.ones(3), budget=40 * 3)
+    assert over and set(over) == {"raise"}
     assert threading.active_count() == before
 
 
 def test_worker_votes_hold_under_rapid_thread_switching(rng):
-    # More workers than cores, switching threads every microsecond: a range
-    # lost or written by the wrong worker would leave zeros or wrong votes.
+    # More workers than cores, switching threads every microsecond: a block
+    # lost, run twice or written by the wrong worker would leave wrong votes.
     m, d = 300, 4
     bank = bank_with_stm(rng.integers(0, 3, (m, d)).astype(float), rng.integers(0, 2, m), min_stm_size=6, stm_cap=m)
     queries = rng.integers(0, 3, (97, d)).astype(float)
@@ -481,12 +496,66 @@ def test_worker_threads_start_only_with_cpus_and_row_blocks(rng, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     FrozenChunkPredictor(queries, bank, budget=1).predict(alphas)
     monkeypatch.setattr(samknn, "_cpu_count", lambda: 3)
+    # 20 x 50 x 3 x 2 = 6000 weighted differences: two threads need 2 x 3000
+    monkeypatch.setattr(samknn, "_THREAD_WORK", 3001)
+    FrozenChunkPredictor(queries, bank, budget=1).predict(alphas)
+    monkeypatch.setattr(samknn, "_THREAD_WORK", 1)
     bank.predict(queries[0], alphas[0])
     FrozenChunkPredictor(queries, bank).predict(alphas)  # one row block
     assert started == []
+    monkeypatch.setattr(samknn, "_THREAD_WORK", 3000)
     np.testing.assert_array_equal(FrozenChunkPredictor(queries, bank, budget=1).predict(alphas), one_cpu)
-    assert 1 <= len(started) <= 2  # the pool may hand a finished thread the next range
+    assert 1 <= len(started) <= 2  # the pool may hand a finished thread the next call
     assert not any(thread.is_alive() for thread in started)
+
+
+def test_worker_threads_run_bound_to_their_own_cpus(rng, monkeypatch):
+    bank = bank_with_stm(rng.random((40, 3)), rng.integers(0, 2, 40), min_stm_size=6)
+    queries = rng.random((30, 3))
+    want = predict_at_workers(1, queries, bank, np.ones(3), budget=40 * 3)
+    if hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2:
+        cpus = sorted(os.sched_getaffinity(0))
+        before = os.sched_getaffinity(0)
+        caller = threading.current_thread()
+        feature_sums = samknn._feature_sums
+        bound = {"caller": set(), "worker": set()}
+
+        def record(fail):
+            # both threads hold a block at once before either goes on
+            both_in_a_block = threading.Barrier(2, timeout=10)
+            waited = set()
+
+            def patched(w, sq):
+                me = threading.current_thread()
+                if me not in waited:
+                    waited.add(me)
+                    both_in_a_block.wait()
+                bound["caller" if me is caller else "worker"].add(frozenset(os.sched_getaffinity(0)))
+                if fail and me is caller:
+                    raise ArithmeticError("caller failed")
+                return feature_sums(w, sq)
+
+            return patched
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(samknn, "_feature_sums", record(False))
+            np.testing.assert_array_equal(predict_at_workers(2, queries, bank, np.ones(3), budget=40 * 3), want)
+            assert bound == {"caller": {frozenset(cpus[:1])}, "worker": {frozenset(cpus[1:2])}}
+            assert os.sched_getaffinity(0) == before
+            mp.setattr(samknn, "_feature_sums", record(True))
+            with pytest.raises(ArithmeticError, match="caller failed"):
+                predict_at_workers(2, queries, bank, np.ones(3), budget=40 * 3)
+            assert os.sched_getaffinity(0) == before
+
+    # binding is best effort: a refused request, or a platform with no CPU
+    # affinity, leaves the threads unbound and the votes unchanged
+    def refuse(pid, mask):
+        raise OSError("refused")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    np.testing.assert_array_equal(predict_at_workers(3, queries, bank, np.ones(3), budget=40 * 3), want)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    np.testing.assert_array_equal(predict_at_workers(3, queries, bank, np.ones(3), budget=40 * 3), want)
 
 
 def test_stacked_call_scratch_is_one_block_per_worker(rng):
@@ -500,6 +569,7 @@ def test_stacked_call_scratch_is_one_block_per_worker(rng):
         alphas = rng.random((4, d))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(samknn, "_cpu_count", lambda: workers)
+            mp.setattr(samknn, "_THREAD_WORK", 1)
             tracemalloc.start()
             try:
                 predictor.predict(alphas)
