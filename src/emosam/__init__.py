@@ -28,7 +28,7 @@ from .experiments import (
     run_experiment,
 )
 from .metrics import DiscriminationResult, WindowRecord, accuracy, discrimination
-from .samknn import FrozenChunkPredictor, MemoryBank, weighted_distance
+from .samknn import FrozenChunkPredictor, MemoryBank
 from .smpso import (
     Archive,
     ArchiveEntry,
@@ -37,17 +37,14 @@ from .smpso import (
     crowding_distance,
     dominates,
     knee_index,
-    knee_point,
     optimize_weights,
     smpso_minimize,
 )
 from .stream import (
     BiasStreamConfig,
     Chunk,
-    Group,
     GroupRates,
     IngestResult,
-    Instance,
     StreamManifest,
     chunk_arrays,
     dataset_discrimination,
@@ -91,7 +88,6 @@ __all__ = [
     "discrimination",
     "FrozenChunkPredictor",
     "MemoryBank",
-    "weighted_distance",
     "Archive",
     "ArchiveEntry",
     "ObjectivePair",
@@ -99,15 +95,12 @@ __all__ = [
     "crowding_distance",
     "dominates",
     "knee_index",
-    "knee_point",
     "optimize_weights",
     "smpso_minimize",
     "BiasStreamConfig",
     "Chunk",
-    "Group",
     "GroupRates",
     "IngestResult",
-    "Instance",
     "StreamManifest",
     "chunk_arrays",
     "dataset_discrimination",

@@ -11,7 +11,8 @@ history, so freshly optimized weights first influence the next window.
 
 With all-ones initial weights and a trigger that never fires the engine is
 behaviorally identical to the plain memory classifier, which
-:func:`run_sam_baseline` also implements directly as an independent path.
+:func:`run_sam_baseline` also implements directly as an independent path:
+the reference the tests and the benchmark compare that configuration with.
 
 Window one is special: an empty bank cannot vote, so every prediction falls
 back to the configured tie label, and a trigger cannot fire until the bank
@@ -43,8 +44,8 @@ from .samknn import (
     check_bank_params,
     check_weights,
 )
-from .smpso import Archive, ObjectivePair, SmpsoParams, knee_index, optimize_weights
-from .stream import Chunk
+from .smpso import ObjectivePair, SmpsoParams, knee_index, optimize_weights
+from .stream import Chunk, from_mapping
 from .trend import (
     DEFAULT_MIN_INCREASE,
     DEFAULT_SMOOTHING,
@@ -73,7 +74,7 @@ _INIT_TAG = 1
 _SMPSO_TAG = 2
 _SELECT_TAG = 3
 _CHECKPOINT_MAGIC = b"EMOC"
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 _CHECKPOINT_FIELDS = frozenset({"dim", "config", "window_index", "trigger_count", "designated", "history", "front"})
 
 
@@ -131,7 +132,7 @@ class EngineConfig:
         self.selection = SelectionStrategy(self.selection)
         self.init_mode = InitMode(self.init_mode)
         if isinstance(self.smpso, dict):
-            self.smpso = SmpsoParams(**self.smpso)
+            self.smpso = from_mapping(SmpsoParams, self.smpso, "smpso")
         if self.archive_dump_dir is not None:
             self.archive_dump_dir = Path(self.archive_dump_dir)
 
@@ -166,10 +167,8 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineConfig":
-        data = dict(data)
-        if data.get("smpso") is not None and isinstance(data["smpso"], dict):
-            data["smpso"] = SmpsoParams(**data["smpso"])
-        return cls(**data)
+        """Inverse of :meth:`to_dict`; ValueError naming any unknown key, nested ones too."""
+        return from_mapping(cls, data, "engine config")
 
 
 @dataclass
@@ -380,7 +379,7 @@ class EmosamEngine:
         if not isinstance(head, dict) or set(head) != _CHECKPOINT_FIELDS:
             raise ValueError(f"engine checkpoint head must hold exactly {sorted(_CHECKPOINT_FIELDS)}")
         engine = cls(head["dim"], EngineConfig.from_dict(head["config"]))
-        settings = ("dim", "k", "stm_cap", "ltm_cap", "min_stm_size", "tracker_decay", "seed", "adapt_per_instance")
+        settings = ("dim", "k", "stm_cap", "ltm_cap", "min_stm_size", "tracker_decay", "seed")
         if any(getattr(bank, name) != getattr(engine.bank, name) for name in settings):
             raise ValueError("engine checkpoint bank does not match its head")
         engine.bank = bank
@@ -433,11 +432,13 @@ def run_sam_baseline(
     seed: int = 0,
     tie_label: int = 1,
 ) -> RunResult:
-    """Plain memory classifier, no weights, no triggers.
+    """Plain memory classifier, no weights, no triggers: the reference baseline.
 
-    Deliberately written as its own loop over per-instance predictions so it
-    can serve as an independent check on the engine's degenerate
-    configuration (all-ones weights, never-firing trigger).
+    Deliberately written as its own loop over per-instance predictions, so
+    the tests and the benchmark can check the engine's degenerate
+    configuration (all-ones weights, never-firing trigger) against it. The
+    experiment runner's baseline is that engine configuration, which is
+    faster and, by those checks, bit-identical.
     """
     if not chunks:
         raise ValueError("need at least one chunk")

@@ -9,7 +9,6 @@ grid cell is reproducible standalone with the same seed list.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -18,13 +17,14 @@ import numpy as np
 
 from .engine import (
     EngineConfig,
+    InitMode,
     RunResult,
     SelectionStrategy,
     TriggerPolicy,
-    run_sam_baseline,
     run_stream,
 )
-from .stream import BiasStreamConfig, Chunk, StreamManifest, generate_bias_stream, ingest
+from .metrics import WINDOW_CSV_HEADER
+from .stream import BiasStreamConfig, Chunk, StreamManifest, generate_bias_stream, ingest, write_json
 
 __all__ = [
     "DESK_PRESET",
@@ -131,14 +131,28 @@ def run_single(chunks: Sequence[Chunk], config: EngineConfig, seed: int) -> RunR
     return run_stream(chunks, replace(config, seed=seed))
 
 
-def _write_windows_csv(path: Path, result: RunResult) -> None:
-    from .metrics import WINDOW_CSV_HEADER
+def _baseline_config(config: EngineConfig) -> EngineConfig:
+    """The config's memory settings with all-ones weights and a trigger that never fires.
 
+    An absolute discrimination never exceeds 1, so a series of them never
+    has a trend endpoint of 1.01 with the series above it. Such a run is the
+    plain memory classifier, bit-identical to :func:`run_sam_baseline`.
+    """
+    return replace(
+        config,
+        trigger=TriggerPolicy.HP,
+        trend_threshold=1.01,
+        init_mode=InitMode.ONES,
+        selection=SelectionStrategy.MAJORITY,
+    )
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Header plus rows; floats are written as their repr (``str`` of a float)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(WINDOW_CSV_HEADER)
-        for record in result.records:
-            writer.writerow(record.to_csv_row())
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _aggregate(summaries: list[dict]) -> dict:
@@ -173,43 +187,22 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     chunks = load_chunks(spec)
     spec.output_dir.mkdir(parents=True, exist_ok=True)
 
-    summaries: list[dict] = []
-    baseline_summaries: list[dict] = []
+    # name: (config, output file prefix)
+    runs = {"engine": (spec.engine, "")}
+    if spec.include_baseline:
+        runs["baseline"] = (_baseline_config(spec.engine), "baseline_")
+    summaries: dict[str, list[dict]] = {name: [] for name in runs}
     for seed in spec.seeds:
-        result = run_single(chunks, spec.engine, seed)
-        _write_windows_csv(spec.output_dir / f"windows_seed{seed:04d}.csv", result)
-        summary = {"seed": seed, **result.summary.to_dict()}
-        with open(spec.output_dir / f"summary_seed{seed:04d}.json", "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-        summaries.append(summary)
+        for name, (config, prefix) in runs.items():
+            result = run_single(chunks, config, seed)
+            rows = (record.to_csv_row() for record in result.records)
+            _write_csv(spec.output_dir / f"{prefix}windows_seed{seed:04d}.csv", WINDOW_CSV_HEADER, rows)
+            summary = {"seed": seed, **result.summary.to_dict()}
+            write_json(summary, spec.output_dir / f"{prefix}summary_seed{seed:04d}.json")
+            summaries[name].append(summary)
 
-        if spec.include_baseline:
-            base = run_sam_baseline(
-                chunks,
-                k=spec.engine.k,
-                stm_cap=spec.engine.stm_cap,
-                ltm_cap=spec.engine.ltm_cap,
-                min_stm_size=spec.engine.min_stm_size,
-                tracker_decay=spec.engine.tracker_decay,
-                seed=seed,
-                tie_label=spec.engine.tie_label,
-            )
-            _write_windows_csv(spec.output_dir / f"baseline_windows_seed{seed:04d}.csv", base)
-            base_summary = {"seed": seed, **base.summary.to_dict()}
-            with open(
-                spec.output_dir / f"baseline_summary_seed{seed:04d}.json", "w", encoding="utf-8"
-            ) as fh:
-                json.dump(base_summary, fh, indent=2)
-                fh.write("\n")
-            baseline_summaries.append(base_summary)
-
-    aggregate = {"engine": _aggregate(summaries)}
-    if baseline_summaries:
-        aggregate["baseline"] = _aggregate(baseline_summaries)
-    with open(spec.output_dir / "aggregate.json", "w", encoding="utf-8") as fh:
-        json.dump(aggregate, fh, indent=2)
-        fh.write("\n")
+    aggregate = {name: _aggregate(s) for name, s in summaries.items()}
+    write_json(aggregate, spec.output_dir / "aggregate.json")
     return aggregate
 
 
@@ -254,19 +247,5 @@ def compare_ablations(
     if output_path is not None:
         output_path = Path(output_path)
         output_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(output_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(ABLATION_HEADER)
-            for row in rows:
-                writer.writerow(
-                    [
-                        row["selection"],
-                        row["trigger"],
-                        row["seeds"],
-                        repr(row["mean_error"]),
-                        repr(row["mean_abs_discrimination"]),
-                        repr(row["mean_triggers"]),
-                        repr(row["mean_wall_time_ms"]),
-                    ]
-                )
+        _write_csv(output_path, ABLATION_HEADER, ([row[name] for name in ABLATION_HEADER] for row in rows))
     return rows

@@ -40,11 +40,12 @@ iff the t-th nearest positive, t = ceil(kk / 2), comes before the u-th
 nearest negative, u = kk - t + 1, so partitioning the plane's positive and
 negative columns in place gives the vote ``a < b`` of those two distances.
 Rows where neither ``a < b`` nor ``a > b`` holds (an exact tie, decided by
-position, or NaN from ``0 * inf``) fall back to the position-order vote of
-:func:`_vote_rows`, and a label too short for its quota makes the vote a
-constant. A row's votes depend on that row alone, so a large kernel call
-runs its row blocks on threads, one per CPU the process may run on (never
-more than it has row blocks, nor than its work fills; see
+position) fall back to the position-order vote of :func:`_vote_rows`, and a
+label too short for its quota makes the vote a constant. Memories and
+queries hold features of magnitude at most ``stream._FEATURE_BOUND``, so
+every distance is finite. A row's votes depend on that row alone, so a
+large kernel call runs its row blocks on threads, one per CPU the process
+may run on (never more than it has row blocks, nor than its work fills; see
 ``_THREAD_WORK``), each bound to its own CPU and taking the next block
 nobody has taken; numpy releases the interpreter lock in the reductions and
 partitions. Each thread has its own block buffer and writes only its own
@@ -102,7 +103,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .stream import Chunk
+from .stream import Chunk, check_features
 
 __all__ = [
     "DEFAULT_K",
@@ -110,7 +111,6 @@ __all__ = [
     "DEFAULT_LTM_CAP",
     "DEFAULT_MIN_STM",
     "DEFAULT_TRACKER_DECAY",
-    "weighted_distance",
     "check_weights",
     "clean",
     "MemoryBank",
@@ -125,7 +125,8 @@ DEFAULT_TRACKER_DECAY = 0.995
 
 _COMPRESS_TAG = 4
 _SNAPSHOT_MAGIC = b"SAMB"
-_SNAPSHOT_VERSION = 2
+_SNAPSHOT_VERSION = 3
+_SNAPSHOT_HEAD = "<IIIIIIdqQ"
 
 # Largest number of float64 elements in one row block of a points-by-memory
 # tensor: the kernel's squared-difference buffer, the difference blocks of
@@ -193,20 +194,6 @@ def check_weights(alpha: np.ndarray, dim: int) -> np.ndarray:
     if not np.isfinite(a).all() or a.min(initial=0.0) < 0.0 or a.max(initial=0.0) > 1.0:
         raise ValueError("weights must be finite and lie in [0, 1]")
     return a
-
-
-def weighted_distance(a: np.ndarray, b: np.ndarray, alpha: np.ndarray) -> float:
-    """Euclidean distance after multiplying each coordinate gap by its weight.
-
-    The square root of the module's order-defined squared distance, so it
-    equals what the prediction kernel computes for the same pair.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    w = np.asarray(alpha, dtype=np.float64)
-    if a.ndim != 1 or a.size == 0 or a.shape != b.shape or a.shape != w.shape:
-        raise ValueError("points and weights must be non-empty vectors of one shape")
-    return math.sqrt(float(_feature_sums(w * w, ((b - a) ** 2)[:, None, None])[0, 0]))
 
 
 def _row_counts(mask: np.ndarray) -> np.ndarray:
@@ -433,8 +420,9 @@ def _weighted_votes(
     positives and negatives apart, and a row votes ``a < b`` with ``a`` the
     t-th smallest positive distance and ``b`` the u-th smallest negative one.
     Rows with neither ``a < b`` nor ``a > b`` (an exact tie, which position
-    decides, or NaN from ``0 * inf``) recompute their distances, put them
-    back in position order and vote through :func:`_vote_rows`.
+    decides) recompute their distances, put them back in position order and
+    vote through :func:`_vote_rows`. With fewer than u negatives every row
+    votes 1, and with fewer than t positives every row votes 0.
     """
     n, d = queries.shape
     m = memory_t.shape[1]
@@ -444,10 +432,7 @@ def _weighted_votes(
     out = np.zeros((alphas.shape[0], n), dtype=np.uint8)
     if npos < t:
         return out
-    # Too few negatives to outvote: every row votes 1 that has kk distances
-    # _vote_rows can rank (NaN is not one); kk == m needs no distances at all.
-    short = m - npos < u
-    if short and kk == m:
+    if m - npos < u:
         out[:] = 1
         return out
     positive = np.zeros(m, dtype=bool)
@@ -462,9 +447,6 @@ def _weighted_votes(
             np.square(sq, out=sq)
             for s in range(w.shape[0]):
                 plane = _feature_sums(w[s], sq)
-                if short:
-                    out[s, start:stop] = _row_counts(plane == plane) >= kk
-                    continue
                 plane[:, :npos].partition(t - 1, axis=1)
                 plane[:, npos:].partition(u - 1, axis=1)
                 a, b = plane[:, t - 1], plane[:, npos + u - 1]
@@ -888,7 +870,6 @@ class MemoryBank:
         min_stm_size: int = DEFAULT_MIN_STM,
         tracker_decay: float = DEFAULT_TRACKER_DECAY,
         seed: int = 0,
-        adapt_per_instance: bool = False,
     ) -> None:
         if dim < 1:
             raise ValueError("dim must be positive")
@@ -902,7 +883,6 @@ class MemoryBank:
         self.min_stm_size = min_stm_size
         self.tracker_decay = tracker_decay
         self.seed = seed
-        self.adapt_per_instance = adapt_per_instance
         self.compress_count = 0
         # Oldest first. Arrays are replaced, never written in place.
         self._stm_f = np.empty((0, dim), dtype=np.float64)
@@ -989,6 +969,7 @@ class MemoryBank:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dim,):
             raise ValueError(f"query must have shape ({self.dim},)")
+        check_features(x, "query features")
         alpha = check_weights(alpha, self.dim)
         if alpha.ndim != 1:
             raise ValueError("predict takes one weight vector")
@@ -1022,17 +1003,11 @@ class MemoryBank:
         eviction is the prefix ``C[:max(0, s0 + n - stm_cap)]``. The length
         re-fit reads every candidate window's votes from the carried bands.
         The result is bit-identical to the one-at-a-time loop, whatever the
-        block size. With ``adapt_per_instance`` every instance is absorbed as
-        a window of one and the length re-fit runs after each (much slower).
+        block size.
         """
         if chunk.n_features != self.dim:
             raise ValueError("chunk dimensionality does not match the bank")
-        feats, groups, labels = chunk.features, chunk.groups, chunk.labels
-        if self.adapt_per_instance:
-            for i in range(len(chunk)):
-                self._adapt_and_flush(*self._absorb(feats[i : i + 1], groups[i : i + 1], labels[i : i + 1]))
-        else:
-            self._adapt_and_flush(*self._absorb(feats, groups, labels))
+        self._adapt_and_flush(*self._absorb(chunk.features, chunk.groups, chunk.labels))
         self.compress_ltm()
 
     def _absorb(
@@ -1206,8 +1181,13 @@ class MemoryBank:
     def _checked(
         self, features: np.ndarray, labels: np.ndarray, groups: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Copies of a memory's arrays; ValueError unless they are n rows of 0/1 labels and groups."""
+        """Copies of a memory's arrays.
+
+        ValueError unless they are n rows of features bounded as a
+        :class:`Chunk`'s, with 0/1 labels and groups.
+        """
         f = np.array(features, dtype=np.float64).reshape(-1, self.dim)
+        check_features(f, "memory features")
         l = np.asarray(labels)
         g = np.zeros(len(l), dtype=np.uint8) if groups is None else np.asarray(groups)
         if l.ndim != 1 or g.shape != l.shape or len(f) != len(l):
@@ -1248,7 +1228,7 @@ class MemoryBank:
         out.write(_SNAPSHOT_MAGIC)
         out.write(
             struct.pack(
-                "<IIIIIIdqQB",
+                _SNAPSHOT_HEAD,
                 _SNAPSHOT_VERSION,
                 self.dim,
                 self.k,
@@ -1258,7 +1238,6 @@ class MemoryBank:
                 self.tracker_decay,
                 self.seed,
                 self.compress_count,
-                1 if self.adapt_per_instance else 0,
             )
         )
         for name in ("stm", "ltm", "combined"):
@@ -1292,9 +1271,8 @@ class MemoryBank:
 
         if take(4) != _SNAPSHOT_MAGIC:
             raise ValueError("not a memory snapshot")
-        fmt = "<IIIIIIdqQB"
-        version, dim, k, stm_cap, ltm_cap, min_stm, decay, seed, count, per_inst = struct.unpack(
-            fmt, take(struct.calcsize(fmt))
+        version, dim, k, stm_cap, ltm_cap, min_stm, decay, seed, count = struct.unpack(
+            _SNAPSHOT_HEAD, take(struct.calcsize(_SNAPSHOT_HEAD))
         )
         if version != _SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
@@ -1309,7 +1287,7 @@ class MemoryBank:
         (crc,) = struct.unpack("<I", take(4))
         if crc != zlib.crc32(blob[: pos - 4]):
             raise ValueError("memory snapshot checksum mismatch")
-        bank = cls(dim, k, stm_cap, ltm_cap, min_stm, decay, seed, adapt_per_instance=bool(per_inst))
+        bank = cls(dim, k, stm_cap, ltm_cap, min_stm, decay, seed)
         bank.compress_count = count
         bank._trackers = dict(zip(("stm", "ltm", "combined"), trackers))
         (sf, sg, sl), (lf, lg, ll) = arrays
@@ -1328,8 +1306,8 @@ class FrozenChunkPredictor:
     one weight vector (d,) gives (n,) votes, a stack (S, d) gives (S, n), row
     s equal to predicting with the s-th vector alone. Each row votes from the
     t-th nearest positive and u-th nearest negative distance, partitioned in
-    place; exact ties and NaN distances recompute the row in position order
-    and vote through :func:`_vote_rows`. Every distance is the order-defined
+    place; exact ties recompute the row in position order and vote through
+    :func:`_vote_rows`. Every distance is the order-defined
     left-to-right sum over features, the same float in any row block, so
     results are bitwise identical to calling :meth:`MemoryBank.predict` per
     query, whatever the ``budget`` (float64 elements per row block; at least
@@ -1345,6 +1323,7 @@ class FrozenChunkPredictor:
         x = np.array(features, dtype=np.float64, order="C")
         if x.ndim != 2 or x.shape[1] != bank.dim:
             raise ValueError(f"queries must have shape (n, {bank.dim})")
+        check_features(x, "query features")
         self._x = x
         self._memory = _label_ordered(*bank._store_arrays(bank._best_store()))
         self._k = bank.k

@@ -29,12 +29,10 @@ __all__ = [
     "ArchiveEntry",
     "Archive",
     "knee_index",
-    "knee_point",
     "SmpsoParams",
     "constriction",
     "polynomial_mutation",
     "smpso_minimize",
-    "evaluate_weights",
     "optimize_weights",
 ]
 
@@ -149,10 +147,6 @@ def knee_index(objectives: Sequence[Sequence[float]]) -> int:
     rel = obj - a
     dist = np.abs(span[0] * rel[:, 1] - span[1] * rel[:, 0]) / norm
     return int(np.argmax(dist))
-
-
-def knee_point(archive: Archive) -> ArchiveEntry:
-    return archive[knee_index(archive.objective_array())]
 
 
 @dataclass
@@ -333,15 +327,6 @@ def _objectives_from_predictions(preds: np.ndarray, chunk: Chunk) -> ObjectivePa
     err = 1.0 - metrics.accuracy(preds, chunk.labels)
     disc = metrics.discrimination(preds, chunk.groups)
     return ObjectivePair(err, abs(disc.value))
-
-
-def evaluate_weights(alpha: np.ndarray, chunk: Chunk, bank: MemoryBank) -> ObjectivePair:
-    """(error rate, |discrimination|) of one weight vector on a chunk.
-
-    The bank is read but never modified.
-    """
-    preds = FrozenChunkPredictor(chunk.features, bank).predict(alpha)
-    return _objectives_from_predictions(preds, chunk)
 
 
 def optimize_weights(

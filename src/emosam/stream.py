@@ -9,11 +9,17 @@ and every emitted value lands in [0, 1]. A column that has been constant so
 far maps to 0.0. The sensitive column is kept as an ordinary (encoded)
 feature unless the manifest sets ``drop_sensitive``.
 
-Every feature value, raw in a CSV cell or encoded in a :class:`Chunk`, must
-be finite with magnitude at most ``_FEATURE_BOUND`` = 1e100. Then a gap
-between two values (a running span too) is at most 2e100, a squared gap at
-most 4e200, and no distance summed over fewer than 4e107 squared gaps
-overflows float64.
+Every feature value, raw in a CSV cell, encoded in a :class:`Chunk`, held
+in a memory bank or queried against one, must be finite with magnitude at
+most ``_FEATURE_BOUND`` = 1e100 (:func:`check_features`). Then a gap between
+two values (a running span too) is at most 2e100, a squared gap at most
+4e200, and no distance summed over fewer than 4e107 squared gaps overflows
+float64.
+
+The JSON configs (:class:`StreamManifest`, :class:`BiasStreamConfig`, and
+the engine's config) load through :func:`from_mapping`, which rejects
+unknown and missing keys with ValueError, and write ``dataclasses.asdict``
+through :func:`write_json`.
 
 The generator produces a stream with one proxy feature whose agreement with
 the group membership is controlled by ``proxy_strength``, group-dependent
@@ -24,18 +30,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, fields
-from enum import IntEnum
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 _FEATURE_BOUND = 1e100
 
 __all__ = [
-    "Group",
-    "Instance",
     "Chunk",
     "StreamManifest",
     "IngestResult",
@@ -50,20 +53,31 @@ __all__ = [
 ]
 
 
-class Group(IntEnum):
-    """Sensitive-attribute membership tag."""
+def check_features(values: np.ndarray, what: str = "feature values") -> None:
+    """ValueError unless every value is finite with magnitude at most ``_FEATURE_BOUND``."""
+    if not (np.abs(values) <= _FEATURE_BOUND).all():
+        raise ValueError(f"{what} must be finite with magnitude at most {_FEATURE_BOUND:g}")
 
-    UNPROTECTED = 0
-    PROTECTED = 1
+
+def from_mapping(cls, data, what: str):
+    """``cls(**data)`` for a dataclass ``cls``; ValueError naming any unknown or missing key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    known = {f.name for f in fields(cls)}
+    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    unknown, missing = set(data) - known, required - set(data)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    if missing:
+        raise ValueError(f"missing {what} keys: {sorted(missing)}")
+    return cls(**data)
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One encoded observation."""
-
-    features: np.ndarray
-    group: Group
-    label: int
+def write_json(data, path: str | Path) -> None:
+    """Write ``data`` as indented JSON (paths as strings), newline-terminated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, default=str)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -90,8 +104,7 @@ class Chunk:
             raise ValueError("a chunk needs a non-empty (n, d) feature matrix")
         if not (f.shape[0] == g.shape[0] == y.shape[0]):
             raise ValueError("features, groups and labels must have equal length")
-        if not (np.abs(f) <= _FEATURE_BOUND).all():
-            raise ValueError(f"feature values must be finite with magnitude at most {_FEATURE_BOUND:g}")
+        check_features(f)
         if g.max(initial=0) > 1 or y.max(initial=0) > 1:
             raise ValueError("groups and labels must be 0/1")
         if int(self.index) < 1:
@@ -109,12 +122,6 @@ class Chunk:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-    def instance(self, i: int) -> Instance:
-        return Instance(self.features[i], Group(int(self.groups[i])), int(self.labels[i]))
-
-    def __iter__(self) -> Iterator[Instance]:
-        return (self.instance(i) for i in range(len(self)))
 
 
 def chunk_arrays(
@@ -187,32 +194,14 @@ class StreamManifest:
     def from_json(cls, path: str | Path) -> "StreamManifest":
         path = Path(path)
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
-        manifest = cls(**data)
+            manifest = from_mapping(cls, json.load(fh), "manifest")
         # Relative sources resolve against the manifest's own directory.
         if not manifest.source.is_absolute():
             manifest.source = (path.parent / manifest.source).resolve()
         return manifest
 
     def to_json(self, path: str | Path) -> None:
-        data = {
-            "source": str(self.source),
-            "target_column": self.target_column,
-            "positive_label": self.positive_label,
-            "sensitive_column": self.sensitive_column,
-            "protected_values": list(self.protected_values),
-            "unprotected_values": list(self.unprotected_values),
-            "categorical_columns": list(self.categorical_columns),
-            "window_size": self.window_size,
-            "drop_sensitive": self.drop_sensitive,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
+        write_json(asdict(self), path)
 
 
 @dataclass
@@ -429,7 +418,7 @@ class BiasStreamConfig:
 
     def __post_init__(self) -> None:
         if isinstance(self.base_rates, dict):
-            self.base_rates = GroupRates(**self.base_rates)
+            self.base_rates = from_mapping(GroupRates, self.base_rates, "base_rates")
         self.drift_points = tuple(int(p) for p in self.drift_points)
 
     def validate(self) -> None:
@@ -460,30 +449,10 @@ class BiasStreamConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "BiasStreamConfig":
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown generator keys: {sorted(unknown)}")
-        return cls(**data)
+            return from_mapping(cls, json.load(fh), "generator")
 
     def to_json(self, path: str | Path) -> None:
-        data = {
-            "n_instances": self.n_instances,
-            "d_informative": self.d_informative,
-            "d_noise": self.d_noise,
-            "proxy_strength": self.proxy_strength,
-            "base_rates": {
-                "protected": self.base_rates.protected,
-                "unprotected": self.base_rates.unprotected,
-            },
-            "drift_points": list(self.drift_points),
-            "seed": self.seed,
-            "window_size": self.window_size,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
+        write_json(asdict(self), path)
 
 
 def generate_bias_stream(config: BiasStreamConfig) -> list[Chunk]:

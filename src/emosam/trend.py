@@ -7,8 +7,11 @@ penalising the squared second differences of the trend:
 
 which has the exact solution of the pentadiagonal system
 (I + smoothing * D'D) G = y, with D the (n-2) x n second-difference
-operator. Series of length one or two carry no curvature, so the trend is
-the series itself.
+operator. Subtracting it from y gives the system the filter solves, for the
+cycle: (I + smoothing * D'D) C = smoothing * D'(D y), with D y the series'
+second differences, by an O(n) LDL' elimination of the symmetric
+pentadiagonal matrix. Series of length one or two carry no curvature, so
+the trend is the series itself.
 
 Three policies decide when weight optimization should run: a rising-trend
 test on the smoothed history, a plain last-step increase test, and an
@@ -22,8 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.sparse.linalg import spsolve
 
 __all__ = [
     "HPDecomposition",
@@ -39,6 +40,8 @@ DEFAULT_TREND_THRESHOLD = 0.10
 DEFAULT_MIN_INCREASE = 0.07
 HISTORY_CAPACITY = 5
 
+_STENCIL = (1.0, -2.0, 1.0)
+
 
 @dataclass(frozen=True)
 class HPDecomposition:
@@ -49,6 +52,13 @@ class HPDecomposition:
 
 def hp_filter(series: Sequence[float], smoothing: float = DEFAULT_SMOOTHING) -> HPDecomposition:
     """Exact trend/cycle split of a series.
+
+    The cycle is solved for from the series' float second differences
+    (``np.diff(series, 2)``) and the trend is the series minus the cycle. So
+    a series whose second differences are all exactly zero, such as a flat
+    one, has a cycle of exactly zero, and the cycle's sign follows those
+    float differences: an affine series whose float steps are not all equal
+    has a cycle of the size of that rounding.
 
     Parameters
     ----------
@@ -65,16 +75,45 @@ def hp_filter(series: Sequence[float], smoothing: float = DEFAULT_SMOOTHING) -> 
         raise ValueError("series must be finite")
     if not smoothing > 0.0:
         raise ValueError("smoothing must be positive")
+    cycle = _hp_cycle(y, float(smoothing)) if y.size > 2 else np.zeros(y.size)
+    return HPDecomposition(y - cycle, cycle, float(smoothing))
+
+
+def _hp_cycle(y: np.ndarray, smoothing: float) -> np.ndarray:
+    """C solving (I + smoothing * D'D) C = smoothing * D'(D y), n = len(y) >= 3.
+
+    A = I + smoothing * D'D is symmetric positive definite and pentadiagonal,
+    so A = L diag(p) L' with L unit lower triangular and two sub-diagonals
+    (``l1[i]`` = L[i+1, i], ``l2[i]`` = L[i+2, i]), found by elimination
+    without pivoting. Every array carries two zero entries past its end, so
+    reads at i - 1, i - 2 (wrapping to the end) and i + 1, i + 2 beyond the
+    matrix see zeros.
+    """
     n = y.size
-    if n <= 2:
-        trend = y.copy()
-    else:
-        eye = sparse.eye(n, format="csc")
-        offsets = np.array([0, 1, 2])
-        data = np.repeat(np.array([[1.0], [-2.0], [1.0]]), n, axis=1)
-        d2 = sparse.dia_matrix((data, offsets), shape=(n - 2, n)).tocsc()
-        trend = spsolve(eye + smoothing * (d2.T @ d2), y)
-    return HPDecomposition(trend, y - trend, float(smoothing))
+    # band[j][i] = A[i, i + j]; D'D sums the stencil's outer product along
+    # the diagonal, once per row of D.
+    band = np.zeros((3, n + 2))
+    band[0, :n] = 1.0
+    for a in range(3):
+        for b in range(a, 3):
+            band[b - a, a : a + n - 2] += smoothing * _STENCIL[a] * _STENCIL[b]
+    rhs = np.zeros(n + 2)
+    d2 = np.diff(y, 2)
+    for a in range(3):
+        rhs[a : a + n - 2] += smoothing * _STENCIL[a] * d2
+    diag, up1, up2 = band.tolist()
+    rhs = rhs.tolist()
+    p, l1, l2, z = [0.0] * (n + 2), [0.0] * (n + 2), [0.0] * (n + 2), [0.0] * (n + 2)
+    for i in range(n):
+        # Row i of A = L diag(p) L', and of L z = rhs.
+        p[i] = diag[i] - l1[i - 1] * l1[i - 1] * p[i - 1] - l2[i - 2] * l2[i - 2] * p[i - 2]
+        l1[i] = (up1[i] - l2[i - 1] * l1[i - 1] * p[i - 1]) / p[i]
+        l2[i] = up2[i] / p[i]
+        z[i] = rhs[i] - l1[i - 1] * z[i - 1] - l2[i - 2] * z[i - 2]
+    c = [0.0] * (n + 2)
+    for i in range(n - 1, -1, -1):
+        c[i] = z[i] / p[i] - l1[i] * c[i + 1] - l2[i] * c[i + 2]
+    return np.array(c[:n])
 
 
 class DiscriminationHistory:

@@ -296,10 +296,7 @@ def reference_fit_chunk(bank, chunk) -> None:
 
     for i in range(len(chunk)):
         fit_one(chunk.features[i], int(chunk.groups[i]), int(chunk.labels[i]))
-        if bank.adapt_per_instance:
-            adapt_and_flush()
-    if not bank.adapt_per_instance:
-        adapt_and_flush()
+    adapt_and_flush()
     bank.replace_stm(stm_f, stm_l, stm_g)
     bank.replace_ltm(ltm_f, ltm_l, ltm_g)
     for name, pair in trackers.items():

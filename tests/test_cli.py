@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from emosam.cli import main, parse_seeds
-from emosam.engine import EngineConfig, SelectionStrategy, TriggerPolicy
-from emosam.experiments import ExperimentSpec, load_chunks, run_single
+from emosam.engine import EngineConfig, SelectionStrategy, TriggerPolicy, run_sam_baseline
+from emosam.experiments import ExperimentSpec, _baseline_config, load_chunks, run_single
 from emosam.smpso import SmpsoParams
 from emosam.stream import BiasStreamConfig, GroupRates
 
@@ -201,12 +201,29 @@ def test_config_file_merging_and_flag_override(tmp_path, gen_config_path, capsys
     assert fired.count("1") < len(fired) - 1
 
 
-def test_errors_exit_2_with_json(tmp_path, capsys):
+def test_errors_exit_2_with_json(tmp_path, gen_config_path, capsys):
     code = main(["inspect", "--manifest", str(tmp_path / "missing.json")])
     assert code == 2
     err = capsys.readouterr().err
     payload = json.loads(err)
     assert "error" in payload and payload["error"]["type"]
+
+    # unknown keys in an engine config file, at the top or nested, and in a
+    # generator config's base rates
+    bad_generator = json.loads(gen_config_path.read_text())
+    bad_generator["base_rates"]["majority"] = 0.5
+    for flag, blob, key in (
+        ("--config", {"foo": 1}, "foo"),
+        ("--config", {"smpso": {"swarm": 3}}, "swarm"),
+        ("--generator", bad_generator, "majority"),
+    ):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(blob))
+        files = {"--generator": str(gen_config_path), flag: str(path)}
+        argv = ["run", *(arg for item in files.items() for arg in item), "--seeds", "0", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"]["type"] == "ValueError" and key in payload["error"]["message"]
 
 
 def test_desk_preset_applies(tmp_path, gen_config_path, capsys):
@@ -220,3 +237,32 @@ def test_desk_preset_applies(tmp_path, gen_config_path, capsys):
         rows = list(csv.reader(fh))
     # desk preset shrinks the window to 250 -> ceil(1200/250) windows
     assert len(rows) == 1 + 5
+
+
+def test_experiment_baseline_equals_reference_baseline(tmp_path, gen_config_path, capsys):
+    # The experiment's baseline is a never-firing engine run; it must equal
+    # the independent per-query loop, whatever trigger, selection and
+    # initial weights the engine config asks for.
+    out = tmp_path / "results"
+    code = main(["run", "--generator", str(gen_config_path), "--seeds", "2", "--trigger", "every",
+                 "--selection", "knee", "--init", "random", "--tie-label", "0", "--out", str(out),
+                 "--baseline", *FAST_FLAGS])
+    assert code == 0
+    chunks = load_chunks(ExperimentSpec(generator_config_path=gen_config_path, seeds=(2,)))
+    config = EngineConfig(trigger="every", selection="knee", init_mode="random", tie_label=0, stm_cap=100,
+                          ltm_cap=100, min_stm_size=20, smpso=SmpsoParams(swarm_size=8, iterations=2))
+    want = run_sam_baseline(chunks, stm_cap=100, ltm_cap=100, min_stm_size=20, seed=2, tie_label=0)
+    got = run_single(chunks, _baseline_config(config), 2)
+    assert got.summary.triggers == 0
+    for a, b in zip(got.predictions, want.predictions, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+    with open(out / "baseline_windows_seed0002.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    wall_col = 6
+    assert [r[:wall_col] for r in rows] == [rec.to_csv_row()[:wall_col] for rec in want.records]
+    summary = json.loads((out / "baseline_summary_seed0002.json").read_text())
+    expected = {"seed": 2, **want.summary.to_dict()}
+    assert {k: v for k, v in summary.items() if k != "wall_time_ms"} == {
+        k: v for k, v in expected.items() if k != "wall_time_ms"
+    }

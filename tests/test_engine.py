@@ -67,6 +67,15 @@ def test_config_dict_roundtrip(tmp_path):
     assert clone == config
 
 
+def test_config_dict_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="foo"):
+        EngineConfig.from_dict({"foo": 1})
+    with pytest.raises(ValueError, match="swarm"):
+        EngineConfig.from_dict({"smpso": {"swarm": 3}})
+    with pytest.raises(ValueError, match="JSON object"):
+        EngineConfig.from_dict([("k", 3)])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(trend_threshold=-0.1).validate()
@@ -387,6 +396,18 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ck"
     path.write_bytes(b"XXXX" + b"\x00" * 32)
     with pytest.raises(ValueError):
+        EmosamEngine.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_version_2(tmp_path, stream):
+    # Version 2 checkpoints wrap version 2 memory snapshots, whose layout
+    # has one more header byte.
+    _, path = _saved_checkpoint(tmp_path, stream)
+    data = path.read_bytes()
+    assert struct.unpack("<I", data[4:8])[0] == 3
+    body = data[:4] + struct.pack("<I", 2) + data[8:-4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
         EmosamEngine.load_checkpoint(path)
 
 

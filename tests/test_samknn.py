@@ -23,7 +23,6 @@ from emosam.samknn import (
     _window_errors,
     check_weights,
     clean,
-    weighted_distance,
 )
 from emosam.stream import _FEATURE_BOUND
 from oracles import (
@@ -46,28 +45,6 @@ def bank_with_stm(features, labels, dim=None, k=5, **kwargs) -> MemoryBank:
 # -- weights and distances ------------------------------------------------------
 
 
-def test_weighted_distance_by_hand():
-    a = np.array([0.0, 0.0])
-    b = np.array([0.3, 0.4])
-    assert weighted_distance(a, b, np.array([1.0, 1.0])) == pytest.approx(0.5)
-    assert weighted_distance(a, b, np.array([0.0, 1.0])) == pytest.approx(0.4)
-
-
-@given(
-    data=st.data(),
-    d=st.integers(1, 6),
-)
-@settings(max_examples=100, deadline=None)
-def test_weighted_distance_is_pseudometric(data, d):
-    floats = st.floats(0.0, 1.0, allow_nan=False)
-    a = np.array(data.draw(st.lists(floats, min_size=d, max_size=d)))
-    b = np.array(data.draw(st.lists(floats, min_size=d, max_size=d)))
-    alpha = np.array(data.draw(st.lists(floats, min_size=d, max_size=d)))
-    assert weighted_distance(a, b, alpha) >= 0.0
-    assert weighted_distance(a, b, alpha) == pytest.approx(weighted_distance(b, a, alpha))
-    assert weighted_distance(a, a, alpha) == 0.0
-
-
 @given(data=st.data(), c=st.floats(0.05, 1.0))
 @settings(max_examples=60, deadline=None)
 def test_scaling_weights_scales_distances_and_keeps_predictions(data, c):
@@ -77,8 +54,10 @@ def test_scaling_weights_scales_distances_and_keeps_predictions(data, c):
     alpha = rng.random(3)
     bank = bank_with_stm(feats, labels, k=3, min_stm_size=4)
     x = rng.random(3)
-    base = weighted_distance(x, feats[0], alpha)
-    assert weighted_distance(x, feats[0], c * alpha) == pytest.approx(c * base, rel=1e-9)
+    # the kernel's squared distances of x to the memory, one (d, 1, m) block
+    sq = ((feats - x) ** 2).T[:, None, :]
+    base = samknn._feature_sums(alpha * alpha, sq)
+    np.testing.assert_allclose(samknn._feature_sums((c * alpha) ** 2, sq), c * c * base, rtol=1e-9)
     assert bank.predict(x, alpha) == bank.predict(x, c * alpha)
 
 
@@ -282,22 +261,32 @@ def test_kernel_votes_equal_vote_rows_on_tied_grids(data):
     assert_kernel_votes_equal_vote_rows(mem, labels, queries, np.array(rows + [[0.0] * d]), k)
 
 
-def test_kernel_votes_equal_vote_rows_with_nan_distances():
-    # A coordinate of 1e200 overflows its squared gap to inf, and a zero
-    # weight on that feature turns it into 0 * inf = NaN. _vote_rows ranks
-    # NaN after every number and votes 0 when fewer than k distances remain.
-    rng = np.random.default_rng(17)
-    for _ in range(300):
-        d, m, n = int(rng.integers(1, 4)), int(rng.integers(2, 16)), int(rng.integers(1, 10))
-        k = int(rng.integers(1, 8))
-        mem = rng.integers(0, 3, (m, d)).astype(float)
-        mem[rng.random(m) < rng.random(), 0] = 1e200
-        labels = (rng.random(m) < rng.random()).astype(np.uint8)
-        queries = rng.integers(0, 3, (n, d)).astype(float)
-        alphas = rng.choice([0.0, 0.5, 1.0], (3, d))
-        alphas[:, 0] = [0.0, 0.0, 1.0]
-        with np.errstate(over="ignore"):
-            assert_kernel_votes_equal_vote_rows(mem, labels, queries, alphas, k)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, -1.0000001e100])
+def test_bank_entry_points_reject_unbounded_features(bad):
+    # Features beyond _FEATURE_BOUND could overflow a squared gap to inf,
+    # and a zero weight would turn that into 0 * inf = NaN; no entry point
+    # lets one into a memory or a query.
+    ok = np.array([[0.0, 1.0], [_FEATURE_BOUND, 0.5], [-_FEATURE_BOUND, 0.0]])
+    worse = ok.copy()
+    worse[1, 0] = bad
+    labels = np.array([0, 1, 0], dtype=np.uint8)
+    bank = bank_with_stm(ok, labels, k=1, min_stm_size=2)
+    blob = bank.to_bytes()
+    for replace in (bank.replace_stm, bank.replace_ltm):
+        with pytest.raises(ValueError, match="magnitude"):
+            replace(worse, labels)
+    assert bank.to_bytes() == blob
+    # the STM's first feature value starts after the magic, head, trackers and count
+    at = 4 + struct.calcsize(samknn._SNAPSHOT_HEAD) + 3 * 16 + 4 + 8 * 2
+    assert np.frombuffer(blob[at : at + 8], dtype="<f8")[0] == _FEATURE_BOUND
+    with pytest.raises(ValueError, match="magnitude"):
+        MemoryBank.from_bytes(_resealed(blob[:at] + struct.pack("<d", bad) + blob[at + 8 :]))
+    query = np.array([bad, 0.5])
+    with pytest.raises(ValueError, match="magnitude"):
+        bank.predict(query, np.ones(2))
+    with pytest.raises(ValueError, match="magnitude"):
+        FrozenChunkPredictor(np.vstack([ok, query]), bank)
+    assert bank.predict(ok[1], np.zeros(2)) == 0
 
 
 def test_every_distance_is_the_left_to_right_feature_sum():
@@ -340,8 +329,6 @@ def test_every_distance_is_the_left_to_right_feature_sum():
                 mp.setattr(samknn, "_cpu_count", lambda: 1)
                 FrozenChunkPredictor(queries, bank, budget=rows * m * d).predict(alpha)
             np.testing.assert_array_equal(np.vstack(seen), want[:, kernel_order])
-        for i in range(min(n, 3)):
-            assert weighted_distance(queries[i], mem[0], alpha) == math.sqrt(want[i, 0])
 
 
 def test_stacked_row_equals_single_vector_call(rng):
@@ -396,27 +383,23 @@ def predict_at_workers(workers, queries, bank, alphas, **kwargs):
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_worker_votes_equal_one_worker_on_tied_grids(data):
-    # Integer grids tie many distances; 1e200 coordinates under a zero weight
-    # give NaN distances, so blocks on any worker take the _vote_rows
-    # fallback.
+    # Integer grids tie many distances, so blocks on any worker take the
+    # _vote_rows fallback.
     d = data.draw(st.integers(1, 4), label="d")
     m = data.draw(st.integers(2, 25), label="m")
     n = data.draw(st.integers(1, 30), label="n")
     k = data.draw(st.integers(1, min(m + 3, 9)), label="k")
     grid = st.integers(0, 2)
     mem = np.array(data.draw(st.lists(st.lists(grid, min_size=d, max_size=d), min_size=m, max_size=m)), dtype=float)
-    huge = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
-    mem[huge, 0] = 1e200
     labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)), dtype=np.uint8)
     queries = np.array(data.draw(st.lists(st.lists(grid, min_size=d, max_size=d), min_size=n, max_size=n)), dtype=float)
     rows = data.draw(st.lists(st.lists(GRID_WEIGHTS, min_size=d, max_size=d), min_size=1, max_size=3))
     alphas = np.array(rows + [[0.0] * d, [0.0] + [1.0] * (d - 1)])
     bank = bank_with_stm(mem, labels, k=k, min_stm_size=k + 1, stm_cap=m)
     for budget in (1, 7 * m * d, _BLOCK_ELEMENTS):
-        with np.errstate(over="ignore"):
-            want = predict_at_workers(1, queries, bank, alphas, budget=budget)
-            for workers in (2, 3):
-                np.testing.assert_array_equal(predict_at_workers(workers, queries, bank, alphas, budget=budget), want)
+        want = predict_at_workers(1, queries, bank, alphas, budget=budget)
+        for workers in (2, 3):
+            np.testing.assert_array_equal(predict_at_workers(workers, queries, bank, alphas, budget=budget), want)
 
 
 def test_worker_exception_in_a_later_block_reaches_caller(rng):
@@ -631,7 +614,7 @@ def test_tracker_updates_use_decay():
 def test_fit_chunk_matches_per_instance_reference(data):
     # integer-grid features make many exact distance ties; tiny caps force
     # STM evictions, LTM drops and compression within a few windows, and
-    # windows may be shorter than k
+    # windows may be shorter than k, down to one row
     d = data.draw(st.integers(1, 3), label="d")
     k = data.draw(st.integers(1, 5), label="k")
     kwargs = dict(
@@ -640,7 +623,6 @@ def test_fit_chunk_matches_per_instance_reference(data):
         ltm_cap=data.draw(st.integers(2, 9), label="ltm_cap"),
         min_stm_size=data.draw(st.integers(k + 1, k + 3), label="min_stm_size"),
         seed=3,
-        adapt_per_instance=data.draw(st.booleans(), label="adapt_per_instance"),
     )
     grid = st.lists(st.integers(0, 2), min_size=d, max_size=d)
     chunks = []
@@ -900,7 +882,6 @@ def test_snapshot_roundtrip(rng):
         bank.fit_chunk(chunk)
     clone = MemoryBank.from_bytes(bank.to_bytes())
     assert clone.state_hash() == bank.state_hash()
-    assert clone.adapt_per_instance == bank.adapt_per_instance
     x = rng.random(3)
     alpha = rng.random(3)
     assert clone.predict(x, alpha) == bank.predict(x, alpha)
@@ -933,11 +914,16 @@ def test_snapshot_rejects_trailing_bytes(rng):
             MemoryBank.from_bytes(blob + extra)
 
 
-def test_per_instance_adaptation_flag_runs(rng):
-    bank = MemoryBank(2, stm_cap=40, ltm_cap=40, min_stm_size=10, adapt_per_instance=True)
-    chunk = make_chunk(rng.random((90, 2)), rng.integers(0, 2, 90), rng.integers(0, 2, 90))
-    bank.fit_chunk(chunk)
-    assert bank.stm_size <= 40
+def test_snapshot_rejects_version_2_layout(rng):
+    # Version 2 carried one more header byte, a per-instance adaptation flag.
+    blob = _fitted_snapshot(rng)
+    head = 4 + struct.calcsize(samknn._SNAPSHOT_HEAD)
+    fields = list(struct.unpack(samknn._SNAPSHOT_HEAD, blob[4:head]))
+    assert fields[0] == 3
+    fields[0] = 2
+    old = blob[:4] + struct.pack(samknn._SNAPSHOT_HEAD + "B", *fields, 0) + blob[head:]
+    with pytest.raises(ValueError, match="unsupported snapshot version 2"):
+        MemoryBank.from_bytes(_resealed(old))
 
 
 def test_replace_rejects_mismatched_or_non_binary_arrays():
@@ -997,12 +983,11 @@ def _grid_stream(rng, d, windows, n, grid=3):
     ]
 
 
-@pytest.mark.parametrize("adapt_per_instance", [False, True])
-def test_snapshot_midstream_continues_like_uninterrupted_bank(rng, adapt_per_instance):
+def test_snapshot_midstream_continues_like_uninterrupted_bank(rng):
     # The bands are not in the snapshot: the restored bank rebuilds them from
     # its STM and must then fit every later window exactly as the original.
-    kwargs = dict(k=3, stm_cap=70, ltm_cap=30, min_stm_size=8, seed=2, adapt_per_instance=adapt_per_instance)
-    chunks = _grid_stream(rng, 2, 8, 25 if adapt_per_instance else 40)
+    kwargs = dict(k=3, stm_cap=70, ltm_cap=30, min_stm_size=8, seed=2)
+    chunks = _grid_stream(rng, 2, 8, 40)
     whole, resumed = MemoryBank(2, **kwargs), None
     for t, chunk in enumerate(chunks):
         whole.fit_chunk(chunk)

@@ -13,9 +13,7 @@ from emosam.smpso import (
     constriction,
     crowding_distance,
     dominates,
-    evaluate_weights,
     knee_index,
-    knee_point,
     optimize_weights,
     polynomial_mutation,
     smpso_minimize,
@@ -109,7 +107,7 @@ def test_knee_maximizes_line_distance():
 def test_knee_single_member():
     archive = Archive(5)
     archive.insert(np.array([0.7]), (0.3, 0.4))
-    entry = knee_point(archive)
+    entry = archive[knee_index(archive.objective_array())]
     assert entry.objectives == (0.3, 0.4)
 
 
@@ -267,13 +265,22 @@ def _bank_for(chunk, rng):
     return bank
 
 
+def _query_by_query(archive, chunk, bank) -> list[ObjectivePair]:
+    """Each archive member's (error, |discrimination|) from one bank.predict call per query."""
+    pairs = []
+    for entry in archive:
+        preds = np.array([bank.predict(x, entry.position) for x in chunk.features], dtype=np.uint8)
+        err = 1.0 - metrics.accuracy(preds, chunk.labels)
+        pairs.append(ObjectivePair(err, abs(metrics.discrimination(preds, chunk.groups).value)))
+    return pairs
+
+
 def test_evaluate_weights_composition_oracle(rng):
     chunk = make_chunk(rng.random((50, 3)), rng.integers(0, 2, 50), rng.integers(0, 2, 50))
     bank = _bank_for(chunk, rng)
-    pair = evaluate_weights(np.ones(3), chunk, bank)
-    preds = np.array([bank.predict(chunk.features[i], np.ones(3)) for i in range(50)])
-    assert pair.err == pytest.approx(1.0 - metrics.accuracy(preds, chunk.labels))
-    assert pair.disc == pytest.approx(abs(metrics.discrimination(preds, chunk.groups).value))
+    archive = optimize_weights(chunk, bank, [np.ones(3)], SmpsoParams(swarm_size=8, iterations=3), seed=4)
+    assert len(archive) > 1
+    assert [entry.objectives for entry in archive] == _query_by_query(archive, chunk, bank)
 
 
 def test_evaluate_weights_perfect_labels_zero_error(rng):
@@ -284,20 +291,23 @@ def test_evaluate_weights_perfect_labels_zero_error(rng):
     bank.replace_stm(feats, labels)
     preds = np.array([bank.predict(x, np.ones(3)) for x in chunk_feats], dtype=np.uint8)
     chunk = make_chunk(chunk_feats, rng.integers(0, 2, 30), preds)
-    assert evaluate_weights(np.ones(3), chunk, bank).err == 0.0
+    # the all-ones start scores zero error, which nothing can dominate away
+    archive = optimize_weights(chunk, bank, [np.ones(3)], SmpsoParams(swarm_size=4, iterations=2), seed=0)
+    assert min(entry.objectives[0] for entry in archive) == 0.0
+    assert [entry.objectives for entry in archive] == _query_by_query(archive, chunk, bank)
 
 
 def test_evaluate_weights_degenerate_group_zero_disc(rng):
     chunk = make_chunk(rng.random((20, 3)), np.ones(20), rng.integers(0, 2, 20))
     bank = _bank_for(chunk, rng)
-    assert evaluate_weights(np.ones(3), chunk, bank).disc == 0.0
+    archive = optimize_weights(chunk, bank, None, SmpsoParams(swarm_size=6, iterations=2), seed=0)
+    assert all(entry.objectives[1] == 0.0 for entry in archive)
 
 
 def test_evaluate_and_optimize_leave_bank_untouched(rng):
     chunk = make_chunk(rng.random((30, 3)), rng.integers(0, 2, 30), rng.integers(0, 2, 30))
     bank = _bank_for(chunk, rng)
     before = bank.state_hash()
-    evaluate_weights(rng.random(3), chunk, bank)
     optimize_weights(chunk, bank, None, SmpsoParams(swarm_size=8, iterations=2), seed=1)
     assert bank.state_hash() == before
 

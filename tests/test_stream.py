@@ -12,7 +12,6 @@ from emosam.stream import (
     _FEATURE_BOUND,
     BiasStreamConfig,
     Chunk,
-    Group,
     GroupRates,
     StreamManifest,
     chunk_arrays,
@@ -107,12 +106,6 @@ def test_chunk_arrays_are_frozen(random_chunk):
         random_chunk.labels[0] = 0
 
 
-def test_chunk_instances_expose_group_enum(random_chunk):
-    inst = random_chunk.instance(0)
-    assert inst.group in (Group.PROTECTED, Group.UNPROTECTED)
-    assert inst.features.shape == (random_chunk.n_features,)
-
-
 def test_chunk_arrays_partition(rng):
     chunks = chunk_arrays(rng.random((5, 2)), np.zeros(5, np.uint8), np.ones(5, np.uint8), 2)
     assert [len(c) for c in chunks] == [2, 2, 1]
@@ -139,11 +132,16 @@ def test_manifest_json_roundtrip_and_unknown_keys(tmp_path):
     manifest.to_json(mpath)
     loaded = StreamManifest.from_json(mpath)
     assert loaded == manifest
+    assert mpath.read_text().startswith(f'{{\n  "source": {json.dumps(str(csv_path))},\n')
 
     blob = json.loads(mpath.read_text())
     blob["surprise"] = 1
     mpath.write_text(json.dumps(blob))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="surprise"):
+        StreamManifest.from_json(mpath)
+    del blob["surprise"], blob["target_column"]
+    mpath.write_text(json.dumps(blob))
+    with pytest.raises(ValueError, match="target_column"):
         StreamManifest.from_json(mpath)
 
 
@@ -369,6 +367,30 @@ def test_generator_config_json_roundtrip(tmp_path):
     path = tmp_path / "gen.json"
     config.to_json(path)
     assert BiasStreamConfig.from_json(path) == config
+    assert path.read_text() == (
+        '{\n  "n_instances": 1000,\n  "d_informative": 4,\n  "d_noise": 1,\n  "proxy_strength": 0.6,\n'
+        '  "base_rates": {\n    "protected": 0.7,\n    "unprotected": 0.3\n  },\n'
+        '  "drift_points": [\n    400\n  ],\n  "seed": 9,\n  "window_size": 100\n}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda blob: blob.update(surprise=1), "surprise"),
+        (lambda blob: blob["base_rates"].update(majority=0.5), "majority"),
+        (lambda blob: blob.pop("n_instances"), "n_instances"),
+        (lambda blob: blob["base_rates"].pop("unprotected"), "unprotected"),
+    ],
+)
+def test_generator_config_rejects_unknown_and_missing_keys(tmp_path, edit, key):
+    path = tmp_path / "gen.json"
+    BiasStreamConfig(n_instances=100, window_size=10).to_json(path)
+    blob = json.loads(path.read_text())
+    edit(blob)
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValueError, match=key):
+        BiasStreamConfig.from_json(path)
 
 
 def test_csv_roundtrip_preserves_groups_and_labels(tmp_path):

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emosam
 from emosam.trend import (
     DiscriminationHistory,
     hp_filter,
@@ -97,8 +103,19 @@ def test_hp_trigger_fires_on_convex_rise():
 
 
 def test_hp_trigger_silent_on_linear_rise():
-    # zero curvature means zero cycle, and the cycle must be strictly positive
-    assert should_trigger_hp([0.10, 0.12, 0.14, 0.16, 0.18], 0.10, 100.0) is False
+    # zero curvature means zero cycle, and the cycle must be strictly positive;
+    # the float second differences of these rises are rounding, at most 6e-17
+    for smoothing in SMOOTHINGS:
+        assert should_trigger_hp([0.10, 0.12, 0.14, 0.16, 0.18], 0.10, smoothing) is False
+        assert should_trigger_hp([0.1, 0.2, 0.3, 0.4, 0.5], 0.10, smoothing) is False
+
+
+def test_hp_trigger_silent_on_flat_history():
+    # second differences of exactly zero give a cycle of exactly zero
+    for smoothing in SMOOTHINGS:
+        assert should_trigger_hp([0.25] * 5, 0.10, smoothing) is False
+        dec = hp_filter([0.25] * 5, smoothing)
+        assert np.all(dec.cycle == 0.0) and np.all(dec.trend == 0.25)
 
 
 def test_hp_trigger_needs_three_values():
@@ -155,3 +172,16 @@ def test_triggers_accept_history_objects():
         history.append(v)
     assert should_trigger_hp(history, 0.10, 100.0) is True
     assert should_trigger_previous(history, 0.03) is True
+
+
+# -- dependencies -----------------------------------------------------------------
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; the trend filter solves its
+    # banded system itself
+    src = str(Path(emosam.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, emosam; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
