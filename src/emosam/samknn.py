@@ -18,41 +18,45 @@ weight by a constant rescales all distances without changing any neighbor
 set. Memory management (tracker updates, cleaning, size adaptation,
 compression) always runs unweighted; weights only steer predictions.
 
-Every squared distance in this module, weighted or not, is computed by one
-order-defined formula: ``sum_f w_f * (m_f - x_f)^2`` with ``w_f = alpha_f^2``
-(1 when unweighted), added left to right over the features. The prediction
-kernel, the window absorb, the STM length re-fit, cleaning and k-means all
-take it from one feature-major difference block: the memory is passed
-transposed as (d, m) and a block of r points becomes a (d, r, m) buffer whose
-inner loop runs over the memory, reduced over its leading axis. A distance
-is therefore the same float whichever block, row or code path computes it,
-equal to the plain left-to-right float sum; no distance goes through BLAS,
-whose rounding follows the block shape. Each block holds at most
-``_BLOCK_ELEMENTS`` float64 values (at least one row), so memory stays
+Every squared distance in this module, weighted or not, is defined by one
+formula added in a fixed order: ``sum_f w_f * (m_f - x_f)^2`` with
+``w_f = alpha_f^2`` (1 when unweighted), left to right over the features. The window
+absorb, the STM length re-fit, cleaning, k-means and the prediction kernel's
+fallback compute it from one feature-major difference block: the memory is
+passed transposed as (d, m) and a block of r points becomes a (d, r, m)
+buffer whose inner loop runs over the memory, reduced over its leading axis.
+A distance is therefore the same float whichever block, row or code path
+computes it, equal to the plain left-to-right float sum. Each block holds at
+most ``_BLOCK_ELEMENTS`` float64 values (at least one row), so memory stays
 bounded however large rows times memory grows.
 
-Every weighted prediction goes through one kernel. It takes the memory
-label-ordered, label-1 points first and each label in position order, builds
-a block's squared differences once and then, for each weight vector of a
-stack, reduces them with that vector's ``alpha^2`` into a distance plane and
-votes from two order statistics per row. With kk = min(k, m) a row votes 1
-iff the t-th nearest positive, t = ceil(kk / 2), comes before the u-th
-nearest negative, u = kk - t + 1, so partitioning the plane's positive and
-negative columns in place gives the vote ``a < b`` of those two distances.
-Rows where neither ``a < b`` nor ``a > b`` holds (an exact tie, decided by
-position) fall back to the position-order vote of :func:`_vote_rows`, and a
-label too short for its quota makes the vote a constant. Memories and
-queries hold features of magnitude at most ``stream._FEATURE_BOUND``, so
-every distance is finite. A row's votes depend on that row alone, so a
-large kernel call runs its row blocks on threads, one per CPU the process
-may run on (never more than it has row blocks, nor than its work fills; see
-``_THREAD_WORK``), each bound to its own CPU and taking the next block
-nobody has taken; numpy releases the interpreter lock in the reductions and
-partitions. Each thread has its own block buffer and writes only its own
-blocks' votes, so the votes are the same whatever the thread count and
-whichever thread ran a block. :meth:`MemoryBank.predict` (a one-row block,
-which starts no thread) and :class:`FrozenChunkPredictor` (any block) agree
-bit for bit.
+Every weighted prediction goes through one kernel, and every vote it returns
+equals the vote of the order-defined distances; BLAS only screens. The
+kernel takes the memory label-ordered, label-1 points first and each label
+in position order, builds a block's squared differences once and reduces
+them under all S weight vectors of a stack by BLAS matrix products, whose
+rounding follows the block shape and the BLAS build, into S distance planes.
+With kk = min(k, m) a row votes 1 iff the t-th nearest positive,
+t = ceil(kk / 2), comes before the u-th nearest negative, u = kk - t + 1, so
+partitioning the planes' positive and negative columns in place gives the
+two order statistics ``a`` and ``b`` of every (weight vector, row) pair. The
+BLAS sums and the order-defined ones both lie within a proven relative and
+absolute error of the exact sums, so where ``a`` and ``b`` are farther apart
+than that margin the vote is certified; every other pair (near ties, and
+exact ties that position decides) recomputes its row's order-defined
+distances, puts them back in position order and votes through
+:func:`_vote_rows`. A label too short for its quota makes the vote a
+constant. Memories and queries hold features of magnitude at most
+``stream._FEATURE_BOUND``, so every distance is finite. A row's votes depend
+on that row alone, so a large kernel call runs its row blocks on threads,
+one per CPU the process may run on (never more than it has row blocks, nor
+than its work fills; see ``_THREAD_WORK``), each bound to its own CPU and
+taking the next block nobody has taken; numpy releases the interpreter lock
+in the products and partitions. Each thread has its own block buffer and
+writes only its own blocks' votes, so the votes are the same whatever the
+thread count (the kernel's or BLAS's) and whichever thread ran a block.
+:meth:`MemoryBank.predict` (a one-row block, which starts no thread) and
+:class:`FrozenChunkPredictor` (any block) agree bit for bit.
 
 Memory maintenance absorbs a whole window at once and matches the
 instance-by-instance loop bit for bit. With C the STM followed by the window,
@@ -129,14 +133,15 @@ _SNAPSHOT_VERSION = 3
 _SNAPSHOT_HEAD = "<IIIIIIdqQ"
 
 # Largest number of float64 elements in one row block of a points-by-memory
-# tensor: the kernel's squared-difference buffer, the difference blocks of
-# memory maintenance and the k-means assignment distances. Each kernel thread
-# holds its own buffer, so a kernel call with W threads peaks at W blocks;
-# maintenance and k-means run on one thread, one block. A 2 MiB block with
-# its distance plane and masks does not fit a 2 MiB L2 per core, so the size
-# is not a cache fit: kernel sweeps on such a core timed 0.5-2 MiB within 5%
-# of each other at desk and default scale, while 256 KiB ran 1.2-1.3x slower
-# (per-block overhead) and 4 and 8 MiB 1.2x and 1.4x slower at default scale.
+# tensor: the kernel's squared-difference block together with its S distance
+# planes, the difference blocks of memory maintenance and the k-means
+# assignment distances. Each kernel thread holds its own buffer, so a kernel
+# call with W threads peaks at W blocks; maintenance and k-means run on one
+# thread, one block. The size is not a cache fit (a 2 MiB block with its
+# planes does not fit a 2 MiB L2 per core). Kernel sweeps on such a core
+# (d = 8; 250 x 315 and 250 x 1000 with S = 20, 1000 x 3096 with S = 10)
+# timed 2^18 elements best or within 6% of best on each shape; at
+# 1000 x 3096, 2^17 and 2^19 ran 1.1x slower and 2^16 1.6x slower.
 _BLOCK_ELEMENTS = 1 << 18
 # Least kernel work, in weighted squared differences (queries x memory x
 # features x weight vectors), that each thread of a kernel call must get
@@ -150,6 +155,14 @@ _BLOCK_ELEMENTS = 1 << 18
 # re-tunes still ran 1.3-1.4x faster in most runs. Below this bound a thread
 # loses on a busy host what it gains on a quiet one, and runs spread.
 _THREAD_WORK = 1 << 26
+# Most multiply-adds in one BLAS call of the kernel's screen. OpenBLAS may run
+# a larger product on its own threads (its bound is 65536 times
+# GEMM_MULTITHREAD_THRESHOLD, 4 by default) unless told to use one thread. On
+# a 2-CPU machine with the BLAS thread count left unset, unsplit products made
+# a 1000 x 3096 x 8 sweep of S = 30 vectors, which the kernel runs on two
+# threads, take 850 ms instead of 95 ms. Split, it took 94 ms with the count
+# unset and with it set to 1.
+_SCREEN_CALL = 1 << 18
 # Memory maintenance works on distance blocks (rows x memory) of at most
 # _BLOCK_ELEMENTS // _PLANE_SHARE values, each with a few same-sized masks and
 # copies; their difference blocks are split to fit _BLOCK_ELEMENTS.
@@ -388,6 +401,23 @@ def _split_rows(fill, n: int, rows: int, work: int) -> None:
             future.result()
 
 
+def _screen_planes(w: np.ndarray, sq: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Distances of a (d, r, m) squared-difference block under each row of ``w`` (S, d).
+
+    A BLAS product reads the block once for all S weight vectors and writes
+    the (S, r, m) ``planes``, in column slices of at most ``_SCREEN_CALL``
+    multiply-adds each. Its summation order (blocking, fused multiply-adds)
+    is the BLAS build's, so these distances are not the order-defined ones:
+    :func:`_weighted_votes` uses them only to screen votes.
+    """
+    d, r, m = sq.shape
+    flat, out = sq.reshape(d, r * m), planes.reshape(len(w), r * m)
+    step = max(1, _SCREEN_CALL // (len(w) * d))
+    for s in range(0, r * m, step):
+        np.matmul(w, flat[:, s : s + step], out=out[:, s : s + step])
+    return planes
+
+
 def _weighted_votes(
     queries: np.ndarray,
     memory_t: np.ndarray,
@@ -402,27 +432,53 @@ def _weighted_votes(
     ``queries`` is (n, d); ``memory_t``, ``npos`` and ``order`` are the
     memory in :func:`_label_ordered` layout; ``alphas`` is a validated (S, d)
     stack. Returns (S, n) uint8, equal to :func:`_vote_rows` on each row's
-    distances in position order. Queries are taken in row blocks whose
-    squared-difference buffer holds at most ``budget`` elements (at least one
-    row). Each block's buffer is squared once and shared by all S weight
-    vectors; a query's distances are the order-defined sums
-    ``sum_f alpha_f^2 (m_f - x_f)^2``, so its votes do not depend on the
-    block it lands in. The rows are split over threads by
-    :func:`_split_rows`; each thread allocates its own buffer of at most
-    ``budget`` elements, so a call holds at most one block per thread, and
-    since no vote depends on the thread that computed it the result does
+    order-defined distances ``sum_f alpha_f^2 (m_f - x_f)^2`` (added left to
+    right, :func:`_feature_sums`) in position order, so a vote depends neither
+    on the block its row lands in nor on the BLAS build. Queries are taken in
+    row blocks whose squared-difference block (d, r, m) and S distance planes
+    (S, r, m) hold at most ``budget`` elements together (at least one row).
+    The rows are split over threads by :func:`_split_rows`; each thread
+    allocates its own buffer, so a call holds at most one block per thread,
+    and since no vote depends on the thread that computed it the result does
     not depend on the thread count.
 
     With kk = min(k, m), a row votes 1 iff at least t = ceil(kk / 2) of its kk
     nearest points are positive, that is iff in the stable (distance,
     position) order the t-th nearest positive comes before the u-th nearest
-    negative, u = kk - t + 1. So each distance plane is partitioned in place,
-    positives and negatives apart, and a row votes ``a < b`` with ``a`` the
-    t-th smallest positive distance and ``b`` the u-th smallest negative one.
-    Rows with neither ``a < b`` nor ``a > b`` (an exact tie, which position
-    decides) recompute their distances, put them back in position order and
-    vote through :func:`_vote_rows`. With fewer than u negatives every row
-    votes 1, and with fewer than t positives every row votes 0.
+    negative, u = kk - t + 1. With fewer than u negatives every row votes 1,
+    and with fewer than t positives every row votes 0. Otherwise each block is
+    squared once and :func:`_screen_planes` reduces it under all S weight
+    vectors by BLAS; the positive and negative columns of the planes are
+    partitioned in place, giving ``a``, the t-th smallest positive distance,
+    and ``b``, the u-th smallest negative one, of every (weight vector, row)
+    pair. The order-defined vote is 1 if the order-defined ``a`` is below the
+    order-defined ``b``, 0 if above, and decided by position on a tie.
+
+    The screen certifies that comparison from the BLAS values. Let s be the
+    exact sum of the d products ``w_f q_f`` (``q_f`` the squared differences,
+    the same floats on both paths, all terms non-negative), eps = 2^-53 and
+    eta = 2^-1075 the absolute error of rounding to a subnormal. Any
+    evaluation order, with or without fused multiply-adds, rounds at most
+    2d - 1 times and at most d times on a term's way to the result, each
+    rounding ``fl(x) = x(1 + e) + h`` with |e| <= eps, |h| <= eta. So the
+    order-defined sum and the BLAS sum g both lie within ``gamma s + A`` of
+    s, with gamma = d eps / (1 - d eps) and A = 2d eta. Eliminating s, the
+    order-defined sum lies in [g(1 - rho) - 3A, g(1 + rho) + 3A] with
+    rho = 2d eps / (1 - 2d eps), and these bounds, monotone in g, carry over
+    to order statistics element by element. The kernel votes 1 where
+    ``a(1 + delta) + c < b(1 - delta) - c`` and 0 where
+    ``a(1 - delta) - c > b(1 + delta) + c`` in floats, with
+    delta = 4(d + 1) eps and c = 4(d + 1) 2^-1074 = 8(d + 1) eta. Both
+    scalings and c are exact floats, and the comparison's own roundings (a
+    product and a sum per side, each relative eps, the product also eta)
+    still leave (1 + delta)(1 - eps)^2 >= 1 + rho,
+    (1 - delta)(1 + eps)^2 <= 1 - rho and (c - eta)(1 - eps) >= 3A for d up
+    to 2^20, so a certified vote is the order-defined one. This assumes
+    IEEE 754 rounding to nearest without flushing subnormals to zero, which
+    is numpy's and OpenBLAS's default. Every other (weight vector, row) pair
+    (near ties, exact ties) recomputes its row's order-defined distances from
+    the same block, puts them back in position order and votes through
+    :func:`_vote_rows`.
     """
     n, d = queries.shape
     m = memory_t.shape[1]
@@ -438,27 +494,31 @@ def _weighted_votes(
     positive = np.zeros(m, dtype=bool)
     positive[order[:npos]] = True
     w = alphas * alphas
-    rows = max(1, min(n, budget // (m * d)))
+    S = len(w)
+    rows = max(1, min(n, budget // (m * (d + S))))
+    up, down = 1.0 + 4 * (d + 1) * 2.0**-53, 1.0 - 4 * (d + 1) * 2.0**-53
+    c = 4 * (d + 1) * 2.0**-1074
 
     def fill(blocks) -> None:
-        buf = np.empty(d * rows * m)
+        buf = np.empty((d + S) * rows * m)
         for start, stop in blocks:
+            r = stop - start
             sq = _diff_block(queries[start:stop], memory_t, buf)
             np.square(sq, out=sq)
-            for s in range(w.shape[0]):
-                plane = _feature_sums(w[s], sq)
-                plane[:, :npos].partition(t - 1, axis=1)
-                plane[:, npos:].partition(u - 1, axis=1)
-                a, b = plane[:, t - 1], plane[:, npos + u - 1]
-                vote = a < b
-                out[s, start:stop] = vote
-                unsure = np.flatnonzero(~(vote | (a > b)))
-                if unsure.size:
-                    dist2 = np.empty((unsure.size, m))
-                    dist2[:, order] = _feature_sums(w[s], sq[:, unsure])
-                    out[s, start + unsure] = _vote_rows(dist2, positive, k)
+            planes = _screen_planes(w, sq, buf[d * r * m : (d + S) * r * m].reshape(S, r, m))
+            planes[:, :, :npos].partition(t - 1, axis=2)
+            planes[:, :, npos:].partition(u - 1, axis=2)
+            a, b = planes[:, :, t - 1], planes[:, :, npos + u - 1]
+            vote = a * up + c < b * down - c
+            out[:, start:stop] = vote
+            unsure = ~(vote | (a * down - c > b * up + c))
+            for s in np.flatnonzero(unsure.any(axis=1)):
+                sub = np.flatnonzero(unsure[s])
+                dist2 = np.empty((sub.size, m))
+                dist2[:, order] = _feature_sums(w[s], sq[:, sub])
+                out[s, start + sub] = _vote_rows(dist2, positive, k)
 
-    _split_rows(fill, n, rows, n * m * d * len(w))
+    _split_rows(fill, n, rows, n * m * d * S)
     return out
 
 
@@ -1305,16 +1365,17 @@ class FrozenChunkPredictor:
     unchanged. :meth:`predict` runs the module's single weighted kNN kernel:
     one weight vector (d,) gives (n,) votes, a stack (S, d) gives (S, n), row
     s equal to predicting with the s-th vector alone. Each row votes from the
-    t-th nearest positive and u-th nearest negative distance, partitioned in
-    place; exact ties recompute the row in position order and vote through
-    :func:`_vote_rows`. Every distance is the order-defined
-    left-to-right sum over features, the same float in any row block, so
-    results are bitwise identical to calling :meth:`MemoryBank.predict` per
-    query, whatever the ``budget`` (float64 elements per row block; at least
-    one row). The row blocks of a large call run on up to one thread per CPU
-    the process may run on, each with its own block buffer, so a call's scratch
-    peaks at one ``budget`` block per thread; results do not depend on the
-    thread count.
+    t-th nearest positive and u-th nearest negative distance, screened by one
+    BLAS product per row block; rows the screen cannot certify recompute
+    their order-defined distances in position order and vote through
+    :func:`_vote_rows`. Every vote is the one the order-defined left-to-right
+    sums over features give, so results are bitwise identical to calling
+    :meth:`MemoryBank.predict` per query, whatever the ``budget`` (float64
+    elements per row block, differences and distance planes together; at
+    least one row). The row blocks of a large call run on up to one thread
+    per CPU the process may run on, each with its own block buffer, so a
+    call's scratch peaks at one ``budget`` block per thread; results do not
+    depend on the thread count.
     """
 
     def __init__(self, features: np.ndarray, bank: MemoryBank, budget: int = _BLOCK_ELEMENTS) -> None:

@@ -18,7 +18,6 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import metrics
 from .samknn import FrozenChunkPredictor, MemoryBank
 from .stream import Chunk
 
@@ -323,10 +322,25 @@ def smpso_minimize(
 # ---------------------------------------------------------------------------
 
 
-def _objectives_from_predictions(preds: np.ndarray, chunk: Chunk) -> ObjectivePair:
-    err = 1.0 - metrics.accuracy(preds, chunk.labels)
-    disc = metrics.discrimination(preds, chunk.groups)
-    return ObjectivePair(err, abs(disc.value))
+def _sweep_objectives(votes: np.ndarray, chunk: Chunk) -> np.ndarray:
+    """(S, 2) error rates and absolute discriminations of an (S, n) vote array.
+
+    One pass over the whole sweep with the integer counts and divisions of
+    :func:`metrics.accuracy` and :func:`metrics.discrimination`, so each row
+    gets the same floats as scoring it alone; a window holding one group
+    scores 0.0 discrimination.
+    """
+    n = votes.shape[1]
+    err = 1.0 - (votes == chunk.labels).sum(axis=1) / n
+    prot = chunk.groups == 1
+    n_p = int(prot.sum())
+    n_u = n - n_p
+    if n_p == 0 or n_u == 0:
+        return np.column_stack([err, np.zeros(len(votes))])
+    pos = votes == 1
+    rate_p = (pos & prot).sum(axis=1) / n_p
+    rate_u = (pos & ~prot).sum(axis=1) / n_u
+    return np.column_stack([err, np.abs(rate_p - rate_u)])
 
 
 def optimize_weights(
@@ -341,8 +355,8 @@ def optimize_weights(
         raise ValueError("cannot optimize against an empty STM")
     predictor = FrozenChunkPredictor(chunk.features, bank)
 
-    def objective(alphas: np.ndarray) -> list[ObjectivePair]:
-        return [_objectives_from_predictions(p, chunk) for p in predictor.predict(alphas)]
+    def objective(alphas: np.ndarray) -> np.ndarray:
+        return _sweep_objectives(predictor.predict(alphas), chunk)
 
     d = chunk.n_features
     return smpso_minimize(

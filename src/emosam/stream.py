@@ -18,8 +18,8 @@ float64.
 
 The JSON configs (:class:`StreamManifest`, :class:`BiasStreamConfig`, and
 the engine's config) load through :func:`from_mapping`, which rejects
-unknown and missing keys with ValueError, and write ``dataclasses.asdict``
-through :func:`write_json`.
+unknown and missing keys, and values whose type does not fit the field, with
+ValueError, and write ``dataclasses.asdict`` through :func:`write_json`.
 
 The generator produces a stream with one proxy feature whose agreement with
 the group membership is controlled by ``proxy_strength``, group-dependent
@@ -30,9 +30,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+import numbers
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from types import UnionType
+from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -59,8 +62,29 @@ def check_features(values: np.ndarray, what: str = "feature values") -> None:
         raise ValueError(f"{what} must be finite with magnitude at most {_FEATURE_BOUND:g}")
 
 
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value can stand for a field annotated ``hint``."""
+    if get_origin(hint) in (Union, UnionType):
+        return any(_conforms(value, h) for h in get_args(hint))
+    if get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(_conforms(v, get_args(hint)[0]) for v in value)
+    if hint is type(None):
+        return value is None
+    if hint in (int, float):
+        return isinstance(value, numbers.Integral if hint is int else numbers.Real) and not isinstance(value, bool)
+    if hint is Path or issubclass(hint, Enum):
+        return isinstance(value, (str, hint))
+    if is_dataclass(hint):
+        return isinstance(value, (dict, hint))
+    return isinstance(value, hint)
+
+
 def from_mapping(cls, data, what: str):
-    """``cls(**data)`` for a dataclass ``cls``; ValueError naming any unknown or missing key."""
+    """``cls(**data)`` for a dataclass ``cls``; ValueError naming any unknown or missing key.
+
+    A value whose type does not fit its field's annotation (a string for a
+    number, null for a nested config) is a ValueError naming the key too.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object")
     known = {f.name for f in fields(cls)}
@@ -70,6 +94,11 @@ def from_mapping(cls, data, what: str):
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
     if missing:
         raise ValueError(f"missing {what} keys: {sorted(missing)}")
+    hints = get_type_hints(cls)
+    for key, value in data.items():
+        if not _conforms(value, hints[key]):
+            hint = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
+            raise ValueError(f"{what} key {key!r} must be {hint}, got {type(value).__name__}")
     return cls(**data)
 
 

@@ -209,21 +209,32 @@ def test_errors_exit_2_with_json(tmp_path, gen_config_path, capsys):
     assert "error" in payload and payload["error"]["type"]
 
     # unknown keys in an engine config file, at the top or nested, and in a
-    # generator config's base rates
+    # generator config's base rates; engine config values of the wrong type
     bad_generator = json.loads(gen_config_path.read_text())
     bad_generator["base_rates"]["majority"] = 0.5
-    for flag, blob, key in (
+    for i, (flag, blob, key) in enumerate((
         ("--config", {"foo": 1}, "foo"),
         ("--config", {"smpso": {"swarm": 3}}, "swarm"),
         ("--generator", bad_generator, "majority"),
-    ):
-        path = tmp_path / f"{key}.json"
+        ("--config", {"k": "5"}, "'k'"),
+        ("--config", {"smpso": None}, "'smpso'"),
+    )):
+        path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(blob))
         files = {"--generator": str(gen_config_path), flag: str(path)}
         argv = ["run", *(arg for item in files.items() for arg in item), "--seeds", "0", "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"]["type"] == "ValueError" and key in payload["error"]["message"]
+
+    # a generator config value of the wrong type
+    wrong_type = json.loads(gen_config_path.read_text())
+    wrong_type["n_instances"] = "600"
+    path = tmp_path / "wrong_type.json"
+    path.write_text(json.dumps(wrong_type))
+    assert main(["gen", "--generator", str(path), "--out", str(tmp_path / "stream.csv")]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"]["type"] == "ValueError" and "'n_instances'" in payload["error"]["message"]
 
 
 def test_desk_preset_applies(tmp_path, gen_config_path, capsys):

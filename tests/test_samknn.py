@@ -190,7 +190,7 @@ def test_stacked_predictions_match_brute_oracle_on_ties(data):
     bank = bank_with_stm(mem, labels, k=k, min_stm_size=k + 1, stm_cap=max(m, 1))
     want = [[brute_knn_vote(q, mem, labels, k, a) for q in queries] for a in alphas]
     for block_rows in (1, 7, None):
-        kwargs = {} if block_rows is None else {"budget": block_rows * m * d}
+        kwargs = {} if block_rows is None else {"budget": block_rows * m * (d + len(alphas))}
         got = FrozenChunkPredictor(queries, bank, **kwargs).predict(alphas)
         assert got.shape == (len(alphas), n)
         np.testing.assert_array_equal(got, want)
@@ -236,7 +236,8 @@ def assert_kernel_votes_equal_vote_rows(mem, labels, queries, alphas, k):
     want = np.array([samknn._vote_rows(python_sq_sums(queries, mem, a * a), positive, k) for a in alphas])
     bank = bank_with_stm(mem, labels, k=k, min_stm_size=k + 1, stm_cap=m)
     for block_rows in (1, 7, None):
-        kwargs = {} if block_rows is None else {"budget": block_rows * m * d}
+        # a block of r rows holds r * m * (d + S) values: differences and S planes
+        kwargs = {} if block_rows is None else {"budget": block_rows * m * (d + len(alphas))}
         np.testing.assert_array_equal(FrozenChunkPredictor(queries, bank, **kwargs).predict(alphas), want)
     got = [[bank.predict(q, a) for q in queries] for a in alphas]
     np.testing.assert_array_equal(got, want)
@@ -259,6 +260,94 @@ def test_kernel_votes_equal_vote_rows_on_tied_grids(data):
     queries = np.array(data.draw(st.lists(st.lists(grid, min_size=d, max_size=d), min_size=n, max_size=n)), dtype=float)
     rows = data.draw(st.lists(st.lists(GRID_WEIGHTS, min_size=d, max_size=d), min_size=1, max_size=3))
     assert_kernel_votes_equal_vote_rows(mem, labels, queries, np.array(rows + [[0.0] * d]), k)
+
+
+def on_binary_grid(x, scale):
+    """x rounded to multiples of 2^-30 times scale's binary magnitude.
+
+    Grid values up to 2^20 times scale add and subtract exactly, so a memory
+    point built as a grid query plus a grid offset lies exactly that offset
+    away from the query.
+    """
+    step = math.floor(math.log2(scale)) - 30
+    return np.ldexp(np.round(np.ldexp(x, -step)), step)
+
+
+def near_tie_memory(rng, d, scale, pairs, n=4):
+    """Memory where every query's nearest points are exact ties under equal weights.
+
+    Query q (n of them, 64 * scale apart on a line) meets ``pairs`` pairs
+    q + v (label 1) and q + perm(v) (label 0), shuffled into the memory.
+    Under equal weights the two exact distances of a pair are equal, so only
+    the rounding of the sums decides which comes first. Returns the memory,
+    its labels and the queries.
+    """
+    queries = np.repeat(on_binary_grid(64 * scale * np.arange(n), scale)[:, None], d, axis=1)
+    offsets = on_binary_grid(scale * rng.normal(size=(n, pairs, d)), scale)
+    offsets = np.concatenate([offsets, rng.permuted(offsets, axis=2)], axis=1)
+    mem = queries[:, None, :] + offsets
+    assert np.array_equal(mem - queries[:, None, :], offsets)
+    labels = np.tile(np.repeat(np.array([1, 0], dtype=np.uint8), pairs), n)
+    shuffle = rng.permutation(len(labels))
+    return mem.reshape(-1, d)[shuffle], labels[shuffle], queries
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_screen_keeps_order_defined_votes_on_near_ties(k):
+    # With (k + 1) // 2 pairs per query, the t-th nearest positive and the
+    # u-th nearest negative are always a pair, so every vote rests on how
+    # two equal exact sums round. A screen that trusted the BLAS sums, whose
+    # order and fused products round differently, flips some of these votes.
+    rng = np.random.default_rng(k)
+    for d in (3, 8, 13):
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(12):
+                mem, labels, queries = near_tie_memory(rng, d, scale, (k + 1) // 2)
+                alphas = np.vstack([np.full(d, rng.random()), np.full(d, rng.random()), np.ones(d)])
+                assert_kernel_votes_equal_vote_rows(mem, labels, queries, alphas, k)
+
+
+def test_screen_keeps_order_defined_votes_with_underflowing_weights():
+    # alpha <= 1e-160 squares to a subnormal or zero weight, so the products
+    # keep few significant bits and tie often; only the screen's absolute
+    # margin covers their rounding. Some vectors mix such weights with
+    # ordinary ones, and near-tie memories under equal subnormal weights
+    # make the order-defined sums of a pair tie exactly where the BLAS sums
+    # may not.
+    rng = np.random.default_rng(7)
+    for trial in range(90):
+        d = int(rng.choice([1, 3, 8, 13]))
+        k = int(rng.choice([1, 3, 5]))
+        if trial % 3 == 2:
+            mem, labels, queries = near_tie_memory(rng, d, 1.0, (k + 1) // 2)
+            alphas = np.vstack([np.full(d, rng.random() * 1e-160), np.full(d, rng.random() * 1e-158)])
+            assert_kernel_votes_equal_vote_rows(mem, labels, queries, alphas, k)
+            continue
+        m, n = int(rng.integers(2, 30)), int(rng.integers(1, 8))
+        if trial % 3:
+            mem, queries = rng.integers(0, 3, (m, d)).astype(float), rng.integers(0, 3, (n, d)).astype(float)
+        else:
+            mem, queries = rng.normal(size=(m, d)), rng.normal(size=(n, d))
+        labels = rng.integers(0, 2, m).astype(np.uint8)
+        alphas = rng.random((3, d)) * np.array([[1e-160], [1e-162], [1e-170]])
+        alphas[2, rng.random(d) < 0.5] = rng.random()
+        assert_kernel_votes_equal_vote_rows(mem, labels, queries, alphas, k)
+
+
+def test_screen_keeps_order_defined_votes_at_the_feature_bound():
+    # Gaps of up to 2e100 square to 4e200: the relative margin must hold at
+    # the top of the range, next to features of ordinary size.
+    rng = np.random.default_rng(9)
+    values = np.array([-_FEATURE_BOUND, _FEATURE_BOUND, -0.5 * _FEATURE_BOUND, 0.0, 1.0])
+    for trial in range(60):
+        d = int(rng.choice([1, 3, 8, 13]))
+        m, n = int(rng.integers(2, 30)), int(rng.integers(1, 8))
+        k = int(rng.choice([1, 3, 5]))
+        mem, queries = rng.choice(values, (m, d)), rng.choice(values, (n, d))
+        mem[: m // 2] += rng.random((m // 2, d))
+        labels = rng.integers(0, 2, m).astype(np.uint8)
+        alphas = np.vstack([rng.random((2, d)), np.ones(d)])
+        assert_kernel_votes_equal_vote_rows(mem, labels, queries, alphas, k)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, -1.0000001e100])
@@ -290,14 +379,23 @@ def test_bank_entry_points_reject_unbounded_features(bad):
 
 
 def test_every_distance_is_the_left_to_right_feature_sum():
-    # Kernel distances (weighted, captured where each weight vector's plane
-    # is reduced) and maintenance distances must equal plain Python-float
-    # sums added left to right over the features, for any block shape:
-    # ragged memory sizes, one-row and one-point blocks, up to the 108
-    # features of one-hot data. Mixed labels and k = 1 make the kernel reduce
-    # a plane for every query whenever the memory has two or more points.
+    # Maintenance distances, and the kernel distances every vote rests on,
+    # must equal plain Python-float sums added left to right over the
+    # features, for any block shape: ragged memory sizes, one-row and
+    # one-point blocks, up to the 108 features of one-hot data. The kernel's
+    # BLAS planes only screen votes, so its votes must equal _vote_rows on the
+    # Python sums, and each row it recomputes (captured where the fallback
+    # reduces a row's block) must get exactly those sums. A screen that
+    # certifies nothing (NaN planes) sends every row to the fallback. Mixed
+    # labels and k = 1 give every query a screened vote whenever the memory
+    # has two or more points.
     rng = np.random.default_rng(5)
     feature_sums = samknn._feature_sums
+
+    def certify_nothing(w, sq, planes):
+        planes.fill(np.nan)
+        return planes
+
     for trial in range(40):
         d = int(rng.choice([1, 3, 8, 13, 20, 64, 108]))
         m, n = int(rng.integers(1, 400)), int(rng.integers(1, 24))
@@ -310,32 +408,40 @@ def test_every_distance_is_the_left_to_right_feature_sum():
         labels = (np.arange(m) % 2).astype(np.uint8)
         bank = bank_with_stm(mem, labels, k=1, min_stm_size=2, stm_cap=m)
         kernel_order = np.argsort(labels != 1, kind="stable")
+        want_votes = samknn._vote_rows(want, labels == 1, 1)
+        exact_rows = {row.tobytes() for row in want[:, kernel_order]}
         for rows in (1, 3, n):
             buf = np.empty(rows * m * d)
             got = np.vstack([samknn._sq_dists(queries[b : b + rows], mem.T, buf) for b in range(0, n, rows)])
             np.testing.assert_array_equal(got, unweighted)
             if m == 1:
                 continue  # one memory point: the vote needs no distance
-            seen = []
+            for screen in (samknn._screen_planes, certify_nothing):
+                seen = []
 
-            def capture(w, sq):
-                plane = feature_sums(w, sq)
-                seen.append(plane.copy())
-                return plane
+                def capture(w, sq):
+                    plane = feature_sums(w, sq)
+                    seen.append(plane.copy())
+                    return plane
 
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(samknn, "_feature_sums", capture)
-                # one worker: threads would append their planes interleaved
-                mp.setattr(samknn, "_cpu_count", lambda: 1)
-                FrozenChunkPredictor(queries, bank, budget=rows * m * d).predict(alpha)
-            np.testing.assert_array_equal(np.vstack(seen), want[:, kernel_order])
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(samknn, "_feature_sums", capture)
+                    mp.setattr(samknn, "_screen_planes", screen)
+                    # one worker: threads would append their rows interleaved
+                    mp.setattr(samknn, "_cpu_count", lambda: 1)
+                    votes = FrozenChunkPredictor(queries, bank, budget=rows * m * (d + 1)).predict(alpha)
+                np.testing.assert_array_equal(votes, want_votes)
+                if screen is certify_nothing:
+                    np.testing.assert_array_equal(np.vstack(seen), want[:, kernel_order])
+                else:
+                    assert all(row.tobytes() in exact_rows for plane in seen for row in plane)
 
 
 def test_stacked_row_equals_single_vector_call(rng):
     feats = rng.random((300, 4))
     labels = rng.integers(0, 2, 300).astype(np.uint8)
     bank = bank_with_stm(feats, labels, min_stm_size=6, stm_cap=300)
-    predictor = FrozenChunkPredictor(rng.random((90, 4)), bank, budget=7 * 300 * 4)
+    predictor = FrozenChunkPredictor(rng.random((90, 4)), bank, budget=7 * 300 * (4 + 6))
     alphas = np.vstack([rng.random((4, 4)), np.zeros(4), [0.0, 1.0, 0.0, 0.5]])
     stacked = predictor.predict(alphas)
     assert stacked.shape == (6, 90) and stacked.dtype == np.uint8
@@ -396,7 +502,7 @@ def test_worker_votes_equal_one_worker_on_tied_grids(data):
     rows = data.draw(st.lists(st.lists(GRID_WEIGHTS, min_size=d, max_size=d), min_size=1, max_size=3))
     alphas = np.array(rows + [[0.0] * d, [0.0] + [1.0] * (d - 1)])
     bank = bank_with_stm(mem, labels, k=k, min_stm_size=k + 1, stm_cap=m)
-    for budget in (1, 7 * m * d, _BLOCK_ELEMENTS):
+    for budget in (1, 7 * m * (d + len(alphas)), _BLOCK_ELEMENTS):
         want = predict_at_workers(1, queries, bank, alphas, budget=budget)
         for workers in (2, 3):
             np.testing.assert_array_equal(predict_at_workers(workers, queries, bank, alphas, budget=budget), want)
@@ -406,33 +512,33 @@ def test_worker_exception_in_a_later_block_reaches_caller(rng):
     bank = bank_with_stm(rng.random((40, 3)), rng.integers(0, 2, 40), min_stm_size=6)
     queries = rng.random((30, 3))
     caller = threading.current_thread()
-    feature_sums = samknn._feature_sums
+    screen_planes = samknn._screen_planes
     worker_in_block = threading.Event()
     over = []
 
     def off_caller(fail):
-        def patched(w, sq):
+        def patched(w, sq, planes):
             if threading.current_thread() is caller:
                 # hold the caller's first block until a worker has taken one
                 assert worker_in_block.wait(10)
-                return feature_sums(w, sq)
+                return screen_planes(w, sq, planes)
             over.append(np.geterr()["over"])
             worker_in_block.set()
             if fail:
                 raise ArithmeticError("worker failed")
-            return feature_sums(w, sq)
+            return screen_planes(w, sq, planes)
 
         return patched
 
     before = threading.active_count()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(samknn, "_feature_sums", off_caller(True))
+        mp.setattr(samknn, "_screen_planes", off_caller(True))
         with pytest.raises(ArithmeticError, match="worker failed"):
             predict_at_workers(3, queries, bank, np.ones(3), budget=40 * 3)
         # the caller's numpy error state holds in the workers' blocks too
         worker_in_block.clear()
         over.clear()
-        mp.setattr(samknn, "_feature_sums", off_caller(False))
+        mp.setattr(samknn, "_screen_planes", off_caller(False))
         with np.errstate(over="raise"):
             predict_at_workers(3, queries, bank, np.ones(3), budget=40 * 3)
     assert over and set(over) == {"raise"}
@@ -446,7 +552,8 @@ def test_worker_votes_hold_under_rapid_thread_switching(rng):
     bank = bank_with_stm(rng.integers(0, 3, (m, d)).astype(float), rng.integers(0, 2, m), min_stm_size=6, stm_cap=m)
     queries = rng.integers(0, 3, (97, d)).astype(float)
     alphas = rng.choice([0.0, 0.5, 1.0], (6, d))
-    want = predict_at_workers(1, queries, bank, alphas, budget=3 * m * d)
+    budget = 3 * m * (d + len(alphas))
+    want = predict_at_workers(1, queries, bank, alphas, budget=budget)
     assert 0 < want.mean() < 1
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -454,7 +561,7 @@ def test_worker_votes_hold_under_rapid_thread_switching(rng):
     try:
         deadline = time.monotonic() + 2.0
         while runs < 100 and time.monotonic() < deadline:
-            np.testing.assert_array_equal(predict_at_workers(4, queries, bank, alphas, budget=3 * m * d), want)
+            np.testing.assert_array_equal(predict_at_workers(4, queries, bank, alphas, budget=budget), want)
             runs += 1
     finally:
         sys.setswitchinterval(interval)
@@ -500,7 +607,7 @@ def test_worker_threads_run_bound_to_their_own_cpus(rng, monkeypatch):
         cpus = sorted(os.sched_getaffinity(0))
         before = os.sched_getaffinity(0)
         caller = threading.current_thread()
-        feature_sums = samknn._feature_sums
+        screen_planes = samknn._screen_planes
         bound = {"caller": set(), "worker": set()}
 
         def record(fail):
@@ -508,7 +615,7 @@ def test_worker_threads_run_bound_to_their_own_cpus(rng, monkeypatch):
             both_in_a_block = threading.Barrier(2, timeout=10)
             waited = set()
 
-            def patched(w, sq):
+            def patched(w, sq, planes):
                 me = threading.current_thread()
                 if me not in waited:
                     waited.add(me)
@@ -516,16 +623,16 @@ def test_worker_threads_run_bound_to_their_own_cpus(rng, monkeypatch):
                 bound["caller" if me is caller else "worker"].add(frozenset(os.sched_getaffinity(0)))
                 if fail and me is caller:
                     raise ArithmeticError("caller failed")
-                return feature_sums(w, sq)
+                return screen_planes(w, sq, planes)
 
             return patched
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(samknn, "_feature_sums", record(False))
+            mp.setattr(samknn, "_screen_planes", record(False))
             np.testing.assert_array_equal(predict_at_workers(2, queries, bank, np.ones(3), budget=40 * 3), want)
             assert bound == {"caller": {frozenset(cpus[:1])}, "worker": {frozenset(cpus[1:2])}}
             assert os.sched_getaffinity(0) == before
-            mp.setattr(samknn, "_feature_sums", record(True))
+            mp.setattr(samknn, "_screen_planes", record(True))
             with pytest.raises(ArithmeticError, match="caller failed"):
                 predict_at_workers(2, queries, bank, np.ones(3), budget=40 * 3)
             assert os.sched_getaffinity(0) == before
@@ -539,6 +646,25 @@ def test_worker_threads_run_bound_to_their_own_cpus(rng, monkeypatch):
     np.testing.assert_array_equal(predict_at_workers(3, queries, bank, np.ones(3), budget=40 * 3), want)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     np.testing.assert_array_equal(predict_at_workers(3, queries, bank, np.ones(3), budget=40 * 3), want)
+
+
+def test_screen_products_stay_below_blas_threading_size(rng, monkeypatch):
+    # A larger BLAS product may run on BLAS's own threads, which compete with
+    # the kernel's threads for the CPUs when the BLAS thread count is unset.
+    matmul, sizes = np.matmul, []
+
+    def counted(a, b, **kwargs):
+        sizes.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, **kwargs)
+
+    m, d = 3000, 8
+    bank = bank_with_stm(rng.random((m, d)), rng.integers(0, 2, m), min_stm_size=6, stm_cap=m)
+    predictor = FrozenChunkPredictor(rng.random((40, d)), bank)
+    alphas = rng.random((30, d))
+    want = predictor.predict(alphas)
+    monkeypatch.setattr(np, "matmul", counted)
+    np.testing.assert_array_equal(predictor.predict(alphas), want)
+    assert sum(sizes) == 40 * m * d * 30 and max(sizes) <= samknn._SCREEN_CALL
 
 
 def test_stacked_call_scratch_is_one_block_per_worker(rng):
@@ -559,7 +685,7 @@ def test_stacked_call_scratch_is_one_block_per_worker(rng):
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-    # each worker: its difference block plus one distance plane (1/d of it)
+    # each worker: its difference block and its S distance planes, one budget together
     assert max(peaks) < workers * 1.5 * 8 * _BLOCK_ELEMENTS
     assert peaks[1] < 1.5 * peaks[0]
 

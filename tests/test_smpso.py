@@ -14,6 +14,7 @@ from emosam.smpso import (
     crowding_distance,
     dominates,
     knee_index,
+    _sweep_objectives,
     optimize_weights,
     polynomial_mutation,
     smpso_minimize,
@@ -280,6 +281,26 @@ def test_evaluate_weights_composition_oracle(rng):
     bank = _bank_for(chunk, rng)
     archive = optimize_weights(chunk, bank, [np.ones(3)], SmpsoParams(swarm_size=8, iterations=3), seed=4)
     assert len(archive) > 1
+    assert [entry.objectives for entry in archive] == _query_by_query(archive, chunk, bank)
+
+
+@pytest.mark.parametrize("groups", ["mixed", "protected only", "unprotected only"])
+def test_sweep_objectives_equal_per_row_metrics(rng, groups):
+    # Scoring a whole sweep in one pass must give every row exactly the
+    # floats metrics.accuracy and metrics.discrimination give it alone,
+    # including windows that hold one group only.
+    n = 37
+    chunk_groups = {"mixed": rng.integers(0, 2, n), "protected only": np.ones(n), "unprotected only": np.zeros(n)}
+    chunk = make_chunk(rng.random((n, 3)), chunk_groups[groups], rng.integers(0, 2, n))
+    votes = rng.integers(0, 2, (50, n)).astype(np.uint8)
+    votes[0], votes[1] = chunk.labels, 1 - chunk.labels
+    want = [
+        (1.0 - metrics.accuracy(row, chunk.labels), abs(metrics.discrimination(row, chunk.groups).value))
+        for row in votes
+    ]
+    assert [tuple(pair) for pair in _sweep_objectives(votes, chunk).tolist()] == want
+    bank = _bank_for(chunk, rng)
+    archive = optimize_weights(chunk, bank, [np.ones(3)], SmpsoParams(swarm_size=10, iterations=3), seed=3)
     assert [entry.objectives for entry in archive] == _query_by_query(archive, chunk, bank)
 
 
