@@ -33,27 +33,31 @@ bounded however large rows times memory grows.
 Every weighted prediction goes through one kernel, and every vote it returns
 equals the vote of the order-defined distances; BLAS only screens. The
 kernel takes the memory label-ordered, label-1 points first and each label
-in position order, builds a block's squared differences once and reduces
-them under all S weight vectors of a stack by BLAS matrix products, whose
-rounding follows the block shape and the BLAS build, into S distance planes.
-With kk = min(k, m) a row votes 1 iff the t-th nearest positive,
+in position order, and centred on each feature's mid-range. For each of the
+S weight vectors w of a stack, one BLAS matrix product of a query block's
+rows ``[-2 w x', |x'|^2_w, 1]`` with the memory's columns
+``[m'; 1; |m'|^2_w]`` writes that vector's distance plane by the expansion
+``|x' - m'|^2_w = |x'|^2_w + |m'|^2_w - 2 <w x', m'>``, with no difference
+block; its rounding follows the block shape and the BLAS build. With
+kk = min(k, m) a row votes 1 iff the t-th nearest positive,
 t = ceil(kk / 2), comes before the u-th nearest negative, u = kk - t + 1, so
 partitioning the planes' positive and negative columns in place gives the
 two order statistics ``a`` and ``b`` of every (weight vector, row) pair. The
-BLAS sums and the order-defined ones both lie within a proven relative and
-absolute error of the exact sums, so where ``a`` and ``b`` are farther apart
+BLAS sums and the order-defined ones both lie within a proven error of the
+exact sums, relative to a per-row scale of the centred data plus a
+subnormal-sized absolute term, so where ``a`` and ``b`` are farther apart
 than that margin the vote is certified; every other pair (near ties, and
 exact ties that position decides) recomputes its row's order-defined
-distances, puts them back in position order and votes through
-:func:`_vote_rows`. A label too short for its quota makes the vote a
-constant. Memories and queries hold features of magnitude at most
+distances from a difference block of the uncertain rows, puts them back in
+position order and votes through :func:`_vote_rows`. A label too short for
+its quota makes the vote a constant. Memories and queries hold features of magnitude at most
 ``stream._FEATURE_BOUND``, so every distance is finite. A row's votes depend
 on that row alone, so a large kernel call runs its row blocks on threads,
 one per CPU the process may run on (never more than it has row blocks, nor
 than its work fills; see ``_THREAD_WORK``), each bound to its own CPU and
 taking the next block nobody has taken; numpy releases the interpreter lock
 in the products and partitions. Each thread has its own block buffer and
-writes only its own blocks' votes, so the votes are the same whatever the
+memory operand and writes only its own blocks' votes, so the votes are the same whatever the
 thread count (the kernel's or BLAS's) and whichever thread ran a block.
 :meth:`MemoryBank.predict` (a one-row block, which starts no thread) and
 :class:`FrozenChunkPredictor` (any block) agree bit for bit.
@@ -103,7 +107,7 @@ import struct
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,15 +137,16 @@ _SNAPSHOT_VERSION = 3
 _SNAPSHOT_HEAD = "<IIIIIIdqQ"
 
 # Largest number of float64 elements in one row block of a points-by-memory
-# tensor: the kernel's squared-difference block together with its S distance
-# planes, the difference blocks of memory maintenance and the k-means
-# assignment distances. Each kernel thread holds its own buffer, so a kernel
-# call with W threads peaks at W blocks; maintenance and k-means run on one
-# thread, one block. The size is not a cache fit (a 2 MiB block with its
-# planes does not fit a 2 MiB L2 per core). Kernel sweeps on such a core
-# (d = 8; 250 x 315 and 250 x 1000 with S = 20, 1000 x 3096 with S = 10)
-# timed 2^18 elements best or within 6% of best on each shape; at
-# 1000 x 3096, 2^17 and 2^19 ran 1.1x slower and 2^16 1.6x slower.
+# tensor: the kernel's S distance planes (whose buffer the screen's fallback
+# reuses for its difference blocks), the difference blocks of memory
+# maintenance and the k-means assignment distances. Each kernel thread holds
+# its own buffer, so a kernel call with W threads peaks at W blocks;
+# maintenance and k-means run on one thread, one block. The size is not a
+# cache fit (a 2 MiB block does not fit beside its memory in a 2 MiB L2 per
+# core). Kernel sweeps on such a core, one thread (d = 8; 250 x 315 and
+# 250 x 1000 with S = 20, 1000 x 3096 with S = 10 and S = 1), ran 2^16
+# elements 1.2-2.3x slower than the best size, while 2^17 to 2^20 traded
+# places from run to run on a busy host, 2^18 within 1.0-1.6x of the best.
 _BLOCK_ELEMENTS = 1 << 18
 # Least kernel work, in weighted squared differences (queries x memory x
 # features x weight vectors), that each thread of a kernel call must get
@@ -305,16 +310,38 @@ def _diff_buffer(d: int, shapes) -> np.ndarray:
     return np.empty(max((min(r, max(1, _BLOCK_ELEMENTS // (d * w))) * w * d for r, w in shapes if w), default=0))
 
 
-def _label_ordered(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+class _KernelMemory(NamedTuple):
+    """A memory in the kernel's layout (see :func:`_label_ordered`)."""
+
+    memory_t: np.ndarray  # (d, m): label-1 points first, each label in position order
+    aug: np.ndarray  # (d + 2, m): memory_t - centre, a row of ones, a scratch row
+    centre: np.ndarray  # (d,): each feature's mid-range over the memory
+    reach: np.ndarray  # (d,): largest |aug[f]| over the memory
+    npos: int  # number of label-1 points
+    order: np.ndarray  # column j holds memory position order[j]
+
+
+def _label_ordered(features: np.ndarray, labels: np.ndarray) -> _KernelMemory:
     """The kernel's memory layout: a (d, m) copy with the label-1 points first.
 
     Each label keeps its position order (a stable argsort of ``labels != 1``).
-    Returns the copy, the number of label-1 points and the permutation
-    ``order``: column j holds memory position ``order[j]``.
+    The copy is also kept centred, ``m' = fl(m - centre)`` with ``centre``
+    each feature's mid-range, in the first d rows of the screen's (d + 2, m)
+    product operand, whose row d holds ones and whose last row each screen
+    product fills with the memory's weighted norms (see :func:`_screen_planes`).
     """
     positive = labels == 1
     order = np.argsort(~positive, kind="stable")
-    return np.ascontiguousarray(features[order].T), int(np.count_nonzero(positive)), order
+    memory_t = np.ascontiguousarray(features[order].T)
+    d, m = memory_t.shape
+    high, low = memory_t.max(axis=1), memory_t.min(axis=1)
+    centre = 0.5 * (high + low)
+    aug = np.empty((d + 2, m))
+    np.subtract(memory_t, centre[:, None], out=aug[:d])
+    aug[d:] = 1.0
+    # rounding is monotone, so the largest |m'_f| is fl(high - centre) or fl(centre - low)
+    reach = np.maximum(high - centre, centre - low)
+    return _KernelMemory(memory_t, aug, centre, reach, int(np.count_nonzero(positive)), order)
 
 
 def _cpu_count() -> int:
@@ -401,87 +428,112 @@ def _split_rows(fill, n: int, rows: int, work: int) -> None:
             future.result()
 
 
-def _screen_planes(w: np.ndarray, sq: np.ndarray, planes: np.ndarray) -> np.ndarray:
-    """Distances of a (d, r, m) squared-difference block under each row of ``w`` (S, d).
+def _screen_planes(
+    xc: np.ndarray, w: np.ndarray, xn: np.ndarray, aug: np.ndarray, mn: np.ndarray, planes: np.ndarray
+) -> np.ndarray:
+    """Screen distances of r centred queries ``xc`` (r, d) under each row of ``w`` (S, d).
 
-    A BLAS product reads the block once for all S weight vectors and writes
-    the (S, r, m) ``planes``, in column slices of at most ``_SCREEN_CALL``
-    multiply-adds each. Its summation order (blocking, fused multiply-adds)
-    is the BLAS build's, so these distances are not the order-defined ones:
-    :func:`_weighted_votes` uses them only to screen votes.
+    ``xn`` (S, r) and ``mn`` (S, m) are the weighted squared norms of the
+    centred queries and memory points, ``aug`` the memory's (d + 2, m)
+    product operand (:func:`_label_ordered`), whose last row this overwrites.
+    For vector s, one BLAS product of the rows ``[-2 w_s * x', xn_s, 1]``
+    with ``aug`` holding ``mn_s`` in its last row writes plane s of the
+    (S, r, m) ``planes``: ``|x'|^2 + |m'|^2 - 2 <w x', m'>``, the weighted
+    squared distance by expansion, with no difference block. Each call
+    takes at most ``_SCREEN_CALL`` multiply-adds. The summation order
+    (blocking, fused multiply-adds) is the BLAS build's, so these distances
+    are not the order-defined ones: :func:`_weighted_votes` uses them only
+    to screen votes.
     """
-    d, r, m = sq.shape
-    flat, out = sq.reshape(d, r * m), planes.reshape(len(w), r * m)
-    step = max(1, _SCREEN_CALL // (len(w) * d))
-    for s in range(0, r * m, step):
-        np.matmul(w, flat[:, s : s + step], out=out[:, s : s + step])
+    r, d = xc.shape
+    K, m = aug.shape
+    lhs = np.empty((r, K))
+    lhs[:, d + 1] = 1.0
+    cols = max(1, min(m, _SCREEN_CALL // K))
+    step = max(1, _SCREEN_CALL // (K * cols))
+    for s, plane in enumerate(planes):
+        np.multiply(xc, -2.0 * w[s], out=lhs[:, :d])
+        lhs[:, d] = xn[s]
+        aug[d + 1] = mn[s]
+        for i in range(0, r, step):
+            for c in range(0, m, cols):
+                np.matmul(lhs[i : i + step], aug[:, c : c + cols], out=plane[i : i + step, c : c + cols])
     return planes
 
 
 def _weighted_votes(
-    queries: np.ndarray,
-    memory_t: np.ndarray,
-    npos: int,
-    order: np.ndarray,
-    k: int,
-    alphas: np.ndarray,
-    budget: int = _BLOCK_ELEMENTS,
+    queries: np.ndarray, memory: _KernelMemory, k: int, alphas: np.ndarray, budget: int = _BLOCK_ELEMENTS
 ) -> np.ndarray:
     """The weighted kNN kernel: votes of every query under every weight vector.
 
-    ``queries`` is (n, d); ``memory_t``, ``npos`` and ``order`` are the
-    memory in :func:`_label_ordered` layout; ``alphas`` is a validated (S, d)
-    stack. Returns (S, n) uint8, equal to :func:`_vote_rows` on each row's
-    order-defined distances ``sum_f alpha_f^2 (m_f - x_f)^2`` (added left to
-    right, :func:`_feature_sums`) in position order, so a vote depends neither
-    on the block its row lands in nor on the BLAS build. Queries are taken in
-    row blocks whose squared-difference block (d, r, m) and S distance planes
-    (S, r, m) hold at most ``budget`` elements together (at least one row).
-    The rows are split over threads by :func:`_split_rows`; each thread
-    allocates its own buffer, so a call holds at most one block per thread,
-    and since no vote depends on the thread that computed it the result does
-    not depend on the thread count.
+    ``queries`` is (n, d); ``memory`` is in :func:`_label_ordered` layout;
+    ``alphas`` is a validated (S, d) stack. Returns (S, n) uint8, equal to
+    :func:`_vote_rows` on each row's order-defined distances
+    ``sum_f alpha_f^2 (m_f - x_f)^2`` (added left to right,
+    :func:`_feature_sums`) in position order, so a vote depends neither on
+    the block its row lands in nor on the BLAS build. Queries are taken in
+    row blocks whose S distance planes (S, r, m) hold at most ``budget``
+    elements (at least one row); the screen's fallback reuses that buffer for
+    its difference blocks, first growing it to one row's (d, 1, m) block if it
+    is smaller. The rows are split
+    over threads by :func:`_split_rows`; each thread allocates its own
+    buffer and its own copy of the memory's product operand, so a call holds
+    at most one block per thread, and since no vote depends on the thread
+    that computed it the result does not depend on the thread count.
 
     With kk = min(k, m), a row votes 1 iff at least t = ceil(kk / 2) of its kk
     nearest points are positive, that is iff in the stable (distance,
     position) order the t-th nearest positive comes before the u-th nearest
     negative, u = kk - t + 1. With fewer than u negatives every row votes 1,
-    and with fewer than t positives every row votes 0. Otherwise each block is
-    squared once and :func:`_screen_planes` reduces it under all S weight
-    vectors by BLAS; the positive and negative columns of the planes are
+    and with fewer than t positives every row votes 0. Otherwise
+    :func:`_screen_planes` writes each block's S planes from the centred
+    queries ``x' = fl(x - mu)`` and memory ``m' = fl(m - mu)``, one BLAS
+    product per vector; the positive and negative columns of the planes are
     partitioned in place, giving ``a``, the t-th smallest positive distance,
     and ``b``, the u-th smallest negative one, of every (weight vector, row)
     pair. The order-defined vote is 1 if the order-defined ``a`` is below the
     order-defined ``b``, 0 if above, and decided by position on a tie.
 
-    The screen certifies that comparison from the BLAS values. Let s be the
-    exact sum of the d products ``w_f q_f`` (``q_f`` the squared differences,
-    the same floats on both paths, all terms non-negative), eps = 2^-53 and
-    eta = 2^-1075 the absolute error of rounding to a subnormal. Any
-    evaluation order, with or without fused multiply-adds, rounds at most
-    2d - 1 times and at most d times on a term's way to the result, each
-    rounding ``fl(x) = x(1 + e) + h`` with |e| <= eps, |h| <= eta. So the
-    order-defined sum and the BLAS sum g both lie within ``gamma s + A`` of
-    s, with gamma = d eps / (1 - d eps) and A = 2d eta. Eliminating s, the
-    order-defined sum lies in [g(1 - rho) - 3A, g(1 + rho) + 3A] with
-    rho = 2d eps / (1 - 2d eps), and these bounds, monotone in g, carry over
-    to order statistics element by element. The kernel votes 1 where
-    ``a(1 + delta) + c < b(1 - delta) - c`` and 0 where
-    ``a(1 - delta) - c > b(1 + delta) + c`` in floats, with
-    delta = 4(d + 1) eps and c = 4(d + 1) 2^-1074 = 8(d + 1) eta. Both
-    scalings and c are exact floats, and the comparison's own roundings (a
-    product and a sum per side, each relative eps, the product also eta)
-    still leave (1 + delta)(1 - eps)^2 >= 1 + rho,
-    (1 - delta)(1 + eps)^2 <= 1 - rho and (c - eta)(1 - eps) >= 3A for d up
-    to 2^20, so a certified vote is the order-defined one. This assumes
-    IEEE 754 rounding to nearest without flushing subnormals to zero, which
-    is numpy's and OpenBLAS's default. Every other (weight vector, row) pair
-    (near ties, exact ties) recomputes its row's order-defined distances from
-    the same block, puts them back in position order and votes through
+    The screen certifies that comparison from the BLAS values. Let eps =
+    2^-53, eta = 2^-1075 (the absolute error of rounding to a subnormal) and
+    every rounding ``fl(x) = x(1 + e) + h`` with |e| <= eps, |h| <= eta, h = 0
+    for sums and differences. Let D be the exact sum
+    ``sum_f w_f (m_f - x_f)^2`` of the float inputs, M'_f >= |m'_f| over the
+    memory (``reach``) and, per (vector, row), the scale
+    ``T = sum_f w_f (|x'_f| + M'_f)^2``, so D <= T(1 + 3 eps). A term of
+    the order-defined sum meets at most d + 3 factors (1 + e) on its way
+    (the difference's twice, once squared), so that sum lies within
+    (d + 4) eps T + 3d eta of D. The BLAS value G sums K = d + 2 products
+    of the rows ``fl(-2 w x')``, ``fl(|x'|^2_w)``, 1 and the columns m', 1,
+    ``fl(|m'|^2_w)``; in any order, with or without fused multiply-adds, it
+    lies within gamma_K of their exact sum P relative to the sum of the
+    products' magnitudes, which is at most (1 + gamma) T, plus 2K eta. P
+    differs from the exact centred distance ``sum_f w_f (m'_f - x'_f)^2``
+    by the roundings of the norms and of ``-2 w x'`` (gamma_{d+1} T plus
+    eta sum M' + 6d eta), and that distance differs from D by the centring,
+    at most 3 eps T. So both sums lie within ``rho0 T + A0`` of D, with
+    rho0 = (2d + 7) eps and A0 = (2 sum M' + 8d + 8) 2^-1074, for d up to
+    2^20. The bound is the same for every column of a row, so it carries
+    to the order statistics: each of ``a`` and ``b`` lies within 2(rho0 T +
+    A0) of its order-defined counterpart. Centring keeps T, and so the
+    margin, proportional to the data's spread however far the data lie
+    from zero. The kernel votes 1 where ``a + E < b`` and 0 where
+    ``a - E > b`` in floats, with ``E = fl(fl(rho T^) + A)``, T^ the scale
+    computed in floats (within (d + 4) eps T + 3d eta of T),
+    rho = (8d + 40) eps and A = (16 sum M' + 64d + 64) 2^-1074. The
+    comparison rounds ``a + E`` once, by at most eps |a + E|, and |a| is at
+    most (1 + 3 eps + rho0) T + A0 however it cancels, so E (1 - eps) - eps
+    |a| still exceeds 4(rho0 T + A0): a certified vote is the order-defined
+    one. This assumes IEEE 754 rounding to nearest without flushing
+    subnormals to zero, which is numpy's and OpenBLAS's default. Every
+    other (weight vector, row) pair (near ties, exact ties) recomputes its
+    row's order-defined distances from a difference block of the uncertain
+    rows of that vector, puts them back in position order and votes through
     :func:`_vote_rows`.
     """
     n, d = queries.shape
-    m = memory_t.shape[1]
+    m = memory.memory_t.shape[1]
+    npos, order = memory.npos, memory.order
     kk = min(k, m)
     t = (kk + 1) // 2
     u = kk - t + 1
@@ -495,28 +547,37 @@ def _weighted_votes(
     positive[order[:npos]] = True
     w = alphas * alphas
     S = len(w)
-    rows = max(1, min(n, budget // (m * (d + S))))
-    up, down = 1.0 + 4 * (d + 1) * 2.0**-53, 1.0 - 4 * (d + 1) * 2.0**-53
-    c = 4 * (d + 1) * 2.0**-1074
+    rows = max(1, min(n, budget // (m * S)))
+    xc = queries - memory.centre
+    xn = np.einsum("sf,nf->sn", w, xc * xc)
+    mn = np.einsum("sf,fm->sm", w, memory.aug[:d] * memory.aug[:d])
+    scale = np.einsum("sf,nf->sn", w, (np.abs(xc) + memory.reach) ** 2)
+    margin = scale * ((8 * d + 40) * 2.0**-53) + math.ldexp(16 * float(memory.reach.sum()) + 64 * d + 64, -1074)
 
     def fill(blocks) -> None:
-        buf = np.empty((d + S) * rows * m)
+        buf = np.empty(S * rows * m)
+        aug = memory.aug.copy()
         for start, stop in blocks:
             r = stop - start
-            sq = _diff_block(queries[start:stop], memory_t, buf)
-            np.square(sq, out=sq)
-            planes = _screen_planes(w, sq, buf[d * r * m : (d + S) * r * m].reshape(S, r, m))
+            planes = _screen_planes(xc[start:stop], w, xn[:, start:stop], aug, mn, buf[: S * r * m].reshape(S, r, m))
             planes[:, :, :npos].partition(t - 1, axis=2)
             planes[:, :, npos:].partition(u - 1, axis=2)
-            a, b = planes[:, :, t - 1], planes[:, :, npos + u - 1]
-            vote = a * up + c < b * down - c
+            a, b, e = planes[:, :, t - 1], planes[:, :, npos + u - 1], margin[:, start:stop]
+            vote = a + e < b
             out[:, start:stop] = vote
-            unsure = ~(vote | (a * down - c > b * up + c))
+            unsure = ~(vote | (a - e > b))
             for s in np.flatnonzero(unsure.any(axis=1)):
-                sub = np.flatnonzero(unsure[s])
-                dist2 = np.empty((sub.size, m))
-                dist2[:, order] = _feature_sums(w[s], sq[:, sub])
-                out[s, start + sub] = _vote_rows(dist2, positive, k)
+                if len(buf) < d * m:
+                    buf = np.empty(d * m)
+                sub = start + np.flatnonzero(unsure[s])
+                step = len(buf) // (d * m)
+                for c in range(0, len(sub), step):
+                    part = sub[c : c + step]
+                    sq = _diff_block(queries[part], memory.memory_t, buf)
+                    np.square(sq, out=sq)
+                    dist2 = np.empty((len(part), m))
+                    dist2[:, order] = _feature_sums(w[s], sq)
+                    out[s, part] = _vote_rows(dist2, positive, k)
 
     _split_rows(fill, n, rows, n * m * d * S)
     return out
@@ -1034,7 +1095,7 @@ class MemoryBank:
         if alpha.ndim != 1:
             raise ValueError("predict takes one weight vector")
         memory = _label_ordered(*self._store_arrays(self._best_store()))
-        return int(_weighted_votes(x[None, :], *memory, self.k, alpha[None, :])[0, 0])
+        return int(_weighted_votes(x[None, :], memory, self.k, alpha[None, :])[0, 0])
 
     # -- fitting -----------------------------------------------------------
 
@@ -1360,22 +1421,24 @@ class FrozenChunkPredictor:
     """Batch predictor binding one query block to a frozen memory bank.
 
     The constructor copies the queries and the currently best store, the
-    store once in the kernel's layout: transposed to (d, m), label-1 points
-    first, each label in position order. Later fits leave its predictions
-    unchanged. :meth:`predict` runs the module's single weighted kNN kernel:
-    one weight vector (d,) gives (n,) votes, a stack (S, d) gives (S, n), row
-    s equal to predicting with the s-th vector alone. Each row votes from the
-    t-th nearest positive and u-th nearest negative distance, screened by one
-    BLAS product per row block; rows the screen cannot certify recompute
-    their order-defined distances in position order and vote through
-    :func:`_vote_rows`. Every vote is the one the order-defined left-to-right
-    sums over features give, so results are bitwise identical to calling
-    :meth:`MemoryBank.predict` per query, whatever the ``budget`` (float64
-    elements per row block, differences and distance planes together; at
-    least one row). The row blocks of a large call run on up to one thread
-    per CPU the process may run on, each with its own block buffer, so a
-    call's scratch peaks at one ``budget`` block per thread; results do not
-    depend on the thread count.
+    store once in the kernel's layout (:func:`_label_ordered`): transposed to
+    (d, m), label-1 points first, each label in position order, and again
+    centred as the screen's (d + 2, m) product operand. Later fits leave its
+    predictions unchanged. :meth:`predict` runs the module's single weighted
+    kNN kernel: one weight vector (d,) gives (n,) votes, a stack (S, d) gives
+    (S, n), row s equal to predicting with the s-th vector alone. Each row
+    votes from the t-th nearest positive and u-th nearest negative distance,
+    screened by one BLAS product per weight vector and row block; rows the
+    screen cannot certify recompute their order-defined distances in position
+    order and vote through :func:`_vote_rows`. Every vote is the one the
+    order-defined left-to-right sums over features give, so results are
+    bitwise identical to calling :meth:`MemoryBank.predict` per query,
+    whatever the ``budget`` (float64 elements of a row block's S distance
+    planes; at least one row). The row blocks of a large call run on up to
+    one thread per CPU the process may run on, each with its own block
+    buffer and copy of the product operand, so a call's scratch peaks at one
+    ``budget`` block (or one row's difference block, if larger) and one
+    operand per thread; results do not depend on the thread count.
     """
 
     def __init__(self, features: np.ndarray, bank: MemoryBank, budget: int = _BLOCK_ELEMENTS) -> None:
@@ -1392,5 +1455,5 @@ class FrozenChunkPredictor:
 
     def predict(self, alpha: np.ndarray) -> np.ndarray:
         alpha = check_weights(alpha, self._x.shape[1])
-        votes = _weighted_votes(self._x, *self._memory, self._k, np.atleast_2d(alpha), self._budget)
+        votes = _weighted_votes(self._x, self._memory, self._k, np.atleast_2d(alpha), self._budget)
         return votes[0] if alpha.ndim == 1 else votes

@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from emosam.samknn import (
     check_weights,
     clean,
 )
-from emosam.stream import _FEATURE_BOUND
+from emosam.stream import _FEATURE_BOUND, BiasStreamConfig, GroupRates, generate_bias_stream
 from oracles import (
     brute_clean_mask,
     brute_knn_vote,
@@ -190,7 +191,7 @@ def test_stacked_predictions_match_brute_oracle_on_ties(data):
     bank = bank_with_stm(mem, labels, k=k, min_stm_size=k + 1, stm_cap=max(m, 1))
     want = [[brute_knn_vote(q, mem, labels, k, a) for q in queries] for a in alphas]
     for block_rows in (1, 7, None):
-        kwargs = {} if block_rows is None else {"budget": block_rows * m * (d + len(alphas))}
+        kwargs = {} if block_rows is None else {"budget": block_rows * m * len(alphas)}
         got = FrozenChunkPredictor(queries, bank, **kwargs).predict(alphas)
         assert got.shape == (len(alphas), n)
         np.testing.assert_array_equal(got, want)
@@ -236,8 +237,8 @@ def assert_kernel_votes_equal_vote_rows(mem, labels, queries, alphas, k):
     want = np.array([samknn._vote_rows(python_sq_sums(queries, mem, a * a), positive, k) for a in alphas])
     bank = bank_with_stm(mem, labels, k=k, min_stm_size=k + 1, stm_cap=m)
     for block_rows in (1, 7, None):
-        # a block of r rows holds r * m * (d + S) values: differences and S planes
-        kwargs = {} if block_rows is None else {"budget": block_rows * m * (d + len(alphas))}
+        # a block of r rows holds its S distance planes, r * m * S values
+        kwargs = {} if block_rows is None else {"budget": block_rows * m * len(alphas)}
         np.testing.assert_array_equal(FrozenChunkPredictor(queries, bank, **kwargs).predict(alphas), want)
     got = [[bank.predict(q, a) for q in queries] for a in alphas]
     np.testing.assert_array_equal(got, want)
@@ -350,6 +351,112 @@ def test_screen_keeps_order_defined_votes_at_the_feature_bound():
         assert_kernel_votes_equal_vote_rows(mem, labels, queries, alphas, k)
 
 
+def planes_at_the_error_bound(npos, push):
+    """A screen hook whose planes sit at the edge of the documented error bound.
+
+    Each element is the exact weighted squared distance D of the centred
+    query and memory point, moved by rho0 * T + A0 (the ``_weighted_votes``
+    docstring: rho0 = (2d + 7) 2^-53, A0 = (2 sum M' + 8d + 8) 2^-1074,
+    T = sum_f w_f (|x'_f| + M'_f)^2) and rounded back inside it: up for the
+    ``npos`` positive columns and down for the rest when ``push`` is 1,
+    the other way when it is -1. Exact rational arithmetic throughout.
+    """
+
+    def hook(xc, w, xn, aug, mn, planes):
+        d = xc.shape[1]
+        memory = [[Fraction(v) for v in point] for point in aug[:d].T.tolist()]
+        reach = [max(abs(point[f]) for point in memory) for f in range(d)]
+        rho0 = Fraction(2 * d + 7, 2**53)
+        a0 = (2 * sum(reach) + 8 * d + 8) / Fraction(2**1074)
+        for s, ws in enumerate(w.tolist()):
+            ws = [Fraction(v) for v in ws]
+            for i, x in enumerate(xc.tolist()):
+                x = [Fraction(v) for v in x]
+                bound = rho0 * sum(wf * (abs(xf) + mf) ** 2 for wf, xf, mf in zip(ws, x, reach)) + a0
+                for j, point in enumerate(memory):
+                    exact = sum(wf * (yf - xf) ** 2 for wf, xf, yf in zip(ws, x, point))
+                    g = float(exact + (bound if (j < npos) == (push > 0) else -bound))
+                    if abs(Fraction(g) - exact) > bound:
+                        g = math.nextafter(g, -math.inf if g > exact else math.inf)
+                    planes[s, i, j] = g
+        return planes
+
+    return hook
+
+
+def count_fallback_rows(mp):
+    """Patch the kernel's fallback reduction to count the rows it recomputes; returns the count list."""
+    feature_sums, rows = samknn._feature_sums, []
+
+    def counted(w, sq):
+        rows.append(sq.shape[1])
+        return feature_sums(w, sq)
+
+    mp.setattr(samknn, "_feature_sums", counted)
+    return rows
+
+
+def test_screen_votes_hold_with_planes_at_the_edge_of_the_error_bound():
+    # Every plane element sits as far from the exact sum as the documented
+    # bound allows, towards a flipped vote: positives up and negatives down,
+    # then the other way. Near-tie memories make the t-th positive and the
+    # u-th negative of each row a pair with equal exact sums, so a margin
+    # smaller than twice the bound on each side certifies a wrong vote.
+    # Weights of 1e-160 or less square to subnormals, where only the
+    # absolute term A covers the rounding; ordinary weights need the
+    # relative term rho.
+    rng = np.random.default_rng(11)
+    for trial in range(18):
+        d, k = (1, 3, 8, 13)[trial % 4], (1, 3, 5)[trial % 3]
+        mem, labels, queries = near_tie_memory(rng, d, 1.0, (k + 1) // 2)
+        centre = samknn._label_ordered(mem, labels).centre
+        # grid data: centring is exact, so the exact centred sum is D itself
+        for v in np.vstack([mem, queries]):
+            assert all(Fraction(float(a - c)) == Fraction(a) - Fraction(c) for a, c in zip(v.tolist(), centre.tolist()))
+        tiny = np.full(d, rng.random() * 1e-160)
+        mixed = np.where(rng.random(d) < 0.5, rng.random() * 1e-161, rng.random())
+        alphas = np.vstack([np.full(d, rng.random()), tiny, mixed])
+        positive = labels == 1
+        want = np.array([samknn._vote_rows(python_sq_sums(queries, mem, a * a), positive, k) for a in alphas])
+        bank = bank_with_stm(mem, labels, k=k, min_stm_size=k + 1, stm_cap=len(mem))
+        for push in (1, -1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(samknn, "_screen_planes", planes_at_the_error_bound(int(positive.sum()), push))
+                fallback = count_fallback_rows(mp)
+                np.testing.assert_array_equal(FrozenChunkPredictor(queries, bank).predict(alphas), want)
+            assert sum(fallback) > 0  # the pushed near ties fell inside the margin
+
+
+def test_screen_certifies_offset_and_scaled_streams():
+    # Centring keeps the margin proportional to the data's spread: a stream
+    # like the reference one, shifted by 1e6 or scaled by 1e-3, sends at most
+    # 1% of (vector, row) pairs to the fallback, with every vote exact.
+    # Integer grids, whose exact ties only position decides, still reach it.
+    config = BiasStreamConfig(
+        n_instances=500, proxy_strength=0.8, base_rates=GroupRates(0.65, 0.35), seed=11, window_size=500
+    )
+    (chunk,) = generate_bias_stream(config)
+    rng = np.random.default_rng(3)
+    mem, labels, queries = chunk.features[:400], chunk.labels[:400], chunk.features[400:]
+    alphas = np.vstack([np.ones(chunk.n_features), rng.random((2, chunk.n_features))])
+    grid_mem, grid_queries = rng.integers(0, 3, (40, 3)).astype(float), rng.integers(0, 3, (60, 3)).astype(float)
+    grid_alphas = np.vstack([np.ones(3), rng.choice([0.5, 1.0], (2, 3))])
+    for (mem, labels, queries), alphas, offset in (
+        ((mem + 1e6, labels, queries + 1e6), alphas, True),
+        ((mem * 1e-3, labels, queries * 1e-3), alphas, True),
+        ((grid_mem, rng.integers(0, 2, 40), grid_queries), grid_alphas, False),
+    ):
+        want = np.array([samknn._vote_rows(python_sq_sums(queries, mem, a * a), labels == 1, 5) for a in alphas])
+        bank = bank_with_stm(mem, labels, k=5, stm_cap=len(mem))
+        with pytest.MonkeyPatch.context() as mp:
+            fallback = count_fallback_rows(mp)
+            np.testing.assert_array_equal(FrozenChunkPredictor(queries, bank).predict(alphas), want)
+        if offset:
+            assert sum(fallback) <= 0.01 * want.size
+        else:
+            assert sum(fallback) > 0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, -1.0000001e100])
 def test_bank_entry_points_reject_unbounded_features(bad):
     # Features beyond _FEATURE_BOUND could overflow a squared gap to inf,
@@ -392,7 +499,8 @@ def test_every_distance_is_the_left_to_right_feature_sum():
     rng = np.random.default_rng(5)
     feature_sums = samknn._feature_sums
 
-    def certify_nothing(w, sq, planes):
+    def certify_nothing(*args):
+        planes = args[-1]
         planes.fill(np.nan)
         return planes
 
@@ -429,7 +537,7 @@ def test_every_distance_is_the_left_to_right_feature_sum():
                     mp.setattr(samknn, "_screen_planes", screen)
                     # one worker: threads would append their rows interleaved
                     mp.setattr(samknn, "_cpu_count", lambda: 1)
-                    votes = FrozenChunkPredictor(queries, bank, budget=rows * m * (d + 1)).predict(alpha)
+                    votes = FrozenChunkPredictor(queries, bank, budget=rows * m).predict(alpha)
                 np.testing.assert_array_equal(votes, want_votes)
                 if screen is certify_nothing:
                     np.testing.assert_array_equal(np.vstack(seen), want[:, kernel_order])
@@ -441,7 +549,7 @@ def test_stacked_row_equals_single_vector_call(rng):
     feats = rng.random((300, 4))
     labels = rng.integers(0, 2, 300).astype(np.uint8)
     bank = bank_with_stm(feats, labels, min_stm_size=6, stm_cap=300)
-    predictor = FrozenChunkPredictor(rng.random((90, 4)), bank, budget=7 * 300 * (4 + 6))
+    predictor = FrozenChunkPredictor(rng.random((90, 4)), bank, budget=7 * 300 * 6)
     alphas = np.vstack([rng.random((4, 4)), np.zeros(4), [0.0, 1.0, 0.0, 0.5]])
     stacked = predictor.predict(alphas)
     assert stacked.shape == (6, 90) and stacked.dtype == np.uint8
@@ -502,7 +610,7 @@ def test_worker_votes_equal_one_worker_on_tied_grids(data):
     rows = data.draw(st.lists(st.lists(GRID_WEIGHTS, min_size=d, max_size=d), min_size=1, max_size=3))
     alphas = np.array(rows + [[0.0] * d, [0.0] + [1.0] * (d - 1)])
     bank = bank_with_stm(mem, labels, k=k, min_stm_size=k + 1, stm_cap=m)
-    for budget in (1, 7 * m * (d + len(alphas)), _BLOCK_ELEMENTS):
+    for budget in (1, 7 * m * len(alphas), _BLOCK_ELEMENTS):
         want = predict_at_workers(1, queries, bank, alphas, budget=budget)
         for workers in (2, 3):
             np.testing.assert_array_equal(predict_at_workers(workers, queries, bank, alphas, budget=budget), want)
@@ -517,16 +625,16 @@ def test_worker_exception_in_a_later_block_reaches_caller(rng):
     over = []
 
     def off_caller(fail):
-        def patched(w, sq, planes):
+        def patched(*args):
             if threading.current_thread() is caller:
                 # hold the caller's first block until a worker has taken one
                 assert worker_in_block.wait(10)
-                return screen_planes(w, sq, planes)
+                return screen_planes(*args)
             over.append(np.geterr()["over"])
             worker_in_block.set()
             if fail:
                 raise ArithmeticError("worker failed")
-            return screen_planes(w, sq, planes)
+            return screen_planes(*args)
 
         return patched
 
@@ -534,13 +642,13 @@ def test_worker_exception_in_a_later_block_reaches_caller(rng):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(samknn, "_screen_planes", off_caller(True))
         with pytest.raises(ArithmeticError, match="worker failed"):
-            predict_at_workers(3, queries, bank, np.ones(3), budget=40 * 3)
+            predict_at_workers(3, queries, bank, np.ones(3), budget=40)
         # the caller's numpy error state holds in the workers' blocks too
         worker_in_block.clear()
         over.clear()
         mp.setattr(samknn, "_screen_planes", off_caller(False))
         with np.errstate(over="raise"):
-            predict_at_workers(3, queries, bank, np.ones(3), budget=40 * 3)
+            predict_at_workers(3, queries, bank, np.ones(3), budget=40)
     assert over and set(over) == {"raise"}
     assert threading.active_count() == before
 
@@ -552,7 +660,7 @@ def test_worker_votes_hold_under_rapid_thread_switching(rng):
     bank = bank_with_stm(rng.integers(0, 3, (m, d)).astype(float), rng.integers(0, 2, m), min_stm_size=6, stm_cap=m)
     queries = rng.integers(0, 3, (97, d)).astype(float)
     alphas = rng.choice([0.0, 0.5, 1.0], (6, d))
-    budget = 3 * m * (d + len(alphas))
+    budget = 3 * m * len(alphas)
     want = predict_at_workers(1, queries, bank, alphas, budget=budget)
     assert 0 < want.mean() < 1
     interval = sys.getswitchinterval()
@@ -602,7 +710,7 @@ def test_worker_threads_start_only_with_cpus_and_row_blocks(rng, monkeypatch):
 def test_worker_threads_run_bound_to_their_own_cpus(rng, monkeypatch):
     bank = bank_with_stm(rng.random((40, 3)), rng.integers(0, 2, 40), min_stm_size=6)
     queries = rng.random((30, 3))
-    want = predict_at_workers(1, queries, bank, np.ones(3), budget=40 * 3)
+    want = predict_at_workers(1, queries, bank, np.ones(3), budget=40)
     if hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2:
         cpus = sorted(os.sched_getaffinity(0))
         before = os.sched_getaffinity(0)
@@ -615,7 +723,7 @@ def test_worker_threads_run_bound_to_their_own_cpus(rng, monkeypatch):
             both_in_a_block = threading.Barrier(2, timeout=10)
             waited = set()
 
-            def patched(w, sq, planes):
+            def patched(*args):
                 me = threading.current_thread()
                 if me not in waited:
                     waited.add(me)
@@ -623,18 +731,18 @@ def test_worker_threads_run_bound_to_their_own_cpus(rng, monkeypatch):
                 bound["caller" if me is caller else "worker"].add(frozenset(os.sched_getaffinity(0)))
                 if fail and me is caller:
                     raise ArithmeticError("caller failed")
-                return screen_planes(w, sq, planes)
+                return screen_planes(*args)
 
             return patched
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(samknn, "_screen_planes", record(False))
-            np.testing.assert_array_equal(predict_at_workers(2, queries, bank, np.ones(3), budget=40 * 3), want)
+            np.testing.assert_array_equal(predict_at_workers(2, queries, bank, np.ones(3), budget=40), want)
             assert bound == {"caller": {frozenset(cpus[:1])}, "worker": {frozenset(cpus[1:2])}}
             assert os.sched_getaffinity(0) == before
             mp.setattr(samknn, "_screen_planes", record(True))
             with pytest.raises(ArithmeticError, match="caller failed"):
-                predict_at_workers(2, queries, bank, np.ones(3), budget=40 * 3)
+                predict_at_workers(2, queries, bank, np.ones(3), budget=40)
             assert os.sched_getaffinity(0) == before
 
     # binding is best effort: a refused request, or a platform with no CPU
@@ -643,9 +751,9 @@ def test_worker_threads_run_bound_to_their_own_cpus(rng, monkeypatch):
         raise OSError("refused")
 
     monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
-    np.testing.assert_array_equal(predict_at_workers(3, queries, bank, np.ones(3), budget=40 * 3), want)
+    np.testing.assert_array_equal(predict_at_workers(3, queries, bank, np.ones(3), budget=40), want)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    np.testing.assert_array_equal(predict_at_workers(3, queries, bank, np.ones(3), budget=40 * 3), want)
+    np.testing.assert_array_equal(predict_at_workers(3, queries, bank, np.ones(3), budget=40), want)
 
 
 def test_screen_products_stay_below_blas_threading_size(rng, monkeypatch):
@@ -664,7 +772,8 @@ def test_screen_products_stay_below_blas_threading_size(rng, monkeypatch):
     want = predictor.predict(alphas)
     monkeypatch.setattr(np, "matmul", counted)
     np.testing.assert_array_equal(predictor.predict(alphas), want)
-    assert sum(sizes) == 40 * m * d * 30 and max(sizes) <= samknn._SCREEN_CALL
+    # one (rows, d + 2) @ (d + 2, m) product per weight vector and row block
+    assert sum(sizes) == 40 * m * (d + 2) * 30 and max(sizes) <= samknn._SCREEN_CALL
 
 
 def test_stacked_call_scratch_is_one_block_per_worker(rng):
@@ -685,7 +794,7 @@ def test_stacked_call_scratch_is_one_block_per_worker(rng):
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-    # each worker: its difference block and its S distance planes, one budget together
+    # each worker: its S distance planes (one budget) and its copy of the memory operand
     assert max(peaks) < workers * 1.5 * 8 * _BLOCK_ELEMENTS
     assert peaks[1] < 1.5 * peaks[0]
 
