@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -200,7 +201,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         "dimension": chunks[0].n_features,
     }
     if args.manifest_out is not None:
-        manifest = manifest_for_generated(gen_config, args.out)
+        # A manifest's relative source resolves against its own directory.
+        source = os.path.relpath(args.out.resolve(), args.manifest_out.resolve().parent)
+        manifest = manifest_for_generated(gen_config, source)
         manifest.to_json(args.manifest_out)
         payload["manifest"] = str(args.manifest_out)
     print(json.dumps(payload, indent=2))

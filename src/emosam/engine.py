@@ -11,8 +11,8 @@ history, so freshly optimized weights first influence the next window.
 
 With all-ones initial weights and a trigger that never fires the engine is
 behaviorally identical to the plain memory classifier, which
-:func:`run_sam_baseline` also implements directly as an independent path:
-the reference the tests and the benchmark compare that configuration with.
+:func:`run_sam_baseline` also implements as a loop of its own: the
+reference the tests and the benchmark compare that configuration with.
 
 Window one is special: an empty bank cannot vote, so every prediction falls
 back to the configured tie label, and a trigger cannot fire until the bank
@@ -434,11 +434,13 @@ def run_sam_baseline(
 ) -> RunResult:
     """Plain memory classifier, no weights, no triggers: the reference baseline.
 
-    Deliberately written as its own loop over per-instance predictions, so
-    the tests and the benchmark can check the engine's degenerate
-    configuration (all-ones weights, never-firing trigger) against it. The
-    experiment runner's baseline is that engine configuration, which is
-    faster and, by those checks, bit-identical.
+    Written as its own loop, apart from :meth:`EmosamEngine.step`, so the
+    tests and the benchmark's degeneracy check (which imports it) can hold
+    the engine's degenerate configuration (all-ones weights, never-firing
+    trigger) against it. Each window is predicted in one batch, one
+    :class:`FrozenChunkPredictor` with all-ones weights, whose votes do not
+    depend on the block shape. The experiment runner's baseline is that
+    engine configuration, bit-identical by those checks.
     """
     if not chunks:
         raise ValueError("need at least one chunk")
@@ -461,10 +463,7 @@ def run_sam_baseline(
         if bank.stm_size == 0:
             preds = np.full(len(chunk), tie_label, dtype=np.uint8)
         else:
-            preds = np.array(
-                [bank.predict(chunk.features[i], ones) for i in range(len(chunk))],
-                dtype=np.uint8,
-            )
+            preds = FrozenChunkPredictor(chunk.features, bank).predict(ones)
         acc = accuracy(preds, chunk.labels)
         disc = discrimination(preds, chunk.groups)
         bank.fit_chunk(chunk)

@@ -74,6 +74,14 @@ def apply_desk_preset(config: EngineConfig, window_size: int | None = None) -> t
     return cfg, (window_size if window_size is not None else DESK_PRESET["window_size"])
 
 
+def _check_seeds(seeds: Sequence[int]) -> None:
+    """Reject an empty or negative seed list before any run writes output."""
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if min(seeds) < 0:
+        raise ValueError("seeds must be non-negative")
+
+
 @dataclass
 class ExperimentSpec:
     """What to run: one data source, one engine config, a list of seeds.
@@ -103,8 +111,7 @@ class ExperimentSpec:
         have_generator = self.generator_config_path is not None
         if have_manifest == have_generator:
             raise ValueError("set exactly one of manifest_path and generator_config_path")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
+        _check_seeds(self.seeds)
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be unique")
         if self.window_size is not None and self.window_size < 10:
@@ -217,8 +224,7 @@ def compare_ablations(
     Every cell runs the same seeds through :func:`run_single`, so a cell's
     numbers match a standalone run with that selection and trigger.
     """
-    if not seeds:
-        raise ValueError("need at least one seed")
+    _check_seeds(seeds)
     rows: list[dict] = []
     for selection in (SelectionStrategy.MAJORITY, SelectionStrategy.RANDOM, SelectionStrategy.KNEE):
         for trigger in (TriggerPolicy.HP, TriggerPolicy.EVERY, TriggerPolicy.PREVIOUS):

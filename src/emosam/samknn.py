@@ -58,9 +58,9 @@ than its work fills; see ``_THREAD_WORK``), each bound to its own CPU and
 taking the next block nobody has taken; numpy releases the interpreter lock
 in the products and partitions. Each thread has its own block buffer and
 memory operand and writes only its own blocks' votes, so the votes are the same whatever the
-thread count (the kernel's or BLAS's) and whichever thread ran a block.
-:meth:`MemoryBank.predict` (a one-row block, which starts no thread) and
-:class:`FrozenChunkPredictor` (any block) agree bit for bit.
+thread count (the kernel's or BLAS's), whichever thread ran a block and
+whatever the block shape: a one-row :class:`FrozenChunkPredictor` (which
+starts no thread) and one over a whole window agree bit for bit.
 
 Memory maintenance absorbs a whole window at once and matches the
 instance-by-instance loop bit for bit. With C the STM followed by the window,
@@ -1081,22 +1081,6 @@ class MemoryBank:
             np.concatenate([self.stm_labels, self._ltm_l]),
         )
 
-    # -- prediction --------------------------------------------------------
-
-    def predict(self, x: np.ndarray, alpha: np.ndarray) -> int:
-        """Label of one query under the given feature weights."""
-        if self.stm_size == 0:
-            raise ValueError("cannot predict with an empty STM")
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ValueError(f"query must have shape ({self.dim},)")
-        check_features(x, "query features")
-        alpha = check_weights(alpha, self.dim)
-        if alpha.ndim != 1:
-            raise ValueError("predict takes one weight vector")
-        memory = _label_ordered(*self._store_arrays(self._best_store()))
-        return int(_weighted_votes(x[None, :], memory, self.k, alpha[None, :])[0, 0])
-
     # -- fitting -----------------------------------------------------------
 
     def fit_chunk(self, chunk: Chunk) -> None:
@@ -1432,9 +1416,9 @@ class FrozenChunkPredictor:
     screen cannot certify recompute their order-defined distances in position
     order and vote through :func:`_vote_rows`. Every vote is the one the
     order-defined left-to-right sums over features give, so results are
-    bitwise identical to calling :meth:`MemoryBank.predict` per query,
-    whatever the ``budget`` (float64 elements of a row block's S distance
-    planes; at least one row). The row blocks of a large call run on up to
+    bitwise identical to a one-row predictor per query, whatever the
+    ``budget`` (float64 elements of a row block's S distance planes; at
+    least one row). The row blocks of a large call run on up to
     one thread per CPU the process may run on, each with its own block
     buffer and copy of the product operand, so a call's scratch peaks at one
     ``budget`` block (or one row's difference block, if larger) and one

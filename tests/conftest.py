@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from emosam.samknn import FrozenChunkPredictor
 from emosam.stream import Chunk
 
 
@@ -16,6 +17,11 @@ def make_chunk(features, groups, labels, index: int = 1) -> Chunk:
         np.asarray(labels, dtype=np.uint8),
         index,
     )
+
+
+def predict_one(bank, query, alpha) -> int:
+    """One query's label under one weight vector, through a one-row predictor."""
+    return int(FrozenChunkPredictor(np.reshape(query, (1, -1)), bank).predict(alpha)[0])
 
 
 @pytest.fixture

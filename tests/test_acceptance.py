@@ -21,7 +21,6 @@ from emosam.metrics import accuracy, discrimination
 from emosam.smpso import Archive, SmpsoParams, smpso_minimize
 from emosam.stream import (
     BiasStreamConfig,
-    GroupRates,
     StreamManifest,
     dataset_discrimination,
     generate_bias_stream,
@@ -37,16 +36,8 @@ from oracles import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-REFERENCE_STREAM = BiasStreamConfig(
-    n_instances=20_000,
-    d_informative=5,
-    d_noise=2,
-    proxy_strength=0.8,
-    base_rates=GroupRates(0.65, 0.35),  # base-rate gap 0.3
-    drift_points=(7_000, 14_000),
-    seed=11,
-    window_size=250,
-)
+# 20k instances, base-rate gap 0.3, two drifts; the README's commands run it too.
+REFERENCE_STREAM = BiasStreamConfig.from_json(REPO_ROOT / "manifests" / "reference_stream.json")
 
 DESK_ENGINE = dict(
     stm_cap=500,

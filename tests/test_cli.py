@@ -79,6 +79,20 @@ def test_inspect_reports_dataset_numbers(tmp_path, gen_config_path, capsys):
     assert payload["discrimination_pct"] == pytest.approx(100 * payload["discrimination"], abs=0.005)
 
 
+def test_gen_manifest_finds_csv_in_another_directory(tmp_path, gen_config_path, capsys, monkeypatch):
+    # The CSV path is given relative to the working directory, the manifest
+    # lives elsewhere, and its source must still lead back to the CSV.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data").mkdir()
+    (tmp_path / "manifests").mkdir()
+    assert main(["gen", "--generator", str(gen_config_path), "--out", "data/s.csv",
+                 "--manifest-out", "manifests/s.json"]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "manifests" / "s.json").read_text())["source"] == "../data/s.csv"
+    assert main(["inspect", "--manifest", "manifests/s.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["instances"] == 1200
+
+
 def test_run_emits_expected_files(tmp_path, gen_config_path, capsys):
     out = tmp_path / "results"
     code = main(
@@ -226,6 +240,17 @@ def test_errors_exit_2_with_json(tmp_path, gen_config_path, capsys):
         assert main(argv) == 2
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"]["type"] == "ValueError" and key in payload["error"]["message"]
+
+    # a negative seed, given after a valid one, stops run and ablate before
+    # either writes anything
+    for command in ("run", "ablate"):
+        out = tmp_path / f"{command}_negative"
+        target = out if command == "run" else out / "ablation.csv"
+        argv = [command, "--generator", str(gen_config_path), "--seeds=0,-1", "--out", str(target), *FAST_FLAGS]
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"]["type"] == "ValueError" and "non-negative" in payload["error"]["message"]
+        assert not out.exists() or not any(out.iterdir())
 
     # a generator config value of the wrong type
     wrong_type = json.loads(gen_config_path.read_text())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_chunk
+from conftest import make_chunk, predict_one
 from emosam.engine import (
     EmosamEngine,
     EngineConfig,
@@ -18,7 +18,7 @@ from emosam.engine import (
     run_sam_baseline,
     run_stream,
 )
-from emosam.samknn import FrozenChunkPredictor
+from emosam.samknn import FrozenChunkPredictor, MemoryBank
 from emosam.smpso import ObjectivePair, SmpsoParams, knee_index
 from emosam.stream import BiasStreamConfig, GroupRates, generate_bias_stream
 from oracles import brute_majority, mutually_non_dominated
@@ -307,8 +307,8 @@ def test_degenerate_engine_equals_baseline(stream):
 
 def test_degenerate_engine_equals_baseline_on_duplicate_heavy_data():
     # 3000 rows drawn from 60 points: exact distance ties everywhere, as with
-    # one-hot data. The engine votes through batched blocks, the baseline one
-    # query at a time, so any block-shape dependence in the distances shows.
+    # one-hot data. The engine votes through batched blocks, the loop below
+    # one query at a time, so any block-shape dependence in the distances shows.
     rng = np.random.default_rng(0)
     pool = rng.normal(size=(60, 8))
     pool_labels = rng.integers(0, 2, 60)
@@ -321,10 +321,15 @@ def test_degenerate_engine_equals_baseline_on_duplicate_heavy_data():
     ]
     config = EngineConfig(stm_cap=500, ltm_cap=500, trend_threshold=1.01, smpso=SMALL_SMPSO, seed=0)
     engine_result = run_stream(chunks, config)
-    base_result = run_sam_baseline(chunks, stm_cap=500, ltm_cap=500, seed=0)
     assert engine_result.summary.triggers == 0
-    for a, b in zip(engine_result.predictions, base_result.predictions, strict=True):
-        np.testing.assert_array_equal(a, b)
+    bank = MemoryBank(8, stm_cap=500, ltm_cap=500, seed=0)
+    for chunk, got in zip(chunks, engine_result.predictions, strict=True):
+        if bank.stm_size == 0:
+            want = [config.tie_label] * len(chunk)
+        else:
+            want = [predict_one(bank, x, np.ones(8)) for x in chunk.features]
+        np.testing.assert_array_equal(got, want)
+        bank.fit_chunk(chunk)
 
 
 def test_baseline_records_shape(stream):

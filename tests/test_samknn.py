@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_chunk
+from conftest import make_chunk, predict_one
 from emosam import samknn
 from emosam.samknn import (
     _BLOCK_ELEMENTS,
@@ -59,7 +59,7 @@ def test_scaling_weights_scales_distances_and_keeps_predictions(data, c):
     sq = ((feats - x) ** 2).T[:, None, :]
     base = samknn._feature_sums(alpha * alpha, sq)
     np.testing.assert_allclose(samknn._feature_sums((c * alpha) ** 2, sq), c * c * base, rtol=1e-9)
-    assert bank.predict(x, alpha) == bank.predict(x, c * alpha)
+    assert predict_one(bank, x, alpha) == predict_one(bank, x, c * alpha)
 
 
 def test_check_weights_validation():
@@ -77,36 +77,37 @@ def test_check_weights_validation():
 
 def test_predict_nearest_neighbor_by_hand():
     bank = bank_with_stm([[0.0, 0.0], [1.0, 1.0]], [0, 1], k=1, min_stm_size=2)
-    assert bank.predict(np.array([0.1, 0.1]), np.ones(2)) == 0
+    assert predict_one(bank, np.array([0.1, 0.1]), np.ones(2)) == 0
 
 
 def test_predict_masked_feature_by_hand():
     bank = bank_with_stm([[0.0, 0.0], [1.0, 1.0]], [0, 1], k=1, min_stm_size=2)
     # first feature masked out, so only the second coordinate matters
-    assert bank.predict(np.array([0.1, 0.9]), np.array([0.0, 1.0])) == 1
+    assert predict_one(bank, np.array([0.1, 0.9]), np.array([0.0, 1.0])) == 1
 
 
 def test_predict_vote_tie_goes_to_one():
     bank = bank_with_stm([[0.0], [0.2], [0.4], [0.6]], [0, 1, 0, 1], k=4, min_stm_size=5)
-    assert bank.predict(np.array([0.3]), np.ones(1)) == 1
+    assert predict_one(bank, np.array([0.3]), np.ones(1)) == 1
 
 
 def test_predict_distance_tie_prefers_earlier_position():
     # two points equidistant from the query with opposite labels; k=1 must
     # take the earlier memory entry
     bank = bank_with_stm([[0.4], [0.6]], [0, 1], k=1, min_stm_size=2)
-    assert bank.predict(np.array([0.5]), np.ones(1)) == 0
+    assert predict_one(bank, np.array([0.5]), np.ones(1)) == 0
     bank2 = bank_with_stm([[0.6], [0.4]], [1, 0], k=1, min_stm_size=2)
-    assert bank2.predict(np.array([0.5]), np.ones(1)) == 1
+    assert predict_one(bank2, np.array([0.5]), np.ones(1)) == 1
 
 
 def test_predict_rejects_empty_stm_and_bad_shape():
     bank = MemoryBank(2)
-    with pytest.raises(ValueError):
-        bank.predict(np.array([0.1, 0.2]), np.ones(2))
+    with pytest.raises(ValueError, match="empty STM"):
+        FrozenChunkPredictor(np.array([[0.1, 0.2]]), bank)
     bank.replace_stm(np.array([[0.1, 0.2]]), np.array([1], dtype=np.uint8))
-    with pytest.raises(ValueError):
-        bank.predict(np.array([0.1]), np.ones(2))
+    for bad in (np.array([[0.1]]), np.array([0.1, 0.2]), np.zeros((1, 1, 2))):
+        with pytest.raises(ValueError, match="shape"):
+            FrozenChunkPredictor(bad, bank)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -119,7 +120,7 @@ def test_unit_weight_prediction_matches_reference(seed):
     bank = bank_with_stm(feats, labels, min_stm_size=6)
     for _ in range(5):
         x = rng.random(3)
-        assert bank.predict(x, np.ones(3)) == sam_reference_predict(bank, x)
+        assert predict_one(bank, x, np.ones(3)) == sam_reference_predict(bank, x)
 
 
 def test_weighted_prediction_matches_brute_force(rng):
@@ -129,7 +130,7 @@ def test_weighted_prediction_matches_brute_force(rng):
     for _ in range(10):
         x = rng.random(4)
         alpha = rng.random(4)
-        assert bank.predict(x, alpha) == brute_knn_vote(x, feats, labels, 5, alpha)
+        assert predict_one(bank, x, alpha) == brute_knn_vote(x, feats, labels, 5, alpha)
 
 
 def test_sub_classifier_choice_follows_trackers():
@@ -146,11 +147,11 @@ def test_sub_classifier_choice_follows_trackers():
     bank._trackers["ltm"] = [10.0, 10.0]
     bank._trackers["stm"] = [1.0, 10.0]
     bank._trackers["combined"] = [1.0, 10.0]
-    assert bank.predict(np.array([0.0, 0.1]), np.ones(2)) == 1
+    assert predict_one(bank, np.array([0.0, 0.1]), np.ones(2)) == 1
 
     # tie order prefers the STM
     bank._trackers["stm"] = [10.0, 10.0]
-    assert bank.predict(np.array([0.0, 0.1]), np.ones(2)) == 0
+    assert predict_one(bank, np.array([0.0, 0.1]), np.ones(2)) == 0
 
 
 # -- batch predictor ---------------------------------------------------------------
@@ -166,7 +167,7 @@ def test_batch_predictions_equal_single_queries(rng, budget):
     predictor = FrozenChunkPredictor(queries, bank, **kwargs)
     for alpha in (np.ones(3), rng.random(3), np.zeros(3)):
         batch = predictor.predict(alpha)
-        single = [bank.predict(queries[i], alpha) for i in range(len(queries))]
+        single = [predict_one(bank, queries[i], alpha) for i in range(len(queries))]
         np.testing.assert_array_equal(batch, single)
 
 
@@ -213,7 +214,7 @@ def test_votes_do_not_depend_on_block_shape(d):
         bank = bank_with_stm(mem, labels, k=3, min_stm_size=4)
         queries = rng.normal(size=(n, d))
         alphas = np.vstack([np.ones(d), rng.random(d)])
-        want = [[bank.predict(q, a) for q in queries] for a in alphas]
+        want = [[predict_one(bank, q, a) for q in queries] for a in alphas]
         for kwargs in ({}, {"budget": 1}):
             np.testing.assert_array_equal(FrozenChunkPredictor(queries, bank, **kwargs).predict(alphas), want)
 
@@ -240,7 +241,7 @@ def assert_kernel_votes_equal_vote_rows(mem, labels, queries, alphas, k):
         # a block of r rows holds its S distance planes, r * m * S values
         kwargs = {} if block_rows is None else {"budget": block_rows * m * len(alphas)}
         np.testing.assert_array_equal(FrozenChunkPredictor(queries, bank, **kwargs).predict(alphas), want)
-    got = [[bank.predict(q, a) for q in queries] for a in alphas]
+    got = [[predict_one(bank, q, a) for q in queries] for a in alphas]
     np.testing.assert_array_equal(got, want)
 
 
@@ -479,10 +480,10 @@ def test_bank_entry_points_reject_unbounded_features(bad):
         MemoryBank.from_bytes(_resealed(blob[:at] + struct.pack("<d", bad) + blob[at + 8 :]))
     query = np.array([bad, 0.5])
     with pytest.raises(ValueError, match="magnitude"):
-        bank.predict(query, np.ones(2))
+        predict_one(bank, query, np.ones(2))
     with pytest.raises(ValueError, match="magnitude"):
         FrozenChunkPredictor(np.vstack([ok, query]), bank)
-    assert bank.predict(ok[1], np.zeros(2)) == 0
+    assert predict_one(bank, ok[1], np.zeros(2)) == 0
 
 
 def test_every_distance_is_the_left_to_right_feature_sum():
@@ -565,8 +566,8 @@ def test_batch_predictor_rejects_bad_weight_shapes(rng):
     for bad in (np.ones(2), np.ones((2, 2)), np.ones((1, 2, 3)), np.float64(1.0)):
         with pytest.raises(ValueError):
             predictor.predict(bad)
-    with pytest.raises(ValueError):
-        bank.predict(np.zeros(3), np.ones((2, 3)))
+    # a stack of weight vectors is S calls in one, never one vote
+    assert FrozenChunkPredictor(np.zeros((1, 3)), bank).predict(np.ones((2, 3))).shape == (2, 1)
 
 
 def test_batch_predictor_frozen_against_later_fits(rng):
@@ -698,7 +699,7 @@ def test_worker_threads_start_only_with_cpus_and_row_blocks(rng, monkeypatch):
     monkeypatch.setattr(samknn, "_THREAD_WORK", 3001)
     FrozenChunkPredictor(queries, bank, budget=1).predict(alphas)
     monkeypatch.setattr(samknn, "_THREAD_WORK", 1)
-    bank.predict(queries[0], alphas[0])
+    predict_one(bank, queries[0], alphas[0])
     FrozenChunkPredictor(queries, bank).predict(alphas)  # one row block
     assert started == []
     monkeypatch.setattr(samknn, "_THREAD_WORK", 3000)
@@ -1119,7 +1120,7 @@ def test_snapshot_roundtrip(rng):
     assert clone.state_hash() == bank.state_hash()
     x = rng.random(3)
     alpha = rng.random(3)
-    assert clone.predict(x, alpha) == bank.predict(x, alpha)
+    assert predict_one(clone, x, alpha) == predict_one(bank, x, alpha)
 
 
 def test_snapshot_rejects_garbage():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_chunk
+from conftest import make_chunk, predict_one
 from emosam import metrics, smpso
 from emosam.samknn import MemoryBank
 from emosam.smpso import (
@@ -267,10 +267,10 @@ def _bank_for(chunk, rng):
 
 
 def _query_by_query(archive, chunk, bank) -> list[ObjectivePair]:
-    """Each archive member's (error, |discrimination|) from one bank.predict call per query."""
+    """Each archive member's (error, |discrimination|) from one one-row predictor per query."""
     pairs = []
     for entry in archive:
-        preds = np.array([bank.predict(x, entry.position) for x in chunk.features], dtype=np.uint8)
+        preds = np.array([predict_one(bank, x, entry.position) for x in chunk.features], dtype=np.uint8)
         err = 1.0 - metrics.accuracy(preds, chunk.labels)
         pairs.append(ObjectivePair(err, abs(metrics.discrimination(preds, chunk.groups).value)))
     return pairs
@@ -310,7 +310,7 @@ def test_evaluate_weights_perfect_labels_zero_error(rng):
     feats = rng.random((40, 3))
     labels = rng.integers(0, 2, 40).astype(np.uint8)
     bank.replace_stm(feats, labels)
-    preds = np.array([bank.predict(x, np.ones(3)) for x in chunk_feats], dtype=np.uint8)
+    preds = np.array([predict_one(bank, x, np.ones(3)) for x in chunk_feats], dtype=np.uint8)
     chunk = make_chunk(chunk_feats, rng.integers(0, 2, 30), preds)
     # the all-ones start scores zero error, which nothing can dominate away
     archive = optimize_weights(chunk, bank, [np.ones(3)], SmpsoParams(swarm_size=4, iterations=2), seed=0)
