@@ -194,6 +194,11 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     gen_config = BiasStreamConfig.from_json(args.generator)
     chunks = generate_bias_stream(gen_config)
+    # Both directories exist before anything is written, so a bad path
+    # leaves no CSV without its manifest.
+    for path in (args.out, args.manifest_out):
+        if path is not None:
+            path.parent.mkdir(parents=True, exist_ok=True)
     write_stream_csv(chunks, args.out)
     payload: dict = {
         "csv": str(args.out),

@@ -20,15 +20,27 @@ compression) always runs unweighted; weights only steer predictions.
 
 Every squared distance in this module, weighted or not, is defined by one
 formula added in a fixed order: ``sum_f w_f * (m_f - x_f)^2`` with
-``w_f = alpha_f^2`` (1 when unweighted), left to right over the features. The window
-absorb, the STM length re-fit, cleaning, k-means and the prediction kernel's
-fallback compute it from one feature-major difference block: the memory is
-passed transposed as (d, m) and a block of r points becomes a (d, r, m)
-buffer whose inner loop runs over the memory, reduced over its leading axis.
-A distance is therefore the same float whichever block, row or code path
-computes it, equal to the plain left-to-right float sum. Each block holds at
-most ``_BLOCK_ELEMENTS`` float64 values (at least one row), so memory stays
-bounded however large rows times memory grows.
+``w_f = alpha_f^2`` (1 when unweighted), left to right over the features.
+Cleaning, k-means, the absorb's LTM distances, the re-fit's fallback rows
+and the prediction kernel's fallback compute it from one feature-major
+difference block: the memory is passed transposed as (d, m) and a block of
+r points becomes a (d, r, m) buffer whose inner loop runs over the memory,
+reduced over its leading axis. The window absorb and the band rebuild
+compute it only for the (point, STM point) pairs a screen leaves open,
+gathering both rows of each pair and adding the features' columns in order
+(:func:`_pair_sums`). A distance is therefore the same float whichever
+block, row, pair or code path computes it, equal to the plain left-to-right
+float sum. Each block holds at most ``_BLOCK_ELEMENTS`` float64 values (at
+least one row), so memory stays bounded however large rows times memory
+grows.
+
+Prediction and maintenance share one screen: a memory centred on each
+feature's mid-range as a (d + 2, m) product operand
+(:func:`_screen_operand`), one BLAS product per weight vector and row block
+(:func:`_screen_planes`), and a per-row margin E (:func:`_screen_margin`)
+that bounds how far a screened distance may lie from its order-defined one.
+Both only compare distances, so a comparison the margin decides needs no
+order-defined sum.
 
 Every weighted prediction goes through one kernel, and every vote it returns
 equals the vote of the order-defined distances; BLAS only screens. The
@@ -67,10 +79,15 @@ instance-by-instance loop bit for bit. With C the STM followed by the window,
 the STM that instance i is tested against is a sliding slice of C. An LTM
 point's removal by cleaning at step i depends only on x_i, on that slice and
 on the point itself, never on another removal, so one first-drop step per
-LTM point gives the LTM of every step. The LTM votes are row votes over
-window-by-LTM distance blocks with +inf outside each row's live LTM; cleaning
-takes its radii from the window-by-C blocks, a radius being the exact element
-``np.partition`` selects.
+LTM point gives the LTM of every step. A block of window rows screens its
+distances to C (unweighted, C centred as one operand) and keeps, with a
+slack of 2E per row, a superset of each row's k-skyband in its slice and,
+for rows whose label still meets an undropped LTM point of the other label,
+the same-label entries its cleaning radius can rest on. Only these get
+order-defined distances; the bands, the STM votes and the radius (the exact
+element ``np.partition`` selects) come from them. The LTM votes are row
+votes over window-by-LTM difference blocks with +inf outside each row's
+live LTM.
 
 Every STM point also carries its k-skyband: the predecessors p with fewer
 than k points between p and it that are strictly closer to it. For any
@@ -83,9 +100,9 @@ the LTM) from the candidates its band is built from. A band is kept as at
 most ``_BAND_LEN`` codes ``2 * (i - p) + label``, nearest first, so the
 points the STM drops fall off the front with no update. A row whose cut
 band holds fewer than k members inside a window recomputes that vote from
-distances. Bands are derived state: new rows get theirs from the distance
-blocks the absorb computes anyway, and replacing or restoring the STM
-rebuilds them in one blocked pass; they are in neither the snapshot nor
+distances. Bands are derived state: new rows get theirs from the candidates
+the absorb screens anyway, and replacing or restoring the STM rebuilds them
+in one blocked, screened pass; they are in neither the snapshot nor
 :meth:`MemoryBank.state_hash`.
 
 Determinism: k-nearest ties are broken toward the earlier memory position,
@@ -107,7 +124,7 @@ import struct
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -170,7 +187,9 @@ _THREAD_WORK = 1 << 26
 _SCREEN_CALL = 1 << 18
 # Memory maintenance works on distance blocks (rows x memory) of at most
 # _BLOCK_ELEMENTS // _PLANE_SHARE values, each with a few same-sized masks and
-# copies; their difference blocks are split to fit _BLOCK_ELEMENTS.
+# copies: the absorb's screened STM planes, its LTM blocks, whose difference
+# blocks are split to fit _BLOCK_ELEMENTS, and the rows it gathers for exact
+# pair sums.
 _PLANE_SHARE = 4
 
 # Each STM point carries its k-skyband: the predecessors with fewer than k
@@ -279,17 +298,15 @@ def _feature_sums(w: np.ndarray, sq: np.ndarray) -> np.ndarray:
     return np.einsum("k,kij->ij", w, sq)
 
 
-def _sq_dists(points: np.ndarray, memory_t: np.ndarray, buf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _sq_dists(points: np.ndarray, memory_t: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """(r, m) unweighted squared distances of each point to each memory point.
 
     The same left-to-right sum over features as :func:`_feature_sums` with
     all-ones weights, bit for bit; the einsum squares and adds in one pass.
-    Points go through in row blocks whose difference block fits ``buf``;
-    the result goes to ``out`` when given.
+    Points go through in row blocks whose difference block fits ``buf``.
     """
     d, m = memory_t.shape
-    if out is None:
-        out = np.empty((len(points), m))
+    out = np.empty((len(points), m))
     step = max(1, len(buf) // (d * m) if m else len(points))
     for s in range(0, len(points), step):
         diff = _diff_block(points[s : s + step], memory_t, buf)
@@ -297,6 +314,31 @@ def _sq_dists(points: np.ndarray, memory_t: np.ndarray, buf: np.ndarray, out: np
             out[s : s + 1] = _feature_sums(np.ones(len(diff)), diff * diff)
         else:
             np.einsum("kij,kij->ij", diff, diff, out=out[s : s + step])
+    return out
+
+
+def _pair_sums(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Unweighted squared distances between rows ``i`` and ``j`` of (N, d) ``points``, pair by pair.
+
+    Both ends of every pair are gathered (one take each), their differences
+    squared, and the features' columns added in order, so each distance is
+    the left-to-right sum :func:`_sq_dists` gives for that pair, bit for
+    bit. Gathering whole rows is faster than a take per feature from a
+    transposed copy, and needs no such copy. Pairs go through in chunks
+    whose gathered rows hold at most ``_BLOCK_ELEMENTS // _PLANE_SHARE``
+    values (at least one pair).
+    """
+    d = points.shape[1]
+    out = np.empty(len(i))
+    step = max(1, _BLOCK_ELEMENTS // _PLANE_SHARE // d)
+    for s in range(0, len(i), step):
+        sq = points.take(j[s : s + step], axis=0)
+        sq -= points.take(i[s : s + step], axis=0)
+        sq *= sq
+        total = out[s : s + step]
+        total[:] = sq[:, 0]
+        for f in range(1, d):
+            total += sq[:, f]
     return out
 
 
@@ -310,13 +352,38 @@ def _diff_buffer(d: int, shapes) -> np.ndarray:
     return np.empty(max((min(r, max(1, _BLOCK_ELEMENTS // (d * w))) * w * d for r, w in shapes if w), default=0))
 
 
+class _Screen(NamedTuple):
+    """A memory in the screen's layout (see :func:`_screen_operand`)."""
+
+    aug: np.ndarray  # (d + 2, m): memory_t - centre, a row of ones, a scratch row
+    centre: np.ndarray  # (d,): each feature's mid-range over the memory
+    reach: np.ndarray  # (d,): largest |aug[f]| over the memory
+
+
+def _screen_operand(memory_t: np.ndarray) -> _Screen:
+    """The screen's (d + 2, m) product operand of a (d, m) memory, which must not be empty.
+
+    Its first d rows hold the memory centred, ``m' = fl(m - centre)`` with
+    ``centre`` each feature's mid-range; row d holds ones and the last row
+    is scratch, which each screen product fills with the memory's weighted
+    norms (see :func:`_screen_planes`). ``reach`` is M'_f >= |m'_f| over
+    the memory.
+    """
+    d, m = memory_t.shape
+    high, low = memory_t.max(axis=1), memory_t.min(axis=1)
+    centre = 0.5 * (high + low)
+    aug = np.empty((d + 2, m))
+    np.subtract(memory_t, centre[:, None], out=aug[:d])
+    aug[d:] = 1.0
+    # rounding is monotone, so the largest |m'_f| is fl(high - centre) or fl(centre - low)
+    return _Screen(aug, centre, np.maximum(high - centre, centre - low))
+
+
 class _KernelMemory(NamedTuple):
     """A memory in the kernel's layout (see :func:`_label_ordered`)."""
 
     memory_t: np.ndarray  # (d, m): label-1 points first, each label in position order
-    aug: np.ndarray  # (d + 2, m): memory_t - centre, a row of ones, a scratch row
-    centre: np.ndarray  # (d,): each feature's mid-range over the memory
-    reach: np.ndarray  # (d,): largest |aug[f]| over the memory
+    screen: _Screen  # memory_t centred, as the screen's product operand
     npos: int  # number of label-1 points
     order: np.ndarray  # column j holds memory position order[j]
 
@@ -325,23 +392,13 @@ def _label_ordered(features: np.ndarray, labels: np.ndarray) -> _KernelMemory:
     """The kernel's memory layout: a (d, m) copy with the label-1 points first.
 
     Each label keeps its position order (a stable argsort of ``labels != 1``).
-    The copy is also kept centred, ``m' = fl(m - centre)`` with ``centre``
-    each feature's mid-range, in the first d rows of the screen's (d + 2, m)
-    product operand, whose row d holds ones and whose last row each screen
-    product fills with the memory's weighted norms (see :func:`_screen_planes`).
+    The copy is also kept centred as the screen's product operand
+    (:func:`_screen_operand`).
     """
     positive = labels == 1
     order = np.argsort(~positive, kind="stable")
     memory_t = np.ascontiguousarray(features[order].T)
-    d, m = memory_t.shape
-    high, low = memory_t.max(axis=1), memory_t.min(axis=1)
-    centre = 0.5 * (high + low)
-    aug = np.empty((d + 2, m))
-    np.subtract(memory_t, centre[:, None], out=aug[:d])
-    aug[d:] = 1.0
-    # rounding is monotone, so the largest |m'_f| is fl(high - centre) or fl(centre - low)
-    reach = np.maximum(high - centre, centre - low)
-    return _KernelMemory(memory_t, aug, centre, reach, int(np.count_nonzero(positive)), order)
+    return _KernelMemory(memory_t, _screen_operand(memory_t), int(np.count_nonzero(positive)), order)
 
 
 def _cpu_count() -> int:
@@ -435,15 +492,16 @@ def _screen_planes(
 
     ``xn`` (S, r) and ``mn`` (S, m) are the weighted squared norms of the
     centred queries and memory points, ``aug`` the memory's (d + 2, m)
-    product operand (:func:`_label_ordered`), whose last row this overwrites.
-    For vector s, one BLAS product of the rows ``[-2 w_s * x', xn_s, 1]``
-    with ``aug`` holding ``mn_s`` in its last row writes plane s of the
-    (S, r, m) ``planes``: ``|x'|^2 + |m'|^2 - 2 <w x', m'>``, the weighted
-    squared distance by expansion, with no difference block. Each call
-    takes at most ``_SCREEN_CALL`` multiply-adds. The summation order
-    (blocking, fused multiply-adds) is the BLAS build's, so these distances
-    are not the order-defined ones: :func:`_weighted_votes` uses them only
-    to screen votes.
+    product operand (:func:`_screen_operand`, or a column slice of it),
+    whose last row this overwrites. For vector s, one BLAS product of the
+    rows ``[-2 w_s * x', xn_s, 1]`` with ``aug`` holding ``mn_s`` in its
+    last row writes plane s of the (S, r, m) ``planes``:
+    ``|x'|^2 + |m'|^2 - 2 <w x', m'>``, the weighted squared distance by
+    expansion, with no difference block. Each call takes at most
+    ``_SCREEN_CALL`` multiply-adds. The summation order (blocking, fused
+    multiply-adds) is the BLAS build's, so these distances are not the
+    order-defined ones: callers only compare them, with the margin of
+    :func:`_screen_margin`.
     """
     r, d = xc.shape
     K, m = aug.shape
@@ -459,6 +517,52 @@ def _screen_planes(
             for c in range(0, m, cols):
                 np.matmul(lhs[i : i + step], aug[:, c : c + cols], out=plane[i : i + step, c : c + cols])
     return planes
+
+
+def _screen_margin(w: np.ndarray, xc: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Certified margin E of the screen's distances: (S, n) for weight rows ``w`` (S, d) and centred rows ``xc`` (n, d).
+
+    ``reach`` is the memory's (:func:`_screen_operand`). Let eps = 2^-53,
+    eta = 2^-1075 (the absolute error of rounding to a subnormal) and every
+    rounding ``fl(x) = x(1 + e) + h`` with |e| <= eps, |h| <= eta, h = 0 for
+    sums and differences. Let D be the exact sum ``sum_f w_f (m_f - x_f)^2``
+    of the float inputs, M'_f >= |m'_f| over the memory (``reach``) and, per
+    (vector, row), the scale ``T = sum_f w_f (|x'_f| + M'_f)^2``, so
+    D <= T(1 + 3 eps). A term of the order-defined sum meets at most d + 3
+    factors (1 + e) on its way (the difference's twice, once squared), so
+    that sum lies within (d + 4) eps T + 3d eta of D. The screened value G
+    (:func:`_screen_planes`) sums K = d + 2 products of the rows
+    ``fl(-2 w x')``, ``fl(|x'|^2_w)``, 1 and the columns m', 1,
+    ``fl(|m'|^2_w)``; in any order, with or without fused multiply-adds, it
+    lies within gamma_K of their exact sum P relative to the sum of the
+    products' magnitudes, which is at most (1 + gamma) T, plus 2K eta. P
+    differs from the exact centred distance ``sum_f w_f (m'_f - x'_f)^2`` by
+    the roundings of the norms and of ``-2 w x'`` (gamma_{d+1} T plus
+    eta sum M' + 6d eta), and that distance differs from D by the
+    centring, at most 3 eps T. So both sums lie within ``rho0 T + A0`` of
+    D, with rho0 = (2d + 7) eps and A0 = (2 sum M' + 8d + 8) 2^-1074, for d
+    up to 2^20, and a screened value lies within 2(rho0 T + A0) of its
+    order-defined one. The bound is the same for every column of a row, so
+    it carries to order statistics, minima and maxima over any of a row's
+    columns. Centring keeps T, and so the margin, proportional to the
+    data's spread however far the data lie from zero.
+
+    The margin is ``E = fl(fl(rho T^) + A)``, T^ the scale computed in
+    floats (within (d + 4) eps T + 3d eta of T), rho = (8d + 40) eps and
+    A = (16 sum M' + 64d + 64) 2^-1074. Let u and v be screened values of
+    one row (entries, or order statistics of its columns) and U and V their
+    order-defined counterparts. A float comparison of ``u + E`` rounds once,
+    by at most eps |u + E|, and |u| is at most (1 + 3 eps + rho0) T + A0
+    however it cancels, so E (1 - eps) - eps |u| still exceeds
+    4(rho0 T + A0): ``u + E < v`` implies U < V and ``u - E > v`` implies
+    U > V. Likewise ``fl(v + 2E)`` is at least v + 4(rho0 T + A0), so
+    U <= V implies ``u <= fl(v + 2E)``. This assumes IEEE 754 rounding to
+    nearest without flushing subnormals to zero, which is numpy's and
+    OpenBLAS's default.
+    """
+    d = xc.shape[1]
+    scale = np.einsum("sf,nf->sn", w, (np.abs(xc) + reach) ** 2)
+    return scale * ((8 * d + 40) * 2.0**-53) + math.ldexp(16 * float(reach.sum()) + 64 * d + 64, -1074)
 
 
 def _weighted_votes(
@@ -492,48 +596,17 @@ def _weighted_votes(
     partitioned in place, giving ``a``, the t-th smallest positive distance,
     and ``b``, the u-th smallest negative one, of every (weight vector, row)
     pair. The order-defined vote is 1 if the order-defined ``a`` is below the
-    order-defined ``b``, 0 if above, and decided by position on a tie.
-
-    The screen certifies that comparison from the BLAS values. Let eps =
-    2^-53, eta = 2^-1075 (the absolute error of rounding to a subnormal) and
-    every rounding ``fl(x) = x(1 + e) + h`` with |e| <= eps, |h| <= eta, h = 0
-    for sums and differences. Let D be the exact sum
-    ``sum_f w_f (m_f - x_f)^2`` of the float inputs, M'_f >= |m'_f| over the
-    memory (``reach``) and, per (vector, row), the scale
-    ``T = sum_f w_f (|x'_f| + M'_f)^2``, so D <= T(1 + 3 eps). A term of
-    the order-defined sum meets at most d + 3 factors (1 + e) on its way
-    (the difference's twice, once squared), so that sum lies within
-    (d + 4) eps T + 3d eta of D. The BLAS value G sums K = d + 2 products
-    of the rows ``fl(-2 w x')``, ``fl(|x'|^2_w)``, 1 and the columns m', 1,
-    ``fl(|m'|^2_w)``; in any order, with or without fused multiply-adds, it
-    lies within gamma_K of their exact sum P relative to the sum of the
-    products' magnitudes, which is at most (1 + gamma) T, plus 2K eta. P
-    differs from the exact centred distance ``sum_f w_f (m'_f - x'_f)^2``
-    by the roundings of the norms and of ``-2 w x'`` (gamma_{d+1} T plus
-    eta sum M' + 6d eta), and that distance differs from D by the centring,
-    at most 3 eps T. So both sums lie within ``rho0 T + A0`` of D, with
-    rho0 = (2d + 7) eps and A0 = (2 sum M' + 8d + 8) 2^-1074, for d up to
-    2^20. The bound is the same for every column of a row, so it carries
-    to the order statistics: each of ``a`` and ``b`` lies within 2(rho0 T +
-    A0) of its order-defined counterpart. Centring keeps T, and so the
-    margin, proportional to the data's spread however far the data lie
-    from zero. The kernel votes 1 where ``a + E < b`` and 0 where
-    ``a - E > b`` in floats, with ``E = fl(fl(rho T^) + A)``, T^ the scale
-    computed in floats (within (d + 4) eps T + 3d eta of T),
-    rho = (8d + 40) eps and A = (16 sum M' + 64d + 64) 2^-1074. The
-    comparison rounds ``a + E`` once, by at most eps |a + E|, and |a| is at
-    most (1 + 3 eps + rho0) T + A0 however it cancels, so E (1 - eps) - eps
-    |a| still exceeds 4(rho0 T + A0): a certified vote is the order-defined
-    one. This assumes IEEE 754 rounding to nearest without flushing
-    subnormals to zero, which is numpy's and OpenBLAS's default. Every
-    other (weight vector, row) pair (near ties, exact ties) recomputes its
-    row's order-defined distances from a difference block of the uncertain
-    rows of that vector, puts them back in position order and votes through
-    :func:`_vote_rows`.
+    order-defined ``b``, 0 if above, and decided by position on a tie. With
+    E the pair's margin (:func:`_screen_margin`), the kernel votes 1 where
+    ``a + E < b`` and 0 where ``a - E > b``, which certifies the
+    order-defined vote. Every other (weight vector, row) pair (near ties,
+    exact ties) recomputes its row's order-defined distances from a
+    difference block of the uncertain rows of that vector, puts them back in
+    position order and votes through :func:`_vote_rows`.
     """
     n, d = queries.shape
     m = memory.memory_t.shape[1]
-    npos, order = memory.npos, memory.order
+    npos, order, screen = memory.npos, memory.order, memory.screen
     kk = min(k, m)
     t = (kk + 1) // 2
     u = kk - t + 1
@@ -548,15 +621,14 @@ def _weighted_votes(
     w = alphas * alphas
     S = len(w)
     rows = max(1, min(n, budget // (m * S)))
-    xc = queries - memory.centre
+    xc = queries - screen.centre
     xn = np.einsum("sf,nf->sn", w, xc * xc)
-    mn = np.einsum("sf,fm->sm", w, memory.aug[:d] * memory.aug[:d])
-    scale = np.einsum("sf,nf->sn", w, (np.abs(xc) + memory.reach) ** 2)
-    margin = scale * ((8 * d + 40) * 2.0**-53) + math.ldexp(16 * float(memory.reach.sum()) + 64 * d + 64, -1074)
+    mn = np.einsum("sf,fm->sm", w, screen.aug[:d] * screen.aug[:d])
+    margin = _screen_margin(w, xc, screen.reach)
 
     def fill(blocks) -> None:
         buf = np.empty(S * rows * m)
-        aug = memory.aug.copy()
+        aug = screen.aug.copy()
         for start, stop in blocks:
             r = stop - start
             planes = _screen_planes(xc[start:stop], w, xn[:, start:stop], aug, mn, buf[: S * r * m].reshape(S, r, m))
@@ -692,13 +764,35 @@ def _candidate_sizes(n: int, min_size: int) -> list[int]:
     return sizes
 
 
-def _band_plane(points: np.ndarray, memory_t: np.ndarray, inside: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """:func:`_sq_dists` block, NaN outside ``inside``, its width padded with NaN to whole band chunks."""
-    r, w = inside.shape
+def _band_plane(
+    points: np.ndarray, screen: _Screen, norms: np.ndarray, c0: int, first: np.ndarray, stop: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Screened squared distances of ``points`` to a centred memory from column c0 on, and each row's slack.
+
+    Row j sees the memory's columns from ``c0 + first[j]`` up to, not
+    including, ``c0 + stop[j]``, with ``stop`` growing by one per row, so
+    the plane is ``stop[-1] + 1`` columns wide. ``screen`` is the memory's operand
+    (:func:`_screen_operand`) and ``norms`` (1, m) its points' unweighted
+    squared norms. The plane is :func:`_screen_planes` under unit weights,
+    NaN outside each row's columns, its width padded with NaN to whole band
+    chunks. The slack is twice the screen's margin E
+    (:func:`_screen_margin`): where an entry's order-defined distance is at
+    most another's (or an order statistic's), its screened value is at most
+    the other's plus the slack.
+    """
+    r, d = points.shape
+    w = int(stop[-1]) + 1
+    ones = np.ones((1, d))
+    xc = points - screen.centre
     plane = np.empty((r, max(1, -(-w // _BAND_CHUNK)) * _BAND_CHUNK))
     plane[:, w:] = np.nan
-    np.copyto(_sq_dists(points, memory_t, buf, out=plane[:, :w]), np.nan, where=~inside)
-    return plane
+    cols = slice(c0, c0 + w)
+    _screen_planes(xc, ones, (xc * xc).sum(axis=1)[None], screen.aug[:, cols], norms[:, cols], plane[None, :, :w])
+    # only the first first.max() and the last w - stop.min() columns hold entries outside a row's
+    left, right = int(first.max()), int(stop.min())
+    np.copyto(plane[:, :left], np.nan, where=np.arange(left) < first[:, None])
+    np.copyto(plane[:, right:w], np.nan, where=np.arange(right, w) >= stop[:, None])
+    return plane, 2.0 * _screen_margin(ones, xc, screen.reach)[0]
 
 
 def _later_bound(table: np.ndarray, k: int) -> np.ndarray:
@@ -734,18 +828,24 @@ def _ragged(slots: np.ndarray, shape: tuple[int, int], values: np.ndarray, fill)
     return table
 
 
-def _band_candidates(plane: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _band_candidates(
+    plane: np.ndarray, slack: np.ndarray, k: int, exact: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A superset of each row's k-skyband in a :func:`_band_plane`: rows, columns, distances.
 
     Each row's points are its non-NaN columns, in position order; point p is
-    in the k-skyband iff fewer than k points after it are strictly closer. So
-    a point farther than the k-th nearest of any k distinct later points is
-    out. :func:`_later_bound` gives such a bound first over the minima of
-    chunks of ``_BAND_CHUNK`` columns, which drops whole chunks, then over the
-    surviving points. A row keeps at most ``max(_BAND_CANDIDATES, k)``
-    candidates, its smallest by (distance, position); a kept point outside
-    the skyband keeps the k closer later points that rule it out, as those
-    are skyband points with smaller keys. Entries come in row-major order.
+    in the k-skyband iff fewer than k points after it are strictly closer by
+    order-defined distance. So a point farther than the k-th nearest of any
+    k distinct later points is out. :func:`_later_bound` gives such a bound
+    first over the minima of chunks of ``_BAND_CHUNK`` columns, which drops
+    whole chunks, then over the surviving points. On the screened plane a
+    point (or chunk) is kept while its value is at most the screened bound
+    plus the row's ``slack``, which keeps every skyband point. The survivors
+    get their order-defined distances from ``exact(rows, columns)``. A row
+    then keeps at most ``max(_BAND_CANDIDATES, k)`` of them, its smallest by
+    (distance, position), and the bound over those drops more; a kept point
+    outside the skyband keeps k later skyband points that rule it out, as
+    those are closer. Entries come in row-major order.
     """
     r, wp = plane.shape
     g = _BAND_CHUNK
@@ -753,12 +853,15 @@ def _band_candidates(plane: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray,
     while mins.shape[1] > wp // g:
         mins = np.fmin(mins[:, 0::2], mins[:, 1::2])
     bound = _later_bound(mins, k)
+    bound += slack[:, None]
     hit = np.flatnonzero(mins <= bound)
     values = plane.reshape(-1, g)[hit]
     sub = np.flatnonzero(values <= bound.reshape(-1)[hit, None])
+    del values
     hit_rows, hit_chunks = np.divmod(hit, wp // g)
     chunk = sub // g
-    rows, cols, dist = hit_rows[chunk], hit_chunks[chunk] * g + sub % g, values.reshape(-1)[sub]
+    rows, cols = hit_rows[chunk], hit_chunks[chunk] * g + sub % g
+    dist = exact(rows, cols)
     counts = np.bincount(rows, minlength=r)
     most = max(_BAND_CANDIDATES, k)
     if counts.max(initial=0) > most:
@@ -772,6 +875,28 @@ def _band_candidates(plane: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray,
     table = _ragged(slots, (r, width), dist, np.inf)
     keep = (table <= _later_bound(table, k)).reshape(-1)[slots]
     return rows[keep], cols[keep], dist[keep]
+
+
+def _radius_candidates(plane: np.ndarray, same: np.ndarray, slack: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the entries a cleaning radius can rest on, from screened distances.
+
+    A row's entries are its ``same`` columns (a mask that broadcasts to the
+    plane) where the plane is not NaN. A row with k or more keeps those
+    whose screened value is at most its k-th smallest screened value plus
+    the row's ``slack`` (:func:`_band_plane`): every entry whose
+    order-defined distance is at most the k-th smallest order-defined one is
+    among them, so :func:`_radii_sq` over their order-defined distances is
+    the row's radius. A row with fewer keeps them all. Entries come in
+    row-major order.
+    """
+    if k > plane.shape[1]:
+        return np.nonzero(same & ~np.isnan(plane))
+    masked = np.where(same, plane, np.inf)
+    masked.partition(k - 1, axis=1)
+    # NaN sorts last: a row with fewer than k entries has an infinite or NaN
+    # k-th value, and keeps them all
+    bound = np.fmin(masked[:, k - 1], np.inf) + slack
+    return np.nonzero(same & (plane <= bound[:, None]))
 
 
 def _skybands(rows: np.ndarray, dist: np.ndarray, codes: np.ndarray, out: np.ndarray, k: int) -> None:
@@ -868,15 +993,16 @@ def _band_codes(gap: np.ndarray, positive: np.ndarray) -> np.ndarray:
 def _stm_bands(features: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
     """Band codes of every STM point against all its predecessors, in one blocked pass."""
     n, d = features.shape
-    features_t = np.ascontiguousarray(features.T)
     bands = np.empty((n, _BAND_LEN), dtype=np.int32)
+    if n == 0:
+        return bands
+    screen = _screen_operand(features.T)
+    norms = np.square(screen.aug[:d]).sum(axis=0)[None]
     writer = _BandWriter(bands, 0, k)
-    blocks = _sliding_blocks(0, n, lambda b: b, n)
-    buf = _diff_buffer(d, [(e - b, e) for b, e in blocks])
-    for b, e in blocks:
+    for b, e in _sliding_blocks(0, n, lambda b: b, n):
         hi = np.arange(b, e)
-        plane = _band_plane(features[b:e], features_t[:, :e], np.arange(e)[None, :] < hi[:, None], buf)
-        rows, cols, dist = _band_candidates(plane, k)
+        plane, slack = _band_plane(features[b:e], screen, norms, 0, np.zeros_like(hi), hi)
+        rows, cols, dist = _band_candidates(plane, slack, k, lambda rows, cols: _pair_sums(features, b + rows, cols))
         writer.add(e, rows + b, dist, _band_codes(hi[rows] - cols, positive[cols]))
     writer.flush(n)
     return bands
@@ -1125,7 +1251,8 @@ class MemoryBank:
         cg = np.concatenate([self._stm_g, groups])
         cl = np.concatenate([self._stm_l, labels])
         c_pos = cl == 1
-        cf_t = np.ascontiguousarray(cf.T)
+        screen = _screen_operand(cf.T)
+        norms = np.square(screen.aug[:d]).sum(axis=0)[None]
         lf, ll = self._ltm_f, self._ltm_l
         lf_t = np.ascontiguousarray(lf.T)
         m = len(ll)
@@ -1140,7 +1267,7 @@ class MemoryBank:
         pred_both = np.zeros(n, dtype=np.uint8)
         max_rows = max(1, _BLOCK_ELEMENTS // _PLANE_SHARE // m) if m else n
         blocks = _sliding_blocks(0, n, lambda b: min(cap, s0 + b), max_rows)
-        buf = _diff_buffer(d, [(e - b, w) for b, e in blocks for w in (min(cap, s0 + b) + e - b, m)])
+        buf = _diff_buffer(d, [(e - b, m) for b, e in blocks])
         out = max(0, s0 + n - cap)
         kept = self._stm_band[min(out, s0) :]
         band_table = np.empty((len(kept) + n - max(0, out - s0), _BAND_LEN), dtype=np.int32)
@@ -1148,14 +1275,27 @@ class MemoryBank:
         bands = _BandWriter(band_table[len(kept) :], max(0, out - s0), k)
         for b, e in blocks:
             c0, c1 = lo[b], s0 + e
-            first, stop = lo[b:e] - c0, s0 + steps[b:e] - c0
-            rel = np.arange(c1 - c0)[None, :]
-            in_stm = (rel >= first[:, None]) & (rel < stop[:, None])
-            plane = _band_plane(feats[b:e], cf_t[:, c0:c1], in_stm, buf)
+            stop = s0 + steps[b:e] - c0
+            plane, slack = _band_plane(feats[b:e], screen, norms, c0, lo[b:e] - c0, stop)
+
+            def exact(rows, cols):
+                return _pair_sums(cf, s0 + b + rows, c0 + cols)
+
             if m:
-                r2 = _radii_sq(plane[:, : c1 - c0], in_stm & (cl[c0:c1][None, :] == labels[b:e, None]), k)
-            rows, cols, dist = _band_candidates(plane, k)
-            del plane, in_stm  # before the band writer may need the memory
+                # A radius is only compared with undropped LTM points of the
+                # other label; rows whose label meets none keep -inf.
+                r2 = np.full(e - b, -np.inf)
+                undropped = first_drop == n
+                need = np.flatnonzero(np.array([(undropped & (ll != y)).any() for y in (0, 1)])[labels[b:e]])
+                if need.size:
+                    sel = need if need.size < e - b else slice(None)
+                    same = cl[c0:c1][None, :] == labels[b:e][sel, None]
+                    rr, rc = _radius_candidates(plane[sel, : c1 - c0], same, slack[sel], k)
+                    width, slots = _ragged_slots(rr, len(same))
+                    table = _ragged(slots, (len(same), width), exact(need[rr], rc), np.inf)
+                    r2[sel] = _radii_sq(table, table != np.inf, k)
+            rows, cols, dist = _band_candidates(plane, slack, k, exact)
+            del plane  # before the band writer may need the memory
             pos = c_pos[c0 + cols]
             bands.add(e, rows + b, dist, _band_codes(stop[rows] - cols, pos))
             # Each row's k nearest STM points are among its candidates, which

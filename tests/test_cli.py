@@ -93,6 +93,21 @@ def test_gen_manifest_finds_csv_in_another_directory(tmp_path, gen_config_path, 
     assert json.loads(capsys.readouterr().out)["instances"] == 1200
 
 
+@pytest.mark.parametrize("flag", ["--out", "--manifest-out"])
+def test_gen_creates_missing_output_directories(tmp_path, gen_config_path, capsys, monkeypatch, flag):
+    # Only the directory of ``flag``'s file is missing; gen creates it, as
+    # run and ablate create theirs, and writes the CSV and its manifest.
+    monkeypatch.chdir(tmp_path)
+    paths = {"--out": "s.csv", "--manifest-out": "s.json"}
+    paths[flag] = f"new/deeper/{paths[flag]}"
+    assert main(["gen", "--generator", str(gen_config_path), "--out", paths["--out"],
+                 "--manifest-out", paths["--manifest-out"]]) == 0
+    capsys.readouterr()
+    assert (tmp_path / paths["--out"]).exists() and (tmp_path / paths["--manifest-out"]).exists()
+    assert main(["inspect", "--manifest", paths["--manifest-out"]]) == 0
+    assert json.loads(capsys.readouterr().out)["instances"] == 1200
+
+
 def test_run_emits_expected_files(tmp_path, gen_config_path, capsys):
     out = tmp_path / "results"
     code = main(

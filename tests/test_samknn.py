@@ -410,7 +410,7 @@ def test_screen_votes_hold_with_planes_at_the_edge_of_the_error_bound():
     for trial in range(18):
         d, k = (1, 3, 8, 13)[trial % 4], (1, 3, 5)[trial % 3]
         mem, labels, queries = near_tie_memory(rng, d, 1.0, (k + 1) // 2)
-        centre = samknn._label_ordered(mem, labels).centre
+        centre = samknn._label_ordered(mem, labels).screen.centre
         # grid data: centring is exact, so the exact centred sum is D itself
         for v in np.vstack([mem, queries]):
             assert all(Fraction(float(a - c)) == Fraction(a) - Fraction(c) for a, c in zip(v.tolist(), centre.tolist()))
@@ -544,6 +544,22 @@ def test_every_distance_is_the_left_to_right_feature_sum():
                     np.testing.assert_array_equal(np.vstack(seen), want[:, kernel_order])
                 else:
                     assert all(row.tobytes() in exact_rows for plane in seen for row in plane)
+    # The absorb's exact survivor sums gather pairs of rows: whole blocks,
+    # one row's pairs, one pair, either order, and chunks of one pair each.
+    for d in (1, 3, 8, 13, 108):
+        m, n = int(rng.integers(1, 60)), int(rng.integers(1, 9))
+        queries, mem = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+        points = np.vstack([queries, mem])
+        want = python_sq_sums(queries, mem, np.ones(d))
+        rows, cols = np.divmod(rng.permutation(n * m), m)
+        np.testing.assert_array_equal(samknn._pair_sums(points, rows, n + cols), want[rows, cols])
+        np.testing.assert_array_equal(samknn._pair_sums(points, n + cols, rows), want[rows, cols])
+        np.testing.assert_array_equal(samknn._pair_sums(points, np.zeros(m, np.intp), n + np.arange(m)), want[0])
+        one = samknn._pair_sums(points, np.array([n - 1]), np.array([n + m - 1]))
+        np.testing.assert_array_equal(one, want[-1:, -1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(samknn, "_BLOCK_ELEMENTS", 1)
+            np.testing.assert_array_equal(samknn._pair_sums(points, rows, n + cols), want[rows, cols])
 
 
 def test_stacked_row_equals_single_vector_call(rng):
@@ -920,6 +936,137 @@ def test_fit_chunk_matches_reference_on_long_stream(rng):
         assert bank.state_hash() == reference.state_hash()
         passes = bank.compress_count
     assert passes > 0
+
+
+def reference_like_chunks(transform, n_instances=600, window=100):
+    """Windows of a reference-like stream (drift halfway) with ``transform`` applied to the features."""
+    config = BiasStreamConfig(
+        n_instances=n_instances, proxy_strength=0.8, base_rates=GroupRates(0.65, 0.35),
+        drift_points=(n_instances // 2,), seed=11, window_size=window,
+    )
+    return [make_chunk(transform(c.features), c.groups, c.labels, c.index) for c in generate_bias_stream(config)]
+
+
+def count_pair_sums(mp):
+    """Patch the absorb's exact survivor sums to count the pairs they compute; returns the count list."""
+    pair_sums, pairs = samknn._pair_sums, []
+
+    def counted(points, i, j):
+        pairs.append(len(i))
+        return pair_sums(points, i, j)
+
+    mp.setattr(samknn, "_pair_sums", counted)
+    return pairs
+
+
+@pytest.mark.parametrize("stream", ["offset", "scaled", "grid"])
+def test_screened_absorb_matches_reference(stream):
+    # The absorb screens its STM distances with BLAS products and computes
+    # order-defined sums only for band and radius candidates, so the bank
+    # must equal the per-instance reference after every window: far from
+    # zero (+1e6), at small scale (x1e-3), and on an integer grid, whose
+    # exact ties only position decides. The drift cuts the STM and fills
+    # the LTM, so the cleaning radii and the LTM votes run.
+    if stream == "grid":
+        # labels follow the features, with a flip for the second half, so
+        # evicted points survive cleaning into the LTM
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 3, (600, 3)).astype(float)
+        y = (x.sum(axis=1) + rng.integers(0, 2, 600) > 3).astype(np.uint8)
+        y[300:] ^= 1
+        parts = zip(np.split(x, 6), np.split(rng.integers(0, 2, 600), 6), np.split(y, 6))
+        chunks = [make_chunk(f, g, l, t + 1) for t, (f, g, l) in enumerate(parts)]
+    else:
+        chunks = reference_like_chunks((lambda x: x + 1e6) if stream == "offset" else (lambda x: x * 1e-3))
+    kwargs = dict(k=5, stm_cap=250, ltm_cap=60, min_stm_size=20, seed=4)
+    bank, reference = MemoryBank(chunks[0].n_features, **kwargs), MemoryBank(chunks[0].n_features, **kwargs)
+    ltm_seen = 0
+    with pytest.MonkeyPatch.context() as mp:
+        pairs = count_pair_sums(mp)
+        for chunk in chunks:
+            bank.fit_chunk(chunk)
+            reference_fit_chunk(reference, chunk)
+            assert bank.state_hash() == reference.state_hash()
+            ltm_seen = max(ltm_seen, bank.ltm_size)
+    assert ltm_seen > 0  # radii and LTM votes ran
+    assert sum(pairs) > 0  # the exact survivor path ran
+
+
+def test_screened_absorb_holds_with_planes_at_the_edge_of_the_error_bound():
+    # Every screened STM distance sits as far from the exact sum as the
+    # documented bound allows: the older half of a plane's columns up and
+    # the newer half down, then the reverse. Integer grids tie many exact
+    # distances, so a slack smaller than the bound drops band members (a
+    # tied later point looks strictly closer) or radius entries, and the
+    # bank leaves the per-instance reference.
+    rng = np.random.default_rng(13)
+    for trial in range(6):
+        d, k = (1, 2, 3)[trial % 3], (1, 3, 5)[trial % 3]
+        x = rng.integers(0, 3, (120, d)).astype(float)
+        y = (x.sum(axis=1) + rng.integers(0, 2, 120) > d).astype(np.uint8)
+        y[60:] ^= 1
+        parts = zip(np.split(x, 4), np.split(rng.integers(0, 2, 120), 4), np.split(y, 4))
+        chunks = [make_chunk(f, g, l, t + 1) for t, (f, g, l) in enumerate(parts)]
+        kwargs = dict(k=k, stm_cap=50, ltm_cap=20, min_stm_size=k + 5, seed=1)
+        for push in (1, -1):
+
+            def hook(xc, w, xn, aug, mn, planes):
+                return planes_at_the_error_bound(aug.shape[1] // 2, push)(xc, w, xn, aug, mn, planes)
+
+            bank, reference = MemoryBank(d, **kwargs), MemoryBank(d, **kwargs)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(samknn, "_screen_planes", hook)
+                for chunk in chunks:
+                    bank.fit_chunk(chunk)
+                    reference_fit_chunk(reference, chunk)
+                    assert bank.state_hash() == reference.state_hash()
+
+
+def test_radius_candidates_keep_the_order_defined_radius():
+    # Screened values within delta of the order-defined ones, those up to
+    # each row's k-th pushed up and the rest down, with near ties closer
+    # than 2 delta: a row's candidates (its slack 2.5 delta) must still hold
+    # every entry up to its k-th order-defined value, so the radius over
+    # their order-defined values is the row's radius. NaN marks columns
+    # outside a row's slice.
+    rng = np.random.default_rng(14)
+    delta = 1e-12
+    for trial in range(300):
+        k, r, w = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 40))
+        exact = np.round(4 * rng.random((r, w)), 1) + 1e-13 * rng.integers(0, 3, (r, w))
+        same = rng.random((r, w)) < 0.6
+        inside = rng.random((r, w)) < 0.9
+        entries = same & inside
+        masked = np.where(entries, exact, np.inf)
+        kth = np.sort(masked, axis=1)[:, min(k, w) - 1]
+        plane = np.where(inside, exact + np.where(exact <= kth[:, None], delta, -delta), np.nan)
+        rows, cols = samknn._radius_candidates(plane, same, np.full(r, 2.5 * delta), k)
+        assert entries[rows, cols].all()
+        width, slots = samknn._ragged_slots(rows, r)
+        table = samknn._ragged(slots, (r, width), exact[rows, cols], np.inf)
+        np.testing.assert_array_equal(samknn._radii_sq(table, table != np.inf, k), samknn._radii_sq(exact, entries, k))
+
+
+@pytest.mark.parametrize("stream", ["plain", "offset", "grid"])
+def test_rebuilt_bands_equal_the_bands_a_stepped_bank_carries(stream):
+    # With no eviction and no length cut, each STM point's band was built in
+    # the absorb against all its predecessors; rebuilding it from the STM
+    # alone (replace_stm, from_bytes) screens against another operand and
+    # other blocks, and must give the same codes.
+    if stream == "grid":
+        chunks = _grid_stream(np.random.default_rng(6), 2, 4, 60)
+    else:
+        chunks = reference_like_chunks((lambda x: x + 1e6) if stream == "offset" else (lambda x: x), 240, 60)
+    total = sum(len(c) for c in chunks)
+    bank = MemoryBank(chunks[0].n_features, k=5, stm_cap=total, min_stm_size=total)
+    for chunk in chunks:
+        bank.fit_chunk(chunk)
+    assert bank.stm_size == total
+    restored = MemoryBank.from_bytes(bank.to_bytes())
+    replaced = MemoryBank(bank.dim, k=5, stm_cap=total, min_stm_size=total)
+    replaced.replace_stm(bank.stm_features, bank.stm_labels, bank.stm_groups)
+    np.testing.assert_array_equal(restored._stm_band, bank._stm_band)
+    np.testing.assert_array_equal(replaced._stm_band, bank._stm_band)
 
 
 def test_fit_chunk_peak_memory_does_not_grow_with_window_times_stm():
