@@ -81,13 +81,15 @@ point's removal by cleaning at step i depends only on x_i, on that slice and
 on the point itself, never on another removal, so one first-drop step per
 LTM point gives the LTM of every step. A block of window rows screens its
 distances to C (unweighted, C centred as one operand) and keeps, with a
-slack of 2E per row, a superset of each row's k-skyband in its slice and,
-for rows whose label still meets an undropped LTM point of the other label,
-the same-label entries its cleaning radius can rest on. Only these get
-order-defined distances; the bands, the STM votes and the radius (the exact
-element ``np.partition`` selects) come from them. The LTM votes are row
-votes over window-by-LTM difference blocks with +inf outside each row's
-live LTM.
+slack of 2E per row, a superset of each row's k-skyband in its slice; the
+minima of the plane's 8-column chunks drop most columns unread. Rows whose
+label still meets an undropped LTM point of the other label also keep the
+same-label entries their cleaning radius can rest on: those within the
+slack of the k-th smallest same-label band candidate, which bounds the
+k-th smallest same-label distance. Only these get order-defined distances;
+the bands, the STM votes and the radius (the exact element ``np.partition``
+selects) come from them. The LTM votes are row votes over window-by-LTM
+difference blocks with +inf outside each row's live LTM.
 
 Every STM point also carries its k-skyband: the predecessors p with fewer
 than k points between p and it that are strictly closer to it. For any
@@ -185,20 +187,33 @@ _THREAD_WORK = 1 << 26
 # threads, take 850 ms instead of 95 ms. Split, it took 94 ms with the count
 # unset and with it set to 1.
 _SCREEN_CALL = 1 << 18
-# Memory maintenance works on distance blocks (rows x memory) of at most
-# _BLOCK_ELEMENTS // _PLANE_SHARE values, each with a few same-sized masks and
-# copies: the absorb's screened STM planes, its LTM blocks, whose difference
-# blocks are split to fit _BLOCK_ELEMENTS, and the rows it gathers for exact
-# pair sums.
-_PLANE_SHARE = 4
+# The window absorb's screened STM plane of a row block holds at most
+# _BLOCK_ELEMENTS // _PLANE_SHARE values (1 MiB); so do its LTM difference
+# blocks, and the band writer's scan table holds as many slots, which one
+# block's candidates fill at most. A block peaks at 1.5 times its plane (the
+# chunk minima and the scratch of their bounds, see _chunk_minima and
+# _later_bound); a flush at its scan table plus a byte mask and 4 bytes a
+# candidate, beside the pending candidates at 12 bytes each (_BandWriter).
+# On the fit peak-memory test's large case (STM and window 2000, d = 16) the
+# fit peaks at 4.7 MB, as it did with share 4 and scans of a quarter as many
+# slots; a default-scale window now takes half the blocks and a quarter of
+# the scans. Share 1 would put a 2 MiB plane beside the pending candidates.
+_PLANE_SHARE = 2
+# Gathered rows of the absorb's exact pair sums, the masked rows of the
+# cleaning radius's screened partition and the tables a flush sorts go
+# through in chunks of at most _BLOCK_ELEMENTS // _GATHER_SHARE values or
+# slots (128 KiB of float64). Pair-sum chunks of 2^16 values held 1 MiB of
+# gathered rows at the peak of the fit peak-memory test's large case; chunks
+# of 2^14 took the 7-window reference fit's pair sums from 14.0 to 14.8 ms.
+_GATHER_SHARE = 16
 
 # Each STM point carries its k-skyband: the predecessors with fewer than k
 # points between them and it that are strictly closer to it. At most
 # _BAND_LEN members are kept, nearest first. On the reference streams bands
 # hold 30-55 points, so 64 never cut one there.
 _BAND_LEN = 64
-# Columns per chunk of the band build's upper bound (a power of two), and the
-# most candidates one row keeps (its nearest).
+# Columns per chunk of the band screen's minima (8: _chunk_minima folds four
+# columns, then two), and the most candidates one row keeps (its nearest).
 _BAND_CHUNK = 8
 _BAND_CANDIDATES = 4 * _BAND_LEN
 # Code of an empty band slot: larger than any member's, as stm_cap is at most
@@ -325,12 +340,13 @@ def _pair_sums(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     the left-to-right sum :func:`_sq_dists` gives for that pair, bit for
     bit. Gathering whole rows is faster than a take per feature from a
     transposed copy, and needs no such copy. Pairs go through in chunks
-    whose gathered rows hold at most ``_BLOCK_ELEMENTS // _PLANE_SHARE``
-    values (at least one pair).
+    whose gathered rows hold at most ``_BLOCK_ELEMENTS // _GATHER_SHARE``
+    values (at least one pair); a chunk's peak is its two gathers, twice
+    that.
     """
     d = points.shape[1]
     out = np.empty(len(i))
-    step = max(1, _BLOCK_ELEMENTS // _PLANE_SHARE // d)
+    step = max(1, _BLOCK_ELEMENTS // _GATHER_SHARE // d)
     for s in range(0, len(i), step):
         sq = points.take(j[s : s + step], axis=0)
         sq -= points.take(i[s : s + step], axis=0)
@@ -342,14 +358,14 @@ def _pair_sums(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return out
 
 
-def _diff_buffer(d: int, shapes) -> np.ndarray:
-    """Scratch for the difference blocks of (rows, width) distance blocks.
+def _diff_buffer(d: int, rows: int, width: int) -> np.ndarray:
+    """Scratch for the difference blocks of a (rows, width) distance block.
 
-    Large enough for one row of any of them, and otherwise for at most
-    ``_BLOCK_ELEMENTS`` elements, so :func:`_sq_dists` splits a block whose
-    difference block would not fit.
+    Large enough for one row, and otherwise for at most
+    ``_BLOCK_ELEMENTS // _PLANE_SHARE`` elements, so :func:`_sq_dists`
+    splits a block whose difference block would not fit.
     """
-    return np.empty(max((min(r, max(1, _BLOCK_ELEMENTS // (d * w))) * w * d for r, w in shapes if w), default=0))
+    return np.empty(min(rows, max(1, _BLOCK_ELEMENTS // _PLANE_SHARE // (d * width))) * width * d)
 
 
 class _Screen(NamedTuple):
@@ -801,24 +817,41 @@ def _later_bound(table: np.ndarray, k: int) -> np.ndarray:
     Columns are in position order; NaN marks no point. Column c belongs to
     class c mod k, and E[c] is the minimum of its class from column c on, so
     E[c + 1], ..., E[c + k] are k distinct later points and the largest of
-    them is a bound; it is +inf where a class has no later point.
+    them is a bound; it is +inf where a class has no later point. The class
+    minima come from the table transposed, with k rows of +inf after its
+    last column, by doubling: E[c] = min(E[c], E[c + s]) for s = k, 2k, 4k
+    and on, each step one contiguous pass (an accumulate along the strided
+    classes took 1.2x as long on the absorb's chunk minima).
     """
     r, w = table.shape
-    suffix = np.full((r, (w // k + 2) * k), np.inf)
-    suffix[:, :w] = table
-    backward = suffix.reshape(r, -1, k)[:, ::-1]
-    np.fmin.accumulate(backward, axis=1, out=backward)
-    bound = suffix[:, 1 : w + 1].copy()
+    e, spare = np.empty((w + k, r)), np.empty((w + k, r))
+    np.fmin(table.T, np.inf, out=e[:w])
+    e[w:] = np.inf
+    s = k
+    while s < w:
+        np.minimum(e[: w - s], e[s:w], out=spare[: w - s])
+        spare[w - s :] = e[w - s :]
+        e, spare = spare, e
+        s *= 2
+    bound = spare[:w]
+    np.copyto(bound, e[1 : w + 1])
     for j in range(2, k + 1):
-        np.maximum(bound, suffix[:, j : w + j], out=bound)
-    return bound
+        np.maximum(bound, e[j : w + j], out=bound)
+    return np.ascontiguousarray(bound.T)
 
 
 def _ragged_slots(rows: np.ndarray, n: int) -> tuple[int, np.ndarray]:
-    """Width of an (n, widest row) table of row-major entries, and each entry's flat slot in it."""
-    counts = np.bincount(rows, minlength=n)
+    """Width of an (n, widest row) table of row-major entries, and each entry's flat int32 slot in it.
+
+    The tables are of one row block's or one flush's candidates, bounded by
+    the maintenance budgets, so their slots fit int32.
+    """
+    counts = np.bincount(rows, minlength=n).astype(np.int32)
     width = int(counts.max(initial=0))
-    return width, rows * width + np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    slots = np.arange(len(rows), dtype=np.int32)
+    slots -= (np.cumsum(counts, dtype=np.int32) - counts)[rows]
+    slots += rows.astype(np.int32, copy=False) * np.int32(width)
+    return width, slots
 
 
 def _ragged(slots: np.ndarray, shape: tuple[int, int], values: np.ndarray, fill) -> np.ndarray:
@@ -828,8 +861,41 @@ def _ragged(slots: np.ndarray, shape: tuple[int, int], values: np.ndarray, fill)
     return table
 
 
+def _chunk_minima(plane: np.ndarray) -> np.ndarray:
+    """Minima of a :func:`_band_plane`'s chunks of ``_BAND_CHUNK`` = 8 columns, NaN where a chunk holds no point.
+
+    A fold of four strided columns, then of two, with a quarter of the
+    plane as scratch; folding two columns at a time took 1.4x as long.
+    """
+    quarter = np.fmin(plane[:, 0::4], plane[:, 1::4])
+    np.fmin(quarter, plane[:, 2::4], out=quarter)
+    np.fmin(quarter, plane[:, 3::4], out=quarter)
+    return np.fmin(quarter[:, 0::2], quarter[:, 1::2])
+
+
+def _chunk_hits(plane: np.ndarray, mins: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns, in row-major order, of the plane's entries at most ``bound``.
+
+    ``mins`` are the plane's :func:`_chunk_minima` and ``bound`` holds a
+    bound per chunk, (r, chunks), or per row, (r, 1). A chunk whose minimum
+    exceeds its bound holds no such entry, so only the others' values are
+    compared.
+    """
+    chunks = mins.shape[1]
+    hit = np.flatnonzero(mins <= bound)
+    hit_rows, hit_chunks = np.divmod(hit, chunks)
+    limit = bound.reshape(-1)[hit] if bound.shape[1] > 1 else bound[hit_rows, 0]
+    sub = np.flatnonzero(plane.reshape(-1, _BAND_CHUNK)[hit] <= limit[:, None])
+    chunk = sub >> 3
+    return hit_rows[chunk], hit_chunks[chunk] * _BAND_CHUNK + (sub & 7)
+
+
 def _band_candidates(
-    plane: np.ndarray, slack: np.ndarray, k: int, exact: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    plane: np.ndarray,
+    mins: np.ndarray,
+    slack: np.ndarray,
+    k: int,
+    exact: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A superset of each row's k-skyband in a :func:`_band_plane`: rows, columns, distances.
 
@@ -837,30 +903,21 @@ def _band_candidates(
     in the k-skyband iff fewer than k points after it are strictly closer by
     order-defined distance. So a point farther than the k-th nearest of any
     k distinct later points is out. :func:`_later_bound` gives such a bound
-    first over the minima of chunks of ``_BAND_CHUNK`` columns, which drops
-    whole chunks, then over the surviving points. On the screened plane a
-    point (or chunk) is kept while its value is at most the screened bound
-    plus the row's ``slack``, which keeps every skyband point. The survivors
-    get their order-defined distances from ``exact(rows, columns)``. A row
-    then keeps at most ``max(_BAND_CANDIDATES, k)`` of them, its smallest by
+    first over the plane's :func:`_chunk_minima` ``mins``, which drops whole
+    chunks, then over the surviving points. On the screened plane a point
+    (or chunk) is kept while its value is at most the screened bound plus
+    the row's ``slack``, which keeps every skyband point. The survivors get
+    their order-defined distances from ``exact(rows, columns)``. A row then
+    keeps at most ``max(_BAND_CANDIDATES, k)`` of them, its smallest by
     (distance, position), and the bound over those drops more; a kept point
     outside the skyband keeps k later skyband points that rule it out, as
     those are closer. Entries come in row-major order.
     """
-    r, wp = plane.shape
-    g = _BAND_CHUNK
-    mins = plane
-    while mins.shape[1] > wp // g:
-        mins = np.fmin(mins[:, 0::2], mins[:, 1::2])
+    r = len(plane)
     bound = _later_bound(mins, k)
     bound += slack[:, None]
-    hit = np.flatnonzero(mins <= bound)
-    values = plane.reshape(-1, g)[hit]
-    sub = np.flatnonzero(values <= bound.reshape(-1)[hit, None])
-    del values
-    hit_rows, hit_chunks = np.divmod(hit, wp // g)
-    chunk = sub // g
-    rows, cols = hit_rows[chunk], hit_chunks[chunk] * g + sub % g
+    rows, cols = _chunk_hits(plane, mins, bound)
+    del bound
     dist = exact(rows, cols)
     counts = np.bincount(rows, minlength=r)
     most = max(_BAND_CANDIDATES, k)
@@ -877,48 +934,86 @@ def _band_candidates(
     return rows[keep], cols[keep], dist[keep]
 
 
-def _radius_candidates(plane: np.ndarray, same: np.ndarray, slack: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _radius_candidates(
+    plane: np.ndarray,
+    mins: np.ndarray,
+    col_labels: np.ndarray,
+    row_labels: np.ndarray,
+    kth: np.ndarray,
+    slack: np.ndarray,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
     """Rows and columns of the entries a cleaning radius can rest on, from screened distances.
 
-    A row's entries are its ``same`` columns (a mask that broadcasts to the
-    plane) where the plane is not NaN. A row with k or more keeps those
-    whose screened value is at most its k-th smallest screened value plus
-    the row's ``slack`` (:func:`_band_plane`): every entry whose
+    ``plane`` is a :func:`_band_plane` whose first ``len(col_labels)``
+    columns are labelled ``col_labels``, and ``mins`` its
+    :func:`_chunk_minima`. A row's entries are its non-NaN columns of its
+    own label (``row_labels``). ``kth`` holds, per row, an order-defined
+    distance at least its k-th smallest entry's (the k-th smallest of any k
+    of its entries, say), +inf where none is known, or -inf for a row that
+    needs no radius. A row keeps the entries whose screened value is at most
+    ``kth`` plus its ``slack``: an order-defined value is within the
+    screen's error of itself, so the margin's bound
+    ``U <= V => u <= fl(v + 2E)`` (:func:`_screen_margin`) holds with
+    ``v = V``. Rows with an infinite ``kth`` take their screened k-th
+    smallest entry instead, by partitioning a masked copy of their rows,
+    ``_BLOCK_ELEMENTS // _GATHER_SHARE`` values at a time; a row with fewer
+    than k entries keeps them all. Either way every entry whose
     order-defined distance is at most the k-th smallest order-defined one is
-    among them, so :func:`_radii_sq` over their order-defined distances is
-    the row's radius. A row with fewer keeps them all. Entries come in
-    row-major order.
+    kept, so :func:`_radii_sq` over the kept entries' order-defined
+    distances is the row's radius. Entries come in row-major order.
     """
-    if k > plane.shape[1]:
-        return np.nonzero(same & ~np.isnan(plane))
-    masked = np.where(same, plane, np.inf)
-    masked.partition(k - 1, axis=1)
-    # NaN sorts last: a row with fewer than k entries has an infinite or NaN
-    # k-th value, and keeps them all
-    bound = np.fmin(masked[:, k - 1], np.inf) + slack
-    return np.nonzero(same & (plane <= bound[:, None]))
+    w = len(col_labels)
+    bound = kth + slack
+    open_rows = np.flatnonzero(kth == np.inf)
+    if k <= w and open_rows.size:
+        step = max(1, _BLOCK_ELEMENTS // _GATHER_SHARE // w)
+        for s in range(0, len(open_rows), step):
+            rows = open_rows[s : s + step]
+            masked = np.where(col_labels == row_labels[rows, None], plane[rows, :w], np.inf)
+            masked.partition(k - 1, axis=1)
+            # NaN sorts last: a row with fewer than k entries has an
+            # infinite or NaN k-th value, and keeps them all
+            bound[rows] = np.fmin(masked[:, k - 1], np.inf) + slack[rows]
+    rows, cols = _chunk_hits(plane, mins, bound[:, None])
+    own = col_labels[cols] == row_labels[rows]
+    return rows[own], cols[own]
 
 
-def _skybands(rows: np.ndarray, dist: np.ndarray, codes: np.ndarray, out: np.ndarray, k: int) -> None:
+def _skybands(counts: np.ndarray, dists: list, codes: list, out: np.ndarray, k: int) -> None:
     """Write the k-skybands of ``len(out)`` rows from their :func:`_band_candidates` entries.
 
-    ``rows`` is ascending and each row's entries are in position order, with
-    their distances and band codes. A candidate is in the skyband iff fewer
-    than k later candidates are strictly closer: a reverse scan over the
-    candidate columns keeps the k smallest distances seen. Members are then
-    put in stable (distance, position) order and the first ``_BAND_LEN``
+    ``counts`` holds each row's number of candidates. The concatenations of
+    the arrays in ``dists`` and in ``codes`` hold the candidates' distances
+    and band codes, row by row, each row's in position order; both lists are
+    emptied as they are read. A candidate is in the skyband iff fewer than k
+    later candidates are strictly closer: a reverse scan over the candidate
+    columns of a (most candidates, rows) table keeps the k smallest
+    distances seen. Members are then put in stable (distance, position)
+    order, in row chunks whose tables hold at most
+    ``_BLOCK_ELEMENTS // _GATHER_SHARE`` slots, and the first ``_BAND_LEN``
     codes go to ``out``, padded with ``_BAND_END``.
     """
     n = len(out)
     out.fill(_BAND_END)
-    if len(rows) == 0:
+    height = int(counts.max(initial=0))
+    if height == 0:
+        dists.clear()
+        codes.clear()
         return
-    counts = np.bincount(rows, minlength=n)
-    at = np.arange(len(rows))
-    at -= (np.cumsum(counts) - counts)[rows]
+    # candidate c of row i, the j-th of its row, goes to scan slot j * n + i
+    at = np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
+    np.subtract(np.arange(len(at), dtype=np.int32), at, out=at)
     at *= n
-    at += rows
-    scan = _ragged(at, (int(counts.max()), n), dist, np.inf)
+    at += np.repeat(np.arange(n, dtype=np.int32), counts)
+    scan = np.full((height, n), np.inf)
+    flat, done = scan.reshape(-1), 0
+    dists.reverse()
+    while dists:
+        part = dists.pop()
+        flat[at[done : done + len(part)]] = part
+        done += len(part)
+    del part
     member = np.empty(scan.shape, dtype=bool)
     nearest = [np.full(n, np.inf) for _ in range(k)]
     x, spare = np.empty(n), np.empty(n)
@@ -932,56 +1027,81 @@ def _skybands(rows: np.ndarray, dist: np.ndarray, codes: np.ndarray, out: np.nda
             np.maximum(nearest[t], x, out=x)
             nearest[t], spare = spare, nearest[t]
     take = member.reshape(-1)[at]
-    del scan, member, at
-    rows, dist, codes = rows[take], dist[take], codes[take]
-    width, slots = _ragged_slots(rows, n)
-    band = _ragged(slots, (n, width), dist, np.inf)
-    order = np.argsort(band, axis=1)
-    ranked = np.take_along_axis(band, order, axis=1)
-    size = np.bincount(rows, minlength=n)
-    ties = (ranked[:, 1:] == ranked[:, :-1]) & (np.arange(1, width) < size[:, None])
-    tied = np.flatnonzero(ties.any(axis=1))
-    if tied.size:
-        order[tied] = np.argsort(band[tied], axis=1, kind="stable")
-    order = order[:, :_BAND_LEN]
-    out[:, : order.shape[1]] = np.take_along_axis(_ragged(slots, (n, width), codes, _BAND_END), order, axis=1)
+    del member
+    at = at[take]
+    dist = flat[at]
+    del scan, flat, at
+    rows = np.repeat(np.arange(n, dtype=np.int32), counts)[take]
+    code = np.concatenate(codes)[take]
+    codes.clear()
+    size = np.bincount(rows, minlength=n).astype(np.int32)
+    bounds = np.concatenate([[0], np.cumsum(size)])
+    step = max(1, _BLOCK_ELEMENTS // _GATHER_SHARE // int(size.max()))
+    for a in range(0, n, step):
+        b = min(n, a + step)
+        lo, hi = bounds[a], bounds[b]
+        width, slots = _ragged_slots(rows[lo:hi] - a, b - a)
+        band = _ragged(slots, (b - a, width), dist[lo:hi], np.inf)
+        order = np.argsort(band, axis=1)
+        ranked = np.take_along_axis(band, order, axis=1)
+        ties = (ranked[:, 1:] == ranked[:, :-1]) & (np.arange(1, width) < size[a:b, None])
+        tied = np.flatnonzero(ties.any(axis=1))
+        if tied.size:
+            order[tied] = np.argsort(band[tied], axis=1, kind="stable")
+        order = order[:, :_BAND_LEN]
+        band_codes = _ragged(slots, (b - a, width), code[lo:hi], _BAND_END)
+        out[a:b, : order.shape[1]] = np.take_along_axis(band_codes, order, axis=1)
 
 
 class _BandWriter:
     """Turns band candidates of consecutive rows, added block by block, into band codes.
 
     Row ``skip + j`` is written to ``out[j]``; rows before ``skip`` are
-    dropped. Pending candidates go through :func:`_skybands` once their table
-    would hold ``_BLOCK_ELEMENTS // 8`` entries, so memory stays bounded
-    however many rows arrive.
+    dropped. Pending rows go through :func:`_skybands` together, as many as
+    fit a scan table (rows times the most candidates one of them has) of
+    ``_BLOCK_ELEMENTS // _PLANE_SHARE`` slots, the plane budget, which one
+    block's candidates fit unless it is a single wider row: a block whose
+    rows would overfill it first finishes the rows before it. Pending
+    candidates are kept as their distances, codes and per-row counts, 12
+    bytes each and 4 a row.
     """
 
     def __init__(self, out: np.ndarray, skip: int, k: int) -> None:
         self.out, self.k, self._skip = out, k, skip
-        self._parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._first = skip
+        self._counts: list[np.ndarray] = []
+        self._dists: list[np.ndarray] = []
+        self._codes: list[np.ndarray] = []
+        self._first = self._stop = skip  # pending rows [first, stop)
         self._widest = 0
 
     def add(self, stop: int, rows: np.ndarray, dist: np.ndarray, codes: np.ndarray) -> None:
-        """Candidates of every row before ``stop`` not added yet; ``rows`` ascending."""
-        kept = rows >= self._first
+        """Candidates of the rows from the previous ``stop`` up to ``stop``; ``rows`` ascending."""
+        start = self._stop
+        if stop <= start:
+            return
+        kept = rows >= start
         if not kept.all():
             rows, dist, codes = rows[kept], dist[kept], codes[kept]
-        if len(rows):
-            self._parts.append((rows, dist, codes))
-            self._widest = max(self._widest, int(np.bincount(rows - rows[0]).max()))
-        if (stop - self._first) * self._widest >= _BLOCK_ELEMENTS // 8:
-            self.flush(stop)
+        counts = np.bincount(rows - start, minlength=stop - start).astype(np.int32)
+        widest = max(self._widest, int(counts.max(initial=0)))
+        if start > self._first and (stop - self._first) * widest > _BLOCK_ELEMENTS // _PLANE_SHARE:
+            self._finish(start)
+            widest = int(counts.max(initial=0))
+        self._counts.append(counts)
+        self._dists.append(dist)
+        self._codes.append(codes)
+        self._stop, self._widest = stop, widest
 
-    def flush(self, stop: int) -> None:
-        """Finish every row before ``stop``."""
+    def flush(self) -> None:
+        """Finish every row added."""
+        self._finish(self._stop)
+
+    def _finish(self, stop: int) -> None:
         if stop <= self._first:
             return
-        parts, self._parts = self._parts, []
-        rows, dist, codes = (np.concatenate(a) for a in zip(*parts)) if parts else (np.empty(0, np.intp),) * 3
-        del parts
-        rows -= self._first
-        _skybands(rows, dist, codes, self.out[self._first - self._skip : stop - self._skip], self.k)
+        counts = np.concatenate(self._counts)
+        self._counts = []
+        _skybands(counts, self._dists, self._codes, self.out[self._first - self._skip : stop - self._skip], self.k)
         self._first, self._widest = stop, 0
 
 
@@ -1002,9 +1122,11 @@ def _stm_bands(features: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray
     for b, e in _sliding_blocks(0, n, lambda b: b, n):
         hi = np.arange(b, e)
         plane, slack = _band_plane(features[b:e], screen, norms, 0, np.zeros_like(hi), hi)
-        rows, cols, dist = _band_candidates(plane, slack, k, lambda rows, cols: _pair_sums(features, b + rows, cols))
+        rows, cols, dist = _band_candidates(
+            plane, _chunk_minima(plane), slack, k, lambda rows, cols: _pair_sums(features, b + rows, cols)
+        )
         writer.add(e, rows + b, dist, _band_codes(hi[rows] - cols, positive[cols]))
-    writer.flush(n)
+    writer.flush()
     return bands
 
 
@@ -1267,7 +1389,6 @@ class MemoryBank:
         pred_both = np.zeros(n, dtype=np.uint8)
         max_rows = max(1, _BLOCK_ELEMENTS // _PLANE_SHARE // m) if m else n
         blocks = _sliding_blocks(0, n, lambda b: min(cap, s0 + b), max_rows)
-        buf = _diff_buffer(d, [(e - b, m) for b, e in blocks])
         out = max(0, s0 + n - cap)
         kept = self._stm_band[min(out, s0) :]
         band_table = np.empty((len(kept) + n - max(0, out - s0), _BAND_LEN), dtype=np.int32)
@@ -1281,31 +1402,35 @@ class MemoryBank:
             def exact(rows, cols):
                 return _pair_sums(cf, s0 + b + rows, c0 + cols)
 
-            if m:
-                # A radius is only compared with undropped LTM points of the
-                # other label; rows whose label meets none keep -inf.
-                r2 = np.full(e - b, -np.inf)
-                undropped = first_drop == n
-                need = np.flatnonzero(np.array([(undropped & (ll != y)).any() for y in (0, 1)])[labels[b:e]])
-                if need.size:
-                    sel = need if need.size < e - b else slice(None)
-                    same = cl[c0:c1][None, :] == labels[b:e][sel, None]
-                    rr, rc = _radius_candidates(plane[sel, : c1 - c0], same, slack[sel], k)
-                    width, slots = _ragged_slots(rr, len(same))
-                    table = _ragged(slots, (len(same), width), exact(need[rr], rc), np.inf)
-                    r2[sel] = _radii_sq(table, table != np.inf, k)
-            rows, cols, dist = _band_candidates(plane, slack, k, exact)
-            del plane  # before the band writer may need the memory
+            mins = _chunk_minima(plane)
+            rows, cols, dist = _band_candidates(plane, mins, slack, k, exact)
             pos = c_pos[c0 + cols]
-            bands.add(e, rows + b, dist, _band_codes(stop[rows] - cols, pos))
             # Each row's k nearest STM points are among its candidates, which
             # keep their position order: votes over them are the slice's votes.
             width, slots = _ragged_slots(rows, e - b)
             near, near_pos = _ragged(slots, (e - b, width), dist, np.inf), _ragged(slots, (e - b, width), pos, False)
+            if m:
+                # A radius is only compared with undropped LTM points of the
+                # other label; rows whose label meets none keep -inf. A
+                # row's k-th smallest same-label candidate bounds its k-th
+                # smallest same-label distance.
+                undropped = first_drop == n
+                meets = np.array([(undropped & (ll != y)).any() for y in (0, 1)])[labels[b:e]]
+                r2 = np.full(e - b, -np.inf)
+                if meets.any():
+                    own = np.where(near_pos == (labels[b:e] == 1)[:, None], near, np.inf)
+                    kth = np.partition(own, k - 1, axis=1)[:, k - 1] if width >= k else np.full(e - b, np.inf)
+                    kth[~meets] = -np.inf
+                    rr, rc = _radius_candidates(plane, mins, cl[c0:c1], labels[b:e], kth, slack, k)
+                    width, slots = _ragged_slots(rr, e - b)
+                    table = _ragged(slots, (e - b, width), exact(rr, rc), np.inf)
+                    r2 = _radii_sq(table, table != np.inf, k)
+            del plane, mins  # before the band writer may need the memory
+            bands.add(e, rows + b, dist, _band_codes(stop[rows] - cols, pos))
             pred_stm[b:e] = _masked_votes(near, near_pos, stm_n[b:e], k)
             if m == 0:
                 continue
-            d2l = _sq_dists(feats[b:e], lf_t, buf)
+            d2l = _sq_dists(feats[b:e], lf_t, _diff_buffer(d, e - b, m))
             drop = (d2l <= r2[:, None]) & (ll[None, :] != labels[b:e, None])
             hit = (first_drop == n) & drop.any(axis=0)
             first_drop[hit] = b + drop[:, hit].argmax(axis=0)
@@ -1333,7 +1458,7 @@ class MemoryBank:
         if (first_drop < n).any():
             keep = first_drop == n
             self._ltm_f, self._ltm_g, self._ltm_l = lf[keep], self._ltm_g[keep], ll[keep]
-        bands.flush(n)
+        bands.flush()
         self._stm_f, self._stm_g, self._stm_l = cf[out:], cg[out:], cl[out:]
         self._stm_band = band_table
         return cf[:out], cg[:out], cl[:out]

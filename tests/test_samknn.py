@@ -992,6 +992,64 @@ def test_screened_absorb_matches_reference(stream):
     assert sum(pairs) > 0  # the exact survivor path ran
 
 
+def fit_trace(chunks, kwargs, sizes):
+    """Fit ``chunks`` with samknn's module sizes patched to ``sizes``.
+
+    Returns, after every window, the state hash, the STM bands and the
+    window's STM, LTM and combined votes (the last two only with an LTM).
+    """
+    masked_votes, votes, trace = samknn._masked_votes, [], []
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in sizes.items():
+            mp.setattr(samknn, name, value)
+        mp.setattr(samknn, "_masked_votes", lambda *a: votes.append(masked_votes(*a)) or votes[-1])
+        bank = MemoryBank(chunks[0].n_features, **kwargs)
+        for chunk in chunks:
+            # each block votes STM, then LTM and combined when there is an LTM
+            kinds = 3 if bank.ltm_size else 1
+            votes.clear()
+            bank.fit_chunk(chunk)
+            by_kind = [np.concatenate(votes[j::kinds]) for j in range(kinds)]
+            trace.append((bank.state_hash(), bank._stm_band.copy(), by_kind))
+    return trace
+
+
+@pytest.mark.parametrize("stream", ["grid", "offset"])
+def test_absorb_is_the_same_at_any_block_size_and_flush_point(stream):
+    # Row blocks (the plane budget) and band flushes (the same budget) only
+    # batch the absorb's work: one-row blocks flushed row by row, blocks of
+    # a few rows with one-pair and one-row chunks, and the default sizes
+    # must give the same bands and window votes, and the per-instance
+    # reference's state after every window. The grid's windows exceed its
+    # STM cap, so the band writer also drops the rows evicted in-window.
+    if stream == "grid":
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 3, (600, 3)).astype(float)
+        y = (x.sum(axis=1) + rng.integers(0, 2, 600) > 3).astype(np.uint8)
+        y[300:] ^= 1
+        parts = zip(np.split(x, 6), np.split(rng.integers(0, 2, 600), 6), np.split(y, 6))
+        chunks = [make_chunk(f, g, l, t + 1) for t, (f, g, l) in enumerate(parts)]
+        kwargs = dict(k=5, stm_cap=80, ltm_cap=60, min_stm_size=20, seed=4)
+    else:
+        chunks = reference_like_chunks(lambda x: x + 1e6)
+        kwargs = dict(k=5, stm_cap=250, ltm_cap=60, min_stm_size=20, seed=4)
+    reference = MemoryBank(chunks[0].n_features, **kwargs)
+    want = []
+    for chunk in chunks:
+        reference_fit_chunk(reference, chunk)
+        want.append(reference.state_hash())
+    default = fit_trace(chunks, kwargs, {})
+    assert [t[0] for t in default] == want
+    assert any(len(t[2]) == 3 for t in default)  # the LTM votes ran
+    for sizes in ({"_BLOCK_ELEMENTS": 1}, {"_PLANE_SHARE": 1 << 9, "_GATHER_SHARE": _BLOCK_ELEMENTS}):
+        got = fit_trace(chunks, kwargs, sizes)
+        for (state, bands, votes), (want_state, want_bands, want_votes) in zip(got, default, strict=True):
+            assert state == want_state
+            np.testing.assert_array_equal(bands, want_bands)
+            for vote, want_vote in zip(votes, want_votes, strict=True):
+                np.testing.assert_array_equal(vote, want_vote)
+
+
 def test_screened_absorb_holds_with_planes_at_the_edge_of_the_error_bound():
     # Every screened STM distance sits as far from the exact sum as the
     # documented bound allows: the older half of a plane's columns up and
@@ -1027,24 +1085,36 @@ def test_radius_candidates_keep_the_order_defined_radius():
     # each row's k-th pushed up and the rest down, with near ties closer
     # than 2 delta: a row's candidates (its slack 2.5 delta) must still hold
     # every entry up to its k-th order-defined value, so the radius over
-    # their order-defined values is the row's radius. NaN marks columns
-    # outside a row's slice.
+    # their order-defined values is the row's radius. A row's entries are
+    # its own label's columns; NaN marks columns outside its slice and the
+    # plane's padding to whole chunks. Each row's order-defined bound on its
+    # k-th is unknown (+inf: the screened k-th is taken), the k-th of a
+    # random subset of its entries (+inf if the subset holds fewer than k),
+    # or the k-th itself; rows that need no radius (-inf) keep nothing.
     rng = np.random.default_rng(14)
     delta = 1e-12
     for trial in range(300):
         k, r, w = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 40))
         exact = np.round(4 * rng.random((r, w)), 1) + 1e-13 * rng.integers(0, 3, (r, w))
-        same = rng.random((r, w)) < 0.6
+        col_labels, row_labels = rng.integers(0, 2, w), rng.integers(0, 2, r)
         inside = rng.random((r, w)) < 0.9
-        entries = same & inside
+        needless = rng.random(r) < 0.2
+        entries = (col_labels == row_labels[:, None]) & inside
         masked = np.where(entries, exact, np.inf)
         kth = np.sort(masked, axis=1)[:, min(k, w) - 1]
-        plane = np.where(inside, exact + np.where(exact <= kth[:, None], delta, -delta), np.nan)
-        rows, cols = samknn._radius_candidates(plane, same, np.full(r, 2.5 * delta), k)
-        assert entries[rows, cols].all()
-        width, slots = samknn._ragged_slots(rows, r)
-        table = samknn._ragged(slots, (r, width), exact[rows, cols], np.inf)
-        np.testing.assert_array_equal(samknn._radii_sq(table, table != np.inf, k), samknn._radii_sq(exact, entries, k))
+        plane = np.full((r, -(-w // 8) * 8), np.nan)
+        plane[:, :w] = np.where(inside, exact + np.where(exact <= kth[:, None], delta, -delta), np.nan)
+        mins = samknn._chunk_minima(plane)
+        subset = np.sort(np.where(entries & (rng.random((r, w)) < 0.7), exact, np.inf), axis=1)[:, min(k, w) - 1]
+        want = samknn._radii_sq(exact, entries & ~needless[:, None], k)
+        for bound in (np.full(r, np.inf), subset, kth):
+            bound = np.where(needless, -np.inf, bound)
+            slack = np.full(r, 2.5 * delta)
+            rows, cols = samknn._radius_candidates(plane, mins, col_labels, row_labels, bound, slack, k)
+            assert entries[rows, cols].all() and not needless[rows].any()
+            width, slots = samknn._ragged_slots(rows, r)
+            table = samknn._ragged(slots, (r, width), exact[rows, cols], np.inf)
+            np.testing.assert_array_equal(samknn._radii_sq(table, table != np.inf, k), want)
 
 
 @pytest.mark.parametrize("stream", ["plain", "offset", "grid"])
@@ -1070,12 +1140,16 @@ def test_rebuilt_bands_equal_the_bands_a_stepped_bank_carries(stream):
 
 
 def test_fit_chunk_peak_memory_does_not_grow_with_window_times_stm():
-    # whole window x (STM + window) difference tensors would take
-    # n*2n*d*8 bytes: 64 MB for the small case and 1 GB for the large one
+    # The fit holds state linear in STM + window (2n points here): the
+    # combined features C, their (d + 2)-row screen operand and the window's
+    # bands, 8 * (2d + 2) + 4 * _BAND_LEN bytes a point, allowed twice over.
+    # Everything else works in blocks of fixed budgets. A whole window x STM
+    # float64 plane would add 8 n^2 bytes: 2 MB for the small case and 32 MB
+    # for the large one.
     rng = np.random.default_rng(0)
     d = 16
-    peaks = []
-    for n in (500, 2000):
+    sizes, peaks = (500, 2000), []
+    for n in sizes:
         bank = MemoryBank(d, stm_cap=n, ltm_cap=n, min_stm_size=n // 4)
         bank.replace_stm(rng.random((n, d)), rng.integers(0, 2, n))
         bank.replace_ltm(rng.random((n // 10, d)), rng.integers(0, 2, n // 10))
@@ -1087,7 +1161,8 @@ def test_fit_chunk_peak_memory_does_not_grow_with_window_times_stm():
         finally:
             tracemalloc.stop()
     assert max(peaks) < 3 * 8 * _BLOCK_ELEMENTS
-    assert peaks[1] < 1.5 * peaks[0]
+    per_point = 2 * (8 * (2 * d + 2) + 4 * samknn._BAND_LEN)
+    assert peaks[1] - peaks[0] < per_point * 2 * (sizes[1] - sizes[0])
 
 
 # -- cleaning ------------------------------------------------------------------------
