@@ -952,10 +952,9 @@ def _radius_candidates(
     distance at least its k-th smallest entry's (the k-th smallest of any k
     of its entries, say), +inf where none is known, or -inf for a row that
     needs no radius. A row keeps the entries whose screened value is at most
-    ``kth`` plus its ``slack``: an order-defined value is within the
-    screen's error of itself, so the margin's bound
-    ``U <= V => u <= fl(v + 2E)`` (:func:`_screen_margin`) holds with
-    ``v = V``. Rows with an infinite ``kth`` take their screened k-th
+    ``kth`` plus its ``slack``: the margin's bound
+    ``U <= V => u <= fl(v + 2E)`` (:func:`_screen_margin`) holds for any v
+    within the screen's error of V, so for ``v = V`` itself. Rows with an infinite ``kth`` take their screened k-th
     smallest entry instead, by partitioning a masked copy of their rows,
     ``_BLOCK_ELEMENTS // _GATHER_SHARE`` values at a time; a row with fewer
     than k entries keeps them all. Either way every entry whose
