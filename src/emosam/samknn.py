@@ -22,17 +22,17 @@ Every squared distance in this module, weighted or not, is defined by one
 formula added in a fixed order: ``sum_f w_f * (m_f - x_f)^2`` with
 ``w_f = alpha_f^2`` (1 when unweighted), left to right over the features.
 Cleaning, k-means, the absorb's LTM distances, the re-fit's fallback rows
-and the prediction kernel's fallback compute it from one feature-major
-difference block: the memory is passed transposed as (d, m) and a block of
-r points becomes a (d, r, m) buffer whose inner loop runs over the memory,
-reduced over its leading axis. The window absorb and the band rebuild
+and the prediction kernel's fallback compute it for a block of points
+against a whole memory (:func:`_sq_dists`): the memory is passed
+transposed as (d, m), and each feature in turn writes its (r, m) plane of
+terms and adds it to the sums. The window absorb and the band rebuild
 compute it only for the (point, STM point) pairs a screen leaves open,
 gathering both rows of each pair and adding the features' columns in order
 (:func:`_pair_sums`). A distance is therefore the same float whichever
 block, row, pair or code path computes it, equal to the plain left-to-right
-float sum. Each block holds at most ``_BLOCK_ELEMENTS`` float64 values (at
-least one row), so memory stays bounded however large rows times memory
-grows.
+float sum. Each block's distances hold at most ``_BLOCK_ELEMENTS`` float64
+values (at least one row), and no scratch grows with the number of
+features, so memory stays bounded however large rows times memory grows.
 
 Prediction and maintenance share one screen: a memory centred on each
 feature's mid-range as a (d + 2, m) product operand
@@ -60,16 +60,17 @@ exact sums, relative to a per-row scale of the centred data plus a
 subnormal-sized absolute term, so where ``a`` and ``b`` are farther apart
 than that margin the vote is certified; every other pair (near ties, and
 exact ties that position decides) recomputes its row's order-defined
-distances from a difference block of the uncertain rows, puts them back in
-position order and votes through :func:`_vote_rows`. A label too short for
-its quota makes the vote a constant. Memories and queries hold features of magnitude at most
-``stream._FEATURE_BOUND``, so every distance is finite. A row's votes depend
-on that row alone, so a large kernel call runs its row blocks on threads,
-one per CPU the process may run on (never more than it has row blocks, nor
-than its work fills; see ``_THREAD_WORK``), each bound to its own CPU and
-taking the next block nobody has taken; numpy releases the interpreter lock
-in the products and partitions. Each thread has its own block buffer and
-memory operand and writes only its own blocks' votes, so the votes are the same whatever the
+distances (:func:`_sq_dists`, a few uncertain rows at a time), puts them
+back in position order and votes through :func:`_vote_rows`. A label too
+short for its quota makes the vote a constant. Memories and queries hold
+features of magnitude at most ``stream._FEATURE_BOUND``, so every distance
+is finite. A row's votes depend on that row alone, so a large kernel call
+runs its row blocks on threads, one per CPU the process may run on (never
+more than it has row blocks, nor than its work fills; see
+``_THREAD_WORK``), each bound to its own CPU and taking the next block
+nobody has taken; numpy releases the interpreter lock in the products and
+partitions. Each thread has its own block buffer and memory operand and
+writes only its own blocks' votes, so the votes are the same whatever the
 thread count (the kernel's or BLAS's), whichever thread ran a block and
 whatever the block shape: a one-row :class:`FrozenChunkPredictor` (which
 starts no thread) and one over a whole window agree bit for bit.
@@ -88,8 +89,9 @@ same-label entries their cleaning radius can rest on: those within the
 slack of the k-th smallest same-label band candidate, which bounds the
 k-th smallest same-label distance. Only these get order-defined distances;
 the bands, the STM votes and the radius (the exact element ``np.partition``
-selects) come from them. The LTM votes are row votes over window-by-LTM
-difference blocks with +inf outside each row's live LTM.
+selects) come from them. The LTM votes are row votes over each block's
+order-defined distances to the LTM (:func:`_sq_dists`) with +inf outside
+each row's live LTM.
 
 Every STM point also carries its k-skyband: the predecessors p with fewer
 than k points between p and it that are strictly closer to it. For any
@@ -155,15 +157,16 @@ _SNAPSHOT_MAGIC = b"SAMB"
 _SNAPSHOT_VERSION = 3
 _SNAPSHOT_HEAD = "<IIIIIIdqQ"
 
-# Largest number of float64 elements in one row block of a points-by-memory
-# tensor: the kernel's S distance planes (whose buffer the screen's fallback
-# reuses for its difference blocks), the difference blocks of memory
-# maintenance and the k-means assignment distances. Each kernel thread holds
-# its own buffer, so a kernel call with W threads peaks at W blocks;
-# maintenance and k-means run on one thread, one block. The size is not a
-# cache fit (a 2 MiB block does not fit beside its memory in a 2 MiB L2 per
-# core). Kernel sweeps on such a core, one thread (d = 8; 250 x 315 and
-# 250 x 1000 with S = 20, 1000 x 3096 with S = 10 and S = 1), ran 2^16
+# Largest number of float64 elements in one row block of the kernel's S
+# distance planes (S, r, m). Each kernel thread holds its own block, and
+# recomputes the rows its screen leaves open in chunks of at most
+# budget // _GATHER_SHARE distances beside it, so a kernel call with W
+# threads peaks at about W blocks. Cleaning, the re-fit's fallback rows and
+# k-means run on one thread, in row blocks of at most this many squared
+# differences (rows x memory x features), one block at a time. The size is
+# not a cache fit (a 2 MiB block does not fit beside its memory in a 2 MiB
+# L2 per core). Kernel sweeps on such a core, one thread (d = 8; 250 x 315
+# and 250 x 1000 with S = 20, 1000 x 3096 with S = 10 and S = 1), ran 2^16
 # elements 1.2-2.3x slower than the best size, while 2^17 to 2^20 traded
 # places from run to run on a busy host, 2^18 within 1.0-1.6x of the best.
 _BLOCK_ELEMENTS = 1 << 18
@@ -188,12 +191,13 @@ _THREAD_WORK = 1 << 26
 # unset and with it set to 1.
 _SCREEN_CALL = 1 << 18
 # The window absorb's screened STM plane of a row block holds at most
-# _BLOCK_ELEMENTS // _PLANE_SHARE values (1 MiB); so do its LTM difference
-# blocks, and the band writer's scan table holds as many slots, which one
-# block's candidates fill at most. A block peaks at 1.5 times its plane (the
-# chunk minima and the scratch of their bounds, see _chunk_minima and
-# _later_bound); a flush at its scan table plus a byte mask and 4 bytes a
-# candidate, beside the pending candidates at 12 bytes each (_BandWriter).
+# _BLOCK_ELEMENTS // _PLANE_SHARE values (1 MiB); so do its LTM distances
+# and their scratch plane (_sq_dists), and the band writer's scan table
+# holds as many slots, which one block's candidates fill at most. A block
+# peaks at 1.5 times its plane (the chunk minima and the scratch of their
+# bounds, see _chunk_minima and _later_bound); a flush at its scan table
+# plus a byte mask and 4 bytes a candidate, beside the pending candidates at
+# 12 bytes each (_BandWriter).
 # On the fit peak-memory test's large case (STM and window 2000, d = 16) the
 # fit peaks at 4.7 MB, as it did with share 4 and scans of a quarter as many
 # slots; a default-scale window now takes half the blocks and a quarter of
@@ -202,9 +206,13 @@ _PLANE_SHARE = 2
 # Gathered rows of the absorb's exact pair sums, the masked rows of the
 # cleaning radius's screened partition and the tables a flush sorts go
 # through in chunks of at most _BLOCK_ELEMENTS // _GATHER_SHARE values or
-# slots (128 KiB of float64). Pair-sum chunks of 2^16 values held 1 MiB of
-# gathered rows at the peak of the fit peak-memory test's large case; chunks
-# of 2^14 took the 7-window reference fit's pair sums from 14.0 to 14.8 ms.
+# slots (128 KiB of float64), and the kernel's recomputed rows in chunks of
+# at most budget // _GATHER_SHARE distances (at least one row): a chunk's
+# distances, their scratch plane, their position-order copy and the vote's
+# partition copy take about a quarter of the thread's block. Pair-sum chunks
+# of 2^16 values held 1 MiB of gathered rows at the peak of the fit
+# peak-memory test's large case; chunks of 2^14 took the 7-window reference
+# fit's pair sums from 14.0 to 14.8 ms.
 _GATHER_SHARE = 16
 
 # Each STM point carries its k-skyband: the predecessors with fewer than k
@@ -287,48 +295,24 @@ def _vote_rows(dist2: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
     return (2 * ones >= kk).astype(np.uint8)
 
 
-def _diff_block(points: np.ndarray, memory_t: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Feature-major differences ``memory - point`` of r points to m memory points.
+def _sq_dists(points: np.ndarray, memory_t: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """(r, m) squared distances ``sum_f w[f] * (m_f - x_f)^2`` of r points to m memory points.
 
     ``memory_t`` is the memory transposed, (d, m); a column-slice view is
-    fine. The (d, r, m) block is built in the flat scratch ``buf`` so that the
-    subtraction's inner loop runs over the m memory points.
+    fine. ``w`` defaults to all ones. For each feature in order, one (r, m)
+    scratch plane takes the squared (and weighted) differences and is added
+    to the output, so each distance is the left-to-right sum
+    :func:`_pair_sums` gives for that pair, bit for bit, and the scratch
+    never grows with d.
     """
-    d, m = memory_t.shape
-    diff = buf[: d * len(points) * m].reshape(d, len(points), m)
-    np.subtract(memory_t[:, None, :], points.T[:, :, None], out=diff)
-    return diff
-
-
-def _feature_sums(w: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """(r, m) sums ``sum_f w[f] * sq[f]`` of a (d, r, m) block, added left to right over f.
-
-    einsum walks the leading axis in order, adding whole (r, m) planes, as
-    long as a plane has two or more elements. A 1 x 1 block would become one
-    unrolled inner reduction instead, so it goes through cumsum, which always
-    adds in order.
-    """
-    if sq.shape[1] * sq.shape[2] == 1:
-        return np.cumsum(w * sq[:, 0, 0])[-1:].reshape(1, 1)
-    return np.einsum("k,kij->ij", w, sq)
-
-
-def _sq_dists(points: np.ndarray, memory_t: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """(r, m) unweighted squared distances of each point to each memory point.
-
-    The same left-to-right sum over features as :func:`_feature_sums` with
-    all-ones weights, bit for bit; the einsum squares and adds in one pass.
-    Points go through in row blocks whose difference block fits ``buf``.
-    """
-    d, m = memory_t.shape
-    out = np.empty((len(points), m))
-    step = max(1, len(buf) // (d * m) if m else len(points))
-    for s in range(0, len(points), step):
-        diff = _diff_block(points[s : s + step], memory_t, buf)
-        if diff.shape[1] * diff.shape[2] == 1:
-            out[s : s + 1] = _feature_sums(np.ones(len(diff)), diff * diff)
-        else:
-            np.einsum("kij,kij->ij", diff, diff, out=out[s : s + step])
+    out = np.zeros((len(points), memory_t.shape[1]))
+    plane = np.empty_like(out)
+    for f, row in enumerate(memory_t):
+        np.subtract(row, points[:, f, None], out=plane)
+        plane *= plane
+        if w is not None:
+            plane *= w[f]
+        out += plane
     return out
 
 
@@ -356,16 +340,6 @@ def _pair_sums(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         for f in range(1, d):
             total += sq[:, f]
     return out
-
-
-def _diff_buffer(d: int, rows: int, width: int) -> np.ndarray:
-    """Scratch for the difference blocks of a (rows, width) distance block.
-
-    Large enough for one row, and otherwise for at most
-    ``_BLOCK_ELEMENTS // _PLANE_SHARE`` elements, so :func:`_sq_dists`
-    splits a block whose difference block would not fit.
-    """
-    return np.empty(min(rows, max(1, _BLOCK_ELEMENTS // _PLANE_SHARE // (d * width))) * width * d)
 
 
 class _Screen(NamedTuple):
@@ -590,16 +564,16 @@ def _weighted_votes(
     ``alphas`` is a validated (S, d) stack. Returns (S, n) uint8, equal to
     :func:`_vote_rows` on each row's order-defined distances
     ``sum_f alpha_f^2 (m_f - x_f)^2`` (added left to right,
-    :func:`_feature_sums`) in position order, so a vote depends neither on
-    the block its row lands in nor on the BLAS build. Queries are taken in
-    row blocks whose S distance planes (S, r, m) hold at most ``budget``
-    elements (at least one row); the screen's fallback reuses that buffer for
-    its difference blocks, first growing it to one row's (d, 1, m) block if it
-    is smaller. The rows are split
-    over threads by :func:`_split_rows`; each thread allocates its own
-    buffer and its own copy of the memory's product operand, so a call holds
-    at most one block per thread, and since no vote depends on the thread
-    that computed it the result does not depend on the thread count.
+    :func:`_sq_dists`) in position order, so a vote depends neither on the
+    block its row lands in nor on the BLAS build. Queries are taken in row
+    blocks whose S distance planes (S, r, m) hold at most ``budget``
+    elements (at least one row); the screen's fallback recomputes rows in
+    chunks of at most ``budget // _GATHER_SHARE`` distances (at least one
+    row). The rows are split over threads by :func:`_split_rows`; each
+    thread allocates its own buffer and its own copy of the memory's product
+    operand, so a call holds about one block per thread, and since no vote
+    depends on the thread that computed it the result does not depend on
+    the thread count.
 
     With kk = min(k, m), a row votes 1 iff at least t = ceil(kk / 2) of its kk
     nearest points are positive, that is iff in the stable (distance,
@@ -616,9 +590,9 @@ def _weighted_votes(
     E the pair's margin (:func:`_screen_margin`), the kernel votes 1 where
     ``a + E < b`` and 0 where ``a - E > b``, which certifies the
     order-defined vote. Every other (weight vector, row) pair (near ties,
-    exact ties) recomputes its row's order-defined distances from a
-    difference block of the uncertain rows of that vector, puts them back in
-    position order and votes through :func:`_vote_rows`.
+    exact ties) recomputes its row's order-defined distances under that
+    vector, puts them back in position order and votes through
+    :func:`_vote_rows`.
     """
     n, d = queries.shape
     m = memory.memory_t.shape[1]
@@ -637,6 +611,7 @@ def _weighted_votes(
     w = alphas * alphas
     S = len(w)
     rows = max(1, min(n, budget // (m * S)))
+    step = max(1, budget // (_GATHER_SHARE * m))
     xc = queries - screen.centre
     xn = np.einsum("sf,nf->sn", w, xc * xc)
     mn = np.einsum("sf,fm->sm", w, screen.aug[:d] * screen.aug[:d])
@@ -655,16 +630,11 @@ def _weighted_votes(
             out[:, start:stop] = vote
             unsure = ~(vote | (a - e > b))
             for s in np.flatnonzero(unsure.any(axis=1)):
-                if len(buf) < d * m:
-                    buf = np.empty(d * m)
                 sub = start + np.flatnonzero(unsure[s])
-                step = len(buf) // (d * m)
                 for c in range(0, len(sub), step):
                     part = sub[c : c + step]
-                    sq = _diff_block(queries[part], memory.memory_t, buf)
-                    np.square(sq, out=sq)
                     dist2 = np.empty((len(part), m))
-                    dist2[:, order] = _feature_sums(w[s], sq)
+                    dist2[:, order] = _sq_dists(queries[part], memory.memory_t, w[s])
                     out[s, part] = _vote_rows(dist2, positive, k)
 
     _split_rows(fill, n, rows, n * m * d * S)
@@ -755,13 +725,12 @@ def clean(
     rf_t, tf_t = np.ascontiguousarray(rf.T), np.ascontiguousarray(tf.T)
     width = max(n_t, n_r)
     rows = max(1, _BLOCK_ELEMENTS // (width * d))
-    buf = np.empty(min(rows, n_r) * width * d)
     cols = np.arange(n_r)
     for b in range(0, n_r, rows):
         e = min(n_r, b + rows)
         same = (rl[None, :] == rl[b:e, None]) & (cols[None, :] != np.arange(b, e)[:, None])
-        r2 = _radii_sq(_sq_dists(rf[b:e], rf_t, buf), same, k)
-        inside = (_sq_dists(rf[b:e], tf_t, buf) <= r2[:, None]) & (tl[None, :] != rl[b:e, None])
+        r2 = _radii_sq(_sq_dists(rf[b:e], rf_t), same, k)
+        inside = (_sq_dists(rf[b:e], tf_t) <= r2[:, None]) & (tl[None, :] != rl[b:e, None])
         keep &= ~inside.any(axis=0)
     return keep
 
@@ -1150,11 +1119,10 @@ def _exact_votes(features: np.ndarray, positive: np.ndarray, start: int, rows: n
     stop = int(rows.max()) + 1
     memory_t = np.ascontiguousarray(features[start:stop].T)
     step = max(1, _BLOCK_ELEMENTS // ((stop - start) * d))
-    buf = np.empty(min(step, len(rows)) * (stop - start) * d)
     out = np.empty(len(rows), dtype=np.uint8)
     for b in range(0, len(rows), step):
         part = rows[b : b + step]
-        d2 = _sq_dists(features[part], memory_t, buf)
+        d2 = _sq_dists(features[part], memory_t)
         d2[np.arange(stop - start)[None, :] >= (part - start)[:, None]] = np.inf
         out[b : b + step] = _vote_rows(d2, positive[start:stop], k)
     return out
@@ -1195,11 +1163,9 @@ def _kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator) -> tu
     d = points.shape[1]
     points_t = np.ascontiguousarray(points.T)
     rows = max(1, _BLOCK_ELEMENTS // (m * d))
-    # one seeding row of n distances, or one assignment block
-    buf = np.empty(max(n, min(rows, n) * m) * d)
     first = int(rng.integers(n))
     centers = [points[first]]
-    d2 = _sq_dists(points[first : first + 1], points_t, buf)[0]
+    d2 = _sq_dists(points[first : first + 1], points_t)[0]
     for _ in range(1, m):
         total = float(d2.sum())
         if total > 0.0:
@@ -1207,14 +1173,14 @@ def _kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator) -> tu
         else:
             idx = int(rng.integers(n))
         centers.append(points[idx])
-        d2 = np.minimum(d2, _sq_dists(points[idx : idx + 1], points_t, buf)[0])
+        d2 = np.minimum(d2, _sq_dists(points[idx : idx + 1], points_t)[0])
     c = np.array(centers)
     assign = np.zeros(n, dtype=np.intp)
     for _ in range(10):
         c_t = np.ascontiguousarray(c.T)
         new_assign = np.empty(n, dtype=np.intp)
         for start in range(0, n, rows):
-            new_assign[start : start + rows] = _sq_dists(points[start : start + rows], c_t, buf).argmin(axis=1)
+            new_assign[start : start + rows] = _sq_dists(points[start : start + rows], c_t).argmin(axis=1)
         new_c = c.copy()
         for j in range(m):
             members = new_assign == j
@@ -1429,7 +1395,7 @@ class MemoryBank:
             pred_stm[b:e] = _masked_votes(near, near_pos, stm_n[b:e], k)
             if m == 0:
                 continue
-            d2l = _sq_dists(feats[b:e], lf_t, _diff_buffer(d, e - b, m))
+            d2l = _sq_dists(feats[b:e], lf_t)
             drop = (d2l <= r2[:, None]) & (ll[None, :] != labels[b:e, None])
             hit = (first_drop == n) & drop.any(axis=0)
             first_drop[hit] = b + drop[:, hit].argmax(axis=0)
@@ -1443,17 +1409,18 @@ class MemoryBank:
                 stm_n[b:e] + ltm_n[b:e],
                 k,
             )
+        decay = self.tracker_decay
+        (sc, st), (lc, lt), (bc, bt) = (self._trackers[name] for name in ("stm", "ltm", "combined"))
         for y, ps, pl, pb, ns, nl in zip(
             labels.tolist(), pred_stm.tolist(), pred_ltm.tolist(), pred_both.tolist(), stm_n.tolist(), ltm_n.tolist()
         ):
             if ns == 0:
                 continue
-            self._update_tracker("stm", ps == y)
+            sc, st = decay * sc + (ps == y), decay * st + 1.0
             if nl > 0:
-                self._update_tracker("ltm", pl == y)
-                self._update_tracker("combined", pb == y)
-            else:
-                self._update_tracker("combined", ps == y)
+                lc, lt = decay * lc + (pl == y), decay * lt + 1.0
+            bc, bt = decay * bc + ((pb if nl > 0 else ps) == y), decay * bt + 1.0
+        self._trackers = {"stm": [sc, st], "ltm": [lc, lt], "combined": [bc, bt]}
         if (first_drop < n).any():
             keep = first_drop == n
             self._ltm_f, self._ltm_g, self._ltm_l = lf[keep], self._ltm_g[keep], ll[keep]
@@ -1475,11 +1442,6 @@ class MemoryBank:
         self._stm_f, self._stm_g, self._stm_l = self._stm_f[cut:], self._stm_g[cut:], self._stm_l[cut:]
         self._stm_band = self._stm_band[cut:]
         self._transfer_to_ltm(*moved)
-
-    def _update_tracker(self, name: str, hit: bool) -> None:
-        pair = self._trackers[name]
-        pair[0] = self.tracker_decay * pair[0] + (1.0 if hit else 0.0)
-        pair[1] = self.tracker_decay * pair[1] + 1.0
 
     # -- STM size adaptation ------------------------------------------------
 
@@ -1682,11 +1644,11 @@ class FrozenChunkPredictor:
     order-defined left-to-right sums over features give, so results are
     bitwise identical to a one-row predictor per query, whatever the
     ``budget`` (float64 elements of a row block's S distance planes; at
-    least one row). The row blocks of a large call run on up to
-    one thread per CPU the process may run on, each with its own block
-    buffer and copy of the product operand, so a call's scratch peaks at one
-    ``budget`` block (or one row's difference block, if larger) and one
-    operand per thread; results do not depend on the thread count.
+    least one row). The row blocks of a large call run on up to one thread
+    per CPU the process may run on, each with its own block buffer and copy
+    of the product operand, so a call's scratch peaks at about one
+    ``budget`` block and one operand per thread; results do not depend on
+    the thread count.
     """
 
     def __init__(self, features: np.ndarray, bank: MemoryBank, budget: int = _BLOCK_ELEMENTS) -> None:

@@ -55,10 +55,9 @@ def test_scaling_weights_scales_distances_and_keeps_predictions(data, c):
     alpha = rng.random(3)
     bank = bank_with_stm(feats, labels, k=3, min_stm_size=4)
     x = rng.random(3)
-    # the kernel's squared distances of x to the memory, one (d, 1, m) block
-    sq = ((feats - x) ** 2).T[:, None, :]
-    base = samknn._feature_sums(alpha * alpha, sq)
-    np.testing.assert_allclose(samknn._feature_sums((c * alpha) ** 2, sq), c * c * base, rtol=1e-9)
+    # the kernel's order-defined squared distances of x to the memory
+    base = samknn._sq_dists(x[None], feats.T, alpha * alpha)
+    np.testing.assert_allclose(samknn._sq_dists(x[None], feats.T, (c * alpha) ** 2), c * c * base, rtol=1e-9)
     assert predict_one(bank, x, alpha) == predict_one(bank, x, c * alpha)
 
 
@@ -385,15 +384,27 @@ def planes_at_the_error_bound(npos, push):
     return hook
 
 
+def certify_nothing(*args):
+    """A stand-in for the kernel's screen whose NaN planes certify no vote."""
+    planes = args[-1]
+    planes.fill(np.nan)
+    return planes
+
+
 def count_fallback_rows(mp):
-    """Patch the kernel's fallback reduction to count the rows it recomputes; returns the count list."""
-    feature_sums, rows = samknn._feature_sums, []
+    """Patch the kernel's fallback distances to count the rows it recomputes; returns the count list.
 
-    def counted(w, sq):
-        rows.append(sq.shape[1])
-        return feature_sums(w, sq)
+    Only weighted calls count: the kernel's fallback is the one caller that
+    passes weights.
+    """
+    sq_dists, rows = samknn._sq_dists, []
 
-    mp.setattr(samknn, "_feature_sums", counted)
+    def counted(points, memory_t, w=None):
+        if w is not None:
+            rows.append(len(points))
+        return sq_dists(points, memory_t, w)
+
+    mp.setattr(samknn, "_sq_dists", counted)
     return rows
 
 
@@ -492,19 +503,13 @@ def test_every_distance_is_the_left_to_right_feature_sum():
     # features, for any block shape: ragged memory sizes, one-row and
     # one-point blocks, up to the 108 features of one-hot data. The kernel's
     # BLAS planes only screen votes, so its votes must equal _vote_rows on the
-    # Python sums, and each row it recomputes (captured where the fallback
-    # reduces a row's block) must get exactly those sums. A screen that
+    # Python sums, and each row it recomputes (captured from the fallback's
+    # weighted _sq_dists calls) must get exactly those sums. A screen that
     # certifies nothing (NaN planes) sends every row to the fallback. Mixed
     # labels and k = 1 give every query a screened vote whenever the memory
     # has two or more points.
     rng = np.random.default_rng(5)
-    feature_sums = samknn._feature_sums
-
-    def certify_nothing(*args):
-        planes = args[-1]
-        planes.fill(np.nan)
-        return planes
-
+    sq_dists = samknn._sq_dists
     for trial in range(40):
         d = int(rng.choice([1, 3, 8, 13, 20, 64, 108]))
         m, n = int(rng.integers(1, 400)), int(rng.integers(1, 24))
@@ -520,21 +525,21 @@ def test_every_distance_is_the_left_to_right_feature_sum():
         want_votes = samknn._vote_rows(want, labels == 1, 1)
         exact_rows = {row.tobytes() for row in want[:, kernel_order]}
         for rows in (1, 3, n):
-            buf = np.empty(rows * m * d)
-            got = np.vstack([samknn._sq_dists(queries[b : b + rows], mem.T, buf) for b in range(0, n, rows)])
+            got = np.vstack([samknn._sq_dists(queries[b : b + rows], mem.T) for b in range(0, n, rows)])
             np.testing.assert_array_equal(got, unweighted)
             if m == 1:
                 continue  # one memory point: the vote needs no distance
             for screen in (samknn._screen_planes, certify_nothing):
                 seen = []
 
-                def capture(w, sq):
-                    plane = feature_sums(w, sq)
-                    seen.append(plane.copy())
+                def capture(points, memory_t, w=None):
+                    plane = sq_dists(points, memory_t, w)
+                    if w is not None:
+                        seen.append(plane.copy())
                     return plane
 
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(samknn, "_feature_sums", capture)
+                    mp.setattr(samknn, "_sq_dists", capture)
                     mp.setattr(samknn, "_screen_planes", screen)
                     # one worker: threads would append their rows interleaved
                     mp.setattr(samknn, "_cpu_count", lambda: 1)
@@ -814,6 +819,33 @@ def test_stacked_call_scratch_is_one_block_per_worker(rng):
     # each worker: its S distance planes (one budget) and its copy of the memory operand
     assert max(peaks) < workers * 1.5 * 8 * _BLOCK_ELEMENTS
     assert peaks[1] < 1.5 * peaks[0]
+
+
+def test_fallback_scratch_stays_within_one_block_per_worker(rng):
+    # A screen that certifies nothing sends every row of every block to the
+    # fallback. It recomputes the rows in chunks beside the thread's block,
+    # so the peak stays under the per-worker bound above, with one vector
+    # (blocks of many rows) or several. Recomputing a block's rows at once
+    # would take about four blocks with one vector, two with four.
+    d, m, n = 8, 2000, 300
+    bank = bank_with_stm(rng.random((m, d)), rng.integers(0, 2, m), min_stm_size=6, stm_cap=m)
+    predictor = FrozenChunkPredictor(rng.random((n, d)), bank)
+    for S in (1, 4):
+        alphas = rng.random((S, d))
+        want = predictor.predict(alphas)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(samknn, "_screen_planes", certify_nothing)
+            mp.setattr(samknn, "_cpu_count", lambda: 1)
+            fallback = count_fallback_rows(mp)
+            tracemalloc.start()
+            try:
+                votes = predictor.predict(alphas)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        np.testing.assert_array_equal(votes, want)
+        assert sum(fallback) == S * n
+        assert peak < 1.5 * 8 * _BLOCK_ELEMENTS, peak / (8 * _BLOCK_ELEMENTS)
 
 
 # -- fitting ------------------------------------------------------------------------
@@ -1300,11 +1332,18 @@ def test_compress_duplicated_points_are_fixed_points():
 
 def test_kmeans_peak_memory_does_not_grow_with_n_m_d():
     # a points x centers x dims tensor would take n*m*d*8 bytes: about 10 MB
-    # for the small case and 164 MB for the large one
+    # for the small case and 164 MB for the large one. k-means holds state
+    # linear in n: the transposed points (8d bytes a point), the n/2 centers
+    # in three copies (the centers, their transpose and the update: 12d
+    # bytes a point) and a few n-vectors (assignments, seeding distances and
+    # probabilities, 48 bytes), allowed twice over. Everything else works in
+    # blocks of a fixed budget. One points x centers float64 plane would add
+    # 4 n^2 bytes: 0.6 MB for the small case and 10 MB for the large one.
     rng = np.random.default_rng(0)
-    peaks = []
-    for n in (400, 1600):
-        points = rng.random((n, 16))
+    d = 16
+    sizes, peaks = (400, 1600), []
+    for n in sizes:
+        points = rng.random((n, d))
         tracemalloc.start()
         try:
             _kmeans(points, n // 2, np.random.default_rng(1))
@@ -1312,7 +1351,8 @@ def test_kmeans_peak_memory_does_not_grow_with_n_m_d():
         finally:
             tracemalloc.stop()
     assert max(peaks) < 3 * 8 * _BLOCK_ELEMENTS
-    assert peaks[1] < 1.5 * peaks[0]
+    per_point = 2 * (8 * d + 12 * d + 48)
+    assert peaks[1] - peaks[0] < per_point * (sizes[1] - sizes[0])
 
 
 def test_compress_is_seeded(rng):
