@@ -1,13 +1,16 @@
 """Stream data model, CSV ingestion and a synthetic biased-stream generator.
 
-CSV rows become fixed-dimension instances in [0, 1]^d. Categorical columns
-are one-hot encoded, with the indicator columns ordered by the lexicographic
-order of the category strings. Numeric columns are min-max normalised with
+CSV rows become fixed-dimension instances in [0, 1]^d. Ingestion reads the
+CSV in blocks of a bounded number of cells, so the Python objects it holds
+do not grow with the stream. Numeric columns are min-max normalised with
 *running* extremes: the minima/maxima are updated with the current value
-before it is emitted, so no future value ever influences an earlier instance
-and every emitted value lands in [0, 1]. A column that has been constant so
-far maps to 0.0. The sensitive column is kept as an ordinary (encoded)
-feature unless the manifest sets ``drop_sensitive``.
+before it is emitted, so no future numeric value ever influences an earlier
+instance and every emitted value lands in [0, 1]. A column that has been
+constant so far maps to 0.0. Categorical columns are one-hot encoded, with
+the indicator columns ordered by the lexicographic order of the category
+strings; that vocabulary, and so the feature dimension and column order,
+comes from the whole file. The sensitive column is kept as an ordinary
+(encoded) feature unless the manifest sets ``drop_sensitive``.
 
 Every feature value, raw in a CSV cell, encoded in a :class:`Chunk`, held
 in a memory bank or queried against one, must be finite with magnitude at
@@ -31,8 +34,11 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+from array import array
+from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from types import UnionType
 from typing import Sequence, Union, get_args, get_origin, get_type_hints
@@ -40,6 +46,9 @@ from typing import Sequence, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 _FEATURE_BOUND = 1e100
+# Ingestion reads the CSV in blocks of at most this many cells (at least one
+# row), so the strings it holds at a time do not grow with the stream.
+_INGEST_CELLS = 2**15
 
 __all__ = [
     "Chunk",
@@ -241,6 +250,31 @@ class IngestResult:
     n_instances: int
 
 
+def _read_rows(reader, rows: int) -> list[list[str]]:
+    """Up to ``rows`` further rows of ``reader``; a csv.Error becomes a ValueError naming its line."""
+    try:
+        return list(islice(reader, rows))
+    except csv.Error as exc:
+        raise ValueError(f"CSV line {reader.line_num}: {exc}") from exc
+
+
+def _scale_running(block: np.ndarray, extremes: np.ndarray) -> np.ndarray:
+    """Min-max scale ``block`` (r, d) by running extremes; updates ``extremes`` (2, d).
+
+    Each accumulation starts from the carried minima and maxima (+inf and
+    -inf before the first row), so it takes the same operations in the same
+    order as one accumulation over the whole column: every value equals the
+    whole-file result bit for bit.
+    """
+    lo = np.minimum.accumulate(np.vstack([extremes[0], block]), axis=0)[1:]
+    hi = np.maximum.accumulate(np.vstack([extremes[1], block]), axis=0)[1:]
+    extremes[0], extremes[1] = lo[-1], hi[-1]
+    span = hi - lo
+    safe = np.where(span > 0.0, span, 1.0)
+    scaled = np.where(span > 0.0, (block - lo) / safe, 0.0)
+    return np.clip(scaled, 0.0, 1.0, out=scaled)
+
+
 def ingest(manifest: StreamManifest) -> IngestResult:
     """Read the manifest's CSV into encoded, normalised chunks.
 
@@ -248,7 +282,13 @@ def ingest(manifest: StreamManifest) -> IngestResult:
     empty, when the sensitive value belongs to neither group, or when a
     numeric cell does not parse as a finite number of magnitude at most
     ``_FEATURE_BOUND``. Cell values are stripped of surrounding whitespace
-    before any comparison.
+    before any comparison. A repeated header name, or a row the ``csv``
+    module cannot parse, is a ValueError.
+
+    The CSV is read in blocks of at most ``_INGEST_CELLS`` cells (at least
+    one row). Only a block's cells are held as Python strings; accepted rows
+    are kept as scaled float64 values, category codes and uint8 groups and
+    labels, so the memory beyond the result does not grow with the stream.
     """
     manifest.validate()
     if not manifest.source.exists():
@@ -256,133 +296,137 @@ def ingest(manifest: StreamManifest) -> IngestResult:
 
     with open(manifest.source, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [c.strip() for c in next(reader)]
-        except StopIteration:
-            raise ValueError("empty CSV: no header row") from None
-        rows = [row for row in reader]
+        first = _read_rows(reader, 1)
+        if not first:
+            raise ValueError("empty CSV: no header row")
+        header = [c.strip() for c in first[0]]
+        repeated = sorted(name for name, count in Counter(header).items() if count > 1)
+        if repeated:
+            raise ValueError(f"repeated CSV header names: {repeated}")
 
-    col_index = {name: i for i, name in enumerate(header)}
-    needed = {manifest.target_column, manifest.sensitive_column, *manifest.categorical_columns}
-    missing = sorted(c for c in needed if c not in col_index)
-    if missing:
-        raise ValueError(f"columns missing from CSV header: {missing}")
+        col_index = {name: i for i, name in enumerate(header)}
+        needed = {manifest.target_column, manifest.sensitive_column, *manifest.categorical_columns}
+        missing = sorted(c for c in needed if c not in col_index)
+        if missing:
+            raise ValueError(f"columns missing from CSV header: {missing}")
 
-    feature_cols = [
-        c
-        for c in header
-        if c != manifest.target_column
-        and not (manifest.drop_sensitive and c == manifest.sensitive_column)
-    ]
-    if not feature_cols:
-        raise ValueError("no feature columns left after applying the manifest")
-    categorical = set(manifest.categorical_columns)
-    if not manifest.drop_sensitive:
-        categorical.add(manifest.sensitive_column)
-    categorical &= set(feature_cols)
+        feature_cols = [
+            c
+            for c in header
+            if c != manifest.target_column
+            and not (manifest.drop_sensitive and c == manifest.sensitive_column)
+        ]
+        if not feature_cols:
+            raise ValueError("no feature columns left after applying the manifest")
+        categorical = set(manifest.categorical_columns)
+        if not manifest.drop_sensitive:
+            categorical.add(manifest.sensitive_column)
+        categorical &= set(feature_cols)
 
-    protected = set(manifest.protected_values)
-    unprotected = set(manifest.unprotected_values)
-    t_idx = col_index[manifest.target_column]
-    s_idx = col_index[manifest.sensitive_column]
+        protected = set(manifest.protected_values)
+        unprotected = set(manifest.unprotected_values)
+        t_idx = col_index[manifest.target_column]
+        s_idx = col_index[manifest.sensitive_column]
 
-    numeric_cols = [c for c in feature_cols if c not in categorical]
-    num_idx = [col_index[c] for c in numeric_cols]
-    cat_cols = [c for c in feature_cols if c in categorical]
-    cat_idx = {c: col_index[c] for c in cat_cols}
+        numeric_cols = [c for c in feature_cols if c not in categorical]
+        num_idx = [col_index[c] for c in numeric_cols]
+        cat_cols = [c for c in feature_cols if c in categorical]
+        cat_idx = {c: col_index[c] for c in cat_cols}
 
-    rejected = 0
-    numeric_rows: list[list[float]] = []
-    cat_values: dict[str, list[str]] = {c: [] for c in cat_cols}
-    groups: list[int] = []
-    labels: list[int] = []
+        rejected = 0
+        # Accepted rows: scaled numeric values, row-major; per categorical
+        # column a first-seen vocabulary and each row's code in it; groups
+        # and labels as bytes.
+        scaled = array("d")
+        extremes = np.repeat([[np.inf], [-np.inf]], len(num_idx), axis=1)
+        vocabs: dict[str, dict[str, int]] = {c: {} for c in cat_cols}
+        codes = {c: array("q") for c in cat_cols}
+        groups = bytearray()
+        labels = bytearray()
 
-    n_header = len(header)
-    for raw in rows:
-        if len(raw) != n_header:
-            rejected += 1
-            continue
-        cells = [c.strip() for c in raw]
-        target = cells[t_idx]
-        if target == "":
-            rejected += 1
-            continue
-        sens = cells[s_idx]
-        if sens in protected:
-            grp = 1
-        elif sens in unprotected:
-            grp = 0
-        else:
-            rejected += 1
-            continue
-        numeric: list[float] = []
-        ok = True
-        for j in num_idx:
-            cell = cells[j]
-            if cell == "":
-                ok = False
-                break
-            try:
-                val = float(cell)
-            except ValueError:
-                ok = False
-                break
-            if not abs(val) <= _FEATURE_BOUND:
-                ok = False
-                break
-            numeric.append(val)
-        if ok:
-            for c in cat_cols:
-                if cells[cat_idx[c]] == "":
-                    ok = False
-                    break
-        if not ok:
-            rejected += 1
-            continue
-        numeric_rows.append(numeric)
-        for c in cat_cols:
-            cat_values[c].append(cells[cat_idx[c]])
-        groups.append(grp)
-        labels.append(1 if target == manifest.positive_label else 0)
+        n_header = len(header)
+        block_rows = max(1, _INGEST_CELLS // n_header)
+        while rows := _read_rows(reader, block_rows):
+            block_values: list[float] = []
+            for raw in rows:
+                if len(raw) != n_header:
+                    rejected += 1
+                    continue
+                cells = [c.strip() for c in raw]
+                target = cells[t_idx]
+                if target == "":
+                    rejected += 1
+                    continue
+                sens = cells[s_idx]
+                if sens in protected:
+                    grp = 1
+                elif sens in unprotected:
+                    grp = 0
+                else:
+                    rejected += 1
+                    continue
+                numeric: list[float] = []
+                ok = True
+                for j in num_idx:
+                    cell = cells[j]
+                    if cell == "":
+                        ok = False
+                        break
+                    try:
+                        val = float(cell)
+                    except ValueError:
+                        ok = False
+                        break
+                    if not abs(val) <= _FEATURE_BOUND:
+                        ok = False
+                        break
+                    numeric.append(val)
+                if ok:
+                    for c in cat_cols:
+                        if cells[cat_idx[c]] == "":
+                            ok = False
+                            break
+                if not ok:
+                    rejected += 1
+                    continue
+                block_values.extend(numeric)
+                for c in cat_cols:
+                    vocab = vocabs[c]
+                    codes[c].append(vocab.setdefault(cells[cat_idx[c]], len(vocab)))
+                groups.append(grp)
+                labels.append(1 if target == manifest.positive_label else 0)
+            if block_values:
+                block = np.array(block_values, dtype=np.float64).reshape(-1, len(num_idx))
+                scaled.frombytes(_scale_running(block, extremes).tobytes())
 
     n = len(labels)
     if n == 0:
         raise ValueError("no usable rows in stream source")
 
-    # Running min-max normalisation: extremes are updated with the current
-    # value first, so the current value always lands inside [0, 1].
-    if numeric_cols:
-        num_mat = np.asarray(numeric_rows, dtype=np.float64).reshape(n, len(numeric_cols))
-        cmin = np.minimum.accumulate(num_mat, axis=0)
-        cmax = np.maximum.accumulate(num_mat, axis=0)
-        span = cmax - cmin
-        safe = np.where(span > 0.0, span, 1.0)
-        num_norm = np.where(span > 0.0, (num_mat - cmin) / safe, 0.0)
-        np.clip(num_norm, 0.0, 1.0, out=num_norm)
-    else:
-        num_norm = np.empty((n, 0), dtype=np.float64)
-
-    categories = {c: sorted(set(cat_values[c])) for c in cat_cols}
-
-    blocks: list[np.ndarray] = []
+    # One-hot columns in each column's sorted vocabulary, as if the whole
+    # column had been read before encoding.
+    categories = {c: sorted(vocabs[c]) for c in cat_cols}
     feature_names: list[str] = []
+    for c in feature_cols:
+        feature_names.extend([f"{c}={cat}" for cat in categories[c]] if c in categorical else [c])
+    features = np.zeros((n, len(feature_names)), dtype=np.float64)
+    num_norm = np.frombuffer(scaled, dtype=np.float64).reshape(n, len(numeric_cols))
     num_pos = {c: j for j, c in enumerate(numeric_cols)}
+    col = 0
     for c in feature_cols:
         if c in categorical:
-            cats = categories[c]
-            vals = np.asarray(cat_values[c], dtype=object)
-            block = (vals[:, None] == np.asarray(cats, dtype=object)[None, :]).astype(np.float64)
-            blocks.append(block)
-            feature_names.extend(f"{c}={cat}" for cat in cats)
+            rank = np.empty(len(categories[c]), dtype=np.int64)
+            rank[[vocabs[c][cat] for cat in categories[c]]] = np.arange(len(categories[c]))
+            features[np.arange(n), col + rank[np.frombuffer(codes[c], dtype=np.int64)]] = 1.0
+            col += len(categories[c])
         else:
-            blocks.append(num_norm[:, num_pos[c] : num_pos[c] + 1])
-            feature_names.append(c)
-    features = np.hstack(blocks)
+            features[:, col] = num_norm[:, num_pos[c]]
+            col += 1
 
     chunks = chunk_arrays(
         features,
-        np.asarray(groups, dtype=np.uint8),
-        np.asarray(labels, dtype=np.uint8),
+        np.frombuffer(groups, dtype=np.uint8),
+        np.frombuffer(labels, dtype=np.uint8),
         manifest.window_size,
     )
     return IngestResult(chunks, feature_names, rejected, n)

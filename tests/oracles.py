@@ -7,6 +7,7 @@ under test.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -302,3 +303,95 @@ def reference_fit_chunk(bank, chunk) -> None:
     for name, pair in trackers.items():
         bank._trackers[name] = pair
     bank.compress_ltm()
+
+
+def reference_ingest(manifest):
+    """``stream.ingest`` the whole-file way, as plain arrays.
+
+    Reads every row into lists, then scales each numeric column with one
+    running ``accumulate`` over all of it and one-hot encodes each
+    categorical column against its sorted whole-column vocabulary. Returns
+    ``(features, groups, labels, feature_names, rejected_rows)``. A repeated
+    header name or a ``csv.Error`` is a ValueError, as in the package.
+    """
+    bound = 1e100
+    with open(manifest.source, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"CSV line {reader.line_num}: {exc}") from exc
+    if not rows:
+        raise ValueError("empty CSV: no header row")
+    header = [c.strip() for c in rows.pop(0)]
+    if len(set(header)) != len(header):
+        raise ValueError("repeated CSV header names")
+    col_index = {name: i for i, name in enumerate(header)}
+    needed = {manifest.target_column, manifest.sensitive_column, *manifest.categorical_columns}
+    if any(c not in col_index for c in needed):
+        raise ValueError("columns missing from CSV header")
+    feature_cols = [
+        c
+        for c in header
+        if c != manifest.target_column and not (manifest.drop_sensitive and c == manifest.sensitive_column)
+    ]
+    if not feature_cols:
+        raise ValueError("no feature columns left after applying the manifest")
+    categorical = set(manifest.categorical_columns)
+    if not manifest.drop_sensitive:
+        categorical.add(manifest.sensitive_column)
+    numeric_cols = [c for c in feature_cols if c not in categorical]
+    cat_cols = [c for c in feature_cols if c in categorical]
+
+    rejected = 0
+    numeric_rows, groups, labels = [], [], []
+    cat_values = {c: [] for c in cat_cols}
+    for raw in rows:
+        if len(raw) != len(header):
+            rejected += 1
+            continue
+        cells = [c.strip() for c in raw]
+        target = cells[col_index[manifest.target_column]]
+        sens = cells[col_index[manifest.sensitive_column]]
+        if target == "" or (sens not in manifest.protected_values and sens not in manifest.unprotected_values):
+            rejected += 1
+            continue
+        numeric = []
+        for c in numeric_cols:
+            try:
+                val = float(cells[col_index[c]])
+            except ValueError:
+                break
+            if not abs(val) <= bound:
+                break
+            numeric.append(val)
+        if len(numeric) < len(numeric_cols) or any(cells[col_index[c]] == "" for c in cat_cols):
+            rejected += 1
+            continue
+        numeric_rows.append(numeric)
+        for c in cat_cols:
+            cat_values[c].append(cells[col_index[c]])
+        groups.append(1 if sens in manifest.protected_values else 0)
+        labels.append(1 if target == manifest.positive_label else 0)
+    n = len(labels)
+    if n == 0:
+        raise ValueError("no usable rows in stream source")
+
+    num_mat = np.asarray(numeric_rows, dtype=np.float64).reshape(n, len(numeric_cols))
+    cmin = np.minimum.accumulate(num_mat, axis=0)
+    cmax = np.maximum.accumulate(num_mat, axis=0)
+    span = cmax - cmin
+    num_norm = np.clip(np.where(span > 0.0, (num_mat - cmin) / np.where(span > 0.0, span, 1.0), 0.0), 0.0, 1.0)
+    blocks, names = [], []
+    for c in feature_cols:
+        if c in categorical:
+            cats = sorted(set(cat_values[c]))
+            vals = np.asarray(cat_values[c], dtype=object)
+            blocks.append((vals[:, None] == np.asarray(cats, dtype=object)[None, :]).astype(np.float64))
+            names.extend(f"{c}={cat}" for cat in cats)
+        else:
+            j = numeric_cols.index(c)
+            blocks.append(num_norm[:, j : j + 1])
+            names.append(c)
+    features = np.hstack(blocks)
+    return features, np.asarray(groups, dtype=np.uint8), np.asarray(labels, dtype=np.uint8), names, rejected

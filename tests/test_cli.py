@@ -267,6 +267,18 @@ def test_errors_exit_2_with_json(tmp_path, gen_config_path, capsys):
         assert payload["error"]["type"] == "ValueError" and "non-negative" in payload["error"]["message"]
         assert not out.exists() or not any(out.iterdir())
 
+    # a CSV cell beyond the csv module's field limit, in inspect and in run
+    out_csv, out_manifest = tmp_path / "long.csv", tmp_path / "long.json"
+    main(["gen", "--generator", str(gen_config_path), "--out", str(out_csv), "--manifest-out", str(out_manifest)])
+    capsys.readouterr()
+    with open(out_csv, "a", encoding="utf-8") as fh:
+        fh.write("x" * (csv.field_size_limit() + 1) + ",0.5,0.5,0.5,0.5,0.5,0.5,0.5,protected,1\n")
+    for argv in (["inspect"], ["run", "--seeds", "0", "--out", str(tmp_path / "long_out")]):
+        assert main([*argv, "--manifest", str(out_manifest)]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"]["type"] == "ValueError"
+        assert payload["error"]["message"].startswith("CSV line 1202: field larger than field limit")
+
     # a generator config value of the wrong type
     wrong_type = json.loads(gen_config_path.read_text())
     wrong_type["n_instances"] = "600"

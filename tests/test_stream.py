@@ -1,6 +1,10 @@
+import csv
+import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_chunk
+from emosam import stream
 from emosam.stream import (
     _FEATURE_BOUND,
     BiasStreamConfig,
@@ -21,6 +26,7 @@ from emosam.stream import (
     manifest_for_generated,
     write_stream_csv,
 )
+from oracles import reference_ingest
 
 
 def write_csv(path, header, rows):
@@ -251,6 +257,130 @@ def test_ingest_is_deterministic(tmp_path, rng):
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.groups, b.groups)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+
+def test_ingest_rejects_repeated_header_names(tmp_path):
+    # Otherwise the last of two equal names wins and both features read its column.
+    path = tmp_path / "d.csv"
+    write_csv(path, ["f0", " f0 ", "s", "y"], [[i / 12, 1 - i / 12, "ab"[i % 2], "yes"] for i in range(12)])
+    with pytest.raises(ValueError, match="repeated CSV header names: \\['f0'\\]"):
+        ingest(basic_manifest(path))
+
+
+def test_ingest_reports_unparseable_csv_line_as_value_error(tmp_path):
+    path = tmp_path / "d.csv"
+    rows = [[0.5, "ab"[i % 2], "yes"] for i in range(12)]
+    rows.insert(3, ["x" * (csv.field_size_limit() + 1), "a", "yes"])
+    write_csv(path, ["f0", "s", "y"], rows)
+    with pytest.raises(ValueError, match="CSV line 5: field larger than field limit"):
+        ingest(basic_manifest(path))
+
+
+def _cells(clean, odd):
+    """Mostly ``clean`` cells; otherwise ``odd`` ones with Unicode whitespace or NUL around them."""
+    pad = st.sampled_from(["", " ", "\t", "\u00a0", "\u2003", "\x00"])
+    odd = st.tuples(pad, odd, pad).map("".join)
+    return st.sampled_from([False] * 7 + [True]).flatmap(lambda is_odd: odd if is_odd else clean)
+
+
+NUMERIC_CELLS = _cells(
+    st.one_of(st.floats(-1e3, 1e3).map(repr), st.integers(-50, 50).map(str)),
+    st.one_of(
+        st.sampled_from(["-0", "1_000", "nan", "-inf", "1e400", "0x1", "\u0663", "1e100", "-1e100",
+                         "1.0000001e100", "", "abc"]),
+        st.floats().map(repr),
+    ),
+)
+CATEGORY_CELLS = _cells(st.sampled_from(["x", "y", "z"]), st.sampled_from(["a,b", "two\nlines", 'say "q"', "\u00fc", ""]))
+GROUP_CELLS = _cells(st.sampled_from(["a", "b"]), st.sampled_from(["a", "c", "", "a\x00"]))
+TARGET_CELLS = _cells(st.sampled_from(["yes", "no"]), st.sampled_from(["yes", "", "maybe"]))
+
+
+@st.composite
+def csv_streams(draw):
+    """A manifest's settings and CSV text: ragged rows, blank lines, quoted cells, odd numerics."""
+    n_num, n_cat = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    columns = [f"n{j}" for j in range(n_num)] + [f"c{j}" for j in range(n_cat)] + ["s", "y"]
+    columns = draw(st.permutations(columns))
+    cells = {"s": GROUP_CELLS, "y": TARGET_CELLS}
+    row = st.tuples(*(cells.get(c, CATEGORY_CELLS if c[0] == "c" else NUMERIC_CELLS) for c in columns)).map(list)
+    ragged = st.one_of(row.map(lambda r: r[:-1]), row.map(lambda r: r + ["1"]), st.just(None))
+    n_rows = draw(st.sampled_from(range(61)))
+    shapes = st.sampled_from([False] * 7 + [True]).flatmap(lambda is_ragged: ragged if is_ragged else row)
+    rows = draw(st.lists(shapes, min_size=n_rows, max_size=n_rows))
+    header = [draw(st.sampled_from(["", " ", "\u2003"])) + c for c in columns]
+    if draw(st.sampled_from([False] * 19 + [True])):
+        header[-1] = header[0]
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    for r in rows:
+        if r is None:
+            text.write("\r\n")
+        else:
+            writer.writerow(r)
+    categorical = tuple(c for c in columns if c[0] == "c")
+    return text.getvalue(), categorical, draw(st.booleans()), draw(st.integers(10, 15))
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+@given(case=csv_streams())
+@settings(max_examples=150, deadline=None)
+def test_ingest_equals_whole_file_oracle_at_any_block_size(block_rows, case):
+    text, categorical, drop_sensitive, window = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        manifest = basic_manifest(path, categorical_columns=categorical, drop_sensitive=drop_sensitive,
+                                  window_size=window)
+        width = len(next(csv.reader(io.StringIO(text))))
+        cells = stream._INGEST_CELLS if block_rows is None else block_rows * width
+        with mock.patch.object(stream, "_INGEST_CELLS", cells):
+            try:
+                want = reference_ingest(manifest)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    ingest(manifest)
+                return
+            got = ingest(manifest)
+    features, groups, labels, names, rejected = want
+    assert got.feature_names == names
+    assert got.rejected_rows == rejected
+    assert got.n_instances == len(labels)
+    assert [c.index for c in got.chunks] == list(range(1, -(-len(labels) // window) + 1))
+    for chunk in got.chunks:
+        rows = slice((chunk.index - 1) * window, chunk.index * window)
+        want_bits = np.ascontiguousarray(features[rows]).view(np.uint64)
+        np.testing.assert_array_equal(chunk.features.view(np.uint64), want_bits)
+        np.testing.assert_array_equal(chunk.groups, groups[rows])
+        np.testing.assert_array_equal(chunk.labels, labels[rows])
+
+
+def test_ingest_peak_memory_beyond_the_result_does_not_grow_with_the_stream(tmp_path):
+    # Beside the chunks it returns, ingestion holds the scaled numeric values
+    # and the assembled feature matrix, each the size of the result's
+    # features, and the groups' and labels' bytes: about twice the result,
+    # allowed three times its growth here. Reading every row into Python
+    # strings and floats first costs about 1.6 KB a row, some 24 times the
+    # 66 bytes a row of the result at d = 8. Blocks of 2^12 cells (409 rows
+    # of 10) put several blocks in both streams; at the default budget the
+    # 2000-row stream would fit in one block smaller than the other's.
+    extra, held = [], []
+    for n in (2000, 8000):
+        config = BiasStreamConfig(n_instances=n, seed=1, window_size=500)
+        path = tmp_path / f"stream{n}.csv"
+        write_stream_csv(generate_bias_stream(config), path)
+        manifest = manifest_for_generated(config, path)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(stream, "_INGEST_CELLS", 2**12):
+                result = ingest(manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held.append(sum(c.features.nbytes + c.groups.nbytes + c.labels.nbytes for c in result.chunks))
+        extra.append(peak - held[-1])
+    assert extra[1] - extra[0] < 3 * (held[1] - held[0])
 
 
 # -- dataset discrimination -----------------------------------------------------------
