@@ -16,6 +16,7 @@ from .engine import (
     RunSummary,
     SelectionStrategy,
     TriggerPolicy,
+    optimize_weights,
     run_sam_baseline,
     run_stream,
 )
@@ -37,7 +38,6 @@ from .smpso import (
     crowding_distance,
     dominates,
     knee_index,
-    optimize_weights,
     smpso_minimize,
 )
 from .stream import (

@@ -1,4 +1,8 @@
-"""Window-level prediction metrics: accuracy and statistical parity."""
+"""Window-level prediction metrics: accuracy and statistical parity.
+
+Both score one row of a window's predictions, or a stack of rows at once (a
+swarm sweep of the weight search).
+"""
 
 from __future__ import annotations
 
@@ -23,13 +27,28 @@ class DiscriminationResult(NamedTuple):
     degenerate: bool
 
 
-def accuracy(predictions: Sequence[int], labels: Sequence[int]) -> float:
-    """Fraction of predictions equal to the labels."""
+def _rows(predictions, reference, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions as one (n,) row or an (S, n) stack, beside their (n,) reference."""
     p = np.asarray(predictions)
-    y = np.asarray(labels)
-    if p.shape != y.shape or p.ndim != 1 or p.size == 0:
-        raise ValueError("predictions and labels must be equal-length non-empty vectors")
-    return int((p == y).sum()) / p.size
+    r = np.asarray(reference)
+    if r.ndim != 1 or r.size == 0 or p.ndim not in (1, 2) or p.shape[-1] != r.size:
+        raise ValueError(f"predictions must be one row or a stack of rows as long as the non-empty {name}")
+    return p, r
+
+
+def _ratio(count, n: int):
+    """An integer count over n: a Python float for one row, (S,) floats for a stack."""
+    return count / n if isinstance(count, np.ndarray) else int(count) / n
+
+
+def accuracy(predictions: Sequence[int], labels: Sequence[int]):
+    """Fraction of predictions equal to the labels.
+
+    One (n,) row gives a float; an (S, n) stack gives (S,) values, each the
+    float its row gives alone (the same integer count and division).
+    """
+    p, y = _rows(predictions, labels, "labels")
+    return _ratio((p == y).sum(axis=-1), y.size)
 
 
 def discrimination(predictions: Sequence[int], groups: Sequence[int]) -> DiscriminationResult:
@@ -37,19 +56,18 @@ def discrimination(predictions: Sequence[int], groups: Sequence[int]) -> Discrim
 
     A window holding only one group cannot express a rate gap; such windows
     yield 0.0 with ``degenerate=True`` so they never push a trigger upward.
+    As in :func:`accuracy`, an (S, n) stack gives (S,) values, and
+    ``degenerate``, a property of the groups, holds for every row.
     """
-    p = np.asarray(predictions)
-    g = np.asarray(groups)
-    if p.shape != g.shape or p.ndim != 1 or p.size == 0:
-        raise ValueError("predictions and groups must be equal-length non-empty vectors")
+    p, g = _rows(predictions, groups, "groups")
     prot = g == 1
     n_p = int(prot.sum())
-    n_u = p.size - n_p
+    n_u = g.size - n_p
     if n_p == 0 or n_u == 0:
-        return DiscriminationResult(0.0, True)
+        return DiscriminationResult(0.0 if p.ndim == 1 else np.zeros(len(p)), True)
     pos = p == 1
-    rate_p = int((pos & prot).sum()) / n_p
-    rate_u = int((pos & ~prot).sum()) / n_u
+    rate_p = _ratio((pos & prot).sum(axis=-1), n_p)
+    rate_u = _ratio((pos & ~prot).sum(axis=-1), n_u)
     return DiscriminationResult(rate_p - rate_u, False)
 
 

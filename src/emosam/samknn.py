@@ -159,11 +159,11 @@ _SNAPSHOT_HEAD = "<IIIIIIdqQ"
 
 # Largest number of float64 elements in one row block of the kernel's S
 # distance planes (S, r, m). Each kernel thread holds its own block, and
-# recomputes the rows its screen leaves open in chunks of at most
-# budget // _GATHER_SHARE distances beside it, so a kernel call with W
-# threads peaks at about W blocks. Cleaning, the re-fit's fallback rows and
-# k-means run on one thread, in row blocks of at most this many squared
-# differences (rows x memory x features), one block at a time. The size is
+# recomputes the rows its screen leaves open beside it in chunks of a
+# _GATHER_SHARE-th as many distances, so a kernel call with W threads peaks
+# at about W blocks. Cleaning, the re-fit's fallback rows and k-means run on
+# one thread, in row blocks of at most this many squared differences
+# (rows x memory x features), one block at a time. The size is
 # not a cache fit (a 2 MiB block does not fit beside its memory in a 2 MiB
 # L2 per core). Kernel sweeps on such a core, one thread (d = 8; 250 x 315
 # and 250 x 1000 with S = 20, 1000 x 3096 with S = 10 and S = 1), ran 2^16
@@ -206,13 +206,12 @@ _PLANE_SHARE = 2
 # Gathered rows of the absorb's exact pair sums, the masked rows of the
 # cleaning radius's screened partition and the tables a flush sorts go
 # through in chunks of at most _BLOCK_ELEMENTS // _GATHER_SHARE values or
-# slots (128 KiB of float64), and the kernel's recomputed rows in chunks of
-# at most budget // _GATHER_SHARE distances (at least one row): a chunk's
-# distances, their scratch plane, their position-order copy and the vote's
-# partition copy take about a quarter of the thread's block. Pair-sum chunks
-# of 2^16 values held 1 MiB of gathered rows at the peak of the fit
-# peak-memory test's large case; chunks of 2^14 took the 7-window reference
-# fit's pair sums from 14.0 to 14.8 ms.
+# slots (128 KiB of float64), as do the kernel's recomputed rows (at least
+# one row): a chunk's distances, their scratch plane, their position-order
+# copy and the vote's partition copy take about a quarter of the thread's
+# block. Pair-sum chunks of 2^16 values held 1 MiB of gathered rows at the
+# peak of the fit peak-memory test's large case; chunks of 2^14 took the
+# 7-window reference fit's pair sums from 14.0 to 14.8 ms.
 _GATHER_SHARE = 16
 
 # Each STM point carries its k-skyband: the predecessors with fewer than k
@@ -555,9 +554,7 @@ def _screen_margin(w: np.ndarray, xc: np.ndarray, reach: np.ndarray) -> np.ndarr
     return scale * ((8 * d + 40) * 2.0**-53) + math.ldexp(16 * float(reach.sum()) + 64 * d + 64, -1074)
 
 
-def _weighted_votes(
-    queries: np.ndarray, memory: _KernelMemory, k: int, alphas: np.ndarray, budget: int = _BLOCK_ELEMENTS
-) -> np.ndarray:
+def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: np.ndarray) -> np.ndarray:
     """The weighted kNN kernel: votes of every query under every weight vector.
 
     ``queries`` is (n, d); ``memory`` is in :func:`_label_ordered` layout;
@@ -566,14 +563,14 @@ def _weighted_votes(
     ``sum_f alpha_f^2 (m_f - x_f)^2`` (added left to right,
     :func:`_sq_dists`) in position order, so a vote depends neither on the
     block its row lands in nor on the BLAS build. Queries are taken in row
-    blocks whose S distance planes (S, r, m) hold at most ``budget``
-    elements (at least one row); the screen's fallback recomputes rows in
-    chunks of at most ``budget // _GATHER_SHARE`` distances (at least one
-    row). The rows are split over threads by :func:`_split_rows`; each
-    thread allocates its own buffer and its own copy of the memory's product
-    operand, so a call holds about one block per thread, and since no vote
-    depends on the thread that computed it the result does not depend on
-    the thread count.
+    blocks whose S distance planes (S, r, m) hold at most
+    ``_BLOCK_ELEMENTS`` elements (at least one row); the screen's fallback
+    recomputes rows in chunks of at most ``_BLOCK_ELEMENTS // _GATHER_SHARE``
+    distances (at least one row). The rows are split over threads by
+    :func:`_split_rows`; each thread allocates its own buffer and its own
+    copy of the memory's product operand, so a call holds about one block
+    per thread, and since no vote depends on the thread that computed it the
+    result does not depend on the thread count.
 
     With kk = min(k, m), a row votes 1 iff at least t = ceil(kk / 2) of its kk
     nearest points are positive, that is iff in the stable (distance,
@@ -610,8 +607,8 @@ def _weighted_votes(
     positive[order[:npos]] = True
     w = alphas * alphas
     S = len(w)
-    rows = max(1, min(n, budget // (m * S)))
-    step = max(1, budget // (_GATHER_SHARE * m))
+    rows = max(1, min(n, _BLOCK_ELEMENTS // (m * S)))
+    step = max(1, _BLOCK_ELEMENTS // (_GATHER_SHARE * m))
     xc = queries - screen.centre
     xn = np.einsum("sf,nf->sn", w, xc * xc)
     mn = np.einsum("sf,fm->sm", w, screen.aug[:d] * screen.aug[:d])
@@ -1445,9 +1442,6 @@ class MemoryBank:
 
     # -- STM size adaptation ------------------------------------------------
 
-    def candidate_sizes(self) -> list[int]:
-        return _candidate_sizes(self.stm_size, self.min_stm_size)
-
     def adapt_stm_size(self) -> int:
         """Re-fit the STM length; transfer any dropped prefix into the LTM.
 
@@ -1642,16 +1636,16 @@ class FrozenChunkPredictor:
     screen cannot certify recompute their order-defined distances in position
     order and vote through :func:`_vote_rows`. Every vote is the one the
     order-defined left-to-right sums over features give, so results are
-    bitwise identical to a one-row predictor per query, whatever the
-    ``budget`` (float64 elements of a row block's S distance planes; at
-    least one row). The row blocks of a large call run on up to one thread
-    per CPU the process may run on, each with its own block buffer and copy
-    of the product operand, so a call's scratch peaks at about one
-    ``budget`` block and one operand per thread; results do not depend on
-    the thread count.
+    bitwise identical to a one-row predictor per query, whatever the row
+    block size (``_BLOCK_ELEMENTS`` float64 elements of a block's S distance
+    planes, at least one row). The row blocks of a large call run on up to
+    one thread per CPU the process may run on, each with its own block
+    buffer and copy of the product operand, so a call's scratch peaks at
+    about one block and one operand per thread; results do not depend on the
+    thread count.
     """
 
-    def __init__(self, features: np.ndarray, bank: MemoryBank, budget: int = _BLOCK_ELEMENTS) -> None:
+    def __init__(self, features: np.ndarray, bank: MemoryBank) -> None:
         if bank.stm_size == 0:
             raise ValueError("cannot predict with an empty STM")
         x = np.array(features, dtype=np.float64, order="C")
@@ -1661,9 +1655,8 @@ class FrozenChunkPredictor:
         self._x = x
         self._memory = _label_ordered(*bank._store_arrays(bank._best_store()))
         self._k = bank.k
-        self._budget = budget
 
     def predict(self, alpha: np.ndarray) -> np.ndarray:
         alpha = check_weights(alpha, self._x.shape[1])
-        votes = _weighted_votes(self._x, self._memory, self._k, np.atleast_2d(alpha), self._budget)
+        votes = _weighted_votes(self._x, self._memory, self._k, np.atleast_2d(alpha))
         return votes[0] if alpha.ndim == 1 else votes

@@ -5,9 +5,10 @@ a constriction coefficient and clamped per dimension to half the box extent;
 leaders come from a bounded external archive of non-dominated solutions via
 binary tournament on crowding distance. A polynomial mutation perturbs a
 fraction of the swarm each iteration. The objective scores a whole sweep of
-positions in one call. The weight-optimization entry points bind the search
-to a labeled chunk and a frozen memory bank, scoring each candidate weight
-vector by (error rate, absolute discrimination).
+positions in one call.
+
+The module is a plain optimizer: it knows nothing of windows, memories or
+weights. The engine binds it to a scored window (``engine.optimize_weights``).
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-
-from .samknn import FrozenChunkPredictor, MemoryBank
-from .stream import Chunk
 
 __all__ = [
     "ObjectivePair",
@@ -32,7 +30,6 @@ __all__ = [
     "constriction",
     "polynomial_mutation",
     "smpso_minimize",
-    "optimize_weights",
 ]
 
 # Appended to the run seed for the generator of the personal-best coin flips.
@@ -315,55 +312,3 @@ def smpso_minimize(
         if iteration_hook is not None:
             iteration_hook(it, positions, velocities, archive)
     return archive
-
-
-# ---------------------------------------------------------------------------
-# Feature-weight objectives
-# ---------------------------------------------------------------------------
-
-
-def _sweep_objectives(votes: np.ndarray, chunk: Chunk) -> np.ndarray:
-    """(S, 2) error rates and absolute discriminations of an (S, n) vote array.
-
-    One pass over the whole sweep with the integer counts and divisions of
-    :func:`metrics.accuracy` and :func:`metrics.discrimination`, so each row
-    gets the same floats as scoring it alone; a window holding one group
-    scores 0.0 discrimination.
-    """
-    n = votes.shape[1]
-    err = 1.0 - (votes == chunk.labels).sum(axis=1) / n
-    prot = chunk.groups == 1
-    n_p = int(prot.sum())
-    n_u = n - n_p
-    if n_p == 0 or n_u == 0:
-        return np.column_stack([err, np.zeros(len(votes))])
-    pos = votes == 1
-    rate_p = (pos & prot).sum(axis=1) / n_p
-    rate_u = (pos & ~prot).sum(axis=1) / n_u
-    return np.column_stack([err, np.abs(rate_p - rate_u)])
-
-
-def optimize_weights(
-    chunk: Chunk,
-    bank: MemoryBank,
-    warm_start: Sequence[np.ndarray] | None,
-    params: SmpsoParams,
-    seed,
-) -> Archive:
-    """Search weight space on one chunk against a frozen bank."""
-    if bank.stm_size == 0:
-        raise ValueError("cannot optimize against an empty STM")
-    predictor = FrozenChunkPredictor(chunk.features, bank)
-
-    def objective(alphas: np.ndarray) -> np.ndarray:
-        return _sweep_objectives(predictor.predict(alphas), chunk)
-
-    d = chunk.n_features
-    return smpso_minimize(
-        objective,
-        np.zeros(d),
-        np.ones(d),
-        params,
-        seed,
-        initial_positions=warm_start,
-    )

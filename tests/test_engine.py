@@ -122,9 +122,9 @@ def test_majority_vote_matches_brute_counter(rng, stream):
     d = stream[0].n_features
     engine.pareto_front = [ParetoSolution(rng.random(d)) for _ in range(5)]
     chunk = stream[1]
-    preds = engine._predict_window(chunk)
     predictor = FrozenChunkPredictor(chunk.features, engine.bank)
     member_preds = [predictor.predict(s.alpha) for s in engine.pareto_front]
+    preds, _ = engine.step(chunk)
     for i in range(len(chunk)):
         assert preds[i] == brute_majority([mp[i] for mp in member_preds])
 
@@ -139,7 +139,7 @@ def test_majority_tie_goes_to_tie_label(rng, stream):
     chunk = stream[1]
     predictor = FrozenChunkPredictor(chunk.features, engine.bank)
     member_preds = [predictor.predict(s.alpha) for s in engine.pareto_front]
-    preds = engine._predict_window(chunk)
+    preds, _ = engine.step(chunk)
     ties = member_preds[0] != member_preds[1]
     if ties.any():
         assert (preds[ties] == 1).all()
@@ -192,6 +192,23 @@ def test_front_nondominated_after_trigger(stream):
         assert np.all(sol.alpha >= 0.0) and np.all(sol.alpha <= 1.0)
 
 
+def test_triggered_window_builds_one_predictor(stream, monkeypatch):
+    # The window's prediction and its re-tune share one frozen copy of the bank.
+    engine = EmosamEngine(stream[0].n_features, small_config(trigger=TriggerPolicy.EVERY))
+    engine.step(stream[0])
+    built = []
+    init = FrozenChunkPredictor.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FrozenChunkPredictor, "__init__", counted)
+    _, record = engine.step(stream[1])
+    assert record.triggered
+    assert len(built) == 1
+
+
 def test_degenerate_window_contributes_no_trigger_pressure(rng):
     d = 3
     config = small_config(trigger=TriggerPolicy.PREVIOUS, min_increase=0.0)
@@ -234,7 +251,7 @@ def test_single_member_strategies_predict_with_designated(stream):
     expected = FrozenChunkPredictor(chunk.features, engine.bank).predict(
         engine.pareto_front[engine.designated].alpha
     )
-    preds = engine._predict_window(chunk)
+    preds, _ = engine.step(chunk)
     np.testing.assert_array_equal(preds, expected)
 
 
@@ -442,6 +459,12 @@ MALFORMED_HEADS = {
     "dim_differs_from_bank": lambda head: head.update(dim=head["dim"] + 1),
     "designated_outside_front": lambda head: head.update(designated=len(head["front"])),
     "front_weights_too_wide": lambda head: head["front"][0]["alpha"].append(0.5),
+    "history_over_capacity": lambda head: head.update(history=[0.25] * 9),
+    "history_string": lambda head: head.update(history=["0.25"]),
+    "history_boolean": lambda head: head.update(history=[True]),
+    "front_weight_string": lambda head: head["front"][0]["alpha"].__setitem__(0, "0.5"),
+    "front_objectives_strings": lambda head: head["front"][0].update(objectives=["0.25", "0.5"]),
+    "front_objectives_out_of_range": lambda head: head["front"][0].update(objectives=[float("nan"), 7.5]),
 }
 
 

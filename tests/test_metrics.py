@@ -95,6 +95,32 @@ def test_metrics_permutation_invariant(preds, data):
     assert discrimination(preds, groups) == discrimination(preds[perm], groups[perm])
 
 
+@pytest.mark.parametrize("groups", ["mixed", "protected only", "unprotected only"])
+def test_stacked_metrics_equal_per_row_metrics(rng, groups):
+    # A stack of prediction rows, as the weight search scores a swarm sweep,
+    # must give every row exactly the floats that scoring it alone gives,
+    # including windows that hold one group only.
+    n = 37
+    window_groups = {"mixed": rng.integers(0, 2, n), "protected only": np.ones(n), "unprotected only": np.zeros(n)}
+    g = window_groups[groups]
+    labels = rng.integers(0, 2, n)
+    votes = rng.integers(0, 2, (50, n)).astype(np.uint8)
+    votes[0], votes[1] = labels, 1 - labels
+    acc, disc = accuracy(votes, labels), discrimination(votes, g)
+    assert acc.shape == disc.value.shape == (50,)
+    assert acc.tolist() == [accuracy(row, labels) for row in votes]
+    assert disc.value.tolist() == [discrimination(row, g).value for row in votes]
+    assert disc.degenerate == (groups != "mixed") == discrimination(votes[0], g).degenerate
+    # one row still scores Python floats, which window CSVs print as before
+    assert type(accuracy(votes[2], labels)) is float and type(discrimination(votes[2], g).value) is float
+    # a stack whose rows are not as long as the window
+    for bad in (votes[:, :-1], np.hstack([votes, votes[:, :1]])):
+        with pytest.raises(ValueError):
+            accuracy(bad, labels)
+        with pytest.raises(ValueError):
+            discrimination(bad, g)
+
+
 def test_window_record_roundtrip():
     record = WindowRecord(
         window=3,

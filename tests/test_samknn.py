@@ -156,16 +156,24 @@ def test_sub_classifier_choice_follows_trackers():
 # -- batch predictor ---------------------------------------------------------------
 
 
+def predict_in_blocks(predictor, alphas, block_elements=None):
+    """``predictor.predict(alphas)`` with the kernel's row blocks capped at ``block_elements``, if given."""
+    if block_elements is None:
+        return predictor.predict(alphas)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(samknn, "_BLOCK_ELEMENTS", block_elements)
+        return predictor.predict(alphas)
+
+
 @pytest.mark.parametrize("budget", [None, 1])
 def test_batch_predictions_equal_single_queries(rng, budget):
     feats = rng.random((50, 3))
     labels = rng.integers(0, 2, 50).astype(np.uint8)
     bank = bank_with_stm(feats, labels, min_stm_size=6)
     queries = rng.random((20, 3))
-    kwargs = {} if budget is None else {"budget": budget}
-    predictor = FrozenChunkPredictor(queries, bank, **kwargs)
+    predictor = FrozenChunkPredictor(queries, bank)
     for alpha in (np.ones(3), rng.random(3), np.zeros(3)):
-        batch = predictor.predict(alpha)
+        batch = predict_in_blocks(predictor, alpha, budget)
         single = [predict_one(bank, queries[i], alpha) for i in range(len(queries))]
         np.testing.assert_array_equal(batch, single)
 
@@ -191,8 +199,8 @@ def test_stacked_predictions_match_brute_oracle_on_ties(data):
     bank = bank_with_stm(mem, labels, k=k, min_stm_size=k + 1, stm_cap=max(m, 1))
     want = [[brute_knn_vote(q, mem, labels, k, a) for q in queries] for a in alphas]
     for block_rows in (1, 7, None):
-        kwargs = {} if block_rows is None else {"budget": block_rows * m * len(alphas)}
-        got = FrozenChunkPredictor(queries, bank, **kwargs).predict(alphas)
+        budget = None if block_rows is None else block_rows * m * len(alphas)
+        got = predict_in_blocks(FrozenChunkPredictor(queries, bank), alphas, budget)
         assert got.shape == (len(alphas), n)
         np.testing.assert_array_equal(got, want)
 
@@ -214,8 +222,8 @@ def test_votes_do_not_depend_on_block_shape(d):
         queries = rng.normal(size=(n, d))
         alphas = np.vstack([np.ones(d), rng.random(d)])
         want = [[predict_one(bank, q, a) for q in queries] for a in alphas]
-        for kwargs in ({}, {"budget": 1}):
-            np.testing.assert_array_equal(FrozenChunkPredictor(queries, bank, **kwargs).predict(alphas), want)
+        for budget in (None, 1):
+            np.testing.assert_array_equal(predict_in_blocks(FrozenChunkPredictor(queries, bank), alphas, budget), want)
 
 
 def python_sq_sums(points, memory, w):
@@ -238,8 +246,8 @@ def assert_kernel_votes_equal_vote_rows(mem, labels, queries, alphas, k):
     bank = bank_with_stm(mem, labels, k=k, min_stm_size=k + 1, stm_cap=m)
     for block_rows in (1, 7, None):
         # a block of r rows holds its S distance planes, r * m * S values
-        kwargs = {} if block_rows is None else {"budget": block_rows * m * len(alphas)}
-        np.testing.assert_array_equal(FrozenChunkPredictor(queries, bank, **kwargs).predict(alphas), want)
+        budget = None if block_rows is None else block_rows * m * len(alphas)
+        np.testing.assert_array_equal(predict_in_blocks(FrozenChunkPredictor(queries, bank), alphas, budget), want)
     got = [[predict_one(bank, q, a) for q in queries] for a in alphas]
     np.testing.assert_array_equal(got, want)
 
@@ -538,12 +546,14 @@ def test_every_distance_is_the_left_to_right_feature_sum():
                         seen.append(plane.copy())
                     return plane
 
+                predictor = FrozenChunkPredictor(queries, bank)
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(samknn, "_sq_dists", capture)
                     mp.setattr(samknn, "_screen_planes", screen)
                     # one worker: threads would append their rows interleaved
                     mp.setattr(samknn, "_cpu_count", lambda: 1)
-                    votes = FrozenChunkPredictor(queries, bank, budget=rows * m).predict(alpha)
+                    mp.setattr(samknn, "_BLOCK_ELEMENTS", rows * m)
+                    votes = predictor.predict(alpha)
                 np.testing.assert_array_equal(votes, want_votes)
                 if screen is certify_nothing:
                     np.testing.assert_array_equal(np.vstack(seen), want[:, kernel_order])
@@ -571,9 +581,9 @@ def test_stacked_row_equals_single_vector_call(rng):
     feats = rng.random((300, 4))
     labels = rng.integers(0, 2, 300).astype(np.uint8)
     bank = bank_with_stm(feats, labels, min_stm_size=6, stm_cap=300)
-    predictor = FrozenChunkPredictor(rng.random((90, 4)), bank, budget=7 * 300 * 6)
+    predictor = FrozenChunkPredictor(rng.random((90, 4)), bank)
     alphas = np.vstack([rng.random((4, 4)), np.zeros(4), [0.0, 1.0, 0.0, 0.5]])
-    stacked = predictor.predict(alphas)
+    stacked = predict_in_blocks(predictor, alphas, 7 * 300 * 6)
     assert stacked.shape == (6, 90) and stacked.dtype == np.uint8
     for s, alpha in enumerate(alphas):
         single = predictor.predict(alpha)
@@ -598,22 +608,23 @@ def test_batch_predictor_frozen_against_later_fits(rng):
     # from, and the bank's arrays must not change under them
     bank = bank_with_stm(feats, labels, min_stm_size=6, stm_cap=30)
     queries = rng.random((8, 3))
-    predictors = [FrozenChunkPredictor(queries, bank), FrozenChunkPredictor(queries, bank, budget=1)]
-    before = [p.predict(np.ones(3)) for p in predictors]
+    predictors = [(FrozenChunkPredictor(queries, bank), budget) for budget in (None, 1)]
+    before = [predict_in_blocks(p, np.ones(3), budget) for p, budget in predictors]
     chunk = make_chunk(rng.random((40, 3)), rng.integers(0, 2, 40), rng.integers(0, 2, 40))
     bank.fit_chunk(chunk)
-    for predictor, want in zip(predictors, before):
-        np.testing.assert_array_equal(predictor.predict(np.ones(3)), want)
+    for (predictor, budget), want in zip(predictors, before):
+        np.testing.assert_array_equal(predict_in_blocks(predictor, np.ones(3), budget), want)
 
 
 # -- kernel threads -----------------------------------------------------------------
 
 
-def predict_at_workers(workers, queries, bank, alphas, **kwargs):
+def predict_at_workers(workers, queries, bank, alphas, budget=None):
+    predictor = FrozenChunkPredictor(queries, bank)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(samknn, "_cpu_count", lambda: workers)
         mp.setattr(samknn, "_THREAD_WORK", 1)
-        return FrozenChunkPredictor(queries, bank, **kwargs).predict(alphas)
+        return predict_in_blocks(predictor, alphas, budget)
 
 
 @given(data=st.data())
@@ -711,20 +722,20 @@ def test_worker_threads_start_only_with_cpus_and_row_blocks(rng, monkeypatch):
     queries = rng.random((20, 3))
     alphas = rng.random((2, 3))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    one_cpu = FrozenChunkPredictor(queries, bank, budget=1).predict(alphas)
+    one_cpu = predict_in_blocks(FrozenChunkPredictor(queries, bank), alphas, 1)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    FrozenChunkPredictor(queries, bank, budget=1).predict(alphas)
+    predict_in_blocks(FrozenChunkPredictor(queries, bank), alphas, 1)
     monkeypatch.setattr(samknn, "_cpu_count", lambda: 3)
     # 20 x 50 x 3 x 2 = 6000 weighted differences: two threads need 2 x 3000
     monkeypatch.setattr(samknn, "_THREAD_WORK", 3001)
-    FrozenChunkPredictor(queries, bank, budget=1).predict(alphas)
+    predict_in_blocks(FrozenChunkPredictor(queries, bank), alphas, 1)
     monkeypatch.setattr(samknn, "_THREAD_WORK", 1)
     predict_one(bank, queries[0], alphas[0])
     FrozenChunkPredictor(queries, bank).predict(alphas)  # one row block
     assert started == []
     monkeypatch.setattr(samknn, "_THREAD_WORK", 3000)
-    np.testing.assert_array_equal(FrozenChunkPredictor(queries, bank, budget=1).predict(alphas), one_cpu)
+    np.testing.assert_array_equal(predict_in_blocks(FrozenChunkPredictor(queries, bank), alphas, 1), one_cpu)
     assert 1 <= len(started) <= 2  # the pool may hand a finished thread the next call
     assert not any(thread.is_alive() for thread in started)
 

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import make_chunk, predict_one
 from emosam import metrics, smpso
-from emosam.samknn import MemoryBank
+from emosam.engine import optimize_weights
+from emosam.samknn import FrozenChunkPredictor, MemoryBank
 from emosam.smpso import (
     Archive,
     ObjectivePair,
@@ -14,8 +15,6 @@ from emosam.smpso import (
     crowding_distance,
     dominates,
     knee_index,
-    _sweep_objectives,
-    optimize_weights,
     polynomial_mutation,
     smpso_minimize,
 )
@@ -255,7 +254,7 @@ def test_smpso_solves_schaffer_front():
     assert inside / total >= 0.95
 
 
-# -- chunk objectives ---------------------------------------------------------------
+# -- the engine's weight search (engine.optimize_weights) ----------------------------
 
 
 def _bank_for(chunk, rng):
@@ -264,6 +263,11 @@ def _bank_for(chunk, rng):
     labels = rng.integers(0, 2, 40).astype(np.uint8)
     bank.replace_stm(feats, labels)
     return bank
+
+
+def _search(chunk, bank, warm, params, seed):
+    """The engine's weight search on ``chunk``, with the chunk's predictor over ``bank``."""
+    return optimize_weights(chunk, FrozenChunkPredictor(chunk.features, bank), warm, params, seed)
 
 
 def _query_by_query(archive, chunk, bank) -> list[ObjectivePair]:
@@ -279,28 +283,21 @@ def _query_by_query(archive, chunk, bank) -> list[ObjectivePair]:
 def test_evaluate_weights_composition_oracle(rng):
     chunk = make_chunk(rng.random((50, 3)), rng.integers(0, 2, 50), rng.integers(0, 2, 50))
     bank = _bank_for(chunk, rng)
-    archive = optimize_weights(chunk, bank, [np.ones(3)], SmpsoParams(swarm_size=8, iterations=3), seed=4)
+    archive = _search(chunk, bank, [np.ones(3)], SmpsoParams(swarm_size=8, iterations=3), seed=4)
     assert len(archive) > 1
     assert [entry.objectives for entry in archive] == _query_by_query(archive, chunk, bank)
 
 
 @pytest.mark.parametrize("groups", ["mixed", "protected only", "unprotected only"])
-def test_sweep_objectives_equal_per_row_metrics(rng, groups):
-    # Scoring a whole sweep in one pass must give every row exactly the
-    # floats metrics.accuracy and metrics.discrimination give it alone,
-    # including windows that hold one group only.
+def test_search_objectives_equal_per_query_scoring(rng, groups):
+    # The search scores whole sweeps with stacked metrics; every archived
+    # pair must still be what one-row predictions scored alone give, also
+    # on windows that hold one group only.
     n = 37
     chunk_groups = {"mixed": rng.integers(0, 2, n), "protected only": np.ones(n), "unprotected only": np.zeros(n)}
     chunk = make_chunk(rng.random((n, 3)), chunk_groups[groups], rng.integers(0, 2, n))
-    votes = rng.integers(0, 2, (50, n)).astype(np.uint8)
-    votes[0], votes[1] = chunk.labels, 1 - chunk.labels
-    want = [
-        (1.0 - metrics.accuracy(row, chunk.labels), abs(metrics.discrimination(row, chunk.groups).value))
-        for row in votes
-    ]
-    assert [tuple(pair) for pair in _sweep_objectives(votes, chunk).tolist()] == want
     bank = _bank_for(chunk, rng)
-    archive = optimize_weights(chunk, bank, [np.ones(3)], SmpsoParams(swarm_size=10, iterations=3), seed=3)
+    archive = _search(chunk, bank, [np.ones(3)], SmpsoParams(swarm_size=10, iterations=3), seed=3)
     assert [entry.objectives for entry in archive] == _query_by_query(archive, chunk, bank)
 
 
@@ -313,7 +310,7 @@ def test_evaluate_weights_perfect_labels_zero_error(rng):
     preds = np.array([predict_one(bank, x, np.ones(3)) for x in chunk_feats], dtype=np.uint8)
     chunk = make_chunk(chunk_feats, rng.integers(0, 2, 30), preds)
     # the all-ones start scores zero error, which nothing can dominate away
-    archive = optimize_weights(chunk, bank, [np.ones(3)], SmpsoParams(swarm_size=4, iterations=2), seed=0)
+    archive = _search(chunk, bank, [np.ones(3)], SmpsoParams(swarm_size=4, iterations=2), seed=0)
     assert min(entry.objectives[0] for entry in archive) == 0.0
     assert [entry.objectives for entry in archive] == _query_by_query(archive, chunk, bank)
 
@@ -321,7 +318,7 @@ def test_evaluate_weights_perfect_labels_zero_error(rng):
 def test_evaluate_weights_degenerate_group_zero_disc(rng):
     chunk = make_chunk(rng.random((20, 3)), np.ones(20), rng.integers(0, 2, 20))
     bank = _bank_for(chunk, rng)
-    archive = optimize_weights(chunk, bank, None, SmpsoParams(swarm_size=6, iterations=2), seed=0)
+    archive = _search(chunk, bank, None, SmpsoParams(swarm_size=6, iterations=2), seed=0)
     assert all(entry.objectives[1] == 0.0 for entry in archive)
 
 
@@ -329,14 +326,8 @@ def test_evaluate_and_optimize_leave_bank_untouched(rng):
     chunk = make_chunk(rng.random((30, 3)), rng.integers(0, 2, 30), rng.integers(0, 2, 30))
     bank = _bank_for(chunk, rng)
     before = bank.state_hash()
-    optimize_weights(chunk, bank, None, SmpsoParams(swarm_size=8, iterations=2), seed=1)
+    _search(chunk, bank, None, SmpsoParams(swarm_size=8, iterations=2), seed=1)
     assert bank.state_hash() == before
-
-
-def test_optimize_weights_requires_stm(rng):
-    chunk = make_chunk(rng.random((10, 3)), rng.integers(0, 2, 10), rng.integers(0, 2, 10))
-    with pytest.raises(ValueError):
-        optimize_weights(chunk, MemoryBank(3), None, SmpsoParams(), seed=0)
 
 
 def test_optimize_weights_deterministic_with_list_seed(rng):
@@ -344,8 +335,8 @@ def test_optimize_weights_deterministic_with_list_seed(rng):
     bank = _bank_for(chunk, rng)
     params = SmpsoParams(swarm_size=10, iterations=3)
     warm = [np.ones(3)]
-    one = optimize_weights(chunk, bank, warm, params, seed=[7, 2, 1])
-    two = optimize_weights(chunk, bank, warm, params, seed=[7, 2, 1])
+    one = _search(chunk, bank, warm, params, seed=[7, 2, 1])
+    two = _search(chunk, bank, warm, params, seed=[7, 2, 1])
     assert [e.objectives for e in one] == [e.objectives for e in two]
     for a, b in zip(one, two):
         np.testing.assert_array_equal(a.position, b.position)
