@@ -23,6 +23,7 @@ holds at least one instance.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 import zlib
@@ -140,12 +141,13 @@ class EngineConfig:
 
     def validate(self) -> None:
         # Thresholds above 1 are allowed on purpose: an absolute
-        # discrimination never exceeds 1, so e.g. 1.01 makes the rising-trend
-        # policy a clean "never fire" switch for baselines.
-        if self.trend_threshold < 0.0 or self.min_increase < 0.0:
-            raise ValueError("trigger thresholds must be non-negative")
-        if self.hp_smoothing <= 0.0:
-            raise ValueError("hp_smoothing must be positive")
+        # discrimination never exceeds 1, so e.g. 1.01 (or +inf) makes the
+        # rising-trend policy a clean "never fire" switch for baselines. NaN,
+        # which JSON configs may carry, would never fire silently.
+        if not (self.trend_threshold >= 0.0 and self.min_increase >= 0.0):
+            raise ValueError("trend_threshold and min_increase must be non-negative, not NaN")
+        if not 0.0 < self.hp_smoothing < math.inf:
+            raise ValueError("hp_smoothing must be positive and finite")
         if self.n_init_random < 1:
             raise ValueError("n_init_random must be positive")
         if self.tie_label not in (0, 1):

@@ -87,11 +87,15 @@ minima of the plane's 8-column chunks drop most columns unread. Rows whose
 label still meets an undropped LTM point of the other label also keep the
 same-label entries their cleaning radius can rest on: those within the
 slack of the k-th smallest same-label band candidate, which bounds the
-k-th smallest same-label distance. Only these get order-defined distances;
+k-th smallest same-label distance, or all of them where the row has fewer
+than k same-label candidates. Only these get order-defined distances;
 the bands, the STM votes and the radius (the exact element ``np.partition``
 selects) come from them. The LTM votes are row votes over each block's
-order-defined distances to the LTM (:func:`_sq_dists`) with +inf outside
-each row's live LTM.
+order-defined distances to the LTM (:func:`_sq_dists`).
+
+Maintenance tables are ragged, and +inf marks no point (no distance is
++inf, as features are bounded): one row vote (:func:`_vote_rows`) and one
+radius (:func:`_radii_sq`) read every such table.
 
 Every STM point also carries its k-skyband: the predecessors p with fewer
 than k points between p and it that are strictly closer to it. For any
@@ -132,7 +136,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .stream import Chunk, check_features
+from .stream import Chunk, check_binary, check_features
 
 __all__ = [
     "DEFAULT_K",
@@ -203,9 +207,8 @@ _SCREEN_CALL = 1 << 18
 # slots; a default-scale window now takes half the blocks and a quarter of
 # the scans. Share 1 would put a 2 MiB plane beside the pending candidates.
 _PLANE_SHARE = 2
-# Gathered rows of the absorb's exact pair sums, the masked rows of the
-# cleaning radius's screened partition and the tables a flush sorts go
-# through in chunks of at most _BLOCK_ELEMENTS // _GATHER_SHARE values or
+# Gathered rows of the absorb's exact pair sums and the tables a flush sorts
+# go through in chunks of at most _BLOCK_ELEMENTS // _GATHER_SHARE values or
 # slots (128 KiB of float64), as do the kernel's recomputed rows (at least
 # one row): a chunk's distances, their scratch plane, their position-order
 # copy and the vote's partition copy take about a quarter of the thread's
@@ -266,6 +269,7 @@ def _row_counts(mask: np.ndarray) -> np.ndarray:
 def _vote_rows(dist2: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
     """Row-wise majority votes of the k nearest memory points.
 
+    A row's points are its finite entries; +inf marks no point.
     ``positive`` marks the memory points labelled 1: one (m,) mask for every
     row, or one (n, m) mask with a row for each. Distance ties keep the
     earlier position, class-vote ties go to label 1. The k-th smallest
@@ -273,17 +277,22 @@ def _vote_rows(dist2: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
     or below it they are the k nearest. Only rows with more than k such points
     (ties at the k-th distance) take all strictly closer points plus the
     earliest-position tied ones, which reproduces a stable (distance,
-    position) sort exactly.
+    position) sort exactly. A row with k points or fewer votes with all of
+    them, and a row with none votes 1.
     """
     n, m = dist2.shape
+    if m == 0:
+        return np.ones(n, dtype=np.uint8)
     kk = min(k, m)
-    if kk == m:
-        ones = _row_counts(np.broadcast_to(positive, dist2.shape))
-        return (2 * ones >= kk).astype(np.uint8)
     kth = np.partition(dist2, kk - 1, axis=1)[:, kk - 1 : kk]
     near = dist2 <= kth
+    # an infinite k-th leaves fewer than kk points, which all vote
+    short = np.flatnonzero(kth[:, 0] == np.inf)
+    if short.size:
+        near[short] = dist2[short] != np.inf
     ones = _row_counts(near & positive)
-    tied = np.flatnonzero(_row_counts(near) > kk)
+    size = _row_counts(near)
+    tied = np.flatnonzero(size > kk)
     if tied.size:
         sub, sub_kth = dist2[tied], kth[tied]
         strict = sub < sub_kth
@@ -291,7 +300,7 @@ def _vote_rows(dist2: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
         tie = sub == sub_kth
         sel = strict | (tie & (np.cumsum(tie, axis=1) <= need[:, None]))
         ones[tied] = _row_counts(sel & (positive[tied] if positive.ndim == 2 else positive))
-    return (2 * ones >= kk).astype(np.uint8)
+    return (2 * ones >= np.minimum(size, kk)).astype(np.uint8)
 
 
 def _sq_dists(points: np.ndarray, memory_t: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
@@ -657,41 +666,23 @@ def _sliding_blocks(start: int, stop: int, base, max_rows: int) -> list[tuple[in
     return blocks
 
 
-def _masked_votes(dist2: np.ndarray, positive: np.ndarray, valid: np.ndarray, k: int) -> np.ndarray:
-    """:func:`_vote_rows` over a per-row subset of the memory.
-
-    ``dist2`` holds +inf outside each row's subset, ``valid`` is the subset's
-    size; every distance inside it is finite. Rows with more than k points
-    vote through _vote_rows, where the +inf columns never reach the k-th
-    distance and positions keep their order. A row with k points or fewer
-    votes with all of them.
-    """
-    big = valid > k
-    if big.all():
-        return _vote_rows(dist2, positive, k)
-    ones = _row_counts((dist2 != np.inf) & positive)
-    out = (2 * ones >= valid).astype(np.uint8)
-    if big.any():
-        out[big] = _vote_rows(dist2[big], positive[big] if positive.ndim == 2 else positive, k)
-    return out
-
-
-def _radii_sq(dist2: np.ndarray, same: np.ndarray, k: int) -> np.ndarray:
-    """Squared cleaning radius of each row over its ``same`` entries.
+def _radii_sq(dist2: np.ndarray, k: int) -> np.ndarray:
+    """Squared cleaning radius of each row over its finite entries; +inf marks no point.
 
     The k-th smallest (the element np.partition selects), or the largest when
     a row has fewer than k; -inf for a row with none, so nothing lies inside.
+    Partitions ``dist2`` in place.
     """
-    count = _row_counts(same)
-    r2 = np.full(len(dist2), -np.inf)
-    short = (count > 0) & (count < k)
-    if short.any():
-        r2[short] = np.where(same[short], dist2[short], -np.inf).max(axis=1)
-    full = count >= k
-    if full.any():
-        masked = np.where(same, dist2, np.inf)
-        masked.partition(k - 1, axis=1)
-        r2[full] = masked[full, k - 1]
+    n, m = dist2.shape
+    if m == 0:
+        return np.full(n, -np.inf)
+    kk = min(k, m)
+    dist2.partition(kk - 1, axis=1)
+    r2 = dist2[:, kk - 1].copy()
+    short = np.flatnonzero(r2 == np.inf)
+    if short.size:
+        sub = dist2[short]
+        r2[short] = np.where(sub != np.inf, sub, -np.inf).max(axis=1)
     return r2
 
 
@@ -722,11 +713,13 @@ def clean(
     rf_t, tf_t = np.ascontiguousarray(rf.T), np.ascontiguousarray(tf.T)
     width = max(n_t, n_r)
     rows = max(1, _BLOCK_ELEMENTS // (width * d))
-    cols = np.arange(n_r)
     for b in range(0, n_r, rows):
         e = min(n_r, b + rows)
-        same = (rl[None, :] == rl[b:e, None]) & (cols[None, :] != np.arange(b, e)[:, None])
-        r2 = _radii_sq(_sq_dists(rf[b:e], rf_t), same, k)
+        dist2 = _sq_dists(rf[b:e], rf_t)
+        # a radius rests on the row's own label, itself excluded
+        np.copyto(dist2, np.inf, where=rl[None, :] != rl[b:e, None])
+        dist2[np.arange(e - b), np.arange(b, e)] = np.inf
+        r2 = _radii_sq(dist2, k)
         inside = (_sq_dists(rf[b:e], tf_t) <= r2[:, None]) & (tl[None, :] != rl[b:e, None])
         keep &= ~inside.any(axis=0)
     return keep
@@ -905,41 +898,23 @@ def _radius_candidates(
     mins: np.ndarray,
     col_labels: np.ndarray,
     row_labels: np.ndarray,
-    kth: np.ndarray,
-    slack: np.ndarray,
-    k: int,
+    bound: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows and columns of the entries a cleaning radius can rest on, from screened distances.
 
     ``plane`` is a :func:`_band_plane` whose first ``len(col_labels)``
     columns are labelled ``col_labels``, and ``mins`` its
     :func:`_chunk_minima`. A row's entries are its non-NaN columns of its
-    own label (``row_labels``). ``kth`` holds, per row, an order-defined
-    distance at least its k-th smallest entry's (the k-th smallest of any k
-    of its entries, say), +inf where none is known, or -inf for a row that
-    needs no radius. A row keeps the entries whose screened value is at most
-    ``kth`` plus its ``slack``: the margin's bound
-    ``U <= V => u <= fl(v + 2E)`` (:func:`_screen_margin`) holds for any v
-    within the screen's error of V, so for ``v = V`` itself. Rows with an infinite ``kth`` take their screened k-th
-    smallest entry instead, by partitioning a masked copy of their rows,
-    ``_BLOCK_ELEMENTS // _GATHER_SHARE`` values at a time; a row with fewer
-    than k entries keeps them all. Either way every entry whose
-    order-defined distance is at most the k-th smallest order-defined one is
-    kept, so :func:`_radii_sq` over the kept entries' order-defined
-    distances is the row's radius. Entries come in row-major order.
+    own label (``row_labels``), and it keeps those whose screened value is
+    at most its ``bound``. For ``bound = fl(V + 2E)``, 2E the row's slack
+    and V an order-defined distance at least its k-th smallest entry's (the
+    k-th smallest of any k of its entries, say), the margin's
+    ``U <= V => u <= fl(v + 2E)`` (:func:`_screen_margin`; it holds for any
+    v within the screen's error of V, so for v = V) keeps every entry up to
+    the k-th smallest, so :func:`_radii_sq` over the kept entries'
+    order-defined distances is the row's radius. A bound of +inf keeps all
+    of a row's entries, and -inf none. Entries come in row-major order.
     """
-    w = len(col_labels)
-    bound = kth + slack
-    open_rows = np.flatnonzero(kth == np.inf)
-    if k <= w and open_rows.size:
-        step = max(1, _BLOCK_ELEMENTS // _GATHER_SHARE // w)
-        for s in range(0, len(open_rows), step):
-            rows = open_rows[s : s + step]
-            masked = np.where(col_labels == row_labels[rows, None], plane[rows, :w], np.inf)
-            masked.partition(k - 1, axis=1)
-            # NaN sorts last: a row with fewer than k entries has an
-            # infinite or NaN k-th value, and keeps them all
-            bound[rows] = np.fmin(masked[:, k - 1], np.inf) + slack[rows]
     rows, cols = _chunk_hits(plane, mins, bound[:, None])
     own = col_labels[cols] == row_labels[rows]
     return rows[own], cols[own]
@@ -1375,7 +1350,7 @@ class MemoryBank:
                 # A radius is only compared with undropped LTM points of the
                 # other label; rows whose label meets none keep -inf. A
                 # row's k-th smallest same-label candidate bounds its k-th
-                # smallest same-label distance.
+                # smallest same-label distance (+inf with fewer than k).
                 undropped = first_drop == n
                 meets = np.array([(undropped & (ll != y)).any() for y in (0, 1)])[labels[b:e]]
                 r2 = np.full(e - b, -np.inf)
@@ -1383,13 +1358,12 @@ class MemoryBank:
                     own = np.where(near_pos == (labels[b:e] == 1)[:, None], near, np.inf)
                     kth = np.partition(own, k - 1, axis=1)[:, k - 1] if width >= k else np.full(e - b, np.inf)
                     kth[~meets] = -np.inf
-                    rr, rc = _radius_candidates(plane, mins, cl[c0:c1], labels[b:e], kth, slack, k)
+                    rr, rc = _radius_candidates(plane, mins, cl[c0:c1], labels[b:e], kth + slack)
                     width, slots = _ragged_slots(rr, e - b)
-                    table = _ragged(slots, (e - b, width), exact(rr, rc), np.inf)
-                    r2 = _radii_sq(table, table != np.inf, k)
+                    r2 = _radii_sq(_ragged(slots, (e - b, width), exact(rr, rc), np.inf), k)
             del plane, mins  # before the band writer may need the memory
             bands.add(e, rows + b, dist, _band_codes(stop[rows] - cols, pos))
-            pred_stm[b:e] = _masked_votes(near, near_pos, stm_n[b:e], k)
+            pred_stm[b:e] = _vote_rows(near, near_pos, k)
             if m == 0:
                 continue
             d2l = _sq_dists(feats[b:e], lf_t)
@@ -1399,12 +1373,9 @@ class MemoryBank:
             alive = first_drop[None, :] >= steps[b:e, None]
             ltm_n[b:e] = _row_counts(alive)
             d2l[~alive] = np.inf
-            pred_ltm[b:e] = _masked_votes(d2l, l_pos, ltm_n[b:e], k)
-            pred_both[b:e] = _masked_votes(
-                np.hstack([near, d2l]),
-                np.hstack([near_pos, np.broadcast_to(l_pos, d2l.shape)]),
-                stm_n[b:e] + ltm_n[b:e],
-                k,
+            pred_ltm[b:e] = _vote_rows(d2l, l_pos, k)
+            pred_both[b:e] = _vote_rows(
+                np.hstack([near, d2l]), np.hstack([near_pos, np.broadcast_to(l_pos, d2l.shape)]), k
             )
         decay = self.tracker_decay
         (sc, st), (lc, lt), (bc, bt) = (self._trackers[name] for name in ("stm", "ltm", "combined"))
@@ -1489,13 +1460,9 @@ class MemoryBank:
                 centers, assign = _kmeans(pts, math.ceil(len(pts) / 2), rng)
                 m = len(centers)
                 # Centroid group tag: majority of its members, ties toward 0.
-                cg = np.zeros(m, dtype=np.uint8)
-                for j in range(m):
-                    members = grp[assign == j]
-                    if len(members) and 2 * int(members.sum()) > len(members):
-                        cg[j] = 1
+                protected = np.bincount(assign[grp == 1], minlength=m)
                 new_f.append(centers)
-                new_g.append(cg)
+                new_g.append((2 * protected > np.bincount(assign, minlength=m)).astype(np.uint8))
                 new_l.append(np.full(m, label, dtype=np.uint8))
             self._ltm_f = np.vstack(new_f)
             self._ltm_g = np.concatenate(new_g)
@@ -1517,9 +1484,8 @@ class MemoryBank:
         g = np.zeros(len(l), dtype=np.uint8) if groups is None else np.asarray(groups)
         if l.ndim != 1 or g.shape != l.shape or len(f) != len(l):
             raise ValueError(f"memory arrays disagree: {len(f)} feature rows, labels {l.shape}, groups {g.shape}")
-        for name, a in (("labels", l), ("groups", g)):
-            if not np.isin(a, (0, 1)).all():
-                raise ValueError(f"memory {name} must be 0 or 1")
+        check_binary(l, "memory labels")
+        check_binary(g, "memory groups")
         return f, l.astype(np.uint8), g.astype(np.uint8)
 
     def replace_stm(self, features: np.ndarray, labels: np.ndarray, groups: np.ndarray | None = None) -> None:

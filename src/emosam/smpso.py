@@ -165,8 +165,10 @@ class SmpsoParams:
             raise ValueError("archive_capacity must be positive")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must lie in [0, 1]")
-        if self.c1 <= 0 or self.c2 <= 0 or self.mutation_eta <= 0:
-            raise ValueError("c1, c2 and mutation_eta must be positive")
+        if not all(0.0 < v < math.inf for v in (self.c1, self.c2, self.mutation_eta)):
+            raise ValueError("c1, c2 and mutation_eta must be positive and finite")
+        if not math.isfinite(self.inertia):
+            raise ValueError("inertia must be finite")
 
 
 def constriction(c1: float, c2: float) -> float:

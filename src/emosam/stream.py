@@ -45,6 +45,8 @@ from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .metrics import discrimination
+
 _FEATURE_BOUND = 1e100
 # Ingestion reads the CSV in blocks of at most this many cells (at least one
 # row), so the strings it holds at a time do not grow with the stream.
@@ -69,6 +71,12 @@ def check_features(values: np.ndarray, what: str = "feature values") -> None:
     """ValueError unless every value is finite with magnitude at most ``_FEATURE_BOUND``."""
     if not (np.abs(values) <= _FEATURE_BOUND).all():
         raise ValueError(f"{what} must be finite with magnitude at most {_FEATURE_BOUND:g}")
+
+
+def check_binary(values: np.ndarray, what: str) -> None:
+    """ValueError unless every value is 0 or 1; checked before any cast, so 0.5 or -1 is not rounded or wrapped."""
+    if not np.isin(values, (0, 1)).all():
+        raise ValueError(f"{what} must be 0 or 1")
 
 
 def _conforms(value, hint) -> bool:
@@ -136,15 +144,15 @@ class Chunk:
 
     def __post_init__(self) -> None:
         f = np.array(self.features, dtype=np.float64, order="C")
-        g = np.array(self.groups, dtype=np.uint8)
-        y = np.array(self.labels, dtype=np.uint8)
+        g, y = np.asarray(self.groups), np.asarray(self.labels)
         if f.ndim != 2 or f.shape[0] == 0 or f.shape[1] == 0:
             raise ValueError("a chunk needs a non-empty (n, d) feature matrix")
         if not (f.shape[0] == g.shape[0] == y.shape[0]):
             raise ValueError("features, groups and labels must have equal length")
         check_features(f)
-        if g.max(initial=0) > 1 or y.max(initial=0) > 1:
-            raise ValueError("groups and labels must be 0/1")
+        check_binary(g, "groups")
+        check_binary(y, "labels")
+        g, y = g.astype(np.uint8), y.astype(np.uint8)
         if int(self.index) < 1:
             raise ValueError("window index starts at 1")
         for arr in (f, g, y):
@@ -436,19 +444,16 @@ def dataset_discrimination(chunks: Sequence[Chunk]) -> float:
     """Positive-label rate gap between protected and unprotected instances.
 
     Uses the true labels of the whole stream, so the result measures the data
-    itself rather than any classifier.
+    itself rather than any classifier: :func:`metrics.discrimination` with
+    the labels as predictions.
     """
-    n_p = n_u = pos_p = pos_u = 0
-    for chunk in chunks:
-        prot = chunk.groups == 1
-        pos = chunk.labels == 1
-        n_p += int(prot.sum())
-        n_u += int((~prot).sum())
-        pos_p += int((prot & pos).sum())
-        pos_u += int((~prot & pos).sum())
-    if n_p == 0 or n_u == 0:
-        raise ValueError("both groups must be present to measure discrimination")
-    return pos_p / n_p - pos_u / n_u
+    if len(chunks):
+        gap = discrimination(
+            np.concatenate([chunk.labels for chunk in chunks]), np.concatenate([chunk.groups for chunk in chunks])
+        )
+        if not gap.degenerate:
+            return gap.value
+    raise ValueError("both groups must be present to measure discrimination")
 
 
 # ---------------------------------------------------------------------------

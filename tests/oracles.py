@@ -229,12 +229,78 @@ def reference_interleaved_errors(features, labels, sizes, k: int) -> list[float]
     return [w / max(1, s - k) for w, s in zip(wrong, sizes)]
 
 
+def reference_kmeans(points, n_clusters: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The compression's k-means, point by point and centre by centre; returns (centres, assignment).
+
+    Greedy D^2 seeding: the first centre is drawn uniformly, each next one
+    with probability proportional to each point's squared distance to its
+    nearest centre so far (uniformly when all are 0). Then at most 10
+    rounds assign every point to its first nearest centre and move every
+    centre with members to their mean (an empty cluster keeps its centre),
+    stopping when neither changes. The generator draws are the bank's, so
+    the same generator gives the same centres and assignment bit for bit.
+    """
+    n = len(points)
+    m = min(n_clusters, n)
+    if m == n:
+        return points.copy(), np.arange(n)
+    first = int(rng.integers(n))
+    centres = [points[first]]
+    nearest = _row_sq_dists(points[first], points)
+    for _ in range(1, m):
+        total = float(nearest.sum())
+        idx = int(rng.choice(n, p=nearest / total)) if total > 0.0 else int(rng.integers(n))
+        centres.append(points[idx])
+        nearest = np.minimum(nearest, _row_sq_dists(points[idx], points))
+    centres = np.array(centres)
+    assign = [0] * n
+    for _ in range(10):
+        new_assign = [int(np.argmin(_row_sq_dists(x, centres))) for x in points]
+        new_centres = centres.copy()
+        for j in range(m):
+            members = [i for i in range(n) if new_assign[i] == j]
+            if members:
+                new_centres[j] = points[members].mean(axis=0)
+        if new_assign == assign and np.array_equal(new_centres, centres):
+            break
+        assign, centres = new_assign, new_centres
+    return centres, np.array(assign)
+
+
+def reference_compress(features, groups, labels, cap: int, seed: int, count: int):
+    """Halve the LTM per class until it holds at most ``cap`` points; returns (features, groups, labels, count).
+
+    Pass ``count`` draws from a generator seeded by (seed, 4, count), 4
+    being the compression's seed tag. Each label, in ascending order,
+    becomes ceil(n / 2) :func:`reference_kmeans` centres, each tagged with
+    its members' majority group, ties toward 0.
+    """
+    while len(labels) > cap:
+        rng = np.random.default_rng([seed, 4, count])
+        count += 1
+        new_f, new_g, new_l = [], [], []
+        for label in sorted(set(labels.tolist())):
+            mask = labels == label
+            centres, assign = reference_kmeans(features[mask], math.ceil(int(mask.sum()) / 2), rng)
+            member_groups = groups[mask]
+            for j in range(len(centres)):
+                tags = [int(member_groups[i]) for i in range(len(assign)) if assign[i] == j]
+                new_f.append(centres[j])
+                new_g.append(1 if 2 * sum(tags) > len(tags) else 0)
+                new_l.append(label)
+        features = np.array(new_f)
+        groups = np.array(new_g, dtype=np.uint8)
+        labels = np.array(new_l, dtype=np.uint8)
+    return features, groups, labels, count
+
+
 def reference_fit_chunk(bank, chunk) -> None:
     """``bank.fit_chunk(chunk)`` the per-instance way.
 
-    Reads and writes the memories through the bank's public surface and its
-    tracker pairs through ``bank._trackers``; LTM compression is the bank's
-    own ``compress_ltm``.
+    Reads and writes the memories through the bank's public surface, its
+    tracker pairs through ``bank._trackers`` and its compression passes
+    through ``bank.compress_count``; LTM compression is
+    :func:`reference_compress`.
     """
     k, cap, decay = bank.k, bank.stm_cap, bank.tracker_decay
     stm_f, stm_g, stm_l = (np.array(a) for a in (bank.stm_features, bank.stm_groups, bank.stm_labels))
@@ -298,11 +364,12 @@ def reference_fit_chunk(bank, chunk) -> None:
     for i in range(len(chunk)):
         fit_one(chunk.features[i], int(chunk.groups[i]), int(chunk.labels[i]))
     adapt_and_flush()
+    ltm_f, ltm_g, ltm_l, count = reference_compress(ltm_f, ltm_g, ltm_l, bank.ltm_cap, bank.seed, bank.compress_count)
     bank.replace_stm(stm_f, stm_l, stm_g)
     bank.replace_ltm(ltm_f, ltm_l, ltm_g)
+    bank.compress_count = count
     for name, pair in trackers.items():
         bank._trackers[name] = pair
-    bank.compress_ltm()
 
 
 def reference_ingest(manifest):

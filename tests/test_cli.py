@@ -1,11 +1,12 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
 from emosam.cli import main, parse_seeds
-from emosam.engine import EngineConfig, SelectionStrategy, TriggerPolicy, run_sam_baseline
+from emosam.engine import EmosamEngine, EngineConfig, SelectionStrategy, TriggerPolicy, run_sam_baseline
 from emosam.experiments import ExperimentSpec, _baseline_config, load_chunks, run_single
 from emosam.smpso import SmpsoParams
 from emosam.stream import BiasStreamConfig, GroupRates
@@ -230,7 +231,9 @@ def test_config_file_merging_and_flag_override(tmp_path, gen_config_path, capsys
     assert fired.count("1") < len(fired) - 1
 
 
-def test_errors_exit_2_with_json(tmp_path, gen_config_path, capsys):
+def test_errors_exit_2_with_json(tmp_path, gen_config_path, capsys, monkeypatch):
+    # every error below stops a command before any window runs
+    monkeypatch.setattr(EmosamEngine, "step", lambda *a: pytest.fail("a window ran"))
     code = main(["inspect", "--manifest", str(tmp_path / "missing.json")])
     assert code == 2
     err = capsys.readouterr().err
@@ -238,7 +241,8 @@ def test_errors_exit_2_with_json(tmp_path, gen_config_path, capsys):
     assert "error" in payload and payload["error"]["type"]
 
     # unknown keys in an engine config file, at the top or nested, and in a
-    # generator config's base rates; engine config values of the wrong type
+    # generator config's base rates; engine config values of the wrong type,
+    # and NaN or infinite ones (json writes and reads NaN and Infinity)
     bad_generator = json.loads(gen_config_path.read_text())
     bad_generator["base_rates"]["majority"] = 0.5
     for i, (flag, blob, key) in enumerate((
@@ -247,6 +251,10 @@ def test_errors_exit_2_with_json(tmp_path, gen_config_path, capsys):
         ("--generator", bad_generator, "majority"),
         ("--config", {"k": "5"}, "'k'"),
         ("--config", {"smpso": None}, "'smpso'"),
+        ("--config", {"trend_threshold": math.nan}, "trend_threshold"),
+        ("--config", {"hp_smoothing": math.nan}, "hp_smoothing"),
+        ("--config", {"smpso": {"inertia": math.nan}}, "inertia"),
+        ("--config", {"smpso": {"c1": math.inf}}, "c1"),
     )):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(blob))

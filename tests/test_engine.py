@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import zlib
 
@@ -83,6 +84,25 @@ def test_config_validation():
         small_config(tie_label=2).validate()
     with pytest.raises(ValueError):
         small_config(smpso=SmpsoParams(swarm_size=0)).validate()
+    # JSON configs may carry NaN and infinities: NaN thresholds would never
+    # fire, and the others fail only at the first trigger check or re-tune
+    nan, inf = math.nan, math.inf
+    for bad in (
+        dict(trend_threshold=nan),
+        dict(min_increase=nan),
+        dict(hp_smoothing=nan),
+        dict(hp_smoothing=inf),
+        dict(smpso=SmpsoParams(inertia=nan)),
+        dict(smpso=SmpsoParams(inertia=-inf)),
+        dict(smpso=SmpsoParams(c1=inf)),
+        dict(smpso=SmpsoParams(c2=nan)),
+        dict(smpso=SmpsoParams(mutation_eta=inf)),
+        dict(smpso=SmpsoParams(mutation_rate=nan)),
+    ):
+        with pytest.raises(ValueError):
+            small_config(**bad).validate()
+    # +inf thresholds stay a "never fire" switch
+    small_config(trend_threshold=inf, min_increase=inf).validate()
     # memory settings fail here, not first in the engine constructor
     for bad in (
         dict(k=0),

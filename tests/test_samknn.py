@@ -27,6 +27,8 @@ from emosam.samknn import (
 )
 from emosam.stream import _FEATURE_BOUND, BiasStreamConfig, GroupRates, generate_bias_stream
 from oracles import (
+    _radius_sq,
+    _stable_vote,
     brute_clean_mask,
     brute_knn_vote,
     interleaved_error,
@@ -1041,11 +1043,20 @@ def fit_trace(chunks, kwargs, sizes):
     Returns, after every window, the state hash, the STM bands and the
     window's STM, LTM and combined votes (the last two only with an LTM).
     """
-    masked_votes, votes, trace = samknn._masked_votes, [], []
+    vote_rows, absorb, votes, trace = samknn._vote_rows, MemoryBank._absorb, [], []
+
+    def traced_absorb(*args):
+        # the absorb's votes only, not the length re-fit's (_exact_votes)
+        samknn._vote_rows = lambda *a: votes.append(vote_rows(*a)) or votes[-1]
+        try:
+            return absorb(*args)
+        finally:
+            samknn._vote_rows = vote_rows
+
     with pytest.MonkeyPatch.context() as mp:
         for name, value in sizes.items():
             mp.setattr(samknn, name, value)
-        mp.setattr(samknn, "_masked_votes", lambda *a: votes.append(masked_votes(*a)) or votes[-1])
+        mp.setattr(MemoryBank, "_absorb", traced_absorb)
         bank = MemoryBank(chunks[0].n_features, **kwargs)
         for chunk in chunks:
             # each block votes STM, then LTM and combined when there is an LTM
@@ -1123,6 +1134,46 @@ def test_screened_absorb_holds_with_planes_at_the_edge_of_the_error_bound():
                     assert bank.state_hash() == reference.state_hash()
 
 
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_vote_rows_votes_over_each_rows_finite_entries(data):
+    # +inf marks no point: each row votes over its finite entries as the
+    # stable (distance, position) vote does, with none, fewer than k,
+    # exactly k and more than k of them, on an integer grid that ties many
+    # distances, and with one label mask for every row or one per row.
+    k = data.draw(st.integers(1, 6))
+    n, m = data.draw(st.integers(1, 8)), data.draw(st.integers(0, 14))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dist2 = rng.integers(0, 4, (n, m)).astype(float)
+    for row in dist2:
+        live = data.draw(st.sampled_from([0, k - 1, k, k + 1, m]))
+        row[rng.permutation(m)[min(live, m) :]] = np.inf
+    positive = rng.random((n, m) if data.draw(st.booleans()) else m) < 0.5
+    got = samknn._vote_rows(dist2, positive, k)
+    for i, row in enumerate(dist2):
+        live = row != np.inf
+        labels = np.broadcast_to(positive, dist2.shape)[i, live].astype(np.uint8)
+        assert got[i] == _stable_vote(row[live], labels, k)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_radii_sq_is_each_rows_radius_over_its_finite_entries(data):
+    # The k-th smallest finite entry, the largest with fewer than k, and
+    # -inf (nothing inside) with none.
+    k = data.draw(st.integers(1, 6))
+    n, m = data.draw(st.integers(1, 8)), data.draw(st.integers(0, 14))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dist2 = rng.integers(0, 4, (n, m)) / 2
+    for row in dist2:
+        live = data.draw(st.sampled_from([0, k - 1, k, k + 1, m]))
+        row[rng.permutation(m)[min(live, m) :]] = np.inf
+    got = samknn._radii_sq(dist2.copy(), k)
+    for i, row in enumerate(dist2):
+        live = row[row != np.inf]
+        assert got[i] == (_radius_sq(live, k) if live.size else -np.inf)
+
+
 def test_radius_candidates_keep_the_order_defined_radius():
     # Screened values within delta of the order-defined ones, those up to
     # each row's k-th pushed up and the rest down, with near ties closer
@@ -1131,9 +1182,9 @@ def test_radius_candidates_keep_the_order_defined_radius():
     # their order-defined values is the row's radius. A row's entries are
     # its own label's columns; NaN marks columns outside its slice and the
     # plane's padding to whole chunks. Each row's order-defined bound on its
-    # k-th is unknown (+inf: the screened k-th is taken), the k-th of a
-    # random subset of its entries (+inf if the subset holds fewer than k),
-    # or the k-th itself; rows that need no radius (-inf) keep nothing.
+    # k-th is unknown (+inf: every entry is kept), the k-th of a random
+    # subset of its entries (+inf if the subset holds fewer than k), or the
+    # k-th itself; rows that need no radius (-inf) keep nothing.
     rng = np.random.default_rng(14)
     delta = 1e-12
     for trial in range(300):
@@ -1149,15 +1200,15 @@ def test_radius_candidates_keep_the_order_defined_radius():
         plane[:, :w] = np.where(inside, exact + np.where(exact <= kth[:, None], delta, -delta), np.nan)
         mins = samknn._chunk_minima(plane)
         subset = np.sort(np.where(entries & (rng.random((r, w)) < 0.7), exact, np.inf), axis=1)[:, min(k, w) - 1]
-        want = samknn._radii_sq(exact, entries & ~needless[:, None], k)
+        want = samknn._radii_sq(np.where(entries & ~needless[:, None], exact, np.inf), k)
         for bound in (np.full(r, np.inf), subset, kth):
             bound = np.where(needless, -np.inf, bound)
             slack = np.full(r, 2.5 * delta)
-            rows, cols = samknn._radius_candidates(plane, mins, col_labels, row_labels, bound, slack, k)
+            rows, cols = samknn._radius_candidates(plane, mins, col_labels, row_labels, bound + slack)
             assert entries[rows, cols].all() and not needless[rows].any()
             width, slots = samknn._ragged_slots(rows, r)
             table = samknn._ragged(slots, (r, width), exact[rows, cols], np.inf)
-            np.testing.assert_array_equal(samknn._radii_sq(table, table != np.inf, k), want)
+            np.testing.assert_array_equal(samknn._radii_sq(table, k), want)
 
 
 @pytest.mark.parametrize("stream", ["plain", "offset", "grid"])
@@ -1189,23 +1240,33 @@ def test_fit_chunk_peak_memory_does_not_grow_with_window_times_stm():
     # Everything else works in blocks of fixed budgets. A whole window x STM
     # float64 plane would add 8 n^2 bytes: 2 MB for the small case and 32 MB
     # for the large one.
+    # With a 5% minority label, most minority rows hold fewer than k
+    # same-label band candidates, and their radius keeps every same-label
+    # entry of their slice; that case stays under the same cap.
     rng = np.random.default_rng(0)
     d = 16
-    sizes, peaks = (500, 2000), []
-    for n in sizes:
+
+    def fit_peak(n, positive_rate):
+        def labels(size):
+            return (rng.random(size) < positive_rate).astype(np.uint8)
+
         bank = MemoryBank(d, stm_cap=n, ltm_cap=n, min_stm_size=n // 4)
-        bank.replace_stm(rng.random((n, d)), rng.integers(0, 2, n))
+        bank.replace_stm(rng.random((n, d)), labels(n))
         bank.replace_ltm(rng.random((n // 10, d)), rng.integers(0, 2, n // 10))
-        chunk = make_chunk(rng.random((n, d)), rng.integers(0, 2, n), rng.integers(0, 2, n))
+        chunk = make_chunk(rng.random((n, d)), rng.integers(0, 2, n), labels(n))
         tracemalloc.start()
         try:
             bank.fit_chunk(chunk)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    sizes = (500, 2000)
+    peaks = [fit_peak(n, 0.5) for n in sizes]
     assert max(peaks) < 3 * 8 * _BLOCK_ELEMENTS
     per_point = 2 * (8 * (2 * d + 2) + 4 * samknn._BAND_LEN)
     assert peaks[1] - peaks[0] < per_point * 2 * (sizes[1] - sizes[0])
+    assert fit_peak(sizes[1], 0.05) < 3 * 8 * _BLOCK_ELEMENTS
 
 
 # -- cleaning ------------------------------------------------------------------------

@@ -62,6 +62,14 @@ def test_chunk_validation():
         make_chunk([[0.1, 0.2]], [0], [3])
     with pytest.raises(ValueError):
         Chunk(np.ones((1, 2)), np.zeros(1, np.uint8), np.ones(1, np.uint8), 0)
+    # checked before the cast to uint8, which would round 0.5 and 1.7 and
+    # raise OverflowError on -1
+    for groups, labels in (([0.5, 1], [0, 1]), ([0, 1], [1.7, 0]), ([-1, 0], [0, 1]), ([0, 1], [0, -1])):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            Chunk(np.zeros((2, 1)), groups, labels, 1)
+    chunk = Chunk(np.zeros((2, 1)), [1.0, 0.0], [True, False], 1)
+    assert chunk.groups.dtype == chunk.labels.dtype == np.uint8
+    assert chunk.groups.tolist() == chunk.labels.tolist() == [1, 0]
 
 
 # magnitudes on both sides of the bound, up to the largest float64
