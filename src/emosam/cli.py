@@ -25,7 +25,6 @@ from .experiments import (
     ExperimentSpec,
     apply_desk_preset,
     compare_ablations,
-    load_chunks,
     run_experiment,
 )
 from .stream import (
@@ -86,14 +85,18 @@ def _add_source_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--window-size", type=int, default=None)
 
 
-def _engine_config_from_args(args: argparse.Namespace) -> tuple[EngineConfig, int | None]:
-    """Merge defaults, config file, preset, and flags into an EngineConfig."""
+def _spec_from_args(args: argparse.Namespace, **fields) -> ExperimentSpec:
+    """The experiment that run's and ablate's flags describe.
+
+    The engine config merges defaults, config file, preset, and flags; the
+    experiment functions validate the spec before they load its stream.
+    """
     config = EngineConfig()
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = EngineConfig.from_dict(json.load(fh))
 
-    window_size = getattr(args, "window_size", None)
+    window_size = args.window_size
     if args.preset == "desk":
         config, window_size = apply_desk_preset(config, window_size)
 
@@ -123,8 +126,14 @@ def _engine_config_from_args(args: argparse.Namespace) -> tuple[EngineConfig, in
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     if args.no_warm_start:
         config = replace(config, warm_start=False)
-    config.validate()
-    return config, window_size
+    return ExperimentSpec(
+        engine=config,
+        manifest_path=args.manifest,
+        generator_config_path=args.generator,
+        seeds=parse_seeds(args.seeds),
+        window_size=window_size,
+        **fields,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,33 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config, window_size = _engine_config_from_args(args)
-    spec = ExperimentSpec(
-        engine=config,
-        manifest_path=args.manifest,
-        generator_config_path=args.generator,
-        seeds=parse_seeds(args.seeds),
-        output_dir=args.out,
-        include_baseline=args.baseline,
-        window_size=window_size,
-    )
-    aggregate = run_experiment(spec)
+    aggregate = run_experiment(_spec_from_args(args, output_dir=args.out, include_baseline=args.baseline))
     print(json.dumps(aggregate, indent=2))
     return 0
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    config, window_size = _engine_config_from_args(args)
-    spec = ExperimentSpec(
-        engine=config,
-        manifest_path=args.manifest,
-        generator_config_path=args.generator,
-        seeds=parse_seeds(args.seeds),
-        window_size=window_size,
-    )
-    spec.validate()
-    chunks = load_chunks(spec)
-    rows = compare_ablations(chunks, config, spec.seeds, output_path=args.out)
+    rows = compare_ablations(_spec_from_args(args), output_path=args.out)
     print(json.dumps(rows, indent=2))
     return 0
 

@@ -77,7 +77,7 @@ _INIT_TAG = 1
 _SMPSO_TAG = 2
 _SELECT_TAG = 3
 _CHECKPOINT_MAGIC = b"EMOC"
-_CHECKPOINT_VERSION = 3
+_CHECKPOINT_VERSION = 4
 _CHECKPOINT_FIELDS = frozenset({"dim", "config", "window_index", "trigger_count", "designated", "history", "front"})
 
 
@@ -128,7 +128,6 @@ class EngineConfig:
     history_capacity: int = HISTORY_CAPACITY
     smpso: SmpsoParams = field(default_factory=SmpsoParams)
     seed: int = 0
-    archive_dump_dir: Path | None = None
 
     def __post_init__(self) -> None:
         self.trigger = TriggerPolicy(self.trigger)
@@ -136,8 +135,6 @@ class EngineConfig:
         self.init_mode = InitMode(self.init_mode)
         if isinstance(self.smpso, dict):
             self.smpso = from_mapping(SmpsoParams, self.smpso, "smpso")
-        if self.archive_dump_dir is not None:
-            self.archive_dump_dir = Path(self.archive_dump_dir)
 
     def validate(self) -> None:
         # Thresholds above 1 are allowed on purpose: an absolute
@@ -152,22 +149,19 @@ class EngineConfig:
             raise ValueError("n_init_random must be positive")
         if self.tie_label not in (0, 1):
             raise ValueError("tie_label must be 0 or 1")
-        if self.history_capacity < 1:
-            raise ValueError("history_capacity must be positive")
+        # The hp rule needs 3 values and the previous rule 2: a shorter
+        # history would never fire.
+        shortest = {TriggerPolicy.HP: 3, TriggerPolicy.PREVIOUS: 2}.get(self.trigger, 1)
+        if self.history_capacity < shortest:
+            raise ValueError(f"history_capacity must be at least {shortest} for the {self.trigger.value} trigger")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         check_bank_params(self.k, self.stm_cap, self.ltm_cap, self.min_stm_size, self.tracker_decay)
         self.smpso.validate()
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["trigger"] = self.trigger.value
-        data["selection"] = self.selection.value
-        data["init_mode"] = self.init_mode.value
-        data["archive_dump_dir"] = (
-            str(self.archive_dump_dir) if self.archive_dump_dir else None
-        )
-        return data
+        """Plain fields; the enums subclass ``str``, so ``json.dumps`` writes their values."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineConfig":
@@ -264,8 +258,6 @@ class EmosamEngine:
             ]
             self._designate_member()
             self.history.clear()
-            if self.config.archive_dump_dir is not None:
-                self._dump_archive()
 
         self.bank.fit_chunk(chunk)
         wall_ms = (time.perf_counter() - start) * 1000.0
@@ -312,18 +304,6 @@ class EmosamEngine:
             self.designated = knee_index(np.asarray(pairs, dtype=np.float64))
         else:
             self.designated = 0
-
-    def _dump_archive(self) -> None:
-        out_dir = Path(self.config.archive_dump_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"archive_window{self.window_index:05d}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            names = [f"alpha_{j}" for j in range(self.dim)]
-            fh.write(",".join(names + ["err", "disc"]) + "\n")
-            for sol in self.pareto_front:
-                cells = [repr(float(v)) for v in sol.alpha]
-                cells += [repr(sol.objectives.err), repr(sol.objectives.disc)]
-                fh.write(",".join(cells) + "\n")
 
     # -- checkpointing -----------------------------------------------------------
 

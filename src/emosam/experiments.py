@@ -2,7 +2,7 @@
 selection-by-trigger ablation grid.
 
 A run writes one window CSV and one summary JSON per seed plus an aggregate
-JSON; the ablation grid reuses the exact single-run helper per cell, so any
+JSON; each ablation grid cell is one :func:`run_stream` per seed, so any
 grid cell is reproducible standalone with the same seed list.
 """
 
@@ -11,27 +11,25 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .engine import (
     EngineConfig,
     InitMode,
-    RunResult,
     SelectionStrategy,
     TriggerPolicy,
     run_stream,
 )
 from .metrics import WINDOW_CSV_HEADER
 from .stream import BiasStreamConfig, Chunk, StreamManifest, generate_bias_stream, ingest, write_json
+from .trend import HISTORY_CAPACITY
 
 __all__ = [
     "DESK_PRESET",
     "ExperimentSpec",
     "apply_desk_preset",
     "load_chunks",
-    "run_single",
     "run_experiment",
     "compare_ablations",
     "ABLATION_HEADER",
@@ -74,14 +72,6 @@ def apply_desk_preset(config: EngineConfig, window_size: int | None = None) -> t
     return cfg, (window_size if window_size is not None else DESK_PRESET["window_size"])
 
 
-def _check_seeds(seeds: Sequence[int]) -> None:
-    """Reject an empty or negative seed list before any run writes output."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if min(seeds) < 0:
-        raise ValueError("seeds must be non-negative")
-
-
 @dataclass
 class ExperimentSpec:
     """What to run: one data source, one engine config, a list of seeds.
@@ -111,7 +101,10 @@ class ExperimentSpec:
         have_generator = self.generator_config_path is not None
         if have_manifest == have_generator:
             raise ValueError("set exactly one of manifest_path and generator_config_path")
-        _check_seeds(self.seeds)
+        if not self.seeds:
+            raise ValueError("need at least one seed")
+        if min(self.seeds) < 0:
+            raise ValueError("seeds must be non-negative")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be unique")
         if self.window_size is not None and self.window_size < 10:
@@ -133,22 +126,20 @@ def load_chunks(spec: ExperimentSpec) -> list[Chunk]:
     return generate_bias_stream(gen)
 
 
-def run_single(chunks: Sequence[Chunk], config: EngineConfig, seed: int) -> RunResult:
-    """One engine run with the given seed substituted into the config."""
-    return run_stream(chunks, replace(config, seed=seed))
-
-
 def _baseline_config(config: EngineConfig) -> EngineConfig:
     """The config's memory settings with all-ones weights and a trigger that never fires.
 
     An absolute discrimination never exceeds 1, so a series of them never
     has a trend endpoint of 1.01 with the series above it. Such a run is the
-    plain memory classifier, bit-identical to :func:`run_sam_baseline`.
+    plain memory classifier, bit-identical to :func:`run_sam_baseline`. The
+    history has the default length, long enough for the hp rule whatever
+    trigger the config's own history was sized for.
     """
     return replace(
         config,
         trigger=TriggerPolicy.HP,
         trend_threshold=1.01,
+        history_capacity=HISTORY_CAPACITY,
         init_mode=InitMode.ONES,
         selection=SelectionStrategy.MAJORITY,
     )
@@ -201,7 +192,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     summaries: dict[str, list[dict]] = {name: [] for name in runs}
     for seed in spec.seeds:
         for name, (config, prefix) in runs.items():
-            result = run_single(chunks, config, seed)
+            result = run_stream(chunks, replace(config, seed=seed))
             rows = (record.to_csv_row() for record in result.records)
             _write_csv(spec.output_dir / f"{prefix}windows_seed{seed:04d}.csv", WINDOW_CSV_HEADER, rows)
             summary = {"seed": seed, **result.summary.to_dict()}
@@ -213,43 +204,34 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     return aggregate
 
 
-def compare_ablations(
-    chunks: Sequence[Chunk],
-    config: EngineConfig,
-    seeds: Sequence[int],
-    output_path: Path | None = None,
-) -> list[dict]:
-    """Full 3x3 grid of selection strategies by trigger policies.
+def compare_ablations(spec: ExperimentSpec, output_path: Path | None = None) -> list[dict]:
+    """Full 3x3 grid of selection strategies by trigger policies over the spec's stream.
 
-    Every cell runs the same seeds through :func:`run_single`, so a cell's
-    numbers match a standalone run with that selection and trigger.
+    Every cell runs the spec's seeds through :func:`run_stream` with the
+    spec's engine config, so a cell's numbers match a standalone run with
+    that selection and trigger. The spec and every cell's config are
+    validated before the stream is loaded; the spec's output directory and
+    baseline flag are not used.
     """
-    _check_seeds(seeds)
+    spec.validate()
+    cells = [replace(spec.engine, selection=s, trigger=t) for s in SelectionStrategy for t in TriggerPolicy]
+    for config in cells:
+        config.validate()
+    chunks = load_chunks(spec)
     rows: list[dict] = []
-    for selection in (SelectionStrategy.MAJORITY, SelectionStrategy.RANDOM, SelectionStrategy.KNEE):
-        for trigger in (TriggerPolicy.HP, TriggerPolicy.EVERY, TriggerPolicy.PREVIOUS):
-            cell_config = replace(config, selection=selection, trigger=trigger)
-            errors = []
-            discs = []
-            trigger_counts = []
-            walls = []
-            for seed in seeds:
-                result = run_single(chunks, cell_config, seed)
-                errors.append(1.0 - result.summary.accuracy)
-                discs.append(result.summary.abs_discrimination)
-                trigger_counts.append(result.summary.triggers)
-                walls.append(result.summary.wall_time_ms)
-            rows.append(
-                {
-                    "selection": selection.value,
-                    "trigger": trigger.value,
-                    "seeds": len(seeds),
-                    "mean_error": float(np.mean(errors)),
-                    "mean_abs_discrimination": float(np.mean(discs)),
-                    "mean_triggers": float(np.mean(trigger_counts)),
-                    "mean_wall_time_ms": float(np.mean(walls)),
-                }
-            )
+    for config in cells:
+        summaries = [run_stream(chunks, replace(config, seed=seed)).summary for seed in spec.seeds]
+        rows.append(
+            {
+                "selection": config.selection.value,
+                "trigger": config.trigger.value,
+                "seeds": len(spec.seeds),
+                "mean_error": float(np.mean([1.0 - s.accuracy for s in summaries])),
+                "mean_abs_discrimination": float(np.mean([s.abs_discrimination for s in summaries])),
+                "mean_triggers": float(np.mean([s.triggers for s in summaries])),
+                "mean_wall_time_ms": float(np.mean([s.wall_time_ms for s in summaries])),
+            }
+        )
     if output_path is not None:
         output_path = Path(output_path)
         output_path.parent.mkdir(parents=True, exist_ok=True)

@@ -647,8 +647,8 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     return out
 
 
-def _sliding_blocks(start: int, stop: int, base, max_rows: int) -> list[tuple[int, int]]:
-    """Row blocks [b, e) covering start..stop, each as large as the budget allows.
+def _sliding_blocks(stop: int, base, max_rows: int) -> list[tuple[int, int]]:
+    """Row blocks [b, e) covering 0..stop, each as large as the budget allows.
 
     Block [b, e) meets ``base(b) + e - b`` columns, so its distance block of
     (e - b) rows and those columns holds at most
@@ -657,7 +657,7 @@ def _sliding_blocks(start: int, stop: int, base, max_rows: int) -> list[tuple[in
     """
     blocks = []
     q = _BLOCK_ELEMENTS // _PLANE_SHARE
-    b = start
+    b = 0
     while b < stop:
         w = base(b)
         r = max(1, min(max_rows, (math.isqrt(w * w + 4 * q) - w) // 2))
@@ -1059,7 +1059,7 @@ def _stm_bands(features: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray
     screen = _screen_operand(features.T)
     norms = np.square(screen.aug[:d]).sum(axis=0)[None]
     writer = _BandWriter(bands, 0, k)
-    for b, e in _sliding_blocks(0, n, lambda b: b, n):
+    for b, e in _sliding_blocks(n, lambda b: b, n):
         hi = np.arange(b, e)
         plane, slack = _band_plane(features[b:e], screen, norms, 0, np.zeros_like(hi), hi)
         rows, cols, dist = _band_candidates(
@@ -1325,7 +1325,7 @@ class MemoryBank:
         pred_ltm = np.zeros(n, dtype=np.uint8)
         pred_both = np.zeros(n, dtype=np.uint8)
         max_rows = max(1, _BLOCK_ELEMENTS // _PLANE_SHARE // m) if m else n
-        blocks = _sliding_blocks(0, n, lambda b: min(cap, s0 + b), max_rows)
+        blocks = _sliding_blocks(n, lambda b: min(cap, s0 + b), max_rows)
         out = max(0, s0 + n - cap)
         kept = self._stm_band[min(out, s0) :]
         band_table = np.empty((len(kept) + n - max(0, out - s0), _BAND_LEN), dtype=np.int32)
@@ -1411,19 +1411,12 @@ class MemoryBank:
         self._stm_band = self._stm_band[cut:]
         self._transfer_to_ltm(*moved)
 
-    # -- STM size adaptation ------------------------------------------------
+    def _shrink_cut(self) -> int:
+        """How many of the oldest STM points the length re-fit drops.
 
-    def adapt_stm_size(self) -> int:
-        """Re-fit the STM length; transfer any dropped prefix into the LTM.
-
-        Returns the adopted STM size. The smallest interleaved error wins,
+        Of the candidate suffix windows, the smallest interleaved error wins,
         with ties resolved toward the larger window.
         """
-        self._adapt_and_flush(self._stm_f[:0], self._stm_g[:0], self._stm_l[:0])
-        return self.stm_size
-
-    def _shrink_cut(self) -> int:
-        """How many of the oldest STM points the length re-fit drops."""
         n = self.stm_size
         sizes = _candidate_sizes(n, self.min_stm_size)
         if len(sizes) == 1:
@@ -1548,8 +1541,9 @@ class MemoryBank:
     def from_bytes(cls, blob: bytes) -> "MemoryBank":
         """Rebuild a bank from :meth:`to_bytes` output; its STM bands are rebuilt.
 
-        A truncated blob, trailing bytes, a checksum that does not match, and
-        settings or arrays a bank rejects raise ValueError.
+        A truncated blob, trailing bytes, a checksum that does not match,
+        impossible trackers, and settings or arrays a bank rejects raise
+        ValueError.
         """
         pos = 0
 
@@ -1578,6 +1572,10 @@ class MemoryBank:
         (crc,) = struct.unpack("<I", take(4))
         if crc != zlib.crc32(blob[: pos - 4]):
             raise ValueError("memory snapshot checksum mismatch")
+        # The fit's decayed sums start at (0, 0) and add at most as much to
+        # the correct count as to the total, so no fit leaves correct > total.
+        if not all(0.0 <= c <= t < math.inf for c, t in trackers):
+            raise ValueError("memory snapshot trackers must be finite with 0 <= correct <= total")
         bank = cls(dim, k, stm_cap, ltm_cap, min_stm, decay, seed)
         bank.compress_count = count
         bank._trackers = dict(zip(("stm", "ltm", "combined"), trackers))

@@ -1,13 +1,20 @@
+import ast
 import csv
 import json
 import math
+import re
+import shlex
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from emosam.cli import main, parse_seeds
-from emosam.engine import EmosamEngine, EngineConfig, SelectionStrategy, TriggerPolicy, run_sam_baseline
-from emosam.experiments import ExperimentSpec, _baseline_config, load_chunks, run_single
+import emosam
+from emosam import experiments
+from emosam.cli import build_parser, main, parse_seeds
+from emosam.engine import EmosamEngine, EngineConfig, SelectionStrategy, TriggerPolicy, run_sam_baseline, run_stream
+from emosam.experiments import ExperimentSpec, _baseline_config, compare_ablations, load_chunks
 from emosam.smpso import SmpsoParams
 from emosam.stream import BiasStreamConfig, GroupRates
 
@@ -26,6 +33,8 @@ def gen_config_path(tmp_path_factory):
     return path
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 FAST_FLAGS = [
     "--stm-cap", "100",
     "--ltm-cap", "100",
@@ -43,6 +52,38 @@ def test_parse_seeds_forms():
         parse_seeds("5:5")
     with pytest.raises(ValueError):
         parse_seeds(",")
+
+
+def test_readme_config_table_names_every_field_and_flag():
+    # Each row of the Configuration table pairs its fields' flags with their
+    # defaults in order; a default of "on" belongs to a switch that takes no
+    # value. Parse only: nothing runs.
+    section = README.read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:4] for line in section.splitlines() if line.startswith("| `")]
+    named = {name.split(".")[0] for row in rows for name in re.findall(r"`([\w.]+)`", row[0])}
+    assert named == {f.name for f in fields(EngineConfig)}
+    parser = build_parser()
+    for _, flag_cell, default_cell in rows:
+        argv = ["run", "--generator", "generator.json"]
+        defaults = [value.strip(" `") for value in default_cell.split(",")]
+        for flag, value in zip(re.findall(r"`(--[\w-]+)`", flag_cell), defaults):
+            argv += [flag] if value == "on" else [flag, value]
+        parser.parse_args(argv)
+
+
+def test_readme_commands_parse_and_python_imports_exist():
+    commands = set()
+    imported = []
+    for lang, body in re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(), re.M | re.S):
+        for line in body.splitlines():
+            if line.startswith("emosam "):
+                commands.add(build_parser().parse_args(shlex.split(line)[1:]).command)
+        if lang == "python":
+            for node in ast.walk(ast.parse(body)):
+                if isinstance(node, ast.ImportFrom) and node.module == "emosam":
+                    imported += [alias.name for alias in node.names]
+    assert commands == {"gen", "inspect", "run", "ablate"}
+    assert imported and [name for name in imported if not hasattr(emosam, name)] == []
 
 
 def test_gen_writes_csv_and_manifest(tmp_path, gen_config_path, capsys):
@@ -197,12 +238,27 @@ def test_ablation_cell_matches_standalone_run(tmp_path, gen_config_path, capsys)
         min_stm_size=20,
         smpso=SmpsoParams(swarm_size=8, iterations=2),
     )
-    result = run_single(chunks, config, 1)
+    result = run_stream(chunks, replace(config, seed=1))
     assert cell["mean_error"] == pytest.approx(1.0 - result.summary.accuracy, abs=1e-12)
     assert cell["mean_abs_discrimination"] == pytest.approx(
         result.summary.abs_discrimination, abs=1e-12
     )
     assert cell["mean_triggers"] == result.summary.triggers
+
+
+def test_experiments_validate_every_config_before_any_window(gen_config_path, monkeypatch):
+    # Python callers get the checks the CLI gets, before the stream is read:
+    # duplicate seeds, and a history too short for the hp rule that a grid
+    # cell runs. The baseline sizes its own history.
+    monkeypatch.setattr(experiments, "load_chunks", lambda spec: pytest.fail("the stream was read"))
+    short = EngineConfig(trigger="every", history_capacity=2)
+    for spec, match in (
+        (ExperimentSpec(generator_config_path=gen_config_path, seeds=(1, 1)), "unique"),
+        (ExperimentSpec(engine=short, generator_config_path=gen_config_path, seeds=(0,)), "history_capacity"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            compare_ablations(spec)
+    _baseline_config(short).validate()
 
 
 def test_config_file_merging_and_flag_override(tmp_path, gen_config_path, capsys):
@@ -255,6 +311,8 @@ def test_errors_exit_2_with_json(tmp_path, gen_config_path, capsys, monkeypatch)
         ("--config", {"hp_smoothing": math.nan}, "hp_smoothing"),
         ("--config", {"smpso": {"inertia": math.nan}}, "inertia"),
         ("--config", {"smpso": {"c1": math.inf}}, "c1"),
+        ("--config", {"history_capacity": 2}, "history_capacity"),
+        ("--config", {"trigger": "previous", "history_capacity": 1}, "history_capacity"),
     )):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(blob))
@@ -323,7 +381,7 @@ def test_experiment_baseline_equals_reference_baseline(tmp_path, gen_config_path
     config = EngineConfig(trigger="every", selection="knee", init_mode="random", tie_label=0, stm_cap=100,
                           ltm_cap=100, min_stm_size=20, smpso=SmpsoParams(swarm_size=8, iterations=2))
     want = run_sam_baseline(chunks, stm_cap=100, ltm_cap=100, min_stm_size=20, seed=2, tie_label=0)
-    got = run_single(chunks, _baseline_config(config), 2)
+    got = run_stream(chunks, replace(_baseline_config(config), seed=2))
     assert got.summary.triggers == 0
     for a, b in zip(got.predictions, want.predictions, strict=True):
         np.testing.assert_array_equal(a, b)

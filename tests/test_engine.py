@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_chunk, predict_one
 from emosam.engine import (
+    _CHECKPOINT_VERSION,
     EmosamEngine,
     EngineConfig,
     InitMode,
@@ -103,6 +104,12 @@ def test_config_validation():
             small_config(**bad).validate()
     # +inf thresholds stay a "never fire" switch
     small_config(trend_threshold=inf, min_increase=inf).validate()
+    # the hp rule needs 3 values and the previous rule 2: a shorter history
+    # would never fire
+    for trigger, shortest in (("hp", 3), ("previous", 2), ("every", 1)):
+        with pytest.raises(ValueError, match="history_capacity"):
+            small_config(trigger=trigger, history_capacity=shortest - 1).validate()
+        small_config(trigger=trigger, history_capacity=shortest).validate()
     # memory settings fail here, not first in the engine constructor
     for bad in (
         dict(k=0),
@@ -386,26 +393,21 @@ def test_summary_pools_all_predictions(stream):
     assert result.summary.abs_discrimination == abs(result.summary.discrimination)
 
 
-def test_archive_dump_written(tmp_path, stream):
-    config = small_config(trigger=TriggerPolicy.EVERY, archive_dump_dir=tmp_path / "dumps")
-    run_stream(stream[:3], config)
-    files = sorted((tmp_path / "dumps").glob("archive_window*.csv"))
-    assert len(files) == 2  # windows 2 and 3 trigger; window 1 cannot
-    header = files[0].read_text().splitlines()[0]
-    assert header.endswith("err,disc")
-
-
 # -- checkpointing -----------------------------------------------------------------------
 
 
-def test_checkpoint_resume_is_bit_exact(tmp_path, stream):
-    config = small_config(trigger=TriggerPolicy.EVERY, selection=SelectionStrategy.KNEE)
+@pytest.mark.parametrize("init_mode", [m.value for m in InitMode])
+@pytest.mark.parametrize("selection", [s.value for s in SelectionStrategy])
+@pytest.mark.parametrize("trigger", [p.value for p in TriggerPolicy])
+def test_checkpoint_resume_is_bit_exact(tmp_path, stream, trigger, selection, init_mode):
+    config = small_config(trigger=trigger, selection=selection, init_mode=init_mode)
     engine = EmosamEngine(stream[0].n_features, config)
     for chunk in stream[:3]:
         engine.step(chunk)
     path = tmp_path / "engine.ck"
     engine.save_checkpoint(path)
     resumed = EmosamEngine.load_checkpoint(path)
+    assert resumed.config == engine.config
     assert resumed.window_index == engine.window_index
     assert resumed.trigger_count == engine.trigger_count
     assert resumed.designated == engine.designated
@@ -443,14 +445,16 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 def test_checkpoint_rejects_version_2(tmp_path, stream):
     # Version 2 checkpoints wrap version 2 memory snapshots, whose layout
-    # has one more header byte.
+    # has one more header byte; version 3 heads carry a config key that is
+    # gone (the archive dump directory).
     _, path = _saved_checkpoint(tmp_path, stream)
     data = path.read_bytes()
-    assert struct.unpack("<I", data[4:8])[0] == 3
-    body = data[:4] + struct.pack("<I", 2) + data[8:-4]
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-    with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
-        EmosamEngine.load_checkpoint(path)
+    assert struct.unpack("<I", data[4:8])[0] == _CHECKPOINT_VERSION
+    for old in (2, 3):
+        body = data[:4] + struct.pack("<I", old) + data[8:-4]
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {old}"):
+            EmosamEngine.load_checkpoint(path)
 
 
 def _saved_checkpoint(tmp_path, stream):

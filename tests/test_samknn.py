@@ -1325,13 +1325,20 @@ def test_interleaved_errors_match_oracle(rng):
     assert got == pytest.approx(want, abs=1e-12)
 
 
+def refit(bank: MemoryBank) -> int:
+    """Re-fit the STM length with nothing evicted, as after a window; the adopted size."""
+    empty = bank.stm_features[:0]
+    bank._adapt_and_flush(empty, bank.stm_groups[:0], bank.stm_labels[:0])
+    return bank.stm_size
+
+
 def test_stationary_stm_keeps_full_window(rng):
     # perfectly separable labels: error 0 at every size, tie -> largest
     feats = np.vstack([rng.random((60, 1)) * 0.3, 0.7 + rng.random((60, 1)) * 0.3])
     labels = np.array([0] * 60 + [1] * 60, dtype=np.uint8)
     order = rng.permutation(120)
     bank = bank_with_stm(feats[order], labels[order], min_stm_size=20, stm_cap=200)
-    assert bank.adapt_stm_size() == 120
+    assert refit(bank) == 120
     assert bank.ltm_size == 0
 
 
@@ -1343,7 +1350,7 @@ def test_concept_flip_shrinks_stm(rng):
     rule = (x[:, 0] > 0.5).astype(np.uint8)
     labels = np.concatenate([1 - rule[:n_half], rule[n_half:]]).astype(np.uint8)
     bank = bank_with_stm(x, labels, min_stm_size=10, stm_cap=200)
-    adopted = bank.adapt_stm_size()
+    adopted = refit(bank)
     assert adopted <= math.ceil(2 * n_half / 2)
     # every dropped point contradicts the kept window, so cleaning discards all
     assert bank.ltm_size == 0
@@ -1367,7 +1374,7 @@ def test_consistent_prefix_survives_to_ltm(rng):
     bank = bank_with_stm(feats[order], labels[order], min_stm_size=10, stm_cap=200)
     # the second-half window is perfectly self-consistent (error 0), the full
     # window is not, and ties favour the larger size: exactly the half wins
-    assert bank.adapt_stm_size() == n_half
+    assert refit(bank) == n_half
     assert bank.ltm_size > 0
     # survivors must all be consistent with the new concept: label 0
     assert not bank.ltm_labels.any()
@@ -1526,6 +1533,19 @@ def test_snapshot_rejects_non_binary_labels_and_checksum_mismatch(rng):
         MemoryBank.from_bytes(_resealed(bytes(bad)))
     with pytest.raises(ValueError, match="checksum"):
         MemoryBank.from_bytes(bytes(bad))
+
+
+@pytest.mark.parametrize("pair", [(math.nan, 1.0), (-3.0, 1.0), (5.0, 1.0), (math.inf, math.inf)])
+def test_snapshot_rejects_impossible_trackers(rng, pair):
+    # A fit's decayed (correct, total) sums start at (0, 0) and never let
+    # correct pass total; a pair that no fit leaves would read as a tracked
+    # accuracy of NaN, -3 or 5.
+    blob = _fitted_snapshot(rng)
+    at = 4 + struct.calcsize(samknn._SNAPSHOT_HEAD)
+    for tracker in range(3):
+        start = at + 16 * tracker
+        with pytest.raises(ValueError, match="trackers"):
+            MemoryBank.from_bytes(_resealed(blob[:start] + struct.pack("<2d", *pair) + blob[start + 16 :]))
 
 
 @given(data=st.data())
