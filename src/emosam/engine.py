@@ -7,7 +7,8 @@ discrimination into the bounded history, ask the trigger policy whether
 optimization should run, and only then fit the window into the memory bank.
 A firing trigger replaces the front with the optimizer's archive (searched on
 the window just scored, with the frozen copy of the not-yet-updated bank it
-was predicted by, and scored by the window's own metrics) and clears the
+was predicted by, and scored by the window's own metrics; its first sweep
+reuses the votes the window's prediction computed) and clears the
 history, so freshly optimized weights first influence the next window.
 
 With all-ones initial weights and a trigger that never fires the engine is
@@ -232,7 +233,7 @@ class EmosamEngine:
 
         # One frozen copy of the bank serves both prediction and re-tune.
         predictor = FrozenChunkPredictor(chunk.features, self.bank) if self.bank.stm_size else None
-        preds = self._predict_window(chunk, predictor)
+        preds, scored = self._predict_window(chunk, predictor)
         acc = accuracy(preds, chunk.labels)
         disc = discrimination(preds, chunk.groups)
         # A window missing one group has no defined parity gap; it must not
@@ -252,6 +253,7 @@ class EmosamEngine:
                 warm,
                 self.config.smpso,
                 [self.config.seed, _SMPSO_TAG, self.trigger_count],
+                scored,
             )
             self.pareto_front = [
                 ParetoSolution(e.position, ObjectivePair(*e.objectives)) for e in archive
@@ -272,20 +274,26 @@ class EmosamEngine:
         )
         return preds, record
 
-    def _predict_window(self, chunk: Chunk, predictor: FrozenChunkPredictor | None) -> np.ndarray:
+    def _predict_window(
+        self, chunk: Chunk, predictor: FrozenChunkPredictor | None
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+        """The window's predictions, and the weight vectors that made them with their (S, n) votes."""
         if predictor is None:
-            return np.full(len(chunk), self.config.tie_label, dtype=np.uint8)
+            return np.full(len(chunk), self.config.tie_label, dtype=np.uint8), None
         if self.config.selection is SelectionStrategy.MAJORITY:
             alphas = np.stack([sol.alpha for sol in self.pareto_front])
-            votes = predictor.predict(alphas).sum(axis=0, dtype=np.int64)
+            votes = predictor.predict(alphas)
+            total = votes.sum(axis=0, dtype=np.int64)
             n_members = len(self.pareto_front)
             preds = np.where(
-                2 * votes > n_members,
+                2 * total > n_members,
                 1,
-                np.where(2 * votes < n_members, 0, self.config.tie_label),
+                np.where(2 * total < n_members, 0, self.config.tie_label),
             )
-            return preds.astype(np.uint8)
-        return predictor.predict(self.pareto_front[self.designated].alpha)
+            return preds.astype(np.uint8), (alphas, votes)
+        alphas = self.pareto_front[self.designated].alpha[None]
+        votes = predictor.predict(alphas)
+        return votes[0], (alphas, votes)
 
     def _trigger_decision(self) -> bool:
         cfg = self.config
@@ -405,17 +413,44 @@ def _json_numbers(values, what: str) -> list[float]:
 
 
 def optimize_weights(
-    chunk: Chunk, predictor: FrozenChunkPredictor, warm_start: Sequence[np.ndarray] | None, params: SmpsoParams, seed
+    chunk: Chunk,
+    predictor: FrozenChunkPredictor,
+    warm_start: Sequence[np.ndarray] | None,
+    params: SmpsoParams,
+    seed,
+    scored: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Archive:
     """Search weight space on one scored window with the predictor it was predicted by.
 
     Each sweep of S weight vectors in [0, 1]^d is one kernel call, scored as
     an (S, n) stack by :func:`accuracy` and :func:`discrimination`, so every
     vector gets the (error rate, absolute discrimination) of its votes alone.
+    ``scored`` hands over votes the window's prediction already computed on
+    this predictor: weight vectors (F, d) and their (F, n) votes. The first
+    sweep (the initial swarm, warm-started from the front) takes a vector's
+    votes from there when its float64 bytes equal a handed vector's, and
+    sends the kernel only the other vectors; later sweeps send every vector.
+    The predictor's votes depend on the vector alone, so the archive is the
+    same with or without ``scored``.
     """
+    known = {} if scored is None else {np.asarray(a, dtype=np.float64).tobytes(): v for a, v in zip(*scored)}
+
+    def votes_of(alphas: np.ndarray) -> np.ndarray:
+        if not known:
+            return predictor.predict(alphas)
+        rows = [known.get(alpha.tobytes()) for alpha in alphas]
+        known.clear()
+        fresh = [i for i, row in enumerate(rows) if row is None]
+        votes = np.empty((len(alphas), len(chunk)), dtype=np.uint8)
+        if fresh:
+            votes[fresh] = predictor.predict(alphas[fresh])
+        for i, row in enumerate(rows):
+            if row is not None:
+                votes[i] = row
+        return votes
 
     def objective(alphas: np.ndarray) -> np.ndarray:
-        votes = predictor.predict(alphas)
+        votes = votes_of(alphas)
         # Module globals on purpose: perfbench/spans.py wraps
         # engine.accuracy and engine.discrimination to time this scoring.
         return np.column_stack(

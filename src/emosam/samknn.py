@@ -36,8 +36,9 @@ features, so memory stays bounded however large rows times memory grows.
 
 Prediction and maintenance share one screen: a memory centred on each
 feature's mid-range as a (d + 2, m) product operand
-(:func:`_screen_operand`), one BLAS product per weight vector and row block
-(:func:`_screen_planes`), and a per-row margin E (:func:`_screen_margin`)
+(:func:`_screen_operand`), one stacked BLAS product per group of weight
+vectors and row block (:func:`_screen_planes`), and a per-row margin E
+(:func:`_screen_margin`)
 that bounds how far a screened distance may lie from its order-defined one.
 Both only compare distances, so a comparison the margin decides needs no
 order-defined sum.
@@ -50,7 +51,10 @@ S weight vectors w of a stack, one BLAS matrix product of a query block's
 rows ``[-2 w x', |x'|^2_w, 1]`` with the memory's columns
 ``[m'; 1; |m'|^2_w]`` writes that vector's distance plane by the expansion
 ``|x' - m'|^2_w = |x'|^2_w + |m'|^2_w - 2 <w x', m'>``, with no difference
-block; its rounding follows the block shape and the BLAS build. With
+block; its rounding follows the block shape and the BLAS build. The
+products of G vectors go out as one stacked call against G copies of the
+memory's columns, each copy holding its vector's norms, with G bounded by
+the operand's share of the block budget (``_OPERAND_SHARE``). With
 kk = min(k, m) a row votes 1 iff the t-th nearest positive,
 t = ceil(kk / 2), comes before the u-th nearest negative, u = kk - t + 1, so
 partitioning the planes' positive and negative columns in place gives the
@@ -69,11 +73,12 @@ runs its row blocks on threads, one per CPU the process may run on (never
 more than it has row blocks, nor than its work fills; see
 ``_THREAD_WORK``), each bound to its own CPU and taking the next block
 nobody has taken; numpy releases the interpreter lock in the products and
-partitions. Each thread has its own block buffer and memory operand and
-writes only its own blocks' votes, so the votes are the same whatever the
-thread count (the kernel's or BLAS's), whichever thread ran a block and
-whatever the block shape: a one-row :class:`FrozenChunkPredictor` (which
-starts no thread) and one over a whole window agree bit for bit.
+partitions. Each thread has its own block buffer and stack of memory
+operands and writes only its own blocks' votes, so the votes are the same
+whatever the thread count (the kernel's or BLAS's), whichever thread ran a
+block and whatever the block shape or group size: a one-row
+:class:`FrozenChunkPredictor` (which starts no thread) and one over a whole
+window agree bit for bit.
 
 Memory maintenance absorbs a whole window at once and matches the
 instance-by-instance loop bit for bit. With C the STM followed by the window,
@@ -194,6 +199,18 @@ _THREAD_WORK = 1 << 26
 # threads, take 850 ms instead of 95 ms. Split, it took 94 ms with the count
 # unset and with it set to 1.
 _SCREEN_CALL = 1 << 18
+# Each kernel thread's stack of memory operands, G copies of the (d + 2, m)
+# screen operand for the G weight vectors one stacked product takes, holds at
+# most _BLOCK_ELEMENTS // _OPERAND_SHARE values (256 KiB; at least one copy,
+# at most one per vector), so G shrinks as the memory grows. Timed on a 2-CPU
+# virtual machine (d = 8, one thread), a desk sweep's block (S = 20 vectors,
+# 41 rows, m = 313) took 0.33 ms at G = 1 and 0.25 ms at G = 5 to 20 (this
+# share gives 10). At m = 3094, a default-scale sweep's, blocks of S = 10 and
+# S = 30 took 0.23 and 0.45 ms at G = 1 (this share's), 0.22 and 0.36 ms at
+# G = 2 and 0.29 and 0.56 ms at G = 10: G must not grow with S alone. Share 4
+# would give G = 2 there, but would put a thread whose every row falls back
+# (d = 8, m = 2000) above 1.5 blocks.
+_OPERAND_SHARE = 8
 # The window absorb's screened STM plane of a row block holds at most
 # _BLOCK_ELEMENTS // _PLANE_SHARE values (1 MiB); so do its LTM distances
 # and their scratch plane (_sq_dists), and the band writer's scan table
@@ -484,36 +501,44 @@ def _split_rows(fill, n: int, rows: int, work: int) -> None:
 
 
 def _screen_planes(
-    xc: np.ndarray, w: np.ndarray, xn: np.ndarray, aug: np.ndarray, mn: np.ndarray, planes: np.ndarray
+    xc: np.ndarray, w: np.ndarray, xn: np.ndarray, ops: np.ndarray, mn: np.ndarray, planes: np.ndarray
 ) -> np.ndarray:
     """Screen distances of r centred queries ``xc`` (r, d) under each row of ``w`` (S, d).
 
     ``xn`` (S, r) and ``mn`` (S, m) are the weighted squared norms of the
-    centred queries and memory points, ``aug`` the memory's (d + 2, m)
-    product operand (:func:`_screen_operand`, or a column slice of it),
-    whose last row this overwrites. For vector s, one BLAS product of the
-    rows ``[-2 w_s * x', xn_s, 1]`` with ``aug`` holding ``mn_s`` in its
-    last row writes plane s of the (S, r, m) ``planes``:
+    centred queries and memory points. ``ops`` is a stack of G copies of the
+    memory's (d + 2, m) product operand (:func:`_screen_operand`, or a
+    column slice of it), whose last rows this overwrites. One multiply
+    builds the S left operands, the rows ``[-2 w_s * x', xn_s, 1]``; then G
+    vectors at a time, copy g holding ``mn_s`` in its last row, one stacked
+    BLAS product writes planes s of the (S, r, m) ``planes``:
     ``|x'|^2 + |m'|^2 - 2 <w x', m'>``, the weighted squared distance by
-    expansion, with no difference block. Each call takes at most
-    ``_SCREEN_CALL`` multiply-adds. The summation order (blocking, fused
+    expansion, with no difference block. Each vector of a stacked call
+    takes at most ``_SCREEN_CALL`` multiply-adds, one BLAS call of the same
+    shape whatever G is. The summation order (blocking, fused
     multiply-adds) is the BLAS build's, so these distances are not the
     order-defined ones: callers only compare them, with the margin of
     :func:`_screen_margin`.
     """
-    r, d = xc.shape
-    K, m = aug.shape
-    lhs = np.empty((r, K))
-    lhs[:, d + 1] = 1.0
+    S, r = planes.shape[:2]
+    G, K, m = ops.shape
+    d = K - 2
+    lhs = np.empty((S, r, K))
+    np.multiply(xc, -2.0 * w[:, None, :], out=lhs[:, :, :d])
+    lhs[:, :, d] = xn
+    lhs[:, :, d + 1] = 1.0
     cols = max(1, min(m, _SCREEN_CALL // K))
     step = max(1, _SCREEN_CALL // (K * cols))
-    for s, plane in enumerate(planes):
-        np.multiply(xc, -2.0 * w[s], out=lhs[:, :d])
-        lhs[:, d] = xn[s]
-        aug[d + 1] = mn[s]
+    for s in range(0, S, G):
+        g = min(G, S - s)
+        ops[:g, d + 1] = mn[s : s + g]
         for i in range(0, r, step):
             for c in range(0, m, cols):
-                np.matmul(lhs[i : i + step], aug[:, c : c + cols], out=plane[i : i + step, c : c + cols])
+                np.matmul(
+                    lhs[s : s + g, i : i + step],
+                    ops[:g, :, c : c + cols],
+                    out=planes[s : s + g, i : i + step, c : c + cols],
+                )
     return planes
 
 
@@ -576,10 +601,12 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     ``_BLOCK_ELEMENTS`` elements (at least one row); the screen's fallback
     recomputes rows in chunks of at most ``_BLOCK_ELEMENTS // _GATHER_SHARE``
     distances (at least one row). The rows are split over threads by
-    :func:`_split_rows`; each thread allocates its own buffer and its own
-    copy of the memory's product operand, so a call holds about one block
-    per thread, and since no vote depends on the thread that computed it the
-    result does not depend on the thread count.
+    :func:`_split_rows`; each thread allocates, once per call, its own
+    buffer and its own stack of G copies of the memory's product operand
+    (G of the S vectors per stacked product: at most
+    ``_BLOCK_ELEMENTS // _OPERAND_SHARE`` values, at least one copy), so a
+    call holds about one block per thread, and since no vote depends on the
+    thread that computed it the result does not depend on the thread count.
 
     With kk = min(k, m), a row votes 1 iff at least t = ceil(kk / 2) of its kk
     nearest points are positive, that is iff in the stable (distance,
@@ -587,18 +614,18 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     negative, u = kk - t + 1. With fewer than u negatives every row votes 1,
     and with fewer than t positives every row votes 0. Otherwise
     :func:`_screen_planes` writes each block's S planes from the centred
-    queries ``x' = fl(x - mu)`` and memory ``m' = fl(m - mu)``, one BLAS
-    product per vector; the positive and negative columns of the planes are
-    partitioned in place, giving ``a``, the t-th smallest positive distance,
-    and ``b``, the u-th smallest negative one, of every (weight vector, row)
-    pair. The order-defined vote is 1 if the order-defined ``a`` is below the
-    order-defined ``b``, 0 if above, and decided by position on a tie. With
-    E the pair's margin (:func:`_screen_margin`), the kernel votes 1 where
-    ``a + E < b`` and 0 where ``a - E > b``, which certifies the
-    order-defined vote. Every other (weight vector, row) pair (near ties,
-    exact ties) recomputes its row's order-defined distances under that
-    vector, puts them back in position order and votes through
-    :func:`_vote_rows`.
+    queries ``x' = fl(x - mu)`` and memory ``m' = fl(m - mu)``, G vectors
+    per stacked BLAS product; the positive and negative columns of the
+    planes are partitioned in place, giving ``a``, the t-th smallest
+    positive distance, and ``b``, the u-th smallest negative one, of every
+    (weight vector, row) pair. The order-defined vote is 1 if the
+    order-defined ``a`` is below the order-defined ``b``, 0 if above, and
+    decided by position on a tie. With E the pair's margin
+    (:func:`_screen_margin`), the kernel votes 1 where ``a + E < b`` and 0
+    where ``a - E > b``, which certifies the order-defined vote. Every
+    other (weight vector, row) pair (near ties, exact ties) recomputes its
+    row's order-defined distances under that vector, puts them back in
+    position order and votes through :func:`_vote_rows`.
     """
     n, d = queries.shape
     m = memory.memory_t.shape[1]
@@ -623,12 +650,15 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     mn = np.einsum("sf,fm->sm", w, screen.aug[:d] * screen.aug[:d])
     margin = _screen_margin(w, xc, screen.reach)
 
+    group = max(1, min(S, _BLOCK_ELEMENTS // _OPERAND_SHARE // ((d + 2) * m)))
+
     def fill(blocks) -> None:
         buf = np.empty(S * rows * m)
-        aug = screen.aug.copy()
+        ops = np.empty((group, d + 2, m))
+        ops[:, : d + 1] = screen.aug[: d + 1]
         for start, stop in blocks:
             r = stop - start
-            planes = _screen_planes(xc[start:stop], w, xn[:, start:stop], aug, mn, buf[: S * r * m].reshape(S, r, m))
+            planes = _screen_planes(xc[start:stop], w, xn[:, start:stop], ops, mn, buf[: S * r * m].reshape(S, r, m))
             planes[:, :, :npos].partition(t - 1, axis=2)
             planes[:, :, npos:].partition(u - 1, axis=2)
             a, b, e = planes[:, :, t - 1], planes[:, :, npos + u - 1], margin[:, start:stop]
@@ -762,7 +792,7 @@ def _band_plane(
     plane = np.empty((r, max(1, -(-w // _BAND_CHUNK)) * _BAND_CHUNK))
     plane[:, w:] = np.nan
     cols = slice(c0, c0 + w)
-    _screen_planes(xc, ones, (xc * xc).sum(axis=1)[None], screen.aug[:, cols], norms[:, cols], plane[None, :, :w])
+    _screen_planes(xc, ones, (xc * xc).sum(axis=1)[None], screen.aug[None, :, cols], norms[:, cols], plane[None, :, :w])
     # only the first first.max() and the last w - stop.min() columns hold entries outside a row's
     left, right = int(first.max()), int(stop.min())
     np.copyto(plane[:, :left], np.nan, where=np.arange(left) < first[:, None])
@@ -1596,7 +1626,8 @@ class FrozenChunkPredictor:
     kNN kernel: one weight vector (d,) gives (n,) votes, a stack (S, d) gives
     (S, n), row s equal to predicting with the s-th vector alone. Each row
     votes from the t-th nearest positive and u-th nearest negative distance,
-    screened by one BLAS product per weight vector and row block; rows the
+    screened by stacked BLAS products, a group of weight vectors per product
+    and row block; rows the
     screen cannot certify recompute their order-defined distances in position
     order and vote through :func:`_vote_rows`. Every vote is the one the
     order-defined left-to-right sums over features give, so results are
@@ -1604,9 +1635,10 @@ class FrozenChunkPredictor:
     block size (``_BLOCK_ELEMENTS`` float64 elements of a block's S distance
     planes, at least one row). The row blocks of a large call run on up to
     one thread per CPU the process may run on, each with its own block
-    buffer and copy of the product operand, so a call's scratch peaks at
-    about one block and one operand per thread; results do not depend on the
-    thread count.
+    buffer and stack of product operands, so a call's scratch peaks at about
+    one block and one operand stack per thread; results do not depend on the
+    thread count. The predictor keeps no state between calls: each call
+    computes every vote it returns.
     """
 
     def __init__(self, features: np.ndarray, bank: MemoryBank) -> None:

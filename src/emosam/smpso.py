@@ -7,6 +7,16 @@ binary tournament on crowding distance. A polynomial mutation perturbs a
 fraction of the swarm each iteration. The objective scores a whole sweep of
 positions in one call.
 
+Each iteration is one array step. Particle by particle, in index order, it
+first only draws from the run's generator: the leader tournament's two
+indices, r1, r2 and the mutation coin, then, for a particle that mutates,
+one coin per variable and one u per mutated variable. How many values are
+drawn never depends on a position, so the draws are those of moving each
+particle before the next one draws. Velocities, their clamp, the bound hits
+and the positions are then computed for the whole (S, d) swarm at once, in
+the per-particle expression order, and the drawn mutations applied last, so
+every position and velocity is bitwise that of the per-particle loop.
+
 The module is a plain optimizer: it knows nothing of windows, memories or
 weights. The engine binds it to a scored window (``engine.optimize_weights``).
 """
@@ -46,6 +56,11 @@ class ObjectivePair(NamedTuple):
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     """True when a is no worse than b everywhere and strictly better once."""
     return a[0] <= b[0] and a[1] <= b[1] and (a[0] < b[0] or a[1] < b[1])
+
+
+def _dominates_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`dominates` of each row of a over the same row of b."""
+    return (a <= b).all(axis=1) & (a < b).any(axis=1)
 
 
 def crowding_distance(objectives: Sequence[Sequence[float]]) -> np.ndarray:
@@ -188,13 +203,27 @@ def polynomial_mutation(
     eta: float,
 ) -> np.ndarray:
     """Bounded polynomial mutation; each variable mutates with per_var_prob."""
+    return _mutate(x, lower, upper, *_mutation_draws(rng, upper - lower, per_var_prob), eta)
+
+
+def _mutation_draws(rng: np.random.Generator, span: np.ndarray, per_var_prob: float) -> tuple[np.ndarray, np.ndarray]:
+    """The mutation's draws: one coin per variable, then one u per mutated variable of nonzero span.
+
+    Returns the mutated variables and their u. How many values are drawn
+    depends on the coins alone, never on the position mutated.
+    """
+    coins = rng.random(len(span))
+    mutated = np.flatnonzero((coins < per_var_prob) & (span > 0.0))
+    return mutated, rng.random(len(mutated))
+
+
+def _mutate(
+    x: np.ndarray, lower: np.ndarray, upper: np.ndarray, mutated: np.ndarray, draws: np.ndarray, eta: float
+) -> np.ndarray:
+    """Apply drawn polynomial mutations (:func:`_mutation_draws`) to a copy of x."""
     out = x.copy()
     span = upper - lower
-    coins = rng.random(len(x))
-    for i in np.nonzero(coins < per_var_prob)[0]:
-        if span[i] <= 0.0:
-            continue
-        u = rng.random()
+    for i, u in zip(mutated.tolist(), draws.tolist()):
         d1 = (out[i] - lower[i]) / span[i]
         d2 = (upper[i] - out[i]) / span[i]
         pw = 1.0 / (eta + 1.0)
@@ -208,20 +237,33 @@ def polynomial_mutation(
     return out
 
 
-def _tournament(archive: Archive, crowding: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Binary tournament on the archive's crowding distances; the more isolated entry wins."""
-    if len(archive) == 1:
-        return archive[0].position
-    i, j = rng.integers(0, len(archive), 2)
-    winner = i if crowding[i] >= crowding[j] else j
-    return archive[int(winner)].position
+def _tournament(size: int, crowding: np.ndarray, rng: np.random.Generator) -> int:
+    """Binary tournament on the archive's crowding distances; the index of the more isolated entry wins."""
+    if size == 1:
+        return 0
+    # two scalar draws give the values of one draw of two, at half the cost
+    i, j = rng.integers(0, size), rng.integers(0, size)
+    return int(i if crowding[i] >= crowding[j] else j)
 
 
-def _scores(objective: Callable[[np.ndarray], np.ndarray], positions: np.ndarray) -> list[tuple[float, float]]:
+def _scores(objective: Callable[[np.ndarray], np.ndarray], positions: np.ndarray, sweep: str) -> np.ndarray:
     values = np.asarray(objective(positions), dtype=np.float64)
     if values.shape != (len(positions), 2):
         raise ValueError(f"objective must return shape ({len(positions)}, 2), got {values.shape}")
-    return [(float(a), float(b)) for a, b in values]
+    if not np.isfinite(values).all():
+        raise ValueError(f"objective returned non-finite values for the {sweep}")
+    return values
+
+
+def _warm_positions(initial_positions: Sequence[np.ndarray] | None, d: int) -> list[np.ndarray]:
+    """The warm starts as float vectors; ValueError unless each has shape (d,) and is finite."""
+    out = []
+    for i, p in enumerate([] if initial_positions is None else initial_positions):
+        p = np.asarray(p, dtype=np.float64)
+        if p.shape != (d,) or not np.isfinite(p).all():
+            raise ValueError(f"warm start {i} must be a finite vector of shape ({d},)")
+        out.append(p)
+    return out
 
 
 def smpso_minimize(
@@ -235,10 +277,12 @@ def smpso_minimize(
 ) -> Archive:
     """Run the swarm and return the leader archive.
 
-    ``objective`` maps an (S, d) array of positions to (S, 2) objective
-    values; it scores the initial swarm, then each iteration's S new
-    positions, in one call each. ``initial_positions`` seed up to
-    ``swarm_size`` particles; the rest start uniform inside the box. All
+    ``objective`` maps an (S, d) array of positions to (S, 2) finite
+    objective values; it scores the initial swarm, then each iteration's S
+    new positions, in one call each, and a non-finite value raises
+    ValueError. ``initial_positions`` seed up to ``swarm_size`` particles
+    (each must be a finite vector of shape (d,), else ValueError; each is
+    clipped to the box); the rest start uniform inside the box. All
     velocities start at zero. On a bound violation the position is clamped
     and that velocity component is scaled by -0.001. ``seed`` is an int or a
     sequence of ints; the personal-best coin flips draw from their own
@@ -253,64 +297,70 @@ def smpso_minimize(
     if (upper < lower).any():
         raise ValueError("upper bounds must not be below lower bounds")
     d = lower.size
+    seeds = _warm_positions(initial_positions, d)[: params.swarm_size]
     rng = np.random.default_rng(seed)
     key = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     coin = np.random.default_rng([*key, _PBEST_TAG])
     chi = constriction(params.c1, params.c2)
-    vmax = (upper - lower) / 2.0
+    span = upper - lower
+    vmax = span / 2.0
 
     n = params.swarm_size
     positions = np.empty((n, d))
-    seeds = list(initial_positions or [])[:n]
     for i, p in enumerate(seeds):
-        positions[i] = np.clip(np.asarray(p, dtype=np.float64), lower, upper)
+        positions[i] = np.clip(p, lower, upper)
     if len(seeds) < n:
         positions[len(seeds) :] = rng.uniform(lower, upper, (n - len(seeds), d))
     velocities = np.zeros((n, d))
 
     archive = Archive(params.archive_capacity)
-    objs = _scores(objective, positions)
+    objs = _scores(objective, positions, "initial sweep")
     pbest = positions.copy()
-    pbest_obj = list(objs)
+    pbest_obj = objs.copy()
     for i in range(n):
         archive.insert(positions[i], objs[i])
 
     per_var = 1.0 / d
+    leader = np.empty(n, dtype=np.int64)
+    r1 = np.empty((n, d))
+    r2 = np.empty((n, d))
     for it in range(params.iterations):
         # Leaders for the whole sweep come from the archive as it stood at
         # the end of the previous iteration, so one set of crowding distances
         # serves every tournament and every new position is known before the
         # sweep is scored; inserts follow in particle-index order.
         crowding = crowding_distance(archive.objective_array())
+        mutations = []
         for i in range(n):
-            leader = _tournament(archive, crowding, rng)
-            r1 = rng.random(d)
-            r2 = rng.random(d)
-            vel = chi * (
-                params.inertia * velocities[i]
-                + params.c1 * r1 * (pbest[i] - positions[i])
-                + params.c2 * r2 * (leader - positions[i])
-            )
-            np.clip(vel, -vmax, vmax, out=vel)
-            pos = positions[i] + vel
-            low_hit = pos < lower
-            high_hit = pos > upper
-            if low_hit.any() or high_hit.any():
-                pos = np.clip(pos, lower, upper)
-                vel = np.where(low_hit | high_hit, vel * -0.001, vel)
-            if rng.random() < params.mutation_rate:
-                pos = polynomial_mutation(pos, lower, upper, rng, per_var, params.mutation_eta)
-            positions[i] = pos
-            velocities[i] = vel
-        objs = _scores(objective, positions)
+            leader[i] = _tournament(len(archive), crowding, rng)
+            # r1, r2 and the mutation coin: 2d + 1 consecutive doubles
+            draw = rng.random(2 * d + 1)
+            r1[i], r2[i] = draw[:d], draw[d : 2 * d]
+            if draw[2 * d] < params.mutation_rate:
+                mutations.append((i, *_mutation_draws(rng, span, per_var)))
+        leaders = np.array([e.position for e in archive])[leader]
+        vel = chi * (
+            params.inertia * velocities + params.c1 * r1 * (pbest - positions) + params.c2 * r2 * (leaders - positions)
+        )
+        np.clip(vel, -vmax, vmax, out=vel)
+        pos = positions + vel
+        hit = (pos < lower) | (pos > upper)
+        # a particle with any bound hit is clamped whole; the others keep
+        # their exact values (clip turns -0.0 into 0.0)
+        rows = hit.any(axis=1)
+        pos[rows] = np.clip(pos[rows], lower, upper)
+        vel[hit] *= -0.001
+        for i, mutated, draws in mutations:
+            pos[i] = _mutate(pos[i], lower, upper, mutated, draws, params.mutation_eta)
+        positions, velocities = pos, vel
+        objs = _scores(objective, positions, f"sweep of iteration {it}")
+        improved = _dominates_rows(objs, pbest_obj)
+        undecided = ~improved & ~_dominates_rows(pbest_obj, objs)
+        improved[undecided] = coin.random(int(undecided.sum())) < 0.5
+        pbest[improved] = positions[improved]
+        pbest_obj[improved] = objs[improved]
         for i in range(n):
-            obj = objs[i]
-            if dominates(obj, pbest_obj[i]) or (
-                not dominates(pbest_obj[i], obj) and coin.random() < 0.5
-            ):
-                pbest[i] = positions[i]
-                pbest_obj[i] = obj
-            archive.insert(positions[i], obj)
+            archive.insert(positions[i], objs[i])
         if iteration_hook is not None:
             iteration_hook(it, positions, velocities, archive)
     return archive

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, dense algebra, full sorts) and shares no code with the package
-under test.
+under test. The one exception is :func:`reference_smpso`, which checks the
+swarm's step only: it keeps the package's archive, crowding distance and
+dominance test, which have tests of their own.
 """
 
 from __future__ import annotations
@@ -462,3 +464,103 @@ def reference_ingest(manifest):
             names.append(c)
     features = np.hstack(blocks)
     return features, np.asarray(groups, dtype=np.uint8), np.asarray(labels, dtype=np.uint8), names, rejected
+
+
+def _reference_mutation(x, lower, upper, rng, per_var_prob: float, eta: float):
+    out = x.copy()
+    span = upper - lower
+    coins = rng.random(len(x))
+    for i in np.nonzero(coins < per_var_prob)[0]:
+        if span[i] <= 0.0:
+            continue
+        u = rng.random()
+        d1 = (out[i] - lower[i]) / span[i]
+        d2 = (upper[i] - out[i]) / span[i]
+        pw = 1.0 / (eta + 1.0)
+        if u < 0.5:
+            val = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)
+            delta = val**pw - 1.0
+        else:
+            val = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)
+            delta = 1.0 - val**pw
+        out[i] = min(max(out[i] + delta * span[i], lower[i]), upper[i])
+    return out
+
+
+def _reference_tournament(archive, crowding, rng):
+    if len(archive) == 1:
+        return archive[0].position
+    i, j = rng.integers(0, len(archive), 2)
+    winner = i if crowding[i] >= crowding[j] else j
+    return archive[int(winner)].position
+
+
+def _reference_scores(objective, positions):
+    values = np.asarray(objective(positions), dtype=np.float64)
+    return [(float(a), float(b)) for a, b in values]
+
+
+def reference_smpso(objective, lower, upper, params, seed, initial_positions=None, iteration_hook=None):
+    """``smpso.smpso_minimize`` one particle at a time: each particle draws its
+    tournament, r1, r2 and mutation coin (and, if mutated, the mutation's
+    coins and u values), then moves, before the next particle draws."""
+    from emosam.smpso import _PBEST_TAG, Archive, constriction, crowding_distance, dominates
+
+    lower = np.asarray(lower, dtype=np.float64)
+    upper = np.asarray(upper, dtype=np.float64)
+    d = lower.size
+    rng = np.random.default_rng(seed)
+    key = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    coin = np.random.default_rng([*key, _PBEST_TAG])
+    chi = constriction(params.c1, params.c2)
+    vmax = (upper - lower) / 2.0
+
+    n = params.swarm_size
+    positions = np.empty((n, d))
+    seeds = list(initial_positions or [])[:n]
+    for i, p in enumerate(seeds):
+        positions[i] = np.clip(np.asarray(p, dtype=np.float64), lower, upper)
+    if len(seeds) < n:
+        positions[len(seeds) :] = rng.uniform(lower, upper, (n - len(seeds), d))
+    velocities = np.zeros((n, d))
+
+    archive = Archive(params.archive_capacity)
+    objs = _reference_scores(objective, positions)
+    pbest = positions.copy()
+    pbest_obj = list(objs)
+    for i in range(n):
+        archive.insert(positions[i], objs[i])
+
+    per_var = 1.0 / d
+    for it in range(params.iterations):
+        crowding = crowding_distance(archive.objective_array())
+        for i in range(n):
+            leader = _reference_tournament(archive, crowding, rng)
+            r1 = rng.random(d)
+            r2 = rng.random(d)
+            vel = chi * (
+                params.inertia * velocities[i]
+                + params.c1 * r1 * (pbest[i] - positions[i])
+                + params.c2 * r2 * (leader - positions[i])
+            )
+            np.clip(vel, -vmax, vmax, out=vel)
+            pos = positions[i] + vel
+            low_hit = pos < lower
+            high_hit = pos > upper
+            if low_hit.any() or high_hit.any():
+                pos = np.clip(pos, lower, upper)
+                vel = np.where(low_hit | high_hit, vel * -0.001, vel)
+            if rng.random() < params.mutation_rate:
+                pos = _reference_mutation(pos, lower, upper, rng, per_var, params.mutation_eta)
+            positions[i] = pos
+            velocities[i] = vel
+        objs = _reference_scores(objective, positions)
+        for i in range(n):
+            obj = objs[i]
+            if dominates(obj, pbest_obj[i]) or (not dominates(pbest_obj[i], obj) and coin.random() < 0.5):
+                pbest[i] = positions[i]
+                pbest_obj[i] = obj
+            archive.insert(positions[i], obj)
+        if iteration_hook is not None:
+            iteration_hook(it, positions, velocities, archive)
+    return archive

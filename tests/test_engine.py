@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_chunk, predict_one
+from emosam import engine as engine_module
+from emosam import samknn
 from emosam.engine import (
     _CHECKPOINT_VERSION,
     EmosamEngine,
@@ -234,6 +236,81 @@ def test_triggered_window_builds_one_predictor(stream, monkeypatch):
     _, record = engine.step(stream[1])
     assert record.triggered
     assert len(built) == 1
+
+
+def watch_retunes(monkeypatch):
+    """Patch the re-tune to record, per call, the votes handed to it and the rows of each kernel call it makes."""
+    calls, inside, search, kernel = [], [], engine_module.optimize_weights, samknn._weighted_votes
+
+    def watched(*args):
+        calls.append({"scored": args[5], "rows": []})
+        inside.append(True)
+        try:
+            return search(*args)
+        finally:
+            inside.pop()
+
+    def counted(queries, memory, k, alphas):
+        if inside:
+            calls[-1]["rows"].append(len(alphas))
+        return kernel(queries, memory, k, alphas)
+
+    monkeypatch.setattr(engine_module, "optimize_weights", watched)
+    monkeypatch.setattr(samknn, "_weighted_votes", counted)
+    return calls
+
+
+@pytest.mark.parametrize("selection", list(SelectionStrategy))
+def test_retune_first_sweep_sends_only_vectors_the_window_did_not_score(stream, monkeypatch, selection):
+    # The window's prediction scored every front member (majority) or the
+    # designated one (knee, random) on the predictor the re-tune searches
+    # with; the first sweep takes those votes and sends the kernel the rest
+    # of the swarm, and later sweeps send every particle.
+    params = SmpsoParams(swarm_size=6, iterations=2)
+    config = small_config(
+        trigger=TriggerPolicy.EVERY, selection=selection, smpso=params, init_mode=InitMode.RANDOM, n_init_random=3
+    )
+    engine = EmosamEngine(stream[0].n_features, config)
+    engine.step(stream[0])
+    calls = watch_retunes(monkeypatch)
+    fronts = []
+    for chunk in stream[1:6]:
+        fronts.append(([s.alpha for s in engine.pareto_front], engine.designated))
+        engine.step(chunk)
+    assert len(calls) == 5
+    sizes = set()
+    for call, (front, member) in zip(calls, fronts):
+        in_swarm = min(len(front), params.swarm_size)
+        if selection is SelectionStrategy.MAJORITY:
+            reused = in_swarm
+            assert len(call["scored"][0]) == len(front)
+        else:
+            reused = int(member < in_swarm)
+            np.testing.assert_array_equal(call["scored"][0], [front[member]])
+        first = [params.swarm_size - reused] if reused < params.swarm_size else []
+        assert call["rows"] == first + [params.swarm_size] * params.iterations
+        sizes.add(len(front))
+    assert len(sizes) > 1  # fronts of different sizes were handed over
+
+
+@pytest.mark.parametrize("selection", list(SelectionStrategy))
+def test_handed_votes_change_no_front_prediction_or_record(stream, monkeypatch, selection):
+    config = small_config(trigger=TriggerPolicy.EVERY, selection=selection)
+
+    def run():
+        engine = EmosamEngine(stream[0].n_features, config)
+        outputs = []
+        for chunk in stream[:6]:
+            preds, record = engine.step(chunk)
+            front = [(s.alpha.tobytes(), s.objectives) for s in engine.pareto_front]
+            outputs.append((preds.tobytes(), record.accuracy, record.discrimination, record.pareto_size, front))
+        return outputs
+
+    with_votes = run()
+    search = engine_module.optimize_weights
+    # the objective scores every swarm member on the kernel, as if nothing was handed over
+    monkeypatch.setattr(engine_module, "optimize_weights", lambda *args: search(*args[:5]))
+    assert run() == with_votes
 
 
 def test_degenerate_window_contributes_no_trigger_pressure(rng):

@@ -374,7 +374,7 @@ def planes_at_the_error_bound(npos, push):
 
     def hook(xc, w, xn, aug, mn, planes):
         d = xc.shape[1]
-        memory = [[Fraction(v) for v in point] for point in aug[:d].T.tolist()]
+        memory = [[Fraction(v) for v in point] for point in aug[0, :d].T.tolist()]
         reach = [max(abs(point[f]) for point in memory) for f in range(d)]
         rho0 = Fraction(2 * d + 7, 2**53)
         a0 = (2 * sum(reach) + 8 * d + 8) / Fraction(2**1074)
@@ -797,7 +797,8 @@ def test_screen_products_stay_below_blas_threading_size(rng, monkeypatch):
     matmul, sizes = np.matmul, []
 
     def counted(a, b, **kwargs):
-        sizes.append(a.shape[0] * a.shape[1] * b.shape[1])
+        # a stacked product of G items is G BLAS calls of one item's size
+        sizes.extend([a.shape[-2] * a.shape[-1] * b.shape[-1]] * (a.size // (a.shape[-2] * a.shape[-1])))
         return matmul(a, b, **kwargs)
 
     m, d = 3000, 8
@@ -807,8 +808,41 @@ def test_screen_products_stay_below_blas_threading_size(rng, monkeypatch):
     want = predictor.predict(alphas)
     monkeypatch.setattr(np, "matmul", counted)
     np.testing.assert_array_equal(predictor.predict(alphas), want)
-    # one (rows, d + 2) @ (d + 2, m) product per weight vector and row block
+    # one (rows, d + 2) @ (d + 2, m) product per weight vector and row block, stacked or not
     assert sum(sizes) == 40 * m * (d + 2) * 30 and max(sizes) <= samknn._SCREEN_CALL
+
+
+def test_grouped_screen_products_keep_every_vote(rng):
+    # One stacked product screens G weight vectors against G copies of the
+    # memory operand, each holding its own vector's memory norms. G = 1, G
+    # dividing S, G not dividing S and G = S give the order-defined votes,
+    # on integer grids (exact ties) and on continuous data; by default the
+    # copies stay within the operand share of the block budget.
+    screen_planes = samknn._screen_planes
+    for m, d, S, grid in ((40, 3, 7, True), (60, 8, 12, False), (25, 13, 5, True)):
+        K = d + 2
+        make = (lambda shape: rng.integers(0, 3, shape).astype(float)) if grid else rng.random
+        mem, queries = make((m, d)), make((30, d))
+        labels = rng.integers(0, 2, m).astype(np.uint8)
+        alphas = np.vstack([np.ones(d), rng.random((S - 1, d))])
+        want = np.array([samknn._vote_rows(python_sq_sums(queries, mem, a * a), labels == 1, 3) for a in alphas])
+        predictor = FrozenChunkPredictor(queries, bank_with_stm(mem, labels, k=3, min_stm_size=4, stm_cap=m))
+        for group in (1, 2, 5, S, None):
+            seen = []
+
+            def recorded(xc, w, xn, ops, mn, planes):
+                seen.append(ops.shape)
+                return screen_planes(xc, w, xn, ops, mn, planes)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(samknn, "_screen_planes", recorded)
+                if group is not None:
+                    mp.setattr(samknn, "_OPERAND_SHARE", 1 << 40 if group == 1 else _BLOCK_ELEMENTS // (group * K * m))
+                np.testing.assert_array_equal(predictor.predict(alphas), want)
+            if group is None:
+                assert all(g * K * m <= max(K * m, _BLOCK_ELEMENTS // samknn._OPERAND_SHARE) for g, _, _ in seen)
+            else:
+                assert set(seen) == {(min(group, S), K, m)}
 
 
 def test_stacked_call_scratch_is_one_block_per_worker(rng):
@@ -1123,7 +1157,7 @@ def test_screened_absorb_holds_with_planes_at_the_edge_of_the_error_bound():
         for push in (1, -1):
 
             def hook(xc, w, xn, aug, mn, planes):
-                return planes_at_the_error_bound(aug.shape[1] // 2, push)(xc, w, xn, aug, mn, planes)
+                return planes_at_the_error_bound(aug.shape[-1] // 2, push)(xc, w, xn, aug, mn, planes)
 
             bank, reference = MemoryBank(d, **kwargs), MemoryBank(d, **kwargs)
             with pytest.MonkeyPatch.context() as mp:

@@ -18,7 +18,7 @@ from emosam.smpso import (
     polynomial_mutation,
     smpso_minimize,
 )
-from oracles import mutually_non_dominated
+from oracles import mutually_non_dominated, reference_smpso
 
 pair = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 
@@ -254,6 +254,90 @@ def test_smpso_solves_schaffer_front():
     assert inside / total >= 0.95
 
 
+@st.composite
+def swarm_runs(draw):
+    """A swarm, its box (one dimension may be a point: the mutation's span-0 skip) and warm starts."""
+    d = draw(st.integers(1, 9))
+    lower = np.array(draw(st.lists(st.floats(-3.0, 1.0), min_size=d, max_size=d)))
+    width = np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=d, max_size=d)))
+    if draw(st.booleans()):
+        width[draw(st.integers(0, d - 1))] = 0.0
+    params = SmpsoParams(
+        swarm_size=draw(st.integers(1, 25)),
+        iterations=draw(st.integers(0, 6)),
+        mutation_rate=draw(st.sampled_from([0.0, 0.15, 1.0])),
+        archive_capacity=draw(st.integers(1, 30)),
+    )
+    n_warm = draw(st.integers(0, params.swarm_size + 3))
+    unit = st.lists(st.floats(-0.5, 1.5), min_size=d, max_size=d)
+    warm = [lower + np.array(draw(unit)) * width for _ in range(n_warm)]
+    decimals = draw(st.sampled_from([None, 1, 2]))
+    seed = draw(st.one_of(st.integers(0, 2**32), st.lists(st.integers(0, 99), min_size=1, max_size=3)))
+    return lower, lower + width, params, warm, decimals, seed
+
+
+@given(swarm_runs())
+@settings(max_examples=150, deadline=None)
+def test_swarm_step_equals_the_per_particle_oracle(run):
+    # One array step per iteration must move, archive and hand the hook
+    # exactly what the per-particle loop does, bit for bit. Rounded
+    # objectives make archive duplicates and crowding ties.
+    lower, upper, params, warm, decimals, seed = run
+
+    def objective(positions):
+        centre = 0.5 * (lower + upper)
+        values = np.column_stack([((positions - lower) ** 2).sum(axis=1), ((positions - centre) ** 2).sum(axis=1)])
+        return values if decimals is None else np.round(values, decimals)
+
+    def recorder(seen):
+        def hook(it, positions, velocities, archive):
+            seen.append((it, positions.tobytes(), velocities.tobytes()))
+
+        return hook
+
+    got, want = [], []
+    archive = smpso_minimize(objective, lower, upper, params, seed, warm, recorder(got))
+    reference = reference_smpso(objective, lower, upper, params, seed, warm, recorder(want))
+    assert got == want
+    assert [(e.position.tobytes(), e.objectives) for e in archive] == [
+        (e.position.tobytes(), e.objectives) for e in reference
+    ]
+
+
+@pytest.mark.parametrize(
+    "warm",
+    [[np.array([0.5])], [np.array([np.nan, 0.5])], [np.array([0.1, 0.2, 0.3])], [np.ones(2), np.array([0.2, np.inf])]],
+    ids=["short", "nan", "long", "second infinite"],
+)
+def test_smpso_rejects_malformed_warm_starts_before_scoring(warm):
+    calls = []
+
+    def objective(positions):
+        calls.append(len(positions))
+        return np.zeros((len(positions), 2))
+
+    with pytest.raises(ValueError, match="warm start"):
+        smpso_minimize(objective, np.zeros(2), np.ones(2), SmpsoParams(swarm_size=3, iterations=1), 0, warm)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("sweep", [0, 2])
+def test_smpso_rejects_non_finite_objectives(bad, sweep):
+    calls = []
+
+    def objective(positions):
+        values = np.column_stack([positions[:, 0], 1.0 - positions[:, 0]])
+        if len(calls) == sweep:
+            values[-1, 0] = bad
+        calls.append(len(positions))
+        return values
+
+    where = "initial sweep" if sweep == 0 else f"iteration {sweep - 1}"
+    with pytest.raises(ValueError, match=where):
+        smpso_minimize(objective, np.zeros(1), np.ones(1), SmpsoParams(swarm_size=3, iterations=3), 0)
+
+
 # -- the engine's weight search (engine.optimize_weights) ----------------------------
 
 
@@ -340,3 +424,21 @@ def test_optimize_weights_deterministic_with_list_seed(rng):
     assert [e.objectives for e in one] == [e.objectives for e in two]
     for a, b in zip(one, two):
         np.testing.assert_array_equal(a.position, b.position)
+
+
+@pytest.mark.parametrize("swarm", [1, 3, 10])
+def test_handed_votes_give_the_same_archive(rng, swarm):
+    # Votes the window already computed on the predictor feed the first
+    # sweep; the archive must equal the one that scores every vector anew,
+    # whether the handed vectors fill the swarm or part of it.
+    chunk = make_chunk(rng.random((45, 3)), rng.integers(0, 2, 45), rng.integers(0, 2, 45))
+    bank = _bank_for(chunk, rng)
+    front = [np.ones(3), rng.random(3), rng.random(3)]
+    params = SmpsoParams(swarm_size=swarm, iterations=3)
+    predictor = FrozenChunkPredictor(chunk.features, bank)
+    want = optimize_weights(chunk, predictor, front, params, [5, 1])
+    for scored in (np.stack(front), np.stack(front[1:2]), np.stack(front + [rng.random(3)])):
+        got = optimize_weights(chunk, predictor, front, params, [5, 1], (scored, predictor.predict(scored)))
+        assert [(e.position.tobytes(), e.objectives) for e in got] == [
+            (e.position.tobytes(), e.objectives) for e in want
+        ]
