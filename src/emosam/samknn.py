@@ -47,17 +47,20 @@ Every weighted prediction goes through one kernel, and every vote it returns
 equals the vote of the order-defined distances; BLAS only screens. The
 kernel takes the memory label-ordered, label-1 points first and each label
 in position order, and centred on each feature's mid-range. For each of the
-S weight vectors w of a stack, one BLAS matrix product of a query block's
+S weight vectors w of a stack, BLAS matrix products of a query block's
 rows ``[-2 w x', |x'|^2_w, 1]`` with the memory's columns
-``[m'; 1; |m'|^2_w]`` writes that vector's distance plane by the expansion
+``[m'; 1; |m'|^2_w]`` write that vector's distances by the expansion
 ``|x' - m'|^2_w = |x'|^2_w + |m'|^2_w - 2 <w x', m'>``, with no difference
-block; its rounding follows the block shape and the BLAS build. The
+block; their rounding follows the block shape and the BLAS build. The
 products of G vectors go out as one stacked call against G copies of the
 memory's columns, each copy holding its vector's norms, with G bounded by
 the operand's share of the block budget (``_OPERAND_SHARE``). With
 kk = min(k, m) a row votes 1 iff the t-th nearest positive,
-t = ceil(kk / 2), comes before the u-th nearest negative, u = kk - t + 1, so
-partitioning the planes' positive and negative columns in place gives the
+t = ceil(kk / 2), comes before the u-th nearest negative, u = kk - t + 1.
+So the products write each label side of a block as its own C-contiguous
+plane, positives (S, r, npos) and negatives (S, r, m - npos), and the t-th
+smallest of each positive row and the u-th smallest of each negative row
+(:func:`_kth_smallest`, which peels row minima with ``argmin``) give the
 two order statistics ``a`` and ``b`` of every (weight vector, row) pair. The
 BLAS sums and the order-defined ones both lie within a proven error of the
 exact sums, relative to a per-row scale of the centred data plus a
@@ -72,9 +75,12 @@ is finite. A row's votes depend on that row alone, so a large kernel call
 runs its row blocks on threads, one per CPU the process may run on (never
 more than it has row blocks, nor than its work fills; see
 ``_THREAD_WORK``), each bound to its own CPU and taking the next block
-nobody has taken; numpy releases the interpreter lock in the products and
-partitions. Each thread has its own block buffer and stack of memory
-operands and writes only its own blocks' votes, so the votes are the same
+nobody has taken. numpy releases the interpreter lock inside the products
+and ``argmin`` rounds, but a block makes many short calls (one product per
+label side and vector group, one ``argmin`` per peel round), and at d = 8
+two threads ran default-scale sweeps slower than one, so those run on one
+thread. Each thread has its own block buffer and stack of memory operands
+and writes only its own blocks' votes, so the votes are the same
 whatever the thread count (the kernel's or BLAS's), whichever thread ran a
 block and whatever the block shape or group size: a one-row
 :class:`FrozenChunkPredictor` (which starts no thread) and one over a whole
@@ -94,9 +100,9 @@ same-label entries their cleaning radius can rest on: those within the
 slack of the k-th smallest same-label band candidate, which bounds the
 k-th smallest same-label distance, or all of them where the row has fewer
 than k same-label candidates. Only these get order-defined distances;
-the bands, the STM votes and the radius (the exact element ``np.partition``
-selects) come from them. The LTM votes are row votes over each block's
-order-defined distances to the LTM (:func:`_sq_dists`).
+the bands, the STM votes and the radius (the exact k-th smallest,
+:func:`_kth_smallest`) come from them. The LTM votes are row votes over
+each block's order-defined distances to the LTM (:func:`_sq_dists`).
 
 Maintenance tables are ragged, and +inf marks no point (no distance is
 +inf, as features are bounded): one row vote (:func:`_vote_rows`) and one
@@ -181,16 +187,23 @@ _SNAPSHOT_HEAD = "<IIIIIIdqQ"
 _BLOCK_ELEMENTS = 1 << 18
 # Least kernel work, in weighted squared differences (queries x memory x
 # features x weight vectors), that each thread of a kernel call must get
-# before the call starts a thread. Timed on a 2-CPU virtual machine whose
-# host also runs other work, each thread bound to its own CPU: while the
-# host was quiet, two threads ran a 250 x 1000 x 8 x 20 call (40M; desk
-# swarm sweeps reach 21M) and a 1000 x 3300 x 8 x 10 call (264M, about a
-# default swarm sweep) 1.7x faster. While it was busy (up to a third of the
-# machine's CPU time reported stolen), whole desk runs that threaded every
-# call re-tuned 1.1-1.4x slower than on one thread, while default-scale
-# re-tunes still ran 1.3-1.4x faster in most runs. Below this bound a thread
-# loses on a busy host what it gains on a quiet one, and runs spread.
-_THREAD_WORK = 1 << 26
+# before the call starts a thread. Timed on a 2-CPU virtual machine, each
+# thread bound to its own CPU, min-median of 7 calls (k = 5, 45% positive),
+# one thread against two: at d = 8, 1000 x 3096 with S = 10 took 57-81 ms
+# against 65-92 ms and with S = 30 303-473 ms against 563-582 ms; 1000 x
+# 5000 with S = 10 139-145 against 126-135 ms, with S = 30 830-941 against
+# 1322-1407 ms; 250 x 1000 with S = 20 (a desk sweep) 14-15 against 11-14
+# ms. At d = 32, 1000 x 3096 with S = 10 took 105-124 against 92-112 ms
+# and with S = 30 624-748 against 662-693 ms; at d = 64 threads won, S = 10
+# 319-392 against 208-240 ms and S = 30 991-1062 against 596-713 ms. Two
+# threads lost most where a block holds fewest rows (large S and m), and a
+# block makes dozens of short numpy calls, between which the threads wait
+# for the interpreter lock; more features lengthen the products, which run
+# outside it. This bound keeps every d = 8 call of a default-scale swarm
+# (at most 1.2G) on one thread and gives two threads to calls of at least
+# 2.1G, such as 1000 x 3096 x 64 x 30; it forgoes 1000 x 3096 x 64 x 10
+# (1.6G).
+_THREAD_WORK = 1 << 30
 # Most multiply-adds in one BLAS call of the kernel's screen. OpenBLAS may run
 # a larger product on its own threads (its bound is 65536 times
 # GEMM_MULTITHREAD_THRESHOLD, 4 by default) unless told to use one thread. On
@@ -228,11 +241,21 @@ _PLANE_SHARE = 2
 # go through in chunks of at most _BLOCK_ELEMENTS // _GATHER_SHARE values or
 # slots (128 KiB of float64), as do the kernel's recomputed rows (at least
 # one row): a chunk's distances, their scratch plane, their position-order
-# copy and the vote's partition copy take about a quarter of the thread's
+# copy and the vote's selection copy take about a quarter of the thread's
 # block. Pair-sum chunks of 2^16 values held 1 MiB of gathered rows at the
 # peak of the fit peak-memory test's large case; chunks of 2^14 took the
 # 7-window reference fit's pair sums from 14.0 to 14.8 ms.
 _GATHER_SHARE = 16
+# Largest q that _kth_smallest selects by peeling q - 1 row minima rather
+# than by np.partition. A partition costs 2.5-3.4 ns per element at the
+# kernel's row lengths whatever q is, an argmin over a contiguous row
+# 0.2-0.4 ns. Timed on a 2-CPU virtual machine (AVX-512, numpy 2.4), peeling
+# beat partition up to q = 8 and tied at q = 9 (0.90-1.10x) at 20 x 13 x 450,
+# 10 x 8 x 1500 and 1 x 262 x 450; at 10 x 8 x 3096, a default-scale sweep's
+# width, it lost from q = 7, so no measured shape peels where it lost. With
+# k = 5 the kernel peels q = 3 and the other selections q = 5; the partition
+# is a guard for large k, which no benchmark workload reaches.
+_PEEL_MAX = 6
 
 # Each STM point carries its k-skyband: the predecessors with fewer than k
 # points between them and it that are strictly closer to it. At most
@@ -283,6 +306,27 @@ def _row_counts(mask: np.ndarray) -> np.ndarray:
     return mask.view(np.uint8).sum(axis=1, dtype=np.int32)
 
 
+def _kth_smallest(side: np.ndarray, q: int) -> np.ndarray:
+    """The q-th smallest (1-based) along the last axis of a C-contiguous array, overwriting it.
+
+    Takes q - 1 rounds of ``argmin``, each writing +inf into the chosen
+    slot, then gathers the last round's minima; with q above ``_PEEL_MAX``
+    it partitions instead. Returns a new array of the leading shape, each
+    value equal to ``np.partition``'s q-th element of its row (for input
+    without NaN; q at most the row length).
+    """
+    if q > _PEEL_MAX:
+        side.partition(q - 1, axis=-1)
+        return side[..., q - 1].copy()
+    width = side.shape[-1]
+    flat = side.reshape(-1)
+    rows = flat.reshape(-1, width)
+    starts = np.arange(0, flat.size, width)
+    for _ in range(q - 1):
+        flat[rows.argmin(axis=1) + starts] = np.inf
+    return flat[rows.argmin(axis=1) + starts].reshape(side.shape[:-1])
+
+
 def _vote_rows(dist2: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
     """Row-wise majority votes of the k nearest memory points.
 
@@ -290,18 +334,18 @@ def _vote_rows(dist2: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
     ``positive`` marks the memory points labelled 1: one (m,) mask for every
     row, or one (n, m) mask with a row for each. Distance ties keep the
     earlier position, class-vote ties go to label 1. The k-th smallest
-    distance of each row comes from a partition; when exactly k points lie at
-    or below it they are the k nearest. Only rows with more than k such points
-    (ties at the k-th distance) take all strictly closer points plus the
-    earliest-position tied ones, which reproduces a stable (distance,
-    position) sort exactly. A row with k points or fewer votes with all of
-    them, and a row with none votes 1.
+    distance of each row comes from :func:`_kth_smallest` on a copy; when
+    exactly k points lie at or below it they are the k nearest. Only rows
+    with more than k such points (ties at the k-th distance) take all
+    strictly closer points plus the earliest-position tied ones, which
+    reproduces a stable (distance, position) sort exactly. A row with k
+    points or fewer votes with all of them, and a row with none votes 1.
     """
     n, m = dist2.shape
     if m == 0:
         return np.ones(n, dtype=np.uint8)
     kk = min(k, m)
-    kth = np.partition(dist2, kk - 1, axis=1)[:, kk - 1 : kk]
+    kth = _kth_smallest(dist2.copy(), kk)[:, None]
     near = dist2 <= kth
     # an infinite k-th leaves fewer than kk points, which all vote
     short = np.flatnonzero(kth[:, 0] == np.inf)
@@ -597,8 +641,9 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     ``sum_f alpha_f^2 (m_f - x_f)^2`` (added left to right,
     :func:`_sq_dists`) in position order, so a vote depends neither on the
     block its row lands in nor on the BLAS build. Queries are taken in row
-    blocks whose S distance planes (S, r, m) hold at most
-    ``_BLOCK_ELEMENTS`` elements (at least one row); the screen's fallback
+    blocks whose two label planes, (S, r, npos) and (S, r, m - npos), hold
+    at most ``_BLOCK_ELEMENTS`` elements together (at least one row); both
+    are C-contiguous pieces of the thread's one buffer. The screen's fallback
     recomputes rows in chunks of at most ``_BLOCK_ELEMENTS // _GATHER_SHARE``
     distances (at least one row). The rows are split over threads by
     :func:`_split_rows`; each thread allocates, once per call, its own
@@ -613,12 +658,14 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     position) order the t-th nearest positive comes before the u-th nearest
     negative, u = kk - t + 1. With fewer than u negatives every row votes 1,
     and with fewer than t positives every row votes 0. Otherwise
-    :func:`_screen_planes` writes each block's S planes from the centred
+    :func:`_screen_planes` writes each block's planes from the centred
     queries ``x' = fl(x - mu)`` and memory ``m' = fl(m - mu)``, G vectors
-    per stacked BLAS product; the positive and negative columns of the
-    planes are partitioned in place, giving ``a``, the t-th smallest
-    positive distance, and ``b``, the u-th smallest negative one, of every
-    (weight vector, row) pair. The order-defined vote is 1 if the
+    per stacked BLAS product, once per label side: on the positive columns
+    of the operand stack and memory norms into the positive plane, then on
+    the negative columns into the negative plane, so no operand is copied.
+    :func:`_kth_smallest` overwrites each plane as it takes ``a``, the t-th
+    smallest positive distance, and ``b``, the u-th smallest negative one,
+    of every (weight vector, row) pair. The order-defined vote is 1 if the
     order-defined ``a`` is below the order-defined ``b``, 0 if above, and
     decided by position on a tie. With E the pair's margin
     (:func:`_screen_margin`), the kernel votes 1 where ``a + E < b`` and 0
@@ -658,10 +705,11 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
         ops[:, : d + 1] = screen.aug[: d + 1]
         for start, stop in blocks:
             r = stop - start
-            planes = _screen_planes(xc[start:stop], w, xn[:, start:stop], ops, mn, buf[: S * r * m].reshape(S, r, m))
-            planes[:, :, :npos].partition(t - 1, axis=2)
-            planes[:, :, npos:].partition(u - 1, axis=2)
-            a, b, e = planes[:, :, t - 1], planes[:, :, npos + u - 1], margin[:, start:stop]
+            x, e = xc[start:stop], margin[:, start:stop]
+            pos = buf[: S * r * npos].reshape(S, r, npos)
+            neg = buf[S * r * npos : S * r * m].reshape(S, r, m - npos)
+            a = _kth_smallest(_screen_planes(x, w, xn[:, start:stop], ops[:, :, :npos], mn[:, :npos], pos), t)
+            b = _kth_smallest(_screen_planes(x, w, xn[:, start:stop], ops[:, :, npos:], mn[:, npos:], neg), u)
             vote = a + e < b
             out[:, start:stop] = vote
             unsure = ~(vote | (a - e > b))
@@ -699,20 +747,19 @@ def _sliding_blocks(stop: int, base, max_rows: int) -> list[tuple[int, int]]:
 def _radii_sq(dist2: np.ndarray, k: int) -> np.ndarray:
     """Squared cleaning radius of each row over its finite entries; +inf marks no point.
 
-    The k-th smallest (the element np.partition selects), or the largest when
-    a row has fewer than k; -inf for a row with none, so nothing lies inside.
-    Partitions ``dist2`` in place.
+    The k-th smallest (:func:`_kth_smallest`), or the largest when a row has
+    fewer than k; -inf for a row with none, so nothing lies inside.
+    Overwrites ``dist2``.
     """
     n, m = dist2.shape
     if m == 0:
         return np.full(n, -np.inf)
     kk = min(k, m)
-    dist2.partition(kk - 1, axis=1)
-    r2 = dist2[:, kk - 1].copy()
-    short = np.flatnonzero(r2 == np.inf)
-    if short.size:
-        sub = dist2[short]
-        r2[short] = np.where(sub != np.inf, sub, -np.inf).max(axis=1)
+    short = np.flatnonzero(_row_counts(dist2 == np.inf) > m - kk)
+    sub = dist2[short]
+    largest = np.where(sub != np.inf, sub, -np.inf).max(axis=1, initial=-np.inf)
+    r2 = _kth_smallest(dist2, kk)
+    r2[short] = largest
     return r2
 
 
@@ -1386,7 +1433,7 @@ class MemoryBank:
                 r2 = np.full(e - b, -np.inf)
                 if meets.any():
                     own = np.where(near_pos == (labels[b:e] == 1)[:, None], near, np.inf)
-                    kth = np.partition(own, k - 1, axis=1)[:, k - 1] if width >= k else np.full(e - b, np.inf)
+                    kth = _kth_smallest(own, k) if width >= k else np.full(e - b, np.inf)
                     kth[~meets] = -np.inf
                     rr, rc = _radius_candidates(plane, mins, cl[c0:c1], labels[b:e], kth + slack)
                     width, slots = _ragged_slots(rr, e - b)

@@ -34,6 +34,7 @@ def gen_config_path(tmp_path_factory):
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+WORKFLOW = README.parent / ".github" / "workflows" / "tests.yml"
 
 FAST_FLAGS = [
     "--stm-cap", "100",
@@ -84,6 +85,34 @@ def test_readme_commands_parse_and_python_imports_exist():
                     imported += [alias.name for alias in node.names]
     assert commands == {"gen", "inspect", "run", "ablate"}
     assert imported and [name for name in imported if not hasattr(emosam, name)] == []
+
+
+def test_ci_workflow_parses_and_every_k_word_names_a_test():
+    # A CI step that selects tests with `pytest -k` runs fewer of them, or
+    # none, once a rename leaves one of its words naming no test function in
+    # the files it runs (all test files when it names none). PyYAML is not a
+    # test dependency: without it the check skips.
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    tests_dir = README.parent / "tests"
+    selections = []
+    for job in workflow["jobs"].values():
+        for step in job["steps"]:
+            for line in step.get("run", "").splitlines():
+                words = shlex.split(line)
+                if "pytest" in words and "-k" in words:
+                    files = [README.parent / w for w in words if w.startswith("tests/") and w.endswith(".py")]
+                    selections.append((files or sorted(tests_dir.glob("test_*.py")), words[words.index("-k") + 1]))
+    assert selections
+    for files, expression in selections:
+        names = [
+            node.name.lower()
+            for path in files
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+        ]
+        for word in set(re.findall(r"\w+", expression.lower())) - {"and", "or", "not"}:
+            assert any(word in name for name in names), f"-k {expression!r}: {word!r} names no test in {files}"
 
 
 def test_gen_writes_csv_and_manifest(tmp_path, gen_config_path, capsys):

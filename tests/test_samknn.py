@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import struct
@@ -361,28 +362,32 @@ def test_screen_keeps_order_defined_votes_at_the_feature_bound():
         assert_kernel_votes_equal_vote_rows(mem, labels, queries, alphas, k)
 
 
-def planes_at_the_error_bound(npos, push):
+def planes_at_the_error_bound(npos, push, reach=None):
     """A screen hook whose planes sit at the edge of the documented error bound.
 
     Each element is the exact weighted squared distance D of the centred
-    query and memory point, moved by rho0 * T + A0 (the ``_weighted_votes``
+    query and memory point, moved by rho0 * T + A0 (the ``_screen_margin``
     docstring: rho0 = (2d + 7) 2^-53, A0 = (2 sum M' + 8d + 8) 2^-1074,
     T = sum_f w_f (|x'_f| + M'_f)^2) and rounded back inside it: up for the
-    ``npos`` positive columns and down for the rest when ``push`` is 1,
-    the other way when it is -1. Exact rational arithmetic throughout.
+    first ``npos`` columns and down for the rest when ``push`` is 1, the
+    other way when it is -1. M' is ``reach``, by default that of the
+    operand's columns. Exact rational arithmetic throughout.
     """
 
     def hook(xc, w, xn, aug, mn, planes):
         d = xc.shape[1]
         memory = [[Fraction(v) for v in point] for point in aug[0, :d].T.tolist()]
-        reach = [max(abs(point[f]) for point in memory) for f in range(d)]
+        if reach is None:
+            M = [max(abs(point[f]) for point in memory) for f in range(d)]
+        else:
+            M = [Fraction(v) for v in reach.tolist()]
         rho0 = Fraction(2 * d + 7, 2**53)
-        a0 = (2 * sum(reach) + 8 * d + 8) / Fraction(2**1074)
+        a0 = (2 * sum(M) + 8 * d + 8) / Fraction(2**1074)
         for s, ws in enumerate(w.tolist()):
             ws = [Fraction(v) for v in ws]
             for i, x in enumerate(xc.tolist()):
                 x = [Fraction(v) for v in x]
-                bound = rho0 * sum(wf * (abs(xf) + mf) ** 2 for wf, xf, mf in zip(ws, x, reach)) + a0
+                bound = rho0 * sum(wf * (abs(xf) + mf) ** 2 for wf, xf, mf in zip(ws, x, M)) + a0
                 for j, point in enumerate(memory):
                     exact = sum(wf * (yf - xf) ** 2 for wf, xf, yf in zip(ws, x, point))
                     g = float(exact + (bound if (j < npos) == (push > 0) else -bound))
@@ -390,6 +395,22 @@ def planes_at_the_error_bound(npos, push):
                         g = math.nextafter(g, -math.inf if g > exact else math.inf)
                     planes[s, i, j] = g
         return planes
+
+    return hook
+
+
+def kernel_planes_at_the_error_bound(reach, push):
+    """:func:`planes_at_the_error_bound` for the kernel, whose screen reaches the whole memory.
+
+    The kernel screens each row block's positive columns, then its negative
+    ones, so the calls alternate sides: positives go up and negatives down
+    when ``push`` is 1.
+    """
+    sides = itertools.cycle((True, False))
+
+    def hook(xc, w, xn, aug, mn, planes):
+        positive = next(sides)
+        return planes_at_the_error_bound(aug.shape[-1] if positive else 0, push, reach)(xc, w, xn, aug, mn, planes)
 
     return hook
 
@@ -431,7 +452,8 @@ def test_screen_votes_hold_with_planes_at_the_edge_of_the_error_bound():
     for trial in range(18):
         d, k = (1, 3, 8, 13)[trial % 4], (1, 3, 5)[trial % 3]
         mem, labels, queries = near_tie_memory(rng, d, 1.0, (k + 1) // 2)
-        centre = samknn._label_ordered(mem, labels).screen.centre
+        screen = samknn._label_ordered(mem, labels).screen
+        centre = screen.centre
         # grid data: centring is exact, so the exact centred sum is D itself
         for v in np.vstack([mem, queries]):
             assert all(Fraction(float(a - c)) == Fraction(a) - Fraction(c) for a, c in zip(v.tolist(), centre.tolist()))
@@ -443,7 +465,7 @@ def test_screen_votes_hold_with_planes_at_the_edge_of_the_error_bound():
         bank = bank_with_stm(mem, labels, k=k, min_stm_size=k + 1, stm_cap=len(mem))
         for push in (1, -1):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(samknn, "_screen_planes", planes_at_the_error_bound(int(positive.sum()), push))
+                mp.setattr(samknn, "_screen_planes", kernel_planes_at_the_error_bound(screen.reach, push))
                 fallback = count_fallback_rows(mp)
                 np.testing.assert_array_equal(FrozenChunkPredictor(queries, bank).predict(alphas), want)
             assert sum(fallback) > 0  # the pushed near ties fell inside the margin
@@ -817,7 +839,8 @@ def test_grouped_screen_products_keep_every_vote(rng):
     # memory operand, each holding its own vector's memory norms. G = 1, G
     # dividing S, G not dividing S and G = S give the order-defined votes,
     # on integer grids (exact ties) and on continuous data; by default the
-    # copies stay within the operand share of the block budget.
+    # copies stay within the operand share of the block budget. Each block
+    # screens its positive columns, then its negative ones.
     screen_planes = samknn._screen_planes
     for m, d, S, grid in ((40, 3, 7, True), (60, 8, 12, False), (25, 13, 5, True)):
         K = d + 2
@@ -839,10 +862,12 @@ def test_grouped_screen_products_keep_every_vote(rng):
                 if group is not None:
                     mp.setattr(samknn, "_OPERAND_SHARE", 1 << 40 if group == 1 else _BLOCK_ELEMENTS // (group * K * m))
                 np.testing.assert_array_equal(predictor.predict(alphas), want)
+            npos = int(np.count_nonzero(labels == 1))
+            assert seen and [width for _, _, width in seen] == [npos, m - npos] * (len(seen) // 2)
             if group is None:
                 assert all(g * K * m <= max(K * m, _BLOCK_ELEMENTS // samknn._OPERAND_SHARE) for g, _, _ in seen)
             else:
-                assert set(seen) == {(min(group, S), K, m)}
+                assert {(g, rows) for g, rows, _ in seen} == {(min(group, S), K)}
 
 
 def test_stacked_call_scratch_is_one_block_per_worker(rng):
@@ -1206,6 +1231,26 @@ def test_radii_sq_is_each_rows_radius_over_its_finite_entries(data):
     for i, row in enumerate(dist2):
         live = row[row != np.inf]
         assert got[i] == (_radius_sq(live, k) if live.size else -np.inf)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_kernel_select_equals_partition(data):
+    # The kernel's order statistics, peeled up to _PEEL_MAX and partitioned
+    # above it, are np.partition's elements: on 2-D and 3-D inputs, for the
+    # first, the last and every q between, on integer-grid ties, +inf
+    # entries and signed zeros.
+    lead = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2), label="lead")
+    width = data.draw(st.integers(1, 2 * samknn._PEEL_MAX), label="width")
+    bound = {1, width, min(width, samknn._PEEL_MAX), min(width, samknn._PEEL_MAX + 1)}
+    q = data.draw(st.sampled_from(sorted(bound)) | st.integers(1, width), label="q")
+    values = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, np.inf]) | st.floats(-1.0, 4.0)
+    size = math.prod(lead) * width
+    side = np.array(data.draw(st.lists(values, min_size=size, max_size=size)), dtype=float).reshape(*lead, width)
+    want = np.partition(side, q - 1, axis=-1)[..., q - 1]
+    got = samknn._kth_smallest(side.copy(), q)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_radius_candidates_keep_the_order_defined_radius():

@@ -321,6 +321,33 @@ def test_smpso_rejects_malformed_warm_starts_before_scoring(warm):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "lower, upper, match",
+    [
+        ([np.nan], [1.0], "finite"),
+        ([0.0], [np.nan], "finite"),
+        ([0.0, -np.inf], [1.0, 1.0], "finite"),
+        ([0.0], [np.inf], "finite"),
+        ([1.0], [0.0], "below"),
+    ],
+    ids=["lower nan", "upper nan", "lower -inf", "upper inf", "crossed"],
+)
+@pytest.mark.parametrize("warm", [False, True], ids=["drawn", "warm"])
+def test_smpso_rejects_malformed_bounds_before_drawing(lower, upper, match, warm):
+    # Warm starts that fill the swarm draw nothing: the bounds are checked
+    # before any draw or objective call either way.
+    calls = []
+
+    def objective(positions):
+        calls.append(len(positions))
+        return np.zeros((len(positions), 2))
+
+    starts = [np.full(len(lower), 0.5)] if warm else None
+    with pytest.raises(ValueError, match=match):
+        smpso_minimize(objective, lower, upper, SmpsoParams(swarm_size=1, iterations=2), 0, starts)
+    assert calls == []
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("sweep", [0, 2])
 def test_smpso_rejects_non_finite_objectives(bad, sweep):
