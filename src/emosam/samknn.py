@@ -71,20 +71,12 @@ distances (:func:`_sq_dists`, a few uncertain rows at a time), puts them
 back in position order and votes through :func:`_vote_rows`. A label too
 short for its quota makes the vote a constant. Memories and queries hold
 features of magnitude at most ``stream._FEATURE_BOUND``, so every distance
-is finite. A row's votes depend on that row alone, so a large kernel call
-runs its row blocks on threads, one per CPU the process may run on (never
-more than it has row blocks, nor than its work fills; see
-``_THREAD_WORK``), each bound to its own CPU and taking the next block
-nobody has taken. numpy releases the interpreter lock inside the products
-and ``argmin`` rounds, but a block makes many short calls (one product per
-label side and vector group, one ``argmin`` per peel round), and at d = 8
-two threads ran default-scale sweeps slower than one, so those run on one
-thread. Each thread has its own block buffer and stack of memory operands
-and writes only its own blocks' votes, so the votes are the same
-whatever the thread count (the kernel's or BLAS's), whichever thread ran a
-block and whatever the block shape or group size: a one-row
-:class:`FrozenChunkPredictor` (which starts no thread) and one over a whole
-window agree bit for bit.
+is finite. The kernel runs its row blocks one after another on the calling
+thread, reusing one block buffer and one stack of memory operands. A row's
+votes depend on that row alone, so they are the same whatever the block
+shape, the group size or BLAS's thread count: a one-row
+:class:`FrozenChunkPredictor` and one over a whole window agree bit for
+bit.
 
 Memory maintenance absorbs a whole window at once and matches the
 instance-by-instance loop bit for bit. With C the STM followed by the window,
@@ -132,17 +124,11 @@ banks and predictions.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import hashlib
 import io
-import itertools
 import math
-import os
 import struct
-import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -173,55 +159,36 @@ _SNAPSHOT_VERSION = 3
 _SNAPSHOT_HEAD = "<IIIIIIdqQ"
 
 # Largest number of float64 elements in one row block of the kernel's S
-# distance planes (S, r, m). Each kernel thread holds its own block, and
-# recomputes the rows its screen leaves open beside it in chunks of a
-# _GATHER_SHARE-th as many distances, so a kernel call with W threads peaks
-# at about W blocks. Cleaning, the re-fit's fallback rows and k-means run on
-# one thread, in row blocks of at most this many squared differences
-# (rows x memory x features), one block at a time. The size is
+# distance planes (S, r, m). The kernel recomputes the rows its screen leaves
+# open beside its block in chunks of a _GATHER_SHARE-th as many distances, so
+# a kernel call peaks at about one block. Cleaning, the re-fit's fallback
+# rows and k-means run in row blocks of at most this many squared
+# differences (rows x memory x features), one block at a time. The size is
 # not a cache fit (a 2 MiB block does not fit beside its memory in a 2 MiB
-# L2 per core). Kernel sweeps on such a core, one thread (d = 8; 250 x 315
-# and 250 x 1000 with S = 20, 1000 x 3096 with S = 10 and S = 1), ran 2^16
+# L2 per core). Kernel sweeps on such a core (d = 8; 250 x 315 and
+# 250 x 1000 with S = 20, 1000 x 3096 with S = 10 and S = 1) ran 2^16
 # elements 1.2-2.3x slower than the best size, while 2^17 to 2^20 traded
 # places from run to run on a busy host, 2^18 within 1.0-1.6x of the best.
 _BLOCK_ELEMENTS = 1 << 18
-# Least kernel work, in weighted squared differences (queries x memory x
-# features x weight vectors), that each thread of a kernel call must get
-# before the call starts a thread. Timed on a 2-CPU virtual machine, each
-# thread bound to its own CPU, min-median of 7 calls (k = 5, 45% positive),
-# one thread against two: at d = 8, 1000 x 3096 with S = 10 took 57-81 ms
-# against 65-92 ms and with S = 30 303-473 ms against 563-582 ms; 1000 x
-# 5000 with S = 10 139-145 against 126-135 ms, with S = 30 830-941 against
-# 1322-1407 ms; 250 x 1000 with S = 20 (a desk sweep) 14-15 against 11-14
-# ms. At d = 32, 1000 x 3096 with S = 10 took 105-124 against 92-112 ms
-# and with S = 30 624-748 against 662-693 ms; at d = 64 threads won, S = 10
-# 319-392 against 208-240 ms and S = 30 991-1062 against 596-713 ms. Two
-# threads lost most where a block holds fewest rows (large S and m), and a
-# block makes dozens of short numpy calls, between which the threads wait
-# for the interpreter lock; more features lengthen the products, which run
-# outside it. This bound keeps every d = 8 call of a default-scale swarm
-# (at most 1.2G) on one thread and gives two threads to calls of at least
-# 2.1G, such as 1000 x 3096 x 64 x 30; it forgoes 1000 x 3096 x 64 x 10
-# (1.6G).
-_THREAD_WORK = 1 << 30
 # Most multiply-adds in one BLAS call of the kernel's screen. OpenBLAS may run
 # a larger product on its own threads (its bound is 65536 times
 # GEMM_MULTITHREAD_THRESHOLD, 4 by default) unless told to use one thread. On
-# a 2-CPU machine with the BLAS thread count left unset, unsplit products made
-# a 1000 x 3096 x 8 sweep of S = 30 vectors, which the kernel runs on two
-# threads, take 850 ms instead of 95 ms. Split, it took 94 ms with the count
-# unset and with it set to 1.
+# a 2-CPU machine with the BLAS thread count left unset, 42 kernel calls of
+# 1000 x 3096 x 8 with S = 1 (blocks of 84 rows) took 4-11 ms split; unsplit,
+# 3 of 42 stalled at 91-388 ms, the rest taking 6-13 ms. With S = 10 and
+# S = 30 (blocks of 8 and 2 rows) split and unsplit calls traded places from
+# run to run.
 _SCREEN_CALL = 1 << 18
-# Each kernel thread's stack of memory operands, G copies of the (d + 2, m)
-# screen operand for the G weight vectors one stacked product takes, holds at
-# most _BLOCK_ELEMENTS // _OPERAND_SHARE values (256 KiB; at least one copy,
-# at most one per vector), so G shrinks as the memory grows. Timed on a 2-CPU
-# virtual machine (d = 8, one thread), a desk sweep's block (S = 20 vectors,
-# 41 rows, m = 313) took 0.33 ms at G = 1 and 0.25 ms at G = 5 to 20 (this
-# share gives 10). At m = 3094, a default-scale sweep's, blocks of S = 10 and
+# The kernel's stack of memory operands, G copies of the (d + 2, m) screen
+# operand for the G weight vectors one stacked product takes, holds at most
+# _BLOCK_ELEMENTS // _OPERAND_SHARE values (256 KiB; at least one copy, at
+# most one per vector), so G shrinks as the memory grows. Timed on a 2-CPU
+# virtual machine (d = 8), a desk sweep's block (S = 20 vectors, 41 rows,
+# m = 313) took 0.33 ms at G = 1 and 0.25 ms at G = 5 to 20 (this share
+# gives 10). At m = 3094, a default-scale sweep's, blocks of S = 10 and
 # S = 30 took 0.23 and 0.45 ms at G = 1 (this share's), 0.22 and 0.36 ms at
 # G = 2 and 0.29 and 0.56 ms at G = 10: G must not grow with S alone. Share 4
-# would give G = 2 there, but would put a thread whose every row falls back
+# would give G = 2 there, but would put a call whose every row falls back
 # (d = 8, m = 2000) above 1.5 blocks.
 _OPERAND_SHARE = 8
 # The window absorb's screened STM plane of a row block holds at most
@@ -241,7 +208,7 @@ _PLANE_SHARE = 2
 # go through in chunks of at most _BLOCK_ELEMENTS // _GATHER_SHARE values or
 # slots (128 KiB of float64), as do the kernel's recomputed rows (at least
 # one row): a chunk's distances, their scratch plane, their position-order
-# copy and the vote's selection copy take about a quarter of the thread's
+# copy and the vote's selection copy take about a quarter of the kernel's
 # block. Pair-sum chunks of 2^16 values held 1 MiB of gathered rows at the
 # peak of the fit peak-memory test's large case; chunks of 2^14 took the
 # 7-window reference fit's pair sums from 14.0 to 14.8 ms.
@@ -460,90 +427,6 @@ def _label_ordered(features: np.ndarray, labels: np.ndarray) -> _KernelMemory:
     return _KernelMemory(memory_t, _screen_operand(memory_t), int(np.count_nonzero(positive)), order)
 
 
-def _cpu_count() -> int:
-    """Number of CPUs this process may run on (all of them where the platform cannot tell)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def _on_cpu(cpus: list[int], j: int):
-    """Bind the calling thread to CPU ``cpus[j % len(cpus)]``, then restore its CPU set.
-
-    Left unbound, a kernel call's threads, which hand the interpreter lock to
-    each other thousands of times a second, were seen sharing one CPU while
-    the other stayed idle, for whole runs at a time; the call then took as
-    long as on one thread. Binding is best effort: with no ``cpus`` (a
-    platform without CPU affinity) or a refused request the thread runs
-    where the operating system puts it.
-    """
-    if not cpus:
-        yield
-        return
-    allowed = os.sched_getaffinity(0)
-    try:
-        os.sched_setaffinity(0, {cpus[j % len(cpus)]})
-    except OSError:
-        yield
-        return
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, allowed)
-
-
-def _split_rows(fill, n: int, rows: int, work: int) -> None:
-    """Run ``fill(blocks)`` on W threads that share rows 0..n in blocks of ``rows``.
-
-    W = min(:func:`_cpu_count`, ceil(n / rows), work // ``_THREAD_WORK``),
-    and at least 1, read on every call, so a call of one row block, a call
-    of less than twice ``_THREAD_WORK`` or a process bound to one CPU starts
-    no thread. ``blocks`` yields (start, stop) row ranges; every thread draws from one
-    shared sequence, taking the next block nobody has taken, so each block
-    runs exactly once, on whichever thread asks first. A thread that runs
-    slow (preempted, or waiting for the interpreter lock) holds back at most
-    the block it is on, not a fixed share of the rows. The caller's thread
-    runs ``fill`` too, and a pool of W - 1 threads the other calls, each in
-    a copy of the caller's context, so numpy's error state (``np.errstate``)
-    holds in every block. Thread j runs bound to the j-th CPU the caller may
-    use (:func:`_on_cpu`); the caller gets its CPU set back before this
-    returns. All threads have ended when this returns, and an exception
-    raised in any thread is raised here. ``fill`` must write only the
-    results of the rows it is given.
-    """
-    count = -(-n // rows)
-    workers = min(_cpu_count(), count, work // _THREAD_WORK)
-    if workers <= 1:
-        fill((start, min(start + rows, n)) for start in range(0, n, rows))
-        return
-    try:
-        cpus = sorted(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = []
-    taken = itertools.count()
-    lock = threading.Lock()
-
-    def blocks():
-        while True:
-            with lock:
-                i = next(taken)
-            if i >= count:
-                return
-            yield i * rows, min(i * rows + rows, n)
-
-    def run(j: int) -> None:
-        with _on_cpu(cpus, j):
-            fill(blocks())
-
-    with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, run, j) for j in range(1, workers)]
-        run(0)
-        for future in futures:
-            future.result()
-
-
 def _screen_planes(
     xc: np.ndarray, w: np.ndarray, xn: np.ndarray, ops: np.ndarray, mn: np.ndarray, planes: np.ndarray
 ) -> np.ndarray:
@@ -643,15 +526,13 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     block its row lands in nor on the BLAS build. Queries are taken in row
     blocks whose two label planes, (S, r, npos) and (S, r, m - npos), hold
     at most ``_BLOCK_ELEMENTS`` elements together (at least one row); both
-    are C-contiguous pieces of the thread's one buffer. The screen's fallback
-    recomputes rows in chunks of at most ``_BLOCK_ELEMENTS // _GATHER_SHARE``
-    distances (at least one row). The rows are split over threads by
-    :func:`_split_rows`; each thread allocates, once per call, its own
-    buffer and its own stack of G copies of the memory's product operand
-    (G of the S vectors per stacked product: at most
-    ``_BLOCK_ELEMENTS // _OPERAND_SHARE`` values, at least one copy), so a
-    call holds about one block per thread, and since no vote depends on the
-    thread that computed it the result does not depend on the thread count.
+    are C-contiguous pieces of one buffer. The screen's fallback recomputes
+    rows in chunks of at most ``_BLOCK_ELEMENTS // _GATHER_SHARE`` distances
+    (at least one row). The buffer and a stack of G copies of the memory's
+    product operand (G of the S vectors per stacked product: at most
+    ``_BLOCK_ELEMENTS // _OPERAND_SHARE`` values, at least one copy) are
+    allocated once per call and reused by every block, so a call holds
+    about one block.
 
     With kk = min(k, m), a row votes 1 iff at least t = ceil(kk / 2) of its kk
     nearest points are positive, that is iff in the stable (distance,
@@ -698,30 +579,27 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     margin = _screen_margin(w, xc, screen.reach)
 
     group = max(1, min(S, _BLOCK_ELEMENTS // _OPERAND_SHARE // ((d + 2) * m)))
-
-    def fill(blocks) -> None:
-        buf = np.empty(S * rows * m)
-        ops = np.empty((group, d + 2, m))
-        ops[:, : d + 1] = screen.aug[: d + 1]
-        for start, stop in blocks:
-            r = stop - start
-            x, e = xc[start:stop], margin[:, start:stop]
-            pos = buf[: S * r * npos].reshape(S, r, npos)
-            neg = buf[S * r * npos : S * r * m].reshape(S, r, m - npos)
-            a = _kth_smallest(_screen_planes(x, w, xn[:, start:stop], ops[:, :, :npos], mn[:, :npos], pos), t)
-            b = _kth_smallest(_screen_planes(x, w, xn[:, start:stop], ops[:, :, npos:], mn[:, npos:], neg), u)
-            vote = a + e < b
-            out[:, start:stop] = vote
-            unsure = ~(vote | (a - e > b))
-            for s in np.flatnonzero(unsure.any(axis=1)):
-                sub = start + np.flatnonzero(unsure[s])
-                for c in range(0, len(sub), step):
-                    part = sub[c : c + step]
-                    dist2 = np.empty((len(part), m))
-                    dist2[:, order] = _sq_dists(queries[part], memory.memory_t, w[s])
-                    out[s, part] = _vote_rows(dist2, positive, k)
-
-    _split_rows(fill, n, rows, n * m * d * S)
+    buf = np.empty(S * rows * m)
+    ops = np.empty((group, d + 2, m))
+    ops[:, : d + 1] = screen.aug[: d + 1]
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        r = stop - start
+        x, e = xc[start:stop], margin[:, start:stop]
+        pos = buf[: S * r * npos].reshape(S, r, npos)
+        neg = buf[S * r * npos : S * r * m].reshape(S, r, m - npos)
+        a = _kth_smallest(_screen_planes(x, w, xn[:, start:stop], ops[:, :, :npos], mn[:, :npos], pos), t)
+        b = _kth_smallest(_screen_planes(x, w, xn[:, start:stop], ops[:, :, npos:], mn[:, npos:], neg), u)
+        vote = a + e < b
+        out[:, start:stop] = vote
+        unsure = ~(vote | (a - e > b))
+        for s in np.flatnonzero(unsure.any(axis=1)):
+            sub = start + np.flatnonzero(unsure[s])
+            for c in range(0, len(sub), step):
+                part = sub[c : c + step]
+                dist2 = np.empty((len(part), m))
+                dist2[:, order] = _sq_dists(queries[part], memory.memory_t, w[s])
+                out[s, part] = _vote_rows(dist2, positive, k)
     return out
 
 
@@ -1680,12 +1558,11 @@ class FrozenChunkPredictor:
     order-defined left-to-right sums over features give, so results are
     bitwise identical to a one-row predictor per query, whatever the row
     block size (``_BLOCK_ELEMENTS`` float64 elements of a block's S distance
-    planes, at least one row). The row blocks of a large call run on up to
-    one thread per CPU the process may run on, each with its own block
-    buffer and stack of product operands, so a call's scratch peaks at about
-    one block and one operand stack per thread; results do not depend on the
-    thread count. The predictor keeps no state between calls: each call
-    computes every vote it returns.
+    planes, at least one row). The row blocks run one after another on the
+    calling thread, sharing one block buffer and one stack of product
+    operands, so a call's scratch peaks at about one block and one operand
+    stack. The predictor keeps no state between calls: each call computes
+    every vote it returns.
     """
 
     def __init__(self, features: np.ndarray, bank: MemoryBank) -> None:

@@ -1,10 +1,6 @@
 import itertools
 import math
-import os
 import struct
-import sys
-import threading
-import time
 import tracemalloc
 import zlib
 from fractions import Fraction
@@ -574,8 +570,6 @@ def test_every_distance_is_the_left_to_right_feature_sum():
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(samknn, "_sq_dists", capture)
                     mp.setattr(samknn, "_screen_planes", screen)
-                    # one worker: threads would append their rows interleaved
-                    mp.setattr(samknn, "_cpu_count", lambda: 1)
                     mp.setattr(samknn, "_BLOCK_ELEMENTS", rows * m)
                     votes = predictor.predict(alpha)
                 np.testing.assert_array_equal(votes, want_votes)
@@ -640,182 +634,9 @@ def test_batch_predictor_frozen_against_later_fits(rng):
         np.testing.assert_array_equal(predict_in_blocks(predictor, np.ones(3), budget), want)
 
 
-# -- kernel threads -----------------------------------------------------------------
-
-
-def predict_at_workers(workers, queries, bank, alphas, budget=None):
-    predictor = FrozenChunkPredictor(queries, bank)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(samknn, "_cpu_count", lambda: workers)
-        mp.setattr(samknn, "_THREAD_WORK", 1)
-        return predict_in_blocks(predictor, alphas, budget)
-
-
-@given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_worker_votes_equal_one_worker_on_tied_grids(data):
-    # Integer grids tie many distances, so blocks on any worker take the
-    # _vote_rows fallback.
-    d = data.draw(st.integers(1, 4), label="d")
-    m = data.draw(st.integers(2, 25), label="m")
-    n = data.draw(st.integers(1, 30), label="n")
-    k = data.draw(st.integers(1, min(m + 3, 9)), label="k")
-    grid = st.integers(0, 2)
-    mem = np.array(data.draw(st.lists(st.lists(grid, min_size=d, max_size=d), min_size=m, max_size=m)), dtype=float)
-    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)), dtype=np.uint8)
-    queries = np.array(data.draw(st.lists(st.lists(grid, min_size=d, max_size=d), min_size=n, max_size=n)), dtype=float)
-    rows = data.draw(st.lists(st.lists(GRID_WEIGHTS, min_size=d, max_size=d), min_size=1, max_size=3))
-    alphas = np.array(rows + [[0.0] * d, [0.0] + [1.0] * (d - 1)])
-    bank = bank_with_stm(mem, labels, k=k, min_stm_size=k + 1, stm_cap=m)
-    for budget in (1, 7 * m * len(alphas), _BLOCK_ELEMENTS):
-        want = predict_at_workers(1, queries, bank, alphas, budget=budget)
-        for workers in (2, 3):
-            np.testing.assert_array_equal(predict_at_workers(workers, queries, bank, alphas, budget=budget), want)
-
-
-def test_worker_exception_in_a_later_block_reaches_caller(rng):
-    bank = bank_with_stm(rng.random((40, 3)), rng.integers(0, 2, 40), min_stm_size=6)
-    queries = rng.random((30, 3))
-    caller = threading.current_thread()
-    screen_planes = samknn._screen_planes
-    worker_in_block = threading.Event()
-    over = []
-
-    def off_caller(fail):
-        def patched(*args):
-            if threading.current_thread() is caller:
-                # hold the caller's first block until a worker has taken one
-                assert worker_in_block.wait(10)
-                return screen_planes(*args)
-            over.append(np.geterr()["over"])
-            worker_in_block.set()
-            if fail:
-                raise ArithmeticError("worker failed")
-            return screen_planes(*args)
-
-        return patched
-
-    before = threading.active_count()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(samknn, "_screen_planes", off_caller(True))
-        with pytest.raises(ArithmeticError, match="worker failed"):
-            predict_at_workers(3, queries, bank, np.ones(3), budget=40)
-        # the caller's numpy error state holds in the workers' blocks too
-        worker_in_block.clear()
-        over.clear()
-        mp.setattr(samknn, "_screen_planes", off_caller(False))
-        with np.errstate(over="raise"):
-            predict_at_workers(3, queries, bank, np.ones(3), budget=40)
-    assert over and set(over) == {"raise"}
-    assert threading.active_count() == before
-
-
-def test_worker_votes_hold_under_rapid_thread_switching(rng):
-    # More workers than cores, switching threads every microsecond: a block
-    # lost, run twice or written by the wrong worker would leave wrong votes.
-    m, d = 300, 4
-    bank = bank_with_stm(rng.integers(0, 3, (m, d)).astype(float), rng.integers(0, 2, m), min_stm_size=6, stm_cap=m)
-    queries = rng.integers(0, 3, (97, d)).astype(float)
-    alphas = rng.choice([0.0, 0.5, 1.0], (6, d))
-    budget = 3 * m * len(alphas)
-    want = predict_at_workers(1, queries, bank, alphas, budget=budget)
-    assert 0 < want.mean() < 1
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    runs = 0
-    try:
-        deadline = time.monotonic() + 2.0
-        while runs < 100 and time.monotonic() < deadline:
-            np.testing.assert_array_equal(predict_at_workers(4, queries, bank, alphas, budget=budget), want)
-            runs += 1
-    finally:
-        sys.setswitchinterval(interval)
-    assert runs > 0
-
-
-def test_worker_threads_start_only_with_cpus_and_row_blocks(rng, monkeypatch):
-    started = []
-    start = threading.Thread.start
-
-    def counted(thread):
-        started.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counted)
-    bank = bank_with_stm(rng.random((50, 3)), rng.integers(0, 2, 50), min_stm_size=6)
-    queries = rng.random((20, 3))
-    alphas = rng.random((2, 3))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    one_cpu = predict_in_blocks(FrozenChunkPredictor(queries, bank), alphas, 1)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    predict_in_blocks(FrozenChunkPredictor(queries, bank), alphas, 1)
-    monkeypatch.setattr(samknn, "_cpu_count", lambda: 3)
-    # 20 x 50 x 3 x 2 = 6000 weighted differences: two threads need 2 x 3000
-    monkeypatch.setattr(samknn, "_THREAD_WORK", 3001)
-    predict_in_blocks(FrozenChunkPredictor(queries, bank), alphas, 1)
-    monkeypatch.setattr(samknn, "_THREAD_WORK", 1)
-    predict_one(bank, queries[0], alphas[0])
-    FrozenChunkPredictor(queries, bank).predict(alphas)  # one row block
-    assert started == []
-    monkeypatch.setattr(samknn, "_THREAD_WORK", 3000)
-    np.testing.assert_array_equal(predict_in_blocks(FrozenChunkPredictor(queries, bank), alphas, 1), one_cpu)
-    assert 1 <= len(started) <= 2  # the pool may hand a finished thread the next call
-    assert not any(thread.is_alive() for thread in started)
-
-
-def test_worker_threads_run_bound_to_their_own_cpus(rng, monkeypatch):
-    bank = bank_with_stm(rng.random((40, 3)), rng.integers(0, 2, 40), min_stm_size=6)
-    queries = rng.random((30, 3))
-    want = predict_at_workers(1, queries, bank, np.ones(3), budget=40)
-    if hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2:
-        cpus = sorted(os.sched_getaffinity(0))
-        before = os.sched_getaffinity(0)
-        caller = threading.current_thread()
-        screen_planes = samknn._screen_planes
-        bound = {"caller": set(), "worker": set()}
-
-        def record(fail):
-            # both threads hold a block at once before either goes on
-            both_in_a_block = threading.Barrier(2, timeout=10)
-            waited = set()
-
-            def patched(*args):
-                me = threading.current_thread()
-                if me not in waited:
-                    waited.add(me)
-                    both_in_a_block.wait()
-                bound["caller" if me is caller else "worker"].add(frozenset(os.sched_getaffinity(0)))
-                if fail and me is caller:
-                    raise ArithmeticError("caller failed")
-                return screen_planes(*args)
-
-            return patched
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(samknn, "_screen_planes", record(False))
-            np.testing.assert_array_equal(predict_at_workers(2, queries, bank, np.ones(3), budget=40), want)
-            assert bound == {"caller": {frozenset(cpus[:1])}, "worker": {frozenset(cpus[1:2])}}
-            assert os.sched_getaffinity(0) == before
-            mp.setattr(samknn, "_screen_planes", record(True))
-            with pytest.raises(ArithmeticError, match="caller failed"):
-                predict_at_workers(2, queries, bank, np.ones(3), budget=40)
-            assert os.sched_getaffinity(0) == before
-
-    # binding is best effort: a refused request, or a platform with no CPU
-    # affinity, leaves the threads unbound and the votes unchanged
-    def refuse(pid, mask):
-        raise OSError("refused")
-
-    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
-    np.testing.assert_array_equal(predict_at_workers(3, queries, bank, np.ones(3), budget=40), want)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    np.testing.assert_array_equal(predict_at_workers(3, queries, bank, np.ones(3), budget=40), want)
-
-
 def test_screen_products_stay_below_blas_threading_size(rng, monkeypatch):
-    # A larger BLAS product may run on BLAS's own threads, which compete with
-    # the kernel's threads for the CPUs when the BLAS thread count is unset.
+    # A larger BLAS product may run on BLAS's own threads when the BLAS
+    # thread count is unset, and such products were seen to stall.
     matmul, sizes = np.matmul, []
 
     def counted(a, b, **kwargs):
@@ -870,33 +691,30 @@ def test_grouped_screen_products_keep_every_vote(rng):
                 assert {(g, rows) for g, rows, _ in seen} == {(min(group, S), K)}
 
 
-def test_stacked_call_scratch_is_one_block_per_worker(rng):
+def test_kernel_scratch_is_one_block(rng):
     # the whole query x memory difference tensor would take n*m*d*8 bytes:
     # 19 MB for the small case and 77 MB for the large one
-    d, workers = 8, 3
+    d = 8
     peaks = []
     for n, m in ((300, 1000), (600, 2000)):
         bank = bank_with_stm(rng.random((m, d)), rng.integers(0, 2, m), min_stm_size=6, stm_cap=m)
         predictor = FrozenChunkPredictor(rng.random((n, d)), bank)
         alphas = rng.random((4, d))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(samknn, "_cpu_count", lambda: workers)
-            mp.setattr(samknn, "_THREAD_WORK", 1)
-            tracemalloc.start()
-            try:
-                predictor.predict(alphas)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-    # each worker: its S distance planes (one budget) and its copy of the memory operand
-    assert max(peaks) < workers * 1.5 * 8 * _BLOCK_ELEMENTS
+        tracemalloc.start()
+        try:
+            predictor.predict(alphas)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the S distance planes (one budget) and the stack of memory operands
+    assert max(peaks) < 1.5 * 8 * _BLOCK_ELEMENTS, max(peaks) / (8 * _BLOCK_ELEMENTS)
     assert peaks[1] < 1.5 * peaks[0]
 
 
-def test_fallback_scratch_stays_within_one_block_per_worker(rng):
+def test_fallback_scratch_stays_within_one_block(rng):
     # A screen that certifies nothing sends every row of every block to the
-    # fallback. It recomputes the rows in chunks beside the thread's block,
-    # so the peak stays under the per-worker bound above, with one vector
+    # fallback. It recomputes the rows in chunks beside the kernel's block,
+    # so the peak stays under the one-block bound above, with one vector
     # (blocks of many rows) or several. Recomputing a block's rows at once
     # would take about four blocks with one vector, two with four.
     d, m, n = 8, 2000, 300
@@ -907,7 +725,6 @@ def test_fallback_scratch_stays_within_one_block_per_worker(rng):
         want = predictor.predict(alphas)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(samknn, "_screen_planes", certify_nothing)
-            mp.setattr(samknn, "_cpu_count", lambda: 1)
             fallback = count_fallback_rows(mp)
             tracemalloc.start()
             try:
