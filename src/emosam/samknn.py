@@ -36,9 +36,8 @@ features, so memory stays bounded however large rows times memory grows.
 
 Prediction and maintenance share one screen: a memory centred on each
 feature's mid-range as a (d + 2, m) product operand
-(:func:`_screen_operand`), one stacked BLAS product per group of weight
-vectors and row block (:func:`_screen_planes`), and a per-row margin E
-(:func:`_screen_margin`)
+(:func:`_screen_operand`), BLAS products of one weight vector and row block
+(:func:`_screen_planes`), and a per-row margin E (:func:`_screen_margin`)
 that bounds how far a screened distance may lie from its order-defined one.
 Both only compare distances, so a comparison the margin decides needs no
 order-defined sum.
@@ -46,35 +45,33 @@ order-defined sum.
 Every weighted prediction goes through one kernel, and every vote it returns
 equals the vote of the order-defined distances; BLAS only screens. The
 kernel takes the memory label-ordered, label-1 points first and each label
-in position order, and centred on each feature's mid-range. For each of the
-S weight vectors w of a stack, BLAS matrix products of a query block's
-rows ``[-2 w x', |x'|^2_w, 1]`` with the memory's columns
-``[m'; 1; |m'|^2_w]`` write that vector's distances by the expansion
+in position order, and centred on each feature's mid-range. It takes the S
+weight vectors w of a stack one at a time, and for each walks the queries in
+row blocks. BLAS matrix products of a block's rows
+``[-2 w x', |x'|^2_w, 1]`` with the memory's columns ``[m'; 1; |m'|^2_w]``
+write the block's distances by the expansion
 ``|x' - m'|^2_w = |x'|^2_w + |m'|^2_w - 2 <w x', m'>``, with no difference
-block; their rounding follows the block shape and the BLAS build. The
-products of G vectors go out as one stacked call against G copies of the
-memory's columns, each copy holding its vector's norms, with G bounded by
-the operand's share of the block budget (``_OPERAND_SHARE``). With
+block; their rounding follows the block shape and the BLAS build. With
 kk = min(k, m) a row votes 1 iff the t-th nearest positive,
 t = ceil(kk / 2), comes before the u-th nearest negative, u = kk - t + 1.
 So the products write each label side of a block as its own C-contiguous
-plane, positives (S, r, npos) and negatives (S, r, m - npos), and the t-th
+plane, positives (r, npos) and negatives (r, m - npos), and the t-th
 smallest of each positive row and the u-th smallest of each negative row
 (:func:`_kth_smallest`, which peels row minima with ``argmin``) give the
-two order statistics ``a`` and ``b`` of every (weight vector, row) pair. The
-BLAS sums and the order-defined ones both lie within a proven error of the
-exact sums, relative to a per-row scale of the centred data plus a
-subnormal-sized absolute term, so where ``a`` and ``b`` are farther apart
-than that margin the vote is certified; every other pair (near ties, and
-exact ties that position decides) recomputes its row's order-defined
-distances (:func:`_sq_dists`, a few uncertain rows at a time), puts them
-back in position order and votes through :func:`_vote_rows`. A label too
-short for its quota makes the vote a constant. Memories and queries hold
-features of magnitude at most ``stream._FEATURE_BOUND``, so every distance
-is finite. The kernel runs its row blocks one after another on the calling
-thread, reusing one block buffer and one stack of memory operands. A row's
-votes depend on that row alone, so they are the same whatever the block
-shape, the group size or BLAS's thread count: a one-row
+two order statistics ``a`` and ``b`` of every row. The BLAS sums and the
+order-defined ones both lie within a proven error of the exact sums,
+relative to a per-row scale of the centred data plus a subnormal-sized
+absolute term, so where ``a`` and ``b`` are farther apart than that margin
+the vote is certified; every other row (near ties, and exact ties that
+position decides) recomputes its order-defined distances under that vector
+(:func:`_sq_dists`, a few uncertain rows at a time), puts them back in
+position order and votes through :func:`_vote_rows`. A label too short for
+its quota makes the vote a constant. Memories and queries hold features of
+magnitude at most ``stream._FEATURE_BOUND``, so every distance is finite.
+The kernel runs its blocks one after another on the calling thread,
+reusing one block buffer and one copy of the memory's operand. A vote
+depends on its row and vector alone, so it is the same whatever the block
+shape, the stack or BLAS's thread count: a one-row
 :class:`FrozenChunkPredictor` and one over a whole window agree bit for
 bit.
 
@@ -158,39 +155,27 @@ _SNAPSHOT_MAGIC = b"SAMB"
 _SNAPSHOT_VERSION = 3
 _SNAPSHOT_HEAD = "<IIIIIIdqQ"
 
-# Largest number of float64 elements in one row block of the kernel's S
-# distance planes (S, r, m). The kernel recomputes the rows its screen leaves
-# open beside its block in chunks of a _GATHER_SHARE-th as many distances, so
-# a kernel call peaks at about one block. Cleaning, the re-fit's fallback
-# rows and k-means run in row blocks of at most this many squared
-# differences (rows x memory x features), one block at a time. The size is
-# not a cache fit (a 2 MiB block does not fit beside its memory in a 2 MiB
-# L2 per core). Kernel sweeps on such a core (d = 8; 250 x 315 and
-# 250 x 1000 with S = 20, 1000 x 3096 with S = 10 and S = 1) ran 2^16
-# elements 1.2-2.3x slower than the best size, while 2^17 to 2^20 traded
-# places from run to run on a busy host, 2^18 within 1.0-1.6x of the best.
+# Largest number of float64 elements in one row block of the kernel's
+# distance plane (r, m) under one weight vector. The kernel recomputes the
+# rows its screen leaves open beside its block in chunks of a
+# _GATHER_SHARE-th as many distances, so a kernel call peaks at about one
+# block. Cleaning, the re-fit's fallback rows and k-means run in row blocks
+# of at most this many squared differences (rows x memory x features), one
+# block at a time. The size is not a cache fit (a 2 MiB block does not fit
+# beside its memory in a 2 MiB L2 per core). Kernel sweeps on such a core
+# (d = 8; 250 x 315 and 250 x 1000 with S = 20, 1000 x 3096 with S = 1, 10
+# and 30; 2 rounds on a busy host) ran 2^16 to 2^20 elements in an order
+# that changed from round to round, 2^18 within 1.0-1.7x of the best; at
+# S = 30 2^18 was fastest in both rounds (140-146 ms, the others 151-249).
 _BLOCK_ELEMENTS = 1 << 18
 # Most multiply-adds in one BLAS call of the kernel's screen. OpenBLAS may run
 # a larger product on its own threads (its bound is 65536 times
 # GEMM_MULTITHREAD_THRESHOLD, 4 by default) unless told to use one thread. On
 # a 2-CPU machine with the BLAS thread count left unset, 42 kernel calls of
-# 1000 x 3096 x 8 with S = 1 (blocks of 84 rows) took 4-11 ms split; unsplit,
-# 3 of 42 stalled at 91-388 ms, the rest taking 6-13 ms. With S = 10 and
-# S = 30 (blocks of 8 and 2 rows) split and unsplit calls traded places from
-# run to run.
+# 1000 x 3096 x 8 with S = 1 (blocks of 84 rows, as every vector's are at
+# that memory) took 4-11 ms split; unsplit, 3 of 42 stalled at 91-388 ms,
+# the rest taking 6-13 ms.
 _SCREEN_CALL = 1 << 18
-# The kernel's stack of memory operands, G copies of the (d + 2, m) screen
-# operand for the G weight vectors one stacked product takes, holds at most
-# _BLOCK_ELEMENTS // _OPERAND_SHARE values (256 KiB; at least one copy, at
-# most one per vector), so G shrinks as the memory grows. Timed on a 2-CPU
-# virtual machine (d = 8), a desk sweep's block (S = 20 vectors, 41 rows,
-# m = 313) took 0.33 ms at G = 1 and 0.25 ms at G = 5 to 20 (this share
-# gives 10). At m = 3094, a default-scale sweep's, blocks of S = 10 and
-# S = 30 took 0.23 and 0.45 ms at G = 1 (this share's), 0.22 and 0.36 ms at
-# G = 2 and 0.29 and 0.56 ms at G = 10: G must not grow with S alone. Share 4
-# would give G = 2 there, but would put a call whose every row falls back
-# (d = 8, m = 2000) above 1.5 blocks.
-_OPERAND_SHARE = 8
 # The window absorb's screened STM plane of a row block holds at most
 # _BLOCK_ELEMENTS // _PLANE_SHARE values (1 MiB); so do its LTM distances
 # and their scratch plane (_sq_dists), and the band writer's scan table
@@ -428,45 +413,35 @@ def _label_ordered(features: np.ndarray, labels: np.ndarray) -> _KernelMemory:
 
 
 def _screen_planes(
-    xc: np.ndarray, w: np.ndarray, xn: np.ndarray, ops: np.ndarray, mn: np.ndarray, planes: np.ndarray
+    xc: np.ndarray, w: np.ndarray, xn: np.ndarray, op: np.ndarray, mn: np.ndarray, plane: np.ndarray
 ) -> np.ndarray:
-    """Screen distances of r centred queries ``xc`` (r, d) under each row of ``w`` (S, d).
+    """Screen distances of r centred queries ``xc`` (r, d) under one weight vector ``w`` (d,).
 
-    ``xn`` (S, r) and ``mn`` (S, m) are the weighted squared norms of the
-    centred queries and memory points. ``ops`` is a stack of G copies of the
-    memory's (d + 2, m) product operand (:func:`_screen_operand`, or a
-    column slice of it), whose last rows this overwrites. One multiply
-    builds the S left operands, the rows ``[-2 w_s * x', xn_s, 1]``; then G
-    vectors at a time, copy g holding ``mn_s`` in its last row, one stacked
-    BLAS product writes planes s of the (S, r, m) ``planes``:
+    ``xn`` (r,) and ``mn`` (cols,) are the weighted squared norms of the
+    centred queries and memory points. ``op`` is the memory's (d + 2, cols)
+    product operand (:func:`_screen_operand`, or a column slice of it),
+    whose last row this overwrites with ``mn``. BLAS products of the rows
+    ``[-2 w * x', xn, 1]`` with ``op`` write the (r, cols) ``plane``:
     ``|x'|^2 + |m'|^2 - 2 <w x', m'>``, the weighted squared distance by
-    expansion, with no difference block. Each vector of a stacked call
-    takes at most ``_SCREEN_CALL`` multiply-adds, one BLAS call of the same
-    shape whatever G is. The summation order (blocking, fused
+    expansion, with no difference block. Each product takes at most
+    ``_SCREEN_CALL`` multiply-adds. The summation order (blocking, fused
     multiply-adds) is the BLAS build's, so these distances are not the
     order-defined ones: callers only compare them, with the margin of
     :func:`_screen_margin`.
     """
-    S, r = planes.shape[:2]
-    G, K, m = ops.shape
-    d = K - 2
-    lhs = np.empty((S, r, K))
-    np.multiply(xc, -2.0 * w[:, None, :], out=lhs[:, :, :d])
-    lhs[:, :, d] = xn
-    lhs[:, :, d + 1] = 1.0
+    r, d = xc.shape
+    K, m = op.shape
+    lhs = np.empty((r, K))
+    np.multiply(xc, -2.0 * w, out=lhs[:, :d])
+    lhs[:, d] = xn
+    lhs[:, d + 1] = 1.0
+    op[d + 1] = mn
     cols = max(1, min(m, _SCREEN_CALL // K))
     step = max(1, _SCREEN_CALL // (K * cols))
-    for s in range(0, S, G):
-        g = min(G, S - s)
-        ops[:g, d + 1] = mn[s : s + g]
-        for i in range(0, r, step):
-            for c in range(0, m, cols):
-                np.matmul(
-                    lhs[s : s + g, i : i + step],
-                    ops[:g, :, c : c + cols],
-                    out=planes[s : s + g, i : i + step, c : c + cols],
-                )
-    return planes
+    for i in range(0, r, step):
+        for c in range(0, m, cols):
+            np.matmul(lhs[i : i + step], op[:, c : c + cols], out=plane[i : i + step, c : c + cols])
+    return plane
 
 
 def _screen_margin(w: np.ndarray, xc: np.ndarray, reach: np.ndarray) -> np.ndarray:
@@ -523,16 +498,16 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     :func:`_vote_rows` on each row's order-defined distances
     ``sum_f alpha_f^2 (m_f - x_f)^2`` (added left to right,
     :func:`_sq_dists`) in position order, so a vote depends neither on the
-    block its row lands in nor on the BLAS build. Queries are taken in row
-    blocks whose two label planes, (S, r, npos) and (S, r, m - npos), hold
-    at most ``_BLOCK_ELEMENTS`` elements together (at least one row); both
-    are C-contiguous pieces of one buffer. The screen's fallback recomputes
-    rows in chunks of at most ``_BLOCK_ELEMENTS // _GATHER_SHARE`` distances
-    (at least one row). The buffer and a stack of G copies of the memory's
-    product operand (G of the S vectors per stacked product: at most
-    ``_BLOCK_ELEMENTS // _OPERAND_SHARE`` values, at least one copy) are
-    allocated once per call and reused by every block, so a call holds
-    about one block.
+    block its row lands in nor on the BLAS build. A block is one weight
+    vector and a run of query rows whose two label planes, (r, npos) and
+    (r, m - npos), hold at most ``_BLOCK_ELEMENTS`` elements together (at
+    least one row); both are C-contiguous pieces of one buffer. The
+    screen's fallback recomputes rows in chunks of at most
+    ``_BLOCK_ELEMENTS // _GATHER_SHARE`` distances (at least one row). The
+    buffer and a copy of the memory's product operand, whose scratch row
+    takes each vector's memory norms, are allocated once per call and
+    reused by every block, so a call holds about one block, and concurrent
+    calls share no scratch.
 
     With kk = min(k, m), a row votes 1 iff at least t = ceil(kk / 2) of its kk
     nearest points are positive, that is iff in the stable (distance,
@@ -540,19 +515,18 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     negative, u = kk - t + 1. With fewer than u negatives every row votes 1,
     and with fewer than t positives every row votes 0. Otherwise
     :func:`_screen_planes` writes each block's planes from the centred
-    queries ``x' = fl(x - mu)`` and memory ``m' = fl(m - mu)``, G vectors
-    per stacked BLAS product, once per label side: on the positive columns
-    of the operand stack and memory norms into the positive plane, then on
-    the negative columns into the negative plane, so no operand is copied.
-    :func:`_kth_smallest` overwrites each plane as it takes ``a``, the t-th
-    smallest positive distance, and ``b``, the u-th smallest negative one,
-    of every (weight vector, row) pair. The order-defined vote is 1 if the
-    order-defined ``a`` is below the order-defined ``b``, 0 if above, and
-    decided by position on a tie. With E the pair's margin
-    (:func:`_screen_margin`), the kernel votes 1 where ``a + E < b`` and 0
-    where ``a - E > b``, which certifies the order-defined vote. Every
-    other (weight vector, row) pair (near ties, exact ties) recomputes its
-    row's order-defined distances under that vector, puts them back in
+    queries ``x' = fl(x - mu)`` and memory ``m' = fl(m - mu)``, once per
+    label side: on the positive columns of the operand and memory norms into
+    the positive plane, then on the negative columns into the negative
+    plane, so no operand is copied. :func:`_kth_smallest` overwrites each
+    plane as it takes ``a``, the t-th smallest positive distance, and ``b``,
+    the u-th smallest negative one, of every row. The order-defined vote is
+    1 if the order-defined ``a`` is below the order-defined ``b``, 0 if
+    above, and decided by position on a tie. With E the row's margin under
+    the vector (:func:`_screen_margin`), the kernel votes 1 where
+    ``a + E < b`` and 0 where ``a - E > b``, which certifies the
+    order-defined vote. Every other row (near ties, exact ties) recomputes
+    its order-defined distances under that vector, puts them back in
     position order and votes through :func:`_vote_rows`.
     """
     n, d = queries.shape
@@ -570,31 +544,26 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     positive = np.zeros(m, dtype=bool)
     positive[order[:npos]] = True
     w = alphas * alphas
-    S = len(w)
-    rows = max(1, min(n, _BLOCK_ELEMENTS // (m * S)))
+    rows = max(1, min(n, _BLOCK_ELEMENTS // m))
     step = max(1, _BLOCK_ELEMENTS // (_GATHER_SHARE * m))
     xc = queries - screen.centre
     xn = np.einsum("sf,nf->sn", w, xc * xc)
     mn = np.einsum("sf,fm->sm", w, screen.aug[:d] * screen.aug[:d])
     margin = _screen_margin(w, xc, screen.reach)
-
-    group = max(1, min(S, _BLOCK_ELEMENTS // _OPERAND_SHARE // ((d + 2) * m)))
-    buf = np.empty(S * rows * m)
-    ops = np.empty((group, d + 2, m))
-    ops[:, : d + 1] = screen.aug[: d + 1]
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        r = stop - start
-        x, e = xc[start:stop], margin[:, start:stop]
-        pos = buf[: S * r * npos].reshape(S, r, npos)
-        neg = buf[S * r * npos : S * r * m].reshape(S, r, m - npos)
-        a = _kth_smallest(_screen_planes(x, w, xn[:, start:stop], ops[:, :, :npos], mn[:, :npos], pos), t)
-        b = _kth_smallest(_screen_planes(x, w, xn[:, start:stop], ops[:, :, npos:], mn[:, npos:], neg), u)
-        vote = a + e < b
-        out[:, start:stop] = vote
-        unsure = ~(vote | (a - e > b))
-        for s in np.flatnonzero(unsure.any(axis=1)):
-            sub = start + np.flatnonzero(unsure[s])
+    buf = np.empty(rows * m)
+    op = screen.aug.copy()
+    for s in range(len(w)):
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            r = stop - start
+            x, e = xc[start:stop], margin[s, start:stop]
+            pos = buf[: r * npos].reshape(r, npos)
+            neg = buf[r * npos : r * m].reshape(r, m - npos)
+            a = _kth_smallest(_screen_planes(x, w[s], xn[s, start:stop], op[:, :npos], mn[s, :npos], pos), t)
+            b = _kth_smallest(_screen_planes(x, w[s], xn[s, start:stop], op[:, npos:], mn[s, npos:], neg), u)
+            vote = a + e < b
+            out[s, start:stop] = vote
+            sub = start + np.flatnonzero(~(vote | (a - e > b)))
             for c in range(0, len(sub), step):
                 part = sub[c : c + step]
                 dist2 = np.empty((len(part), m))
@@ -702,7 +671,7 @@ def _band_plane(
     Row j sees the memory's columns from ``c0 + first[j]`` up to, not
     including, ``c0 + stop[j]``, with ``stop`` growing by one per row, so
     the plane is ``stop[-1] + 1`` columns wide. ``screen`` is the memory's operand
-    (:func:`_screen_operand`) and ``norms`` (1, m) its points' unweighted
+    (:func:`_screen_operand`) and ``norms`` (m,) its points' unweighted
     squared norms. The plane is :func:`_screen_planes` under unit weights,
     NaN outside each row's columns, its width padded with NaN to whole band
     chunks. The slack is twice the screen's margin E
@@ -712,17 +681,17 @@ def _band_plane(
     """
     r, d = points.shape
     w = int(stop[-1]) + 1
-    ones = np.ones((1, d))
+    ones = np.ones(d)
     xc = points - screen.centre
     plane = np.empty((r, max(1, -(-w // _BAND_CHUNK)) * _BAND_CHUNK))
     plane[:, w:] = np.nan
     cols = slice(c0, c0 + w)
-    _screen_planes(xc, ones, (xc * xc).sum(axis=1)[None], screen.aug[None, :, cols], norms[:, cols], plane[None, :, :w])
+    _screen_planes(xc, ones, (xc * xc).sum(axis=1), screen.aug[:, cols], norms[cols], plane[:, :w])
     # only the first first.max() and the last w - stop.min() columns hold entries outside a row's
     left, right = int(first.max()), int(stop.min())
     np.copyto(plane[:, :left], np.nan, where=np.arange(left) < first[:, None])
     np.copyto(plane[:, right:w], np.nan, where=np.arange(right, w) >= stop[:, None])
-    return plane, 2.0 * _screen_margin(ones, xc, screen.reach)[0]
+    return plane, 2.0 * _screen_margin(ones[None], xc, screen.reach)[0]
 
 
 def _later_bound(table: np.ndarray, k: int) -> np.ndarray:
@@ -1012,7 +981,7 @@ def _stm_bands(features: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray
     if n == 0:
         return bands
     screen = _screen_operand(features.T)
-    norms = np.square(screen.aug[:d]).sum(axis=0)[None]
+    norms = np.square(screen.aug[:d]).sum(axis=0)
     writer = _BandWriter(bands, 0, k)
     for b, e in _sliding_blocks(n, lambda b: b, n):
         hi = np.arange(b, e)
@@ -1266,7 +1235,7 @@ class MemoryBank:
         cl = np.concatenate([self._stm_l, labels])
         c_pos = cl == 1
         screen = _screen_operand(cf.T)
-        norms = np.square(screen.aug[:d]).sum(axis=0)[None]
+        norms = np.square(screen.aug[:d]).sum(axis=0)
         lf, ll = self._ltm_f, self._ltm_l
         lf_t = np.ascontiguousarray(lf.T)
         m = len(ll)
@@ -1551,18 +1520,18 @@ class FrozenChunkPredictor:
     kNN kernel: one weight vector (d,) gives (n,) votes, a stack (S, d) gives
     (S, n), row s equal to predicting with the s-th vector alone. Each row
     votes from the t-th nearest positive and u-th nearest negative distance,
-    screened by stacked BLAS products, a group of weight vectors per product
-    and row block; rows the
-    screen cannot certify recompute their order-defined distances in position
-    order and vote through :func:`_vote_rows`. Every vote is the one the
-    order-defined left-to-right sums over features give, so results are
-    bitwise identical to a one-row predictor per query, whatever the row
-    block size (``_BLOCK_ELEMENTS`` float64 elements of a block's S distance
-    planes, at least one row). The row blocks run one after another on the
-    calling thread, sharing one block buffer and one stack of product
-    operands, so a call's scratch peaks at about one block and one operand
-    stack. The predictor keeps no state between calls: each call computes
-    every vote it returns.
+    screened by BLAS products, one weight vector and row block at a time;
+    rows the screen cannot certify recompute their order-defined distances
+    in position order and vote through :func:`_vote_rows`. Every vote is the
+    one the order-defined left-to-right sums over features give, so results
+    are bitwise identical to a one-row predictor per query, whatever the row
+    block size (``_BLOCK_ELEMENTS`` float64 elements of a block's distance
+    plane, at least one row). The blocks run one after another on the
+    calling thread, sharing one block buffer and one copy of the memory's
+    product operand, so a call's scratch peaks at about one block. Each call
+    makes its own scratch, so concurrent calls do not interfere, and the
+    predictor keeps no state between calls: each call computes every vote
+    it returns.
     """
 
     def __init__(self, features: np.ndarray, bank: MemoryBank) -> None:

@@ -277,7 +277,7 @@ def smpso_minimize(
 ) -> Archive:
     """Run the swarm and return the leader archive.
 
-    ``lower`` and ``upper`` are finite (d,) vectors with lower <= upper,
+    ``lower`` and ``upper`` are finite (d,) vectors, d >= 1, with lower <= upper,
     else ValueError before anything is drawn or scored. ``objective`` maps an (S, d) array of positions to (S, 2) finite
     objective values; it scores the initial swarm, then each iteration's S
     new positions, in one call each, and a non-finite value raises
@@ -295,6 +295,8 @@ def smpso_minimize(
     upper = np.asarray(upper, dtype=np.float64)
     if lower.shape != upper.shape or lower.ndim != 1:
         raise ValueError("bounds must be equal-shape vectors")
+    if lower.size == 0:
+        raise ValueError("bounds must hold at least one variable")
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise ValueError("bounds must be finite")
     if (upper < lower).any():

@@ -182,7 +182,7 @@ GRID_WEIGHTS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
 
 @given(data=st.data())
 @settings(max_examples=120, deadline=None)
-def test_stacked_predictions_match_brute_oracle_on_ties(data):
+def test_kernel_votes_match_brute_oracle_on_ties(data):
     # integer-grid points and dyadic weights keep every distance exact, so
     # the many duplicate and tied distances are ties for the oracle too
     d = data.draw(st.integers(1, 4), label="d")
@@ -193,12 +193,14 @@ def test_stacked_predictions_match_brute_oracle_on_ties(data):
     mem = np.array(data.draw(st.lists(st.lists(grid, min_size=d, max_size=d), min_size=m, max_size=m)), dtype=float)
     queries = np.array(data.draw(st.lists(st.lists(grid, min_size=d, max_size=d), min_size=n, max_size=n)), dtype=float)
     labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)), dtype=np.uint8)
-    rows = data.draw(st.lists(st.lists(GRID_WEIGHTS, min_size=d, max_size=d), min_size=1, max_size=4))
+    # 1 to 41 weight vectors, the swarm sizes a sweep passes
+    S = data.draw(st.integers(1, 40), label="S")
+    rows = data.draw(st.lists(st.lists(GRID_WEIGHTS, min_size=d, max_size=d), min_size=S, max_size=S))
     alphas = np.array(rows + [[0.0] * d])  # an all-zero member every time
     bank = bank_with_stm(mem, labels, k=k, min_stm_size=k + 1, stm_cap=max(m, 1))
     want = [[brute_knn_vote(q, mem, labels, k, a) for q in queries] for a in alphas]
     for block_rows in (1, 7, None):
-        budget = None if block_rows is None else block_rows * m * len(alphas)
+        budget = None if block_rows is None else block_rows * m
         got = predict_in_blocks(FrozenChunkPredictor(queries, bank), alphas, budget)
         assert got.shape == (len(alphas), n)
         np.testing.assert_array_equal(got, want)
@@ -244,8 +246,8 @@ def assert_kernel_votes_equal_vote_rows(mem, labels, queries, alphas, k):
     want = np.array([samknn._vote_rows(python_sq_sums(queries, mem, a * a), positive, k) for a in alphas])
     bank = bank_with_stm(mem, labels, k=k, min_stm_size=k + 1, stm_cap=m)
     for block_rows in (1, 7, None):
-        # a block of r rows holds its S distance planes, r * m * S values
-        budget = None if block_rows is None else block_rows * m * len(alphas)
+        # a block of r rows holds one vector's distance plane, r * m values
+        budget = None if block_rows is None else block_rows * m
         np.testing.assert_array_equal(predict_in_blocks(FrozenChunkPredictor(queries, bank), alphas, budget), want)
     got = [[predict_one(bank, q, a) for q in queries] for a in alphas]
     np.testing.assert_array_equal(got, want)
@@ -370,27 +372,26 @@ def planes_at_the_error_bound(npos, push, reach=None):
     operand's columns. Exact rational arithmetic throughout.
     """
 
-    def hook(xc, w, xn, aug, mn, planes):
+    def hook(xc, w, xn, aug, mn, plane):
         d = xc.shape[1]
-        memory = [[Fraction(v) for v in point] for point in aug[0, :d].T.tolist()]
+        memory = [[Fraction(v) for v in point] for point in aug[:d].T.tolist()]
         if reach is None:
             M = [max(abs(point[f]) for point in memory) for f in range(d)]
         else:
             M = [Fraction(v) for v in reach.tolist()]
         rho0 = Fraction(2 * d + 7, 2**53)
         a0 = (2 * sum(M) + 8 * d + 8) / Fraction(2**1074)
-        for s, ws in enumerate(w.tolist()):
-            ws = [Fraction(v) for v in ws]
-            for i, x in enumerate(xc.tolist()):
-                x = [Fraction(v) for v in x]
-                bound = rho0 * sum(wf * (abs(xf) + mf) ** 2 for wf, xf, mf in zip(ws, x, M)) + a0
-                for j, point in enumerate(memory):
-                    exact = sum(wf * (yf - xf) ** 2 for wf, xf, yf in zip(ws, x, point))
-                    g = float(exact + (bound if (j < npos) == (push > 0) else -bound))
-                    if abs(Fraction(g) - exact) > bound:
-                        g = math.nextafter(g, -math.inf if g > exact else math.inf)
-                    planes[s, i, j] = g
-        return planes
+        ws = [Fraction(v) for v in w.tolist()]
+        for i, x in enumerate(xc.tolist()):
+            x = [Fraction(v) for v in x]
+            bound = rho0 * sum(wf * (abs(xf) + mf) ** 2 for wf, xf, mf in zip(ws, x, M)) + a0
+            for j, point in enumerate(memory):
+                exact = sum(wf * (yf - xf) ** 2 for wf, xf, yf in zip(ws, x, point))
+                g = float(exact + (bound if (j < npos) == (push > 0) else -bound))
+                if abs(Fraction(g) - exact) > bound:
+                    g = math.nextafter(g, -math.inf if g > exact else math.inf)
+                plane[i, j] = g
+        return plane
 
     return hook
 
@@ -404,9 +405,9 @@ def kernel_planes_at_the_error_bound(reach, push):
     """
     sides = itertools.cycle((True, False))
 
-    def hook(xc, w, xn, aug, mn, planes):
+    def hook(xc, w, xn, aug, mn, plane):
         positive = next(sides)
-        return planes_at_the_error_bound(aug.shape[-1] if positive else 0, push, reach)(xc, w, xn, aug, mn, planes)
+        return planes_at_the_error_bound(aug.shape[-1] if positive else 0, push, reach)(xc, w, xn, aug, mn, plane)
 
     return hook
 
@@ -601,7 +602,7 @@ def test_stacked_row_equals_single_vector_call(rng):
     bank = bank_with_stm(feats, labels, min_stm_size=6, stm_cap=300)
     predictor = FrozenChunkPredictor(rng.random((90, 4)), bank)
     alphas = np.vstack([rng.random((4, 4)), np.zeros(4), [0.0, 1.0, 0.0, 0.5]])
-    stacked = predict_in_blocks(predictor, alphas, 7 * 300 * 6)
+    stacked = predict_in_blocks(predictor, alphas, 7 * 300)
     assert stacked.shape == (6, 90) and stacked.dtype == np.uint8
     for s, alpha in enumerate(alphas):
         single = predictor.predict(alpha)
@@ -617,6 +618,8 @@ def test_batch_predictor_rejects_bad_weight_shapes(rng):
             predictor.predict(bad)
     # a stack of weight vectors is S calls in one, never one vote
     assert FrozenChunkPredictor(np.zeros((1, 3)), bank).predict(np.ones((2, 3))).shape == (2, 1)
+    empty = predictor.predict(np.empty((0, 3)))
+    assert empty.shape == (0, 5) and empty.dtype == np.uint8
 
 
 def test_batch_predictor_frozen_against_later_fits(rng):
@@ -655,40 +658,30 @@ def test_screen_products_stay_below_blas_threading_size(rng, monkeypatch):
     assert sum(sizes) == 40 * m * (d + 2) * 30 and max(sizes) <= samknn._SCREEN_CALL
 
 
-def test_grouped_screen_products_keep_every_vote(rng):
-    # One stacked product screens G weight vectors against G copies of the
-    # memory operand, each holding its own vector's memory norms. G = 1, G
-    # dividing S, G not dividing S and G = S give the order-defined votes,
-    # on integer grids (exact ties) and on continuous data; by default the
-    # copies stay within the operand share of the block budget. Each block
-    # screens its positive columns, then its negative ones.
+def test_screen_products_keep_every_vote(rng):
+    # Each block screens one weight vector, its positive columns and then its
+    # negative ones, with that vector's memory norms in the operand's scratch
+    # row; the votes are the order-defined ones on integer grids (exact ties)
+    # and on continuous data.
     screen_planes = samknn._screen_planes
     for m, d, S, grid in ((40, 3, 7, True), (60, 8, 12, False), (25, 13, 5, True)):
-        K = d + 2
         make = (lambda shape: rng.integers(0, 3, shape).astype(float)) if grid else rng.random
         mem, queries = make((m, d)), make((30, d))
         labels = rng.integers(0, 2, m).astype(np.uint8)
         alphas = np.vstack([np.ones(d), rng.random((S - 1, d))])
         want = np.array([samknn._vote_rows(python_sq_sums(queries, mem, a * a), labels == 1, 3) for a in alphas])
         predictor = FrozenChunkPredictor(queries, bank_with_stm(mem, labels, k=3, min_stm_size=4, stm_cap=m))
-        for group in (1, 2, 5, S, None):
-            seen = []
+        seen = []
 
-            def recorded(xc, w, xn, ops, mn, planes):
-                seen.append(ops.shape)
-                return screen_planes(xc, w, xn, ops, mn, planes)
+        def recorded(xc, w, xn, op, mn, plane):
+            seen.append(op.shape)
+            return screen_planes(xc, w, xn, op, mn, plane)
 
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(samknn, "_screen_planes", recorded)
-                if group is not None:
-                    mp.setattr(samknn, "_OPERAND_SHARE", 1 << 40 if group == 1 else _BLOCK_ELEMENTS // (group * K * m))
-                np.testing.assert_array_equal(predictor.predict(alphas), want)
-            npos = int(np.count_nonzero(labels == 1))
-            assert seen and [width for _, _, width in seen] == [npos, m - npos] * (len(seen) // 2)
-            if group is None:
-                assert all(g * K * m <= max(K * m, _BLOCK_ELEMENTS // samknn._OPERAND_SHARE) for g, _, _ in seen)
-            else:
-                assert {(g, rows) for g, rows, _ in seen} == {(min(group, S), K)}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(samknn, "_screen_planes", recorded)
+            np.testing.assert_array_equal(predictor.predict(alphas), want)
+        npos = int(np.count_nonzero(labels == 1))
+        assert seen == [(d + 2, npos), (d + 2, m - npos)] * S
 
 
 def test_kernel_scratch_is_one_block(rng):
@@ -706,7 +699,7 @@ def test_kernel_scratch_is_one_block(rng):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # the S distance planes (one budget) and the stack of memory operands
+    # one vector's distance planes (one budget) and a copy of the memory operand
     assert max(peaks) < 1.5 * 8 * _BLOCK_ELEMENTS, max(peaks) / (8 * _BLOCK_ELEMENTS)
     assert peaks[1] < 1.5 * peaks[0]
 
@@ -998,8 +991,8 @@ def test_screened_absorb_holds_with_planes_at_the_edge_of_the_error_bound():
         kwargs = dict(k=k, stm_cap=50, ltm_cap=20, min_stm_size=k + 5, seed=1)
         for push in (1, -1):
 
-            def hook(xc, w, xn, aug, mn, planes):
-                return planes_at_the_error_bound(aug.shape[-1] // 2, push)(xc, w, xn, aug, mn, planes)
+            def hook(xc, w, xn, aug, mn, plane):
+                return planes_at_the_error_bound(aug.shape[-1] // 2, push)(xc, w, xn, aug, mn, plane)
 
             bank, reference = MemoryBank(d, **kwargs), MemoryBank(d, **kwargs)
             with pytest.MonkeyPatch.context() as mp:

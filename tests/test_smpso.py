@@ -329,8 +329,9 @@ def test_smpso_rejects_malformed_warm_starts_before_scoring(warm):
         ([0.0, -np.inf], [1.0, 1.0], "finite"),
         ([0.0], [np.inf], "finite"),
         ([1.0], [0.0], "below"),
+        (np.empty(0), np.empty(0), "at least one"),
     ],
-    ids=["lower nan", "upper nan", "lower -inf", "upper inf", "crossed"],
+    ids=["lower nan", "upper nan", "lower -inf", "upper inf", "crossed", "no variable"],
 )
 @pytest.mark.parametrize("warm", [False, True], ids=["drawn", "warm"])
 def test_smpso_rejects_malformed_bounds_before_drawing(lower, upper, match, warm):
