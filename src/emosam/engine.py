@@ -24,7 +24,6 @@ holds at least one instance.
 from __future__ import annotations
 
 import json
-import math
 import struct
 import time
 import zlib
@@ -54,6 +53,7 @@ from .trend import (
     DEFAULT_SMOOTHING,
     DEFAULT_TREND_THRESHOLD,
     HISTORY_CAPACITY,
+    MAX_SMOOTHING,
     DiscriminationHistory,
     should_trigger_every,
     should_trigger_hp,
@@ -144,8 +144,8 @@ class EngineConfig:
         # which JSON configs may carry, would never fire silently.
         if not (self.trend_threshold >= 0.0 and self.min_increase >= 0.0):
             raise ValueError("trend_threshold and min_increase must be non-negative, not NaN")
-        if not 0.0 < self.hp_smoothing < math.inf:
-            raise ValueError("hp_smoothing must be positive and finite")
+        if not 0.0 < self.hp_smoothing <= MAX_SMOOTHING:
+            raise ValueError(f"hp_smoothing must lie in (0, {MAX_SMOOTHING:g}]")
         if self.n_init_random < 1:
             raise ValueError("n_init_random must be positive")
         if self.tie_label not in (0, 1):

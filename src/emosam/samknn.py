@@ -95,7 +95,10 @@ each block's order-defined distances to the LTM (:func:`_sq_dists`).
 
 Maintenance tables are ragged, and +inf marks no point (no distance is
 +inf, as features are bounded): one row vote (:func:`_vote_rows`) and one
-radius (:func:`_radii_sq`) read every such table.
+radius (:func:`_radii_sq`) read every such table. A block's band
+candidates stay one such table, rows by candidates in position order, from
+the screen (:func:`_band_candidates`) through the votes to the band writer
+(:class:`_BandWriter`).
 
 Every STM point also carries its k-skyband: the predecessors p with fewer
 than k points between p and it that are strictly closer to it. For any
@@ -179,15 +182,16 @@ _SCREEN_CALL = 1 << 18
 # The window absorb's screened STM plane of a row block holds at most
 # _BLOCK_ELEMENTS // _PLANE_SHARE values (1 MiB); so do its LTM distances
 # and their scratch plane (_sq_dists), and the band writer's scan table
-# holds as many slots, which one block's candidates fill at most. A block
-# peaks at 1.5 times its plane (the chunk minima and the scratch of their
-# bounds, see _chunk_minima and _later_bound); a flush at its scan table
-# plus a byte mask and 4 bytes a candidate, beside the pending candidates at
-# 12 bytes each (_BandWriter).
+# holds as many slots, which one block's candidate table fills at most. A
+# block peaks at 1.5 times its plane (the chunk minima and the scratch of
+# their bounds, see _chunk_minima and _later_bound); a flush at its scan
+# and code tables, 12 bytes a slot, beside the pending candidate tables at
+# 12 bytes a padded slot (_BandWriter).
 # On the fit peak-memory test's large case (STM and window 2000, d = 16) the
-# fit peaks at 4.7 MB, as it did with share 4 and scans of a quarter as many
-# slots; a default-scale window now takes half the blocks and a quarter of
-# the scans. Share 1 would put a 2 MiB plane beside the pending candidates.
+# fit peaks at 5.0 MB, and at 3.5 MB with share 4, under which 20
+# default-scale windows take twice the blocks (590, not 300) and nearly
+# twice the flushes (37, not 20). Share 1 peaks at 7.1 MB, a 2 MiB plane
+# beside the pending tables.
 _PLANE_SHARE = 2
 # Gathered rows of the absorb's exact pair sums and the tables a flush sorts
 # go through in chunks of at most _BLOCK_ELEMENTS // _GATHER_SHARE values or
@@ -726,8 +730,8 @@ def _later_bound(table: np.ndarray, k: int) -> np.ndarray:
 def _ragged_slots(rows: np.ndarray, n: int) -> tuple[int, np.ndarray]:
     """Width of an (n, widest row) table of row-major entries, and each entry's flat int32 slot in it.
 
-    The tables are of one row block's or one flush's candidates, bounded by
-    the maintenance budgets, so their slots fit int32.
+    The tables are of one row block's band or radius candidates, at most
+    its plane, so their slots fit int32.
     """
     counts = np.bincount(rows, minlength=n).astype(np.int32)
     width = int(counts.max(initial=0))
@@ -779,8 +783,8 @@ def _band_candidates(
     slack: np.ndarray,
     k: int,
     exact: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A superset of each row's k-skyband in a :func:`_band_plane`: rows, columns, distances.
+) -> tuple[np.ndarray, np.ndarray]:
+    """A superset of each row's k-skyband in a :func:`_band_plane`, as (r, W) column and distance tables.
 
     Each row's points are its non-NaN columns, in position order; point p is
     in the k-skyband iff fewer than k points after it are strictly closer by
@@ -794,7 +798,9 @@ def _band_candidates(
     keeps at most ``max(_BAND_CANDIDATES, k)`` of them, its smallest by
     (distance, position), and the bound over those drops more; a kept point
     outside the skyband keeps k later skyband points that rule it out, as
-    those are closer. Entries come in row-major order.
+    those are closer. Row i of the tables holds row i's candidates in
+    position order from column 0 on, W the most any row keeps; the distance
+    table pads with +inf and the column table with 0.
     """
     r = len(plane)
     bound = _later_bound(mins, k)
@@ -814,7 +820,8 @@ def _band_candidates(
     width, slots = _ragged_slots(rows, r)
     table = _ragged(slots, (r, width), dist, np.inf)
     keep = (table <= _later_bound(table, k)).reshape(-1)[slots]
-    return rows[keep], cols[keep], dist[keep]
+    width, slots = _ragged_slots(rows[keep], r)
+    return _ragged(slots, (r, width), cols[keep], 0), _ragged(slots, (r, width), dist[keep], np.inf)
 
 
 def _radius_candidates(
@@ -844,45 +851,36 @@ def _radius_candidates(
     return rows[own], cols[own]
 
 
-def _skybands(counts: np.ndarray, dists: list, codes: list, out: np.ndarray, k: int) -> None:
-    """Write the k-skybands of ``len(out)`` rows from their :func:`_band_candidates` entries.
+def _skybands(tables: list, out: np.ndarray, k: int) -> None:
+    """Write the k-skybands of ``len(out)`` rows from their :func:`_band_candidates` tables.
 
-    ``counts`` holds each row's number of candidates. The concatenations of
-    the arrays in ``dists`` and in ``codes`` hold the candidates' distances
-    and band codes, row by row, each row's in position order; both lists are
-    emptied as they are read. A candidate is in the skyband iff fewer than k
-    later candidates are strictly closer: a reverse scan over the candidate
-    columns of a (most candidates, rows) table keeps the k smallest
-    distances seen. Members are then put in stable (distance, position)
-    order, in row chunks whose tables hold at most
-    ``_BLOCK_ELEMENTS // _GATHER_SHARE`` slots, and the first ``_BAND_LEN``
-    codes go to ``out``, padded with ``_BAND_END``.
+    ``tables`` holds the (distance, code) table pairs of consecutive rows,
+    each row's candidates in position order, padded with +inf and
+    ``_BAND_END``; the list is emptied once read. Each pair is copied,
+    transposed, into a (height, rows) scan table of distances and a code
+    table beside it, height the widest pair's width, padded alike. A
+    candidate is in the skyband iff fewer than k later candidates are
+    strictly closer: a reverse scan over the scan table's rows keeps the k
+    smallest distances seen and overwrites every non-member with +inf and
+    ``_BAND_END``. In row chunks whose tables hold at most
+    ``_BLOCK_ELEMENTS // _GATHER_SHARE`` slots, one stable argsort then puts
+    each row's members in (distance, position) order, and the first
+    ``_BAND_LEN`` codes go to ``out``, padded with ``_BAND_END``.
     """
     n = len(out)
-    out.fill(_BAND_END)
-    height = int(counts.max(initial=0))
-    if height == 0:
-        dists.clear()
-        codes.clear()
-        return
-    # candidate c of row i, the j-th of its row, goes to scan slot j * n + i
-    at = np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
-    np.subtract(np.arange(len(at), dtype=np.int32), at, out=at)
-    at *= n
-    at += np.repeat(np.arange(n, dtype=np.int32), counts)
+    height = max(dist.shape[1] for dist, _ in tables)
     scan = np.full((height, n), np.inf)
-    flat, done = scan.reshape(-1), 0
-    dists.reverse()
-    while dists:
-        part = dists.pop()
-        flat[at[done : done + len(part)]] = part
-        done += len(part)
-    del part
-    member = np.empty(scan.shape, dtype=bool)
+    code = np.full((height, n), _BAND_END, dtype=np.int32)
+    at = 0
+    for dist, codes in tables:
+        scan[: dist.shape[1], at : at + len(dist)] = dist.T
+        code[: dist.shape[1], at : at + len(dist)] = codes.T
+        at += len(dist)
+    tables.clear()
     nearest = [np.full(n, np.inf) for _ in range(k)]
-    x, spare = np.empty(n), np.empty(n)
-    for j in range(len(scan) - 1, -1, -1):
-        np.less_equal(scan[j], nearest[-1], out=member[j])
+    far, x, spare = np.empty(n, dtype=bool), np.empty(n), np.empty(n)
+    for j in range(height - 1, -1, -1):
+        np.greater(scan[j], nearest[-1], out=far)
         np.minimum(nearest[0], scan[j], out=spare)
         np.maximum(nearest[0], scan[j], out=x)
         nearest[0], spare = spare, nearest[0]
@@ -890,70 +888,44 @@ def _skybands(counts: np.ndarray, dists: list, codes: list, out: np.ndarray, k: 
             np.minimum(nearest[t], x, out=spare)
             np.maximum(nearest[t], x, out=x)
             nearest[t], spare = spare, nearest[t]
-    take = member.reshape(-1)[at]
-    del member
-    at = at[take]
-    dist = flat[at]
-    del scan, flat, at
-    rows = np.repeat(np.arange(n, dtype=np.int32), counts)[take]
-    code = np.concatenate(codes)[take]
-    codes.clear()
-    size = np.bincount(rows, minlength=n).astype(np.int32)
-    bounds = np.concatenate([[0], np.cumsum(size)])
-    step = max(1, _BLOCK_ELEMENTS // _GATHER_SHARE // int(size.max()))
+        np.copyto(scan[j], np.inf, where=far)
+        np.copyto(code[j], _BAND_END, where=far)
+    out.fill(_BAND_END)
+    step = max(1, _BLOCK_ELEMENTS // _GATHER_SHARE // max(1, height))
     for a in range(0, n, step):
-        b = min(n, a + step)
-        lo, hi = bounds[a], bounds[b]
-        width, slots = _ragged_slots(rows[lo:hi] - a, b - a)
-        band = _ragged(slots, (b - a, width), dist[lo:hi], np.inf)
-        order = np.argsort(band, axis=1)
-        ranked = np.take_along_axis(band, order, axis=1)
-        ties = (ranked[:, 1:] == ranked[:, :-1]) & (np.arange(1, width) < size[a:b, None])
-        tied = np.flatnonzero(ties.any(axis=1))
-        if tied.size:
-            order[tied] = np.argsort(band[tied], axis=1, kind="stable")
-        order = order[:, :_BAND_LEN]
-        band_codes = _ragged(slots, (b - a, width), code[lo:hi], _BAND_END)
-        out[a:b, : order.shape[1]] = np.take_along_axis(band_codes, order, axis=1)
+        order = np.argsort(scan[:, a : a + step], axis=0, kind="stable")[:_BAND_LEN]
+        out[a : a + step, : len(order)] = np.take_along_axis(code[:, a : a + step], order, axis=0).T
 
 
 class _BandWriter:
-    """Turns band candidates of consecutive rows, added block by block, into band codes.
+    """Turns the candidate tables of consecutive rows, added block by block, into band codes.
 
     Row ``skip + j`` is written to ``out[j]``; rows before ``skip`` are
     dropped. Pending rows go through :func:`_skybands` together, as many as
-    fit a scan table (rows times the most candidates one of them has) of
+    fit a scan table (rows times the widest pending table) of
     ``_BLOCK_ELEMENTS // _PLANE_SHARE`` slots, the plane budget, which one
-    block's candidates fit unless it is a single wider row: a block whose
-    rows would overfill it first finishes the rows before it. Pending
-    candidates are kept as their distances, codes and per-row counts, 12
-    bytes each and 4 a row.
+    block's table fits unless it is a single wider row: a block whose rows
+    would overfill it first finishes the rows before it. Pending rows are
+    kept as their blocks' distance and code tables, 12 bytes a slot.
     """
 
     def __init__(self, out: np.ndarray, skip: int, k: int) -> None:
         self.out, self.k, self._skip = out, k, skip
-        self._counts: list[np.ndarray] = []
-        self._dists: list[np.ndarray] = []
-        self._codes: list[np.ndarray] = []
+        self._tables: list[tuple[np.ndarray, np.ndarray]] = []
         self._first = self._stop = skip  # pending rows [first, stop)
         self._widest = 0
 
-    def add(self, stop: int, rows: np.ndarray, dist: np.ndarray, codes: np.ndarray) -> None:
-        """Candidates of the rows from the previous ``stop`` up to ``stop``; ``rows`` ascending."""
+    def add(self, stop: int, dist: np.ndarray, codes: np.ndarray) -> None:
+        """Distance and code tables of rows up to ``stop``, ending with the rows from the previous ``stop``."""
         start = self._stop
         if stop <= start:
             return
-        kept = rows >= start
-        if not kept.all():
-            rows, dist, codes = rows[kept], dist[kept], codes[kept]
-        counts = np.bincount(rows - start, minlength=stop - start).astype(np.int32)
-        widest = max(self._widest, int(counts.max(initial=0)))
+        dist, codes = dist[start - stop :], codes[start - stop :]
+        widest = max(self._widest, dist.shape[1])
         if start > self._first and (stop - self._first) * widest > _BLOCK_ELEMENTS // _PLANE_SHARE:
             self._finish(start)
-            widest = int(counts.max(initial=0))
-        self._counts.append(counts)
-        self._dists.append(dist)
-        self._codes.append(codes)
+            widest = dist.shape[1]
+        self._tables.append((dist, codes))
         self._stop, self._widest = stop, widest
 
     def flush(self) -> None:
@@ -963,15 +935,13 @@ class _BandWriter:
     def _finish(self, stop: int) -> None:
         if stop <= self._first:
             return
-        counts = np.concatenate(self._counts)
-        self._counts = []
-        _skybands(counts, self._dists, self._codes, self.out[self._first - self._skip : stop - self._skip], self.k)
+        _skybands(self._tables, self.out[self._first - self._skip : stop - self._skip], self.k)
         self._first, self._widest = stop, 0
 
 
-def _band_codes(gap: np.ndarray, positive: np.ndarray) -> np.ndarray:
-    """Band entry ``2 * gap + label`` of a predecessor ``gap`` positions back."""
-    return (2 * gap + positive).astype(np.int32)
+def _band_codes(gap: np.ndarray, positive: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Band entries ``2 * gap + label`` of a candidate table; ``_BAND_END`` where ``dist`` is +inf padding."""
+    return np.where(dist == np.inf, _BAND_END, 2 * gap + positive).astype(np.int32)
 
 
 def _stm_bands(features: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
@@ -986,10 +956,10 @@ def _stm_bands(features: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray
     for b, e in _sliding_blocks(n, lambda b: b, n):
         hi = np.arange(b, e)
         plane, slack = _band_plane(features[b:e], screen, norms, 0, np.zeros_like(hi), hi)
-        rows, cols, dist = _band_candidates(
+        cols, dist = _band_candidates(
             plane, _chunk_minima(plane), slack, k, lambda rows, cols: _pair_sums(features, b + rows, cols)
         )
-        writer.add(e, rows + b, dist, _band_codes(hi[rows] - cols, positive[cols]))
+        writer.add(e, dist, _band_codes(hi[:, None] - cols, positive[cols], dist))
     writer.flush()
     return bands
 
@@ -1264,12 +1234,10 @@ class MemoryBank:
                 return _pair_sums(cf, s0 + b + rows, c0 + cols)
 
             mins = _chunk_minima(plane)
-            rows, cols, dist = _band_candidates(plane, mins, slack, k, exact)
-            pos = c_pos[c0 + cols]
             # Each row's k nearest STM points are among its candidates, which
             # keep their position order: votes over them are the slice's votes.
-            width, slots = _ragged_slots(rows, e - b)
-            near, near_pos = _ragged(slots, (e - b, width), dist, np.inf), _ragged(slots, (e - b, width), pos, False)
+            cols, near = _band_candidates(plane, mins, slack, k, exact)
+            near_pos = c_pos[c0 + cols]
             if m:
                 # A radius is only compared with undropped LTM points of the
                 # other label; rows whose label meets none keep -inf. A
@@ -1280,13 +1248,13 @@ class MemoryBank:
                 r2 = np.full(e - b, -np.inf)
                 if meets.any():
                     own = np.where(near_pos == (labels[b:e] == 1)[:, None], near, np.inf)
-                    kth = _kth_smallest(own, k) if width >= k else np.full(e - b, np.inf)
+                    kth = _kth_smallest(own, k) if own.shape[1] >= k else np.full(e - b, np.inf)
                     kth[~meets] = -np.inf
                     rr, rc = _radius_candidates(plane, mins, cl[c0:c1], labels[b:e], kth + slack)
                     width, slots = _ragged_slots(rr, e - b)
                     r2 = _radii_sq(_ragged(slots, (e - b, width), exact(rr, rc), np.inf), k)
             del plane, mins  # before the band writer may need the memory
-            bands.add(e, rows + b, dist, _band_codes(stop[rows] - cols, pos))
+            bands.add(e, near, _band_codes(stop[:, None] - cols, near_pos, near))
             pred_stm[b:e] = _vote_rows(near, near_pos, k)
             if m == 0:
                 continue

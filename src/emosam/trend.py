@@ -36,6 +36,13 @@ __all__ = [
 ]
 
 DEFAULT_SMOOTHING = 100.0
+# Largest smoothing hp_filter accepts. The elimination's pivots are at least
+# 1, but it computes them as differences of terms of the smoothing's size,
+# so the cycle's error grows as about smoothing * 1e-16: against an exact
+# rational solve of series of length 3 to 8 it was 2e-8 at 1e8, 2e-6 at
+# 1e10 and 2e-2 at 1e14, and from 1e16 on a pivot rounds to zero. Usual HP
+# smoothings run from 100 to 129600.
+MAX_SMOOTHING = 1e8
 DEFAULT_TREND_THRESHOLD = 0.10
 DEFAULT_MIN_INCREASE = 0.07
 HISTORY_CAPACITY = 5
@@ -65,16 +72,17 @@ def hp_filter(series: Sequence[float], smoothing: float = DEFAULT_SMOOTHING) -> 
     series : sequence of float
         Observed values, at least one.
     smoothing : float
-        Positive penalty on trend curvature. Near zero the trend hugs the
-        series; large values approach the least-squares line.
+        Positive penalty on trend curvature, at most ``MAX_SMOOTHING``. Near
+        zero the trend hugs the series; large values approach the
+        least-squares line.
     """
     y = np.asarray(series, dtype=np.float64)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("series must be a non-empty vector")
     if not np.isfinite(y).all():
         raise ValueError("series must be finite")
-    if not smoothing > 0.0:
-        raise ValueError("smoothing must be positive")
+    if not 0.0 < smoothing <= MAX_SMOOTHING:
+        raise ValueError(f"smoothing must lie in (0, {MAX_SMOOTHING:g}]")
     cycle = _hp_cycle(y, float(smoothing)) if y.size > 2 else np.zeros(y.size)
     return HPDecomposition(y - cycle, cycle, float(smoothing))
 

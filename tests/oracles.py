@@ -231,6 +231,22 @@ def reference_interleaved_errors(features, labels, sizes, k: int) -> list[float]
     return [w / max(1, s - k) for w, s in zip(wrong, sizes)]
 
 
+def reference_skybands(rows, k: int, band_len: int, end: int) -> np.ndarray:
+    """Band codes of rows of (distances, codes) candidates, each row in position order.
+
+    A candidate is a member iff fewer than k later candidates of its row are
+    strictly closer. Members are sorted stably by (distance, position) and
+    the first ``band_len`` codes kept, padded with ``end``.
+    """
+    out = np.full((len(rows), band_len), end, dtype=np.int32)
+    for i, (dist, codes) in enumerate(rows):
+        members = [j for j in range(len(dist)) if np.count_nonzero(dist[j + 1 :] < dist[j]) < k]
+        members.sort(key=lambda j: (dist[j], j))
+        for slot, j in enumerate(members[:band_len]):
+            out[i, slot] = codes[j]
+    return out
+
+
 def reference_kmeans(points, n_clusters: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """The compression's k-means, point by point and centre by centre; returns (centres, assignment).
 

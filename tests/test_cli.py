@@ -338,6 +338,7 @@ def test_errors_exit_2_with_json(tmp_path, gen_config_path, capsys, monkeypatch)
         ("--config", {"smpso": None}, "'smpso'"),
         ("--config", {"trend_threshold": math.nan}, "trend_threshold"),
         ("--config", {"hp_smoothing": math.nan}, "hp_smoothing"),
+        ("--config", {"hp_smoothing": 1e16}, "hp_smoothing"),
         ("--config", {"smpso": {"inertia": math.nan}}, "inertia"),
         ("--config", {"smpso": {"c1": math.inf}}, "c1"),
         ("--config", {"history_capacity": 2}, "history_capacity"),

@@ -95,6 +95,7 @@ def test_config_validation():
         dict(min_increase=nan),
         dict(hp_smoothing=nan),
         dict(hp_smoothing=inf),
+        dict(hp_smoothing=1e16),
         dict(smpso=SmpsoParams(inertia=nan)),
         dict(smpso=SmpsoParams(inertia=-inf)),
         dict(smpso=SmpsoParams(c1=inf)),

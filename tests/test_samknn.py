@@ -31,6 +31,7 @@ from oracles import (
     interleaved_error,
     reference_fit_chunk,
     reference_interleaved_errors,
+    reference_skybands,
     sam_reference_predict,
 )
 
@@ -1476,6 +1477,48 @@ def test_snapshot_midstream_continues_like_uninterrupted_bank(rng):
             resumed.fit_chunk(chunk)
             assert resumed.state_hash() == whole.state_hash()
     assert whole.stm_size < kwargs["stm_cap"]  # the length re-fit cut the STM
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_band_writer_matches_reference_skybands(data):
+    # Position-ordered candidate tables, padded as _band_candidates pads
+    # them, go through the band writer block by block. Integer-grid
+    # distances tie often; a row may hold no candidate, or (sorted) more
+    # members than a band keeps; tables may carry extra padding columns;
+    # rows before skip are dropped; and a small budget splits the window
+    # into several flushes.
+    k = data.draw(st.integers(1, 5), label="k")
+    band_len = data.draw(st.sampled_from([2, 5, samknn._BAND_LEN]), label="band_len")
+    budget = data.draw(st.sampled_from([1, 1 << 7, _BLOCK_ELEMENTS]), label="budget")
+    n = data.draw(st.integers(1, 40), label="n")
+    skip = data.draw(st.integers(0, n - 1), label="skip")
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, n), max_size=4), label="cuts")) - {n})
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rows = []
+    for _ in range(n):
+        dist = rng.integers(0, 4, int(rng.integers(0, band_len + 16))).astype(float)
+        if rng.random() < 0.3:
+            dist.sort()  # no later candidate is closer: all are members
+        rows.append((dist, rng.choice(1 << 20, len(dist), replace=False).astype(np.int32)))
+    out = np.full((n - skip, band_len), -1, dtype=np.int32)
+    flushes = []
+    skybands = samknn._skybands
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(samknn, "_BAND_LEN", band_len)
+        mp.setattr(samknn, "_BLOCK_ELEMENTS", budget)
+        mp.setattr(samknn, "_skybands", lambda tables, part, k: flushes.append(len(part)) or skybands(tables, part, k))
+        writer = samknn._BandWriter(out, skip, k)
+        for b, e in zip([0, *cuts], [*cuts, n]):
+            width = max(len(rows[i][0]) for i in range(b, e)) + int(rng.integers(0, 3))
+            dist = np.full((e - b, width), np.inf)
+            codes = np.full((e - b, width), samknn._BAND_END, dtype=np.int32)
+            for i in range(b, e):
+                dist[i - b, : len(rows[i][0])], codes[i - b, : len(rows[i][1])] = rows[i]
+            writer.add(e, dist, codes)
+        writer.flush()
+    assert sum(flushes) == n - skip
+    np.testing.assert_array_equal(out, reference_skybands(rows[skip:], k, band_len, samknn._BAND_END))
 
 
 @given(data=st.data())

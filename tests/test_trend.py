@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -92,6 +93,10 @@ def test_hp_filter_rejects_bad_input(bad):
 def test_hp_filter_rejects_bad_smoothing():
     with pytest.raises(ValueError):
         hp_filter(np.array([0.1, 0.2, 0.3]), 0.0)
+    # beyond the bound the elimination loses the cycle, and at 1e16 divides by zero
+    for smoothing in (1e16, math.inf):
+        with pytest.raises(ValueError):
+            hp_filter(np.array([0.1, 0.2, 0.4]), smoothing)
 
 
 # -- trigger policies ---------------------------------------------------------
