@@ -44,7 +44,7 @@ order-defined sum.
 
 Every weighted prediction goes through one kernel, and every vote it returns
 equals the vote of the order-defined distances; BLAS only screens. The
-kernel takes the memory label-ordered, label-1 points first and each label
+kernel screens the memory label-ordered, label-1 points first and each label
 in position order, and centred on each feature's mid-range. It takes the S
 weight vectors w of a stack one at a time, and for each walks the queries in
 row blocks. BLAS matrix products of a block's rows
@@ -64,8 +64,8 @@ relative to a per-row scale of the centred data plus a subnormal-sized
 absolute term, so where ``a`` and ``b`` are farther apart than that margin
 the vote is certified; every other row (near ties, and exact ties that
 position decides) recomputes its order-defined distances under that vector
-(:func:`_sq_dists`, a few uncertain rows at a time), puts them back in
-position order and votes through :func:`_vote_rows`. A label too short for
+against the memory in position order (:func:`_sq_dists`, a few uncertain
+rows at a time) and votes through :func:`_vote_rows`. A label too short for
 its quota makes the vote a constant. Memories and queries hold features of
 magnitude at most ``stream._FEATURE_BOUND``, so every distance is finite.
 The kernel runs its blocks one after another on the calling thread,
@@ -90,15 +90,16 @@ slack of the k-th smallest same-label band candidate, which bounds the
 k-th smallest same-label distance, or all of them where the row has fewer
 than k same-label candidates. Only these get order-defined distances;
 the bands, the STM votes and the radius (the exact k-th smallest,
-:func:`_kth_smallest`) come from them. The LTM votes are row votes over
+:func:`_kth_finite`) come from them. The LTM votes are row votes over
 each block's order-defined distances to the LTM (:func:`_sq_dists`).
 
 Maintenance tables are ragged, and +inf marks no point (no distance is
-+inf, as features are bounded): one row vote (:func:`_vote_rows`) and one
-radius (:func:`_radii_sq`) read every such table. A block's band
++inf, as features are bounded), built from row-major hits through a valid
+mask (:func:`_table`). Each row's k-th finite entry (:func:`_kth_finite`)
+is its vote threshold (:func:`_vote_rows`) and its radius. A block's band
 candidates stay one such table, rows by candidates in position order, from
 the screen (:func:`_band_candidates`) through the votes to the band writer
-(:class:`_BandWriter`).
+(:class:`_BandWriter`); its radius candidates are another.
 
 Every STM point also carries its k-skyband: the predecessors p with fewer
 than k points between p and it that are strictly closer to it. For any
@@ -196,22 +197,13 @@ _PLANE_SHARE = 2
 # Gathered rows of the absorb's exact pair sums and the tables a flush sorts
 # go through in chunks of at most _BLOCK_ELEMENTS // _GATHER_SHARE values or
 # slots (128 KiB of float64), as do the kernel's recomputed rows (at least
-# one row): a chunk's distances, their scratch plane, their position-order
-# copy and the vote's selection copy take about a quarter of the kernel's
-# block. Pair-sum chunks of 2^16 values held 1 MiB of gathered rows at the
-# peak of the fit peak-memory test's large case; chunks of 2^14 took the
-# 7-window reference fit's pair sums from 14.0 to 14.8 ms.
+# one row): a chunk's distances, their scratch plane and the vote's
+# selection copy take about three sixteenths of the kernel's block (the
+# fallback-scratch test peaks at 1.28-1.31 blocks with d = 8). Pair-sum
+# chunks of 2^16 values held 1 MiB of gathered rows at the peak of the fit
+# peak-memory test's large case; chunks of 2^14 took the 7-window reference
+# fit's pair sums from 14.0 to 14.8 ms.
 _GATHER_SHARE = 16
-# Largest q that _kth_smallest selects by peeling q - 1 row minima rather
-# than by np.partition. A partition costs 2.5-3.4 ns per element at the
-# kernel's row lengths whatever q is, an argmin over a contiguous row
-# 0.2-0.4 ns. Timed on a 2-CPU virtual machine (AVX-512, numpy 2.4), peeling
-# beat partition up to q = 8 and tied at q = 9 (0.90-1.10x) at 20 x 13 x 450,
-# 10 x 8 x 1500 and 1 x 262 x 450; at 10 x 8 x 3096, a default-scale sweep's
-# width, it lost from q = 7, so no measured shape peels where it lost. With
-# k = 5 the kernel peels q = 3 and the other selections q = 5; the partition
-# is a guard for large k, which no benchmark workload reaches.
-_PEEL_MAX = 6
 
 # Each STM point carries its k-skyband: the predecessors with fewer than k
 # points between them and it that are strictly closer to it. At most
@@ -266,14 +258,12 @@ def _kth_smallest(side: np.ndarray, q: int) -> np.ndarray:
     """The q-th smallest (1-based) along the last axis of a C-contiguous array, overwriting it.
 
     Takes q - 1 rounds of ``argmin``, each writing +inf into the chosen
-    slot, then gathers the last round's minima; with q above ``_PEEL_MAX``
-    it partitions instead. Returns a new array of the leading shape, each
-    value equal to ``np.partition``'s q-th element of its row (for input
-    without NaN; q at most the row length).
+    slot, then gathers the last round's minima. Returns a new array of the
+    leading shape, each value equal to ``np.partition``'s q-th element of
+    its row (for input without NaN; q at most the row length). Each round is
+    one pass over the rows, so the cost grows with q: with k = 5 the kernel
+    peels q = 3 and the other selections q = 5.
     """
-    if q > _PEEL_MAX:
-        side.partition(q - 1, axis=-1)
-        return side[..., q - 1].copy()
     width = side.shape[-1]
     flat = side.reshape(-1)
     rows = flat.reshape(-1, width)
@@ -289,35 +279,55 @@ def _vote_rows(dist2: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
     A row's points are its finite entries; +inf marks no point.
     ``positive`` marks the memory points labelled 1: one (m,) mask for every
     row, or one (n, m) mask with a row for each. Distance ties keep the
-    earlier position, class-vote ties go to label 1. The k-th smallest
-    distance of each row comes from :func:`_kth_smallest` on a copy; when
-    exactly k points lie at or below it they are the k nearest. Only rows
-    with more than k such points (ties at the k-th distance) take all
-    strictly closer points plus the earliest-position tied ones, which
+    earlier position, class-vote ties go to label 1. Each row's threshold
+    is its k-th finite entry (:func:`_kth_finite` on a copy); when at most k
+    points lie at or below it they are the k nearest, or all of the row's.
+    Only rows with more than k such points (ties at the k-th distance) take
+    all strictly closer points plus the earliest-position tied ones, which
     reproduces a stable (distance, position) sort exactly. A row with k
     points or fewer votes with all of them, and a row with none votes 1.
     """
-    n, m = dist2.shape
-    if m == 0:
-        return np.ones(n, dtype=np.uint8)
-    kk = min(k, m)
-    kth = _kth_smallest(dist2.copy(), kk)[:, None]
+    kth = _kth_finite(dist2.copy(), k)[:, None]
     near = dist2 <= kth
-    # an infinite k-th leaves fewer than kk points, which all vote
-    short = np.flatnonzero(kth[:, 0] == np.inf)
-    if short.size:
-        near[short] = dist2[short] != np.inf
     ones = _row_counts(near & positive)
     size = _row_counts(near)
-    tied = np.flatnonzero(size > kk)
+    tied = np.flatnonzero(size > k)
     if tied.size:
         sub, sub_kth = dist2[tied], kth[tied]
         strict = sub < sub_kth
-        need = kk - _row_counts(strict)
+        need = k - _row_counts(strict)
         tie = sub == sub_kth
         sel = strict | (tie & (np.cumsum(tie, axis=1) <= need[:, None]))
         ones[tied] = _row_counts(sel & (positive[tied] if positive.ndim == 2 else positive))
-    return (2 * ones >= np.minimum(size, kk)).astype(np.uint8)
+    return (2 * ones >= np.minimum(size, k)).astype(np.uint8)
+
+
+def _kth_finite(dist2: np.ndarray, k: int) -> np.ndarray:
+    """The k-th smallest finite entry of each row; +inf marks no point.
+
+    The k-th smallest (:func:`_kth_smallest`), or the largest when a row has
+    fewer than k; -inf for a row with none, so nothing lies at or below it.
+    This is each row's vote threshold (:func:`_vote_rows`) and its squared
+    cleaning radius. Overwrites ``dist2``.
+    """
+    n, m = dist2.shape
+    if m == 0:
+        return np.full(n, -np.inf)
+    kk = min(k, m)
+    short = np.flatnonzero(_row_counts(dist2 == np.inf) > m - kk)
+    sub = dist2[short]
+    largest = np.where(sub != np.inf, sub, -np.inf).max(axis=1, initial=-np.inf)
+    kth = _kth_smallest(dist2, kk)
+    kth[short] = largest
+    return kth
+
+
+def _table(counts: np.ndarray, values: np.ndarray, fill) -> np.ndarray:
+    """Table of row-major ``values``: row i holds the next ``counts[i]`` from column 0, then ``fill``."""
+    valid = np.arange(counts.max(initial=0)) < counts[:, None]
+    table = np.full(valid.shape, fill, dtype=values.dtype)
+    table[valid] = values
+    return table
 
 
 def _sq_dists(points: np.ndarray, memory_t: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
@@ -397,23 +407,24 @@ def _screen_operand(memory_t: np.ndarray) -> _Screen:
 class _KernelMemory(NamedTuple):
     """A memory in the kernel's layout (see :func:`_label_ordered`)."""
 
-    memory_t: np.ndarray  # (d, m): label-1 points first, each label in position order
-    screen: _Screen  # memory_t centred, as the screen's product operand
+    memory_t: np.ndarray  # (d, m) in position order, for the fallback's order-defined distances
+    positive: np.ndarray  # (m,): the label-1 points
     npos: int  # number of label-1 points
-    order: np.ndarray  # column j holds memory position order[j]
+    screen: _Screen  # the screen's product operand: label-1 points first, each label in position order
 
 
 def _label_ordered(features: np.ndarray, labels: np.ndarray) -> _KernelMemory:
-    """The kernel's memory layout: a (d, m) copy with the label-1 points first.
+    """The kernel's memory layout: a (d, m) copy in position order and a label-ordered screen operand.
 
-    Each label keeps its position order (a stable argsort of ``labels != 1``).
-    The copy is also kept centred as the screen's product operand
-    (:func:`_screen_operand`).
+    The screen's operand (:func:`_screen_operand`) takes the label-1 points
+    first, each label in position order (a stable argsort of
+    ``labels != 1``), so each label side of a block is one column slice of
+    it. The fallback reads the position-order copy and the label mask.
     """
     positive = labels == 1
-    order = np.argsort(~positive, kind="stable")
-    memory_t = np.ascontiguousarray(features[order].T)
-    return _KernelMemory(memory_t, _screen_operand(memory_t), int(np.count_nonzero(positive)), order)
+    memory_t = np.ascontiguousarray(features.T)
+    screen = _screen_operand(memory_t[:, np.argsort(~positive, kind="stable")])
+    return _KernelMemory(memory_t, positive, int(np.count_nonzero(positive)), screen)
 
 
 def _screen_planes(
@@ -530,12 +541,13 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     the vector (:func:`_screen_margin`), the kernel votes 1 where
     ``a + E < b`` and 0 where ``a - E > b``, which certifies the
     order-defined vote. Every other row (near ties, exact ties) recomputes
-    its order-defined distances under that vector, puts them back in
-    position order and votes through :func:`_vote_rows`.
+    its order-defined distances under that vector from the memory's
+    position-order copy and votes through :func:`_vote_rows` with its label
+    mask.
     """
     n, d = queries.shape
     m = memory.memory_t.shape[1]
-    npos, order, screen = memory.npos, memory.order, memory.screen
+    npos, screen = memory.npos, memory.screen
     kk = min(k, m)
     t = (kk + 1) // 2
     u = kk - t + 1
@@ -545,8 +557,6 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     if m - npos < u:
         out[:] = 1
         return out
-    positive = np.zeros(m, dtype=bool)
-    positive[order[:npos]] = True
     w = alphas * alphas
     rows = max(1, min(n, _BLOCK_ELEMENTS // m))
     step = max(1, _BLOCK_ELEMENTS // (_GATHER_SHARE * m))
@@ -570,9 +580,7 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
             sub = start + np.flatnonzero(~(vote | (a - e > b)))
             for c in range(0, len(sub), step):
                 part = sub[c : c + step]
-                dist2 = np.empty((len(part), m))
-                dist2[:, order] = _sq_dists(queries[part], memory.memory_t, w[s])
-                out[s, part] = _vote_rows(dist2, positive, k)
+                out[s, part] = _vote_rows(_sq_dists(queries[part], memory.memory_t, w[s]), memory.positive, k)
     return out
 
 
@@ -595,25 +603,6 @@ def _sliding_blocks(stop: int, base, max_rows: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def _radii_sq(dist2: np.ndarray, k: int) -> np.ndarray:
-    """Squared cleaning radius of each row over its finite entries; +inf marks no point.
-
-    The k-th smallest (:func:`_kth_smallest`), or the largest when a row has
-    fewer than k; -inf for a row with none, so nothing lies inside.
-    Overwrites ``dist2``.
-    """
-    n, m = dist2.shape
-    if m == 0:
-        return np.full(n, -np.inf)
-    kk = min(k, m)
-    short = np.flatnonzero(_row_counts(dist2 == np.inf) > m - kk)
-    sub = dist2[short]
-    largest = np.where(sub != np.inf, sub, -np.inf).max(axis=1, initial=-np.inf)
-    r2 = _kth_smallest(dist2, kk)
-    r2[short] = largest
-    return r2
-
-
 def clean(
     target_features: np.ndarray,
     target_labels: np.ndarray,
@@ -627,29 +616,30 @@ def clean(
     k-th nearest same-label reference neighbor (itself excluded; fewer than k
     available means the farthest of them; none at all skips the point). Any
     target point inside such a ball with a different label is dropped.
-    Distances are unweighted and taken over row blocks of reference points.
+    Distances are unweighted. The reference is read one label at a time:
+    over row blocks of that label's points, each radius comes from their
+    distances to each other (:func:`_kth_finite`, the row's own point
+    excluded) and is tested against the targets of the other labels only.
     """
     tf = np.asarray(target_features, dtype=np.float64)
     tl = np.asarray(target_labels)
     rf = np.asarray(reference_features, dtype=np.float64)
     rl = np.asarray(reference_labels)
-    n_t, n_r = len(tl), len(rl)
-    keep = np.ones(n_t, dtype=bool)
-    if n_t == 0 or n_r == 0:
+    keep = np.ones(len(tl), dtype=bool)
+    if len(tl) == 0 or len(rl) == 0:
         return keep
     d = rf.shape[1]
-    rf_t, tf_t = np.ascontiguousarray(rf.T), np.ascontiguousarray(tf.T)
-    width = max(n_t, n_r)
-    rows = max(1, _BLOCK_ELEMENTS // (width * d))
-    for b in range(0, n_r, rows):
-        e = min(n_r, b + rows)
-        dist2 = _sq_dists(rf[b:e], rf_t)
-        # a radius rests on the row's own label, itself excluded
-        np.copyto(dist2, np.inf, where=rl[None, :] != rl[b:e, None])
-        dist2[np.arange(e - b), np.arange(b, e)] = np.inf
-        r2 = _radii_sq(dist2, k)
-        inside = (_sq_dists(rf[b:e], tf_t) <= r2[:, None]) & (tl[None, :] != rl[b:e, None])
-        keep &= ~inside.any(axis=0)
+    for y in np.unique(rl):
+        own, other = rf[rl == y], np.flatnonzero(tl != y)
+        own_t, tf_t = np.ascontiguousarray(own.T), np.ascontiguousarray(tf[other].T)
+        n = len(own)
+        rows = max(1, _BLOCK_ELEMENTS // (max(n, len(other)) * d))
+        for b in range(0, n, rows):
+            e = min(n, b + rows)
+            dist2 = _sq_dists(own[b:e], own_t)
+            dist2[np.arange(e - b), np.arange(b, e)] = np.inf
+            r2 = _kth_finite(dist2, k)
+            keep[other] &= ~(_sq_dists(own[b:e], tf_t) <= r2[:, None]).any(axis=0)
     return keep
 
 
@@ -727,27 +717,6 @@ def _later_bound(table: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(bound.T)
 
 
-def _ragged_slots(rows: np.ndarray, n: int) -> tuple[int, np.ndarray]:
-    """Width of an (n, widest row) table of row-major entries, and each entry's flat int32 slot in it.
-
-    The tables are of one row block's band or radius candidates, at most
-    its plane, so their slots fit int32.
-    """
-    counts = np.bincount(rows, minlength=n).astype(np.int32)
-    width = int(counts.max(initial=0))
-    slots = np.arange(len(rows), dtype=np.int32)
-    slots -= (np.cumsum(counts, dtype=np.int32) - counts)[rows]
-    slots += rows.astype(np.int32, copy=False) * np.int32(width)
-    return width, slots
-
-
-def _ragged(slots: np.ndarray, shape: tuple[int, int], values: np.ndarray, fill) -> np.ndarray:
-    """The table of ``shape`` holding ``values`` at flat ``slots`` and ``fill`` elsewhere."""
-    table = np.full(shape, fill, dtype=values.dtype)
-    table.reshape(-1)[slots] = values
-    return table
-
-
 def _chunk_minima(plane: np.ndarray) -> np.ndarray:
     """Minima of a :func:`_band_plane`'s chunks of ``_BAND_CHUNK`` = 8 columns, NaN where a chunk holds no point.
 
@@ -817,11 +786,12 @@ def _band_candidates(
             order = np.argsort(dist[starts[i] : starts[i] + counts[i]], kind="stable")
             keep[starts[i] + order[most:]] = False
         rows, cols, dist = rows[keep], cols[keep], dist[keep]
-    width, slots = _ragged_slots(rows, r)
-    table = _ragged(slots, (r, width), dist, np.inf)
-    keep = (table <= _later_bound(table, k)).reshape(-1)[slots]
-    width, slots = _ragged_slots(rows[keep], r)
-    return _ragged(slots, (r, width), cols[keep], 0), _ragged(slots, (r, width), dist[keep], np.inf)
+        counts = np.minimum(counts, most)
+    table = _table(counts, dist, np.inf)
+    # no distance is +inf, so the table's finite slots, in row-major order, are the hits
+    keep = (table <= _later_bound(table, k))[table != np.inf]
+    counts = np.bincount(rows[keep], minlength=r)
+    return _table(counts, cols[keep], 0), _table(counts, dist[keep], np.inf)
 
 
 def _radius_candidates(
@@ -830,8 +800,9 @@ def _radius_candidates(
     col_labels: np.ndarray,
     row_labels: np.ndarray,
     bound: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the entries a cleaning radius can rest on, from screened distances.
+    exact: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """The entries a cleaning radius can rest on, from screened distances, as an (r, W) distance table.
 
     ``plane`` is a :func:`_band_plane` whose first ``len(col_labels)``
     columns are labelled ``col_labels``, and ``mins`` its
@@ -842,13 +813,17 @@ def _radius_candidates(
     k-th smallest of any k of its entries, say), the margin's
     ``U <= V => u <= fl(v + 2E)`` (:func:`_screen_margin`; it holds for any
     v within the screen's error of V, so for v = V) keeps every entry up to
-    the k-th smallest, so :func:`_radii_sq` over the kept entries'
+    the k-th smallest, so :func:`_kth_finite` over the kept entries'
     order-defined distances is the row's radius. A bound of +inf keeps all
-    of a row's entries, and -inf none. Entries come in row-major order.
+    of a row's entries, and -inf none. The kept entries get their
+    order-defined distances from ``exact(rows, columns)``; row i of the
+    table holds row i's in position order from column 0 on, padded with
+    +inf, W the most any row keeps.
     """
     rows, cols = _chunk_hits(plane, mins, bound[:, None])
     own = col_labels[cols] == row_labels[rows]
-    return rows[own], cols[own]
+    rows, cols = rows[own], cols[own]
+    return _table(np.bincount(rows, minlength=len(plane)), exact(rows, cols), np.inf)
 
 
 def _skybands(tables: list, out: np.ndarray, k: int) -> None:
@@ -1250,9 +1225,7 @@ class MemoryBank:
                     own = np.where(near_pos == (labels[b:e] == 1)[:, None], near, np.inf)
                     kth = _kth_smallest(own, k) if own.shape[1] >= k else np.full(e - b, np.inf)
                     kth[~meets] = -np.inf
-                    rr, rc = _radius_candidates(plane, mins, cl[c0:c1], labels[b:e], kth + slack)
-                    width, slots = _ragged_slots(rr, e - b)
-                    r2 = _radii_sq(_ragged(slots, (e - b, width), exact(rr, rc), np.inf), k)
+                    r2 = _kth_finite(_radius_candidates(plane, mins, cl[c0:c1], labels[b:e], kth + slack, exact), k)
             del plane, mins  # before the band writer may need the memory
             bands.add(e, near, _band_codes(stop[:, None] - cols, near_pos, near))
             pred_stm[b:e] = _vote_rows(near, near_pos, k)
@@ -1482,8 +1455,9 @@ class FrozenChunkPredictor:
 
     The constructor copies the queries and the currently best store, the
     store once in the kernel's layout (:func:`_label_ordered`): transposed to
-    (d, m), label-1 points first, each label in position order, and again
-    centred as the screen's (d + 2, m) product operand. Later fits leave its
+    (d, m) in position order with its label-1 mask, and, label-1 points
+    first and each label in position order, centred as the screen's
+    (d + 2, m) product operand. Later fits leave its
     predictions unchanged. :meth:`predict` runs the module's single weighted
     kNN kernel: one weight vector (d,) gives (n,) votes, a stack (S, d) gives
     (S, n), row s equal to predicting with the s-th vector alone. Each row

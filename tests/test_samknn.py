@@ -551,9 +551,8 @@ def test_every_distance_is_the_left_to_right_feature_sum():
         unweighted = python_sq_sums(queries, mem, np.ones(d))
         labels = (np.arange(m) % 2).astype(np.uint8)
         bank = bank_with_stm(mem, labels, k=1, min_stm_size=2, stm_cap=m)
-        kernel_order = np.argsort(labels != 1, kind="stable")
         want_votes = samknn._vote_rows(want, labels == 1, 1)
-        exact_rows = {row.tobytes() for row in want[:, kernel_order]}
+        exact_rows = {row.tobytes() for row in want}
         for rows in (1, 3, n):
             got = np.vstack([samknn._sq_dists(queries[b : b + rows], mem.T) for b in range(0, n, rows)])
             np.testing.assert_array_equal(got, unweighted)
@@ -576,7 +575,7 @@ def test_every_distance_is_the_left_to_right_feature_sum():
                     votes = predictor.predict(alpha)
                 np.testing.assert_array_equal(votes, want_votes)
                 if screen is certify_nothing:
-                    np.testing.assert_array_equal(np.vstack(seen), want[:, kernel_order])
+                    np.testing.assert_array_equal(np.vstack(seen), want)
                 else:
                     assert all(row.tobytes() in exact_rows for plane in seen for row in plane)
     # The absorb's exact survivor sums gather pairs of rows: whole blocks,
@@ -1038,7 +1037,7 @@ def test_radii_sq_is_each_rows_radius_over_its_finite_entries(data):
     for row in dist2:
         live = data.draw(st.sampled_from([0, k - 1, k, k + 1, m]))
         row[rng.permutation(m)[min(live, m) :]] = np.inf
-    got = samknn._radii_sq(dist2.copy(), k)
+    got = samknn._kth_finite(dist2.copy(), k)
     for i, row in enumerate(dist2):
         live = row[row != np.inf]
         assert got[i] == (_radius_sq(live, k) if live.size else -np.inf)
@@ -1047,14 +1046,14 @@ def test_radii_sq_is_each_rows_radius_over_its_finite_entries(data):
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_kernel_select_equals_partition(data):
-    # The kernel's order statistics, peeled up to _PEEL_MAX and partitioned
-    # above it, are np.partition's elements: on 2-D and 3-D inputs, for the
-    # first, the last and every q between, on integer-grid ties, +inf
-    # entries and signed zeros.
+    # The kernel's order statistics, peeled by rounds of argmin, are
+    # np.partition's elements: on 2-D and 3-D inputs, for the first, the
+    # last and every q between, on integer-grid ties, +inf entries and
+    # signed zeros.
     lead = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2), label="lead")
-    width = data.draw(st.integers(1, 2 * samknn._PEEL_MAX), label="width")
-    bound = {1, width, min(width, samknn._PEEL_MAX), min(width, samknn._PEEL_MAX + 1)}
-    q = data.draw(st.sampled_from(sorted(bound)) | st.integers(1, width), label="q")
+    width = data.draw(st.integers(1, 12), label="width")
+    picks = {1, width, min(width, 6), min(width, 7)}
+    q = data.draw(st.sampled_from(sorted(picks)) | st.integers(1, width), label="q")
     values = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, np.inf]) | st.floats(-1.0, 4.0)
     size = math.prod(lead) * width
     side = np.array(data.draw(st.lists(values, min_size=size, max_size=size)), dtype=float).reshape(*lead, width)
@@ -1090,15 +1089,21 @@ def test_radius_candidates_keep_the_order_defined_radius():
         plane[:, :w] = np.where(inside, exact + np.where(exact <= kth[:, None], delta, -delta), np.nan)
         mins = samknn._chunk_minima(plane)
         subset = np.sort(np.where(entries & (rng.random((r, w)) < 0.7), exact, np.inf), axis=1)[:, min(k, w) - 1]
-        want = samknn._radii_sq(np.where(entries & ~needless[:, None], exact, np.inf), k)
+        want = samknn._kth_finite(np.where(entries & ~needless[:, None], exact, np.inf), k)
         for bound in (np.full(r, np.inf), subset, kth):
             bound = np.where(needless, -np.inf, bound)
             slack = np.full(r, 2.5 * delta)
-            rows, cols = samknn._radius_candidates(plane, mins, col_labels, row_labels, bound + slack)
+            calls = []
+
+            def recorded(rows, cols):
+                calls.append((rows, cols))
+                return exact[rows, cols]
+
+            table = samknn._radius_candidates(plane, mins, col_labels, row_labels, bound + slack, recorded)
+            [(rows, cols)] = calls
             assert entries[rows, cols].all() and not needless[rows].any()
-            width, slots = samknn._ragged_slots(rows, r)
-            table = samknn._ragged(slots, (r, width), exact[rows, cols], np.inf)
-            np.testing.assert_array_equal(samknn._radii_sq(table, k), want)
+            assert table.shape[0] == r
+            np.testing.assert_array_equal(samknn._kth_finite(table, k), want)
 
 
 @pytest.mark.parametrize("stream", ["plain", "offset", "grid"])
@@ -1183,17 +1188,30 @@ def test_clean_keeps_matching_labels(rng):
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_clean_matches_brute_oracle(seed):
+    # Continuous points and an integer grid (many tied distances); both
+    # labels, references of one label only, targets of one label only and
+    # no target at all; default row blocks and blocks of one reference row.
     rng = np.random.default_rng(seed)
     n_ref = int(rng.integers(2, 30))
     n_tgt = int(rng.integers(1, 30))
-    reference = rng.random((n_ref, 2))
-    ref_labels = rng.integers(0, 2, n_ref).astype(np.uint8)
-    target = rng.random((n_tgt, 2))
-    target_labels = rng.integers(0, 2, n_tgt).astype(np.uint8)
     k = int(rng.integers(1, 6))
-    got = clean(target, target_labels, reference, ref_labels, k)
-    want = brute_clean_mask(target, target_labels, reference, ref_labels, k)
-    np.testing.assert_array_equal(got, want)
+    for grid in (False, True):
+        make = (lambda shape: rng.integers(0, 3, shape).astype(float)) if grid else rng.random
+        reference, target = make((n_ref, 2)), make((n_tgt, 2))
+        ref_labels = rng.integers(0, 2, n_ref).astype(np.uint8)
+        target_labels = rng.integers(0, 2, n_tgt).astype(np.uint8)
+        cases = [
+            (target, target_labels, reference, ref_labels),
+            (target, target_labels, reference, np.full(n_ref, ref_labels[0])),
+            (target, np.full(n_tgt, target_labels[0]), reference, ref_labels),
+            (target[:0], target_labels[:0], reference, ref_labels),
+        ]
+        for case in cases:
+            want = brute_clean_mask(*case, k)
+            np.testing.assert_array_equal(clean(*case, k), want)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(samknn, "_BLOCK_ELEMENTS", 1)
+                np.testing.assert_array_equal(clean(*case, k), want)
 
 
 # -- STM size adaptation ----------------------------------------------------------
