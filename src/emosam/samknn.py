@@ -156,7 +156,7 @@ DEFAULT_TRACKER_DECAY = 0.995
 
 _COMPRESS_TAG = 4
 _SNAPSHOT_MAGIC = b"SAMB"
-_SNAPSHOT_VERSION = 3
+_SNAPSHOT_VERSION = 4
 _SNAPSHOT_HEAD = "<IIIIIIdqQ"
 
 # Largest number of float64 elements in one row block of the kernel's
@@ -992,15 +992,15 @@ def _window_errors(
     return errors
 
 
-def _kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded k-means (greedy D^2 seeding, at most 10 update rounds).
 
-    Returns (centers, assignment). Empty clusters keep their previous center.
+    Returns the centers. Empty clusters keep their previous center.
     """
     n = len(points)
     m = min(n_clusters, n)
     if m == n:
-        return points.copy(), np.arange(n)
+        return points.copy()
     d = points.shape[1]
     points_t = np.ascontiguousarray(points.T)
     rows = max(1, _BLOCK_ELEMENTS // (m * d))
@@ -1030,11 +1030,11 @@ def _kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator) -> tu
         if np.array_equal(new_assign, assign) and np.array_equal(new_c, c):
             break
         assign, c = new_assign, new_c
-    return c, assign
+    return c
 
 
 class MemoryBank:
-    """STM + LTM instance stores with decayed sub-classifier accuracy trackers."""
+    """STM + LTM stores of features and labels with decayed sub-classifier accuracy trackers."""
 
     def __init__(
         self,
@@ -1061,10 +1061,8 @@ class MemoryBank:
         self.compress_count = 0
         # Oldest first. Arrays are replaced, never written in place.
         self._stm_f = np.empty((0, dim), dtype=np.float64)
-        self._stm_g = np.empty(0, dtype=np.uint8)
         self._stm_l = np.empty(0, dtype=np.uint8)
         self._ltm_f = np.empty((0, dim), dtype=np.float64)
-        self._ltm_g = np.empty(0, dtype=np.uint8)
         self._ltm_l = np.empty(0, dtype=np.uint8)
         # Band codes of each STM point (see _window_errors); derived state,
         # rebuilt from the STM whenever it is replaced.
@@ -1091,20 +1089,12 @@ class MemoryBank:
         return self._stm_l
 
     @property
-    def stm_groups(self) -> np.ndarray:
-        return self._stm_g
-
-    @property
     def ltm_features(self) -> np.ndarray:
         return self._ltm_f
 
     @property
     def ltm_labels(self) -> np.ndarray:
         return self._ltm_l
-
-    @property
-    def ltm_groups(self) -> np.ndarray:
-        return self._ltm_g
 
     def tracker_accuracy(self, name: str) -> float:
         correct, total = self._trackers[name]
@@ -1166,17 +1156,14 @@ class MemoryBank:
         """
         if chunk.n_features != self.dim:
             raise ValueError("chunk dimensionality does not match the bank")
-        self._adapt_and_flush(*self._absorb(chunk.features, chunk.groups, chunk.labels))
+        self._adapt_and_flush(*self._absorb(chunk.features, chunk.labels))
         self.compress_ltm()
 
-    def _absorb(
-        self, feats: np.ndarray, groups: np.ndarray, labels: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _absorb(self, feats: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Test-then-train one window (see :meth:`fit_chunk`); return what the STM evicts."""
         k, cap, d = self.k, self.stm_cap, self.dim
         s0, n = self.stm_size, len(labels)
         cf = np.concatenate([self._stm_f, feats])
-        cg = np.concatenate([self._stm_g, groups])
         cl = np.concatenate([self._stm_l, labels])
         c_pos = cl == 1
         screen = _screen_operand(cf.T)
@@ -1256,25 +1243,25 @@ class MemoryBank:
         self._trackers = {"stm": [sc, st], "ltm": [lc, lt], "combined": [bc, bt]}
         if (first_drop < n).any():
             keep = first_drop == n
-            self._ltm_f, self._ltm_g, self._ltm_l = lf[keep], self._ltm_g[keep], ll[keep]
+            self._ltm_f, self._ltm_l = lf[keep], ll[keep]
         bands.flush()
-        self._stm_f, self._stm_g, self._stm_l = cf[out:], cg[out:], cl[out:]
+        self._stm_f, self._stm_l = cf[out:], cl[out:]
         self._stm_band = band_table
-        return cf[:out], cg[:out], cl[:out]
+        return cf[:out], cl[:out]
 
-    def _adapt_and_flush(self, evicted_f: np.ndarray, evicted_g: np.ndarray, evicted_l: np.ndarray) -> None:
+    def _adapt_and_flush(self, evicted_f: np.ndarray, evicted_l: np.ndarray) -> None:
         """Re-fit the STM length; clean what left the STM into the LTM."""
         cut = self._shrink_cut()
         if len(evicted_l) == 0 and cut == 0:
             return
-        moved = (
-            np.concatenate([evicted_f, self._stm_f[:cut]]),
-            np.concatenate([evicted_g, self._stm_g[:cut]]),
-            np.concatenate([evicted_l, self._stm_l[:cut]]),
-        )
-        self._stm_f, self._stm_g, self._stm_l = self._stm_f[cut:], self._stm_g[cut:], self._stm_l[cut:]
+        feats = np.concatenate([evicted_f, self._stm_f[:cut]])
+        labels = np.concatenate([evicted_l, self._stm_l[:cut]])
+        self._stm_f, self._stm_l = self._stm_f[cut:], self._stm_l[cut:]
         self._stm_band = self._stm_band[cut:]
-        self._transfer_to_ltm(*moved)
+        keep = clean(feats, labels, self._stm_f, self._stm_l, self.k)
+        if keep.any():
+            self._ltm_f = np.vstack([self._ltm_f, feats[keep]])
+            self._ltm_l = np.concatenate([self._ltm_l, labels[keep]])
 
     def _shrink_cut(self) -> int:
         """How many of the oldest STM points the length re-fit drops.
@@ -1293,78 +1280,52 @@ class MemoryBank:
                 best = j
         return n - sizes[best]
 
-    def _transfer_to_ltm(self, feats: np.ndarray, groups: np.ndarray, labels: np.ndarray) -> None:
-        keep = clean(feats, labels, self.stm_features, self.stm_labels, self.k)
-        if not keep.any():
-            return
-        self._ltm_f = np.vstack([self._ltm_f, feats[keep]])
-        self._ltm_g = np.concatenate([self._ltm_g, groups[keep]])
-        self._ltm_l = np.concatenate([self._ltm_l, labels[keep]])
-
     # -- LTM compression ------------------------------------------------------
 
     def compress_ltm(self) -> None:
-        """Halve the LTM per class with seeded k-means until under capacity."""
+        """Until under capacity, replace each label's n LTM points, label 0 first, by ceil(n / 2) k-means centres."""
         while self.ltm_size > self.ltm_cap:
             rng = np.random.default_rng([self.seed, _COMPRESS_TAG, self.compress_count])
             self.compress_count += 1
-            new_f: list[np.ndarray] = []
-            new_g: list[np.ndarray] = []
-            new_l: list[np.ndarray] = []
-            for label in sorted(np.unique(self._ltm_l)):
-                mask = self._ltm_l == label
-                pts = self._ltm_f[mask]
-                grp = self._ltm_g[mask]
-                centers, assign = _kmeans(pts, math.ceil(len(pts) / 2), rng)
-                m = len(centers)
-                # Centroid group tag: majority of its members, ties toward 0.
-                protected = np.bincount(assign[grp == 1], minlength=m)
-                new_f.append(centers)
-                new_g.append((2 * protected > np.bincount(assign, minlength=m)).astype(np.uint8))
-                new_l.append(np.full(m, label, dtype=np.uint8))
-            self._ltm_f = np.vstack(new_f)
-            self._ltm_g = np.concatenate(new_g)
-            self._ltm_l = np.concatenate(new_l)
+            present = np.unique(self._ltm_l)
+            members = (self._ltm_f[self._ltm_l == label] for label in present)
+            centers = [_kmeans(pts, math.ceil(len(pts) / 2), rng) for pts in members]
+            self._ltm_f = np.vstack(centers)
+            self._ltm_l = np.repeat(present, [len(c) for c in centers])
 
     # -- state snapshots --------------------------------------------------------
 
-    def _checked(
-        self, features: np.ndarray, labels: np.ndarray, groups: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Copies of a memory's arrays.
+    def _checked(self, features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of a memory's features and labels.
 
         ValueError unless they are n rows of features bounded as a
-        :class:`Chunk`'s, with 0/1 labels and groups.
+        :class:`Chunk`'s and n 0/1 labels.
         """
         f = np.array(features, dtype=np.float64).reshape(-1, self.dim)
         check_features(f, "memory features")
         l = np.asarray(labels)
-        g = np.zeros(len(l), dtype=np.uint8) if groups is None else np.asarray(groups)
-        if l.ndim != 1 or g.shape != l.shape or len(f) != len(l):
-            raise ValueError(f"memory arrays disagree: {len(f)} feature rows, labels {l.shape}, groups {g.shape}")
+        if l.ndim != 1 or len(f) != len(l):
+            raise ValueError(f"memory arrays disagree: {len(f)} feature rows, labels {l.shape}")
         check_binary(l, "memory labels")
-        check_binary(g, "memory groups")
-        return f, l.astype(np.uint8), g.astype(np.uint8)
+        return f, l.astype(np.uint8)
 
-    def replace_stm(self, features: np.ndarray, labels: np.ndarray, groups: np.ndarray | None = None) -> None:
-        """Overwrite the STM contents (restore and test hook); rebuilds the STM bands."""
-        f, l, g = self._checked(features, labels, groups)
+    def replace_stm(self, features: np.ndarray, labels: np.ndarray) -> None:
+        """Overwrite the STM's features and labels (restore and test hook); rebuilds the STM bands."""
+        f, l = self._checked(features, labels)
         if len(l) > self.stm_cap:
             raise ValueError("more instances than the STM capacity")
-        self._stm_f, self._stm_g, self._stm_l = f, g, l
+        self._stm_f, self._stm_l = f, l
         self._stm_band = _stm_bands(f, l == 1, self.k)
 
-    def replace_ltm(self, features: np.ndarray, labels: np.ndarray, groups: np.ndarray | None = None) -> None:
-        self._ltm_f, self._ltm_l, self._ltm_g = self._checked(features, labels, groups)
+    def replace_ltm(self, features: np.ndarray, labels: np.ndarray) -> None:
+        self._ltm_f, self._ltm_l = self._checked(features, labels)
 
     def state_hash(self) -> str:
         """Digest of everything that influences future behavior."""
         h = hashlib.sha256()
         h.update(np.ascontiguousarray(self.stm_features).tobytes())
-        h.update(self.stm_groups.tobytes())
         h.update(self.stm_labels.tobytes())
         h.update(np.ascontiguousarray(self._ltm_f).tobytes())
-        h.update(self._ltm_g.tobytes())
         h.update(self._ltm_l.tobytes())
         for name in ("stm", "ltm", "combined"):
             h.update(struct.pack("<2d", *self._trackers[name]))
@@ -1372,7 +1333,7 @@ class MemoryBank:
         return h.hexdigest()
 
     def to_bytes(self) -> bytes:
-        """Versioned binary snapshot: header, trackers, instance arrays, CRC-32 of all before it."""
+        """Versioned binary snapshot: header, trackers, each store's features and labels, CRC-32 of all before it."""
         out = io.BytesIO()
         out.write(_SNAPSHOT_MAGIC)
         out.write(
@@ -1391,13 +1352,9 @@ class MemoryBank:
         )
         for name in ("stm", "ltm", "combined"):
             out.write(struct.pack("<2d", *self._trackers[name]))
-        for feats, groups, labels in (
-            (self.stm_features, self.stm_groups, self.stm_labels),
-            (self._ltm_f, self._ltm_g, self._ltm_l),
-        ):
+        for feats, labels in ((self.stm_features, self.stm_labels), (self._ltm_f, self._ltm_l)):
             out.write(struct.pack("<I", len(labels)))
             out.write(np.ascontiguousarray(feats, dtype="<f8").tobytes())
-            out.write(groups.astype(np.uint8).tobytes())
             out.write(labels.astype(np.uint8).tobytes())
         out.write(struct.pack("<I", zlib.crc32(out.getbuffer())))
         return out.getvalue()
@@ -1406,9 +1363,9 @@ class MemoryBank:
     def from_bytes(cls, blob: bytes) -> "MemoryBank":
         """Rebuild a bank from :meth:`to_bytes` output; its STM bands are rebuilt.
 
-        A truncated blob, trailing bytes, a checksum that does not match,
-        impossible trackers, and settings or arrays a bank rejects raise
-        ValueError.
+        A version other than the current one raises ValueError, as do a
+        truncated blob, trailing bytes, a checksum that does not match,
+        impossible trackers, and settings or arrays a bank rejects.
         """
         pos = 0
 
@@ -1431,7 +1388,7 @@ class MemoryBank:
         for _ in range(2):
             (n,) = struct.unpack("<I", take(4))
             feats = np.frombuffer(take(8 * n * dim), dtype="<f8").reshape(n, dim)
-            arrays.append((feats, np.frombuffer(take(n), dtype=np.uint8), np.frombuffer(take(n), dtype=np.uint8)))
+            arrays.append((feats, np.frombuffer(take(n), dtype=np.uint8)))
         if len(blob) - pos > 4:
             raise ValueError(f"{len(blob) - pos - 4} trailing bytes after the memory snapshot")
         (crc,) = struct.unpack("<I", take(4))
@@ -1444,9 +1401,9 @@ class MemoryBank:
         bank = cls(dim, k, stm_cap, ltm_cap, min_stm, decay, seed)
         bank.compress_count = count
         bank._trackers = dict(zip(("stm", "ltm", "combined"), trackers))
-        (sf, sg, sl), (lf, lg, ll) = arrays
-        bank.replace_stm(sf, sl, sg)
-        bank.replace_ltm(lf, ll, lg)
+        (sf, sl), (lf, ll) = arrays
+        bank.replace_stm(sf, sl)
+        bank.replace_ltm(lf, ll)
         return bank
 
 

@@ -54,7 +54,6 @@ _STENCIL = (1.0, -2.0, 1.0)
 class HPDecomposition:
     trend: np.ndarray
     cycle: np.ndarray
-    smoothing: float
 
 
 def hp_filter(series: Sequence[float], smoothing: float = DEFAULT_SMOOTHING) -> HPDecomposition:
@@ -84,7 +83,7 @@ def hp_filter(series: Sequence[float], smoothing: float = DEFAULT_SMOOTHING) -> 
     if not 0.0 < smoothing <= MAX_SMOOTHING:
         raise ValueError(f"smoothing must lie in (0, {MAX_SMOOTHING:g}]")
     cycle = _hp_cycle(y, float(smoothing)) if y.size > 2 else np.zeros(y.size)
-    return HPDecomposition(y - cycle, cycle, float(smoothing))
+    return HPDecomposition(y - cycle, cycle)
 
 
 def _hp_cycle(y: np.ndarray, smoothing: float) -> np.ndarray:

@@ -1,4 +1,6 @@
+import struct
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from emosam import samknn
 from emosam.samknn import FrozenChunkPredictor
 from emosam.stream import Chunk
 
@@ -22,6 +25,26 @@ def make_chunk(features, groups, labels, index: int = 1) -> Chunk:
 def predict_one(bank, query, alpha) -> int:
     """One query's label under one weight vector, through a one-row predictor."""
     return int(FrozenChunkPredictor(np.reshape(query, (1, -1)), bank).predict(alpha)[0])
+
+
+def version_3_snapshot(blob: bytes) -> bytes:
+    """A bank snapshot rewritten in the version-3 layout, resealed.
+
+    Version 3 held a group byte per stored point between each store's
+    features and labels; these are written as 0.
+    """
+    head = 4 + struct.calcsize(samknn._SNAPSHOT_HEAD)
+    fields = list(struct.unpack(samknn._SNAPSHOT_HEAD, blob[4:head]))
+    dim, at = fields[1], head + 3 * 16
+    fields[0] = 3
+    parts = [blob[:4], struct.pack(samknn._SNAPSHOT_HEAD, *fields), blob[head:at]]
+    for _ in range(2):
+        (n,) = struct.unpack("<I", blob[at : at + 4])
+        labels_at = at + 4 + 8 * n * dim
+        parts += [blob[at:labels_at], bytes(n), blob[labels_at : labels_at + n]]
+        at = labels_at + n
+    body = b"".join(parts) + blob[at:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 @pytest.fixture

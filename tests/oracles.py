@@ -285,31 +285,26 @@ def reference_kmeans(points, n_clusters: int, rng) -> tuple[np.ndarray, np.ndarr
     return centres, np.array(assign)
 
 
-def reference_compress(features, groups, labels, cap: int, seed: int, count: int):
-    """Halve the LTM per class until it holds at most ``cap`` points; returns (features, groups, labels, count).
+def reference_compress(features, labels, cap: int, seed: int, count: int):
+    """Halve the LTM per class until it holds at most ``cap`` points; returns (features, labels, count).
 
     Pass ``count`` draws from a generator seeded by (seed, 4, count), 4
     being the compression's seed tag. Each label, in ascending order,
-    becomes ceil(n / 2) :func:`reference_kmeans` centres, each tagged with
-    its members' majority group, ties toward 0.
+    becomes ceil(n / 2) :func:`reference_kmeans` centres.
     """
     while len(labels) > cap:
         rng = np.random.default_rng([seed, 4, count])
         count += 1
-        new_f, new_g, new_l = [], [], []
+        new_f, new_l = [], []
         for label in sorted(set(labels.tolist())):
             mask = labels == label
-            centres, assign = reference_kmeans(features[mask], math.ceil(int(mask.sum()) / 2), rng)
-            member_groups = groups[mask]
+            centres, _ = reference_kmeans(features[mask], math.ceil(int(mask.sum()) / 2), rng)
             for j in range(len(centres)):
-                tags = [int(member_groups[i]) for i in range(len(assign)) if assign[i] == j]
                 new_f.append(centres[j])
-                new_g.append(1 if 2 * sum(tags) > len(tags) else 0)
                 new_l.append(label)
         features = np.array(new_f)
-        groups = np.array(new_g, dtype=np.uint8)
         labels = np.array(new_l, dtype=np.uint8)
-    return features, groups, labels, count
+    return features, labels, count
 
 
 def reference_fit_chunk(bank, chunk) -> None:
@@ -321,18 +316,18 @@ def reference_fit_chunk(bank, chunk) -> None:
     :func:`reference_compress`.
     """
     k, cap, decay = bank.k, bank.stm_cap, bank.tracker_decay
-    stm_f, stm_g, stm_l = (np.array(a) for a in (bank.stm_features, bank.stm_groups, bank.stm_labels))
-    ltm_f, ltm_g, ltm_l = (np.array(a) for a in (bank.ltm_features, bank.ltm_groups, bank.ltm_labels))
+    stm_f, stm_l = (np.array(a) for a in (bank.stm_features, bank.stm_labels))
+    ltm_f, ltm_l = (np.array(a) for a in (bank.ltm_features, bank.ltm_labels))
     trackers = {name: list(pair) for name, pair in bank._trackers.items()}
-    pending: list[tuple[np.ndarray, int, int]] = []
+    pending: list[tuple[np.ndarray, int]] = []
 
     def update(name: str, hit: bool) -> None:
         pair = trackers[name]
         pair[0] = decay * pair[0] + (1.0 if hit else 0.0)
         pair[1] = decay * pair[1] + 1.0
 
-    def fit_one(x, group: int, label: int) -> None:
-        nonlocal stm_f, stm_g, stm_l, ltm_f, ltm_g, ltm_l
+    def fit_one(x, label: int) -> None:
+        nonlocal stm_f, stm_l, ltm_f, ltm_l
         if len(stm_l):
             d2_stm = _row_sq_dists(x, stm_f)
             pred_stm = _stable_vote(d2_stm, stm_l, k)
@@ -345,18 +340,17 @@ def reference_fit_chunk(bank, chunk) -> None:
                 same = stm_l == label
                 if same.any():
                     keep = ~((d2_ltm <= _radius_sq(d2_stm[same], k)) & (ltm_l != label))
-                    ltm_f, ltm_g, ltm_l = ltm_f[keep], ltm_g[keep], ltm_l[keep]
+                    ltm_f, ltm_l = ltm_f[keep], ltm_l[keep]
             else:
                 update("combined", pred_stm == label)
         stm_f = np.vstack([stm_f, x[None, :]])
-        stm_g = np.append(stm_g, np.uint8(group))
         stm_l = np.append(stm_l, np.uint8(label))
         if len(stm_l) > cap:
-            pending.append((stm_f[0].copy(), int(stm_g[0]), int(stm_l[0])))
-            stm_f, stm_g, stm_l = stm_f[1:], stm_g[1:], stm_l[1:]
+            pending.append((stm_f[0].copy(), int(stm_l[0])))
+            stm_f, stm_l = stm_f[1:], stm_l[1:]
 
     def adapt_and_flush() -> None:
-        nonlocal stm_f, stm_g, stm_l, ltm_f, ltm_g, ltm_l
+        nonlocal stm_f, stm_l, ltm_f, ltm_l
         n = len(stm_l)
         cut = 0
         sizes = _halving_sizes(n, bank.min_stm_size) if n else [n]
@@ -370,21 +364,19 @@ def reference_fit_chunk(bank, chunk) -> None:
         if not pending and cut == 0:
             return
         moved_f = np.vstack([p[0][None, :] for p in pending] + [stm_f[:cut]])
-        moved_g = np.array([p[1] for p in pending] + list(stm_g[:cut]), dtype=np.uint8)
-        moved_l = np.array([p[2] for p in pending] + list(stm_l[:cut]), dtype=np.uint8)
-        stm_f, stm_g, stm_l = stm_f[cut:], stm_g[cut:], stm_l[cut:]
+        moved_l = np.array([p[1] for p in pending] + list(stm_l[:cut]), dtype=np.uint8)
+        stm_f, stm_l = stm_f[cut:], stm_l[cut:]
         pending.clear()
         keep = reference_clean(moved_f, moved_l, stm_f, stm_l, k)
         ltm_f = np.vstack([ltm_f, moved_f[keep]])
-        ltm_g = np.concatenate([ltm_g, moved_g[keep]])
         ltm_l = np.concatenate([ltm_l, moved_l[keep]])
 
     for i in range(len(chunk)):
-        fit_one(chunk.features[i], int(chunk.groups[i]), int(chunk.labels[i]))
+        fit_one(chunk.features[i], int(chunk.labels[i]))
     adapt_and_flush()
-    ltm_f, ltm_g, ltm_l, count = reference_compress(ltm_f, ltm_g, ltm_l, bank.ltm_cap, bank.seed, bank.compress_count)
-    bank.replace_stm(stm_f, stm_l, stm_g)
-    bank.replace_ltm(ltm_f, ltm_l, ltm_g)
+    ltm_f, ltm_l, count = reference_compress(ltm_f, ltm_l, bank.ltm_cap, bank.seed, bank.compress_count)
+    bank.replace_stm(stm_f, stm_l)
+    bank.replace_ltm(ltm_f, ltm_l)
     bank.compress_count = count
     for name, pair in trackers.items():
         bank._trackers[name] = pair

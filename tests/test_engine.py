@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_chunk, predict_one
+from conftest import make_chunk, predict_one, version_3_snapshot
 from emosam import engine as engine_module
 from emosam import samknn
 from emosam.engine import (
@@ -524,7 +524,9 @@ def test_checkpoint_rejects_garbage(tmp_path):
 def test_checkpoint_rejects_version_2(tmp_path, stream):
     # Version 2 checkpoints wrap version 2 memory snapshots, whose layout
     # has one more header byte; version 3 heads carry a config key that is
-    # gone (the archive dump directory).
+    # gone (the archive dump directory). A version 4 head around a version 3
+    # memory snapshot, with its group byte per stored point, is refused by
+    # the snapshot's own version.
     _, path = _saved_checkpoint(tmp_path, stream)
     data = path.read_bytes()
     assert struct.unpack("<I", data[4:8])[0] == _CHECKPOINT_VERSION
@@ -533,6 +535,11 @@ def test_checkpoint_rejects_version_2(tmp_path, stream):
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(ValueError, match=f"unsupported checkpoint version {old}"):
             EmosamEngine.load_checkpoint(path)
+    bank_at = 12 + struct.unpack("<I", data[8:12])[0]
+    body = data[:bank_at] + version_3_snapshot(data[bank_at:-4])
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(ValueError, match="unsupported snapshot version 3"):
+        EmosamEngine.load_checkpoint(path)
 
 
 def _saved_checkpoint(tmp_path, stream):

@@ -1,16 +1,18 @@
+import dataclasses
 import itertools
 import math
 import struct
 import tracemalloc
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_chunk, predict_one
+from conftest import make_chunk, predict_one, version_3_snapshot
 from emosam import samknn
 from emosam.samknn import (
     _BLOCK_ELEMENTS,
@@ -1123,7 +1125,7 @@ def test_rebuilt_bands_equal_the_bands_a_stepped_bank_carries(stream):
     assert bank.stm_size == total
     restored = MemoryBank.from_bytes(bank.to_bytes())
     replaced = MemoryBank(bank.dim, k=5, stm_cap=total, min_stm_size=total)
-    replaced.replace_stm(bank.stm_features, bank.stm_labels, bank.stm_groups)
+    replaced.replace_stm(bank.stm_features, bank.stm_labels)
     np.testing.assert_array_equal(restored._stm_band, bank._stm_band)
     np.testing.assert_array_equal(replaced._stm_band, bank._stm_band)
 
@@ -1236,7 +1238,7 @@ def test_interleaved_errors_match_oracle(rng):
 def refit(bank: MemoryBank) -> int:
     """Re-fit the STM length with nothing evicted, as after a window; the adopted size."""
     empty = bank.stm_features[:0]
-    bank._adapt_and_flush(empty, bank.stm_groups[:0], bank.stm_labels[:0])
+    bank._adapt_and_flush(empty, bank.stm_labels[:0])
     return bank.stm_size
 
 
@@ -1372,6 +1374,24 @@ def test_snapshot_roundtrip(rng):
     assert predict_one(clone, x, alpha) == predict_one(bank, x, alpha)
 
 
+def test_bank_state_depends_on_features_and_labels_only():
+    # Groups steer nothing in the memories: fitting the reference stream with
+    # every group inverted leaves the same bank, bytes and votes alike,
+    # through evictions, length cuts and compression passes.
+    config = BiasStreamConfig.from_json(Path(__file__).parents[1] / "manifests" / "reference_stream.json")
+    chunks = generate_bias_stream(dataclasses.replace(config, window_size=100))[:80]
+    banks = [MemoryBank(config.n_features, stm_cap=120, ltm_cap=6) for _ in range(2)]
+    alphas = np.random.default_rng(5).random((3, config.n_features))
+    for chunk in chunks:
+        banks[0].fit_chunk(chunk)
+        banks[1].fit_chunk(make_chunk(chunk.features, 1 - chunk.groups, chunk.labels, chunk.index))
+        assert banks[0].to_bytes() == banks[1].to_bytes()
+        assert banks[0].state_hash() == banks[1].state_hash()
+        votes = [FrozenChunkPredictor(chunk.features, bank).predict(alphas) for bank in banks]
+        np.testing.assert_array_equal(votes[0], votes[1])
+    assert banks[0].compress_count > 0 and banks[0].ltm_size > 0
+
+
 def test_snapshot_rejects_garbage():
     with pytest.raises(ValueError):
         MemoryBank.from_bytes(b"not a snapshot at all")
@@ -1380,7 +1400,7 @@ def test_snapshot_rejects_garbage():
 def _fitted_snapshot(rng) -> bytes:
     bank = MemoryBank(2, stm_cap=30, ltm_cap=30, min_stm_size=8, seed=4)
     bank.fit_chunk(make_chunk(rng.random((20, 2)), rng.integers(0, 2, 20), rng.integers(0, 2, 20)))
-    bank.replace_ltm(rng.random((12, 2)), rng.integers(0, 2, 12), rng.integers(0, 2, 12))
+    bank.replace_ltm(rng.random((12, 2)), rng.integers(0, 2, 12))
     return bank.to_bytes()
 
 
@@ -1400,24 +1420,28 @@ def test_snapshot_rejects_trailing_bytes(rng):
 
 
 def test_snapshot_rejects_version_2_layout(rng):
-    # Version 2 carried one more header byte, a per-instance adaptation flag.
+    # Version 2 carried one more header byte, a per-instance adaptation flag;
+    # version 3 a group byte per stored point, between its features and label.
     blob = _fitted_snapshot(rng)
     head = 4 + struct.calcsize(samknn._SNAPSHOT_HEAD)
     fields = list(struct.unpack(samknn._SNAPSHOT_HEAD, blob[4:head]))
-    assert fields[0] == 3
+    assert fields[0] == 4
     fields[0] = 2
     old = blob[:4] + struct.pack(samknn._SNAPSHOT_HEAD + "B", *fields, 0) + blob[head:]
     with pytest.raises(ValueError, match="unsupported snapshot version 2"):
         MemoryBank.from_bytes(_resealed(old))
+    bank = MemoryBank.from_bytes(blob)
+    v3 = version_3_snapshot(blob)
+    assert len(v3) == len(blob) + bank.stm_size + bank.ltm_size
+    with pytest.raises(ValueError, match="unsupported snapshot version 3"):
+        MemoryBank.from_bytes(v3)
 
 
 def test_replace_rejects_mismatched_or_non_binary_arrays():
     bank = MemoryBank(2)
     for args in (
         (np.zeros((3, 2)), [0, 1]),
-        (np.zeros((2, 2)), [0, 1], [0, 1, 1]),
         (np.zeros((2, 2)), [0, 7]),
-        (np.zeros((2, 2)), [0, 1], [0, 2]),
         (np.zeros((2, 2)), [[0, 1]]),
     ):
         for replace in (bank.replace_stm, bank.replace_ltm):
@@ -1620,6 +1644,6 @@ def test_band_state_is_linear_in_stm_size():
         finally:
             tracemalloc.stop()
         assert bank._stm_band.nbytes == n * samknn._BAND_LEN * 4
-        # features, groups, labels and bands; little else stays
-        assert kept[-1] < n * (8 * d + 2 + 4 * samknn._BAND_LEN) + 64 * 1024
+        # features, labels and bands; little else stays
+        assert kept[-1] < n * (8 * d + 1 + 4 * samknn._BAND_LEN) + 64 * 1024
     assert peaks[1] < kept[1] + 3 * 8 * _BLOCK_ELEMENTS
