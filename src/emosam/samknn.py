@@ -21,18 +21,19 @@ compression) always runs unweighted; weights only steer predictions.
 Every squared distance in this module, weighted or not, is defined by one
 formula added in a fixed order: ``sum_f w_f * (m_f - x_f)^2`` with
 ``w_f = alpha_f^2`` (1 when unweighted), left to right over the features.
-Cleaning, k-means, the absorb's LTM distances, the re-fit's fallback rows
-and the prediction kernel's fallback compute it for a block of points
-against a whole memory (:func:`_sq_dists`): the memory is passed
-transposed as (d, m), and each feature in turn writes its (r, m) plane of
-terms and adds it to the sums. The window absorb and the band rebuild
-compute it only for the (point, STM point) pairs a screen leaves open,
-gathering both rows of each pair and adding the features' columns in order
-(:func:`_pair_sums`). A distance is therefore the same float whichever
-block, row, pair or code path computes it, equal to the plain left-to-right
-float sum. Each block's distances hold at most ``_BLOCK_ELEMENTS`` float64
-values (at least one row), and no scratch grows with the number of
-features, so memory stays bounded however large rows times memory grows.
+Cleaning, k-means, the absorb's LTM distances and the exact votes that
+the re-fit and the prediction kernel fall back on (:func:`_exact_votes`)
+compute it for a block of points against a whole memory
+(:func:`_sq_dists`): the memory is passed transposed as (d, m), and each
+feature in turn writes its (r, m) plane of terms and adds it to the sums.
+The window absorb computes it only for the (point, STM point) pairs a
+screen leaves open, gathering both rows of each pair and adding the
+features' columns in order (:func:`_pair_sums`). A distance is therefore
+the same float whichever block, row, pair or code path computes it, equal
+to the plain left-to-right float sum. Each block's distances hold at most
+``_BLOCK_ELEMENTS`` float64 values (at least one row), and no scratch
+grows with the number of features, so memory stays bounded however large
+rows times memory grows.
 
 Prediction and maintenance share one screen: a memory centred on each
 feature's mid-range as a (d + 2, m) product operand
@@ -63,10 +64,9 @@ order-defined ones both lie within a proven error of the exact sums,
 relative to a per-row scale of the centred data plus a subnormal-sized
 absolute term, so where ``a`` and ``b`` are farther apart than that margin
 the vote is certified; every other row (near ties, and exact ties that
-position decides) recomputes its order-defined distances under that vector
-against the memory in position order (:func:`_sq_dists`, a few uncertain
-rows at a time) and votes through :func:`_vote_rows`. A label too short for
-its quota makes the vote a constant. Memories and queries hold features of
+position decides) takes the vote of its order-defined distances under that
+vector to the memory in position order (:func:`_exact_votes`). A label too
+short for its quota makes the vote a constant. Memories and queries hold features of
 magnitude at most ``stream._FEATURE_BOUND``, so every distance is finite.
 The kernel runs its blocks one after another on the calling thread,
 reusing one block buffer and one copy of the memory's operand. A vote
@@ -113,9 +113,9 @@ most ``_BAND_LEN`` codes ``2 * (i - p) + label``, nearest first, so the
 points the STM drops fall off the front with no update. A row whose cut
 band holds fewer than k members inside a window recomputes that vote from
 distances. Bands are derived state: new rows get theirs from the candidates
-the absorb screens anyway, and replacing or restoring the STM rebuilds them
-in one blocked, screened pass; they are in neither the snapshot nor
-:meth:`MemoryBank.state_hash`.
+the absorb screens anyway, and replacing or restoring the STM absorbs it as
+one window into an empty bank, which builds them the same way; they are in
+neither the snapshot nor :meth:`MemoryBank.state_hash`.
 
 Determinism: k-nearest ties are broken toward the earlier memory position,
 class-vote ties toward label 1, and compression draws from a generator
@@ -160,25 +160,27 @@ _SNAPSHOT_VERSION = 4
 _SNAPSHOT_HEAD = "<IIIIIIdqQ"
 
 # Largest number of float64 elements in one row block of the kernel's
-# distance plane (r, m) under one weight vector. The kernel recomputes the
-# rows its screen leaves open beside its block in chunks of a
+# distance plane (r, m) under one weight vector. The kernel's exact-vote
+# fallback (_exact_votes) runs beside its block in chunks of a
 # _GATHER_SHARE-th as many distances, so a kernel call peaks at about one
-# block. Cleaning, the re-fit's fallback rows and k-means run in row blocks
-# of at most this many squared differences (rows x memory x features), one
-# block at a time. The size is not a cache fit (a 2 MiB block does not fit
-# beside its memory in a 2 MiB L2 per core). Kernel sweeps on such a core
-# (d = 8; 250 x 315 and 250 x 1000 with S = 20, 1000 x 3096 with S = 1, 10
-# and 30; 2 rounds on a busy host) ran 2^16 to 2^20 elements in an order
-# that changed from round to round, 2^18 within 1.0-1.7x of the best; at
-# S = 30 2^18 was fastest in both rounds (140-146 ms, the others 151-249).
+# block. Cleaning and k-means run in row blocks of at most this many
+# squared differences (rows x memory x features), one block at a time. The
+# size is not a cache fit (a 2 MiB block does not fit beside its memory in
+# a 2 MiB L2 per core). Kernel sweeps on such a core (d = 8; 250 x 315 and
+# 250 x 1000 with S = 20, 1000 x 3096 with S = 1, 10 and 30; 2 rounds on a
+# busy host) ran 2^16 to 2^20 elements in an order that changed from round
+# to round, 2^18 within 1.0-1.7x of the best; at S = 30 2^18 was fastest in
+# both rounds (140-146 ms, the others 151-249).
 _BLOCK_ELEMENTS = 1 << 18
 # Most multiply-adds in one BLAS call of the kernel's screen. OpenBLAS may run
 # a larger product on its own threads (its bound is 65536 times
-# GEMM_MULTITHREAD_THRESHOLD, 4 by default) unless told to use one thread. On
-# a 2-CPU machine with the BLAS thread count left unset, 42 kernel calls of
-# 1000 x 3096 x 8 with S = 1 (blocks of 84 rows, as every vector's are at
-# that memory) took 4-11 ms split; unsplit, 3 of 42 stalled at 91-388 ms,
-# the rest taking 6-13 ms.
+# GEMM_MULTITHREAD_THRESHOLD, 4 by default) unless told to use one thread.
+# Kernel calls of 1000 x 3096 on a 2-CPU machine (OpenBLAS 0.3.31, equal
+# votes split and unsplit): with BLAS threads unset and d = 8, 384 unsplit
+# calls with S = 1 took at most 15 ms (medians 5.7 ms, split 4.8), and S = 10
+# ran 47-49 ms split against 58 ms unsplit. On one BLAS thread with S = 10
+# the split was within 10% at d = 8 but lost at d = 64 (268-283 ms against
+# 125-129) and d = 108 (694-728 against 184-189; ROADMAP item 12).
 _SCREEN_CALL = 1 << 18
 # The window absorb's screened STM plane of a row block holds at most
 # _BLOCK_ELEMENTS // _PLANE_SHARE values (1 MiB); so do its LTM distances
@@ -196,7 +198,7 @@ _SCREEN_CALL = 1 << 18
 _PLANE_SHARE = 2
 # Gathered rows of the absorb's exact pair sums and the tables a flush sorts
 # go through in chunks of at most _BLOCK_ELEMENTS // _GATHER_SHARE values or
-# slots (128 KiB of float64), as do the kernel's recomputed rows (at least
+# slots (128 KiB of float64), as do the distances of _exact_votes (at least
 # one row): a chunk's distances, their scratch plane and the vote's
 # selection copy take about three sixteenths of the kernel's block (the
 # fallback-scratch test peaks at 1.28-1.31 blocks with d = 8). Pair-sum
@@ -348,6 +350,33 @@ def _sq_dists(points: np.ndarray, memory_t: np.ndarray, w: np.ndarray | None = N
         if w is not None:
             plane *= w[f]
         out += plane
+    return out
+
+
+def _exact_votes(
+    points: np.ndarray,
+    memory_t: np.ndarray,
+    positive: np.ndarray,
+    k: int,
+    w: np.ndarray | None = None,
+    seen: np.ndarray | None = None,
+) -> np.ndarray:
+    """Votes of ``points`` (r, d) from their order-defined distances to a (d, m) memory.
+
+    The distances are :func:`_sq_dists`'s and the votes :func:`_vote_rows`'s.
+    ``positive`` (m,) marks the memory's label-1 points and ``w`` weights
+    the features (all ones by default). Given ``seen``, row i sees only the
+    memory's first ``seen[i]`` points. Rows go through in chunks of at most
+    ``_BLOCK_ELEMENTS // _GATHER_SHARE`` distances (at least one row).
+    """
+    m = memory_t.shape[1]
+    step = max(1, _BLOCK_ELEMENTS // (_GATHER_SHARE * m))
+    out = np.empty(len(points), dtype=np.uint8)
+    for b in range(0, len(points), step):
+        d2 = _sq_dists(points[b : b + step], memory_t, w)
+        if seen is not None:
+            d2[np.arange(m) >= seen[b : b + step, None]] = np.inf
+        out[b : b + step] = _vote_rows(d2, positive, k)
     return out
 
 
@@ -517,8 +546,6 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     vector and a run of query rows whose two label planes, (r, npos) and
     (r, m - npos), hold at most ``_BLOCK_ELEMENTS`` elements together (at
     least one row); both are C-contiguous pieces of one buffer. The
-    screen's fallback recomputes rows in chunks of at most
-    ``_BLOCK_ELEMENTS // _GATHER_SHARE`` distances (at least one row). The
     buffer and a copy of the memory's product operand, whose scratch row
     takes each vector's memory norms, are allocated once per call and
     reused by every block, so a call holds about one block, and concurrent
@@ -540,10 +567,10 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     above, and decided by position on a tie. With E the row's margin under
     the vector (:func:`_screen_margin`), the kernel votes 1 where
     ``a + E < b`` and 0 where ``a - E > b``, which certifies the
-    order-defined vote. Every other row (near ties, exact ties) recomputes
-    its order-defined distances under that vector from the memory's
-    position-order copy and votes through :func:`_vote_rows` with its label
-    mask.
+    order-defined vote. Every other row (near ties, exact ties) of a block
+    gets its vote from :func:`_exact_votes` under that vector, over the
+    memory's position-order copy and label mask, in chunks of at most
+    ``_BLOCK_ELEMENTS // _GATHER_SHARE`` distances beside the block.
     """
     n, d = queries.shape
     m = memory.memory_t.shape[1]
@@ -559,7 +586,6 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
         return out
     w = alphas * alphas
     rows = max(1, min(n, _BLOCK_ELEMENTS // m))
-    step = max(1, _BLOCK_ELEMENTS // (_GATHER_SHARE * m))
     xc = queries - screen.centre
     xn = np.einsum("sf,nf->sn", w, xc * xc)
     mn = np.einsum("sf,fm->sm", w, screen.aug[:d] * screen.aug[:d])
@@ -578,17 +604,16 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
             vote = a + e < b
             out[s, start:stop] = vote
             sub = start + np.flatnonzero(~(vote | (a - e > b)))
-            for c in range(0, len(sub), step):
-                part = sub[c : c + step]
-                out[s, part] = _vote_rows(_sq_dists(queries[part], memory.memory_t, w[s]), memory.positive, k)
+            if sub.size:
+                out[s, sub] = _exact_votes(queries[sub], memory.memory_t, memory.positive, k, w[s])
     return out
 
 
-def _sliding_blocks(stop: int, base, max_rows: int) -> list[tuple[int, int]]:
-    """Row blocks [b, e) covering 0..stop, each as large as the budget allows.
+def _sliding_blocks(stop: int, s0: int, cap: int, max_rows: int) -> list[tuple[int, int]]:
+    """Row blocks [b, e) covering 0..stop of a window absorbed after s0 STM points, each as large as fits.
 
-    Block [b, e) meets ``base(b) + e - b`` columns, so its distance block of
-    (e - b) rows and those columns holds at most
+    Block [b, e) meets ``min(cap, s0 + b) + e - b`` columns, so its distance
+    block of (e - b) rows and those columns holds at most
     ``_BLOCK_ELEMENTS // _PLANE_SHARE`` values.
     A block has at least one row and at most ``max_rows``.
     """
@@ -596,7 +621,7 @@ def _sliding_blocks(stop: int, base, max_rows: int) -> list[tuple[int, int]]:
     q = _BLOCK_ELEMENTS // _PLANE_SHARE
     b = 0
     while b < stop:
-        w = base(b)
+        w = min(cap, s0 + b)
         r = max(1, min(max_rows, (math.isqrt(w * w + 4 * q) - w) // 2))
         blocks.append((b, min(stop, b + r)))
         b += r
@@ -919,26 +944,6 @@ def _band_codes(gap: np.ndarray, positive: np.ndarray, dist: np.ndarray) -> np.n
     return np.where(dist == np.inf, _BAND_END, 2 * gap + positive).astype(np.int32)
 
 
-def _stm_bands(features: np.ndarray, positive: np.ndarray, k: int) -> np.ndarray:
-    """Band codes of every STM point against all its predecessors, in one blocked pass."""
-    n, d = features.shape
-    bands = np.empty((n, _BAND_LEN), dtype=np.int32)
-    if n == 0:
-        return bands
-    screen = _screen_operand(features.T)
-    norms = np.square(screen.aug[:d]).sum(axis=0)
-    writer = _BandWriter(bands, 0, k)
-    for b, e in _sliding_blocks(n, lambda b: b, n):
-        hi = np.arange(b, e)
-        plane, slack = _band_plane(features[b:e], screen, norms, 0, np.zeros_like(hi), hi)
-        cols, dist = _band_candidates(
-            plane, _chunk_minima(plane), slack, k, lambda rows, cols: _pair_sums(features, b + rows, cols)
-        )
-        writer.add(e, dist, _band_codes(hi[:, None] - cols, positive[cols], dist))
-    writer.flush()
-    return bands
-
-
 def _band_votes(bands: np.ndarray, span: np.ndarray, positive: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Votes of STM points from their bands, each over its ``span`` nearest predecessors.
 
@@ -952,21 +957,6 @@ def _band_votes(bands: np.ndarray, span: np.ndarray, positive: np.ndarray, k: in
     rank = np.cumsum(inside, axis=1, dtype=np.int16)
     ones = _row_counts(inside & (rank <= k) & positive)
     return (2 * ones >= k).astype(np.uint8), np.flatnonzero(rank[:, -1] < k)
-
-
-def _exact_votes(features: np.ndarray, positive: np.ndarray, start: int, rows: np.ndarray, k: int) -> np.ndarray:
-    """Votes of STM points ``rows`` over their predecessors from ``start`` on, from distances."""
-    d = features.shape[1]
-    stop = int(rows.max()) + 1
-    memory_t = np.ascontiguousarray(features[start:stop].T)
-    step = max(1, _BLOCK_ELEMENTS // ((stop - start) * d))
-    out = np.empty(len(rows), dtype=np.uint8)
-    for b in range(0, len(rows), step):
-        part = rows[b : b + step]
-        d2 = _sq_dists(features[part], memory_t)
-        d2[np.arange(stop - start)[None, :] >= (part - start)[:, None]] = np.inf
-        out[b : b + step] = _vote_rows(d2, positive[start:stop], k)
-    return out
 
 
 def _window_errors(
@@ -987,7 +977,8 @@ def _window_errors(
         first = n - size + k
         votes, short = _band_votes(bands[first:], np.arange(k, size), band_positive[first:], k)
         if short.size:
-            votes[short] = _exact_votes(features, positive, n - size, first + short, k)
+            start, rows = n - size, first + short
+            votes[short] = _exact_votes(features[rows], features[start:].T, positive[start:], k, seen=rows - start)
         errors.append(int(np.count_nonzero(votes != labels[first:])) / max(1, size - k))
     return errors
 
@@ -1181,7 +1172,7 @@ class MemoryBank:
         pred_ltm = np.zeros(n, dtype=np.uint8)
         pred_both = np.zeros(n, dtype=np.uint8)
         max_rows = max(1, _BLOCK_ELEMENTS // _PLANE_SHARE // m) if m else n
-        blocks = _sliding_blocks(n, lambda b: min(cap, s0 + b), max_rows)
+        blocks = _sliding_blocks(n, s0, cap, max_rows)
         out = max(0, s0 + n - cap)
         kept = self._stm_band[min(out, s0) :]
         band_table = np.empty((len(kept) + n - max(0, out - s0), _BAND_LEN), dtype=np.int32)
@@ -1310,12 +1301,20 @@ class MemoryBank:
         return f, l.astype(np.uint8)
 
     def replace_stm(self, features: np.ndarray, labels: np.ndarray) -> None:
-        """Overwrite the STM's features and labels (restore and test hook); rebuilds the STM bands."""
+        """Overwrite the STM's features and labels (restore and test hook); rebuilds the STM bands.
+
+        The STM goes in as one window absorbed by an empty bank of the same
+        settings, which cleans and evicts nothing, and whose STM and bands
+        this bank takes; its LTM and trackers are left alone.
+        """
         f, l = self._checked(features, labels)
         if len(l) > self.stm_cap:
             raise ValueError("more instances than the STM capacity")
-        self._stm_f, self._stm_l = f, l
-        self._stm_band = _stm_bands(f, l == 1, self.k)
+        settings = (self.k, self.stm_cap, self.ltm_cap, self.min_stm_size, self.tracker_decay, self.seed)
+        empty = MemoryBank(self.dim, *settings)
+        if len(l):
+            empty._absorb(f, l)
+        self._stm_f, self._stm_l, self._stm_band = empty._stm_f, empty._stm_l, empty._stm_band
 
     def replace_ltm(self, features: np.ndarray, labels: np.ndarray) -> None:
         self._ltm_f, self._ltm_l = self._checked(features, labels)
@@ -1420,8 +1419,8 @@ class FrozenChunkPredictor:
     (S, n), row s equal to predicting with the s-th vector alone. Each row
     votes from the t-th nearest positive and u-th nearest negative distance,
     screened by BLAS products, one weight vector and row block at a time;
-    rows the screen cannot certify recompute their order-defined distances
-    in position order and vote through :func:`_vote_rows`. Every vote is the
+    rows the screen cannot certify take the vote of their order-defined
+    distances in position order (:func:`_exact_votes`). Every vote is the
     one the order-defined left-to-right sums over features give, so results
     are bitwise identical to a one-row predictor per query, whatever the row
     block size (``_BLOCK_ELEMENTS`` float64 elements of a block's distance

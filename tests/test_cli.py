@@ -88,23 +88,26 @@ def test_readme_commands_parse_and_python_imports_exist():
 
 
 def test_ci_workflow_parses_and_every_k_word_names_a_test():
-    # A CI step that selects tests with `pytest -k` runs fewer of them, or
-    # none, once a rename leaves one of its words naming no test function in
-    # the files it runs (all test files when it names none). PyYAML is not a
-    # test dependency: without it the check skips.
+    # A CI step that runs named test files runs nothing once one of them is
+    # renamed, and one that selects tests with `pytest -k` runs fewer of
+    # them, or none, once a rename leaves one of its words naming no test
+    # function in the files it runs (all test files when it names none).
+    # PyYAML is not a test dependency: without it the check skips.
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load(WORKFLOW.read_text())
     tests_dir = README.parent / "tests"
-    selections = []
+    runs = []
     for job in workflow["jobs"].values():
         for step in job["steps"]:
             for line in step.get("run", "").splitlines():
                 words = shlex.split(line)
-                if "pytest" in words and "-k" in words:
+                if "pytest" in words:
                     files = [README.parent / w for w in words if w.startswith("tests/") and w.endswith(".py")]
-                    selections.append((files or sorted(tests_dir.glob("test_*.py")), words[words.index("-k") + 1]))
-    assert selections
-    for files, expression in selections:
+                    assert all(path.is_file() for path in files), f"{line!r} names a missing test file"
+                    expression = words[words.index("-k") + 1] if "-k" in words else ""
+                    runs.append((files or sorted(tests_dir.glob("test_*.py")), expression))
+    assert len(runs) >= 4  # tier-1 in both jobs and the two BLAS steps
+    for files, expression in runs:
         names = [
             node.name.lower()
             for path in files

@@ -1130,6 +1130,27 @@ def test_rebuilt_bands_equal_the_bands_a_stepped_bank_carries(stream):
     np.testing.assert_array_equal(replaced._stm_band, bank._stm_band)
 
 
+def test_replace_stm_changes_only_the_stm():
+    # from_bytes replaces the LTM after the STM, so only a direct call shows
+    # that rebuilding the bands leaves the bank's own LTM (which cleaning
+    # against the new STM would cut) and trackers alone.
+    chunks = reference_like_chunks(lambda x: x, 900, 100)
+    bank = MemoryBank(chunks[0].n_features, k=5, stm_cap=200, ltm_cap=400, min_stm_size=20)
+    for chunk in chunks[:8]:
+        bank.fit_chunk(chunk)
+    ltm = bank.ltm_features.tobytes(), bank.ltm_labels.tobytes()
+    trackers = {name: list(pair) for name, pair in bank._trackers.items()}
+    assert bank.ltm_size > 0 and all(c > 0.0 for c, _ in trackers.values())
+    new = chunks[8]
+    bank.replace_stm(new.features, new.labels)
+    assert (bank.ltm_features.tobytes(), bank.ltm_labels.tobytes()) == ltm
+    assert bank._trackers == trackers
+    np.testing.assert_array_equal(bank.stm_features, new.features)
+    np.testing.assert_array_equal(bank.stm_labels, new.labels)
+    restored = MemoryBank.from_bytes(bank.to_bytes())
+    np.testing.assert_array_equal(bank._stm_band, restored._stm_band)
+
+
 def test_fit_chunk_peak_memory_does_not_grow_with_window_times_stm():
     # The fit holds state linear in STM + window (2n points here): the
     # combined features C, their (d + 2)-row screen operand and the window's
@@ -1597,7 +1618,7 @@ def test_adversarial_stream_cuts_bands_and_falls_back_to_distances(monkeypatch):
     kwargs = dict(k=3, stm_cap=400, ltm_cap=400, min_stm_size=10)
     fallbacks = []
     exact = samknn._exact_votes
-    monkeypatch.setattr(samknn, "_exact_votes", lambda *a: fallbacks.append(len(a[3])) or exact(*a))
+    monkeypatch.setattr(samknn, "_exact_votes", lambda *a, **kw: fallbacks.append(len(a[0])) or exact(*a, **kw))
     bank, reference = MemoryBank(d, **kwargs), MemoryBank(d, **kwargs)
     for chunk in chunks:
         bank.fit_chunk(chunk)
