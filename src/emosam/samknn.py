@@ -41,7 +41,8 @@ feature's mid-range as a (d + 2, m) product operand
 (:func:`_screen_planes`), and a per-row margin E (:func:`_screen_margin`)
 that bounds how far a screened distance may lie from its order-defined one.
 Both only compare distances, so a comparison the margin decides needs no
-order-defined sum.
+order-defined sum. Maintenance screens in float64 planes; the kernel in
+float32 planes wherever the data's range fits them, float64 otherwise.
 
 Every weighted prediction goes through one kernel, and every vote it returns
 equals the vote of the order-defined distances; BLAS only screens. The
@@ -52,18 +53,23 @@ row blocks. BLAS matrix products of a block's rows
 ``[-2 w x', |x'|^2_w, 1]`` with the memory's columns ``[m'; 1; |m'|^2_w]``
 write the block's distances by the expansion
 ``|x' - m'|^2_w = |x'|^2_w + |m'|^2_w - 2 <w x', m'>``, with no difference
-block; their rounding follows the block shape and the BLAS build. With
+block; their rounding follows the block shape and the BLAS build. The
+planes are float32 where every row's scale lies inside float32's normal
+range (:func:`_screen_margin` decides per call; the reference streams'
+data always fit), else float64: the rows and columns are formed in
+float64 and rounded once into the planes' dtype. With
 kk = min(k, m) a row votes 1 iff the t-th nearest positive,
 t = ceil(kk / 2), comes before the u-th nearest negative, u = kk - t + 1.
 So the products write each label side of a block as its own C-contiguous
 plane, positives (r, npos) and negatives (r, m - npos), and the t-th
 smallest of each positive row and the u-th smallest of each negative row
 (:func:`_kth_smallest`, which peels row minima with ``argmin``) give the
-two order statistics ``a`` and ``b`` of every row. The BLAS sums and the
-order-defined ones both lie within a proven error of the exact sums,
-relative to a per-row scale of the centred data plus a subnormal-sized
-absolute term, so where ``a`` and ``b`` are farther apart than that margin
-the vote is certified; every other row (near ties, and exact ties that
+two order statistics ``a`` and ``b`` of every row, widened to float64. The
+BLAS sums and the order-defined ones both lie within a proven error of the
+exact sums, relative to a per-row scale of the centred data (in the planes'
+unit roundoff) plus an absolute term of the planes' subnormal step, so
+where ``a`` and ``b`` are farther apart than that margin the vote is
+certified; every other row (near ties, and exact ties that
 position decides) takes the vote of its order-defined distances under that
 vector to the memory in position order (:func:`_exact_votes`). A label too
 short for its quota makes the vote a constant. Memories and queries hold features of
@@ -159,18 +165,21 @@ _SNAPSHOT_MAGIC = b"SAMB"
 _SNAPSHOT_VERSION = 4
 _SNAPSHOT_HEAD = "<IIIIIIdqQ"
 
-# Largest number of float64 elements in one row block of the kernel's
-# distance plane (r, m) under one weight vector. The kernel's exact-vote
-# fallback (_exact_votes) runs beside its block in chunks of a
-# _GATHER_SHARE-th as many distances, so a kernel call peaks at about one
-# block. Cleaning and k-means run in row blocks of at most this many
-# squared differences (rows x memory x features), one block at a time. The
+# Largest number of elements in one row block of the kernel's distance
+# plane (r, m) under one weight vector: 1 MiB of float32 planes, or 2 MiB
+# where the data's range sends the kernel to float64 planes. The kernel's
+# exact-vote fallback (_exact_votes) runs beside its block in chunks of a
+# _GATHER_SHARE-th as many float64 distances, so a kernel call peaks at
+# about one float64 block at most. Cleaning and k-means run in row blocks of at most
+# this many float64 squared differences (rows x memory x features), one
+# block at a time; the absorb's planes are float64 too (_PLANE_SHARE). The
 # size is not a cache fit (a 2 MiB block does not fit beside its memory in
-# a 2 MiB L2 per core). Kernel sweeps on such a core (d = 8; 250 x 315 and
-# 250 x 1000 with S = 20, 1000 x 3096 with S = 1, 10 and 30; 2 rounds on a
-# busy host) ran 2^16 to 2^20 elements in an order that changed from round
-# to round, 2^18 within 1.0-1.7x of the best; at S = 30 2^18 was fastest in
-# both rounds (140-146 ms, the others 151-249).
+# a 2 MiB L2 per core). Kernel sweeps on such a core with float64 planes
+# (d = 8; 250 x 315 and 250 x 1000 with S = 20, 1000 x 3096 with S = 1, 10
+# and 30; 2 rounds on a busy host) ran 2^16 to 2^20 elements in an order
+# that changed from round to round, 2^18 within 1.0-1.7x of the best; at
+# S = 30 2^18 was fastest in both rounds (140-146 ms, the others 151-249).
+# It has not been re-timed with float32 planes.
 _BLOCK_ELEMENTS = 1 << 18
 # Most multiply-adds in one BLAS call of the kernel's screen. OpenBLAS may run
 # a larger product on its own threads (its bound is 65536 times
@@ -463,19 +472,21 @@ def _screen_planes(
 
     ``xn`` (r,) and ``mn`` (cols,) are the weighted squared norms of the
     centred queries and memory points. ``op`` is the memory's (d + 2, cols)
-    product operand (:func:`_screen_operand`, or a column slice of it),
-    whose last row this overwrites with ``mn``. BLAS products of the rows
-    ``[-2 w * x', xn, 1]`` with ``op`` write the (r, cols) ``plane``:
-    ``|x'|^2 + |m'|^2 - 2 <w x', m'>``, the weighted squared distance by
-    expansion, with no difference block. Each product takes at most
-    ``_SCREEN_CALL`` multiply-adds. The summation order (blocking, fused
-    multiply-adds) is the BLAS build's, so these distances are not the
-    order-defined ones: callers only compare them, with the margin of
-    :func:`_screen_margin`.
+    product operand (:func:`_screen_operand`, or a column slice of it, in
+    the plane's dtype), whose last row this overwrites with ``mn``. BLAS
+    products of the rows ``[-2 w * x', xn, 1]`` with ``op`` write the
+    (r, cols) ``plane``: ``|x'|^2 + |m'|^2 - 2 <w x', m'>``, the weighted
+    squared distance by expansion, with no difference block. ``xc``, ``w``,
+    ``xn`` and ``mn`` are float64; ``-2 w * x'`` is formed in float64, and
+    it and both norms are rounded once into the plane's dtype, float64 or
+    float32. Each product takes at most ``_SCREEN_CALL`` multiply-adds. The
+    summation order (blocking, fused multiply-adds) is the BLAS build's, so
+    these distances are not the order-defined ones: callers only compare
+    them, with the margin of :func:`_screen_margin` for the plane's dtype.
     """
     r, d = xc.shape
     K, m = op.shape
-    lhs = np.empty((r, K))
+    lhs = np.empty((r, K), dtype=plane.dtype)
     np.multiply(xc, -2.0 * w, out=lhs[:, :d])
     lhs[:, d] = xn
     lhs[:, d + 1] = 1.0
@@ -488,50 +499,90 @@ def _screen_planes(
     return plane
 
 
-def _screen_margin(w: np.ndarray, xc: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """Certified margin E of the screen's distances: (S, n) for weight rows ``w`` (S, d) and centred rows ``xc`` (n, d).
+def _screen_margin(
+    w: np.ndarray, xc: np.ndarray, reach: np.ndarray, dtype: type
+) -> tuple[np.ndarray, type]:
+    """Certified margin E (S, n) of screen planes in ``dtype`` for weight rows ``w`` (S, d) and centred rows ``xc``.
 
-    ``reach`` is the memory's (:func:`_screen_operand`). Let eps = 2^-53,
-    eta = 2^-1075 (the absolute error of rounding to a subnormal) and every
-    rounding ``fl(x) = x(1 + e) + h`` with |e| <= eps, |h| <= eta, h = 0 for
-    sums and differences. Let D be the exact sum ``sum_f w_f (m_f - x_f)^2``
-    of the float inputs, M'_f >= |m'_f| over the memory (``reach``) and, per
+    ``xc`` is (n, d) and ``reach`` the memory's (:func:`_screen_operand`).
+    Returns E and the planes' dtype it holds for: ``dtype``, or float64
+    where float32 is asked for but the data's range does not fit it
+    (below).
+
+    Let u be the planes' unit roundoff and s their subnormal step: 2^-53
+    and 2^-1074 for float64, 2^-24 and 2^-149 for float32. Every rounding,
+    in float64 or in the planes' dtype, is ``fl(x) = x(1 + e) + h`` with
+    |e| <= u, |h| <= s/2, h = 0 for sums and differences; a cast from
+    float64 into float32 planes is one more such rounding, and into float64
+    planes none. Let D be the exact sum ``sum_f w_f (m_f - x_f)^2`` of the
+    float inputs, M'_f >= |m'_f| over the memory (``reach``) and, per
     (vector, row), the scale ``T = sum_f w_f (|x'_f| + M'_f)^2``, so
-    D <= T(1 + 3 eps). A term of the order-defined sum meets at most d + 3
-    factors (1 + e) on its way (the difference's twice, once squared), so
-    that sum lies within (d + 4) eps T + 3d eta of D. The screened value G
-    (:func:`_screen_planes`) sums K = d + 2 products of the rows
-    ``fl(-2 w x')``, ``fl(|x'|^2_w)``, 1 and the columns m', 1,
-    ``fl(|m'|^2_w)``; in any order, with or without fused multiply-adds, it
-    lies within gamma_K of their exact sum P relative to the sum of the
-    products' magnitudes, which is at most (1 + gamma) T, plus 2K eta. P
-    differs from the exact centred distance ``sum_f w_f (m'_f - x'_f)^2`` by
-    the roundings of the norms and of ``-2 w x'`` (gamma_{d+1} T plus
-    eta sum M' + 6d eta), and that distance differs from D by the
-    centring, at most 3 eps T. So both sums lie within ``rho0 T + A0`` of
-    D, with rho0 = (2d + 7) eps and A0 = (2 sum M' + 8d + 8) 2^-1074, for d
-    up to 2^20, and a screened value lies within 2(rho0 T + A0) of its
-    order-defined one. The bound is the same for every column of a row, so
-    it carries to order statistics, minima and maxima over any of a row's
-    columns. Centring keeps T, and so the margin, proportional to the
-    data's spread however far the data lie from zero.
+    D <= T(1 + 3u). A term of the order-defined sum (float64) meets at most
+    d + 3 factors (1 + e) on its way (the difference's twice, once
+    squared), so that sum lies within (d + 4) u T + 3d s/2 of D.
 
-    The margin is ``E = fl(fl(rho T^) + A)``, T^ the scale computed in
-    floats (within (d + 4) eps T + 3d eta of T), rho = (8d + 40) eps and
-    A = (16 sum M' + 64d + 64) 2^-1074. Let u and v be screened values of
-    one row (entries, or order statistics of its columns) and U and V their
-    order-defined counterparts. A float comparison of ``u + E`` rounds once,
-    by at most eps |u + E|, and |u| is at most (1 + 3 eps + rho0) T + A0
-    however it cancels, so E (1 - eps) - eps |u| still exceeds
-    4(rho0 T + A0): ``u + E < v`` implies U < V and ``u - E > v`` implies
-    U > V. Likewise ``fl(v + 2E)`` is at least v + 4(rho0 T + A0), so
-    U <= V implies ``u <= fl(v + 2E)``. This assumes IEEE 754 rounding to
-    nearest without flushing subnormals to zero, which is numpy's and
-    OpenBLAS's default.
+    The screened value G (:func:`_screen_planes`) sums K = d + 2 products
+    of the rows ``l_f = c(fl(-2 w_f x'_f))``, ``c(fl(|x'|^2_w))``, 1 with
+    the columns ``c(m'_f)``, 1, ``c(fl(|m'|^2_w))``, fl in float64 and c the
+    cast. Their exact sum P differs from the exact centred distance
+    ``C = sum_f w_f (m'_f - x'_f)^2`` by at most gamma_{d+2} T (a cross term
+    meets three factors (1 + e), a norm d + 2), plus 1.01 u |x'|^2_w, plus
+    1.01 s sum M' + (2.03d + 1) s. The cast of m'_f adds at most s/2 to a
+    product with |l_f| <= 2 w_f |x'_f|(1 + gamma_2), and by AM-GM
+    2 |x'_f| s/2 <= u x'_f^2 + s^2 / (4u); the absolute errors of l_f, at
+    most 1.01 s, meet |m'_f| <= M'_f; each norm gathers (1.01d + 0.5) s. In
+    any order, with or without fused multiply-adds, G lies within gamma_K
+    of P relative to the products' magnitudes, at most
+    (1 + gamma_{d+2} + 1.01 u) T, plus K s. C differs from D by the
+    centring, at most 3u T. For (d + 2)^2 u <= 2^-6 the second-order terms
+    stay below 0.1 u T, so both sums lie within ``rho0 T + A0`` of D, with
+    rho0 = (2d + 9) u and A0 = (2 sum M' + 8d + 8) s, and a screened value
+    lies within 2(rho0 T + A0) of its order-defined one. The bound is the
+    same for every column of a row, so it carries to order statistics,
+    minima and maxima over any of a row's columns. Centring keeps T, and so
+    the margin, proportional to the data's spread however far the data lie
+    from zero.
+
+    float32 planes must also hold every value the screen writes. Let
+    ``U = sum_f (|x'_f| + M'_f)^2`` be a row's scale at unit weights, so
+    T <= U for weights in [0, 1]. A row's operands are at most 2 sqrt(U) + s
+    (the norms at most (1 + gamma_{d+2}) U), and its products and partial
+    sums at most (1 + gamma_K)(1 + gamma_{d+2} + 1.01 u) U < 2U. So where
+    every row has U <= 2^126, nothing exceeds 2^127, below float32's largest
+    finite value 2^128 (1 - 2^-24), and no cast, product or sum overflows.
+    Where a row has U < 2^-126, its unit-weight distances are subnormal in
+    float32 and A, at least 3 times rho U there, would decide its votes;
+    float64's subnormal step is 2^-925 times float32's. So float32 planes
+    are used only where (d + 2)^2 2^-24 <= 2^-6 (d up to 510) and every row
+    has 2^-126 <= U <= 2^126, float32's normal range with a factor of 2 to
+    spare at the top; float64 planes otherwise.
+
+    The margin is ``E = fl(fl(rho T^) + A)`` in float64, T^ the scale
+    computed in float64 (within (d + 4) 2^-53 T + 3d 2^-1075 of T),
+    rho = (8d + 40) u and A = (10 sum M' + 40d + 40) s = 5 A0. Let y and z be
+    screened values of one row (entries, or order statistics of its
+    columns, widened to float64) and Y and Z their order-defined
+    counterparts. A float64 comparison of ``y + E`` rounds once, by at most
+    2^-53 |y + E|, and |y| is at most (1 + 3u + 3 rho0) T + 3 A0 however
+    it cancels, so E (1 - 2^-53) - 2^-53 |y| still exceeds 4(rho0 T + A0):
+    ``y + E < z`` implies Y < Z and ``y - E > z`` implies Y > Z. Likewise
+    ``fl(z + 2E)`` is at least z + 4(rho0 T + A0), so Y <= Z implies
+    ``y <= fl(z + 2E)``. This assumes IEEE 754 rounding to nearest without
+    flushing subnormals to zero, in float64 and float32 casts and products
+    alike, which is numpy's and OpenBLAS's default
+    (``test_float32_casts_and_products_keep_subnormals`` checks it on the
+    build it runs on).
     """
     d = xc.shape[1]
-    scale = np.einsum("sf,nf->sn", w, (np.abs(xc) + reach) ** 2)
-    return scale * ((8 * d + 40) * 2.0**-53) + math.ldexp(16 * float(reach.sum()) + 64 * d + 64, -1074)
+    spread = (np.abs(xc) + reach) ** 2
+    if dtype == np.float32:
+        unit = spread.sum(axis=1)  # each row's U
+        if (d + 2) ** 2 > 2**18 or unit.min(initial=1.0) < 2.0**-126 or unit.max(initial=1.0) > 2.0**126:
+            dtype = np.float64
+    info = np.finfo(dtype)
+    u, s = float(info.eps) / 2, float(info.smallest_subnormal)
+    scale = np.einsum("sf,nf->sn", w, spread)
+    return scale * ((8 * d + 40) * u) + (10 * float(reach.sum()) + 40 * d + 40) * s, dtype
 
 
 def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: np.ndarray) -> np.ndarray:
@@ -546,10 +597,12 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     vector and a run of query rows whose two label planes, (r, npos) and
     (r, m - npos), hold at most ``_BLOCK_ELEMENTS`` elements together (at
     least one row); both are C-contiguous pieces of one buffer. The
-    buffer and a copy of the memory's product operand, whose scratch row
-    takes each vector's memory norms, are allocated once per call and
-    reused by every block, so a call holds about one block, and concurrent
-    calls share no scratch.
+    buffer is float32, or float64 where the data's range does not fit
+    float32 (:func:`_screen_margin` chooses once per call). It and a copy
+    of the memory's product operand in its dtype, whose scratch row takes
+    each vector's memory norms, are allocated once per call and reused by
+    every block, so a call holds about one block, and concurrent calls
+    share no scratch.
 
     With kk = min(k, m), a row votes 1 iff at least t = ceil(kk / 2) of its kk
     nearest points are positive, that is iff in the stable (distance,
@@ -565,12 +618,13 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     the u-th smallest negative one, of every row. The order-defined vote is
     1 if the order-defined ``a`` is below the order-defined ``b``, 0 if
     above, and decided by position on a tie. With E the row's margin under
-    the vector (:func:`_screen_margin`), the kernel votes 1 where
-    ``a + E < b`` and 0 where ``a - E > b``, which certifies the
-    order-defined vote. Every other row (near ties, exact ties) of a block
-    gets its vote from :func:`_exact_votes` under that vector, over the
-    memory's position-order copy and label mask, in chunks of at most
-    ``_BLOCK_ELEMENTS // _GATHER_SHARE`` distances beside the block.
+    the vector (:func:`_screen_margin`), the kernel widens ``a`` and ``b``
+    to float64 and votes 1 where ``a + E < b`` and 0 where ``a - E > b``,
+    which certifies the order-defined vote. Every other row (near ties,
+    exact ties) of a block gets its vote from :func:`_exact_votes` under
+    that vector, over the memory's position-order copy and label mask, in
+    chunks of at most ``_BLOCK_ELEMENTS // _GATHER_SHARE`` distances beside
+    the block.
     """
     n, d = queries.shape
     m = memory.memory_t.shape[1]
@@ -589,9 +643,9 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     xc = queries - screen.centre
     xn = np.einsum("sf,nf->sn", w, xc * xc)
     mn = np.einsum("sf,fm->sm", w, screen.aug[:d] * screen.aug[:d])
-    margin = _screen_margin(w, xc, screen.reach)
-    buf = np.empty(rows * m)
-    op = screen.aug.copy()
+    margin, dtype = _screen_margin(w, xc, screen.reach, np.float32)
+    buf = np.empty(rows * m, dtype=dtype)
+    op = screen.aug.astype(dtype)
     for s in range(len(w)):
         for start in range(0, n, rows):
             stop = min(start + rows, n)
@@ -601,6 +655,8 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
             neg = buf[r * npos : r * m].reshape(r, m - npos)
             a = _kth_smallest(_screen_planes(x, w[s], xn[s, start:stop], op[:, :npos], mn[s, :npos], pos), t)
             b = _kth_smallest(_screen_planes(x, w[s], xn[s, start:stop], op[:, npos:], mn[s, npos:], neg), u)
+            # widened before they meet the float64 margin
+            a, b = a.astype(np.float64), b.astype(np.float64)
             vote = a + e < b
             out[s, start:stop] = vote
             sub = start + np.flatnonzero(~(vote | (a - e > b)))
@@ -710,7 +766,8 @@ def _band_plane(
     left, right = int(first.max()), int(stop.min())
     np.copyto(plane[:, :left], np.nan, where=np.arange(left) < first[:, None])
     np.copyto(plane[:, right:w], np.nan, where=np.arange(right, w) >= stop[:, None])
-    return plane, 2.0 * _screen_margin(ones[None], xc, screen.reach)[0]
+    margin, _ = _screen_margin(ones[None], xc, screen.reach, np.float64)
+    return plane, 2.0 * margin[0]
 
 
 def _later_bound(table: np.ndarray, k: int) -> np.ndarray:
@@ -1423,10 +1480,11 @@ class FrozenChunkPredictor:
     distances in position order (:func:`_exact_votes`). Every vote is the
     one the order-defined left-to-right sums over features give, so results
     are bitwise identical to a one-row predictor per query, whatever the row
-    block size (``_BLOCK_ELEMENTS`` float64 elements of a block's distance
-    plane, at least one row). The blocks run one after another on the
-    calling thread, sharing one block buffer and one copy of the memory's
-    product operand, so a call's scratch peaks at about one block. Each call
+    block size (``_BLOCK_ELEMENTS`` elements of a block's distance plane,
+    float32 where the data fit it, at least one row) and whatever the
+    planes' dtype. The blocks run one after another on the calling thread,
+    sharing one block buffer and one copy of the memory's product operand,
+    so a call's scratch peaks at about one block. Each call
     makes its own scratch, so concurrent calls do not interfere, and the
     predictor keeps no state between calls: each call computes every vote
     it returns.

@@ -363,54 +363,66 @@ def test_screen_keeps_order_defined_votes_at_the_feature_bound():
         assert_kernel_votes_equal_vote_rows(mem, labels, queries, alphas, k)
 
 
-def planes_at_the_error_bound(npos, push, reach=None):
+def planes_at_the_error_bound(npos, push, reach=None, memory=None):
     """A screen hook whose planes sit at the edge of the documented error bound.
 
-    Each element is the exact weighted squared distance D of the centred
-    query and memory point, moved by rho0 * T + A0 (the ``_screen_margin``
-    docstring: rho0 = (2d + 7) 2^-53, A0 = (2 sum M' + 8d + 8) 2^-1074,
-    T = sum_f w_f (|x'_f| + M'_f)^2) and rounded back inside it: up for the
-    first ``npos`` columns and down for the rest when ``push`` is 1, the
-    other way when it is -1. M' is ``reach``, by default that of the
-    operand's columns. Exact rational arithmetic throughout.
+    Each element is the order-defined sum of the centred query and memory
+    point (Python floats added left to right, as ``_sq_dists`` adds them),
+    moved by 2(rho0 * T + A0), the bound the ``_screen_margin`` docstring
+    puts between a screened value and its order-defined one
+    (rho0 = (2d + 9) u, A0 = (2 sum M' + 8d + 8) s,
+    T = sum_f w_f (|x'_f| + M'_f)^2, u the plane dtype's unit roundoff and
+    s its subnormal step), and rounded back inside it in the plane's dtype:
+    up for the first ``npos`` columns and down for the rest when ``push``
+    is 1, the other way when it is -1. ``memory`` is the centred float64
+    memory (d, cols), by default the operand's first d rows, and M' is
+    ``reach``, by default that memory's. Exact rational arithmetic
+    throughout.
     """
 
     def hook(xc, w, xn, aug, mn, plane):
         d = xc.shape[1]
-        memory = [[Fraction(v) for v in point] for point in aug[:d].T.tolist()]
+        points = (aug[:d] if memory is None else memory).T.tolist()
         if reach is None:
-            M = [max(abs(point[f]) for point in memory) for f in range(d)]
+            M = [max(abs(Fraction(point[f])) for point in points) for f in range(d)]
         else:
             M = [Fraction(v) for v in reach.tolist()]
-        rho0 = Fraction(2 * d + 7, 2**53)
-        a0 = (2 * sum(M) + 8 * d + 8) / Fraction(2**1074)
-        ws = [Fraction(v) for v in w.tolist()]
+        info = np.finfo(plane.dtype)
+        rho0 = (2 * d + 9) * Fraction(float(info.eps)) / 2
+        a0 = (2 * sum(M) + 8 * d + 8) * Fraction(float(info.smallest_subnormal))
         for i, x in enumerate(xc.tolist()):
-            x = [Fraction(v) for v in x]
-            bound = rho0 * sum(wf * (abs(xf) + mf) ** 2 for wf, xf, mf in zip(ws, x, M)) + a0
-            for j, point in enumerate(memory):
-                exact = sum(wf * (yf - xf) ** 2 for wf, xf, yf in zip(ws, x, point))
-                g = float(exact + (bound if (j < npos) == (push > 0) else -bound))
-                if abs(Fraction(g) - exact) > bound:
-                    g = math.nextafter(g, -math.inf if g > exact else math.inf)
+            scale = sum(Fraction(wf) * (abs(Fraction(xf)) + mf) ** 2 for wf, xf, mf in zip(w.tolist(), x, M))
+            bound = 2 * (rho0 * scale + a0)
+            for j, dist in enumerate(python_sq_sums(np.array([x]), np.array(points), w)[0].tolist()):
+                target = Fraction(dist) + (bound if (j < npos) == (push > 0) else -bound)
+                g = plane.dtype.type(float(target))
+                while abs(Fraction(float(g)) - Fraction(dist)) > bound:
+                    g = np.nextafter(g, plane.dtype.type(-np.inf if Fraction(float(g)) > dist else np.inf))
                 plane[i, j] = g
         return plane
 
     return hook
 
 
-def kernel_planes_at_the_error_bound(reach, push):
+def kernel_planes_at_the_error_bound(screen, push, dtypes=None):
     """:func:`planes_at_the_error_bound` for the kernel, whose screen reaches the whole memory.
 
+    ``screen`` is the memory's float64 screen operand (``_label_ordered``).
     The kernel screens each row block's positive columns, then its negative
     ones, so the calls alternate sides: positives go up and negatives down
-    when ``push`` is 1.
+    when ``push`` is 1. Each plane's dtype is appended to ``dtypes``.
     """
     sides = itertools.cycle((True, False))
+    d = len(screen.centre)
 
     def hook(xc, w, xn, aug, mn, plane):
-        positive = next(sides)
-        return planes_at_the_error_bound(aug.shape[-1] if positive else 0, push, reach)(xc, w, xn, aug, mn, plane)
+        positive, width = next(sides), aug.shape[-1]
+        # aug is the kernel's copy in the plane's dtype; D comes from the float64 memory
+        memory = screen.aug[:d, :width] if positive else screen.aug[:d, -width:]
+        if dtypes is not None:
+            dtypes.append(plane.dtype)
+        hook_for_side = planes_at_the_error_bound(width if positive else 0, push, screen.reach, memory)
+        return hook_for_side(xc, w, xn, aug, mn, plane)
 
     return hook
 
@@ -440,14 +452,15 @@ def count_fallback_rows(mp):
 
 
 def test_screen_votes_hold_with_planes_at_the_edge_of_the_error_bound():
-    # Every plane element sits as far from the exact sum as the documented
-    # bound allows, towards a flipped vote: positives up and negatives down,
-    # then the other way. Near-tie memories make the t-th positive and the
-    # u-th negative of each row a pair with equal exact sums, so a margin
-    # smaller than twice the bound on each side certifies a wrong vote.
-    # Weights of 1e-160 or less square to subnormals, where only the
-    # absolute term A covers the rounding; ordinary weights need the
-    # relative term rho.
+    # Every plane element sits as far from its order-defined sum as the
+    # documented bound allows, towards a flipped vote: positives up and
+    # negatives down, then the other way, rounded into the float32 planes
+    # the kernel uses here. Near-tie memories make the t-th positive and the u-th negative
+    # of each row a pair with equal exact sums, so a margin smaller than
+    # twice the bound on each side certifies a wrong vote. Weights near
+    # 1e-20 square to float32 subnormals (normal in float64), and those of
+    # 1e-160 or less to float64 subnormals or zero: there the absolute term
+    # A covers the rounding. Ordinary weights need the relative term rho.
     rng = np.random.default_rng(11)
     for trial in range(18):
         d, k = (1, 3, 8, 13)[trial % 4], (1, 3, 5)[trial % 3]
@@ -457,25 +470,33 @@ def test_screen_votes_hold_with_planes_at_the_edge_of_the_error_bound():
         # grid data: centring is exact, so the exact centred sum is D itself
         for v in np.vstack([mem, queries]):
             assert all(Fraction(float(a - c)) == Fraction(a) - Fraction(c) for a, c in zip(v.tolist(), centre.tolist()))
+        subnormal32 = np.full(d, (0.5 + rng.random()) * 1e-20)
         tiny = np.full(d, rng.random() * 1e-160)
         mixed = np.where(rng.random(d) < 0.5, rng.random() * 1e-161, rng.random())
-        alphas = np.vstack([np.full(d, rng.random()), tiny, mixed])
+        mixed32 = np.where(rng.random(d) < 0.5, rng.random() * 1e-20, rng.random())
+        alphas = np.vstack([np.full(d, rng.random()), subnormal32, tiny, mixed, mixed32])
+        assert (1e-45 < subnormal32**2).all() and (subnormal32**2 < np.finfo(np.float32).tiny).all()
         positive = labels == 1
         want = np.array([samknn._vote_rows(python_sq_sums(queries, mem, a * a), positive, k) for a in alphas])
         bank = bank_with_stm(mem, labels, k=k, min_stm_size=k + 1, stm_cap=len(mem))
         for push in (1, -1):
+            dtypes = []
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(samknn, "_screen_planes", kernel_planes_at_the_error_bound(screen.reach, push))
+                mp.setattr(samknn, "_screen_planes", kernel_planes_at_the_error_bound(screen, push, dtypes))
                 fallback = count_fallback_rows(mp)
                 np.testing.assert_array_equal(FrozenChunkPredictor(queries, bank).predict(alphas), want)
+            assert set(dtypes) == {np.dtype(np.float32)}
             assert sum(fallback) > 0  # the pushed near ties fell inside the margin
 
 
 def test_screen_certifies_offset_and_scaled_streams():
     # Centring keeps the margin proportional to the data's spread: a stream
     # like the reference one, shifted by 1e6 or scaled by 1e-3, sends at most
-    # 1% of (vector, row) pairs to the fallback, with every vote exact.
-    # Integer grids, whose exact ties only position decides, still reach it.
+    # 1% of (vector, row) pairs to the fallback, with every vote exact. So
+    # does one scaled by 1e30 or 1e-30, whose squared spread lies outside
+    # float32's range, so the kernel screens it in float64 planes; the
+    # others fit float32 planes. Integer grids, whose exact ties only
+    # position decides, still reach the fallback.
     config = BiasStreamConfig(
         n_instances=500, proxy_strength=0.8, base_rates=GroupRates(0.65, 0.35), seed=11, window_size=500
     )
@@ -485,20 +506,52 @@ def test_screen_certifies_offset_and_scaled_streams():
     alphas = np.vstack([np.ones(chunk.n_features), rng.random((2, chunk.n_features))])
     grid_mem, grid_queries = rng.integers(0, 3, (40, 3)).astype(float), rng.integers(0, 3, (60, 3)).astype(float)
     grid_alphas = np.vstack([np.ones(3), rng.choice([0.5, 1.0], (2, 3))])
-    for (mem, labels, queries), alphas, offset in (
-        ((mem + 1e6, labels, queries + 1e6), alphas, True),
-        ((mem * 1e-3, labels, queries * 1e-3), alphas, True),
-        ((grid_mem, rng.integers(0, 2, 40), grid_queries), grid_alphas, False),
+    screen_planes = samknn._screen_planes
+    for (mem, labels, queries), alphas, offset, dtype in (
+        ((mem + 1e6, labels, queries + 1e6), alphas, True, np.float32),
+        ((mem * 1e-3, labels, queries * 1e-3), alphas, True, np.float32),
+        ((mem * 1e30, labels, queries * 1e30), alphas, True, np.float64),
+        ((mem * 1e-30, labels, queries * 1e-30), alphas, True, np.float64),
+        ((grid_mem, rng.integers(0, 2, 40), grid_queries), grid_alphas, False, np.float32),
     ):
         want = np.array([samknn._vote_rows(python_sq_sums(queries, mem, a * a), labels == 1, 5) for a in alphas])
         bank = bank_with_stm(mem, labels, k=5, stm_cap=len(mem))
+        dtypes = set()
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(samknn, "_screen_planes", lambda *args: dtypes.add(args[-1].dtype) or screen_planes(*args))
             fallback = count_fallback_rows(mp)
             np.testing.assert_array_equal(FrozenChunkPredictor(queries, bank).predict(alphas), want)
+        assert dtypes == {np.dtype(dtype)}
         if offset:
             assert sum(fallback) <= 0.01 * want.size
         else:
             assert sum(fallback) > 0
+
+
+def test_float32_casts_and_products_keep_subnormals():
+    # The float32 margin assumes IEEE rounding without flush-to-zero: a
+    # float64 value cast into float32 lands on its subnormal grid, and BLAS's
+    # float32 products and sums keep subnormal inputs, products and results.
+    # A build that flushed them would leave the absolute term short. The
+    # products go through the screen's own call, column slices of the
+    # operand included.
+    step = 2.0**-149
+    wide = np.array([step, 3 * step, 2.5 * step, 2.0**-127 + step, -(2.0**-140) * 5])
+    cast = wide.astype(np.float32).astype(np.float64)
+    np.testing.assert_array_equal(cast, [step, 3 * step, 2 * step, 2.0**-127 + step, -(2.0**-140) * 5])
+    rng = np.random.default_rng(4)
+    r, d, m = 70, 8, 300
+    xc = rng.integers(-3, 4, (r, d)) * 2.0**-140  # subnormal in float32
+    w = np.full(d, 0.5)
+    memory = rng.integers(-3, 4, (d, m)) * 2.0**-3
+    op = np.vstack([memory, np.ones((2, m))]).astype(np.float32)
+    plane = np.empty((r, m), dtype=np.float32)
+    for cols in (slice(None), slice(1, m - 2)):
+        got = samknn._screen_planes(xc, w, np.zeros(r), op[:, cols], np.zeros(m)[cols], plane[:, cols])
+        # small multiples of 2^-143: every product and sum is exact, and most are subnormal
+        want = (-2 * w * xc) @ memory[:, cols]
+        assert (np.abs(want) < np.finfo(np.float32).tiny).mean() > 0.5 and np.count_nonzero(want) > 0.9 * want.size
+        np.testing.assert_array_equal(got.astype(np.float64), want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, -1.0000001e100])
@@ -976,8 +1029,8 @@ def test_absorb_is_the_same_at_any_block_size_and_flush_point(stream):
 
 
 def test_screened_absorb_holds_with_planes_at_the_edge_of_the_error_bound():
-    # Every screened STM distance sits as far from the exact sum as the
-    # documented bound allows: the older half of a plane's columns up and
+    # Every screened STM distance sits as far from its order-defined sum as
+    # the documented bound allows: the older half of a plane's columns up and
     # the newer half down, then the reverse. Integer grids tie many exact
     # distances, so a slack smaller than the bound drops band members (a
     # tied later point looks strictly closer) or radius entries, and the
