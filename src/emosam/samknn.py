@@ -104,24 +104,28 @@ Maintenance tables are ragged, and +inf marks no point (no distance is
 mask (:func:`_table`). Each row's k-th finite entry (:func:`_kth_finite`)
 is its vote threshold (:func:`_vote_rows`) and its radius. A block's band
 candidates stay one such table, rows by candidates in position order, from
-the screen (:func:`_band_candidates`) through the votes to the band writer
-(:class:`_BandWriter`); its radius candidates are another.
+the screen (:func:`_band_candidates`) through the votes to the bands; its
+radius candidates are another.
 
-Every STM point also carries its k-skyband: the predecessors p with fewer
-than k points between p and it that are strictly closer to it. For any
-suffix of the STM, a point's k nearest earlier points in it (ties to the
-earlier position) are the first k band members inside the suffix, taken in
-stable (distance, position) order. So the STM length re-fit, which scores
-each halving suffix window by test-then-train error, reads every vote from
-the bands, and the window absorb votes each row's STM slice (alone and with
-the LTM) from the candidates its band is built from. A band is kept as at
-most ``_BAND_LEN`` codes ``2 * (i - p) + label``, nearest first, so the
+Every STM point also carries a band: its candidates, a superset of its
+k-skyband (the predecessors p with fewer than k points between p and it
+that are strictly closer to it), sorted by (distance, position) and cut at
+``_BAND_LEN``. For any suffix of the STM, a point's k nearest earlier
+points in it (ties to the earlier position) are skyband members, and they
+come before every other candidate inside the suffix in that order, so they
+are the first k band entries inside the suffix. So the STM length re-fit,
+which scores each halving suffix window by test-then-train error, reads
+every vote from the bands, and the window absorb votes each row's STM
+slice (alone and with the LTM) from the candidates its band is cut from.
+A band is kept as codes ``2 * (i - p) + label``, nearest first, so the
 points the STM drops fall off the front with no update. A row whose cut
-band holds fewer than k members inside a window recomputes that vote from
+band holds fewer than k entries inside a window recomputes that vote from
 distances. Bands are derived state: new rows get theirs from the candidates
 the absorb screens anyway, and replacing or restoring the STM absorbs it as
 one window into an empty bank, which builds them the same way; they are in
-neither the snapshot nor :meth:`MemoryBank.state_hash`.
+neither the snapshot nor :meth:`MemoryBank.state_hash`. Their codes depend
+on the row blocks and the BLAS screen (a band may hold other non-members),
+but the k nearest inside every suffix, and so every re-fit vote, do not.
 
 Determinism: k-nearest ties are broken toward the earlier memory position,
 class-vote ties toward label 1, and compression draws from a generator
@@ -193,39 +197,37 @@ _BLOCK_ELEMENTS = 1 << 18
 _SCREEN_CALL = 1 << 18
 # The window absorb's screened STM plane of a row block holds at most
 # _BLOCK_ELEMENTS // _PLANE_SHARE values (1 MiB); so do its LTM distances
-# and their scratch plane (_sq_dists), and the band writer's scan table
-# holds as many slots, which one block's candidate table fills at most. A
-# block peaks at 1.5 times its plane (the chunk minima and the scratch of
-# their bounds, see _chunk_minima and _later_bound); a flush at its scan
-# and code tables, 12 bytes a slot, beside the pending candidate tables at
-# 12 bytes a padded slot (_BandWriter).
+# and their scratch plane (_sq_dists). A block peaks at 1.5 times its plane
+# (the chunk minima and the scratch of their bounds, see _chunk_minima and
+# _later_bound); its candidate tables and their sort into bands hold at
+# most _BAND_CANDIDATES slots a row, far fewer than its plane.
 # On the fit peak-memory test's large case (STM and window 2000, d = 16) the
-# fit peaks at 5.0 MB, and at 3.5 MB with share 4, under which 20
-# default-scale windows take twice the blocks (590, not 300) and nearly
-# twice the flushes (37, not 20). Share 1 peaks at 7.1 MB, a 2 MiB plane
-# beside the pending tables.
+# fit peaks at 3.7 MB, and at 2.9 MB with share 4, under which 20
+# default-scale windows take twice the blocks (590, not 300). Share 1
+# peaks at 5.6 MB, a 2 MiB plane.
 _PLANE_SHARE = 2
-# Gathered rows of the absorb's exact pair sums and the tables a flush sorts
-# go through in chunks of at most _BLOCK_ELEMENTS // _GATHER_SHARE values or
-# slots (128 KiB of float64), as do the distances of _exact_votes (at least
-# one row): a chunk's distances, their scratch plane and the vote's
-# selection copy take about three sixteenths of the kernel's block (the
-# fallback-scratch test peaks at 1.28-1.31 blocks with d = 8). Pair-sum
-# chunks of 2^16 values held 1 MiB of gathered rows at the peak of the fit
-# peak-memory test's large case; chunks of 2^14 took the 7-window reference
-# fit's pair sums from 14.0 to 14.8 ms.
+# Gathered rows of the absorb's exact pair sums go through in chunks of at
+# most _BLOCK_ELEMENTS // _GATHER_SHARE values (128 KiB of float64), as do
+# the distances of _exact_votes (at least one row): a chunk's distances,
+# their scratch plane and the vote's selection copy take about three
+# sixteenths of the kernel's block (the fallback-scratch test peaks at
+# 1.28-1.31 blocks with d = 8). Pair-sum chunks of 2^16 values (share 4)
+# lift the fit peak-memory test's large case from 3.7 to 4.5 MB; chunks of
+# 2^14 took the 7-window reference fit's pair sums from 14.0 to 14.8 ms.
 _GATHER_SHARE = 16
 
-# Each STM point carries its k-skyband: the predecessors with fewer than k
-# points between them and it that are strictly closer to it. At most
-# _BAND_LEN members are kept, nearest first. On the reference streams bands
-# hold 30-55 points, so 64 never cut one there.
+# A band keeps at most _BAND_LEN of its row's candidates, nearest first.
+# On the reference stream (80 desk windows: window 250, caps 500/500; 20
+# default windows: 1000, 5000/5000) rows hold 38 and 49 candidates on
+# average, and 0.02% and 5.1% of rows more than 64, whose bands are cut.
+# The 20 default windows' length re-fits recompute 25 rows from distances
+# (_window_errors), where a cut band has fewer than k entries in a window.
 _BAND_LEN = 64
 # Columns per chunk of the band screen's minima (8: _chunk_minima folds four
 # columns, then two), and the most candidates one row keeps (its nearest).
 _BAND_CHUNK = 8
 _BAND_CANDIDATES = 4 * _BAND_LEN
-# Code of an empty band slot: larger than any member's, as stm_cap is at most
+# Code of an empty band slot: larger than any entry's, as stm_cap is at most
 # _STM_CAP_MAX.
 _BAND_END = np.iinfo(np.int32).max
 _STM_CAP_MAX = 1 << 30
@@ -908,94 +910,6 @@ def _radius_candidates(
     return _table(np.bincount(rows, minlength=len(plane)), exact(rows, cols), np.inf)
 
 
-def _skybands(tables: list, out: np.ndarray, k: int) -> None:
-    """Write the k-skybands of ``len(out)`` rows from their :func:`_band_candidates` tables.
-
-    ``tables`` holds the (distance, code) table pairs of consecutive rows,
-    each row's candidates in position order, padded with +inf and
-    ``_BAND_END``; the list is emptied once read. Each pair is copied,
-    transposed, into a (height, rows) scan table of distances and a code
-    table beside it, height the widest pair's width, padded alike. A
-    candidate is in the skyband iff fewer than k later candidates are
-    strictly closer: a reverse scan over the scan table's rows keeps the k
-    smallest distances seen and overwrites every non-member with +inf and
-    ``_BAND_END``. In row chunks whose tables hold at most
-    ``_BLOCK_ELEMENTS // _GATHER_SHARE`` slots, one stable argsort then puts
-    each row's members in (distance, position) order, and the first
-    ``_BAND_LEN`` codes go to ``out``, padded with ``_BAND_END``.
-    """
-    n = len(out)
-    height = max(dist.shape[1] for dist, _ in tables)
-    scan = np.full((height, n), np.inf)
-    code = np.full((height, n), _BAND_END, dtype=np.int32)
-    at = 0
-    for dist, codes in tables:
-        scan[: dist.shape[1], at : at + len(dist)] = dist.T
-        code[: dist.shape[1], at : at + len(dist)] = codes.T
-        at += len(dist)
-    tables.clear()
-    nearest = [np.full(n, np.inf) for _ in range(k)]
-    far, x, spare = np.empty(n, dtype=bool), np.empty(n), np.empty(n)
-    for j in range(height - 1, -1, -1):
-        np.greater(scan[j], nearest[-1], out=far)
-        np.minimum(nearest[0], scan[j], out=spare)
-        np.maximum(nearest[0], scan[j], out=x)
-        nearest[0], spare = spare, nearest[0]
-        for t in range(1, k):
-            np.minimum(nearest[t], x, out=spare)
-            np.maximum(nearest[t], x, out=x)
-            nearest[t], spare = spare, nearest[t]
-        np.copyto(scan[j], np.inf, where=far)
-        np.copyto(code[j], _BAND_END, where=far)
-    out.fill(_BAND_END)
-    step = max(1, _BLOCK_ELEMENTS // _GATHER_SHARE // max(1, height))
-    for a in range(0, n, step):
-        order = np.argsort(scan[:, a : a + step], axis=0, kind="stable")[:_BAND_LEN]
-        out[a : a + step, : len(order)] = np.take_along_axis(code[:, a : a + step], order, axis=0).T
-
-
-class _BandWriter:
-    """Turns the candidate tables of consecutive rows, added block by block, into band codes.
-
-    Row ``skip + j`` is written to ``out[j]``; rows before ``skip`` are
-    dropped. Pending rows go through :func:`_skybands` together, as many as
-    fit a scan table (rows times the widest pending table) of
-    ``_BLOCK_ELEMENTS // _PLANE_SHARE`` slots, the plane budget, which one
-    block's table fits unless it is a single wider row: a block whose rows
-    would overfill it first finishes the rows before it. Pending rows are
-    kept as their blocks' distance and code tables, 12 bytes a slot.
-    """
-
-    def __init__(self, out: np.ndarray, skip: int, k: int) -> None:
-        self.out, self.k, self._skip = out, k, skip
-        self._tables: list[tuple[np.ndarray, np.ndarray]] = []
-        self._first = self._stop = skip  # pending rows [first, stop)
-        self._widest = 0
-
-    def add(self, stop: int, dist: np.ndarray, codes: np.ndarray) -> None:
-        """Distance and code tables of rows up to ``stop``, ending with the rows from the previous ``stop``."""
-        start = self._stop
-        if stop <= start:
-            return
-        dist, codes = dist[start - stop :], codes[start - stop :]
-        widest = max(self._widest, dist.shape[1])
-        if start > self._first and (stop - self._first) * widest > _BLOCK_ELEMENTS // _PLANE_SHARE:
-            self._finish(start)
-            widest = dist.shape[1]
-        self._tables.append((dist, codes))
-        self._stop, self._widest = stop, widest
-
-    def flush(self) -> None:
-        """Finish every row added."""
-        self._finish(self._stop)
-
-    def _finish(self, stop: int) -> None:
-        if stop <= self._first:
-            return
-        _skybands(self._tables, self.out[self._first - self._skip : stop - self._skip], self.k)
-        self._first, self._widest = stop, 0
-
-
 def _band_codes(gap: np.ndarray, positive: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """Band entries ``2 * gap + label`` of a candidate table; ``_BAND_END`` where ``dist`` is +inf padding."""
     return np.where(dist == np.inf, _BAND_END, 2 * gap + positive).astype(np.int32)
@@ -1070,11 +984,13 @@ def _kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np
         new_assign = np.empty(n, dtype=np.intp)
         for start in range(0, n, rows):
             new_assign[start : start + rows] = _sq_dists(points[start : start + rows], c_t).argmin(axis=1)
+        # each centre's members, in point order, as one slice of the grouped points
+        counts = np.bincount(new_assign, minlength=m)
+        ends = np.cumsum(counts)
+        grouped = points[np.argsort(new_assign, kind="stable")]
         new_c = c.copy()
-        for j in range(m):
-            members = new_assign == j
-            if members.any():
-                new_c[j] = points[members].mean(axis=0)
+        for j in np.flatnonzero(counts):
+            new_c[j] = grouped[ends[j] - counts[j] : ends[j]].mean(axis=0)
         if np.array_equal(new_assign, assign) and np.array_equal(new_c, c):
             break
         assign, c = new_assign, new_c
@@ -1194,9 +1110,9 @@ class MemoryBank:
         step and is alive at step i iff that step is not earlier. The votes
         are row votes with +inf outside each row's slice and live LTM points;
         distance ties go to the earlier position and class ties to label 1,
-        as in prediction. Each row's STM votes come from the candidates of
-        its k-skyband, which is built in the same pass and then carried
-        with the STM. The trackers then update in window order, and the
+        as in prediction. Each row's STM votes come from its band
+        candidates, which, sorted and cut, are the band it carries in the
+        STM. The trackers then update in window order, and the
         eviction is the prefix ``C[:max(0, s0 + n - stm_cap)]``. The length
         re-fit reads every candidate window's votes from the carried bands.
         The result is bit-identical to the one-at-a-time loop, whatever the
@@ -1232,9 +1148,9 @@ class MemoryBank:
         blocks = _sliding_blocks(n, s0, cap, max_rows)
         out = max(0, s0 + n - cap)
         kept = self._stm_band[min(out, s0) :]
-        band_table = np.empty((len(kept) + n - max(0, out - s0), _BAND_LEN), dtype=np.int32)
+        skip = max(0, out - s0)  # window rows evicted in-window carry no band
+        band_table = np.full((len(kept) + n - skip, _BAND_LEN), _BAND_END, dtype=np.int32)
         band_table[: len(kept)] = kept
-        bands = _BandWriter(band_table[len(kept) :], max(0, out - s0), k)
         for b, e in blocks:
             c0, c1 = lo[b], s0 + e
             stop = s0 + steps[b:e] - c0
@@ -1261,8 +1177,14 @@ class MemoryBank:
                     kth = _kth_smallest(own, k) if own.shape[1] >= k else np.full(e - b, np.inf)
                     kth[~meets] = -np.inf
                     r2 = _kth_finite(_radius_candidates(plane, mins, cl[c0:c1], labels[b:e], kth + slack, exact), k)
-            del plane, mins  # before the band writer may need the memory
-            bands.add(e, near, _band_codes(stop[:, None] - cols, near_pos, near))
+            del plane, mins  # before the sort and the LTM distances
+            # A row's band is its candidates in (distance, position) order,
+            # cut; rows the window evicts (before skip) get none.
+            live = slice(max(b, skip) - b, e - b)
+            order = np.argsort(near[live], axis=1, kind="stable")[:, :_BAND_LEN]
+            codes = _band_codes(stop[live, None] - cols[live], near_pos[live], near[live])
+            at = len(kept) + max(b, skip) - skip
+            band_table[at : at + len(order), : order.shape[1]] = np.take_along_axis(codes, order, axis=1)
             pred_stm[b:e] = _vote_rows(near, near_pos, k)
             if m == 0:
                 continue
@@ -1292,7 +1214,6 @@ class MemoryBank:
         if (first_drop < n).any():
             keep = first_drop == n
             self._ltm_f, self._ltm_l = lf[keep], ll[keep]
-        bands.flush()
         self._stm_f, self._stm_l = cf[out:], cl[out:]
         self._stm_band = band_table
         return cf[:out], cl[:out]

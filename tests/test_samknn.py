@@ -27,6 +27,7 @@ from emosam.samknn import (
 from emosam.stream import _FEATURE_BOUND, BiasStreamConfig, GroupRates, generate_bias_stream
 from oracles import (
     _radius_sq,
+    _row_sq_dists,
     _stable_vote,
     brute_clean_mask,
     brute_knn_vote,
@@ -961,11 +962,51 @@ def test_screened_absorb_matches_reference(stream):
     assert sum(pairs) > 0  # the exact survivor path ran
 
 
+def assert_bands_hold_their_skybands(bank, features, labels):
+    """Check a fitted bank's STM bands; the STM must be the last points of ``features`` and ``labels``.
+
+    Each band's codes, read as predecessor positions, are in strict
+    (order-defined distance, position) order and carry their point's label,
+    with the padding after them. They hold every member of the point's
+    k-skyband over its predecessors still in the STM (``reference_skybands``,
+    uncut) that sorts at or before the last kept code, and every member
+    where the band is not full. Returns the re-fit's errors from the bands
+    at every halving window size down to k + 1, which must equal the
+    per-instance oracle's.
+    """
+    k, n, end = bank.k, bank.stm_size, samknn._BAND_END
+    start = len(labels) - n
+    np.testing.assert_array_equal(bank.stm_features, features[start:])
+    np.testing.assert_array_equal(bank.stm_labels, labels[start:])
+    for i, band in enumerate(bank._stm_band, start):
+        codes = band[band != end]
+        assert (band[len(codes) :] == end).all()
+        pos = i - (codes >> 1)
+        assert ((0 <= pos) & (pos < i)).all()
+        np.testing.assert_array_equal(codes & 1, labels[pos])
+        keys = list(zip(_row_sq_dists(features[i], features[pos]).tolist(), pos.tolist()))
+        assert keys == sorted(set(keys))
+        dist = _row_sq_dists(features[i], features[start:i])
+        row = (dist, (2 * (i - np.arange(start, i)) + labels[start:i]).astype(np.int32))
+        [members] = reference_skybands([row], k, max(1, i - start), end)
+        member_pos = i - (members[members != end] >> 1)
+        if len(codes) == samknn._BAND_LEN:
+            member_pos = [p for p in member_pos if (dist[p - start], p) <= keys[-1]]
+        assert set(member_pos) <= set(pos.tolist())
+    f, y = features[start:], labels[start:]
+    sizes = _candidate_sizes(n, k + 1)
+    errors = _window_errors(bank._stm_band, f, y, sizes, k)
+    assert errors == reference_interleaved_errors(f, y, sizes, k)
+    return errors
+
+
 def fit_trace(chunks, kwargs, sizes):
     """Fit ``chunks`` with samknn's module sizes patched to ``sizes``.
 
-    Returns, after every window, the state hash, the STM bands and the
-    window's STM, LTM and combined votes (the last two only with an LTM).
+    Checks the STM bands after every window (:func:`assert_bands_hold_their_skybands`)
+    and returns, after every window, the state hash, the re-fit's errors
+    from the bands at every halving window size, and the window's STM, LTM
+    and combined votes (the last two only with an LTM).
     """
     vote_rows, absorb, votes, trace = samknn._vote_rows, MemoryBank._absorb, [], []
 
@@ -982,24 +1023,30 @@ def fit_trace(chunks, kwargs, sizes):
             mp.setattr(samknn, name, value)
         mp.setattr(MemoryBank, "_absorb", traced_absorb)
         bank = MemoryBank(chunks[0].n_features, **kwargs)
-        for chunk in chunks:
+        for t, chunk in enumerate(chunks):
             # each block votes STM, then LTM and combined when there is an LTM
             kinds = 3 if bank.ltm_size else 1
             votes.clear()
             bank.fit_chunk(chunk)
             by_kind = [np.concatenate(votes[j::kinds]) for j in range(kinds)]
-            trace.append((bank.state_hash(), bank._stm_band.copy(), by_kind))
+            seen = chunks[: t + 1]
+            errors = assert_bands_hold_their_skybands(
+                bank, np.vstack([c.features for c in seen]), np.concatenate([c.labels for c in seen])
+            )
+            trace.append((bank.state_hash(), errors, by_kind))
     return trace
 
 
 @pytest.mark.parametrize("stream", ["grid", "offset"])
 def test_absorb_is_the_same_at_any_block_size_and_flush_point(stream):
-    # Row blocks (the plane budget) and band flushes (the same budget) only
-    # batch the absorb's work: one-row blocks flushed row by row, blocks of
-    # a few rows with one-pair and one-row chunks, and the default sizes
-    # must give the same bands and window votes, and the per-instance
-    # reference's state after every window. The grid's windows exceed its
-    # STM cap, so the band writer also drops the rows evicted in-window.
+    # Row blocks (the plane budget) only batch the absorb's work: one-row
+    # blocks, blocks of a few rows with one-pair chunks, and the default
+    # sizes must give the same window votes, the per-instance reference's
+    # state after every window, and bands that hold every point's nearest
+    # skyband members in order, so the re-fit's errors are equal at every
+    # window size. The band bytes may differ: a band is its row's
+    # candidates, which depend on the blocks. The grid's windows exceed its
+    # STM cap, so rows evicted in-window get no band.
     if stream == "grid":
         rng = np.random.default_rng(5)
         x = rng.integers(0, 3, (600, 3)).astype(float)
@@ -1021,9 +1068,9 @@ def test_absorb_is_the_same_at_any_block_size_and_flush_point(stream):
     assert any(len(t[2]) == 3 for t in default)  # the LTM votes ran
     for sizes in ({"_BLOCK_ELEMENTS": 1}, {"_PLANE_SHARE": 1 << 9, "_GATHER_SHARE": _BLOCK_ELEMENTS}):
         got = fit_trace(chunks, kwargs, sizes)
-        for (state, bands, votes), (want_state, want_bands, want_votes) in zip(got, default, strict=True):
+        for (state, errors, votes), (want_state, want_errors, want_votes) in zip(got, default, strict=True):
             assert state == want_state
-            np.testing.assert_array_equal(bands, want_bands)
+            assert errors == want_errors
             for vote, want_vote in zip(votes, want_votes, strict=True):
                 np.testing.assert_array_equal(vote, want_vote)
 
@@ -1166,7 +1213,9 @@ def test_rebuilt_bands_equal_the_bands_a_stepped_bank_carries(stream):
     # With no eviction and no length cut, each STM point's band was built in
     # the absorb against all its predecessors; rebuilding it from the STM
     # alone (replace_stm, from_bytes) screens against another operand and
-    # other blocks, and must give the same codes.
+    # other blocks. Its codes may differ, but each band must hold the
+    # point's nearest skyband members in order, so the re-fit's errors are
+    # the stepped bank's at every window size.
     if stream == "grid":
         chunks = _grid_stream(np.random.default_rng(6), 2, 4, 60)
     else:
@@ -1179,8 +1228,9 @@ def test_rebuilt_bands_equal_the_bands_a_stepped_bank_carries(stream):
     restored = MemoryBank.from_bytes(bank.to_bytes())
     replaced = MemoryBank(bank.dim, k=5, stm_cap=total, min_stm_size=total)
     replaced.replace_stm(bank.stm_features, bank.stm_labels)
-    np.testing.assert_array_equal(restored._stm_band, bank._stm_band)
-    np.testing.assert_array_equal(replaced._stm_band, bank._stm_band)
+    want = assert_bands_hold_their_skybands(bank, bank.stm_features, bank.stm_labels)
+    assert assert_bands_hold_their_skybands(restored, bank.stm_features, bank.stm_labels) == want
+    assert assert_bands_hold_their_skybands(replaced, bank.stm_features, bank.stm_labels) == want
 
 
 def test_replace_stm_changes_only_the_stm():
@@ -1596,45 +1646,32 @@ def test_snapshot_midstream_continues_like_uninterrupted_bank(rng):
 
 
 @given(data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_band_writer_matches_reference_skybands(data):
-    # Position-ordered candidate tables, padded as _band_candidates pads
-    # them, go through the band writer block by block. Integer-grid
-    # distances tie often; a row may hold no candidate, or (sorted) more
-    # members than a band keeps; tables may carry extra padding columns;
-    # rows before skip are dropped; and a small budget splits the window
-    # into several flushes.
+@settings(max_examples=100, deadline=None)
+def test_fitted_bands_hold_the_nearest_skyband_members_in_order(data):
+    # A band is its row's candidates sorted by (distance, position) and cut
+    # at _BAND_LEN. Integer grids tie many distances; windows may exceed the
+    # STM cap, so rows are evicted in-window; the length re-fit cuts the
+    # STM; blocks run from one row to the default budget; and bands cut at
+    # 2 or 5 codes make the re-fit fall back to distances.
+    d = data.draw(st.integers(1, 3), label="d")
     k = data.draw(st.integers(1, 5), label="k")
-    band_len = data.draw(st.sampled_from([2, 5, samknn._BAND_LEN]), label="band_len")
+    band_len = data.draw(st.sampled_from([2, 5, 64]), label="band_len")
     budget = data.draw(st.sampled_from([1, 1 << 7, _BLOCK_ELEMENTS]), label="budget")
-    n = data.draw(st.integers(1, 40), label="n")
-    skip = data.draw(st.integers(0, n - 1), label="skip")
-    cuts = sorted(set(data.draw(st.lists(st.integers(1, n), max_size=4), label="cuts")) - {n})
+    stm_cap = data.draw(st.integers(k + 2, 40), label="stm_cap")
+    grid = data.draw(st.integers(2, 4), label="grid")
+    windows = data.draw(st.integers(1, 4), label="windows")
+    n = data.draw(st.integers(1, 60), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    rows = []
-    for _ in range(n):
-        dist = rng.integers(0, 4, int(rng.integers(0, band_len + 16))).astype(float)
-        if rng.random() < 0.3:
-            dist.sort()  # no later candidate is closer: all are members
-        rows.append((dist, rng.choice(1 << 20, len(dist), replace=False).astype(np.int32)))
-    out = np.full((n - skip, band_len), -1, dtype=np.int32)
-    flushes = []
-    skybands = samknn._skybands
+    chunks = _grid_stream(rng, d, windows, n, grid)
+    features = np.vstack([c.features for c in chunks])
+    labels = np.concatenate([c.labels for c in chunks])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(samknn, "_BAND_LEN", band_len)
         mp.setattr(samknn, "_BLOCK_ELEMENTS", budget)
-        mp.setattr(samknn, "_skybands", lambda tables, part, k: flushes.append(len(part)) or skybands(tables, part, k))
-        writer = samknn._BandWriter(out, skip, k)
-        for b, e in zip([0, *cuts], [*cuts, n]):
-            width = max(len(rows[i][0]) for i in range(b, e)) + int(rng.integers(0, 3))
-            dist = np.full((e - b, width), np.inf)
-            codes = np.full((e - b, width), samknn._BAND_END, dtype=np.int32)
-            for i in range(b, e):
-                dist[i - b, : len(rows[i][0])], codes[i - b, : len(rows[i][1])] = rows[i]
-            writer.add(e, dist, codes)
-        writer.flush()
-    assert sum(flushes) == n - skip
-    np.testing.assert_array_equal(out, reference_skybands(rows[skip:], k, band_len, samknn._BAND_END))
+        bank = MemoryBank(d, k=k, stm_cap=stm_cap, ltm_cap=9, min_stm_size=k + 1, seed=1)
+        for t, chunk in enumerate(chunks):
+            bank.fit_chunk(chunk)
+            assert_bands_hold_their_skybands(bank, features[: (t + 1) * n], labels[: (t + 1) * n])
 
 
 @given(data=st.data())
