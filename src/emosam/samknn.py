@@ -41,8 +41,11 @@ feature's mid-range as a (d + 2, m) product operand
 (:func:`_screen_planes`), and a per-row margin E (:func:`_screen_margin`)
 that bounds how far a screened distance may lie from its order-defined one.
 Both only compare distances, so a comparison the margin decides needs no
-order-defined sum. Maintenance screens in float64 planes; the kernel in
-float32 planes wherever the data's range fits them, float64 otherwise.
+order-defined sum. Both follow one dtype rule: the planes are float32
+wherever every screened row's scale lies in float32's normal range, which
+:func:`_screen_margin` decides once per kernel call and once per absorbed
+window, and float64 otherwise. Screened values meet a margin or a bound
+only in float64.
 
 Every weighted prediction goes through one kernel, and every vote it returns
 equals the vote of the order-defined distances; BLAS only screens. The
@@ -87,14 +90,15 @@ the STM that instance i is tested against is a sliding slice of C. An LTM
 point's removal by cleaning at step i depends only on x_i, on that slice and
 on the point itself, never on another removal, so one first-drop step per
 LTM point gives the LTM of every step. A block of window rows screens its
-distances to C (unweighted, C centred as one operand) and keeps, with a
-slack of 2E per row, a superset of each row's k-skyband in its slice; the
-minima of the plane's 8-column chunks drop most columns unread. Rows whose
-label still meets an undropped LTM point of the other label also keep the
-same-label entries their cleaning radius can rest on: those within the
-slack of the k-th smallest same-label band candidate, which bounds the
-k-th smallest same-label distance, or all of them where the row has fewer
-than k same-label candidates. Only these get order-defined distances;
+distances to C (unweighted, C centred as one operand, in the planes' dtype
+the window's rows chose) and keeps, with a slack of 2E per row, a superset
+of each row's k-skyband in its slice; the minima of the plane's 8-column
+chunks drop most columns unread. Rows whose label still meets an
+undropped LTM point of the other label also keep the same-label entries
+their cleaning radius can rest on: those within the slack of the k-th
+smallest same-label band candidate, which bounds the k-th smallest
+same-label distance, or all of them where the row has fewer than k
+same-label candidates. Only these get order-defined distances;
 the bands, the STM votes and the radius (the exact k-th smallest,
 :func:`_kth_finite`) come from them. The LTM votes are row votes over
 each block's order-defined distances to the LTM (:func:`_sq_dists`).
@@ -176,11 +180,12 @@ _SNAPSHOT_HEAD = "<IIIIIIdqQ"
 # _GATHER_SHARE-th as many float64 distances, so a kernel call peaks at
 # about one float64 block at most. Cleaning and k-means run in row blocks of at most
 # this many float64 squared differences (rows x memory x features), one
-# block at a time; the absorb's planes are float64 too (_PLANE_SHARE). The
-# size is not a cache fit (a 2 MiB block does not fit beside its memory in
-# a 2 MiB L2 per core). Kernel sweeps on such a core with float64 planes
-# (d = 8; 250 x 315 and 250 x 1000 with S = 20, 1000 x 3096 with S = 1, 10
-# and 30; 2 rounds on a busy host) ran 2^16 to 2^20 elements in an order
+# block at a time. The absorb's planes follow the kernel's dtype rule and
+# hold 1 MiB in either dtype (_PLANE_SHARE). The size is not a cache fit
+# (a 2 MiB block does not fit beside its memory in a 2 MiB L2 per core).
+# Kernel sweeps on such a core with float64 planes (d = 8; 250 x 315 and
+# 250 x 1000 with S = 20, 1000 x 3096 with S = 1, 10 and 30; 2 rounds on
+# a busy host) ran 2^16 to 2^20 elements in an order
 # that changed from round to round, 2^18 within 1.0-1.7x of the best; at
 # S = 30 2^18 was fastest in both rounds (140-146 ms, the others 151-249).
 # It has not been re-timed with float32 planes.
@@ -195,16 +200,19 @@ _BLOCK_ELEMENTS = 1 << 18
 # the split was within 10% at d = 8 but lost at d = 64 (268-283 ms against
 # 125-129) and d = 108 (694-728 against 184-189; ROADMAP item 12).
 _SCREEN_CALL = 1 << 18
-# The window absorb's screened STM plane of a row block holds at most
-# _BLOCK_ELEMENTS // _PLANE_SHARE values (1 MiB); so do its LTM distances
-# and their scratch plane (_sq_dists). A block peaks at 1.5 times its plane
-# (the chunk minima and the scratch of their bounds, see _chunk_minima and
-# _later_bound); its candidate tables and their sort into bands hold at
-# most _BAND_CANDIDATES slots a row, far fewer than its plane.
-# On the fit peak-memory test's large case (STM and window 2000, d = 16) the
-# fit peaks at 3.7 MB, and at 2.9 MB with share 4, under which 20
-# default-scale windows take twice the blocks (590, not 300). Share 1
-# peaks at 5.6 MB, a 2 MiB plane.
+# The window absorb's screened STM plane of a row block holds 1 MiB: at
+# most _BLOCK_ELEMENTS // _PLANE_SHARE float64 values, or twice as many
+# float32 values (_sliding_blocks). Its LTM distances and their scratch
+# plane (_sq_dists) hold at most _BLOCK_ELEMENTS // _PLANE_SHARE float64
+# values. A block peaks at about twice its float32 plane, 1.5 times a
+# float64 one: the chunk minima and the float64 scratch of their bounds
+# (_chunk_minima, _later_bound). Its candidate tables and their sort into
+# bands hold at most _BAND_CANDIDATES slots a row, far fewer than its plane.
+# On the fit peak-memory test's large case (STM and window 2000, d = 16,
+# float32 planes) the fit peaks at 4.2 MB (3.7 MB with float64 planes of
+# half the rows), and at 2.8 MB with share 4, under which 20 default-scale
+# windows take twice the blocks (300, not 158). Share 1 peaks at 6.7 MB,
+# a 2 MiB plane.
 _PLANE_SHARE = 2
 # Gathered rows of the absorb's exact pair sums go through in chunks of at
 # most _BLOCK_ELEMENTS // _GATHER_SHARE values (128 KiB of float64), as do
@@ -509,7 +517,11 @@ def _screen_margin(
     ``xc`` is (n, d) and ``reach`` the memory's (:func:`_screen_operand`).
     Returns E and the planes' dtype it holds for: ``dtype``, or float64
     where float32 is asked for but the data's range does not fit it
-    (below).
+    (below). Both screens ask for float32 and take the dtype returned: the
+    kernel once per call, for its weight stack and queries, and the window
+    absorb once per window, under unit weights for all the window's rows.
+    Screened values meet E only in float64 (widened exactly from float32),
+    as E or 2E added into a float32 array would be rounded to float32.
 
     Let u be the planes' unit roundoff and s their subnormal step: 2^-53
     and 2^-1074 for float64, 2^-24 and 2^-149 for float32. Every rounding,
@@ -667,16 +679,17 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     return out
 
 
-def _sliding_blocks(stop: int, s0: int, cap: int, max_rows: int) -> list[tuple[int, int]]:
+def _sliding_blocks(stop: int, s0: int, cap: int, max_rows: int, itemsize: int) -> list[tuple[int, int]]:
     """Row blocks [b, e) covering 0..stop of a window absorbed after s0 STM points, each as large as fits.
 
     Block [b, e) meets ``min(cap, s0 + b) + e - b`` columns, so its distance
-    block of (e - b) rows and those columns holds at most
-    ``_BLOCK_ELEMENTS // _PLANE_SHARE`` values.
+    block of (e - b) rows and those columns, in planes of ``itemsize``
+    bytes a value, holds at most the bytes of ``_BLOCK_ELEMENTS //
+    _PLANE_SHARE`` float64 values: twice as many float32 values.
     A block has at least one row and at most ``max_rows``.
     """
     blocks = []
-    q = _BLOCK_ELEMENTS // _PLANE_SHARE
+    q = _BLOCK_ELEMENTS // _PLANE_SHARE * 8 // itemsize
     b = 0
     while b < stop:
         w = min(cap, s0 + b)
@@ -741,35 +754,35 @@ def _candidate_sizes(n: int, min_size: int) -> list[int]:
 
 
 def _band_plane(
-    points: np.ndarray, screen: _Screen, norms: np.ndarray, c0: int, first: np.ndarray, stop: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Screened squared distances of ``points`` to a centred memory from column c0 on, and each row's slack.
+    xc: np.ndarray, op: np.ndarray, norms: np.ndarray, c0: int, first: np.ndarray, stop: np.ndarray
+) -> np.ndarray:
+    """Screened squared distances of centred rows ``xc`` to a centred memory from column c0 on.
 
     Row j sees the memory's columns from ``c0 + first[j]`` up to, not
     including, ``c0 + stop[j]``, with ``stop`` growing by one per row, so
-    the plane is ``stop[-1] + 1`` columns wide. ``screen`` is the memory's operand
-    (:func:`_screen_operand`) and ``norms`` (m,) its points' unweighted
-    squared norms. The plane is :func:`_screen_planes` under unit weights,
-    NaN outside each row's columns, its width padded with NaN to whole band
-    chunks. The slack is twice the screen's margin E
-    (:func:`_screen_margin`): where an entry's order-defined distance is at
+    the plane is ``stop[-1] + 1`` columns wide. ``op`` is the memory's
+    operand (:func:`_screen_operand`) in the planes' dtype, as the window's
+    :func:`_screen_margin` chose it: float32 where every row's scale fits
+    float32's range, float64 otherwise, the kernel's rule. ``norms`` (m,)
+    are the memory points' unweighted squared norms. The plane is
+    :func:`_screen_planes` under unit weights in ``op``'s dtype, NaN outside
+    each row's columns, its width padded with NaN to whole band chunks.
+    Callers compare its values in float64 with a slack of twice the
+    margin E for that dtype: where an entry's order-defined distance is at
     most another's (or an order statistic's), its screened value is at most
     the other's plus the slack.
     """
-    r, d = points.shape
+    r, d = xc.shape
     w = int(stop[-1]) + 1
-    ones = np.ones(d)
-    xc = points - screen.centre
-    plane = np.empty((r, max(1, -(-w // _BAND_CHUNK)) * _BAND_CHUNK))
+    plane = np.empty((r, max(1, -(-w // _BAND_CHUNK)) * _BAND_CHUNK), dtype=op.dtype)
     plane[:, w:] = np.nan
     cols = slice(c0, c0 + w)
-    _screen_planes(xc, ones, (xc * xc).sum(axis=1), screen.aug[:, cols], norms[cols], plane[:, :w])
+    _screen_planes(xc, np.ones(d), (xc * xc).sum(axis=1), op[:, cols], norms[cols], plane[:, :w])
     # only the first first.max() and the last w - stop.min() columns hold entries outside a row's
     left, right = int(first.max()), int(stop.min())
     np.copyto(plane[:, :left], np.nan, where=np.arange(left) < first[:, None])
     np.copyto(plane[:, right:w], np.nan, where=np.arange(right, w) >= stop[:, None])
-    margin, _ = _screen_margin(ones[None], xc, screen.reach, np.float64)
-    return plane, 2.0 * margin[0]
+    return plane
 
 
 def _later_bound(table: np.ndarray, k: int) -> np.ndarray:
@@ -782,7 +795,9 @@ def _later_bound(table: np.ndarray, k: int) -> np.ndarray:
     minima come from the table transposed, with k rows of +inf after its
     last column, by doubling: E[c] = min(E[c], E[c + s]) for s = k, 2k, 4k
     and on, each step one contiguous pass (an accumulate along the strided
-    classes took 1.2x as long on the absorb's chunk minima).
+    classes took 1.2x as long on the absorb's chunk minima). The bound is
+    float64 whatever the table's dtype: float32 minima widen exactly, so a
+    slack added to it is added in float64.
     """
     r, w = table.shape
     e, spare = np.empty((w + k, r)), np.empty((w + k, r))
@@ -846,14 +861,15 @@ def _band_candidates(
     first over the plane's :func:`_chunk_minima` ``mins``, which drops whole
     chunks, then over the surviving points. On the screened plane a point
     (or chunk) is kept while its value is at most the screened bound plus
-    the row's ``slack``, which keeps every skyband point. The survivors get
-    their order-defined distances from ``exact(rows, columns)``. A row then
-    keeps at most ``max(_BAND_CANDIDATES, k)`` of them, its smallest by
-    (distance, position), and the bound over those drops more; a kept point
-    outside the skyband keeps k later skyband points that rule it out, as
-    those are closer. Row i of the tables holds row i's candidates in
-    position order from column 0 on, W the most any row keeps; the distance
-    table pads with +inf and the column table with 0.
+    the row's ``slack``, compared in float64, which keeps every skyband
+    point. The survivors get their order-defined distances from
+    ``exact(rows, columns)``. A row then keeps at most
+    ``max(_BAND_CANDIDATES, k)`` of them, its smallest by (distance,
+    position), and the bound over those drops more; a kept point outside
+    the skyband keeps k later skyband points that rule it out, as those
+    are closer. Row i of the tables holds row i's candidates in position
+    order from column 0 on, W the most any row keeps; the distance table
+    pads with +inf and the column table with 0.
     """
     r = len(plane)
     bound = _later_bound(mins, k)
@@ -1132,6 +1148,13 @@ class MemoryBank:
         c_pos = cl == 1
         screen = _screen_operand(cf.T)
         norms = np.square(screen.aug[:d]).sum(axis=0)
+        centre = screen.centre
+        margin, dtype = _screen_margin(np.ones((1, d)), feats - centre, screen.reach, np.float32)
+        slack = 2.0 * margin[0]
+        # cast only once float32 is chosen (data outside its range would
+        # overflow), and keep no float64 operand beside the cast
+        op = screen.aug.astype(dtype, copy=False)
+        del screen
         lf, ll = self._ltm_f, self._ltm_l
         lf_t = np.ascontiguousarray(lf.T)
         m = len(ll)
@@ -1145,7 +1168,7 @@ class MemoryBank:
         pred_ltm = np.zeros(n, dtype=np.uint8)
         pred_both = np.zeros(n, dtype=np.uint8)
         max_rows = max(1, _BLOCK_ELEMENTS // _PLANE_SHARE // m) if m else n
-        blocks = _sliding_blocks(n, s0, cap, max_rows)
+        blocks = _sliding_blocks(n, s0, cap, max_rows, op.itemsize)
         out = max(0, s0 + n - cap)
         kept = self._stm_band[min(out, s0) :]
         skip = max(0, out - s0)  # window rows evicted in-window carry no band
@@ -1154,7 +1177,7 @@ class MemoryBank:
         for b, e in blocks:
             c0, c1 = lo[b], s0 + e
             stop = s0 + steps[b:e] - c0
-            plane, slack = _band_plane(feats[b:e], screen, norms, c0, lo[b:e] - c0, stop)
+            plane = _band_plane(feats[b:e] - centre, op, norms, c0, lo[b:e] - c0, stop)
 
             def exact(rows, cols):
                 return _pair_sums(cf, s0 + b + rows, c0 + cols)
@@ -1162,7 +1185,7 @@ class MemoryBank:
             mins = _chunk_minima(plane)
             # Each row's k nearest STM points are among its candidates, which
             # keep their position order: votes over them are the slice's votes.
-            cols, near = _band_candidates(plane, mins, slack, k, exact)
+            cols, near = _band_candidates(plane, mins, slack[b:e], k, exact)
             near_pos = c_pos[c0 + cols]
             if m:
                 # A radius is only compared with undropped LTM points of the
@@ -1176,7 +1199,7 @@ class MemoryBank:
                     own = np.where(near_pos == (labels[b:e] == 1)[:, None], near, np.inf)
                     kth = _kth_smallest(own, k) if own.shape[1] >= k else np.full(e - b, np.inf)
                     kth[~meets] = -np.inf
-                    r2 = _kth_finite(_radius_candidates(plane, mins, cl[c0:c1], labels[b:e], kth + slack, exact), k)
+                    r2 = _kth_finite(_radius_candidates(plane, mins, cl[c0:c1], labels[b:e], kth + slack[b:e], exact), k)
             del plane, mins  # before the sort and the LTM distances
             # A row's band is its candidates in (distance, position) order,
             # cut; rows the window evicts (before skip) get none.

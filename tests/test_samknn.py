@@ -452,6 +452,13 @@ def count_fallback_rows(mp):
     return rows
 
 
+def record_plane_dtypes(mp):
+    """Patch the screen to record the dtype of every plane it writes; returns the set of dtypes."""
+    screen_planes, dtypes = samknn._screen_planes, set()
+    mp.setattr(samknn, "_screen_planes", lambda *args: dtypes.add(args[-1].dtype) or screen_planes(*args))
+    return dtypes
+
+
 def test_screen_votes_hold_with_planes_at_the_edge_of_the_error_bound():
     # Every plane element sits as far from its order-defined sum as the
     # documented bound allows, towards a flipped vote: positives up and
@@ -507,7 +514,6 @@ def test_screen_certifies_offset_and_scaled_streams():
     alphas = np.vstack([np.ones(chunk.n_features), rng.random((2, chunk.n_features))])
     grid_mem, grid_queries = rng.integers(0, 3, (40, 3)).astype(float), rng.integers(0, 3, (60, 3)).astype(float)
     grid_alphas = np.vstack([np.ones(3), rng.choice([0.5, 1.0], (2, 3))])
-    screen_planes = samknn._screen_planes
     for (mem, labels, queries), alphas, offset, dtype in (
         ((mem + 1e6, labels, queries + 1e6), alphas, True, np.float32),
         ((mem * 1e-3, labels, queries * 1e-3), alphas, True, np.float32),
@@ -517,9 +523,8 @@ def test_screen_certifies_offset_and_scaled_streams():
     ):
         want = np.array([samknn._vote_rows(python_sq_sums(queries, mem, a * a), labels == 1, 5) for a in alphas])
         bank = bank_with_stm(mem, labels, k=5, stm_cap=len(mem))
-        dtypes = set()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(samknn, "_screen_planes", lambda *args: dtypes.add(args[-1].dtype) or screen_planes(*args))
+            dtypes = record_plane_dtypes(mp)
             fallback = count_fallback_rows(mp)
             np.testing.assert_array_equal(FrozenChunkPredictor(queries, bank).predict(alphas), want)
         assert dtypes == {np.dtype(dtype)}
@@ -868,11 +873,15 @@ def test_fit_chunk_matches_per_instance_reference(data):
                 assert bank.state_hash() == expected
 
 
-def test_fit_chunk_matches_reference_at_the_feature_bound():
+def test_fit_chunk_matches_reference_at_the_feature_bound(monkeypatch):
     # Chunk caps feature magnitudes at _FEATURE_BOUND. Coordinates of 1e200
     # overflowed squared gaps to inf, which broke this equality and made
     # k-means seeding divide inf by inf; at the bound every sum stays finite.
+    # A window whose STM and rows spread a feature over the bound leaves
+    # float32's range, so the absorb screens it in float64 planes: its
+    # operand cast to float32 would overflow.
     rng = np.random.default_rng(8)
+    dtypes = record_plane_dtypes(monkeypatch)
     for _ in range(60):
         d, k = int(rng.integers(1, 4)), int(rng.integers(1, 6))
         kwargs = dict(k=k, stm_cap=int(rng.integers(1, 16)), ltm_cap=int(rng.integers(2, 10)), min_stm_size=k + 1, seed=3)
@@ -883,8 +892,12 @@ def test_fit_chunk_matches_reference_at_the_feature_bound():
             far = rng.random((n, d)) < 0.4
             feats[far] = rng.choice([-_FEATURE_BOUND, _FEATURE_BOUND], int(far.sum()))
             chunk = make_chunk(feats, rng.integers(0, 2, n), rng.integers(0, 2, n), t + 1)
+            at_bound = np.ptp(np.vstack([bank.stm_features, feats]), axis=0).max() >= _FEATURE_BOUND
+            dtypes.clear()
             with np.errstate(all="raise"):
                 bank.fit_chunk(chunk)
+            if at_bound:
+                assert dtypes == {np.dtype(np.float64)}
             reference_fit_chunk(reference, chunk)
             assert bank.state_hash() == reference.state_hash()
 
@@ -915,6 +928,31 @@ def reference_like_chunks(transform, n_instances=600, window=100):
         drift_points=(n_instances // 2,), seed=11, window_size=window,
     )
     return [make_chunk(transform(c.features), c.groups, c.labels, c.index) for c in generate_bias_stream(config)]
+
+
+@pytest.mark.parametrize(
+    "scale, dtype", [(1.0, np.float32), (1e30, np.float64), (1e-30, np.float64)], ids=["plain", "x1e30", "x1e-30"]
+)
+def test_absorb_screens_in_float64_planes_outside_float32s_range(scale, dtype):
+    # The absorb takes the kernel's dtype rule: float32 planes where every
+    # window row's unit-weight scale U lies in [2^-126, 2^126], float64
+    # otherwise. Reference-like data fit; scaled by 1e30 or 1e-30 their U
+    # leaves that range. Either way the bank must equal the per-instance
+    # reference after every window, with no floating-point warning.
+    chunks = reference_like_chunks(lambda x: x * scale, n_instances=400)
+    kwargs = dict(k=5, stm_cap=250, ltm_cap=60, min_stm_size=20, seed=4)
+    reference, want = MemoryBank(chunks[0].n_features, **kwargs), []
+    for chunk in chunks:
+        reference_fit_chunk(reference, chunk)
+        want.append(reference.state_hash())
+    bank = MemoryBank(chunks[0].n_features, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        dtypes = record_plane_dtypes(mp)
+        for chunk, expected in zip(chunks, want):
+            with np.errstate(all="raise"):
+                bank.fit_chunk(chunk)
+            assert bank.state_hash() == expected
+    assert dtypes == {np.dtype(dtype)}
 
 
 def count_pair_sums(mp):
@@ -1081,8 +1119,12 @@ def test_screened_absorb_holds_with_planes_at_the_edge_of_the_error_bound():
     # the newer half down, then the reverse. Integer grids tie many exact
     # distances, so a slack smaller than the bound drops band members (a
     # tied later point looks strictly closer) or radius entries, and the
-    # bank leaves the per-instance reference.
+    # bank leaves the per-instance reference. The grids fit float32, so the
+    # absorb screens them in float32 planes, pushed by float32's bound; their
+    # centred coordinates (whole and half units) are exact in the float32
+    # operand the hook reads.
     rng = np.random.default_rng(13)
+    dtypes = []
     for trial in range(6):
         d, k = (1, 2, 3)[trial % 3], (1, 3, 5)[trial % 3]
         x = rng.integers(0, 3, (120, d)).astype(float)
@@ -1094,6 +1136,7 @@ def test_screened_absorb_holds_with_planes_at_the_edge_of_the_error_bound():
         for push in (1, -1):
 
             def hook(xc, w, xn, aug, mn, plane):
+                dtypes.append(plane.dtype)
                 return planes_at_the_error_bound(aug.shape[-1] // 2, push)(xc, w, xn, aug, mn, plane)
 
             bank, reference = MemoryBank(d, **kwargs), MemoryBank(d, **kwargs)
@@ -1103,6 +1146,7 @@ def test_screened_absorb_holds_with_planes_at_the_edge_of_the_error_bound():
                     bank.fit_chunk(chunk)
                     reference_fit_chunk(reference, chunk)
                     assert bank.state_hash() == reference.state_hash()
+    assert set(dtypes) == {np.dtype(np.float32)}
 
 
 @given(data=st.data())
