@@ -51,9 +51,10 @@ Every weighted prediction goes through one kernel, and every vote it returns
 equals the vote of the order-defined distances; BLAS only screens. The
 kernel screens the memory label-ordered, label-1 points first and each label
 in position order, and centred on each feature's mid-range. It takes the S
-weight vectors w of a stack one at a time, and for each walks the queries in
-row blocks. BLAS matrix products of a block's rows
-``[-2 w x', |x'|^2_w, 1]`` with the memory's columns ``[m'; 1; |m'|^2_w]``
+weight vectors w of a stack one at a time, writing each one's memory norms
+into the operand once, and walks the queries in row blocks: one screen call
+per (vector, block) builds the rows ``[-2 w x', |x'|^2_w, 1]`` once, and
+BLAS products of them with the memory's columns ``[m'; 1; |m'|^2_w]``
 write the block's distances by the expansion
 ``|x' - m'|^2_w = |x'|^2_w + |m'|^2_w - 2 <w x', m'>``, with no difference
 block; their rounding follows the block shape and the BLAS build. The
@@ -67,15 +68,16 @@ So the products write each label side of a block as its own C-contiguous
 plane, positives (r, npos) and negatives (r, m - npos), and the t-th
 smallest of each positive row and the u-th smallest of each negative row
 (:func:`_kth_smallest`, which peels row minima with ``argmin``) give the
-two order statistics ``a`` and ``b`` of every row, widened to float64. The
-BLAS sums and the order-defined ones both lie within a proven error of the
-exact sums, relative to a per-row scale of the centred data (in the planes'
-unit roundoff) plus an absolute term of the planes' subnormal step, so
-where ``a`` and ``b`` are farther apart than that margin the vote is
-certified; every other row (near ties, and exact ties that
-position decides) takes the vote of its order-defined distances under that
-vector to the memory in position order (:func:`_exact_votes`). A label too
-short for its quota makes the vote a constant. Memories and queries hold features of
+two order statistics ``a`` and ``b`` of every row, widened into (S, n)
+float64 arrays. The BLAS sums and the order-defined ones both lie within a
+proven error of the exact sums, relative to a per-row scale of the centred
+data (in the planes' unit roundoff) plus an absolute term of the planes'
+subnormal step, so where ``a`` and ``b`` are farther apart than that margin
+the vote is certified, once over the call; every other (vector, row) pair
+(near ties, and exact ties that position decides) takes the vote of its
+order-defined distances under that vector in position order
+(:func:`_exact_votes`, one call per vector). A label too short for its
+quota makes the vote a constant. Memories and queries hold features of
 magnitude at most ``stream._FEATURE_BOUND``, so every distance is finite.
 The kernel runs its blocks one after another on the calling thread,
 reusing one block buffer and one copy of the memory's operand. A vote
@@ -91,7 +93,7 @@ point's removal by cleaning at step i depends only on x_i, on that slice and
 on the point itself, never on another removal, so one first-drop step per
 LTM point gives the LTM of every step. A block of window rows screens its
 distances to C (unweighted, C centred as one operand, in the planes' dtype
-the window's rows chose) and keeps, with a slack of 2E per row, a superset
+the window's rows chose) and keeps, with a slack of E per row, a superset
 of each row's k-skyband in its slice; the minima of the plane's 8-column
 chunks drop most columns unread. Rows whose label still meets an
 undropped LTM point of the other label also keep the same-label entries
@@ -428,7 +430,7 @@ def _pair_sums(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 class _Screen(NamedTuple):
     """A memory in the screen's layout (see :func:`_screen_operand`)."""
 
-    aug: np.ndarray  # (d + 2, m): memory_t - centre, a row of ones, a scratch row
+    aug: np.ndarray  # (d + 2, m): memory_t - centre, a row of ones, the norms row
     centre: np.ndarray  # (d,): each feature's mid-range over the memory
     reach: np.ndarray  # (d,): largest |aug[f]| over the memory
 
@@ -438,9 +440,9 @@ def _screen_operand(memory_t: np.ndarray) -> _Screen:
 
     Its first d rows hold the memory centred, ``m' = fl(m - centre)`` with
     ``centre`` each feature's mid-range; row d holds ones and the last row
-    is scratch, which each screen product fills with the memory's weighted
-    norms (see :func:`_screen_planes`). ``reach`` is M'_f >= |m'_f| over
-    the memory.
+    the memory's squared norms under the screen's weights, written by their
+    owner: the kernel once per weight vector, the window absorb once per
+    window. ``reach`` is M'_f >= |m'_f| over the memory.
     """
     d, m = memory_t.shape
     high, low = memory_t.max(axis=1), memory_t.min(axis=1)
@@ -476,52 +478,51 @@ def _label_ordered(features: np.ndarray, labels: np.ndarray) -> _KernelMemory:
 
 
 def _screen_planes(
-    xc: np.ndarray, w: np.ndarray, xn: np.ndarray, op: np.ndarray, mn: np.ndarray, plane: np.ndarray
-) -> np.ndarray:
+    xc: np.ndarray, w: np.ndarray, xn: np.ndarray, op: np.ndarray, planes: Sequence[np.ndarray]
+) -> None:
     """Screen distances of r centred queries ``xc`` (r, d) under one weight vector ``w`` (d,).
 
-    ``xn`` (r,) and ``mn`` (cols,) are the weighted squared norms of the
-    centred queries and memory points. ``op`` is the memory's (d + 2, cols)
-    product operand (:func:`_screen_operand`, or a column slice of it, in
-    the plane's dtype), whose last row this overwrites with ``mn``. BLAS
-    products of the rows ``[-2 w * x', xn, 1]`` with ``op`` write the
-    (r, cols) ``plane``: ``|x'|^2 + |m'|^2 - 2 <w x', m'>``, the weighted
-    squared distance by expansion, with no difference block. ``xc``, ``w``,
-    ``xn`` and ``mn`` are float64; ``-2 w * x'`` is formed in float64, and
-    it and both norms are rounded once into the plane's dtype, float64 or
-    float32. Each product takes at most ``_SCREEN_CALL`` multiply-adds. The
-    summation order (blocking, fused multiply-adds) is the BLAS build's, so
-    these distances are not the order-defined ones: callers only compare
-    them, with the margin of :func:`_screen_margin` for the plane's dtype.
+    ``xn`` (r,) are the centred queries' weighted squared norms. ``op`` is
+    the memory's (d + 2, cols) product operand (:func:`_screen_operand`, or
+    a column slice of it, in the planes' dtype), its last row the memory's
+    norms under ``w``. BLAS products of the rows ``[-2 w * x', xn, 1]``,
+    built once, with consecutive column ranges of ``op`` write each
+    (r, width) plane of ``planes`` in turn: ``|x'|^2 + |m'|^2 - 2 <w x', m'>``,
+    the weighted squared distance by expansion, with no difference block.
+    ``xc``, ``w`` and ``xn`` are float64; ``-2 w * x'`` is formed in float64,
+    and it and ``xn`` are rounded once into the planes' dtype. Each product
+    takes at most ``_SCREEN_CALL`` multiply-adds. The summation order
+    (blocking, fused multiply-adds) is the BLAS build's, so these distances
+    are not the order-defined ones: callers only compare them, with the
+    margin of :func:`_screen_margin` for the planes' dtype.
     """
     r, d = xc.shape
-    K, m = op.shape
-    lhs = np.empty((r, K), dtype=plane.dtype)
+    K = op.shape[0]
+    lhs = np.empty((r, K), dtype=planes[0].dtype)
     np.multiply(xc, -2.0 * w, out=lhs[:, :d])
     lhs[:, d] = xn
     lhs[:, d + 1] = 1.0
-    op[d + 1] = mn
-    cols = max(1, min(m, _SCREEN_CALL // K))
-    step = max(1, _SCREEN_CALL // (K * cols))
-    for i in range(0, r, step):
-        for c in range(0, m, cols):
-            np.matmul(lhs[i : i + step], op[:, c : c + cols], out=plane[i : i + step, c : c + cols])
-    return plane
+    for plane in planes:
+        m = plane.shape[1]
+        side, op = op[:, :m], op[:, m:]
+        cols = max(1, min(m, _SCREEN_CALL // K))
+        step = max(1, _SCREEN_CALL // (K * cols))
+        for i in range(0, r, step):
+            for c in range(0, m, cols):
+                np.matmul(lhs[i : i + step], side[:, c : c + cols], out=plane[i : i + step, c : c + cols])
 
 
-def _screen_margin(
-    w: np.ndarray, xc: np.ndarray, reach: np.ndarray, dtype: type
-) -> tuple[np.ndarray, type]:
-    """Certified margin E (S, n) of screen planes in ``dtype`` for weight rows ``w`` (S, d) and centred rows ``xc``.
+def _screen_margin(w: np.ndarray, xc: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, type]:
+    """Certified margin E (S, n) of the screen's planes for weight rows ``w`` (S, d) and centred rows ``xc``.
 
     ``xc`` is (n, d) and ``reach`` the memory's (:func:`_screen_operand`).
-    Returns E and the planes' dtype it holds for: ``dtype``, or float64
-    where float32 is asked for but the data's range does not fit it
-    (below). Both screens ask for float32 and take the dtype returned: the
-    kernel once per call, for its weight stack and queries, and the window
-    absorb once per window, under unit weights for all the window's rows.
-    Screened values meet E only in float64 (widened exactly from float32),
-    as E or 2E added into a float32 array would be rounded to float32.
+    Returns E and the planes' dtype it holds for: float32, or float64
+    where the data's range does not fit float32 (below). Both screens take
+    the dtype returned: the kernel once per call, for its weight stack and
+    queries, and the window absorb once per window, under unit weights for
+    all the window's rows. Screened values meet E only in float64 (widened
+    exactly from float32), as E added into a float32 array would be
+    rounded to float32.
 
     Let u be the planes' unit roundoff and s their subnormal step: 2^-53
     and 2^-1074 for float64, 2^-24 and 2^-149 for float32. Every rounding,
@@ -580,19 +581,20 @@ def _screen_margin(
     2^-53 |y + E|, and |y| is at most (1 + 3u + 3 rho0) T + 3 A0 however
     it cancels, so E (1 - 2^-53) - 2^-53 |y| still exceeds 4(rho0 T + A0):
     ``y + E < z`` implies Y < Z and ``y - E > z`` implies Y > Z. Likewise
-    ``fl(z + 2E)`` is at least z + 4(rho0 T + A0), so Y <= Z implies
-    ``y <= fl(z + 2E)``. This assumes IEEE 754 rounding to nearest without
-    flushing subnormals to zero, in float64 and float32 casts and products
-    alike, which is numpy's and OpenBLAS's default
+    ``fl(z + E)`` is at least z + 4(rho0 T + A0), so Y <= Z implies
+    ``y <= fl(z + E)``: E is the slack of every screened bound too. This
+    assumes IEEE 754 rounding to nearest without flushing subnormals to
+    zero, in float64 and float32 casts and products alike, numpy's and
+    OpenBLAS's default
     (``test_float32_casts_and_products_keep_subnormals`` checks it on the
     build it runs on).
     """
     d = xc.shape[1]
     spread = (np.abs(xc) + reach) ** 2
-    if dtype == np.float32:
-        unit = spread.sum(axis=1)  # each row's U
-        if (d + 2) ** 2 > 2**18 or unit.min(initial=1.0) < 2.0**-126 or unit.max(initial=1.0) > 2.0**126:
-            dtype = np.float64
+    unit = spread.sum(axis=1)  # each row's U
+    dtype = np.float32
+    if (d + 2) ** 2 > 2**18 or unit.min(initial=1.0) < 2.0**-126 or unit.max(initial=1.0) > 2.0**126:
+        dtype = np.float64
     info = np.finfo(dtype)
     u, s = float(info.eps) / 2, float(info.smallest_subnormal)
     scale = np.einsum("sf,nf->sn", w, spread)
@@ -613,32 +615,31 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     least one row); both are C-contiguous pieces of one buffer. The
     buffer is float32, or float64 where the data's range does not fit
     float32 (:func:`_screen_margin` chooses once per call). It and a copy
-    of the memory's product operand in its dtype, whose scratch row takes
-    each vector's memory norms, are allocated once per call and reused by
-    every block, so a call holds about one block, and concurrent calls
-    share no scratch.
+    of the memory's product operand in its dtype, whose last row takes
+    each vector's memory norms once, are allocated once per call and
+    reused by every block, so a call holds about one block beside its
+    (S, n) order statistics, and concurrent calls share no scratch.
 
     With kk = min(k, m), a row votes 1 iff at least t = ceil(kk / 2) of its kk
     nearest points are positive, that is iff in the stable (distance,
     position) order the t-th nearest positive comes before the u-th nearest
     negative, u = kk - t + 1. With fewer than u negatives every row votes 1,
-    and with fewer than t positives every row votes 0. Otherwise
-    :func:`_screen_planes` writes each block's planes from the centred
-    queries ``x' = fl(x - mu)`` and memory ``m' = fl(m - mu)``, once per
-    label side: on the positive columns of the operand and memory norms into
-    the positive plane, then on the negative columns into the negative
-    plane, so no operand is copied. :func:`_kth_smallest` overwrites each
-    plane as it takes ``a``, the t-th smallest positive distance, and ``b``,
-    the u-th smallest negative one, of every row. The order-defined vote is
-    1 if the order-defined ``a`` is below the order-defined ``b``, 0 if
+    and with fewer than t positives every row votes 0. Otherwise one
+    :func:`_screen_planes` call per (vector, block) writes both planes from
+    the centred queries ``x' = fl(x - mu)`` and memory ``m' = fl(m - mu)``:
+    the positive columns of the operand into the positive plane, then the
+    negative columns into the negative plane, so no operand is copied.
+    :func:`_kth_smallest` overwrites each plane as it takes ``a``, the t-th
+    smallest positive distance, and ``b``, the u-th smallest negative one,
+    of every row, widened into (S, n) float64 arrays. The order-defined vote
+    is 1 if the order-defined ``a`` is below the order-defined ``b``, 0 if
     above, and decided by position on a tie. With E the row's margin under
-    the vector (:func:`_screen_margin`), the kernel widens ``a`` and ``b``
-    to float64 and votes 1 where ``a + E < b`` and 0 where ``a - E > b``,
-    which certifies the order-defined vote. Every other row (near ties,
-    exact ties) of a block gets its vote from :func:`_exact_votes` under
-    that vector, over the memory's position-order copy and label mask, in
-    chunks of at most ``_BLOCK_ELEMENTS // _GATHER_SHARE`` distances beside
-    the block.
+    the vector (:func:`_screen_margin`), the kernel votes 1 where
+    ``a + E < b`` and 0 where ``a - E > b`` once over the whole call, which
+    certifies the order-defined vote. Every other (vector, row) pair (near
+    ties, exact ties) gets its vote from one :func:`_exact_votes` call per
+    vector, over the memory's position-order copy and label mask, in chunks
+    of at most ``_BLOCK_ELEMENTS // _GATHER_SHARE`` distances.
     """
     n, d = queries.shape
     m = memory.memory_t.shape[1]
@@ -657,25 +658,27 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     xc = queries - screen.centre
     xn = np.einsum("sf,nf->sn", w, xc * xc)
     mn = np.einsum("sf,fm->sm", w, screen.aug[:d] * screen.aug[:d])
-    margin, dtype = _screen_margin(w, xc, screen.reach, np.float32)
+    margin, dtype = _screen_margin(w, xc, screen.reach)
     buf = np.empty(rows * m, dtype=dtype)
     op = screen.aug.astype(dtype)
+    a, b = np.empty(margin.shape), np.empty(margin.shape)
     for s in range(len(w)):
+        op[d + 1] = mn[s]
         for start in range(0, n, rows):
             stop = min(start + rows, n)
             r = stop - start
-            x, e = xc[start:stop], margin[s, start:stop]
+            # two contiguous planes: argmin along a strided view's rows takes about twice as long
             pos = buf[: r * npos].reshape(r, npos)
             neg = buf[r * npos : r * m].reshape(r, m - npos)
-            a = _kth_smallest(_screen_planes(x, w[s], xn[s, start:stop], op[:, :npos], mn[s, :npos], pos), t)
-            b = _kth_smallest(_screen_planes(x, w[s], xn[s, start:stop], op[:, npos:], mn[s, npos:], neg), u)
-            # widened before they meet the float64 margin
-            a, b = a.astype(np.float64), b.astype(np.float64)
-            vote = a + e < b
-            out[s, start:stop] = vote
-            sub = start + np.flatnonzero(~(vote | (a - e > b)))
-            if sub.size:
-                out[s, sub] = _exact_votes(queries[sub], memory.memory_t, memory.positive, k, w[s])
+            _screen_planes(xc[start:stop], w[s], xn[s, start:stop], op, (pos, neg))
+            a[s, start:stop] = _kth_smallest(pos, t)
+            b[s, start:stop] = _kth_smallest(neg, u)
+    vote = a + margin < b
+    undecided = ~(vote | (a - margin > b))
+    out[:] = vote
+    for s in np.flatnonzero(undecided.any(axis=1)):
+        sub = np.flatnonzero(undecided[s])
+        out[s, sub] = _exact_votes(queries[sub], memory.memory_t, memory.positive, k, w[s])
     return out
 
 
@@ -753,9 +756,7 @@ def _candidate_sizes(n: int, min_size: int) -> list[int]:
     return sizes
 
 
-def _band_plane(
-    xc: np.ndarray, op: np.ndarray, norms: np.ndarray, c0: int, first: np.ndarray, stop: np.ndarray
-) -> np.ndarray:
+def _band_plane(xc: np.ndarray, op: np.ndarray, c0: int, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
     """Screened squared distances of centred rows ``xc`` to a centred memory from column c0 on.
 
     Row j sees the memory's columns from ``c0 + first[j]`` up to, not
@@ -763,21 +764,20 @@ def _band_plane(
     the plane is ``stop[-1] + 1`` columns wide. ``op`` is the memory's
     operand (:func:`_screen_operand`) in the planes' dtype, as the window's
     :func:`_screen_margin` chose it: float32 where every row's scale fits
-    float32's range, float64 otherwise, the kernel's rule. ``norms`` (m,)
-    are the memory points' unweighted squared norms. The plane is
+    float32's range, float64 otherwise, the kernel's rule. Its last row
+    holds the memory points' unweighted squared norms. The plane is
     :func:`_screen_planes` under unit weights in ``op``'s dtype, NaN outside
     each row's columns, its width padded with NaN to whole band chunks.
-    Callers compare its values in float64 with a slack of twice the
-    margin E for that dtype: where an entry's order-defined distance is at
-    most another's (or an order statistic's), its screened value is at most
-    the other's plus the slack.
+    Callers compare its values in float64 with a slack of the margin E for
+    that dtype: where an entry's order-defined distance is at most
+    another's (or an order statistic's), its screened value is at most the
+    other's plus the slack.
     """
     r, d = xc.shape
     w = int(stop[-1]) + 1
     plane = np.empty((r, max(1, -(-w // _BAND_CHUNK)) * _BAND_CHUNK), dtype=op.dtype)
     plane[:, w:] = np.nan
-    cols = slice(c0, c0 + w)
-    _screen_planes(xc, np.ones(d), (xc * xc).sum(axis=1), op[:, cols], norms[cols], plane[:, :w])
+    _screen_planes(xc, np.ones(d), (xc * xc).sum(axis=1), op[:, c0 : c0 + w], (plane[:, :w],))
     # only the first first.max() and the last w - stop.min() columns hold entries outside a row's
     left, right = int(first.max()), int(stop.min())
     np.copyto(plane[:, :left], np.nan, where=np.arange(left) < first[:, None])
@@ -861,9 +861,9 @@ def _band_candidates(
     first over the plane's :func:`_chunk_minima` ``mins``, which drops whole
     chunks, then over the surviving points. On the screened plane a point
     (or chunk) is kept while its value is at most the screened bound plus
-    the row's ``slack``, compared in float64, which keeps every skyband
-    point. The survivors get their order-defined distances from
-    ``exact(rows, columns)``. A row then keeps at most
+    the row's ``slack``, its margin E (:func:`_screen_margin`), compared in
+    float64, which keeps every skyband point. The survivors get their
+    order-defined distances from ``exact(rows, columns)``. A row then keeps at most
     ``max(_BAND_CANDIDATES, k)`` of them, its smallest by (distance,
     position), and the bound over those drops more; a kept point outside
     the skyband keeps k later skyband points that rule it out, as those
@@ -908,10 +908,10 @@ def _radius_candidates(
     columns are labelled ``col_labels``, and ``mins`` its
     :func:`_chunk_minima`. A row's entries are its non-NaN columns of its
     own label (``row_labels``), and it keeps those whose screened value is
-    at most its ``bound``. For ``bound = fl(V + 2E)``, 2E the row's slack
+    at most its ``bound``. For ``bound = fl(V + E)``, E the row's slack
     and V an order-defined distance at least its k-th smallest entry's (the
     k-th smallest of any k of its entries, say), the margin's
-    ``U <= V => u <= fl(v + 2E)`` (:func:`_screen_margin`; it holds for any
+    ``U <= V => u <= fl(v + E)`` (:func:`_screen_margin`; it holds for any
     v within the screen's error of V, so for v = V) keeps every entry up to
     the k-th smallest, so :func:`_kth_finite` over the kept entries'
     order-defined distances is the row's radius. A bound of +inf keeps all
@@ -1147,10 +1147,10 @@ class MemoryBank:
         cl = np.concatenate([self._stm_l, labels])
         c_pos = cl == 1
         screen = _screen_operand(cf.T)
-        norms = np.square(screen.aug[:d]).sum(axis=0)
+        screen.aug[d + 1] = np.square(screen.aug[:d]).sum(axis=0)
         centre = screen.centre
-        margin, dtype = _screen_margin(np.ones((1, d)), feats - centre, screen.reach, np.float32)
-        slack = 2.0 * margin[0]
+        margin, dtype = _screen_margin(np.ones((1, d)), feats - centre, screen.reach)
+        slack = margin[0]
         # cast only once float32 is chosen (data outside its range would
         # overflow), and keep no float64 operand beside the cast
         op = screen.aug.astype(dtype, copy=False)
@@ -1177,7 +1177,7 @@ class MemoryBank:
         for b, e in blocks:
             c0, c1 = lo[b], s0 + e
             stop = s0 + steps[b:e] - c0
-            plane = _band_plane(feats[b:e] - centre, op, norms, c0, lo[b:e] - c0, stop)
+            plane = _band_plane(feats[b:e] - centre, op, c0, lo[b:e] - c0, stop)
 
             def exact(rows, cols):
                 return _pair_sums(cf, s0 + b + rows, c0 + cols)
@@ -1419,17 +1419,17 @@ class FrozenChunkPredictor:
     kNN kernel: one weight vector (d,) gives (n,) votes, a stack (S, d) gives
     (S, n), row s equal to predicting with the s-th vector alone. Each row
     votes from the t-th nearest positive and u-th nearest negative distance,
-    screened by BLAS products, one weight vector and row block at a time;
-    rows the screen cannot certify take the vote of their order-defined
-    distances in position order (:func:`_exact_votes`). Every vote is the
+    screened by one BLAS screen call per weight vector and row block and
+    certified once per call; the rest take the vote of their order-defined
+    distances (:func:`_exact_votes`, one call per vector). Every vote is the
     one the order-defined left-to-right sums over features give, so results
     are bitwise identical to a one-row predictor per query, whatever the row
     block size (``_BLOCK_ELEMENTS`` elements of a block's distance plane,
     float32 where the data fit it, at least one row) and whatever the
     planes' dtype. The blocks run one after another on the calling thread,
     sharing one block buffer and one copy of the memory's product operand,
-    so a call's scratch peaks at about one block. Each call
-    makes its own scratch, so concurrent calls do not interfere, and the
+    so a call's scratch peaks at about one block beside its (S, n) order
+    statistics. Each call makes its own scratch, so concurrent calls do not interfere, and the
     predictor keeps no state between calls: each call computes every vote
     it returns.
     """

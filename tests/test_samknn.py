@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import struct
 import tracemalloc
@@ -367,13 +366,14 @@ def test_screen_keeps_order_defined_votes_at_the_feature_bound():
 def planes_at_the_error_bound(npos, push, reach=None, memory=None):
     """A screen hook whose planes sit at the edge of the documented error bound.
 
-    Each element is the order-defined sum of the centred query and memory
-    point (Python floats added left to right, as ``_sq_dists`` adds them),
-    moved by 2(rho0 * T + A0), the bound the ``_screen_margin`` docstring
-    puts between a screened value and its order-defined one
+    The planes take consecutive columns of the memory, as the screen's own
+    planes do. Each element is the order-defined sum of the centred query
+    and memory point (Python floats added left to right, as ``_sq_dists``
+    adds them), moved by 2(rho0 * T + A0), the bound the ``_screen_margin``
+    docstring puts between a screened value and its order-defined one
     (rho0 = (2d + 9) u, A0 = (2 sum M' + 8d + 8) s,
     T = sum_f w_f (|x'_f| + M'_f)^2, u the plane dtype's unit roundoff and
-    s its subnormal step), and rounded back inside it in the plane's dtype:
+    s its subnormal step), and rounded back inside it in the planes' dtype:
     up for the first ``npos`` columns and down for the rest when ``push``
     is 1, the other way when it is -1. ``memory`` is the centred float64
     memory (d, cols), by default the operand's first d rows, and M' is
@@ -381,26 +381,30 @@ def planes_at_the_error_bound(npos, push, reach=None, memory=None):
     throughout.
     """
 
-    def hook(xc, w, xn, aug, mn, plane):
+    def hook(xc, w, xn, aug, planes):
         d = xc.shape[1]
         points = (aug[:d] if memory is None else memory).T.tolist()
         if reach is None:
             M = [max(abs(Fraction(point[f])) for point in points) for f in range(d)]
         else:
             M = [Fraction(v) for v in reach.tolist()]
-        info = np.finfo(plane.dtype)
+        dtype = planes[0].dtype
+        info = np.finfo(dtype)
         rho0 = (2 * d + 9) * Fraction(float(info.eps)) / 2
         a0 = (2 * sum(M) + 8 * d + 8) * Fraction(float(info.smallest_subnormal))
+        ends = np.cumsum([plane.shape[1] for plane in planes])
         for i, x in enumerate(xc.tolist()):
             scale = sum(Fraction(wf) * (abs(Fraction(xf)) + mf) ** 2 for wf, xf, mf in zip(w.tolist(), x, M))
             bound = 2 * (rho0 * scale + a0)
-            for j, dist in enumerate(python_sq_sums(np.array([x]), np.array(points), w)[0].tolist()):
+            row = np.empty(ends[-1], dtype=dtype)
+            for j, dist in enumerate(python_sq_sums(np.array([x]), np.array(points[: ends[-1]]), w)[0].tolist()):
                 target = Fraction(dist) + (bound if (j < npos) == (push > 0) else -bound)
-                g = plane.dtype.type(float(target))
+                g = dtype.type(float(target))
                 while abs(Fraction(float(g)) - Fraction(dist)) > bound:
-                    g = np.nextafter(g, plane.dtype.type(-np.inf if Fraction(float(g)) > dist else np.inf))
-                plane[i, j] = g
-        return plane
+                    g = np.nextafter(g, dtype.type(-np.inf if Fraction(float(g)) > dist else np.inf))
+                row[j] = g
+            for plane, part in zip(planes, np.split(row, ends[:-1])):
+                plane[i] = part
 
     return hook
 
@@ -409,30 +413,26 @@ def kernel_planes_at_the_error_bound(screen, push, dtypes=None):
     """:func:`planes_at_the_error_bound` for the kernel, whose screen reaches the whole memory.
 
     ``screen`` is the memory's float64 screen operand (``_label_ordered``).
-    The kernel screens each row block's positive columns, then its negative
-    ones, so the calls alternate sides: positives go up and negatives down
-    when ``push`` is 1. Each plane's dtype is appended to ``dtypes``.
+    The kernel screens each row block's positive columns and its negative
+    ones in one call, the positive plane first, so positives go up and
+    negatives down when ``push`` is 1. Each call's dtype is appended to
+    ``dtypes``.
     """
-    sides = itertools.cycle((True, False))
     d = len(screen.centre)
 
-    def hook(xc, w, xn, aug, mn, plane):
-        positive, width = next(sides), aug.shape[-1]
-        # aug is the kernel's copy in the plane's dtype; D comes from the float64 memory
-        memory = screen.aug[:d, :width] if positive else screen.aug[:d, -width:]
+    def hook(xc, w, xn, aug, planes):
         if dtypes is not None:
-            dtypes.append(plane.dtype)
-        hook_for_side = planes_at_the_error_bound(width if positive else 0, push, screen.reach, memory)
-        return hook_for_side(xc, w, xn, aug, mn, plane)
+            dtypes.append(planes[0].dtype)
+        # aug is the kernel's copy in the planes' dtype; D comes from the float64 memory
+        return planes_at_the_error_bound(planes[0].shape[1], push, screen.reach, screen.aug[:d])(xc, w, xn, aug, planes)
 
     return hook
 
 
 def certify_nothing(*args):
     """A stand-in for the kernel's screen whose NaN planes certify no vote."""
-    planes = args[-1]
-    planes.fill(np.nan)
-    return planes
+    for plane in args[-1]:
+        plane.fill(np.nan)
 
 
 def count_fallback_rows(mp):
@@ -455,7 +455,7 @@ def count_fallback_rows(mp):
 def record_plane_dtypes(mp):
     """Patch the screen to record the dtype of every plane it writes; returns the set of dtypes."""
     screen_planes, dtypes = samknn._screen_planes, set()
-    mp.setattr(samknn, "_screen_planes", lambda *args: dtypes.add(args[-1].dtype) or screen_planes(*args))
+    mp.setattr(samknn, "_screen_planes", lambda *args: dtypes.add(args[-1][0].dtype) or screen_planes(*args))
     return dtypes
 
 
@@ -540,7 +540,7 @@ def test_float32_casts_and_products_keep_subnormals():
     # float32 products and sums keep subnormal inputs, products and results.
     # A build that flushed them would leave the absolute term short. The
     # products go through the screen's own call, column slices of the
-    # operand included.
+    # operand and two planes from one call included.
     step = 2.0**-149
     wide = np.array([step, 3 * step, 2.5 * step, 2.0**-127 + step, -(2.0**-140) * 5])
     cast = wide.astype(np.float32).astype(np.float64)
@@ -550,10 +550,13 @@ def test_float32_casts_and_products_keep_subnormals():
     xc = rng.integers(-3, 4, (r, d)) * 2.0**-140  # subnormal in float32
     w = np.full(d, 0.5)
     memory = rng.integers(-3, 4, (d, m)) * 2.0**-3
-    op = np.vstack([memory, np.ones((2, m))]).astype(np.float32)
+    # a row of ones, then a norms row of zeros
+    op = np.vstack([memory, np.ones((1, m)), np.zeros((1, m))]).astype(np.float32)
     plane = np.empty((r, m), dtype=np.float32)
-    for cols in (slice(None), slice(1, m - 2)):
-        got = samknn._screen_planes(xc, w, np.zeros(r), op[:, cols], np.zeros(m)[cols], plane[:, cols])
+    for parts in ([slice(0, m)], [slice(1, m - 2)], [slice(0, 120), slice(120, m)]):
+        cols = slice(parts[0].start, parts[-1].stop)
+        samknn._screen_planes(xc, w, np.zeros(r), op[:, cols], [plane[:, part] for part in parts])
+        got = plane[:, cols]
         # small multiples of 2^-143: every product and sum is exact, and most are subnormal
         want = (-2 * w * xc) @ memory[:, cols]
         assert (np.abs(want) < np.finfo(np.float32).tiny).mean() > 0.5 and np.count_nonzero(want) > 0.9 * want.size
@@ -720,10 +723,11 @@ def test_screen_products_stay_below_blas_threading_size(rng, monkeypatch):
 
 
 def test_screen_products_keep_every_vote(rng):
-    # Each block screens one weight vector, its positive columns and then its
-    # negative ones, with that vector's memory norms in the operand's scratch
-    # row; the votes are the order-defined ones on integer grids (exact ties)
-    # and on continuous data.
+    # Each block screens one weight vector in one call, its positive columns
+    # and then its negative ones, with that vector's memory norms in the
+    # operand's last row; the votes are the order-defined ones on integer
+    # grids (exact ties) and on continuous data. The 30 queries make one
+    # block, so each vector makes one call.
     screen_planes = samknn._screen_planes
     for m, d, S, grid in ((40, 3, 7, True), (60, 8, 12, False), (25, 13, 5, True)):
         make = (lambda shape: rng.integers(0, 3, shape).astype(float)) if grid else rng.random
@@ -734,15 +738,15 @@ def test_screen_products_keep_every_vote(rng):
         predictor = FrozenChunkPredictor(queries, bank_with_stm(mem, labels, k=3, min_stm_size=4, stm_cap=m))
         seen = []
 
-        def recorded(xc, w, xn, op, mn, plane):
-            seen.append(op.shape)
-            return screen_planes(xc, w, xn, op, mn, plane)
+        def recorded(xc, w, xn, op, planes):
+            seen.append((op.shape, [plane.shape[1] for plane in planes]))
+            return screen_planes(xc, w, xn, op, planes)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(samknn, "_screen_planes", recorded)
             np.testing.assert_array_equal(predictor.predict(alphas), want)
         npos = int(np.count_nonzero(labels == 1))
-        assert seen == [(d + 2, npos), (d + 2, m - npos)] * S
+        assert seen == [((d + 2, m), [npos, m - npos])] * S
 
 
 def test_kernel_scratch_is_one_block(rng):
@@ -770,7 +774,9 @@ def test_fallback_scratch_stays_within_one_block(rng):
     # fallback. It recomputes the rows in chunks beside the kernel's block,
     # so the peak stays under the one-block bound above, with one vector
     # (blocks of many rows) or several. Recomputing a block's rows at once
-    # would take about four blocks with one vector, two with four.
+    # would take about four blocks with one vector, two with four. The
+    # call certifies once over its 3 blocks and sends each vector's rows to
+    # the fallback in one call.
     d, m, n = 8, 2000, 300
     bank = bank_with_stm(rng.random((m, d)), rng.integers(0, 2, m), min_stm_size=6, stm_cap=m)
     predictor = FrozenChunkPredictor(rng.random((n, d)), bank)
@@ -780,6 +786,8 @@ def test_fallback_scratch_stays_within_one_block(rng):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(samknn, "_screen_planes", certify_nothing)
             fallback = count_fallback_rows(mp)
+            exact_votes, calls = samknn._exact_votes, []
+            mp.setattr(samknn, "_exact_votes", lambda *args: calls.append(len(args[0])) or exact_votes(*args))
             tracemalloc.start()
             try:
                 votes = predictor.predict(alphas)
@@ -788,6 +796,7 @@ def test_fallback_scratch_stays_within_one_block(rng):
                 tracemalloc.stop()
         np.testing.assert_array_equal(votes, want)
         assert sum(fallback) == S * n
+        assert -(-n // (_BLOCK_ELEMENTS // m)) == 3 and calls == [n] * S
         assert peak < 1.5 * 8 * _BLOCK_ELEMENTS, peak / (8 * _BLOCK_ELEMENTS)
 
 
@@ -1135,9 +1144,9 @@ def test_screened_absorb_holds_with_planes_at_the_edge_of_the_error_bound():
         kwargs = dict(k=k, stm_cap=50, ltm_cap=20, min_stm_size=k + 5, seed=1)
         for push in (1, -1):
 
-            def hook(xc, w, xn, aug, mn, plane):
-                dtypes.append(plane.dtype)
-                return planes_at_the_error_bound(aug.shape[-1] // 2, push)(xc, w, xn, aug, mn, plane)
+            def hook(xc, w, xn, aug, planes):
+                dtypes.append(planes[0].dtype)
+                return planes_at_the_error_bound(aug.shape[-1] // 2, push)(xc, w, xn, aug, planes)
 
             bank, reference = MemoryBank(d, **kwargs), MemoryBank(d, **kwargs)
             with pytest.MonkeyPatch.context() as mp:
