@@ -79,10 +79,11 @@ order-defined distances under that vector in position order
 (:func:`_exact_votes`, one call per vector). A label too short for its
 quota makes the vote a constant. Memories and queries hold features of
 magnitude at most ``stream._FEATURE_BOUND``, so every distance is finite.
-The kernel runs its blocks one after another on the calling thread,
-reusing one block buffer and one copy of the memory's operand. A vote
-depends on its row and vector alone, so it is the same whatever the block
-shape, the stack or BLAS's thread count: a one-row
+A kernel call runs its blocks one after another, reusing one block buffer
+and one copy of the memory's operand. A vote depends on its row and vector
+alone, so it is the same whatever the block shape, the stack, the slices
+:meth:`FrozenChunkPredictor.predict` splits a stack into for worker
+processes (:mod:`emosam.kernel_workers`) or BLAS's thread count: a one-row
 :class:`FrozenChunkPredictor` and one over a whole window agree bit for
 bit.
 
@@ -143,6 +144,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import math
 import struct
 import zlib
@@ -201,6 +203,12 @@ _BLOCK_ELEMENTS = 1 << 18
 # ran 47-49 ms split against 58 ms unsplit. On one BLAS thread with S = 10
 # the split was within 10% at d = 8 but lost at d = 64 (268-283 ms against
 # 125-129) and d = 108 (694-728 against 184-189; ROADMAP item 12).
+# Products this small do not run side by side on threads: 3000 calls of
+# (16 x 10) @ (10 x 1579) float32 took 26.7 ms on one thread and 28.6 ms
+# split over two, and a kernel call at 1000 x 3094, S = 10, went from 28.9
+# to 39.8 ms with its vectors split over two threads (medians of 15, one
+# BLAS thread, 2 CPUs). So a call's vectors are split across processes
+# instead (kernel_workers).
 _SCREEN_CALL = 1 << 18
 # The window absorb's screened STM plane of a row block holds 1 MiB: at
 # most _BLOCK_ELEMENTS // _PLANE_SHARE float64 values, or twice as many
@@ -618,7 +626,8 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     of the memory's product operand in its dtype, whose last row takes
     each vector's memory norms once, are allocated once per call and
     reused by every block, so a call holds about one block beside its
-    (S, n) order statistics, and concurrent calls share no scratch.
+    (S, n) order statistics, and concurrent calls, in threads or in
+    kernel worker processes, share no scratch.
 
     With kk = min(k, m), a row votes 1 iff at least t = ceil(kk / 2) of its kk
     nearest points are positive, that is iff in the stable (distance,
@@ -1407,6 +1416,10 @@ class MemoryBank:
         return bank
 
 
+# Names each predictor to the kernel workers, which keep one predictor's state.
+_predictor_tokens = itertools.count()
+
+
 class FrozenChunkPredictor:
     """Batch predictor binding one query block to a frozen memory bank.
 
@@ -1426,12 +1439,17 @@ class FrozenChunkPredictor:
     are bitwise identical to a one-row predictor per query, whatever the row
     block size (``_BLOCK_ELEMENTS`` elements of a block's distance plane,
     float32 where the data fit it, at least one row) and whatever the
-    planes' dtype. The blocks run one after another on the calling thread,
-    sharing one block buffer and one copy of the memory's product operand,
-    so a call's scratch peaks at about one block beside its (S, n) order
-    statistics. Each call makes its own scratch, so concurrent calls do not interfere, and the
-    predictor keeps no state between calls: each call computes every vote
-    it returns.
+    planes' dtype. A stack of several vectors may be split into contiguous
+    slices, one scored here and each other by a kernel worker process
+    (:func:`kernel_workers.split_votes`), which receives the queries and
+    the store the first time one of this predictor's slices reaches it.
+    Each slice's blocks run one after another, sharing one block buffer and
+    one copy of the memory's product operand, so a call's scratch here
+    peaks at about one block beside its (S, n) order statistics. Each call
+    makes its own scratch, and a worker serves one call at a time (another
+    thread's call scores its slices itself), so calls from several threads
+    get the votes they would get alone. Each call computes every vote it
+    returns.
     """
 
     def __init__(self, features: np.ndarray, bank: MemoryBank) -> None:
@@ -1444,8 +1462,23 @@ class FrozenChunkPredictor:
         self._x = x
         self._memory = _label_ordered(*bank._store_arrays(bank._best_store()))
         self._k = bank.k
+        self._token = next(_predictor_tokens)
 
     def predict(self, alpha: np.ndarray) -> np.ndarray:
+        # imported here, not at the top: a worker process runs ``python -m
+        # emosam.kernel_workers``, and runpy warns when importing the
+        # package has already loaded the module it is about to run
+        from . import kernel_workers
+
         alpha = check_weights(alpha, self._x.shape[1])
-        votes = _weighted_votes(self._x, self._memory, self._k, np.atleast_2d(alpha))
+        size = self._x.shape[0] * self._memory.memory_t.shape[1]
+        votes = kernel_workers.split_votes(np.atleast_2d(alpha), size, self._token, self._state, self._votes)
         return votes[0] if alpha.ndim == 1 else votes
+
+    def _votes(self, alphas: np.ndarray) -> np.ndarray:
+        return _weighted_votes(self._x, self._memory, self._k, alphas)
+
+    def _state(self) -> list[np.ndarray]:
+        """What a kernel worker rebuilds this predictor from (:func:`kernel_workers.split_votes`)."""
+        memory = self._memory
+        return [self._x, memory.memory_t, memory.positive.view(np.uint8), np.array(self._k, dtype=np.int64)]

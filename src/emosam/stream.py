@@ -412,31 +412,33 @@ def ingest(manifest: StreamManifest) -> IngestResult:
         raise ValueError("no usable rows in stream source")
 
     # One-hot columns in each column's sorted vocabulary, as if the whole
-    # column had been read before encoding.
+    # column had been read before encoding; each window's features are
+    # filled from its own rows.
     categories = {c: sorted(vocabs[c]) for c in cat_cols}
     feature_names: list[str] = []
     for c in feature_cols:
         feature_names.extend([f"{c}={cat}" for cat in categories[c]] if c in categorical else [c])
-    features = np.zeros((n, len(feature_names)), dtype=np.float64)
     num_norm = np.frombuffer(scaled, dtype=np.float64).reshape(n, len(numeric_cols))
     num_pos = {c: j for j, c in enumerate(numeric_cols)}
-    col = 0
-    for c in feature_cols:
-        if c in categorical:
-            rank = np.empty(len(categories[c]), dtype=np.int64)
-            rank[[vocabs[c][cat] for cat in categories[c]]] = np.arange(len(categories[c]))
-            features[np.arange(n), col + rank[np.frombuffer(codes[c], dtype=np.int64)]] = 1.0
-            col += len(categories[c])
-        else:
-            features[:, col] = num_norm[:, num_pos[c]]
-            col += 1
-
-    chunks = chunk_arrays(
-        features,
-        np.frombuffer(groups, dtype=np.uint8),
-        np.frombuffer(labels, dtype=np.uint8),
-        manifest.window_size,
-    )
+    ranks = {}
+    for c in cat_cols:
+        ranks[c] = np.empty(len(categories[c]), dtype=np.int64)
+        ranks[c][[vocabs[c][cat] for cat in categories[c]]] = np.arange(len(categories[c]))
+    chunks = []
+    for t, start in enumerate(range(0, n, manifest.window_size), start=1):
+        rows = slice(start, min(start + manifest.window_size, n))
+        features = np.zeros((rows.stop - start, len(feature_names)), dtype=np.float64)
+        col = 0
+        for c in feature_cols:
+            if c in categorical:
+                hot = ranks[c][np.frombuffer(codes[c], dtype=np.int64)[rows]]
+                features[np.arange(len(hot)), col + hot] = 1.0
+                col += len(categories[c])
+            else:
+                features[:, col] = num_norm[rows, num_pos[c]]
+                col += 1
+        groups_w = np.frombuffer(groups, dtype=np.uint8)[rows]
+        chunks.append(Chunk(features, groups_w, np.frombuffer(labels, dtype=np.uint8)[rows], t))
     return IngestResult(chunks, feature_names, rejected, n)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from emosam import samknn
+from emosam import kernel_workers, samknn
 from emosam.samknn import FrozenChunkPredictor
 from emosam.stream import Chunk
 
@@ -45,6 +45,19 @@ def version_3_snapshot(blob: bytes) -> bytes:
         at = labels_at + n
     body = b"".join(parts) + blob[at:-4]
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.fixture(autouse=True)
+def one_usable_cpu(monkeypatch):
+    """Every kernel call stays in the test process, whole.
+
+    Tests that patch the kernel or its helpers (``_weighted_votes``,
+    ``_screen_planes``, ``_exact_votes``, ``_BLOCK_ELEMENTS``) must see
+    every weight vector a call scores, and a worker process runs its own,
+    unpatched copy. Tests of the split set ``kernel_workers._CPUS`` again
+    themselves.
+    """
+    monkeypatch.setattr(kernel_workers, "_CPUS", 1)
 
 
 @pytest.fixture

@@ -366,9 +366,9 @@ def test_ingest_equals_whole_file_oracle_at_any_block_size(block_rows, case):
 
 def test_ingest_peak_memory_beyond_the_result_does_not_grow_with_the_stream(tmp_path):
     # Beside the chunks it returns, ingestion holds the scaled numeric values
-    # and the assembled feature matrix, each the size of the result's
-    # features, and the groups' and labels' bytes: about twice the result,
-    # allowed three times its growth here. Reading every row into Python
+    # (the size of the result's features) and the groups' and labels' bytes,
+    # and fills one window's features at a time: at most about the result
+    # again, allowed three times its growth here. Reading every row into Python
     # strings and floats first costs about 1.6 KB a row, some 24 times the
     # 66 bytes a row of the result at d = 8. Blocks of 2^12 cells (409 rows
     # of 10) put several blocks in both streams; at the default budget the
