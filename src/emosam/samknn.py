@@ -92,19 +92,30 @@ instance-by-instance loop bit for bit. With C the STM followed by the window,
 the STM that instance i is tested against is a sliding slice of C. An LTM
 point's removal by cleaning at step i depends only on x_i, on that slice and
 on the point itself, never on another removal, so one first-drop step per
-LTM point gives the LTM of every step. A block of window rows screens its
-distances to C (unweighted, C centred as one operand, in the planes' dtype
-the window's rows chose) and keeps, with a slack of E per row, a superset
-of each row's k-skyband in its slice; the minima of the plane's 8-column
-chunks drop most columns unread. Rows whose label still meets an
-undropped LTM point of the other label also keep the same-label entries
-their cleaning radius can rest on: those within the slack of the k-th
-smallest same-label band candidate, which bounds the k-th smallest
-same-label distance, or all of them where the row has fewer than k
-same-label candidates. Only these get order-defined distances;
-the bands, the STM votes and the radius (the exact k-th smallest,
-:func:`_kth_finite`) come from them. The LTM votes are row votes over
-each block's order-defined distances to the LTM (:func:`_sq_dists`).
+LTM point gives the LTM of every step. The absorb runs in two halves. The
+STM half (:func:`_stm_rows`) gives each row a result that depends on that
+row, its slice and the window alone, so it may run over any range of rows:
+a window whose STM plane is large enough is split across the calling
+process and a kernel worker process (:func:`kernel_workers.split_absorb`).
+A block of window rows screens its distances to C (unweighted, C centred
+as one operand, in the planes' dtype the window's rows chose) and keeps,
+with a slack of E per row, a superset of each row's k-skyband in its
+slice; the minima of the plane's 8-column chunks drop most columns unread.
+Rows whose label meets an LTM point of the other label at the window's
+start also keep the same-label entries their cleaning radius can rest on:
+those within the slack of the k-th smallest same-label band candidate,
+which bounds the k-th smallest same-label distance, or all of them where
+the row has fewer than k same-label candidates. (Those rows are a superset
+of the rows whose label meets an undropped point at their step, and the
+radius of the others changes nothing, as a radius only drops points that
+are still undropped.) Only these get order-defined distances; the bands,
+the STM votes, the radius (the exact k-th smallest, :func:`_kth_finite`)
+and each row's k nearest STM points in (distance, position) order come
+from them. The LTM half runs in the calling process over fixed row blocks:
+the LTM votes are row votes over each block's order-defined distances to
+the LTM (:func:`_sq_dists`), the radii give the first drops, and a row's
+combined vote is the row vote over its k nearest STM points followed by
+its LTM distances, as the combined store's k nearest are among them.
 
 Maintenance tables are ragged, and +inf marks no point (no distance is
 +inf, as features are bounded), built from row-major hits through a valid
@@ -212,17 +223,21 @@ _BLOCK_ELEMENTS = 1 << 18
 _SCREEN_CALL = 1 << 18
 # The window absorb's screened STM plane of a row block holds 1 MiB: at
 # most _BLOCK_ELEMENTS // _PLANE_SHARE float64 values, or twice as many
-# float32 values (_sliding_blocks). Its LTM distances and their scratch
-# plane (_sq_dists) hold at most _BLOCK_ELEMENTS // _PLANE_SHARE float64
-# values. A block peaks at about twice its float32 plane, 1.5 times a
-# float64 one: the chunk minima and the float64 scratch of their bounds
-# (_chunk_minima, _later_bound). Its candidate tables and their sort into
-# bands hold at most _BAND_CANDIDATES slots a row, far fewer than its plane.
+# float32 values (_sliding_blocks). The LTM pass's row blocks of distances
+# and their scratch plane (_sq_dists) hold at most _BLOCK_ELEMENTS //
+# _PLANE_SHARE float64 values each. A block peaks at about twice its
+# float32 plane, 1.5 times a float64 one: the chunk minima and the float64
+# scratch of their bounds (_chunk_minima, _later_bound). Its candidate
+# tables and their sort into bands hold at most _BAND_CANDIDATES slots a
+# row, far fewer than its plane.
 # On the fit peak-memory test's large case (STM and window 2000, d = 16,
-# float32 planes) the fit peaks at 4.2 MB (3.7 MB with float64 planes of
-# half the rows), and at 2.8 MB with share 4, under which 20 default-scale
-# windows take twice the blocks (300, not 158). Share 1 peaks at 6.7 MB,
-# a 2 MiB plane.
+# float32 planes, 200 LTM points) the fit peaks at 5.0 MB in the LTM pass:
+# its 655-row blocks hold 1 MiB of distances beside their scratch plane and
+# the combined votes' copies. While the LTM distances shared the STM
+# blocks, the fit peaked at 4.2 MB (3.7 MB with float64 planes of half the
+# rows), and at 2.8 MB with share 4, under which 20 default-scale windows
+# took twice the blocks (300, not 158). Share 1 peaked at 6.7 MB, a 2 MiB
+# plane.
 _PLANE_SHARE = 2
 # Gathered rows of the absorb's exact pair sums go through in chunks of at
 # most _BLOCK_ELEMENTS // _GATHER_SHARE values (128 KiB of float64), as do
@@ -691,21 +706,21 @@ def _weighted_votes(queries: np.ndarray, memory: _KernelMemory, k: int, alphas: 
     return out
 
 
-def _sliding_blocks(stop: int, s0: int, cap: int, max_rows: int, itemsize: int) -> list[tuple[int, int]]:
-    """Row blocks [b, e) covering 0..stop of a window absorbed after s0 STM points, each as large as fits.
+def _sliding_blocks(start: int, stop: int, s0: int, cap: int, itemsize: int) -> list[tuple[int, int]]:
+    """Row blocks [b, e) covering start..stop of a window absorbed after s0 STM points, each as large as fits.
 
     Block [b, e) meets ``min(cap, s0 + b) + e - b`` columns, so its distance
     block of (e - b) rows and those columns, in planes of ``itemsize``
     bytes a value, holds at most the bytes of ``_BLOCK_ELEMENTS //
     _PLANE_SHARE`` float64 values: twice as many float32 values.
-    A block has at least one row and at most ``max_rows``.
+    A block has at least one row.
     """
     blocks = []
     q = _BLOCK_ELEMENTS // _PLANE_SHARE * 8 // itemsize
-    b = 0
+    b = start
     while b < stop:
         w = min(cap, s0 + b)
-        r = max(1, min(max_rows, (math.isqrt(w * w + 4 * q) - w) // 2))
+        r = max(1, (math.isqrt(w * w + 4 * q) - w) // 2)
         blocks.append((b, min(stop, b + r)))
         b += r
     return blocks
@@ -955,6 +970,93 @@ def _band_votes(bands: np.ndarray, span: np.ndarray, positive: np.ndarray, k: in
     return (2 * ones >= k).astype(np.uint8), np.flatnonzero(rank[:, -1] < k)
 
 
+class _StmRows(NamedTuple):
+    """The STM half of a window absorb for a range of window rows (:func:`_stm_rows`), one row each."""
+
+    bands: np.ndarray  # (r, _BAND_LEN) int32: band codes, nearest first, then _BAND_END
+    votes: np.ndarray  # (r,) uint8: STM votes over the rows' slices
+    r2: np.ndarray  # (r,): squared cleaning radii; -inf for rows whose label does not meet the LTM
+    near: np.ndarray  # (r, k): the k nearest distances in the slice, (distance, position) order, then +inf
+    near_pos: np.ndarray  # (r, k) bool: which of them are labelled 1
+
+
+def _stm_rows(
+    cf: np.ndarray, cl: np.ndarray, s0: int, cap: int, k: int, meets: np.ndarray, start: int, stop: int
+) -> _StmRows:
+    """The STM half of absorbing window rows [start, stop) after s0 STM points (see :meth:`MemoryBank.fit_chunk`).
+
+    ``cf`` and ``cl`` are C, the STM followed by the window; window row i
+    meets the slice ``C[max(0, s0 + i - cap) : s0 + i]``. ``meets[y]`` says
+    whether rows labelled y get a cleaning radius (their label meets an LTM
+    point of the other label). The screen's operand and margin are those of
+    the whole window, whatever the range, so the planes' dtype is the
+    window's, and every result equals the one a call over all rows gives
+    for that row: the votes and radii are order-defined, and the k nearest
+    are the k nearest. Band codes depend on the blocks, which start at
+    ``start``. Rows go through :func:`_sliding_blocks`; each block's
+    screened plane yields its band candidates (:func:`_band_candidates`)
+    and, for rows with a radius, its radius candidates
+    (:func:`_radius_candidates`). Called over all rows by the absorb, or
+    over row ranges split across kernel worker processes
+    (:func:`kernel_workers.split_absorb`).
+    """
+    d = cf.shape[1]
+    feats, labels = cf[s0:], cl[s0:]
+    c_pos = cl == 1
+    screen = _screen_operand(cf.T)
+    screen.aug[d + 1] = np.square(screen.aug[:d]).sum(axis=0)
+    centre = screen.centre
+    margin, dtype = _screen_margin(np.ones((1, d)), feats - centre, screen.reach)
+    slack = margin[0]
+    # cast only once float32 is chosen (data outside its range would
+    # overflow), and keep no float64 operand beside the cast
+    op = screen.aug.astype(dtype, copy=False)
+    del screen
+    steps = np.arange(len(labels))
+    lo = np.maximum(0, s0 + steps - cap)  # STM slice of step i: [lo[i], s0 + i)
+    r = stop - start
+    out = _StmRows(
+        np.full((r, _BAND_LEN), _BAND_END, dtype=np.int32),
+        np.empty(r, dtype=np.uint8),
+        np.full(r, -np.inf),
+        np.full((r, k), np.inf),
+        np.zeros((r, k), dtype=bool),
+    )
+    for b, e in _sliding_blocks(start, stop, s0, cap, op.itemsize):
+        rows = slice(b - start, e - start)
+        c0, c1 = lo[b], s0 + e
+        ends = s0 + steps[b:e] - c0
+        plane = _band_plane(feats[b:e] - centre, op, c0, lo[b:e] - c0, ends)
+
+        def exact(rows, cols):
+            return _pair_sums(cf, s0 + b + rows, c0 + cols)
+
+        mins = _chunk_minima(plane)
+        # Each row's k nearest STM points are among its candidates, which
+        # keep their position order: votes over them are the slice's votes.
+        cols, near = _band_candidates(plane, mins, slack[b:e], k, exact)
+        near_pos = c_pos[c0 + cols]
+        radius = meets[labels[b:e]]
+        if radius.any():
+            # A row's k-th smallest same-label candidate bounds its k-th
+            # smallest same-label distance (+inf with fewer than k).
+            own = np.where(near_pos == (labels[b:e] == 1)[:, None], near, np.inf)
+            kth = _kth_smallest(own, k) if own.shape[1] >= k else np.full(e - b, np.inf)
+            kth[~radius] = -np.inf
+            bound = kth + slack[b:e]
+            out.r2[rows] = _kth_finite(_radius_candidates(plane, mins, cl[c0:c1], labels[b:e], bound, exact), k)
+        del plane, mins  # before the sort
+        # A row's band is its candidates in (distance, position) order, cut.
+        order = np.argsort(near, axis=1, kind="stable")[:, :_BAND_LEN]
+        codes = _band_codes(ends[:, None] - cols, near_pos, near)
+        out.bands[rows, : order.shape[1]] = np.take_along_axis(codes, order, axis=1)
+        out.votes[rows] = _vote_rows(near, near_pos, k)
+        nearest = order[:, :k]
+        out.near[rows, : nearest.shape[1]] = np.take_along_axis(near, nearest, axis=1)
+        out.near_pos[rows, : nearest.shape[1]] = np.take_along_axis(near_pos, nearest, axis=1)
+    return out
+
+
 def _window_errors(
     bands: np.ndarray, features: np.ndarray, labels: np.ndarray, sizes: Sequence[int], k: int
 ) -> list[float]:
@@ -1128,20 +1230,24 @@ class MemoryBank:
         surviving STM, appended to the LTM, and the LTM is compressed while
         over capacity.
 
-        The window goes in as one pass over row blocks. With C the STM
+        The window goes in as two passes over row blocks. With C the STM
         followed by the window and s0 the STM size, instance i meets the STM
         slice ``C[max(0, s0 + i - stm_cap) : s0 + i]``. Whether it drops an
         LTM point depends on no other drop, so each LTM point has a first-drop
         step and is alive at step i iff that step is not earlier. The votes
         are row votes with +inf outside each row's slice and live LTM points;
         distance ties go to the earlier position and class ties to label 1,
-        as in prediction. Each row's STM votes come from its band
-        candidates, which, sorted and cut, are the band it carries in the
-        STM. The trackers then update in window order, and the
-        eviction is the prefix ``C[:max(0, s0 + n - stm_cap)]``. The length
-        re-fit reads every candidate window's votes from the carried bands.
-        The result is bit-identical to the one-at-a-time loop, whatever the
-        block size.
+        as in prediction. The STM pass (:func:`_stm_rows`) gives each row
+        its STM vote, its cleaning radius and its k nearest STM points from
+        its band candidates, which, sorted and cut, are the band it carries
+        in the STM; on a large enough window it is split across this process
+        and a kernel worker (:func:`kernel_workers.split_absorb`). The LTM
+        pass then gives the first drops, the LTM votes and the combined
+        votes. The trackers then update in window order, and the eviction is
+        the prefix ``C[:max(0, s0 + n - stm_cap)]``. The length re-fit reads
+        every candidate window's votes from the carried bands. The result is
+        bit-identical to the one-at-a-time loop, whatever the block size and
+        however the STM pass is split.
         """
         if chunk.n_features != self.dim:
             raise ValueError("chunk dimensionality does not match the bank")
@@ -1149,92 +1255,55 @@ class MemoryBank:
         self.compress_ltm()
 
     def _absorb(self, feats: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Test-then-train one window (see :meth:`fit_chunk`); return what the STM evicts."""
-        k, cap, d = self.k, self.stm_cap, self.dim
+        """Test-then-train one window (see :meth:`fit_chunk`); return what the STM evicts.
+
+        The STM pass (:func:`_stm_rows`, through
+        :func:`kernel_workers.split_absorb`) covers every window row before
+        the LTM pass, whose row blocks of at most ``_BLOCK_ELEMENTS //
+        _PLANE_SHARE`` LTM distances take each row's radius, k nearest STM
+        points and slice from it.
+        """
+        # imported here, as in FrozenChunkPredictor.predict
+        from . import kernel_workers
+
+        k, cap = self.k, self.stm_cap
         s0, n = self.stm_size, len(labels)
         cf = np.concatenate([self._stm_f, feats])
         cl = np.concatenate([self._stm_l, labels])
-        c_pos = cl == 1
-        screen = _screen_operand(cf.T)
-        screen.aug[d + 1] = np.square(screen.aug[:d]).sum(axis=0)
-        centre = screen.centre
-        margin, dtype = _screen_margin(np.ones((1, d)), feats - centre, screen.reach)
-        slack = margin[0]
-        # cast only once float32 is chosen (data outside its range would
-        # overflow), and keep no float64 operand beside the cast
-        op = screen.aug.astype(dtype, copy=False)
-        del screen
         lf, ll = self._ltm_f, self._ltm_l
-        lf_t = np.ascontiguousarray(lf.T)
         m = len(ll)
-        l_pos = ll == 1
+        # A radius is only compared with undropped LTM points of the other
+        # label, so rows whose label meets none at the window's start need none.
+        meets = np.array([(ll != y).any() for y in (0, 1)])
+        stm = _StmRows(*kernel_workers.split_absorb(cf, cl, s0, cap, k, meets, _stm_rows))
         steps = np.arange(n)
-        lo = np.maximum(0, s0 + steps - cap)  # STM slice of step i: [lo[i], s0 + i)
-        stm_n = s0 + steps - lo
+        stm_n = np.minimum(cap, s0 + steps)
         first_drop = np.full(m, n)  # n: never dropped in this window
         ltm_n = np.zeros(n, dtype=np.int64)
-        pred_stm = np.zeros(n, dtype=np.uint8)
         pred_ltm = np.zeros(n, dtype=np.uint8)
         pred_both = np.zeros(n, dtype=np.uint8)
-        max_rows = max(1, _BLOCK_ELEMENTS // _PLANE_SHARE // m) if m else n
-        blocks = _sliding_blocks(n, s0, cap, max_rows, op.itemsize)
-        out = max(0, s0 + n - cap)
-        kept = self._stm_band[min(out, s0) :]
-        skip = max(0, out - s0)  # window rows evicted in-window carry no band
-        band_table = np.full((len(kept) + n - skip, _BAND_LEN), _BAND_END, dtype=np.int32)
-        band_table[: len(kept)] = kept
-        for b, e in blocks:
-            c0, c1 = lo[b], s0 + e
-            stop = s0 + steps[b:e] - c0
-            plane = _band_plane(feats[b:e] - centre, op, c0, lo[b:e] - c0, stop)
-
-            def exact(rows, cols):
-                return _pair_sums(cf, s0 + b + rows, c0 + cols)
-
-            mins = _chunk_minima(plane)
-            # Each row's k nearest STM points are among its candidates, which
-            # keep their position order: votes over them are the slice's votes.
-            cols, near = _band_candidates(plane, mins, slack[b:e], k, exact)
-            near_pos = c_pos[c0 + cols]
-            if m:
-                # A radius is only compared with undropped LTM points of the
-                # other label; rows whose label meets none keep -inf. A
-                # row's k-th smallest same-label candidate bounds its k-th
-                # smallest same-label distance (+inf with fewer than k).
-                undropped = first_drop == n
-                meets = np.array([(undropped & (ll != y)).any() for y in (0, 1)])[labels[b:e]]
-                r2 = np.full(e - b, -np.inf)
-                if meets.any():
-                    own = np.where(near_pos == (labels[b:e] == 1)[:, None], near, np.inf)
-                    kth = _kth_smallest(own, k) if own.shape[1] >= k else np.full(e - b, np.inf)
-                    kth[~meets] = -np.inf
-                    r2 = _kth_finite(_radius_candidates(plane, mins, cl[c0:c1], labels[b:e], kth + slack[b:e], exact), k)
-            del plane, mins  # before the sort and the LTM distances
-            # A row's band is its candidates in (distance, position) order,
-            # cut; rows the window evicts (before skip) get none.
-            live = slice(max(b, skip) - b, e - b)
-            order = np.argsort(near[live], axis=1, kind="stable")[:, :_BAND_LEN]
-            codes = _band_codes(stop[live, None] - cols[live], near_pos[live], near[live])
-            at = len(kept) + max(b, skip) - skip
-            band_table[at : at + len(order), : order.shape[1]] = np.take_along_axis(codes, order, axis=1)
-            pred_stm[b:e] = _vote_rows(near, near_pos, k)
-            if m == 0:
-                continue
-            d2l = _sq_dists(feats[b:e], lf_t)
-            drop = (d2l <= r2[:, None]) & (ll[None, :] != labels[b:e, None])
-            hit = (first_drop == n) & drop.any(axis=0)
-            first_drop[hit] = b + drop[:, hit].argmax(axis=0)
-            alive = first_drop[None, :] >= steps[b:e, None]
-            ltm_n[b:e] = _row_counts(alive)
-            d2l[~alive] = np.inf
-            pred_ltm[b:e] = _vote_rows(d2l, l_pos, k)
-            pred_both[b:e] = _vote_rows(
-                np.hstack([near, d2l]), np.hstack([near_pos, np.broadcast_to(l_pos, d2l.shape)]), k
-            )
+        if m:
+            lf_t = np.ascontiguousarray(lf.T)
+            l_pos = ll == 1
+            rows = max(1, _BLOCK_ELEMENTS // _PLANE_SHARE // m)
+            for b in range(0, n, rows):
+                e = min(n, b + rows)
+                d2l = _sq_dists(feats[b:e], lf_t)
+                drop = (d2l <= stm.r2[b:e, None]) & (ll[None, :] != labels[b:e, None])
+                hit = (first_drop == n) & drop.any(axis=0)
+                first_drop[hit] = b + drop[:, hit].argmax(axis=0)
+                alive = first_drop[None, :] >= steps[b:e, None]
+                ltm_n[b:e] = _row_counts(alive)
+                d2l[~alive] = np.inf
+                pred_ltm[b:e] = _vote_rows(d2l, l_pos, k)
+                # the k nearest STM points in (distance, position) order
+                # before the LTM: the combined store's k nearest are among them
+                both_pos = np.hstack([stm.near_pos[b:e], np.broadcast_to(l_pos, d2l.shape)])
+                pred_both[b:e] = _vote_rows(np.hstack([stm.near[b:e], d2l]), both_pos, k)
         decay = self.tracker_decay
         (sc, st), (lc, lt), (bc, bt) = (self._trackers[name] for name in ("stm", "ltm", "combined"))
         for y, ps, pl, pb, ns, nl in zip(
-            labels.tolist(), pred_stm.tolist(), pred_ltm.tolist(), pred_both.tolist(), stm_n.tolist(), ltm_n.tolist()
+            labels.tolist(), stm.votes.tolist(), pred_ltm.tolist(), pred_both.tolist(), stm_n.tolist(), ltm_n.tolist()
         ):
             if ns == 0:
                 continue
@@ -1246,8 +1315,10 @@ class MemoryBank:
         if (first_drop < n).any():
             keep = first_drop == n
             self._ltm_f, self._ltm_l = lf[keep], ll[keep]
+        out = max(0, s0 + n - cap)
         self._stm_f, self._stm_l = cf[out:], cl[out:]
-        self._stm_band = band_table
+        # window rows evicted in-window carry no band
+        self._stm_band = np.concatenate([self._stm_band[min(out, s0) :], stm.bands[max(0, out - s0) :]])
         return cf[:out], cl[:out]
 
     def _adapt_and_flush(self, evicted_f: np.ndarray, evicted_l: np.ndarray) -> None:

@@ -49,13 +49,15 @@ def version_3_snapshot(blob: bytes) -> bytes:
 
 @pytest.fixture(autouse=True)
 def one_usable_cpu(monkeypatch):
-    """Every kernel call stays in the test process, whole.
+    """Every kernel call and window absorb stays in the test process, whole.
 
     Tests that patch the kernel or its helpers (``_weighted_votes``,
     ``_screen_planes``, ``_exact_votes``, ``_BLOCK_ELEMENTS``) must see
-    every weight vector a call scores, and a worker process runs its own,
-    unpatched copy. Tests of the split set ``kernel_workers._CPUS`` again
-    themselves.
+    every weight vector a call scores, and tests that patch the absorb's
+    helpers (``_band_plane``, ``_pair_sums``, ``_screen_margin``,
+    ``_BLOCK_ELEMENTS``) every window row it absorbs: a worker process runs
+    its own, unpatched copy. Tests of the split set ``kernel_workers._CPUS``
+    again themselves.
     """
     monkeypatch.setattr(kernel_workers, "_CPUS", 1)
 

@@ -1055,27 +1055,40 @@ def fit_trace(chunks, kwargs, sizes):
     from the bands at every halving window size, and the window's STM, LTM
     and combined votes (the last two only with an LTM).
     """
-    vote_rows, absorb, votes, trace = samknn._vote_rows, MemoryBank._absorb, [], []
+    vote_rows, stm_rows, absorb = samknn._vote_rows, samknn._stm_rows, MemoryBank._absorb
+    stm_votes, store_votes, trace = [], [], []
+
+    def recorder(into):
+        return lambda *a: into.append(vote_rows(*a)) or into[-1]
 
     def traced_absorb(*args):
         # the absorb's votes only, not the length re-fit's (_exact_votes)
-        samknn._vote_rows = lambda *a: votes.append(vote_rows(*a)) or votes[-1]
+        samknn._vote_rows = recorder(store_votes)
         try:
             return absorb(*args)
         finally:
             samknn._vote_rows = vote_rows
 
+    def traced_stm_rows(*args):
+        outer, samknn._vote_rows = samknn._vote_rows, recorder(stm_votes)
+        try:
+            return stm_rows(*args)
+        finally:
+            samknn._vote_rows = outer
+
     with pytest.MonkeyPatch.context() as mp:
         for name, value in sizes.items():
             mp.setattr(samknn, name, value)
         mp.setattr(MemoryBank, "_absorb", traced_absorb)
+        mp.setattr(samknn, "_stm_rows", traced_stm_rows)
         bank = MemoryBank(chunks[0].n_features, **kwargs)
         for t, chunk in enumerate(chunks):
-            # each block votes STM, then LTM and combined when there is an LTM
-            kinds = 3 if bank.ltm_size else 1
-            votes.clear()
+            # the STM half votes STM rows; with an LTM, each LTM block then votes LTM and combined
+            kinds = 2 if bank.ltm_size else 0
+            stm_votes.clear()
+            store_votes.clear()
             bank.fit_chunk(chunk)
-            by_kind = [np.concatenate(votes[j::kinds]) for j in range(kinds)]
+            by_kind = [np.concatenate(stm_votes)] + [np.concatenate(store_votes[j::2]) for j in range(kinds)]
             seen = chunks[: t + 1]
             errors = assert_bands_hold_their_skybands(
                 bank, np.vstack([c.features for c in seen]), np.concatenate([c.labels for c in seen])
