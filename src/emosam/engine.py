@@ -10,6 +10,10 @@ the window just scored, with the frozen copy of the not-yet-updated bank it
 was predicted by, and scored by the window's own metrics; its first sweep
 reuses the votes the window's prediction computed) and clears the
 history, so freshly optimized weights first influence the next window.
+The search reads only that frozen copy, so before it starts, the fit's STM
+pass may go ahead to an idle kernel worker
+(:meth:`MemoryBank.fit_ahead`); the fit still runs after the search, and
+its result does not depend on whether the pass went ahead.
 
 With all-ones initial weights and a trigger that never fires the engine is
 behaviorally identical to the plain memory classifier, which
@@ -242,7 +246,11 @@ class EmosamEngine:
             self.history.append(abs(disc.value))
 
         fired = self._trigger_decision() and predictor is not None
+        ahead = None
         if fired:
+            # The search reads only the frozen predictor, so an idle kernel
+            # worker can run the fit's STM pass meanwhile.
+            ahead = self.bank.fit_ahead(chunk)
             self.trigger_count += 1
             warm = [s.alpha for s in self.pareto_front] if self.config.warm_start else None
             # Looked up as a module global: perfbench/harness.py (SearchTimer)
@@ -261,7 +269,7 @@ class EmosamEngine:
             self._designate_member()
             self.history.clear()
 
-        self.bank.fit_chunk(chunk)
+        self.bank.fit_chunk(chunk, ahead)
         wall_ms = (time.perf_counter() - start) * 1000.0
         record = WindowRecord(
             window=self.window_index,

@@ -18,6 +18,13 @@ range with the unchanged code, and the results joined in row order:
 So split results equal the serial ones bit for bit, and a bank's
 ``state_hash`` after any window does not depend on the split.
 
+A window absorb too small to split may instead go ahead whole
+(:func:`absorb_ahead`): while a re-tune searches, which reads only the
+frozen predictor, an idle worker computes the STM half of the window's
+fit over all its rows, and the fit takes that reply in place of its own
+(:func:`absorbed`). The request does not keep the worker: whoever takes it
+next, a split call or the fit, first reads the reply into its handle.
+
 A worker is a plain ``python -m emosam.kernel_workers`` process, one per
 usable CPU beyond the first (the process's CPU affinity, so ``taskset -c 0``
 runs everything serially), started the first time a call could use it and
@@ -67,9 +74,10 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 # runs (window 250, memories 500/500, swarm 20; slices up to 2.5M) calls
 # split in two took 0.76-0.84 times as long as unsplit ones, but the re-tune
 # fell only 5% while the window's own time (prediction and fit) rose 12-16%,
-# so no desk call splits. The default-retune re-tune's slices of 14-16M cut
-# its time by about a quarter; its window time moved by no more than the
-# run-to-run spread then, before window absorbs split too
+# so no desk call splits, and the worker is free during a desk re-tune for
+# the window's fit, sent ahead (absorb_ahead). The default-retune re-tune's
+# slices of 14-16M cut its time by about a quarter; its window time moved by
+# no more than the run-to-run spread then, before window absorbs split too
 # (_ABSORB_BREAK_EVEN).
 _BREAK_EVEN = 1 << 22
 # STM plane per row range of a split window absorb, the plane being the sum
@@ -78,9 +86,12 @@ _BREAK_EVEN = 1 << 22
 # of the reference stream's default-scale windows (window 1000, memories
 # 5000/5000; planes of 0.5-4.6M) took 0.65-0.79 times as long as unsplit
 # ones, interleaved in one process. Desk windows (250, memories 500/500)
-# have planes of at most 0.125M and stay serial: in isolation their split
+# have planes of at most 0.125M and are not split: in isolation their split
 # fits took 0.75-1.08 times as long, and waking the idle vCPU costs desk
-# windows more than that (see _BREAK_EVEN).
+# windows more than that (see _BREAK_EVEN). A re-tuned desk window's fit
+# goes ahead whole to the worker instead, during the search
+# (absorb_ahead); a window large enough to split never does, as the
+# search's own split sweeps need the worker.
 _ABSORB_BREAK_EVEN = 1 << 17
 # A window row's absorb cost beyond its STM slice, in slice columns, which
 # balances the ranges. Timing the STM half over quarter and half windows of
@@ -143,7 +154,9 @@ def _receive(stream) -> list[np.ndarray] | None:
 class _Worker:
     """One worker process, with the token of the predictor whose state it holds.
 
-    Only a thread holding ``lock`` talks to it.
+    Only a thread holding ``lock`` talks to it. An absorb sent ahead leaves
+    its reply unread with the lock released; the next thread to take the
+    worker reads it first (:meth:`collect`).
     """
 
     def __init__(self) -> None:
@@ -162,6 +175,7 @@ class _Worker:
         self.alive = True
         self.holds: int | None = None
         self.pending = False  # a request was sent and its reply not read
+        self.ahead: _Ahead | None = None  # the handle the pending reply goes to, for an absorb sent ahead
 
     def poll_ready(self) -> bool:
         """True once the worker has signalled it is ready; never blocks."""
@@ -194,6 +208,12 @@ class _Worker:
             self.discard("died or replied out of shape")
             return None
         return reply
+
+    def collect(self) -> None:
+        """Read the reply to an absorb sent ahead into its handle (None if the worker failed)."""
+        ahead, self.ahead = self.ahead, None
+        if ahead is not None:
+            ahead.reply = self.receive(ahead.like)
 
     def discard(self, cause: str) -> None:
         """Stop a worker that failed or may be out of step with its requests; start no other."""
@@ -268,6 +288,8 @@ def _idle_workers(want: int) -> list[_Worker]:
             break
         if worker.lock.acquire(blocking=False):
             if worker.alive and worker.poll_ready():
+                worker.collect()  # first the reply to an absorb sent ahead, if one is pending
+            if worker.alive and worker.ready:
                 taken.append(worker)
             else:
                 worker.lock.release()
@@ -345,6 +367,12 @@ def split_votes(
     return votes
 
 
+def _absorb_parts(n: int, s0: int, cap: int) -> tuple[np.ndarray, int]:
+    """A window's STM slice widths ``min(cap, s0 + i)`` and the most ranges its absorb splits into."""
+    width = np.minimum(cap, s0 + np.arange(n))
+    return width, min(_CPUS, n, int(width.sum()) // _ABSORB_BREAK_EVEN)
+
+
 def split_absorb(
     cf: np.ndarray,
     cl: np.ndarray,
@@ -366,7 +394,7 @@ def split_absorb(
     computed here. Every result equals the unsplit call's.
     """
     n = len(cl) - s0
-    width = np.minimum(cap, s0 + np.arange(n))
+    width, parts = _absorb_parts(n, s0, cap)
     cost = np.cumsum(width + _ROW_COLUMNS)
 
     def bounds(parts: int) -> list[int]:
@@ -377,8 +405,59 @@ def split_absorb(
     def request(worker: _Worker, lo: int, hi: int) -> list[np.ndarray]:
         return [_ABSORB, cf, cl, np.array([s0, cap, k, lo, hi]), meets]
 
-    want = min(_CPUS, n, int(width.sum()) // _ABSORB_BREAK_EVEN) - 1
-    return _split(want, bounds, request, lambda lo, hi: local(cf, cl, s0, cap, k, meets, lo, hi))
+    return _split(parts - 1, bounds, request, lambda lo, hi: local(cf, cl, s0, cap, k, meets, lo, hi))
+
+
+class _Ahead:
+    """A whole-window absorb sent ahead (:func:`absorb_ahead`): its worker, the reply's (shape, dtype)s, the reply."""
+
+    def __init__(self, worker: _Worker, like: list[tuple[tuple[int, ...], np.dtype]]) -> None:
+        self.worker = worker
+        self.like = like
+        self.reply: list[np.ndarray] | None = None
+
+
+def absorb_ahead(
+    cf: np.ndarray,
+    cl: np.ndarray,
+    s0: int,
+    cap: int,
+    k: int,
+    meets: np.ndarray,
+    like: list[tuple[tuple[int, ...], np.dtype]],
+) -> _Ahead | None:
+    """Send the STM half of a window absorb over all its rows to an idle worker, and return without its reply.
+
+    The arguments are :func:`split_absorb`'s, with ``like`` the (shape,
+    dtype) of each result array over all rows. Only a window that
+    :func:`split_absorb` would not split goes ahead, and only with two or
+    more usable CPUs and a ready worker that serves no other call: rows
+    [0, n) in one ``_ABSORB`` request. The worker is unlocked at once:
+    whoever takes it next, a split call or :func:`absorbed`, first reads
+    the reply into the returned handle. None if nothing was sent.
+    """
+    n = len(cl) - s0
+    if _CPUS < 2 or _disabled or _absorb_parts(n, s0, cap)[1] > 1:
+        return None
+    workers = _idle_workers(1)
+    if not workers:
+        return None
+    (worker,) = workers
+    try:
+        worker.ahead = ahead = _Ahead(worker, like)
+        return ahead if worker.send([_ABSORB, cf, cl, np.array([s0, cap, k, 0, n]), meets]) else None
+    finally:
+        worker.lock.release()
+
+
+def absorbed(ahead: _Ahead) -> list[np.ndarray] | None:
+    """The reply to an absorb sent ahead, read now unless a split call read it first; None if its worker failed."""
+    worker = ahead.worker
+    if worker.ahead is ahead:
+        with worker.lock:
+            if worker.ahead is ahead:
+                worker.collect()
+    return ahead.reply
 
 
 def serve() -> None:

@@ -223,17 +223,18 @@ _BLOCK_ELEMENTS = 1 << 18
 _SCREEN_CALL = 1 << 18
 # The window absorb's screened STM plane of a row block holds 1 MiB: at
 # most _BLOCK_ELEMENTS // _PLANE_SHARE float64 values, or twice as many
-# float32 values (_sliding_blocks). The LTM pass's row blocks of distances
-# and their scratch plane (_sq_dists) hold at most _BLOCK_ELEMENTS //
-# _PLANE_SHARE float64 values each. A block peaks at about twice its
+# float32 values (_sliding_blocks). A block peaks at about twice its
 # float32 plane, 1.5 times a float64 one: the chunk minima and the float64
 # scratch of their bounds (_chunk_minima, _later_bound). Its candidate
 # tables and their sort into bands hold at most _BAND_CANDIDATES slots a
-# row, far fewer than its plane.
+# row, far fewer than its plane. The LTM pass's row blocks hold half as
+# many float64 distances, as each sits beside a second and then a third
+# plane of its size: the _sq_dists scratch, then the combined vote's two
+# copies (its joined distances and _vote_rows's threshold copy).
 # On the fit peak-memory test's large case (STM and window 2000, d = 16,
-# float32 planes, 200 LTM points) the fit peaks at 5.0 MB in the LTM pass:
-# its 655-row blocks hold 1 MiB of distances beside their scratch plane and
-# the combined votes' copies. While the LTM distances shared the STM
+# float32 planes, 200 LTM points) the fit peaks at 4.0 MB, 4.2 MB with a
+# 5% minority label. LTM blocks as large as the STM blocks' plane (655
+# rows there) peaked at 5.0 MB; while the LTM distances shared the STM
 # blocks, the fit peaked at 4.2 MB (3.7 MB with float64 planes of half the
 # rows), and at 2.8 MB with share 4, under which 20 default-scale windows
 # took twice the blocks (300, not 158). Share 1 peaked at 6.7 MB, a 2 MiB
@@ -979,6 +980,17 @@ class _StmRows(NamedTuple):
     near: np.ndarray  # (r, k): the k nearest distances in the slice, (distance, position) order, then +inf
     near_pos: np.ndarray  # (r, k) bool: which of them are labelled 1
 
+    @staticmethod
+    def empty(r: int, k: int) -> "_StmRows":
+        """Results for r rows before any is computed: empty bands, no radius, no near point."""
+        return _StmRows(
+            np.full((r, _BAND_LEN), _BAND_END, dtype=np.int32),
+            np.empty(r, dtype=np.uint8),
+            np.full(r, -np.inf),
+            np.full((r, k), np.inf),
+            np.zeros((r, k), dtype=bool),
+        )
+
 
 def _stm_rows(
     cf: np.ndarray, cl: np.ndarray, s0: int, cap: int, k: int, meets: np.ndarray, start: int, stop: int
@@ -997,8 +1009,9 @@ def _stm_rows(
     screened plane yields its band candidates (:func:`_band_candidates`)
     and, for rows with a radius, its radius candidates
     (:func:`_radius_candidates`). Called over all rows by the absorb, or
-    over row ranges split across kernel worker processes
-    (:func:`kernel_workers.split_absorb`).
+    in kernel worker processes: over row ranges split across them
+    (:func:`kernel_workers.split_absorb`), or over all rows while a
+    re-tune searches (:func:`kernel_workers.absorb_ahead`).
     """
     d = cf.shape[1]
     feats, labels = cf[s0:], cl[s0:]
@@ -1014,14 +1027,7 @@ def _stm_rows(
     del screen
     steps = np.arange(len(labels))
     lo = np.maximum(0, s0 + steps - cap)  # STM slice of step i: [lo[i], s0 + i)
-    r = stop - start
-    out = _StmRows(
-        np.full((r, _BAND_LEN), _BAND_END, dtype=np.int32),
-        np.empty(r, dtype=np.uint8),
-        np.full(r, -np.inf),
-        np.full((r, k), np.inf),
-        np.zeros((r, k), dtype=bool),
-    )
+    out = _StmRows.empty(stop - start, k)
     for b, e in _sliding_blocks(start, stop, s0, cap, op.itemsize):
         rows = slice(b - start, e - start)
         c0, c1 = lo[b], s0 + e
@@ -1218,7 +1224,38 @@ class MemoryBank:
 
     # -- fitting -----------------------------------------------------------
 
-    def fit_chunk(self, chunk: Chunk) -> None:
+    def fit_ahead(self, chunk: Chunk) -> tuple | None:
+        """Start the STM pass of fitting ``chunk`` in an idle kernel worker; pass the result to :meth:`fit_chunk`.
+
+        Only a window too small to split goes ahead, and only to a ready
+        worker (:func:`kernel_workers.absorb_ahead`); None means nothing
+        was sent. The pass reads the STM, the LTM labels and the chunk's
+        arrays, which are replaced, never written in place: the fit takes
+        the worker's reply only while they are still these very arrays.
+        """
+        # imported here, as in FrozenChunkPredictor.predict
+        from . import kernel_workers
+
+        if chunk.n_features != self.dim:
+            raise ValueError("chunk dimensionality does not match the bank")
+        like = [(a.shape, a.dtype) for a in _StmRows.empty(len(chunk.labels), self.k)]
+        sent = kernel_workers.absorb_ahead(*self._stm_pass(chunk.features, chunk.labels), like)
+        return None if sent is None else (self._pass_inputs(chunk.features, chunk.labels), sent)
+
+    def _pass_inputs(self, feats: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The arrays the STM pass of absorbing a window reads."""
+        return self._stm_f, self._stm_l, self._ltm_l, feats, labels
+
+    def _stm_pass(self, feats: np.ndarray, labels: np.ndarray) -> tuple:
+        """The arguments of the STM pass of absorbing a window, ``local`` aside (see :func:`_stm_rows`)."""
+        cf = np.concatenate([self._stm_f, feats])
+        cl = np.concatenate([self._stm_l, labels])
+        # A radius is only compared with undropped LTM points of the other
+        # label, so rows whose label meets none at the window's start need none.
+        meets = np.array([(self._ltm_l != y).any() for y in (0, 1)])
+        return cf, cl, self.stm_size, self.stm_cap, self.k, meets
+
+    def fit_chunk(self, chunk: Chunk, ahead: tuple | None = None) -> None:
         """Absorb one labeled window.
 
         Each instance is tested, then trained, as if one at a time: the three
@@ -1241,41 +1278,46 @@ class MemoryBank:
         its STM vote, its cleaning radius and its k nearest STM points from
         its band candidates, which, sorted and cut, are the band it carries
         in the STM; on a large enough window it is split across this process
-        and a kernel worker (:func:`kernel_workers.split_absorb`). The LTM
+        and a kernel worker (:func:`kernel_workers.split_absorb`). ``ahead``,
+        from :meth:`fit_ahead` on this chunk, hands over the pass a worker
+        ran over the whole window meanwhile; it is used only if the STM,
+        the LTM labels and the chunk are still the arrays it was started
+        from, and the pass runs here otherwise. The LTM
         pass then gives the first drops, the LTM votes and the combined
         votes. The trackers then update in window order, and the eviction is
         the prefix ``C[:max(0, s0 + n - stm_cap)]``. The length re-fit reads
         every candidate window's votes from the carried bands. The result is
         bit-identical to the one-at-a-time loop, whatever the block size and
-        however the STM pass is split.
+        however or wherever the STM pass ran.
         """
         if chunk.n_features != self.dim:
             raise ValueError("chunk dimensionality does not match the bank")
-        self._adapt_and_flush(*self._absorb(chunk.features, chunk.labels))
+        self._adapt_and_flush(*self._absorb(chunk.features, chunk.labels, ahead))
         self.compress_ltm()
 
-    def _absorb(self, feats: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _absorb(
+        self, feats: np.ndarray, labels: np.ndarray, ahead: tuple | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Test-then-train one window (see :meth:`fit_chunk`); return what the STM evicts.
 
-        The STM pass (:func:`_stm_rows`, through
-        :func:`kernel_workers.split_absorb`) covers every window row before
-        the LTM pass, whose row blocks of at most ``_BLOCK_ELEMENTS //
-        _PLANE_SHARE`` LTM distances take each row's radius, k nearest STM
-        points and slice from it.
+        The STM pass (:func:`_stm_rows`), taken from ``ahead`` when it
+        still applies or run through :func:`kernel_workers.split_absorb`,
+        covers every window row before the LTM pass, whose row blocks of
+        at most ``_BLOCK_ELEMENTS // _PLANE_SHARE // 2`` LTM distances
+        take each row's radius, k nearest STM points and slice from it.
         """
         # imported here, as in FrozenChunkPredictor.predict
         from . import kernel_workers
 
-        k, cap = self.k, self.stm_cap
-        s0, n = self.stm_size, len(labels)
-        cf = np.concatenate([self._stm_f, feats])
-        cl = np.concatenate([self._stm_l, labels])
+        reply = None
+        if ahead is not None and all(a is b for a, b in zip(ahead[0], self._pass_inputs(feats, labels))):
+            reply = kernel_workers.absorbed(ahead[1])
+        args = self._stm_pass(feats, labels)
+        stm = _StmRows(*(kernel_workers.split_absorb(*args, _stm_rows) if reply is None else reply))
+        cf, cl, s0, cap, k, _ = args
+        n = len(labels)
         lf, ll = self._ltm_f, self._ltm_l
         m = len(ll)
-        # A radius is only compared with undropped LTM points of the other
-        # label, so rows whose label meets none at the window's start need none.
-        meets = np.array([(ll != y).any() for y in (0, 1)])
-        stm = _StmRows(*kernel_workers.split_absorb(cf, cl, s0, cap, k, meets, _stm_rows))
         steps = np.arange(n)
         stm_n = np.minimum(cap, s0 + steps)
         first_drop = np.full(m, n)  # n: never dropped in this window
@@ -1285,7 +1327,9 @@ class MemoryBank:
         if m:
             lf_t = np.ascontiguousarray(lf.T)
             l_pos = ll == 1
-            rows = max(1, _BLOCK_ELEMENTS // _PLANE_SHARE // m)
+            # half the STM blocks' plane: the block's distances sit beside
+            # the _sq_dists scratch, then the combined vote's two copies
+            rows = max(1, _BLOCK_ELEMENTS // _PLANE_SHARE // (2 * m))
             for b in range(0, n, rows):
                 e = min(n, b + rows)
                 d2l = _sq_dists(feats[b:e], lf_t)

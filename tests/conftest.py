@@ -55,9 +55,11 @@ def one_usable_cpu(monkeypatch):
     ``_screen_planes``, ``_exact_votes``, ``_BLOCK_ELEMENTS``) must see
     every weight vector a call scores, and tests that patch the absorb's
     helpers (``_band_plane``, ``_pair_sums``, ``_screen_margin``,
-    ``_BLOCK_ELEMENTS``) every window row it absorbs: a worker process runs
-    its own, unpatched copy. Tests of the split set ``kernel_workers._CPUS``
-    again themselves.
+    ``_BLOCK_ELEMENTS``) every window row it absorbs, including the fit of
+    every re-tuned engine window, whose STM pass would otherwise go ahead
+    to a worker during the search: a worker process runs its own,
+    unpatched copy. Tests of the split and of absorbs sent ahead set
+    ``kernel_workers._CPUS`` again themselves.
     """
     monkeypatch.setattr(kernel_workers, "_CPUS", 1)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from emosam import EmosamEngine, EngineConfig, SmpsoParams, apply_desk_preset, kernel_workers, samknn
+from emosam import engine as engine_module
 from emosam.samknn import FrozenChunkPredictor, MemoryBank
 from emosam.stream import BiasStreamConfig, Chunk, GroupRates, generate_bias_stream
 from oracles import brute_knn_vote
@@ -71,33 +72,71 @@ def test_split_votes_equal_the_kernel_and_the_oracle_on_ties(split, monkeypatch,
     assert dtypes == {np.dtype(np.float32) if scale == 1.0 else np.dtype(np.float64)}
 
 
-def test_split_desk_run_equals_the_serial_run(monkeypatch):
-    config = BiasStreamConfig(
-        n_instances=2000, proxy_strength=0.8, base_rates=GroupRates(0.65, 0.35), seed=11, window_size=250
-    )
-    chunks = generate_bias_stream(config)
-    engine_config, _ = apply_desk_preset(EngineConfig(trigger="every", seed=3))
-    engine_config = replace(engine_config, smpso=SmpsoParams(swarm_size=8, iterations=2))
+DESK_STREAM = BiasStreamConfig(
+    n_instances=2000, proxy_strength=0.8, base_rates=GroupRates(0.65, 0.35), seed=11, window_size=250
+)
 
-    def run():
-        engine = EmosamEngine(chunks[0].n_features, engine_config)
-        out = []
-        for chunk in chunks:
+
+def desk_run(trigger, between=lambda t: None, sent=None):
+    """A desk engine over the 2000-row stream with an 8x2 swarm: per window, its outputs and the bank's state.
+
+    ``between(t)`` runs before window t. A window whose step raises is
+    recorded as such. With ``sent``, a list the test's recording ``send``
+    appends requests to, each window also records the requests it sent.
+    """
+    chunks = generate_bias_stream(DESK_STREAM)
+    config, _ = apply_desk_preset(EngineConfig(trigger=trigger, seed=3))
+    engine = EmosamEngine(chunks[0].n_features, replace(config, smpso=SmpsoParams(swarm_size=8, iterations=2)))
+    out = []
+    for t, chunk in enumerate(chunks):
+        between(t)
+        before = len(sent) if sent is not None else 0
+        try:
             preds, record = engine.step(chunk)
-            front = [(s.alpha.tobytes(), s.objectives) for s in engine.pareto_front]
-            out.append((preds.tobytes(), record.accuracy, record.discrimination, record.triggered, front))
-        return out
+        except RuntimeError as exc:
+            out.append((str(exc), engine.bank.state_hash()))
+            continue
+        fields = {name: v for name, v in vars(record).items() if name != "wall_time_ms"}
+        front = [(s.alpha.tobytes(), s.objectives) for s in engine.pareto_front]
+        out.append((preds.tobytes(), fields, front, engine.bank.state_hash()))
+        if sent is not None:
+            out[-1] += (sent[before:],)
+    return out
 
-    serial = run()
+
+def recorded_sends(mp):
+    """Patch ``_Worker.send`` to record each request as (tag, ints): an absorb's row range, or None."""
+    send, sent = kernel_workers._Worker.send, []
+
+    def recorded(self, arrays):
+        tag = int(arrays[0])
+        sent.append((tag, tuple(arrays[3][3:].tolist()) if tag == kernel_workers._ABSORB else None))
+        return send(self, arrays)
+
+    mp.setattr(kernel_workers._Worker, "send", recorded)
+    return sent
+
+
+def serial_desk_run(trigger):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_workers, "_CPUS", 1)
+        return desk_run(trigger)
+
+
+def test_split_desk_run_equals_the_serial_run(monkeypatch):
+    serial = serial_desk_run("every")
     with monkeypatch.context() as mp:
         mp.setattr(kernel_workers, "_CPUS", 2)
         mp.setattr(kernel_workers, "_BREAK_EVEN", 1)
         mp.setattr(kernel_workers, "_disabled", False)
         ready_worker()
-        send, sent = kernel_workers._Worker.send, []
-        mp.setattr(kernel_workers._Worker, "send", lambda *args: sent.append(1) or send(*args))
-        assert run() == serial
-    assert len(sent) >= 7 * 2  # both later sweeps of every re-tune were split
+        sent = recorded_sends(mp)
+        assert desk_run("every") == serial
+    tags = [tag for tag, _ in sent]
+    assert tags.count(kernel_workers._ABSORB) == 7  # each re-tuned window's fit went ahead
+    # after each absorb went out, both later sweeps of its re-tune still split
+    text = "".join("A" if tag == kernel_workers._ABSORB else "V" for tag in tags)
+    assert all(len(part) >= 2 for part in text.split("A")[1:]), text
 
 
 def test_killing_the_worker_between_calls_changes_no_vote(split):
@@ -222,21 +261,17 @@ def test_a_script_without_a_main_guard_splits_exits_and_leaves_no_worker(tmp_pat
 def absorb_split(monkeypatch):
     """Two usable CPUs, every window absorb split in two, and a worker ready for it.
 
-    Returns the worker and the row ranges of the absorb requests sent to it.
+    Returns the worker and the requests sent to it (:func:`recorded_sends`).
     """
     monkeypatch.setattr(kernel_workers, "_CPUS", 2)
     monkeypatch.setattr(kernel_workers, "_ABSORB_BREAK_EVEN", 1)
     monkeypatch.setattr(kernel_workers, "_disabled", False)
-    worker, ranges = ready_worker(), []
-    send = kernel_workers._Worker.send
+    return ready_worker(), recorded_sends(monkeypatch)
 
-    def recorded(self, arrays):
-        if arrays[0] == kernel_workers._ABSORB:
-            ranges.append(tuple(arrays[3][3:].tolist()))
-        return send(self, arrays)
 
-    monkeypatch.setattr(kernel_workers._Worker, "send", recorded)
-    return worker, ranges
+def bank_state(bank):
+    """The bank's state hash and trackers."""
+    return bank.state_hash(), {name: list(v) for name, v in bank._trackers.items()}
 
 
 def fitted_states(bank, chunks, between=lambda t: None):
@@ -245,7 +280,7 @@ def fitted_states(bank, chunks, between=lambda t: None):
     for t, chunk in enumerate(chunks):
         between(t)
         bank.fit_chunk(chunk)
-        states.append((bank.state_hash(), {name: list(v) for name, v in bank._trackers.items()}))
+        states.append(bank_state(bank))
     return states
 
 
@@ -258,13 +293,13 @@ def serially(fit):
 
 def assert_split_fit_equals_serial(absorb_split, make_bank, chunks):
     """Every window's state and trackers are the same with the absorb split and unsplit; every window split."""
-    _, ranges = absorb_split
+    _, sent = absorb_split
     want = serially(lambda: fitted_states(make_bank(), chunks))
     bank = make_bank()
-    ranges.clear()
+    sent.clear()
     assert fitted_states(bank, chunks) == want
-    assert len(ranges) == len(chunks)
-    assert all(0 < hi < len(chunk) and lo == 0 for (lo, hi), chunk in zip(ranges, chunks))
+    assert [tag for tag, _ in sent] == [kernel_workers._ABSORB] * len(chunks)
+    assert all(0 < hi < len(chunk) and lo == 0 for (_, (lo, hi)), chunk in zip(sent, chunks))
 
 
 def reference_chunks(window, n_instances=20_000, transform=lambda x: x):
@@ -335,7 +370,7 @@ def test_split_absorb_drops_ltm_points_from_rows_of_both_ranges(absorb_split, mo
     results, split_absorb = [], kernel_workers.split_absorb
     monkeypatch.setattr(kernel_workers, "split_absorb", lambda *a: results.append(split_absorb(*a)) or results[-1])
     assert_split_fit_equals_serial(absorb_split, make_bank, [chunk])
-    (_, cut), r2 = absorb_split[1][0], samknn._StmRows(*results[-1]).r2
+    (_, (_, cut)), r2 = absorb_split[1][0], samknn._StmRows(*results[-1]).r2
     drops = samknn._sq_dists(window, np.ascontiguousarray(ltm_f.T)) <= r2[:, None]
     first = drops.argmax(axis=0)[drops.any(axis=0)]
     assert (first < cut).any() and (first >= cut).any()
@@ -367,14 +402,14 @@ def test_split_restore_of_a_5000_point_stm_equals_the_serial_one(absorb_split):
 
 
 def test_killing_the_worker_between_windows_changes_no_state(absorb_split):
-    worker, ranges = absorb_split
+    worker, sent = absorb_split
     chunks = reference_chunks(300, n_instances=1500)
     make_bank = lambda: MemoryBank(chunks[0].n_features, stm_cap=800, ltm_cap=300)  # noqa: E731
     want = serially(lambda: fitted_states(make_bank(), chunks))
 
     def kill_after_first(t):
         if t == 1:
-            assert ranges  # the first window was split
+            assert sent  # the first window was split
             worker.proc.kill()
             worker.proc.wait()
 
@@ -382,3 +417,162 @@ def test_killing_the_worker_between_windows_changes_no_state(absorb_split):
         assert fitted_states(make_bank(), chunks, kill_after_first) == want
     assert len(warned) == 1
     assert not worker.alive and kernel_workers._disabled
+
+
+# -- desk fits sent ahead while the re-tune searches -----------------------------------
+
+
+@pytest.fixture
+def ahead(monkeypatch):
+    """Two usable CPUs with the default break-evens, a worker ready, and every request recorded.
+
+    Returns the worker and the recorded requests.
+    """
+    monkeypatch.setattr(kernel_workers, "_CPUS", 2)
+    monkeypatch.setattr(kernel_workers, "_disabled", False)
+    return ready_worker(), recorded_sends(monkeypatch)
+
+
+@pytest.mark.parametrize("trigger", ["every", "hp"])
+def test_desk_fits_sent_ahead_equal_the_serial_run(ahead, trigger):
+    serial = serial_desk_run(trigger)
+    got = desk_run(trigger, sent=ahead[1])
+    assert [window[:-1] for window in got] == serial
+    absorb = (kernel_workers._ABSORB, (0, DESK_STREAM.window_size))
+    assert [window[-1] for window in got] == [[absorb] if fields["triggered"] else [] for _, fields, *_ in got]
+    assert any(fields["triggered"] for _, fields, *_ in got)
+
+
+def test_a_failed_retune_leaves_the_bank_and_the_worker_usable(ahead, monkeypatch):
+    worker, sent = ahead
+    search = engine_module.optimize_weights
+
+    def fail_in_window_3(chunk, *args):
+        if chunk.index == 3:
+            raise RuntimeError("search failed")
+        return search(chunk, *args)
+
+    monkeypatch.setattr(engine_module, "optimize_weights", fail_in_window_3)
+    serial = serial_desk_run("every")
+
+    def split_after_the_failure(t):
+        if t == 3:
+            # the absorb went out before the search raised, and its reply is unread
+            assert sent[-1] == (kernel_workers._ABSORB, (0, DESK_STREAM.window_size)) and worker.ahead is not None
+            assert not worker.lock.locked()
+            rng = np.random.default_rng(13)
+            pred = grid_predictor(rng, m=40, n=30, d=4, k=5)[0]
+            alphas = rng.random((6, 4))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernel_workers, "_BREAK_EVEN", 1)
+                np.testing.assert_array_equal(pred.predict(alphas), pred._votes(alphas))
+            assert worker.holds == pred._token and sent[-1] == (kernel_workers._VOTES, None)  # it split
+            assert worker.ahead is None and worker.alive
+
+    got = desk_run("every", split_after_the_failure, sent)
+    assert [window[:-1] if len(window) == 5 else window for window in got] == serial
+    assert got[2] == ("search failed", got[1][3])  # the failed step fitted nothing
+
+
+def test_killing_the_worker_with_an_absorb_in_flight_changes_no_state(ahead, monkeypatch):
+    worker, sent = ahead
+    serial = serial_desk_run("every")
+    search = engine_module.optimize_weights
+
+    def kill_in_flight(*args):
+        if worker.alive and worker.ahead is not None:
+            worker.proc.kill()
+            worker.proc.wait()
+        return search(*args)
+
+    monkeypatch.setattr(engine_module, "optimize_weights", kill_in_flight)
+    with pytest.warns(RuntimeWarning, match="kernel worker") as warned:
+        got = desk_run("every", sent=sent)
+    assert [window[:-1] for window in got] == serial
+    assert len(warned) == 1
+    assert not worker.alive and kernel_workers._disabled
+    assert [len(window[-1]) for window in got] == [0, 1, 0, 0, 0, 0, 0, 0]  # none sent after the failure
+
+
+def test_a_fit_drops_the_reply_when_the_stm_was_replaced_after_the_send(ahead, monkeypatch):
+    worker, sent = ahead
+    rng = np.random.default_rng(23)
+    d, n = 4, 200
+    stm, new_stm = (rng.random((300, d)), rng.integers(0, 2, 300)), (rng.random((250, d)), rng.integers(0, 2, 250))
+    ltm = rng.random((60, d)), rng.integers(0, 2, 60)
+    groups, labels = rng.integers(0, 2, (2, n)).astype(np.uint8)
+    chunk = Chunk(rng.random((n, d)), groups, labels, 1)
+
+    def bank_with(stm):
+        bank = MemoryBank(d, stm_cap=500, ltm_cap=500)
+        bank.replace_stm(*stm)
+        bank.replace_ltm(*ltm)
+        return bank
+
+    local, stm_rows = [], samknn._stm_rows
+    monkeypatch.setattr(samknn, "_stm_rows", lambda *a: local.append(a[-2:]) or stm_rows(*a))
+    for replaced, computed_here in ((None, []), (new_stm, [(0, n)])):
+        want = serially(lambda: fitted_states(bank_with(replaced or stm), [chunk]))[0]
+        bank = bank_with(stm)
+        handle = bank.fit_ahead(chunk)
+        assert handle is not None and sent[-1] == (kernel_workers._ABSORB, (0, n))
+        if replaced:
+            bank.replace_stm(*replaced)
+        local.clear()
+        bank.fit_chunk(chunk, handle)
+        assert bank_state(bank) == want
+        assert local == computed_here  # the fit used the worker's reply, or dropped it and computed the pass
+    # the dropped reply is read by whoever takes the worker next, which keeps it in step
+    assert worker.ahead is handle[1] and handle[1].reply is None
+    assert ready_worker() is worker and worker.ahead is None and handle[1].reply is not None
+
+
+def test_threads_splitting_while_fits_go_ahead_get_the_serial_results(ahead, monkeypatch):
+    # One thread fits windows as the engine does (absorb ahead, a split call,
+    # the fit) while three threads make split calls; a short switch interval
+    # lets any of them take the worker between a send and its fit.
+    worker, sent = ahead
+    monkeypatch.setattr(kernel_workers, "_BREAK_EVEN", 1)
+    rng = np.random.default_rng(29)
+    pred = grid_predictor(rng, m=60, n=50, d=4, k=5)[0]
+    stacks = [rng.random((int(rng.integers(2, 12)), 4)) for _ in range(30)]
+    want_votes = [pred._votes(a) for a in stacks]
+    chunks = reference_chunks(100, n_instances=1500)
+    make_bank = lambda: MemoryBank(chunks[0].n_features, stm_cap=400, ltm_cap=200)  # noqa: E731
+    want_states = serially(lambda: fitted_states(make_bank(), chunks))
+    start, errors, got_states = threading.Barrier(4), [], []
+
+    def predict_all(order):
+        for i in order:
+            np.testing.assert_array_equal(pred.predict(stacks[i]), want_votes[i])
+
+    def fit_all():
+        bank = make_bank()
+        for t, chunk in enumerate(chunks):
+            handle = bank.fit_ahead(chunk)
+            predict_all([t])
+            bank.fit_chunk(chunk, handle)
+            got_states.append(bank_state(bank))
+
+    def run(work, *args):
+        start.wait()
+        try:
+            work(*args)
+        except AssertionError as exc:
+            errors.append(exc)
+
+    jobs = [(fit_all,), (predict_all, range(30)), (predict_all, range(29, -1, -1)), (predict_all, range(0, 30, 3))]
+    threads = [threading.Thread(target=run, args=job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    assert got_states == want_states
+    assert any(tag == kernel_workers._ABSORB for tag, _ in sent) and worker.alive and not kernel_workers._disabled

@@ -1350,10 +1350,10 @@ def test_fit_chunk_peak_memory_does_not_grow_with_window_times_stm():
 
     sizes = (500, 2000)
     peaks = [fit_peak(n, 0.5) for n in sizes]
-    assert max(peaks) < 3 * 8 * _BLOCK_ELEMENTS
+    assert max(peaks) < 2.5 * 8 * _BLOCK_ELEMENTS
     per_point = 2 * (8 * (2 * d + 2) + 4 * samknn._BAND_LEN)
     assert peaks[1] - peaks[0] < per_point * 2 * (sizes[1] - sizes[0])
-    assert fit_peak(sizes[1], 0.05) < 3 * 8 * _BLOCK_ELEMENTS
+    assert fit_peak(sizes[1], 0.05) < 2.5 * 8 * _BLOCK_ELEMENTS
 
 
 # -- cleaning ------------------------------------------------------------------------
